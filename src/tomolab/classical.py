@@ -35,7 +35,6 @@ __all__ = [
     "PointTrajectory",
     "BoxTrajectory",
     "OscillatorTrajectory",
-    "ClassicalModel",
     "radon_density",
     "radon_line_integral",
     "RadonFamily",
@@ -120,9 +119,6 @@ class OscillatorTrajectory:
     def __post_init__(self):
         if not self.E > 0:
             raise TomogramError("oscillator trajectory needs positive E")
-
-
-ClassicalModel = object  # union of the four variants above
 
 
 def trapezoid2d(values: np.ndarray, dx: float, dy: float) -> float:
@@ -404,28 +400,29 @@ def classical_box_tomogram(X, frame: TomographyFrame, L: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _box_cdf(X: np.ndarray, frame: TomographyFrame, L: float) -> np.ndarray:
-    # cumulative mass of the two 1/(2|mu|L) plateaus
-    s = math.sqrt(2.0) * frame.nu
-    lo_m, hi_m = sorted((s * 1.0, frame.mu * L + s))
+def _box_cdf(X: np.ndarray, frame: TomographyFrame, L: float, E: float = 1.0) -> np.ndarray:
+    # cumulative mass of the two 1/(2|mu|L) plateaus over mu*[0, L] +- nu*sqrt(2E)
+    s = frame.nu * math.sqrt(2.0 * E)
+    lo_m, hi_m = sorted((s, frame.mu * L + s))
     lo_p, hi_p = sorted((-s, frame.mu * L - s))
     c = np.clip((X - lo_m) / (hi_m - lo_m), 0.0, 1.0) * 0.5
     c += np.clip((X - lo_p) / (hi_p - lo_p), 0.0, 1.0) * 0.5
     return c
 
 
-def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid) -> Tomogram:
-    """Sampled unit-energy box tomogram; support-edge cells carry exact
-    masses, and mu = 0 yields the two momentum atoms at +-sqrt2 nu."""
+def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid,
+                                 E: float = 1.0) -> Tomogram:
+    """Sampled energy-E box tomogram; support-edge cells carry exact
+    masses, and mu = 0 yields the two momentum atoms at +-nu sqrt(2E)."""
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         raise TomogramError("box tomogram rejected for the zero frame")
     if frame.mu == 0.0:
-        s = math.sqrt(2.0) * frame.nu
+        s = frame.nu * math.sqrt(2.0 * E)
         atoms = (DeltaAtom(0.5, -s), DeltaAtom(0.5, s))
         return Tomogram(frame, x, np.zeros_like(x), atoms)
     edges = _cell_edges(x)
-    masses = np.diff(_box_cdf(edges, frame, L))
+    masses = np.diff(_box_cdf(edges, frame, L, E))
     dx = x[1] - x[0]
     return Tomogram(frame, x, masses / dx)
 
@@ -445,22 +442,7 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid,
     if isinstance(model, OscillatorTrajectory):
         return classical_oscillator_tomogram_build(frame, model.E, x)
     if isinstance(model, BoxTrajectory):
-        if frame.is_zero:
-            raise TomogramError("time average rejected for the zero frame")
-        v = math.sqrt(2.0 * model.E)
-        if frame.mu == 0.0:
-            s = frame.nu * v
-            atoms = (DeltaAtom(0.5, -s), DeltaAtom(0.5, s))
-            return Tomogram(frame, x, np.zeros_like(x), atoms)
-        # energy-E version of the closed form: plateaus over
-        # mu*[0,L] +- nu*v of height 1/(2|mu|L)
-        edges = _cell_edges(x)
-        s = frame.nu * v
-        lo_m, hi_m = sorted((s, frame.mu * model.L + s))
-        lo_p, hi_p = sorted((-s, frame.mu * model.L - s))
-        c = np.clip((edges - lo_m) / (hi_m - lo_m), 0.0, 1.0) * 0.5
-        c += np.clip((edges - lo_p) / (hi_p - lo_p), 0.0, 1.0) * 0.5
-        return Tomogram(frame, x, np.diff(c) / (x[1] - x[0]))
+        return classical_box_tomogram_build(frame, model.L, x, model.E)
     if not isinstance(model, PointTrajectory):
         raise TypeError(f"unsupported classical model {model!r}")
     if not math.isfinite(model.period):

@@ -294,14 +294,13 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
     if cfg.target == "wigner":
         qlo, qhi = st.position_extent(state, hbar, tails=4.0)
-        plo, phi = qt.momentum_extent(state, hbar, tails=4.0)
+        plo, phi = st.momentum_extent(state, hbar, tails=4.0)
         qext = max(abs(qlo), abs(qhi))
         pext = max(abs(plo), abs(phi))
         # the characteristic function of |n> decays like L_n(lam) e^{-lam/2}
         # with lam = (mu^2 sq^2 + nu^2 sp^2); size the frame box so the
         # discarded tail is ~1e-6
-        nmax = getattr(state, "n", 0) if not isinstance(state, st.Superposition) else max(state.n, state.m)
-        lam_cut = 32.0 + 8.0 * nmax
+        lam_cut = 32.0 + 8.0 * state.max_order()
         sq, sp = st.natural_scales(state, hbar)
         mu_max = math.sqrt(lam_cut) / (sq / math.sqrt(2.0))
         nu_max = math.sqrt(lam_cut) / (sp / math.sqrt(2.0))
@@ -342,7 +341,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         sq, sp = st.natural_scales(state, hbar)
         mu_max = 6.0 / sq
         n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
-        plo, phi = qt.momentum_extent(state, hbar, tails=4.0)
+        plo, phi = st.momentum_extent(state, hbar, tails=4.0)
         pext = max(abs(plo), abs(phi))
         xmax = mu_max * max(np.abs(xs)) + float(np.max(np.abs(nus))) * pext + 8.0 * math.sqrt(hbar)
         xg = np.linspace(-xmax, xmax, max(2401, int(xmax / 0.05)))
@@ -358,7 +357,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         report["hermiticity_residual"] = herm
         diag = np.real(np.diag(rho))
         report["trace"] = float(np.trapezoid(diag, xs))
-        if not isinstance(state, st.CustomGrid):
+        if not state.sampled:
             psi = st.position_wavefunction(state, hbar)(xs)
             report["max_error_vs_exact"] = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
         print(f"density grid written to {out_csv}")
@@ -377,21 +376,37 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
+class CompareInputError(ValueError):
+    """compare inputs that the chosen comparison cannot honour."""
+
+
+def _require_unit_energy(kind: str, **values: tuple[float, float]) -> None:
+    for name, (given, expected) in values.items():
+        if abs(given - expected) > 1e-9 * abs(expected):
+            raise CompareInputError(f"the windowed {kind} comparison holds at unit energy only: "
+                                    f"it needs {name} = {expected!r}, got {given!r}")
+
+
 def _compare_row(state, model, frame: TomographyFrame, hbar: float,
                  grid: np.ndarray | None) -> tuple[float, str]:
     """One quantum-vs-classical L1 distance with the appropriate
     oscillation handling and exclusion zones.
 
     Eigenstate rows against matching orbits are compared after local
-    averaging (turning zones / support edges excluded); a `point`
-    classical model stands for the static phase-space point (q0, p0),
-    whose tomogram is the delta atom at mu q0 + nu p0 spread over its
-    grid cell.
+    averaging (turning zones / support edges excluded); those rows hold
+    at unit energy only, so other hbar, E, varpi or L values raise
+    CompareInputError.  A `point` classical model stands for the static
+    phase-space point (q0, p0), whose tomogram is the delta atom at
+    mu q0 + nu p0 spread over its grid cell.
     """
     if isinstance(state, st.HOEigen) and isinstance(model, cl.OscillatorTrajectory):
+        _require_unit_energy("oscillator", hbar=(hbar, 1.0 / state.n), E=(model.E, 1.0),
+                             varpi=(state.varpi, 1.0))
         d = lm.oscillator_windowed_distance(state.n, frame)
         return d, "windowed; turning zones excluded"
     if isinstance(state, st.BoxEigen) and isinstance(model, cl.BoxTrajectory):
+        _require_unit_energy("box", L=(state.L, model.L), E=(model.E, 1.0),
+                             hbar=(hbar, qt.ehrenfest_hbar(state.n, model.L)))
         if frame.mu == 0.0 or frame.nu == 0.0:
             return math.nan, "frame needs mu != 0 and nu != 0"
         d = lm.box_windowed_distance(state.n, model.L, frame)
@@ -424,6 +439,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     for fr in frames:
         try:
             d, note = _compare_row(state, model, fr, cfg.hbar, grid)
+        except CompareInputError as exc:
+            print(f"compare: {exc}", file=sys.stderr)
+            return 2
         except Exception as exc:  # report per-row failures, keep going
             d, note = math.nan, f"failed: {exc}"
         rows.append((fr.mu, fr.nu, d))

@@ -129,6 +129,33 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float | None,
     return float(slope), float(r2)
 
 
+def _trusted_fit(values: Sequence[float], distances: Sequence[float]):
+    """fit_power_law with the exponent dropped unless R^2 >= 0.98."""
+    exponent, r2 = fit_power_law(values, distances)
+    if r2 is None or r2 < 0.98:
+        exponent = None
+    return exponent, r2
+
+
+def _decreasing(distances: Sequence[float]) -> bool:
+    return all(distances[i] > distances[i + 1] for i in range(len(distances) - 1))
+
+
+def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float],
+                 details: dict, *conditions: bool, gate: bool = True) -> LimitReport:
+    """Report of an hbar sweep with the shared verdict: converged when the
+    fit is trusted, its exponent positive and every study condition holds;
+    not-converged otherwise; inconclusive without a trusted fit unless the
+    study's gate condition already fails."""
+    exponent, r2 = _trusted_fit(hbar_values, distances)
+    if exponent is None:
+        verdict = "inconclusive" if gate else "not-converged"
+    else:
+        verdict = "converged" if exponent > 0 and all(conditions) else "not-converged"
+    return LimitReport(study, "hbar", list(map(float, hbar_values)), distances,
+                       exponent, r2, verdict, details=details)
+
+
 def _thread_count() -> int:
     raw = os.environ.get("TOMOLAB_THREADS", "0")
     try:
@@ -239,23 +266,14 @@ def weak_delta_convergence(state_for_hbar, hbar_values: Sequence[float],
 
     results = _map_ordered(one, list(hbar_values))
     errors = [r[0] for r in results]
-    exponent, r2 = fit_power_law(hbar_values, errors)
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
-    if exponent is not None and r2 is not None and r2 >= 0.98:
-        verdict = "converged" if (monotone and exponent > 0) else "not-converged"
-    else:
-        exponent = None
-        verdict = "inconclusive"
-    return LimitReport(
-        study, "hbar", list(map(float, hbar_values)), errors,
-        exponent, r2, verdict,
-        details={
-            "constraint": "planck",
-            "center": center,
-            "normalization_residuals": [r[1] for r in results],
-            "monotone": monotone,
-        },
-    )
+    monotone = _decreasing(errors)
+    details = {
+        "constraint": "planck",
+        "center": center,
+        "normalization_residuals": [r[1] for r in results],
+        "monotone": monotone,
+    }
+    return _hbar_report(study, hbar_values, errors, details, monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +314,11 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
 
     results = _map_ordered(one, list(hbar_values))
     distances = [r[0] for r in results]
-    exponent, r2 = fit_power_law(hbar_values, distances)
-    if exponent is None or r2 is None or r2 < 0.98:
-        return LimitReport(
-            "interference", "hbar", list(map(float, hbar_values)), distances,
-            None, r2, "inconclusive",
-            details={"constraint": "planck", "n": n, "m": m},
-        )
-    verdict = "converged" if exponent > 0 else "not-converged"
-    return LimitReport(
-        "interference", "hbar", list(map(float, hbar_values)), distances,
-        exponent, r2, verdict,
-        details={
-            "constraint": "planck",
-            "n": n,
-            "m": m,
-            "physical_l1": [r[1] for r in results],
-            "signed_integrals": [r[2] for r in results],
-        },
-    )
+    details = {"constraint": "planck", "n": n, "m": m}
+    if _trusted_fit(hbar_values, distances)[0] is not None:  # inconclusive reports keep only n, m
+        details["physical_l1"] = [r[1] for r in results]
+        details["signed_integrals"] = [r[2] for r in results]
+    return _hbar_report("interference", hbar_values, distances, details)
 
 
 def cat_interference_planck(alpha: complex, frame: TomographyFrame,
@@ -343,27 +347,18 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
     errors = [r[0] for r in results]
     integrals = [r[1] for r in results]
     masses = [r[2] for r in results]
-    exponent, r2 = fit_power_law(hbar_values, errors)
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
     hbar_independent = max(abs(v - target) for v in integrals) < 1e-6
-    if exponent is not None and r2 is not None and r2 >= 0.98:
-        verdict = "converged" if (monotone and exponent > 0 and hbar_independent) else "not-converged"
-    else:
-        exponent = None
-        verdict = "inconclusive" if hbar_independent else "not-converged"
     N2 = cat_normalization(alpha, "even") ** 2
-    return LimitReport(
-        "cat-interference", "hbar", list(map(float, hbar_values)), errors,
-        exponent, r2, verdict,
-        details={
-            "constraint": "planck",
-            "alpha": [alpha.real, alpha.imag],
-            "interference_integrals": integrals,
-            "interference_target": target,
-            "masses": masses,
-            "weak_limit_coefficient": N2 * (2.0 + target),
-        },
-    )
+    details = {
+        "constraint": "planck",
+        "alpha": [alpha.real, alpha.imag],
+        "interference_integrals": integrals,
+        "interference_target": target,
+        "masses": masses,
+        "weak_limit_coefficient": N2 * (2.0 + target),
+    }
+    return _hbar_report("cat-interference", hbar_values, errors, details,
+                        _decreasing(errors), hbar_independent, gate=hbar_independent)
 
 
 # ---------------------------------------------------------------------------
@@ -400,30 +395,24 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         var = float(np.trapezoid((grid - mean) ** 2 * vals, dx=dx))
         widths.append(math.sqrt(max(var, 0.0)))
         errors.append(weak_error(tom, tests, X_star))
-        assert abs(peak_pred - X_star) < 1e-12
-    exponent, r2 = fit_power_law(hbar_values, errors)
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
+        if not abs(peak_pred - X_star) < 1e-12 * max(1.0, abs(X_star)):
+            raise TomogramError(
+                f"coherent peak {peak_pred!r} at hbar={hbar} misses the classical point {X_star!r}"
+            )
     peaks_ok = all(pe <= 1.0 for pe in peak_errors)
-    if exponent is not None and r2 is not None and r2 >= 0.98:
-        verdict = "converged" if (monotone and exponent > 0 and peaks_ok) else "not-converged"
-    else:
-        exponent = None
-        verdict = "inconclusive"
-    return LimitReport(
-        "ehrenfest-coherent", "hbar", list(map(float, hbar_values)), errors,
-        exponent, r2, verdict,
-        details={
-            "constraint": "ehrenfest",
-            "q_alpha": q_alpha,
-            "p_alpha": p_alpha,
-            "target_location": X_star,
-            "peak_error_cells": peak_errors,
-            "widths": widths,
-            "expected_widths": [
-                math.sqrt(h * (frame.mu ** 2 + frame.nu ** 2) / 2.0) for h in hbar_values
-            ],
-        },
-    )
+    details = {
+        "constraint": "ehrenfest",
+        "q_alpha": q_alpha,
+        "p_alpha": p_alpha,
+        "target_location": X_star,
+        "peak_error_cells": peak_errors,
+        "widths": widths,
+        "expected_widths": [
+            math.sqrt(h * (frame.mu ** 2 + frame.nu ** 2) / 2.0) for h in hbar_values
+        ],
+    }
+    return _hbar_report("ehrenfest-coherent", hbar_values, errors, details,
+                        _decreasing(errors), peaks_ok)
 
 
 def fringe_frame(q_alpha: float, p_alpha: float) -> TomographyFrame:
@@ -483,28 +472,18 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         targets = [0.5 * float(t.fn(np.asarray(X_star))) + 0.5 * float(t.fn(np.asarray(-X_star)))
                    for t in tests]
         errors.append(weak_error(tom, tests, 0.0, targets=targets))
-    exponent, r2 = fit_power_law(hbar_values, errors)
-    monotone = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
-    if exponent is not None and r2 is not None and r2 >= 0.98:
-        verdict = "converged" if (monotone and exponent > 0) else "not-converged"
-    else:
-        exponent = None
-        verdict = "inconclusive"
-    return LimitReport(
-        "ehrenfest-cat", "hbar", list(map(float, hbar_values)), errors,
-        exponent, r2, verdict,
-        details={
-            "constraint": "ehrenfest",
-            "q_alpha": q_alpha,
-            "p_alpha": p_alpha,
-            "endpoint_locations": [X_star, -X_star],
-            "fringe_frame": [ffr.mu, ffr.nu],
-            "zero_crossings": crossings,
-            "crossing_window": window,
-            "normalizations": n2s,
-            "positive_half_masses": half_masses,
-        },
-    )
+    details = {
+        "constraint": "ehrenfest",
+        "q_alpha": q_alpha,
+        "p_alpha": p_alpha,
+        "endpoint_locations": [X_star, -X_star],
+        "fringe_frame": [ffr.mu, ffr.nu],
+        "zero_crossings": crossings,
+        "crossing_window": window,
+        "normalizations": n2s,
+        "positive_half_masses": half_masses,
+    }
+    return _hbar_report("ehrenfest-cat", hbar_values, errors, details, _decreasing(errors))
 
 
 def windowed_average(fn: Callable[[np.ndarray], np.ndarray], centers: np.ndarray,
@@ -605,15 +584,12 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
         details["momentum_concentration"] = conc
         details["momentum_check_n"] = nq
 
-    decreasing = all(distances[i] > distances[i + 1] for i in range(len(distances) - 1))
     at_floor = max(distances) < 1e-6
-    verdict = "converged" if ((decreasing or at_floor) and distances[-1] < 0.05) else "not-converged"
-    exponent, r2 = fit_power_law(n_values, distances)
-    if exponent is None or r2 is None or r2 < 0.98:
-        exponent = None
+    ok = (_decreasing(distances) or at_floor) and distances[-1] < 0.05
+    exponent, r2 = _trusted_fit(n_values, distances)
     return LimitReport(
         "ehrenfest-box", "n", list(map(float, n_values)), distances,
-        exponent, r2, verdict, details=details,
+        exponent, r2, "converged" if ok else "not-converged", details=details,
     )
 
 
@@ -707,12 +683,9 @@ def ehrenfest_oscillator(n_values: Sequence[int],
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 
-    decreasing = all(distances[i] > distances[i + 1] for i in range(len(distances) - 1))
-    verdict = "converged" if (decreasing and distances[-1] < 0.03) else "not-converged"
-    exponent, r2 = fit_power_law(n_values, distances)
-    if exponent is None or r2 is None or r2 < 0.98:
-        exponent = None
+    ok = _decreasing(distances) and distances[-1] < 0.03
+    exponent, r2 = _trusted_fit(n_values, distances)
     return LimitReport(
         "ehrenfest-oscillator", "n", list(map(float, n_values)), distances,
-        exponent, r2, verdict, details=details,
+        exponent, r2, "converged" if ok else "not-converged", details=details,
     )

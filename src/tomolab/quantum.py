@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,12 +39,12 @@ from .states import (
     CatEven,
     CatOdd,
     Coherent,
-    CustomGrid,
     HOEigen,
     StateSpec,
     Superposition,
     cat_normalization,
     coherent_center,
+    momentum_extent,
     momentum_wavefunction,
     natural_scales,
     position_extent,
@@ -51,7 +52,6 @@ from .states import (
 )
 
 __all__ = [
-    "TomogramAmplitude",
     "amplitude_generating",
     "hermite_amplitude",
     "coherent_amplitude",
@@ -173,22 +173,9 @@ def coherent_amplitude(alpha: complex, frame: TomographyFrame, X, hbar: float,
     return complex(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class TomogramAmplitude:
-    """One amplitude sample; |value|^2/(2 pi hbar |nu|) is the tomogram density."""
-
-    value: complex
-    frame: TomographyFrame
-    X: float
-    hbar: float
-
-    def density(self) -> float:
-        return abs(self.value) ** 2 / (2.0 * math.pi * self.hbar * abs(self.frame.nu))
-
-
-def _box_amplitudes(state: BoxEigen, frame: TomographyFrame, X: float, hbar: float):
-    """The pair (A_-, A_+) of finite-interval chirped integrals whose
-    difference gives the box amplitude."""
+def _box_amplitude(state: BoxEigen, frame: TomographyFrame, X: float, hbar: float) -> complex:
+    """The box amplitude as the difference of two finite-interval chirped
+    integrals, one per exponential in sin(k y)."""
     a = frame.mu / (2.0 * hbar * frame.nu)
     k = state.n * math.pi / state.L
     env_scale = state.L / max(8.0, state.n / 4.0)
@@ -196,43 +183,26 @@ def _box_amplitudes(state: BoxEigen, frame: TomographyFrame, X: float, hbar: flo
     b0 = -X / (hbar * frame.nu)
     am = chirp_integral(ones, a, b0 + k, 0.0, state.L, env_scale=env_scale)
     ap = chirp_integral(ones, a, b0 - k, 0.0, state.L, env_scale=env_scale)
-    return am, ap
+    return math.sqrt(2.0 / state.L) * (am - ap) / 2j
 
 
 def tomogram_amplitude(state: StateSpec, frame: TomographyFrame, X: float,
                        hbar: float) -> complex:
-    """Amplitude A_psi(X, mu, nu) for any catalog state (nu != 0).
+    """Amplitude A_psi(X, mu, nu) for any state (nu != 0).
 
-    Oscillator-family states use the closed forms; box and custom-grid
-    states fall back to phase-resolved oscillatory quadrature of the
-    defining integral.
+    States in the route table use their closed forms (box states their
+    two-integral quadrature); every other state falls back to
+    phase-resolved oscillatory quadrature of the defining integral.
     """
     _require_nu(frame, "tomogram_amplitude")
-    if isinstance(state, HOEigen):
-        return complex(hermite_amplitude(state.n, frame, X, hbar, state.varpi))
-    if isinstance(state, Coherent):
-        return complex(coherent_amplitude(state.alpha, frame, X, hbar, state.varpi))
-    if isinstance(state, Superposition):
-        an = hermite_amplitude(state.n, frame, X, hbar, state.varpi)
-        am = hermite_amplitude(state.m, frame, X, hbar, state.varpi)
-        return complex((an + am) / math.sqrt(2.0))
-    if isinstance(state, (CatEven, CatOdd)):
-        sign = 1.0 if isinstance(state, CatEven) else -1.0
-        N = cat_normalization(state.alpha, "even" if sign > 0 else "odd")
-        aa = coherent_amplitude(state.alpha, frame, X, hbar, state.varpi)
-        ab = coherent_amplitude(-state.alpha, frame, X, hbar, state.varpi)
-        return complex(N * (aa + sign * ab))
-    if isinstance(state, BoxEigen):
-        am, ap = _box_amplitudes(state, frame, X, hbar)
-        return complex(math.sqrt(2.0 / state.L) * (am - ap) / 2j)
-    if isinstance(state, CustomGrid):
-        psi = position_wavefunction(state, hbar)
-        lo, hi = position_extent(state, hbar)
-        a = frame.mu / (2.0 * hbar * frame.nu)
-        b = -X / (hbar * frame.nu)
-        dx = float(state.x_grid[1] - state.x_grid[0])
-        return chirp_integral(psi, a, b, lo, hi, env_scale=2.0 * dx)
-    raise TypeError(f"unknown state spec {state!r}")
+    route = _ROUTES.get(type(state))
+    if route is not None:
+        return complex(route.amplitude(state, frame, X, hbar))
+    psi = position_wavefunction(state, hbar)
+    lo, hi = position_extent(state, hbar)
+    a = frame.mu / (2.0 * hbar * frame.nu)
+    b = -X / (hbar * frame.nu)
+    return chirp_integral(psi, a, b, lo, hi, env_scale=state.envelope_scale(hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -373,55 +343,6 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
 # quadrature route (representation-dispatched) and grid helpers
 # ---------------------------------------------------------------------------
 
-def _env_scale_position(state: StateSpec, hbar: float) -> float:
-    if isinstance(state, (HOEigen, Superposition)):
-        nmax = state.n if isinstance(state, HOEigen) else max(state.n, state.m)
-        return math.sqrt(hbar / state.varpi) / math.sqrt(2.0 * nmax + 1.0)
-    if isinstance(state, (Coherent, CatEven, CatOdd)):
-        _, pbar = coherent_center(state.alpha, hbar, state.varpi)
-        return min(math.sqrt(hbar / state.varpi), hbar / (abs(pbar) + 1e-30))
-    if isinstance(state, CustomGrid):
-        return 2.0 * float(state.x_grid[1] - state.x_grid[0])
-    if isinstance(state, BoxEigen):
-        return state.L / max(8.0, state.n)
-    raise TypeError(f"unknown state spec {state!r}")
-
-
-def momentum_extent(state: StateSpec, hbar: float, tails: float = 8.0,
-                    mass_tol: float = 1e-6) -> tuple[float, float]:
-    """Interval of p outside which |psihat| is negligible (box states have
-    power-law momentum tails sized from the requested mass tolerance)."""
-    if isinstance(state, (HOEigen, Superposition)):
-        nmax = state.n if isinstance(state, HOEigen) else max(state.n, state.m)
-        r = math.sqrt(hbar * state.varpi) * (math.sqrt(2.0 * nmax + 1.0) + tails)
-        return -r, r
-    if isinstance(state, Coherent):
-        _, pbar = coherent_center(state.alpha, hbar, state.varpi)
-        r = tails * math.sqrt(hbar * state.varpi)
-        return pbar - r, pbar + r
-    if isinstance(state, (CatEven, CatOdd)):
-        _, pbar = coherent_center(state.alpha, hbar, state.varpi)
-        r = abs(pbar) + tails * math.sqrt(hbar * state.varpi)
-        return -r, r
-    if isinstance(state, BoxEigen):
-        k = state.n * math.pi / state.L
-        core = hbar * k
-        tail = (8.0 * k * k * hbar ** 3 / (3.0 * math.pi * state.L * mass_tol)) ** (1.0 / 3.0)
-        r = core + 1.5 * tail
-        return -r, r
-    if isinstance(state, CustomGrid):
-        # spectral radius holding all but mass_tol of the sampled momentum density
-        dx = float(state.x_grid[1] - state.x_grid[0])
-        psd = np.abs(np.fft.fft(state.psi)) ** 2
-        k = 2.0 * math.pi * np.fft.fftfreq(state.psi.size, d=dx)
-        order = np.argsort(np.abs(k))
-        cum = np.cumsum(psd[order])
-        idx = int(np.searchsorted(cum, (1.0 - 0.1 * mass_tol) * cum[-1]))
-        r = hbar * abs(k[order][min(idx, k.size - 1)]) * 1.5 + hbar * 2.0 * math.pi / (dx * state.psi.size)
-        return -r, r
-    raise TypeError(f"unknown state spec {state!r}")
-
-
 def ehrenfest_hbar(n: int, L: float = 1.0) -> float:
     """hbar pinned by unit energy for the box eigenstate: sqrt2 L/(n pi)."""
     return math.sqrt(2.0) * L / (n * math.pi)
@@ -429,15 +350,8 @@ def ehrenfest_hbar(n: int, L: float = 1.0) -> float:
 
 def box_x_extent(state: BoxEigen, frame: TomographyFrame, hbar: float,
                  mass_tol: float = 1e-4) -> tuple[float, float]:
-    """X interval capturing the box tomogram mass to ~mass_tol.
-
-    The smooth support is mu*[0, L] broadened by nu times the momentum
-    spread; beyond it the tomogram decays like 1/X^4 (sharp-wall
-    diffraction), so the pad is sized from that power law.
-    """
-    plo, phi = momentum_extent(state, hbar, mass_tol=mass_tol / 4.0)
-    corners = [frame.mu * q + frame.nu * p for q in (0.0, state.L) for p in (plo, phi)]
-    return min(corners) - 0.5, max(corners) + 0.5
+    """X interval capturing the box tomogram mass to ~mass_tol."""
+    return state.x_extent(frame, hbar, mass_tol=mass_tol)
 
 
 def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
@@ -562,12 +476,13 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
 
     Exact branches: nu = 0 -> |psi(X/mu)|^2/|mu|; mu = 0 ->
     |psihat(X/nu)|^2/|nu|; the zero frame -> unit atom at X = 0.
-    Otherwise the representation is chosen so the 1/|nu| (position route)
-    or 1/|mu| (momentum route) prefactor stays bounded: the position
-    integral is used when |nu|*sigma_p >= |mu|*sigma_q (ties included)
-    with the state's natural scales, else the Fourier-side integral.
-    Box and custom-grid states always integrate on the position side,
-    where their support is compact.
+    Box states take their own two-integral quadrature.  Otherwise the
+    representation is chosen so the 1/|nu| (position route) or 1/|mu|
+    (momentum route) prefactor stays bounded: the position integral is
+    used when |nu|*sigma_p >= |mu|*sigma_q (ties included) with the
+    state's natural scales, else the Fourier-side integral.  Sampled
+    states always integrate on the position side, where their support is
+    compact.
     """
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
@@ -580,25 +495,23 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
         ft = momentum_wavefunction(state, hbar)
         vals = np.abs(ft(x / frame.nu)) ** 2 / abs(frame.nu)
         return Tomogram(frame, x, vals)
-    if isinstance(state, BoxEigen):
-        return box_tomogram(state.n, state.L, frame, x, hbar)
+    route = _ROUTES.get(type(state))
+    if route is not None and not route.closed:
+        return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
     sq, sp = natural_scales(state, hbar)
-    position_side = isinstance(state, CustomGrid) or (
-        abs(frame.nu) * sp >= abs(frame.mu) * sq
-    )
-    if position_side:
+    if state.sampled or abs(frame.nu) * sp >= abs(frame.mu) * sq:
         env = position_wavefunction(state, hbar)
         lo, hi = position_extent(state, hbar)
         a = frame.mu / (2.0 * hbar * frame.nu)
         slope = -1.0 / (hbar * frame.nu)
-        scale = _env_scale_position(state, hbar)
+        scale = state.envelope_scale(hbar)
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.nu))
     else:
         env = momentum_wavefunction(state, hbar)
         lo, hi = momentum_extent(state, hbar)
         a = -frame.nu / (2.0 * hbar * frame.mu)
         slope = 1.0 / (hbar * frame.mu)
-        scale = _env_scale_position(state, hbar) * sp / sq
+        scale = state.envelope_scale(hbar) * sp / sq
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.mu))
     amps = _ladder_amplitudes(env, a, slope, x, lo, hi, scale)
     return Tomogram(frame, x, pref * np.abs(amps) ** 2)
@@ -607,17 +520,55 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
 def default_x_grid(state: StateSpec, frame: TomographyFrame, hbar: float,
                    count: int = 2001, tails: float = 8.0) -> np.ndarray:
     """Uniform X grid covering mu*[q support] + nu*[p support]."""
-    if isinstance(state, BoxEigen):
-        lo, hi = box_x_extent(state, frame, hbar)
-        return np.linspace(lo, hi, count)
-    qlo, qhi = position_extent(state, hbar, tails)
-    plo, phi = momentum_extent(state, hbar, tails)
-    corners = [frame.mu * q + frame.nu * p for q in (qlo, qhi) for p in (plo, phi)]
-    lo, hi = min(corners), max(corners)
+    lo, hi = state.x_extent(frame, hbar, tails)
     if hi - lo < 1e-9:
         lo -= 1.0
         hi += 1.0
     return np.linspace(lo, hi, count)
+
+
+class _Route(NamedTuple):
+    """Per-class tomogram route: a closed form, or (closed=False) a
+    state-specific quadrature that replaces the generic one."""
+
+    closed: bool
+    tomogram: Callable   # (state, frame, x, hbar) -> tomogram values on x
+    amplitude: Callable  # (state, frame, X, hbar) -> A(X)
+
+
+def _cat_amplitude(state, frame, X, hbar):
+    N = cat_normalization(state.alpha, state.parity)
+    aa = coherent_amplitude(state.alpha, frame, X, hbar, state.varpi)
+    ab = coherent_amplitude(-state.alpha, frame, X, hbar, state.varpi)
+    return N * (aa + state.sign * ab)
+
+
+# Keyed by class here because states.py cannot import this module; the
+# entries call the module functions by global name, so rebinding one of
+# those names (tracing, tests) reaches every route.
+_ROUTES = {
+    HOEigen: _Route(
+        True,
+        lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h, s.varpi),
+        lambda s, fr, X, h: hermite_amplitude(s.n, fr, X, h, s.varpi)),
+    Coherent: _Route(
+        True,
+        lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h, s.varpi),
+        lambda s, fr, X, h: coherent_amplitude(s.alpha, fr, X, h, s.varpi)),
+    **dict.fromkeys((CatEven, CatOdd), _Route(
+        True,
+        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h, s.varpi),
+        _cat_amplitude)),
+    Superposition: _Route(
+        True,
+        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h, s.varpi),
+        lambda s, fr, X, h: (hermite_amplitude(s.n, fr, X, h, s.varpi)
+                             + hermite_amplitude(s.m, fr, X, h, s.varpi)) / math.sqrt(2.0)),
+    BoxEigen: _Route(
+        False,
+        lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
+        _box_amplitude),
+}
 
 
 def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
@@ -631,15 +582,9 @@ def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
         return tomogram_from_wavefunction(state, frame, x, hbar)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
-    if isinstance(state, HOEigen):
-        return Tomogram(frame, x, hermite_tomogram(state.n, frame, x, hbar, state.varpi))
-    if isinstance(state, Coherent):
-        return Tomogram(frame, x, coherent_tomogram(state.alpha, frame, x, hbar, state.varpi))
-    if isinstance(state, (CatEven, CatOdd)):
-        parity = "even" if isinstance(state, CatEven) else "odd"
-        return Tomogram(frame, x, cat_tomogram(state.alpha, parity, frame, x, hbar, state.varpi))
-    if isinstance(state, Superposition):
-        return Tomogram(frame, x, superposition_tomogram(state.n, state.m, frame, x, hbar, state.varpi))
+    route = _ROUTES.get(type(state))
+    if route is not None and route.closed:
+        return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
     if method == "closed":
         raise TomogramError(f"no closed form for {state!r}")
     return tomogram_from_wavefunction(state, frame, x, hbar)
@@ -707,39 +652,8 @@ def _wigner_values(rho: GridFunction2D, q: np.ndarray, p: np.ndarray,
 
 
 def exact_wigner(state: StateSpec, hbar: float):
-    """Analytic Wigner function (p, q) -> W for the states that have one
-    in closed form here (oscillator eigenstates and coherent states);
-    returns None otherwise."""
-    if isinstance(state, HOEigen):
-        n, w = state.n, state.varpi
-
-        def w_fock(p, q):
-            r2 = w * np.asarray(q, float) ** 2 / hbar + np.asarray(p, float) ** 2 / (w * hbar)
-            # Laguerre L_n(2 r^2) by upward recurrence
-            z = 2.0 * r2
-            l0 = np.ones_like(z)
-            if n == 0:
-                ln = l0
-            else:
-                l1 = 1.0 - z
-                ln = l1
-                for k in range(1, n):
-                    l0, ln = ln, ((2 * k + 1 - z) * ln - k * l0) / (k + 1)
-            return 2.0 * (-1.0) ** n * ln * np.exp(-r2)
-
-        return w_fock
-    if isinstance(state, Coherent):
-        qbar, pbar = coherent_center(state.alpha, hbar, state.varpi)
-        w = state.varpi
-
-        def w_coh(p, q):
-            return 2.0 * np.exp(
-                -w * (np.asarray(q, float) - qbar) ** 2 / hbar
-                - (np.asarray(p, float) - pbar) ** 2 / (w * hbar)
-            )
-
-        return w_coh
-    return None
+    """Analytic Wigner function (p, q) -> W of the state, or None without one."""
+    return state.exact_wigner(hbar)
 
 
 def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
@@ -762,13 +676,7 @@ def _support_slice(state: StateSpec, frame: TomographyFrame, hbar: float,
                    x: np.ndarray) -> slice:
     """Index window of x where the state's tomogram can be nonzero
     (mu*[q support] + nu*[p support], padded by one width unit)."""
-    if isinstance(state, BoxEigen):
-        lo, hi = box_x_extent(state, frame, hbar, mass_tol=1e-6)
-    else:
-        qlo, qhi = position_extent(state, hbar, tails=10.0)
-        plo, phi = momentum_extent(state, hbar, tails=10.0)
-        corners = [frame.mu * q + frame.nu * p for q in (qlo, qhi) for p in (plo, phi)]
-        lo, hi = min(corners) - 0.5, max(corners) + 0.5
+    lo, hi = state.support_extent(frame, hbar)
     i0 = int(np.searchsorted(x, lo))
     i1 = int(np.searchsorted(x, hi)) + 1
     return slice(max(i0 - 1, 0), min(i1 + 1, x.size))

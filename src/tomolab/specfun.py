@@ -10,14 +10,11 @@ oscillator studies rely on n ~ 100-500 where the raw polynomials overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HermiteEval",
     "hermite_phi",
-    "hermite_eval",
     "airy_ai",
     "log_gamma",
     "parabolic_u_asymptotic",
@@ -33,18 +30,6 @@ HERMITE_MAX_ORDER = 10_000
 # the 1e-9 seam-continuity budget, so the Maclaurin series covers (-7, 5).
 AIRY_SWITCH_POS = 5.0
 AIRY_SWITCH_NEG = -7.0
-
-
-@dataclass(frozen=True)
-class HermiteEval:
-    """One normalized Hermite-function evaluation phi_n(x).
-
-    The normalized functions obey the uniform bound |phi_n| <= 0.8.
-    """
-
-    n: int
-    x: float
-    value: float
 
 
 def hermite_phi(n: int, x):
@@ -68,10 +53,6 @@ def hermite_phi(n: int, x):
     for k in range(1, n):
         p0, p1 = p1, xv * math.sqrt(2.0 / (k + 1)) * p1 - math.sqrt(k / (k + 1)) * p0
     return float(p1) if scalar else p1
-
-
-def hermite_eval(n: int, x: float) -> HermiteEval:
-    return HermiteEval(n, float(x), hermite_phi(n, float(x)))
 
 
 def log_gamma(x: float) -> float:

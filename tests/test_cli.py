@@ -188,6 +188,16 @@ def test_compare_box(tmp_path):
     assert rows["l1_distance"] < 0.05
 
 
+def test_compare_rejects_values_the_windowed_rows_ignore(tmp_path, capsys):
+    # the windowed oscillator rows hold at hbar = 1/n and E = 1 only
+    out = str(tmp_path / "cmp")
+    code = run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=5",
+                "--hbar", "0.5", "--frames", "1,0", "--out", out])
+    assert code == 2
+    assert "hbar = 0.01" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "compare.csv"))
+
+
 def test_compare_coherent_vs_point(tmp_path):
     # the distance between the coherent tomogram and the classical point's
     # cell is a pure function of the sqrt(hbar)-wide Gaussian profile

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -93,9 +94,9 @@ def test_tomogram_amplitude_consistency():
     for state in (st.HOEigen(2), st.Coherent(0.9 + 0.2j), st.Superposition(0, 3),
                   st.CatEven(1.1), st.BoxEigen(3, 1.0)):
         amp = qt.tomogram_amplitude(state, fr, X, hbar)
-        rec = qt.TomogramAmplitude(amp, fr, X, hbar)
+        density = abs(amp) ** 2 / (2.0 * math.pi * hbar * abs(fr.nu))
         tom = qt.state_tomogram(state, fr, np.array([X - 0.01, X, X + 0.01]), hbar)
-        assert abs(rec.density() - tom.values[1]) < 1e-8 * max(tom.values[1], 1e-10)
+        assert abs(density - tom.values[1]) < 1e-8 * max(tom.values[1], 1e-10)
 
 
 def test_amplitude_branch_continuity_through_small_nu():
@@ -237,6 +238,9 @@ def test_cat_interference_maximal_at_origin():
 def test_cat_parity_validation():
     with pytest.raises(TomogramError):
         qt.cat_tomogram(1 + 0j, "mixed", TomographyFrame(1, 1), 0.0, 1.0)
+    for cat in (st.CatEven, st.CatOdd):
+        with pytest.raises(ValueError):
+            cat(1.0, varpi=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,58 @@ def test_momentum_marginal_pointwise():
         tom = qt.tomogram_from_wavefunction(state, fr, x, 0.8)
         ft = st.momentum_wavefunction(state, 0.8)(x)
         assert np.max(np.abs(tom.values - np.abs(ft) ** 2)) < 1e-12
+
+
+@dataclass(frozen=True)
+class SqueezedGaussian(st.State):
+    """psi(y) = (pi s^2)^(-1/4) exp(-y^2/(2 s^2)), a state known only to this file."""
+
+    s: float
+
+    def position_wavefunction(self, hbar):
+        amp = (math.pi * self.s ** 2) ** -0.25
+        return lambda y: amp * np.exp(-np.asarray(y, float) ** 2 / (2 * self.s ** 2)) + 0j
+
+    def momentum_wavefunction(self, hbar):
+        amp = (self.s ** 2 / (math.pi * hbar ** 2)) ** 0.25
+        return lambda p: amp * np.exp(-(np.asarray(p, float) * self.s / hbar) ** 2 / 2) + 0j
+
+    def natural_scales(self, hbar):
+        return self.s, hbar / self.s
+
+    def position_extent(self, hbar, tails=8.0):
+        return -tails * self.s, tails * self.s
+
+    def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
+        return -tails * hbar / self.s, tails * hbar / self.s
+
+    def envelope_scale(self, hbar):
+        return self.s
+
+
+def test_state_protocol_carries_a_new_state():
+    # a Gaussian of variance mu^2 s^2/2 + nu^2 hbar^2/(2 s^2) in every frame
+    state, hbar = SqueezedGaussian(0.4), 0.5
+
+    def analytic(fr, x):
+        var = fr.mu ** 2 * state.s ** 2 / 2 + fr.nu ** 2 * hbar ** 2 / (2 * state.s ** 2)
+        return np.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
+
+    # (0.6, 0.8) integrates on the position side, (1.5, 0.1) on the momentum side
+    for fr in (TomographyFrame(0.6, 0.8), TomographyFrame(1.5, 0.1)):
+        x = qt.default_x_grid(state, fr, hbar)
+        ref = analytic(fr, x)
+        tom = qt.state_tomogram(state, fr, x, hbar)
+        assert np.max(np.abs(tom.values - ref)) < 1e-6 * np.max(ref)
+    grid = np.linspace(-2, 2, 5)
+    x = np.linspace(-12, 12, 961)
+    fam = qt.build_state_family(state, hbar, grid, grid, x)
+    for i, mu in enumerate(grid):
+        for j, nu in enumerate(grid):
+            if mu == 0.0 and nu == 0.0:
+                continue
+            ref = analytic(TomographyFrame(mu, nu), x)
+            assert np.max(np.abs(fam.values[i, j] - ref)) < 1e-6 * np.max(ref)
 
 
 def test_zero_frame_atom():

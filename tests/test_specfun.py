@@ -8,7 +8,6 @@ from tomolab import specfun as sf
 from tomolab.limits import oscillator_local_period, windowed_average
 from tomolab.specfun import (
     airy_ai,
-    hermite_eval,
     hermite_phi,
     log_gamma,
     parabolic_u_asymptotic,
@@ -86,12 +85,6 @@ def test_hermite_uniform_bound(rng):
     for n in (0, 1, 5, 17, 60, 200):
         x = rng.uniform(-30, 30, size=200)
         assert np.max(np.abs(hermite_phi(n, x))) <= 0.8
-
-
-def test_hermite_eval_record():
-    rec = hermite_eval(4, 0.9)
-    assert rec.n == 4 and rec.x == 0.9
-    assert abs(rec.value - hermite_phi(4, 0.9)) == 0.0
 
 
 def test_airy_origin():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from tomolab import states as st
 
@@ -49,6 +51,28 @@ def test_descriptor_roundtrip():
         state = st.parse_state(text)
         again = st.parse_state(st.state_descriptor(state))
         assert type(again) is type(state)
+
+
+_finite = hs.floats(allow_nan=False, allow_infinity=False)
+_positive = hs.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_alpha = hs.builds(complex, _finite, _finite)
+_order = hs.integers(0, 10 ** 6)
+_catalog = hs.one_of(
+    hs.builds(st.HOEigen, _order, _positive),
+    hs.builds(st.Coherent, _alpha, _positive),
+    hs.builds(st.CatEven, _alpha, _positive),
+    hs.builds(st.CatOdd, _alpha, _positive),
+    hs.tuples(_order, _order, _positive).filter(lambda t: t[0] != t[1])
+    .map(lambda t: st.Superposition(*t)),
+    hs.builds(st.BoxEigen, hs.integers(1, 10 ** 6), _positive),
+)
+
+
+@given(_catalog)
+def test_descriptor_round_trips_exactly(state):
+    # every float survives at full precision and varpi is kept for the
+    # whole oscillator family, so a JSON sidecar replays its run exactly
+    assert st.parse_state(st.state_descriptor(state)) == state
 
 
 def test_custom_grid_normalization_enforced():
