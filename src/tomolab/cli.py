@@ -160,6 +160,14 @@ def _grid_from_config(cfg: RunConfig, state, frame: TomographyFrame) -> np.ndarr
     return qt.default_x_grid(state, frame, cfg.hbar)
 
 
+def _centred_grid(m: float, n: int) -> np.ndarray:
+    """n points from -m to m, exactly symmetric, whose centre point (odd n)
+    is exactly 0: np.linspace can leave it at +-4e-16, a frame whose
+    tomogram is a needle of width ~1e-15 that no X grid resolves."""
+    h = (n - 1) / 2
+    return m * (np.arange(n) - h) / h if n > 1 else np.zeros(1)
+
+
 # ---------------------------------------------------------------------------
 # tomogram
 # ---------------------------------------------------------------------------
@@ -308,9 +316,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         n_nu = 2 * int(math.ceil(nu_max * pext / 2.5)) + 1
         xmax = mu_max * qext + nu_max * pext
         xg = np.linspace(-xmax, xmax, max(1201, int(xmax / 0.05)))
-        fam = qt.build_state_family(state, hbar,
-                                    np.linspace(-mu_max, mu_max, n_mu),
-                                    np.linspace(-nu_max, nu_max, n_nu), xg)
+        fam = qt.build_state_family(state, hbar, _centred_grid(mu_max, n_mu),
+                                    _centred_grid(nu_max, n_nu), xg)
         if cfg.grid is not None:
             lo, hi, n = cfg.grid
             qg = np.linspace(lo, hi, n)
@@ -345,8 +352,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         pext = max(abs(plo), abs(phi))
         xmax = mu_max * max(np.abs(xs)) + float(np.max(np.abs(nus))) * pext + 8.0 * math.sqrt(hbar)
         xg = np.linspace(-xmax, xmax, max(2401, int(xmax / 0.05)))
-        slices = qt.build_state_slices(state, hbar, nus,
-                                       np.linspace(-mu_max, mu_max, n_mu), xg)
+        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), xg)
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
         rows = []
         for i, xv in enumerate(xs):
@@ -495,7 +501,7 @@ def _selftest_rows(quick: bool):
         dx = 2.0 * math.pi * hb * max(abs(fr.nu), 0.05) / 14.0
         g = np.arange(lo, hi, dx)
         worst = max(worst, normalization_residual(qt.box_tomogram(nbox, 1.0, fr, g, hb)))
-    check("normalization(box quadrature)", worst, 1e-3)
+    check("normalization(box)", worst, 1e-3)
 
     # marginal identities
     worst = 0.0

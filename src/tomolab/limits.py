@@ -542,8 +542,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
     the quadrature floor (~1e-15) for every n instead of decaying
     smoothly, and the verdict treats an all-floor sequence as converged.
     Optionally also measures the momentum-frame mass concentration near
-    X = +-sqrt2 by full quadrature at n = momentum_check_n, frame
-    (0.02, 1)."""
+    X = +-sqrt2 from the exact box tomogram at n = momentum_check_n,
+    frame (0.02, 1)."""
     n_values = list(n_values)
     if any(n < 10 for n in n_values):
         raise ValueError("stationary-phase study needs n >= 10")

@@ -34,6 +34,7 @@ from .kernel import (
     TomogramError,
     bilinear_interp,
 )
+from .specfun import faddeeva
 from .states import (
     BoxEigen,
     CatEven,
@@ -69,6 +70,7 @@ __all__ = [
     "momentum_extent",
     "box_tomogram",
     "box_tomogram_stationary_phase",
+    "interval_chirp",
     "box_x_extent",
     "ehrenfest_hbar",
     "rho_grid",
@@ -174,15 +176,11 @@ def coherent_amplitude(alpha: complex, frame: TomographyFrame, X, hbar: float,
 
 
 def _box_amplitude(state: BoxEigen, frame: TomographyFrame, X: float, hbar: float) -> complex:
-    """The box amplitude as the difference of two finite-interval chirped
-    integrals, one per exponential in sin(k y)."""
+    """The box amplitude as the difference of the two exact interval
+    chirp integrals, one per exponential in sin(k y)."""
     a = frame.mu / (2.0 * hbar * frame.nu)
     k = state.n * math.pi / state.L
-    env_scale = state.L / max(8.0, state.n / 4.0)
-    ones = lambda y: np.ones_like(y)
-    b0 = -X / (hbar * frame.nu)
-    am = chirp_integral(ones, a, b0 + k, 0.0, state.L, env_scale=env_scale)
-    ap = chirp_integral(ones, a, b0 - k, 0.0, state.L, env_scale=env_scale)
+    am, ap = interval_chirp(a, -X / (hbar * frame.nu) + np.array([k, -k]), state.L)
     return math.sqrt(2.0 / state.L) * (am - ap) / 2j
 
 
@@ -190,9 +188,10 @@ def tomogram_amplitude(state: StateSpec, frame: TomographyFrame, X: float,
                        hbar: float) -> complex:
     """Amplitude A_psi(X, mu, nu) for any state (nu != 0).
 
-    States in the route table use their closed forms (box states their
-    two-integral quadrature); every other state falls back to
-    phase-resolved oscillatory quadrature of the defining integral.
+    States in the route table use their closed forms (box states the
+    exact interval chirp integrals of :func:`interval_chirp`); every other
+    state falls back to phase-resolved oscillatory quadrature of the
+    defining integral.
     """
     _require_nu(frame, "tomogram_amplitude")
     route = _ROUTES.get(type(state))
@@ -356,12 +355,13 @@ def box_x_extent(state: BoxEigen, frame: TomographyFrame, hbar: float,
 
 def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
                  hbar: float) -> Tomogram:
-    """Box-eigenstate tomogram by oscillatory quadrature of the two chirped
-    interval integrals A_-+; W = |A_- - A_+|^2 / (4 pi L hbar |nu|).
+    """Exact box-eigenstate tomogram from the two interval chirp integrals
+    A_-+ = int_0^L exp(i(a y^2 + (b -+ k) y)) dy with a = mu/(2 hbar nu),
+    b = -X/(hbar nu), k = n pi/L (:func:`interval_chirp`, Faddeeva
+    closed form); W = |A_- - A_+|^2 / (4 pi L hbar |nu|).
 
-    nu = 0 uses the exact position marginal |psi_n(X/mu)|^2/|mu|; the
-    quadrature refuses (ChirpResolutionError) rather than under-resolve
-    the phase.
+    nu = 0 uses the exact position marginal |psi_n(X/mu)|^2/|mu| and the
+    zero frame the unit atom delta(X).  The cost is independent of n.
     """
     state = BoxEigen(n, L)
     x = np.asarray(x_grid, dtype=float)
@@ -373,13 +373,52 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
         return Tomogram(frame, x, vals)
     pref = 1.0 / (4.0 * math.pi * L * hbar * abs(frame.nu))
     a = frame.mu / (2.0 * hbar * frame.nu)
-    slope = -1.0 / (hbar * frame.nu)
+    b = -x / (hbar * frame.nu)
     k = n * math.pi / L
-    ones = lambda y: np.ones_like(y)
-    # the +-k sine components shift the linear phase, i.e. offset X by -+k/slope
-    am = _ladder_amplitudes(ones, a, slope, x + k / slope, 0.0, L, L / 8.0)
-    ap = _ladder_amplitudes(ones, a, slope, x - k / slope, 0.0, L, L / 8.0)
+    am = interval_chirp(a, b + k, L)
+    ap = interval_chirp(a, b - k, L)
     return Tomogram(frame, x, pref * np.abs(am - ap) ** 2)
+
+
+# |a| L^2 below which interval_chirp drops the quadratic phase: the error
+# of that, <= |a| L^2/3 relative, and the cancellation in the Faddeeva
+# form, ~eps/sqrt(|a| L^2), cross near eps^(2/3)
+_LINEAR_CHIRP = 1e-10
+_RAY = cmath.exp(0.25j * math.pi)
+
+
+def interval_chirp(a: float, b, L: float) -> np.ndarray:
+    """I(a, b) = int_0^L exp(i(a y^2 + b y)) dy, exactly, for an array of b.
+
+    For a > 0, with phi(y) = a y^2 + b y and t(y) = (2 a y + b)/(2 sqrt a)
+    (so t^2 = phi - phi(y_s) about the stationary point y_s = -b/2a),
+
+        int_{y0}^{y1} = sqrt(pi)/(2 sqrt a) e^{i pi/4}
+                        [e^{i phi(y0)} w(e^{i pi/4} t0) - e^{i phi(y1)} w(e^{i pi/4} t1)]
+
+    when y_s <= y0 (DLMF 7.2-7.3 in terms of the Faddeeva function w).
+    The mirror image about y_s covers y_s >= L (t -> |t|, ends swapped)
+    and an interior y_s splits [0, L] there, so every w argument lies on
+    the ray e^{i pi/4} |t|, nothing large cancels, and the phase b^2/4a is
+    formed only for an interior y_s, where it is at most a L^2.  a < 0 is
+    the conjugate of I(-a, -b); |a| L^2 < 1e-10 uses the linear phase
+    (e^{ibL} - 1)/(ib) = L e^{ibL/2} sinc(bL/2).
+    """
+    b = np.asarray(b, dtype=float)
+    if abs(a) * L * L < _LINEAR_CHIRP:
+        return L * np.exp(0.5j * b * L) * np.sinc(b * L / (2.0 * math.pi))
+    if a < 0.0:
+        return np.conj(interval_chirp(-a, -b, L))
+    ra = math.sqrt(a)
+    t0 = b / (2.0 * ra)
+    t1 = (2.0 * a * L + b) / (2.0 * ra)
+    f0 = faddeeva(_RAY * np.abs(t0))
+    f1 = np.exp(1j * (a * L + b) * L) * faddeeva(_RAY * np.abs(t1))
+    inner = (t0 < 0.0) & (t1 > 0.0)
+    bi = np.where(inner, b, 0.0)
+    out = (np.where(t0 >= 0.0, f0, -f0) + np.where(t1 > 0.0, -f1, f1)
+           + inner * (2.0 * np.exp(-0.25j * bi * bi / a)))
+    return (math.sqrt(math.pi) / (2.0 * ra)) * _RAY * out
 
 
 def _box_phase(n: int, L: float, frame: TomographyFrame, X: float, y, branch: int):

@@ -1,6 +1,7 @@
 """Stable special-function evaluation for tomogram closed forms and
-large-order asymptotics: normalized Hermite functions, the Airy function
-Ai, log-Gamma, and the large-negative-order parabolic-cylinder asymptotic.
+large-order asymptotics: normalized Hermite functions, the Faddeeva
+function w(z), the Airy function Ai, log-Gamma, and the
+large-negative-order parabolic-cylinder asymptotic.
 
 The Hermite functions use the normalized three-term recurrence so that
 orders up to several hundred stay inside double-precision range; the
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "hermite_phi",
+    "faddeeva",
     "airy_ai",
     "log_gamma",
     "parabolic_u_asymptotic",
@@ -53,6 +55,48 @@ def hermite_phi(n: int, x):
     for k in range(1, n):
         p0, p1 = p1, xv * math.sqrt(2.0 / (k + 1)) * p1 - math.sqrt(k / (k + 1)) * p0
     return float(p1) if scalar else p1
+
+
+def _weideman_coefficients(N: int) -> tuple[float, np.ndarray]:
+    # Weideman (SIAM J. Numer. Anal. 31 (1994) 1497), eq. (3.7)-(3.9): the
+    # Taylor coefficients of the rational expansion are the Fourier
+    # coefficients of (L^2 + t^2) e^{-t^2} with t = L tan(theta/2).  The
+    # N x 4N cosine sum stands in for an FFT: importing numpy.fft would add
+    # ~0.3 MB of resident memory to every process that imports tomolab
+    M = 2 * N
+    L = math.sqrt(N / math.sqrt(2.0))
+    t = L * np.tan(np.arange(-M + 1, M) * math.pi / (2 * M))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    k = np.arange(N, 0, -1)  # a_N ... a_1, highest power first
+    kj = np.outer(k, np.arange(2 * M)) % (2 * M)
+    return L, (np.cos(math.pi * kj / M) * np.roll(f, M)).sum(axis=1) / (2 * M)
+
+
+_W_L, _W_COEFFS = _weideman_coefficients(40)
+
+
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-i z) for Im z >= 0.
+
+    Weideman's rational approximation with N = 40 terms,
+
+        w(z) ~ 2 p(Z)/(L - i z)^2 + pi^(-1/2)/(L - i z),
+        Z = (L + i z)/(L - i z),  L = 2^(-1/4) sqrt(N),
+
+    whose leading large-|z| term i/(sqrt(pi) z) is exact.  Against
+    mpmath the relative error is below 2e-15 on the ray e^{i pi/4} t and
+    on the real axis (N = 32 leaves 3e-13 near Re z ~ 5).  Not valid for
+    Im z < 0.  Accepts a scalar or array z.
+    """
+    scalar = np.isscalar(z)
+    zv = np.asarray(z, dtype=complex)
+    d = _W_L - 1j * zv
+    Z = (_W_L + 1j * zv) / d
+    p = np.zeros_like(Z)
+    for c in _W_COEFFS:
+        p = p * Z + c
+    out = 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
+    return complex(out) if scalar else out
 
 
 def log_gamma(x: float) -> float:

@@ -27,6 +27,24 @@ def test_tomogram_command_ground_state(tmp_path, capsys):
     assert "normalization residual" in captured
 
 
+def test_box_tomogram_leaves_scipy_special_unimported(tmp_path):
+    # the Faddeeva function is numpy-only: importing scipy.special would add
+    # ~0.27 s and ~20 MB to every process that draws a box tomogram
+    import subprocess
+    import sys
+
+    out = str(tmp_path / "box.csv")
+    code = (
+        "import sys, tomolab.cli as c\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "assert c.main(['tomogram', '--state', 'box:n=40,L=1', '--frame', '1,0.3',\n"
+        f"               '--hbar', '0.0112', '--out', {out!r}]) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
 def test_tomogram_command_cat_symmetry(tmp_path):
     out = str(tmp_path / "cat.csv")
     code = run(["tomogram", "--state", "cat:even,re=1,im=0", "--frame", "0,1",
@@ -138,6 +156,29 @@ def test_reconstruct_density(tmp_path, capsys):
     assert rep["max_error_vs_exact"] < 1e-3
     assert rep["hermiticity_residual"] < 1e-8
     assert abs(rep["trace"] - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("state,target,hbar", [
+    ("coherent:re=0.45,im=0.4", "density", "0.3349075317892564"),
+    ("ho:n=3", "wigner", "0.5"),
+])
+def test_reconstruct_centre_frame_is_exactly_zero(tmp_path, state, target, hbar):
+    # these sizes put np.linspace's centre mu at +-4e-16, a needle-thin frame
+    # that read 3e12 (density) and 2e-2 (wigner) before the grids were centred
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", state, "--target", target, "--hbar", hbar,
+                "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] < 1e-3
+
+
+def test_centred_grid():
+    for m, n in ((3.7, 101), (2.0, 5), (1.0, 3), (1.5, 4)):
+        g = cli._centred_grid(m, n)
+        assert g.size == n and g[0] == -m and g[-1] == m
+        assert np.array_equal(g, -g[::-1])
+        assert n % 2 == 0 or g[n // 2] == 0.0
+    assert np.array_equal(cli._centred_grid(4.0, 1), [0.0])
 
 
 def test_reconstruct_wigner_negativity(tmp_path):

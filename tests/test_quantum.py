@@ -445,6 +445,87 @@ def test_box_stationary_phase_branches():
         qt.box_tomogram_stationary_phase(5, L, fr, 0.0)
 
 
+def test_box_exact_matches_position_quadrature():
+    # the generic position-side quadrature of the box wave function
+    L = 1.0
+    for n in (3, 20, 50):
+        hbar = qt.ehrenfest_hbar(n, L)
+        psi = st.position_wavefunction(st.BoxEigen(n, L), hbar)
+        for fr in (TomographyFrame(0.8, 0.45), TomographyFrame(-1.3, 0.6)):
+            x = np.linspace(*qt.box_x_extent(st.BoxEigen(n, L), fr, hbar), 1501)
+            exact = qt.box_tomogram(n, L, fr, x, hbar).values
+            amps = qt._ladder_amplitudes(psi, fr.mu / (2 * hbar * fr.nu), -1 / (hbar * fr.nu),
+                                         x, 0.0, L, L / max(8.0, n))
+            quad = np.abs(amps) ** 2 / (2 * math.pi * hbar * abs(fr.nu))
+            assert np.max(np.abs(exact - quad)) < 1e-8 * np.max(quad), (n, fr)
+
+
+def test_box_large_n_mass_and_plateaus():
+    # n = 2000 at unit energy; the exact route costs the same at every n
+    from tomolab.limits import windowed_average
+
+    n, L = 2000, 1.0
+    hbar = qt.ehrenfest_hbar(n, L)
+    fr = TomographyFrame(1.0, 0.3)
+    lo, hi = qt.box_x_extent(st.BoxEigen(n, L), fr, hbar, mass_tol=1e-5)
+    x = np.arange(lo, hi, 2 * math.pi * hbar * abs(fr.nu) / (14 * L))
+    assert normalization_residual(qt.box_tomogram(n, L, fr, x, hbar)) < 1e-5
+    # edge-diffraction cross terms oscillate with period 2 pi hbar nu / |y_edge - y_s|,
+    # several fringe periods, and move one-period means by up to ~6 % here; a
+    # window of 20 fringe periods averages them out as well
+    period = abs(fr.mu) * L / n
+    for c in (0.1, 0.3, 0.7, 0.8, 1.2):
+        centers = np.array([c])
+        avg_sp = windowed_average(
+            lambda X: np.asarray(qt.box_tomogram_stationary_phase(n, L, fr, X)),
+            centers, period, periods=20)[0]
+        avg_ex = windowed_average(
+            lambda X: qt.box_tomogram(n, L, fr, X, hbar).values,
+            centers, period, periods=20)[0]
+        assert abs(avg_ex / avg_sp - 1.0) < 0.01, c
+
+
+def mp_interval_chirp(a: float, b: float, L: float) -> complex:
+    """Oracle: mpmath.quad of int_0^L exp(i(a y^2 + b y)) dy, split at the
+    stationary point and into pieces of at most ~30 pi of phase."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        edges = [0.0, L]
+        if a != 0.0 and 0.0 < -b / (2 * a) < L:
+            edges.insert(1, -b / (2 * a))
+        total = mp.mpc(0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            m = int(math.ceil((2 * abs(a) * L + abs(b)) * (hi - lo) / (30 * math.pi))) + 1
+            pts = [lo + (hi - lo) * k / m for k in range(m + 1)]
+            total += mp.quad(lambda y: mp.expj(a * y * y + b * y), pts, method="gauss-legendre")
+        return complex(total)
+
+
+def test_interval_chirp_against_mpmath():
+    cases = [  # (a, L, b values)
+        (3.0, 1.0, [5.0, -2.0, -10.0, 0.0, -6.0, 300.0, -1e-9]),  # y_s left, inside, right, at the ends
+        (-3.0, 1.0, [2.0, -5.0, 7.0, 0.0, 6.0]),                  # a < 0
+        (0.0, 1.0, [0.0, 3.7, 1e-9, -40.0]),                      # a == 0
+        (0.7, 2.5, [-1.0, 1.0, -4.0]),
+        (1e-14, 1.0, [0.0, 3.0]),
+        (1e-12, 1.0, [0.0, 2.0, -1e-6]),
+        (-1e-9, 1.0, [0.0, 5e-10, -3.0]),
+        (1e-6, 1.0, [0.0, -1e-6, 0.5]),
+        (1e-3, 1.0, [0.0, -1e-3, 20.0]),
+        (1e2, 1.0, [-40.0, -250.0, 15.0]),
+        (1e4, 1.0, [-8e3]),
+    ]
+    for a, L, bs in cases:
+        got = qt.interval_chirp(a, np.array(bs), L)
+        for b, g in zip(bs, got):
+            ref = mp_interval_chirp(a, b, L)
+            scale = max(abs(ref), 1.0 / math.sqrt(abs(a))) if a else abs(ref)
+            assert abs(g - ref) <= 1e-11 * scale, (a, b, L, g, ref)
+            # tiny |a| L^2 drops the quadratic phase instead of cancelling O(1) terms
+            assert abs(g - ref) <= 1e-10 * abs(ref), (a, b, L, g, ref)
+
+
 def test_chirp_resolution_refusal():
     with pytest.raises(ChirpResolutionError) as err:
         chirp_integral(lambda y: np.ones_like(y), 1e7, 0.0, 0.0, 1.0, max_panels=100)

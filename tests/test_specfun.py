@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from tomolab import specfun as sf
 from tomolab.limits import oscillator_local_period, windowed_average
 from tomolab.specfun import (
     airy_ai,
+    faddeeva,
     hermite_phi,
     log_gamma,
     parabolic_u_asymptotic,
@@ -193,3 +195,38 @@ def test_parabolic_domain():
         parabolic_u_asymptotic(-5.0, 1.0)
     with pytest.raises(ValueError):
         parabolic_u_asymptotic(-20.0, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# Faddeeva function
+# ---------------------------------------------------------------------------
+
+def mp_faddeeva(z: complex) -> complex:
+    """Oracle: w(z) = exp(-z^2) erfc(-i z) at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        zz = mp.mpc(z)
+        return complex(mp.exp(-zz * zz) * mp.erfc(-1j * zz))
+
+
+def test_faddeeva_on_the_chirp_ray():
+    # the interval chirp integrals evaluate w only on e^{i pi/4} t, t >= 0
+    ts = np.concatenate(([0.0], np.logspace(-6, 8, 57)))
+    zs = cmath.exp(0.25j * math.pi) * ts
+    got = faddeeva(zs)
+    for z, g in zip(zs, got):
+        ref = mp_faddeeva(z)
+        assert abs(g - ref) <= 1e-13 * abs(ref), z
+
+
+def test_faddeeva_upper_half_plane():
+    points = [0.0, 1e-8, 0.5, -2.0, 3.0, 5.0, -6.5, 30.0, 1e3, 1e10,
+              1j, 10j, 1e4j, 1 + 1j, -3 + 4j, 5 + 0.1j, -5 + 0.1j,
+              0.2 + 1e-3j, 100 + 100j, -40 + 0.5j, 1e6 + 1j]
+    for z in points:
+        ref = mp_faddeeva(z)
+        assert abs(faddeeva(z) - ref) <= 1e-13 * abs(ref), z
+    assert isinstance(faddeeva(0.3j), complex)
+    assert faddeeva(np.array([0.3j, 2.0])).shape == (2,)
+
