@@ -5,9 +5,10 @@
 Composite Gauss-Legendre panels are sized so that no panel spans more
 than 1/8 of a local phase period (local frequency |2*a*y + b| / 2pi) nor
 more than half of the envelope's variation scale.  With 8 nodes per
-panel the per-panel error is far below double-precision roundoff, so the
-scheme handles the finite-interval chirps of box states up to order
-n ~ 500 without Filon machinery.
+panel the per-panel error is far below double-precision roundoff.  The
+panel split :func:`_gl_panels` also serves the whole-grid amplitudes
+of ``quantum._ladder_amplitudes``; each caller brings its own phase
+estimate and panel cap.
 """
 
 from __future__ import annotations
@@ -37,40 +38,33 @@ class ChirpResolutionError(RuntimeError):
         )
 
 
-def _panel_edges(a: float, b: float, y0: float, y1: float,
-                 env_scale: float, max_panels: int) -> np.ndarray:
-    """Panel edges over [y0, y1] honoring the phase and envelope caps."""
-    width = y1 - y0
-    # coarse uniform cells, then split each by its exact phase change
-    ncoarse = 64
-    coarse = np.linspace(y0, y1, ncoarse + 1)
-    phase = a * coarse * coarse + b * coarse
-    dphase = np.abs(np.diff(phase))
-    # a stationary point inside a cell hides phase variation from the
-    # endpoint difference; add the peak-to-edge contribution
-    if a != 0.0:
-        ys = -b / (2.0 * a)
-        if y0 < ys < y1:
-            j = min(int((ys - y0) / (width / ncoarse)), ncoarse - 1)
-            pk = a * ys * ys + b * ys
-            dphase[j] = abs(phase[j] - pk) + abs(phase[j + 1] - pk)
-    cell_w = width / ncoarse
+def _gl_panels(coarse: np.ndarray, dphase: np.ndarray, env_scale: float,
+               max_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights over the uniform coarse cells,
+    each split into equal panels that keep its phase change dphase under
+    1/8 of a period and its width under half the envelope scale."""
+    ncoarse = coarse.size - 1
+    cell_w = (coarse[-1] - coarse[0]) / ncoarse
     nsplit = np.maximum(
-        np.ceil(dphase / _PHASE_PER_PANEL),
-        np.ceil(cell_w / (0.5 * env_scale)),
+        np.maximum(np.ceil(dphase / _PHASE_PER_PANEL),
+                   np.ceil(cell_w / (0.5 * env_scale))),
+        1,
     ).astype(int)
-    nsplit = np.maximum(nsplit, 1)
     total = int(nsplit.sum())
     if total > max_panels:
         raise ChirpResolutionError(total, max_panels)
     edges = np.empty(total + 1)
-    edges[0] = y0
+    edges[0] = coarse[0]
     pos = 0
     for j in range(ncoarse):
-        k = nsplit[j]
+        k = int(nsplit[j])
         edges[pos + 1 : pos + k + 1] = np.linspace(coarse[j], coarse[j + 1], k + 1)[1:]
         pos += k
-    return edges
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
 
 
 def chirp_integral(
@@ -92,10 +86,20 @@ def chirp_integral(
         return 0.0 + 0.0j
     if env_scale is None or not env_scale > 0:
         env_scale = (y1 - y0) / 8.0
-    edges = _panel_edges(a, b, y0, y1, env_scale, max_panels)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    # coarse uniform cells, each with its exact phase change; a stationary
+    # point inside a cell hides phase variation from the endpoint
+    # difference, so add the peak-to-edge contribution there
+    width = y1 - y0
+    ncoarse = 64
+    coarse = np.linspace(y0, y1, ncoarse + 1)
+    phase = a * coarse * coarse + b * coarse
+    dphase = np.abs(np.diff(phase))
+    if a != 0.0:
+        ys = -b / (2.0 * a)
+        if y0 < ys < y1:
+            j = min(int((ys - y0) / (width / ncoarse)), ncoarse - 1)
+            pk = a * ys * ys + b * ys
+            dphase[j] = abs(phase[j] - pk) + abs(phase[j + 1] - pk)
+    nodes, weights = _gl_panels(coarse, dphase, env_scale, max_panels)
     f = env(nodes) * np.exp(1j * (a * nodes * nodes + b * nodes))
     return complex(np.dot(weights, f))

@@ -5,11 +5,13 @@ closed-form classical tomograms (particle in a box, harmonic oscillator).
 Conventions: phase-space densities f(q, p) are carried as GridFunction2D
 with values[iq, ip]; the Radon transform over the line X = mu*q + nu*p
 is computed by rotating to the line coordinate and integrating along it.
-Time-averaged trajectory tomograms are evaluated by summing 1/|d(mu*q +
-nu*p)/dt| over the crossing times, exact for piecewise-monotone motion;
-cells containing a turning point carry their analytically integrated
-mass instead of the divergent pointwise value, so tomograms remain
-summable.
+Time-averaged trajectory tomograms are built from a time CDF F(X), the
+share of the period that mu*q + nu*p spends below X: every grid value is
+the cell mass F(right edge) - F(left edge) over the cell width.  The
+oscillator and box CDFs are closed forms; a generic periodic orbit uses
+the exact CDF of the piecewise-linear orbit through uniform time samples.
+The integrable singularities at turning points stay summable, and the
+mass is exact once the grid covers the orbit.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ __all__ = [
     "write_density_csv",
     "read_density_csv",
 ]
+
+_ORBIT_SEGMENTS = 1 << 16  # time-mesh segments per period of a generic orbit
 
 
 @dataclass(frozen=True)
@@ -427,16 +431,34 @@ def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid,
     return Tomogram(frame, x, masses / dx)
 
 
-def time_averaged_tomogram(model, frame: TomographyFrame, x_grid,
-                           nt: int = 1 << 16) -> Tomogram:
+def _orbit_cdf(g: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """F(e): the share of time the piecewise-linear closed orbit through
+    the samples g (g[-1] == g[0]) spends below each ascending level e.
+
+    Segments with hi <= e count whole (a flat one is a step); the few
+    (segment, level) pairs with lo < e < hi add their linear ramps.
+    """
+    lo, hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+    F = np.searchsorted(np.sort(hi), e, side="right").astype(float)
+    j0 = np.searchsorted(e, lo, side="right")
+    k = np.maximum(np.searchsorted(e, hi, side="left") - j0, 0)
+    seg = np.repeat(np.arange(lo.size), k)
+    j = j0[seg] + np.arange(seg.size) - np.repeat(np.cumsum(k) - k, k)
+    F += np.bincount(j, (e[j] - lo[seg]) / (hi[seg] - lo[seg]), e.size)
+    return F / lo.size
+
+
+def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt.
 
-    Closed variants (BoxTrajectory, OscillatorTrajectory) use their
-    analytic root structure; a generic PointTrajectory is handled by
-    bracketing the crossings of X = mu q(t) + nu p(t) on a uniform time
-    mesh, refining each by bisection, and summing 1/|d(mu q + nu p)/dt|.
-    Cells where that derivative vanishes (turning points) get their mass
-    from a refined time measure instead.
+    Every variant returns cell masses over the cell width, the
+    differences of a time CDF at the cell edges.  Closed variants
+    (BoxTrajectory, OscillatorTrajectory) use their analytic CDFs; a
+    generic PointTrajectory samples mu q + nu p on a uniform mesh of
+    _ORBIT_SEGMENTS per period and takes the CDF of the piecewise-linear
+    orbit through those samples, so the mass is exact whenever the grid
+    covers the orbit, turning points included.  An orbit spanning less
+    than one cell becomes a unit atom at its time mean.
     """
     x = np.asarray(x_grid, dtype=float)
     if isinstance(model, OscillatorTrajectory):
@@ -447,88 +469,15 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid,
         raise TypeError(f"unsupported classical model {model!r}")
     if not math.isfinite(model.period):
         raise TomogramError("time averaging needs a finite period")
-
-    T = model.period
-    tmesh = np.linspace(0.0, T, nt, endpoint=False)
+    if frame.is_zero:
+        raise TomogramError("time average rejected for the zero frame")
+    tmesh = np.linspace(0.0, model.period, _ORBIT_SEGMENTS, endpoint=False).tolist()
     g = np.array([frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t) for t in tmesh])
-    gspan = float(np.max(g) - np.min(g))
-    if not (abs(frame.mu) * _scale(model, "q") + abs(frame.nu) * _scale(model, "p")) > 0:
-        raise TomogramError("frame annihilates the trajectory scales")
     dx = x[1] - x[0]
-    if gspan < dx:
+    if float(np.max(g) - np.min(g)) < dx:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, float(np.mean(g))),))
-
-    def gfun(t: float) -> float:
-        return frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t)
-
-    t_next = np.concatenate((tmesh[1:], [T]))
-    values = np.zeros_like(x)
-    expected = ((x > np.min(g)) & (x < np.max(g)))
-    for k, X in enumerate(x):
-        below = g < X
-        cross = np.nonzero(below != np.roll(below, -1))[0]
-        if cross.size == 0:
-            if expected[k]:
-                raise TomogramError(
-                    f"no crossing detected at X = {X} despite nonzero expected mass; "
-                    f"raise the time resolution"
-                )
-            continue
-        total = 0.0
-        for i in cross:
-            lo, hi = tmesh[i], t_next[i]
-            flo = g[i] - X
-            if flo == 0.0:
-                tstar = lo
-            else:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    fm = gfun(mid) - X
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if (fm > 0) == (flo > 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                tstar = 0.5 * (lo + hi)
-            h = max(1e-7 * T, 1e-9)
-            deriv = (gfun(tstar + h) - gfun(tstar - h)) / (2.0 * h)
-            if abs(deriv) < 1e-12:
-                total = math.inf
-                break
-            total += 1.0 / abs(deriv)
-        values[k] = total / T
-    # turning cells: local extrema of g land inside them; replace the
-    # (possibly huge) root-sum value by the refined time measure
-    extrema = np.nonzero(
-        ((g - np.roll(g, 1)) * (np.roll(g, -1) - g)) < 0
-    )[0]
-    bad_cells: set[int] = set()
-    for i in extrema:
-        j = int(np.searchsorted(x, g[i]))
-        for jj in range(j - 2, j + 3):
-            if 0 <= jj < x.size:
-                bad_cells.add(jj)
-    bad_cells.update(np.nonzero(~np.isfinite(values))[0].tolist())
-    if bad_cells:
-        fine = np.linspace(0.0, T, 16 * nt, endpoint=False)
-        gf = np.array([gfun(t) for t in fine]) if len(fine) <= 1 << 18 else None
-        if gf is None:
-            fine = np.linspace(0.0, T, 1 << 18, endpoint=False)
-            gf = np.array([gfun(t) for t in fine])
-        edges = _cell_edges(x)
-        for j in sorted(bad_cells):
-            inside = np.count_nonzero((gf >= edges[j]) & (gf < edges[j + 1]))
-            values[j] = inside / len(fine) / dx
-    return Tomogram(frame, x, values)
-
-
-def _scale(model: PointTrajectory, which: str) -> float:
-    ts = np.linspace(0.0, model.period, 257)
-    f = model.q_of_t if which == "q" else model.p_of_t
-    v = np.array([f(t) for t in ts])
-    return float(np.max(np.abs(v)))
+    cdf = _orbit_cdf(np.append(g, g[0]), _cell_edges(x))
+    return Tomogram(frame, x, np.diff(cdf) / dx)
 
 
 def parse_classical(text: str):
@@ -579,14 +528,11 @@ def write_density_csv(model: DensityGrid, csv_path: str) -> str:
     import json
     import os
 
-    from .kernel import _atomic_write, _fmt
+    from .kernel import _atomic_write, _write_csv
 
     g = model.f
-    lines = ["q,p,f"]
-    for i, q in enumerate(g.x_grid):
-        for j, p in enumerate(g.y_grid):
-            lines.append(f"{_fmt(q)},{_fmt(p)},{_fmt(g.values[i, j])}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "q,p,f", (np.repeat(g.x_grid, g.y_grid.size),
+                                   np.tile(g.y_grid, g.x_grid.size), g.values))
     meta = {
         "q_grid": {"min": float(g.x_grid[0]), "max": float(g.x_grid[-1]), "count": int(g.x_grid.size)},
         "p_grid": {"min": float(g.y_grid[0]), "max": float(g.y_grid[-1]), "count": int(g.y_grid.size)},

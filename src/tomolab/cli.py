@@ -31,7 +31,7 @@ from .kernel import (
     TomographyFrame,
     Tomogram,
     _atomic_write,
-    _fmt,
+    _write_csv,
     frame_from_scaling,
     normalization_residual,
     spread_atoms,
@@ -50,6 +50,9 @@ STUDIES = (
     "ehrenfest-box",
     "ehrenfest-oscillator",
 )
+
+# a written tomogram whose mass is further than this from 1 fails its command
+TOMOGRAM_MASS_TOL = 1e-2
 
 
 @dataclass
@@ -146,13 +149,6 @@ def _parse_frames_list(text: str) -> list[tuple[float, float]]:
     return [_parse_pair(tok, "frame") for tok in text.split(";") if tok]
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _grid_from_config(cfg: RunConfig, state, frame: TomographyFrame) -> np.ndarray:
     if cfg.grid is not None:
         lo, hi, n = cfg.grid
@@ -183,6 +179,10 @@ def cmd_tomogram(cfg: RunConfig) -> int:
     resid = normalization_residual(tom)
     print(f"tomogram written to {out}")
     print(f"normalization residual: {resid:.3e}")
+    if resid > TOMOGRAM_MASS_TOL:
+        print(f"tomogram: normalization residual {resid:.3e} exceeds the tolerance "
+              f"{TOMOGRAM_MASS_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -235,7 +235,7 @@ def cmd_limit(cfg: RunConfig) -> int:
             x = np.linspace(-10 * sig, 10 * sig, 2001)
             cross = qt.superposition_cross_term(n, m, frame, x, h)
             path = os.path.join(cfg.out, f"interference_hbar_{h:.6e}.csv")
-            _write_csv(path, "X,value", zip(x, cross))
+            _write_csv(path, "X,value", (x, cross))
             report.artifacts.append(path)
     elif cfg.study == "cat-interference":
         alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
@@ -267,7 +267,7 @@ def cmd_limit(cfg: RunConfig) -> int:
                           period / 8.0)
             w = np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
             path = os.path.join(cfg.out, f"ehrenfest-box_n_{n}.csv")
-            _write_csv(path, "X,value", zip(x, w))
+            _write_csv(path, "X,value", (x, w))
             report.artifacts.append(path)
     else:  # ehrenfest-oscillator
         ns = [int(v) for v in str(p.get("ns", "25,50,100")).split(",")]
@@ -277,7 +277,7 @@ def cmd_limit(cfg: RunConfig) -> int:
             x = np.linspace(-2.2, 2.2, 4001) * frame.norm()
             w = np.asarray(qt.hermite_tomogram(n, frame, x, 1.0 / n))
             path = os.path.join(cfg.out, f"ehrenfest-oscillator_n_{n}.csv")
-            _write_csv(path, "X,value", zip(x, w))
+            _write_csv(path, "X,value", (x, w))
             report.artifacts.append(path)
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -325,12 +325,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             qg = np.linspace(-0.6 * qext, 0.6 * qext, 41)
         pg = qg * pext / qext
         wrec, resid = qt.wigner_from_tomogram_grid(fam, qg, pg, hbar)
-        rows = []
-        for i, qv in enumerate(qg):
-            for j, pv in enumerate(pg):
-                rows.append((qv, pv, wrec.values[i, j]))
         out_csv = os.path.join(cfg.out, "wigner.csv")
-        _write_csv(out_csv, "q,p,W", rows)
+        _write_csv(out_csv, "q,p,W",
+                   (np.repeat(qg, pg.size), np.tile(pg, qg.size), wrec.values))
         report["imag_residual"] = resid
         exact = qt.exact_wigner(state, hbar)
         if exact is not None:
@@ -354,12 +351,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         xg = np.linspace(-xmax, xmax, max(2401, int(xmax / 0.05)))
         slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), xg)
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
-        rows = []
-        for i, xv in enumerate(xs):
-            for j, xpv in enumerate(xs):
-                rows.append((xv, xpv, rho[i, j].real, rho[i, j].imag))
         out_csv = os.path.join(cfg.out, "density.csv")
-        _write_csv(out_csv, "x,xprime,re,im", rows)
+        _write_csv(out_csv, "x,xprime,re,im",
+                   (np.repeat(xs, xs.size), np.tile(xs, xs.size), rho.real, rho.imag))
         report["hermiticity_residual"] = herm
         diag = np.real(np.diag(rho))
         report["trace"] = float(np.trapezoid(diag, xs))
@@ -445,9 +439,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     for fr in frames:
         try:
             d, note = _compare_row(state, model, fr, cfg.hbar, grid)
-        except CompareInputError as exc:
-            print(f"compare: {exc}", file=sys.stderr)
-            return 2
+        except CompareInputError:
+            raise  # the whole command fails (exit 2), not just this row
         except Exception as exc:  # report per-row failures, keep going
             d, note = math.nan, f"failed: {exc}"
         rows.append((fr.mu, fr.nu, d))
@@ -455,7 +448,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         print(f"frame ({fr.mu:g}, {fr.nu:g}): L1 = {d:.6g}   [{note}]")
     os.makedirs(cfg.out, exist_ok=True)
     out_csv = os.path.join(cfg.out, "compare.csv")
-    _write_csv(out_csv, "mu,nu,l1_distance", rows)
+    _write_csv(out_csv, "mu,nu,l1_distance", zip(*rows))
     meta = {
         "state": st.state_descriptor(state),
         "classical": cfg.classical,
@@ -757,8 +750,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return handlers[cfg.command](cfg)
-    except (st.DescriptorError,) as exc:
-        print(f"descriptor error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # bad descriptors, frames, grids and tomogram inputs
+        print(f"{cfg.command}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -330,8 +330,14 @@ def tomogram_distance_l1(a: Tomogram, b: Tomogram) -> float:
 # serialization: CSV of (X, value) plus a JSON metadata sidecar
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _write_csv(path: str, header: str, columns) -> None:
+    """Write the header and one row per index of the equal-length columns,
+    every value a float with 17 significant digits, in one format
+    operation."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    body = (row * cols[0].size) % tuple(np.column_stack(cols).ravel().tolist())
+    _atomic_write(path, header + "\n" + body)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -355,10 +361,7 @@ def write_tomogram(t: Tomogram, csv_path: str, hbar: float | None = None,
 
     Returns the sidecar path (csv_path with extension .json).
     """
-    lines = ["X,value"]
-    for x, v in zip(t.x_grid, t.values):
-        lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "X,value", (t.x_grid, t.values))
     meta = {
         "frame": {"mu": t.frame.mu, "nu": t.frame.nu},
         "hbar": hbar,

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chirp import _GL_NODES, _GL_WEIGHTS, chirp_integral
+from .chirp import _gl_panels, chirp_integral
 from .classical import RadonFamily, characteristic_quadrature, radon_line_integral
 from .kernel import (
     DeltaAtom,
@@ -472,32 +472,10 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     bmax = max(abs(slope * x[0]), abs(slope * x[-1]))
     # conservative single panel set: the stationary point sweeps with X, so
     # size the panels for the frequency envelope 2|a||y| + bmax
-    ncoarse = 64
-    coarse = np.linspace(y0, y1, ncoarse + 1)
+    coarse = np.linspace(y0, y1, 65)
     prim = coarse * np.abs(coarse)  # antiderivative of 2|y|
     dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(coarse)
-    cell_w = (y1 - y0) / ncoarse
-    nsplit = np.maximum(
-        np.maximum(np.ceil(dphase / (math.pi / 4.0)),
-                   np.ceil(cell_w / (0.5 * env_scale))),
-        1,
-    ).astype(int)
-    total = int(nsplit.sum())
-    if total > 4_000_000:
-        from .chirp import ChirpResolutionError
-
-        raise ChirpResolutionError(total, 4_000_000)
-    edges = np.empty(int(nsplit.sum()) + 1)
-    edges[0] = y0
-    pos = 0
-    for j in range(ncoarse):
-        k = int(nsplit[j])
-        edges[pos + 1 : pos + k + 1] = np.linspace(coarse[j], coarse[j + 1], k + 1)[1:]
-        pos += k
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    nodes, weights = _gl_panels(coarse, dphase, env_scale, 4_000_000)
     g = env(nodes) * np.exp(1j * a * nodes * nodes) * weights
     cur = g * np.exp(1j * slope * x[0] * nodes)
     step = np.exp(1j * slope * (x[1] - x[0]) * nodes) if x.size > 1 else None

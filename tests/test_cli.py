@@ -89,6 +89,27 @@ def test_descriptor_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_tomogram_command_fails_on_a_mass_deficit(tmp_path, capsys):
+    # n = 2000 at hbar = 1e-3 loses most of its mass (Hermite underflow): the
+    # CSV is still written for inspection, but the command must not succeed
+    out = str(tmp_path / "ho2000.csv")
+    code = run(["tomogram", "--state", "ho:n=2000", "--hbar", "0.001", "--frame", "1,0",
+                "--out", out])
+    assert code == 1
+    assert os.path.exists(out)
+    err = capsys.readouterr().err
+    assert "normalization residual" in err and "0.01" in err
+
+
+def test_value_errors_exit_cleanly(tmp_path, capsys):
+    # neither --frame nor --scaling: one stderr line and status 2, no traceback
+    code = run(["tomogram", "--state", "ho:n=0", "--hbar", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--frame" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_hbar_sequence_parsing():
     seq = cli.parse_hbar_sequence("1e-1:1e-3:geometric")
     assert seq[0] == 0.1
