@@ -5,9 +5,12 @@ closed-form classical tomograms (particle in a box, harmonic oscillator).
 Conventions: phase-space densities f(q, p) are carried as GridFunction2D
 with values[iq, ip]; the Radon transform over the line X = mu*q + nu*p
 is computed by rotating to the line coordinate and integrating along it.
-Time-averaged trajectory tomograms are built from a time CDF F(X), the
-share of the period that mu*q + nu*p spends below X: every grid value is
-the cell mass F(right edge) - F(left edge) over the cell width.  The
+A family of frames is carried as its characteristic samples G(mu, nu)
+(FrameSamples), which a gridded density gets from the Fourier-slice
+theorem without projecting.  Time-averaged trajectory tomograms are
+built from a time CDF F(X), the share of the period that mu*q + nu*p
+spends below X: every grid value is the cell mass F(right edge) -
+F(left edge) over the cell width.  The
 oscillator and box CDFs are closed forms; a generic periodic orbit uses
 the exact CDF of the piecewise-linear orbit through uniform time samples.
 The integrable singularities at turning points stay summable, and the
@@ -30,6 +33,7 @@ from .kernel import (
     Tomogram,
     TomogramError,
     bilinear_interp,
+    trapezoid_weights,
 )
 
 __all__ = [
@@ -39,9 +43,8 @@ __all__ = [
     "OscillatorTrajectory",
     "radon_density",
     "radon_line_integral",
-    "RadonFamily",
+    "FrameSamples",
     "build_radon_family",
-    "family_characteristic",
     "characteristic_quadrature",
     "inverse_radon",
     "inverse_radon_grid",
@@ -126,10 +129,7 @@ class OscillatorTrajectory:
 
 
 def trapezoid2d(values: np.ndarray, dx: float, dy: float) -> float:
-    wx = np.ones(values.shape[0])
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(values.shape[1])
-    wy[0] = wy[-1] = 0.5
+    wx, wy = trapezoid_weights(values.shape[0]), trapezoid_weights(values.shape[1])
     return float(dx * dy * (wx @ values @ wy))
 
 
@@ -232,20 +232,20 @@ def radon_density(model: DensityGrid, frame: TomographyFrame,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadonFamily:
-    """Tomograms W(X; mu, nu) on a rectangular frame grid with a common X grid.
+class FrameSamples:
+    """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX of a
+    tomogram family on a rectangular frame grid, the only thing the
+    inverse maps read of it.
 
-    values[i, j, k] = W(x_grid[k]; mu_grid[i], nu_grid[j]); the (0, 0)
-    frame, where the tomogram is the unit atom delta(X), is carried in
-    atom_mask instead of the smooth values.  q_extent / p_extent declare
-    the support radius of the underlying density for Nyquist checks.
+    values[i, j] = G(mu_grid[i], nu_grid[j]) (complex); the zero frame,
+    whose tomogram is the unit atom delta(X), is exactly 1.  q_extent /
+    p_extent declare the support radius of the underlying density for
+    Nyquist checks.
     """
 
     mu_grid: np.ndarray
     nu_grid: np.ndarray
-    x_grid: np.ndarray
     values: np.ndarray
-    atom_mask: np.ndarray
     q_extent: float
     p_extent: float
 
@@ -254,8 +254,26 @@ class RadonFamily:
         dnu = float(self.nu_grid[1] - self.nu_grid[0]) if self.nu_grid.size > 1 else 0.0
         return dmu, dnu
 
+    def nu_index(self, nu):
+        """Index into nu_grid of each requested nu (scalar or array), which
+        must be sampled to 1e-9 relative."""
+        nu = np.asarray(nu, dtype=float)
+        order = np.argsort(self.nu_grid, kind="stable")
+        srt = self.nu_grid[order]
+        hi = np.minimum(np.searchsorted(srt, nu), srt.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        idx = order[np.where(np.abs(srt[lo] - nu) <= np.abs(srt[hi] - nu), lo, hi)]
+        miss = np.abs(self.nu_grid[idx] - nu) > 1e-9 * np.maximum(1.0, np.abs(nu))
+        if np.any(miss):
+            k = np.flatnonzero(miss)[0]
+            raise TomogramError(
+                f"missing tomogram slice: nu = {float(nu.flat[k])!r} not sampled "
+                f"(nearest available {float(self.nu_grid[idx.flat[k]])!r})"
+            )
+        return idx
 
-def _check_nyquist(family: RadonFamily) -> None:
+
+def _check_nyquist(family: FrameSamples) -> None:
     dmu, dnu = family.frame_step()
     if dmu * family.q_extent > math.pi or dnu * family.p_extent > math.pi:
         raise TomogramError(
@@ -266,63 +284,51 @@ def _check_nyquist(family: RadonFamily) -> None:
 
 
 def build_radon_family(model: DensityGrid, mu_grid, nu_grid, x_grid,
-                       q_extent: float, p_extent: float) -> RadonFamily:
-    """Radon transforms of a density over a full rectangular frame grid."""
+                       q_extent: float, p_extent: float) -> FrameSamples:
+    """Characteristic samples of a gridded density over a rectangular
+    frame grid, from the Fourier-slice theorem:
+
+        G(mu, nu) = int f(q, p) e^{i(mu q + nu p)} dq dp
+                  = (E_q w) f (E_p w)^T dq dp,   E_q[i, a] = e^{i mu_i q_a},
+
+    two matrix products under the trapezoid rule, with no projection
+    (Natterer, The Mathematics of Computerized Tomography, ch. II.1).
+    G no longer reads x_grid; the argument stays for callers that pass
+    the X grid of the projections.
+    """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    x = np.asarray(x_grid, dtype=float)
-    vals = np.zeros((mu_grid.size, nu_grid.size, x.size))
-    mask = np.zeros((mu_grid.size, nu_grid.size), dtype=bool)
-    for i, mu in enumerate(mu_grid):
-        for j, nu in enumerate(nu_grid):
-            if mu == 0.0 and nu == 0.0:
-                mask[i, j] = True
-                continue
-            vals[i, j] = radon_line_integral(model.f, TomographyFrame(mu, nu), x)
-    return RadonFamily(mu_grid, nu_grid, x, vals, mask, float(q_extent), float(p_extent))
+    g = model.f
+    Eq = np.exp(1j * np.outer(mu_grid, g.x_grid)) * trapezoid_weights(g.x_grid.size)
+    Ep = np.exp(1j * np.outer(nu_grid, g.y_grid)) * trapezoid_weights(g.y_grid.size)
+    G = (Eq @ g.values @ Ep.T) * (g.dx * g.dy)
+    G[np.ix_(mu_grid == 0.0, nu_grid == 0.0)] = 1.0  # unit atom at X = 0
+    return FrameSamples(mu_grid, nu_grid, G, float(q_extent), float(p_extent))
 
 
-def family_characteristic(family: RadonFamily) -> np.ndarray:
-    """G(mu, nu) = int W(X; mu, nu) e^{iX} dX, the characteristic-function
-    samples of the underlying density; atom frames contribute e^{i*loc}."""
-    x = family.x_grid
-    dx = float(x[1] - x[0])
-    kernel = np.exp(1j * x)
-    w = np.ones_like(x)
-    w[0] = w[-1] = 0.5
-    G = np.tensordot(family.values, kernel * w, axes=([2], [0])) * dx
-    G[family.atom_mask] = 1.0  # unit atom at X = 0
-    return G
-
-
-def characteristic_quadrature(family: RadonFamily, q_grid, p_grid) -> np.ndarray:
+def characteristic_quadrature(family: FrameSamples, q_grid, p_grid) -> np.ndarray:
     """The double frame integral int G(mu, nu) e^{-i(mu q + nu p)} dmu dnu
-    on a (q, p) grid, by 2D trapezoid quadrature; the X integral is done
-    once per frame inside :func:`family_characteristic`."""
+    on a (q, p) grid, by 2D trapezoid quadrature."""
     _check_nyquist(family)
     q = np.asarray(q_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
-    G = family_characteristic(family)
-    wmu = np.ones(family.mu_grid.size)
-    wmu[0] = wmu[-1] = 0.5
-    wnu = np.ones(family.nu_grid.size)
-    wnu[0] = wnu[-1] = 0.5
     dmu, dnu = family.frame_step()
-    Gw = G * np.outer(wmu, wnu)
+    Gw = family.values * np.outer(trapezoid_weights(family.mu_grid.size),
+                                  trapezoid_weights(family.nu_grid.size))
     Eq = np.exp(-1j * np.outer(family.mu_grid, q))  # (nmu, nq)
     Ep = np.exp(-1j * np.outer(family.nu_grid, p))  # (nnu, np)
     acc = np.einsum("mn,mq,np->qp", Gw, Eq, Ep, optimize=True)
     return acc * (dmu * dnu)
 
 
-def inverse_radon(family: RadonFamily, q: float, p: float) -> float:
-    """Phase-space density f(q, p) recovered from a tomogram family by the
-    oscillatory triple integral; returns the real part."""
+def inverse_radon(family: FrameSamples, q: float, p: float) -> float:
+    """Phase-space density f(q, p) recovered from the characteristic
+    samples of a tomogram family; returns the real part."""
     val, _ = inverse_radon_grid(family, np.asarray([q]), np.asarray([p]))
     return float(val[0, 0])
 
 
-def inverse_radon_grid(family: RadonFamily, q_grid, p_grid) -> tuple[np.ndarray, float]:
+def inverse_radon_grid(family: FrameSamples, q_grid, p_grid) -> tuple[np.ndarray, float]:
     """f on a (q, p) grid; returns (values[iq, ip], max imaginary residual)."""
     acc = characteristic_quadrature(family, q_grid, p_grid) / (2.0 * math.pi) ** 2
     return acc.real, float(np.max(np.abs(acc.imag)))

@@ -176,23 +176,31 @@ def cmd_tomogram(cfg: RunConfig) -> int:
     out = cfg.out if cfg.out.endswith(".csv") else os.path.join(cfg.out, "tomogram.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_tomogram(tom, out, hbar=cfg.hbar, state=st.state_descriptor(state))
-    resid = normalization_residual(tom)
     print(f"tomogram written to {out}")
-    print(f"normalization residual: {resid:.3e}")
-    if resid > TOMOGRAM_MASS_TOL:
-        print(f"tomogram: normalization residual {resid:.3e} exceeds the tolerance "
-              f"{TOMOGRAM_MASS_TOL:g}", file=sys.stderr)
-        return 1
-    return 0
+    print(f"normalization residual: {normalization_residual(tom):.3e}")
+    return 0 if _mass_ok("tomogram", out, tom) else 1
+
+
+def _mass_ok(command: str, path: str, tom: Tomogram) -> bool:
+    """Whether the tomogram written to path has its mass within
+    TOMOGRAM_MASS_TOL of 1; if not, say so in one stderr line."""
+    resid = normalization_residual(tom)
+    if resid <= TOMOGRAM_MASS_TOL:
+        return True
+    print(f"{command}: {path}: normalization residual {resid:.3e} exceeds the tolerance "
+          f"{TOMOGRAM_MASS_TOL:g}", file=sys.stderr)
+    return False
 
 
 # ---------------------------------------------------------------------------
 # limit studies
 # ---------------------------------------------------------------------------
 
-def _study_artifacts(cfg: RunConfig, report: lm.LimitReport, state_for_param) -> None:
-    """Write one tomogram CSV per study point and attach the paths."""
+def _study_artifacts(cfg: RunConfig, report: lm.LimitReport, state_for_param) -> bool:
+    """Write one tomogram CSV per study point and attach the paths;
+    False when any written tomogram fails its mass check."""
     os.makedirs(cfg.out, exist_ok=True)
+    ok = True
     for value in report.parameter_values:
         tom, label = state_for_param(value)
         if tom is None:
@@ -201,6 +209,8 @@ def _study_artifacts(cfg: RunConfig, report: lm.LimitReport, state_for_param) ->
         write_tomogram(tom, path, hbar=value if report.parameter_name == "hbar" else None,
                        state=None)
         report.artifacts.append(path)
+        ok = _mass_ok("limit", path, tom) and ok
+    return ok
 
 
 def cmd_limit(cfg: RunConfig) -> int:
@@ -210,6 +220,7 @@ def cmd_limit(cfg: RunConfig) -> int:
     frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(1.0, 0.0)
     p = cfg.params
     hbars = parse_hbar_sequence(p["hbars"]) if "hbars" in p else None
+    masses_ok = True
 
     def tom_for_hbar(state_of):
         def build(h):
@@ -223,7 +234,7 @@ def cmd_limit(cfg: RunConfig) -> int:
         hbars = hbars or [0.1 * 0.5 ** k for k in range(6)]
         center = float(p.get("center", 0.0))
         report = lm.weak_delta_convergence(state, hbars, frame, center=center)
-        _study_artifacts(cfg, report, tom_for_hbar(lambda h: state))
+        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(lambda h: state))
     elif cfg.study == "interference":
         n, m = int(p.get("n", 0)), int(p.get("m", 1))
         hbars = hbars or [1e-1 * 0.5 ** k for k in range(8)]
@@ -241,18 +252,18 @@ def cmd_limit(cfg: RunConfig) -> int:
         alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
         hbars = hbars or [0.1 * 0.5 ** k for k in range(4)]
         report = lm.cat_interference_planck(alpha, frame, hbars)
-        _study_artifacts(cfg, report, tom_for_hbar(lambda h: st.CatEven(alpha)))
+        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(lambda h: st.CatEven(alpha)))
     elif cfg.study == "ehrenfest-coherent":
         qa, pa = float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
         hbars = hbars or [1e-2, 1e-3, 1e-4]
         report = lm.ehrenfest_coherent(qa, pa, frame, hbars)
-        _study_artifacts(cfg, report, tom_for_hbar(
+        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(
             lambda h: st.Coherent(complex(qa, pa) / math.sqrt(2.0 * h))))
     elif cfg.study == "ehrenfest-cat":
         qa, pa = float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
         hbars = hbars or [1e-3, 5e-4, 2.5e-4]
         report = lm.ehrenfest_cat(qa, pa, frame, hbars)
-        _study_artifacts(cfg, report, tom_for_hbar(
+        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(
             lambda h: st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h))))
     elif cfg.study == "ehrenfest-box":
         ns = [int(v) for v in str(p.get("ns", "25,50,100,200")).split(",")]
@@ -287,7 +298,7 @@ def cmd_limit(cfg: RunConfig) -> int:
     print(f"verdict: {report.verdict}")
     if report.fitted_exponent is not None:
         print(f"fitted exponent: {report.fitted_exponent:.4f} (R^2 = {report.r_squared:.5f})")
-    return 0
+    return 0 if masses_ok else 1
 
 
 # ---------------------------------------------------------------------------

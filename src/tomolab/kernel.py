@@ -35,6 +35,7 @@ __all__ = [
     "resample_tomogram",
     "spread_atoms",
     "trapezoid_mass",
+    "trapezoid_weights",
     "write_tomogram",
     "read_tomogram",
 ]
@@ -244,6 +245,13 @@ def trapezoid_mass(values: np.ndarray, dx: float) -> float:
     if v.size == 1:
         return 0.0
     return float(dx * (np.add.reduce(v) - 0.5 * (v[0] + v[-1])))
+
+
+def trapezoid_weights(n: int) -> np.ndarray:
+    """Trapezoid-rule weights (1/2, 1, ..., 1, 1/2) of n >= 1 samples at unit spacing."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 def normalization_residual(t: Tomogram) -> float:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .chirp import _gl_panels, chirp_integral
-from .classical import RadonFamily, characteristic_quadrature, radon_line_integral
+from .classical import FrameSamples, characteristic_quadrature, radon_line_integral
 from .kernel import (
     DeltaAtom,
     GridFunction2D,
@@ -33,6 +32,7 @@ from .kernel import (
     Tomogram,
     TomogramError,
     bilinear_interp,
+    trapezoid_weights,
 )
 from .specfun import faddeeva
 from .states import (
@@ -81,7 +81,6 @@ __all__ = [
     "build_state_family",
     "wigner_from_tomogram",
     "wigner_from_tomogram_grid",
-    "TomogramSlices",
     "build_state_slices",
     "density_from_tomogram",
     "density_grid_from_tomogram",
@@ -165,12 +164,7 @@ def coherent_amplitude(alpha: complex, frame: TomographyFrame, X, hbar: float,
     z = _zeta(frame, varpi)
     zc = z.conjugate()
     pref = (varpi / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
-    expo = (
-        -0.5 * abs(alpha) ** 2
-        + z * alpha * alpha / (2.0 * zc)
-        - 1j * math.sqrt(2.0 * varpi / hbar) * Xv * alpha / zc
-        - Xv * Xv / (2.0 * hbar * frame.nu * zc)
-    )
+    expo = _coherent_exponent(alpha, z, Xv, hbar, varpi) - Xv * Xv / (2.0 * hbar * frame.nu * zc)
     out = pref * np.exp(expo)
     return complex(out) if scalar else out
 
@@ -263,59 +257,65 @@ def coherent_tomogram(alpha: complex, frame: TomographyFrame, X, hbar: float,
 
 def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X,
                              hbar: float, varpi: float = 1.0):
-    """Interference term Re(A_n A_m*) / (2 pi hbar |nu|) of (|n>+|m>)/sqrt2."""
-    _require_nu(frame, "superposition_cross_term")
-    an = hermite_amplitude(n, frame, X, hbar, varpi)
-    am = hermite_amplitude(m, frame, X, hbar, varpi)
-    out = (an * np.conj(am)).real / (2.0 * math.pi * hbar * abs(frame.nu))
+    """Interference term Re(A_n A_m*) / (2 pi hbar |nu|) of (|n>+|m>)/sqrt2,
+
+        sqrt(kappa) cos((n - m)(arg zeta - pi/2)) phi_n(Q) phi_m(Q),   Q = sqrt(kappa) X:
+
+    the chirp phase common to both amplitudes cancels and is never
+    formed, so the form holds down to nu = 0 (the position marginal).
+    """
+    from .specfun import hermite_phi
+
+    kappa = _kappa(frame, hbar, varpi)
+    Q = math.sqrt(kappa) * np.asarray(X, dtype=float)
+    turn = math.cos((n - m) * (math.atan2(frame.mu, varpi * frame.nu) - 0.5 * math.pi))
+    out = math.sqrt(kappa) * turn * hermite_phi(n, Q) * hermite_phi(m, Q)
     return float(out) if np.isscalar(X) else out
 
 
 def superposition_tomogram(n: int, m: int, frame: TomographyFrame, X,
                            hbar: float, varpi: float = 1.0):
     """Tomogram of (|n> + |m>)/sqrt2: the half-half mixture plus the
-    amplitude interference term; nu = 0 falls back to the exact position
-    marginal of the superposed wave function."""
+    amplitude interference term, in every nonzero frame."""
     if n == m:
         raise TomogramError("superposition requires distinct eigenstates")
-    if frame.is_zero:
-        raise TomogramError("closed-form tomogram rejected for the zero frame")
-    from .specfun import hermite_phi
-
     Xv = np.asarray(X, dtype=float)
-    if frame.nu == 0.0:
-        s = math.sqrt(varpi / hbar)
-        y = Xv / frame.mu
-        psi2 = 0.5 * s * (hermite_phi(n, s * y) + hermite_phi(m, s * y)) ** 2
-        out = psi2 / abs(frame.mu)
-    else:
-        out = (
-            0.5 * hermite_tomogram(n, frame, Xv, hbar, varpi)
-            + 0.5 * hermite_tomogram(m, frame, Xv, hbar, varpi)
-            + superposition_cross_term(n, m, frame, Xv, hbar, varpi)
-        )
-        out = np.maximum(out, 0.0)
+    out = (
+        0.5 * hermite_tomogram(n, frame, Xv, hbar, varpi)
+        + 0.5 * hermite_tomogram(m, frame, Xv, hbar, varpi)
+        + superposition_cross_term(n, m, frame, Xv, hbar, varpi)
+    )
+    out = np.maximum(out, 0.0)
     return float(out) if np.isscalar(X) else out
+
+
+def _coherent_exponent(alpha: complex, z: complex, X: np.ndarray, hbar: float,
+                       varpi: float) -> np.ndarray:
+    # exponent of A_alpha without the chirp -X^2/(2 hbar nu zeta*) that every
+    # coherent amplitude in the frame shares
+    zc = z.conjugate()
+    return (-0.5 * abs(alpha) ** 2 + z * alpha * alpha / (2.0 * zc)
+            - 1j * math.sqrt(2.0 * varpi / hbar) * X * alpha / zc)
 
 
 def cat_interference(alpha: complex, frame: TomographyFrame, X, hbar: float,
                      varpi: float = 1.0):
     """Interference term I = 2 Re(A_alpha A_{-alpha}*)/(2 pi hbar |nu|) of a
-    cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar."""
-    Xv = np.asarray(X, dtype=float)
-    if frame.nu == 0.0:
-        if frame.mu == 0.0:
-            raise TomogramError("cat interference rejected for the zero frame")
-        from .states import _coherent_psi
+    cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar.
 
-        y = Xv / frame.mu
-        pa = _coherent_psi(alpha, hbar, varpi, y)
-        pb = _coherent_psi(-alpha, hbar, varpi, y)
-        out = 2.0 * (pa * np.conj(pb)).real / abs(frame.mu)
-    else:
-        aa = coherent_amplitude(alpha, frame, Xv, hbar, varpi)
-        ab = coherent_amplitude(-alpha, frame, Xv, hbar, varpi)
-        out = 2.0 * (aa * np.conj(ab)).real / (2.0 * math.pi * hbar * abs(frame.nu))
+    The chirp phase common to both amplitudes cancels and is never
+    formed: with kappa = varpi/(hbar |zeta|^2),
+
+        I = 2 sqrt(kappa/pi) Re exp(E_alpha + E_{-alpha}* - kappa X^2),
+
+    which holds down to nu = 0 (the position marginal).
+    """
+    kappa = _kappa(frame, hbar, varpi)
+    Xv = np.asarray(X, dtype=float)
+    z = _zeta(frame, varpi)
+    expo = (_coherent_exponent(alpha, z, Xv, hbar, varpi)
+            + np.conj(_coherent_exponent(-alpha, z, Xv, hbar, varpi)) - kappa * Xv * Xv)
+    out = 2.0 * math.sqrt(kappa / math.pi) * np.exp(expo).real
     return float(out) if np.isscalar(X) else out
 
 
@@ -647,25 +647,23 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
 
 def _wigner_values(rho: GridFunction2D, q: np.ndarray, p: np.ndarray,
                    hbar: float) -> np.ndarray:
+    # one u-grid for every q, wide enough for the q whose window
+    # q +- u/2 stays longest inside the rho grid; beyond its own window
+    # each row samples zeros
     _check_hermitian(rho)
     pmax = float(np.max(np.abs(p))) if p.size else 0.0
     du = rho.dx * 0.5
     if pmax > 0:
         du = min(du, math.pi * hbar / (8.0 * pmax))
-    out = np.zeros((q.size, p.size), dtype=complex)
     x0, x1 = rho.x_grid[0], rho.x_grid[-1]
-    for i, qq in enumerate(q):
-        umax = 2.0 * min(qq - x0, x1 - qq)
-        if umax <= 0:
-            continue
-        nu_pts = int(math.ceil(2.0 * umax / du)) + 1
-        u = np.linspace(-umax, umax, nu_pts)
-        vals = bilinear_interp(rho.x_grid, rho.y_grid, rho.values, qq + 0.5 * u, qq - 0.5 * u)
-        w = np.ones_like(u)
-        w[0] = w[-1] = 0.5
-        kernel = np.exp(-1j * np.outer(p, u) / hbar)
-        out[i, :] = (u[1] - u[0]) * (kernel @ (vals * w))
-    return out
+    umax = 2.0 * float(np.max(np.minimum(q - x0, x1 - q), initial=0.0))
+    if umax <= 0:
+        return np.zeros((q.size, p.size), dtype=complex)
+    u = np.linspace(-umax, umax, int(math.ceil(2.0 * umax / du)) + 1)
+    kernel = np.exp(-1j * np.outer(u, p) / hbar) * (trapezoid_weights(u.size) * (u[1] - u[0]))[:, None]
+    vals = bilinear_interp(rho.x_grid, rho.y_grid, rho.values,
+                           q[:, None] + 0.5 * u, q[:, None] - 0.5 * u)
+    return vals @ kernel
 
 
 def exact_wigner(state: StateSpec, hbar: float):
@@ -700,9 +698,10 @@ def _support_slice(state: StateSpec, frame: TomographyFrame, hbar: float,
 
 
 def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
-                       x_grid, method: str = "auto") -> RadonFamily:
-    """Tomograms of one state over a rectangular (mu, nu) grid with a
-    common X grid, for the Wigner-reconstruction integral.
+                       x_grid, method: str = "auto") -> FrameSamples:
+    """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX of one
+    state over a rectangular (mu, nu) grid, each by the trapezoid rule on
+    the common X grid as soon as its tomogram is built.
 
     Each frame is only evaluated inside its own support window on the
     common grid (the tomogram vanishes beyond mu*[q support] +
@@ -711,34 +710,32 @@ def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
-    vals = np.zeros((mu_grid.size, nu_grid.size, x.size))
-    mask = np.zeros((mu_grid.size, nu_grid.size), dtype=bool)
+    kernel = np.exp(1j * x) * trapezoid_weights(x.size) * float(x[1] - x[0])
+    G = np.ones((mu_grid.size, nu_grid.size), dtype=complex)  # zero frame: unit atom at X = 0
     for i, mu in enumerate(mu_grid):
         for j, nu in enumerate(nu_grid):
             if mu == 0.0 and nu == 0.0:
-                mask[i, j] = True
                 continue
             fr = TomographyFrame(mu, nu)
             win = _support_slice(state, fr, hbar, x)
-            tom = state_tomogram(state, fr, x[win], hbar, method)
-            vals[i, j, win] = tom.values
+            G[i, j] = np.dot(state_tomogram(state, fr, x[win], hbar, method).values, kernel[win])
     # declared alias radii: 4-sigma support is what the Nyquist check needs,
     # not the 8-sigma quadrature padding
     qlo, qhi = position_extent(state, hbar, tails=4.0)
     plo, phi = momentum_extent(state, hbar, tails=4.0)
     q_extent = max(abs(qlo), abs(qhi))
     p_extent = max(abs(plo), abs(phi))
-    return RadonFamily(mu_grid, nu_grid, x, vals, mask, q_extent, p_extent)
+    return FrameSamples(mu_grid, nu_grid, G, q_extent, p_extent)
 
 
-def wigner_from_tomogram(family: RadonFamily, p: float, q: float,
+def wigner_from_tomogram(family: FrameSamples, p: float, q: float,
                          hbar: float) -> float:
     """W(p, q) = (hbar/2 pi) * int W(X, mu, nu) e^{i(X - mu q - nu p)} dX dmu dnu."""
     acc = characteristic_quadrature(family, np.asarray([float(q)]), np.asarray([float(p)]))
     return float(acc[0, 0].real * hbar / (2.0 * math.pi))
 
 
-def wigner_from_tomogram_grid(family: RadonFamily, q_grid, p_grid,
+def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
                               hbar: float) -> tuple[GridFunction2D, float]:
     """Wigner reconstruction W[iq, ip] plus the worst imaginary residual."""
     q = np.asarray(q_grid, dtype=float)
@@ -748,82 +745,44 @@ def wigner_from_tomogram_grid(family: RadonFamily, q_grid, p_grid,
     return GridFunction2D(q, p, acc.real), float(np.max(np.abs(acc.imag)))
 
 
-@dataclass(frozen=True)
-class TomogramSlices:
-    """Tomograms over (X, mu) at a fixed set of nu slices, the sampling
-    needed by the density-matrix reconstruction where nu = (x - x')/hbar.
-
-    char[inu, imu] caches int W(X) e^{iX} dX per frame (atoms included).
-    """
-
-    nu_values: np.ndarray
-    mu_grid: np.ndarray
-    x_grid: np.ndarray
-    values: np.ndarray  # (nnu, nmu, nX)
-    char: np.ndarray    # (nnu, nmu) complex
-
-    def slice_index(self, nu: float) -> int:
-        tol = 1e-9 * max(1.0, abs(nu))
-        idx = int(np.argmin(np.abs(self.nu_values - nu)))
-        if abs(self.nu_values[idx] - nu) > tol:
-            raise TomogramError(
-                f"missing tomogram slice: nu = {nu!r} not sampled "
-                f"(nearest available {self.nu_values[idx]!r})"
-            )
-        return idx
-
-
 def build_state_slices(state: StateSpec, hbar: float, nu_values, mu_grid,
-                       x_grid, method: str = "auto") -> TomogramSlices:
-    nu_values = np.asarray(nu_values, dtype=float)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    x = np.asarray(x_grid, dtype=float)
-    vals = np.zeros((nu_values.size, mu_grid.size, x.size))
-    char = np.zeros((nu_values.size, mu_grid.size), dtype=complex)
-    dx = float(x[1] - x[0])
-    w = np.ones_like(x)
-    w[0] = w[-1] = 0.5
-    kernel = np.exp(1j * x) * w * dx
-    for i, nu in enumerate(nu_values):
-        for j, mu in enumerate(mu_grid):
-            if mu == 0.0 and nu == 0.0:
-                char[i, j] = 1.0  # unit atom at X = 0
-                continue
-            fr = TomographyFrame(mu, nu)
-            win = _support_slice(state, fr, hbar, x)
-            tom = state_tomogram(state, fr, x[win], hbar, method)
-            vals[i, j, win] = tom.values
-            char[i, j] = np.dot(vals[i, j], kernel)
-    return TomogramSlices(nu_values, mu_grid, x, vals, char)
+                       x_grid, method: str = "auto") -> FrameSamples:
+    """The family at the nu slices nu = (x - x')/hbar that the density-matrix
+    reconstruction reads."""
+    return build_state_family(state, hbar, mu_grid, nu_values, x_grid, method)
 
 
-def density_from_tomogram(slices: TomogramSlices, x: float, xprime: float,
+def _density_values(samples: FrameSamples, x: np.ndarray, xprime: np.ndarray,
+                    hbar: float) -> np.ndarray:
+    """rho at every pair (x, x') of the broadcast arrays: the trapezoid mu
+    integral of G(mu, (x - x')/hbar) e^{-i mu (x + x')/2} / 2 pi."""
+    x, xprime = np.broadcast_arrays(x, xprime)
+    j = samples.nu_index((x - xprime) / hbar).ravel()
+    s = (0.5 * (x + xprime)).ravel()
+    mu = samples.mu_grid
+    dmu = samples.frame_step()[0]
+    smax = float(np.max(np.abs(s)))
+    if dmu * smax > math.pi:
+        raise TomogramError(
+            f"mu grid too coarse for |x + x'|/2 = {smax:.3f} "
+            f"(need dmu <= {math.pi / smax:.3f})"
+        )
+    wG = samples.values[:, j] * trapezoid_weights(mu.size)[:, None]
+    rho = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s)))
+    return (rho * (dmu / (2.0 * math.pi))).reshape(x.shape)
+
+
+def density_from_tomogram(samples: FrameSamples, x: float, xprime: float,
                           hbar: float) -> complex:
     """rho(x, x') = (1/2 pi) int W(X, mu, (x - x')/hbar)
                                 e^{i(X - mu (x + x')/2)} dX dmu."""
-    nu = (x - xprime) / hbar
-    i = slices.slice_index(nu)
-    mu = slices.mu_grid
-    dmu = float(mu[1] - mu[0])
-    if dmu * abs(x + xprime) / 2.0 > math.pi:
-        raise TomogramError(
-            f"mu grid too coarse for |x + x'|/2 = {abs(x + xprime) / 2:.3f} "
-            f"(need dmu <= {math.pi / (abs(x + xprime) / 2):.3f})"
-        )
-    w = np.ones_like(mu)
-    w[0] = w[-1] = 0.5
-    integrand = slices.char[i] * np.exp(-1j * mu * (x + xprime) / 2.0) * w
-    return complex(np.sum(integrand) * dmu / (2.0 * math.pi))
+    return complex(_density_values(samples, np.asarray(float(x)), np.asarray(float(xprime)), hbar))
 
 
-def density_grid_from_tomogram(slices: TomogramSlices, x_points,
+def density_grid_from_tomogram(samples: FrameSamples, x_points,
                                hbar: float) -> tuple[np.ndarray, float]:
     """rho on the pairwise grid of x_points; returns (matrix, Hermiticity residual)."""
     xs = np.asarray(x_points, dtype=float)
-    n = xs.size
-    rho = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            rho[i, j] = density_from_tomogram(slices, xs[i], xs[j], hbar)
+    rho = _density_values(samples, xs[:, None], xs[None, :], hbar)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid

@@ -18,6 +18,7 @@ from tomolab.classical import (
     inverse_radon_grid,
     parse_classical,
     radon_density,
+    radon_line_integral,
     read_density_csv,
     time_averaged_tomogram,
     trajectory_tomogram,
@@ -113,6 +114,37 @@ def test_inverse_radon_round_trip():
     ref = np.exp(-qr[:, None] ** 2 / 2 - qr[None, :] ** 2 / 2) / (2 * math.pi)
     assert np.max(np.abs(rec - ref)) < 1e-3
     assert resid < 1e-6  # reality of f for a real symmetric density
+
+
+def test_projector_matches_the_slice_identity():
+    # int W e^{ikX} dX of every projected frame is G(k mu, k nu), which
+    # the family takes from the Fourier-slice theorem without projecting
+    comps = ((0.6, 1.0, -0.5, 0.9, 1.1), (0.4, -1.2, 0.8, 0.7, 0.8))  # weight, q0, p0, sq, sp
+    g = np.linspace(-7, 7, 281)
+    f = sum(w * np.exp(-(g[:, None] - q0) ** 2 / (2 * sq * sq) - (g[None, :] - p0) ** 2 / (2 * sp * sp))
+            / (2 * math.pi * sq * sp) for w, q0, p0, sq, sp in comps)
+    dens = DensityGrid(GridFunction2D(g, g, f))
+    frames = np.linspace(-4.5, 4.5, 19)
+    x = np.linspace(-64, 64, 513)
+    wx = np.full(x.size, x[1] - x[0])
+    wx[[0, -1]] *= 0.5
+    ks = (0.5, 1.0, 2.0)
+    fams = [build_radon_family(dens, k * frames, k * frames, x, 5.5, 5.5) for k in ks]
+    mu, nu = np.meshgrid(frames, frames, indexing="ij")
+    for k, fam in zip(ks, fams):  # the identity itself against the closed form
+        exact = sum(w * np.exp(1j * k * (mu * q0 + nu * p0) - k * k * (mu ** 2 * sq ** 2 + nu ** 2 * sp ** 2) / 2)
+                    for w, q0, p0, sq, sp in comps)
+        exact[(mu == 0) & (nu == 0)] = 1.0
+        assert np.max(np.abs(fam.values - exact)) < 1e-6  # the grid truncates the tails near 1e-9
+    worst = 0.0
+    for i, m in enumerate(frames):
+        for j, n in enumerate(frames):
+            if m == 0.0 and n == 0.0:
+                continue
+            w = radon_line_integral(dens.f, TomographyFrame(m, n), x) * wx
+            for k, fam in zip(ks, fams):
+                worst = max(worst, abs(np.dot(w, np.exp(1j * k * x)) - fam.values[i, j]))
+    assert worst < 1e-3
 
 
 def test_inverse_radon_linearity():

@@ -157,6 +157,21 @@ def test_limit_command_planck_delta(tmp_path):
     assert rep["details"]["center"] == 0.0
 
 
+def test_limit_command_fails_on_an_artifact_mass_deficit(tmp_path, capsys):
+    # at hbar = 1e-3 the default 2001-point grid misses the cat's fringes
+    # near this frame and the artifact's mass is off by 4e-2: the report is
+    # still written, but the command must not succeed
+    out = str(tmp_path / "study")
+    code = run(["limit", "ehrenfest-cat", "--q-alpha", "1.4961860991915943",
+                "--p-alpha", "-0.8333520530471484",
+                "--scaling", "0.9252541173618899,0.9586151787036555", "--out", out])
+    assert code == 1
+    assert os.path.exists(os.path.join(out, "ehrenfest-cat_report.json"))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "ehrenfest-cat_hbar_1.000000e-03.csv" in err[0] and "4.026e-02" in err[0]
+
+
 def test_limit_command_ehrenfest_oscillator(tmp_path):
     out = str(tmp_path / "study")
     code = run(["limit", "ehrenfest-oscillator", "--ns", "25,50,100", "--frame", "1,0",

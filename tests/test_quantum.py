@@ -317,13 +317,18 @@ def test_state_protocol_carries_a_new_state():
         assert np.max(np.abs(tom.values - ref)) < 1e-6 * np.max(ref)
     grid = np.linspace(-2, 2, 5)
     x = np.linspace(-12, 12, 961)
-    fam = qt.build_state_family(state, hbar, grid, grid, x)
-    for i, mu in enumerate(grid):
-        for j, nu in enumerate(grid):
+    for mu in grid:
+        for nu in grid:
             if mu == 0.0 and nu == 0.0:
                 continue
-            ref = analytic(TomographyFrame(mu, nu), x)
-            assert np.max(np.abs(fam.values[i, j] - ref)) < 1e-6 * np.max(ref)
+            fr = TomographyFrame(mu, nu)
+            ref = analytic(fr, x)
+            tom = qt.state_tomogram(state, fr, x, hbar)
+            assert np.max(np.abs(tom.values - ref)) < 1e-6 * np.max(ref)
+    # the family carries G(mu, nu) = int W e^{iX} dX = exp(-var/2), 1 at the zero frame
+    fam = qt.build_state_family(state, hbar, grid, grid, x)
+    var = grid[:, None] ** 2 * state.s ** 2 / 2 + grid[None, :] ** 2 * hbar ** 2 / (2 * state.s ** 2)
+    assert np.max(np.abs(fam.values - np.exp(-var / 2))) < 1e-6
 
 
 def test_zero_frame_atom():
@@ -658,6 +663,23 @@ def test_density_from_tomogram_roundtrip():
     diag = np.real(np.diag(rho))
     assert np.max(np.abs(diag - np.abs(psi) ** 2)) < 1e-3
     assert abs(np.trapezoid(diag, xs) - 1.0) < 1e-3
+
+
+def test_density_map_matches_the_pairwise_sum():
+    # reference: the per-pair trapezoid mu sum that the vectorised map replaced
+    hbar = 0.8
+    xs = np.linspace(-2, 2.5, 10)
+    nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
+    mu = np.linspace(-6, 6, 25)
+    fam = qt.build_state_slices(st.CatOdd(0.6 + 0.4j), hbar, nus, mu, np.linspace(-40, 40, 1601))
+    rho, _ = qt.density_grid_from_tomogram(fam, xs, hbar)
+    w = np.full(mu.size, mu[1] - mu[0])
+    w[[0, -1]] *= 0.5
+    for a, x in enumerate(xs):
+        for b, xp in enumerate(xs):
+            j = int(np.argmin(np.abs(fam.nu_grid - (x - xp) / hbar)))
+            ref = np.sum(fam.values[:, j] * np.exp(-1j * mu * (x + xp) / 2) * w) / (2 * math.pi)
+            assert abs(rho[a, b] - ref) < 1e-13
 
 
 def test_density_from_tomogram_missing_slice():
