@@ -34,7 +34,7 @@ from .kernel import (
     bilinear_interp,
     trapezoid_weights,
 )
-from .specfun import faddeeva
+from .specfun import faddeeva, uniform_sum
 from .states import (
     BoxEigen,
     CatEven,
@@ -461,12 +461,10 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     """Amplitudes int env(y) e^{i(a y^2 + b_k y)} dy for the whole uniform
     family b_k = slope * x_k, sharing one Gauss-Legendre panel set.
 
-    Panels are sized for the worst |2 a y + b| over the family, then each
-    X differs only by the linear phase, applied as a running per-node
-    complex multiplication (a geometric "ladder"): two complex
-    exponentials per node total instead of one per (node, X) pair.  The
-    accumulated phase rounding after nX steps is ~nX * eps, far below the
-    quadrature tolerance.
+    Panels are sized for the worst |2 a y + b| over the family.  With the
+    X-independent phase e^{i(a y^2 + slope x_0 y)} folded into the weights,
+    the amplitude at x_k = x_0 + k dx is the exponential sum
+    sum_j g_j e^{i k slope dx y_j} of :func:`specfun.uniform_sum`.
     """
     x = np.asarray(x, dtype=float)
     bmax = max(abs(slope * x[0]), abs(slope * x[-1]))
@@ -476,15 +474,9 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     prim = coarse * np.abs(coarse)  # antiderivative of 2|y|
     dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(coarse)
     nodes, weights = _gl_panels(coarse, dphase, env_scale, 4_000_000)
-    g = env(nodes) * np.exp(1j * a * nodes * nodes) * weights
-    cur = g * np.exp(1j * slope * x[0] * nodes)
-    step = np.exp(1j * slope * (x[1] - x[0]) * nodes) if x.size > 1 else None
-    out = np.empty(x.size, dtype=complex)
-    for k in range(x.size):
-        out[k] = np.add.reduce(cur)
-        if step is not None and k + 1 < x.size:
-            cur *= step
-    return out
+    g = env(nodes) * np.exp(1j * (a * nodes + slope * x[0]) * nodes) * weights
+    dx = float(x[1] - x[0]) if x.size > 1 else 0.0
+    return uniform_sum(g, slope * dx * nodes, x.size)
 
 
 def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
@@ -499,7 +491,8 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
     used when |nu|*sigma_p >= |mu|*sigma_q (ties included) with the
     state's natural scales, else the Fourier-side integral.  Sampled
     states always integrate on the position side, where their support is
-    compact.
+    compact, mu = 0 included: every frame then integrates the same
+    linear interpolant.
     """
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
@@ -508,7 +501,7 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
         psi = position_wavefunction(state, hbar)
         vals = np.abs(psi(x / frame.mu)) ** 2 / abs(frame.mu)
         return Tomogram(frame, x, vals)
-    if frame.mu == 0.0:
+    if frame.mu == 0.0 and not state.sampled:
         ft = momentum_wavefunction(state, hbar)
         vals = np.abs(ft(x / frame.nu)) ** 2 / abs(frame.nu)
         return Tomogram(frame, x, vals)

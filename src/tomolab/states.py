@@ -450,6 +450,9 @@ class BoxEigen(State):
         return self.x_extent(frame, hbar, mass_tol=1e-6)
 
 
+_FT_BLOCK = 1 << 19  # kernel entries per p block of CustomGrid.momentum_wavefunction
+
+
 class CustomGrid(State):
     """Arbitrary normalized wave function sampled on a uniform grid.
 
@@ -490,13 +493,39 @@ class CustomGrid(State):
         return custom_psi
 
     def momentum_wavefunction(self, hbar):
+        """The Fourier transform of the same linear interpolant that the
+        position routes integrate: with q = p/hbar and u = q dx, the
+        interior samples' DTFT times dx sinc^2(u/2) (their hat functions)
+        plus the two end half-hats dx e^{-i q x_end} R(+-u),
+        R(u) = int_0^1 (1 - s) e^{-i u s} ds.  p is taken in blocks, so
+        memory stays bounded for any number of p."""
         xg, pg = self.x_grid, self.psi
-        pref = 1.0 / math.sqrt(2.0 * math.pi * hbar)
+        dx = float(xg[1] - xg[0])
+        scale = dx / math.sqrt(2.0 * math.pi * hbar)
+        rows = max(1, _FT_BLOCK // xg.size)
+
+        def half_hat(u):
+            # R(u) = sinc^2(u/2)/2 - i (u - sin u)/u^2, the odd part by its
+            # series where the closed form cancels
+            small = np.abs(u) < 0.1
+            us = np.where(small, 1.0, u)
+            u2 = u * u
+            odd = np.where(small, u * (1.0 / 6.0 - u2 * (1.0 / 120.0 - u2 * (1.0 / 5040.0 - u2 / 362880.0))),
+                           (us - np.sin(us)) / (us * us))
+            return 0.5 * np.sinc(u / (2.0 * math.pi)) ** 2 - 1j * odd
 
         def custom_ft(p):
-            p = np.atleast_1d(np.asarray(p, dtype=float))
-            ker = np.exp(-1j * np.outer(p, xg) / hbar)
-            out = pref * np.trapezoid(ker * pg[None, :], xg, axis=1)
+            q = np.atleast_1d(np.asarray(p, dtype=float)) / hbar
+            out = np.empty(q.size, dtype=complex)
+            for i in range(0, q.size, rows):
+                qb = q[i:i + rows]
+                ker = np.multiply.outer(qb, -1j * xg[1:-1])
+                np.exp(ker, out=ker)
+                u = qb * dx
+                out[i:i + rows] = (np.sinc(u / (2.0 * math.pi)) ** 2 * (ker @ pg[1:-1])
+                                   + half_hat(u) * pg[0] * np.exp(-1j * qb * xg[0])
+                                   + half_hat(-u) * pg[-1] * np.exp(-1j * qb * xg[-1]))
+            out *= scale
             return out if out.size > 1 else out[0]
 
         return custom_ft

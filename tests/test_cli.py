@@ -45,6 +45,18 @@ def test_box_tomogram_leaves_scipy_special_unimported(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
 
 
+def test_cli_import_leaves_numpy_fft_unimported():
+    # numpy loads numpy.fft on first use; the quadrature route's exponential
+    # sum and the custom-state extent use it inside functions only, so
+    # processes that never need it do not pay its import
+    import subprocess
+    import sys
+
+    code = "import sys, tomolab.cli\nassert 'numpy.fft' not in sys.modules\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
 def test_tomogram_command_cat_symmetry(tmp_path):
     out = str(tmp_path / "cat.csv")
     code = run(["tomogram", "--state", "cat:even,re=1,im=0", "--frame", "0,1",

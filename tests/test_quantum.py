@@ -274,6 +274,55 @@ def test_momentum_marginal_pointwise():
         assert np.max(np.abs(tom.values - np.abs(ft) ** 2)) < 1e-12
 
 
+def test_sampled_marginals_integrate_one_interpolant():
+    # every frame integrates the same linear interpolant, whose squared norm
+    # sum (|a|^2 + Re a b* + |b|^2) dx/3 over the cells differs from the
+    # samples' trapezoid norm (1); at mu = 0 the tomogram is |psihat|^2 of
+    # that interpolant
+    x = np.linspace(-8, 8, 401)
+    psi = np.exp(-(x - 0.4) ** 2 / 2.0 + 0.8j * x)
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    a, b = psi[:-1], psi[1:]
+    norm2 = float(np.sum(np.abs(a) ** 2 + (a * b.conj()).real + np.abs(b) ** 2)) * (x[1] - x[0]) / 3.0
+    assert abs(norm2 - 1.0) > 1e-4
+    state = st.CustomGrid(x, psi)
+    for mu, nu in ((0.0, 1.0), (1.0, 0.0), (0.6, 0.8)):
+        fr = TomographyFrame(mu, nu)
+        g = qt.default_x_grid(state, fr, 1.0, count=16001)
+        tom = qt.tomogram_from_wavefunction(state, fr, g, 1.0)
+        mass = np.trapezoid(tom.values, g)
+        assert abs(mass - norm2) < 1e-6, (fr, mass - norm2)
+        if mu == 0.0:
+            ref = np.abs(state.momentum_wavefunction(1.0)(g)) ** 2
+            assert np.max(np.abs(tom.values - ref)) < 1e-5 * np.max(ref)
+
+
+def test_sampled_oblique_tomogram_against_mpmath():
+    # oracle: the interpolant amplitude by mpmath quadrature, cell by cell, at
+    # five X of two oblique frames; it shares neither the Gauss-Legendre
+    # nodes nor the exponential sum of the quadrature route
+    from mpmath import fp
+
+    x = np.linspace(-6, 6, 81)
+    psi = np.exp(-(x - 0.3) ** 2 / 1.5 + 0.5j * x)
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    state = st.CustomGrid(x, psi)
+    hbar = 0.8
+    for fr in (TomographyFrame(0.6, 0.8), TomographyFrame(-1.1, 0.45)):
+        g = qt.default_x_grid(state, fr, hbar, count=401)
+        tom = qt.tomogram_from_wavefunction(state, fr, g, hbar).values
+        a = fr.mu / (2 * hbar * fr.nu)
+        for i in (60, 140, 200, 260, 340):
+            b = -g[i] / (hbar * fr.nu)
+            amp = 0j
+            for n in range(x.size - 1):
+                x0, x1, p0, p1 = float(x[n]), float(x[n + 1]), complex(psi[n]), complex(psi[n + 1])
+                amp += fp.quad(lambda y: (p0 * (x1 - y) + p1 * (y - x0)) / (x1 - x0)
+                               * fp.expj(a * y * y + b * y), [x0, x1])
+            ref = abs(amp) ** 2 / (2 * math.pi * hbar * abs(fr.nu))
+            assert abs(tom[i] - ref) < 1e-5 * np.max(tom), (fr, i)
+
+
 @dataclass(frozen=True)
 class SqueezedGaussian(st.State):
     """psi(y) = (pi s^2)^(-1/4) exp(-y^2/(2 s^2)), a state known only to this file."""

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from tomolab import specfun as sf
 from tomolab.limits import oscillator_local_period, windowed_average
@@ -13,6 +15,7 @@ from tomolab.specfun import (
     hermite_phi,
     log_gamma,
     parabolic_u_asymptotic,
+    uniform_sum,
 )
 
 
@@ -230,3 +233,39 @@ def test_faddeeva_upper_half_plane():
     assert isinstance(faddeeva(0.3j), complex)
     assert faddeeva(np.array([0.3j, 2.0])).shape == (2,)
 
+
+def exact_uniform_sum(c: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
+    """Oracle: sum_j c_j e^{i k theta_j} with every phase k theta_j formed
+    exactly.  theta_hi keeps 39 mantissa bits, so k theta_hi is exact for
+    k < 2^14 and cos/sin reduce it exactly; k theta_lo stays below 2e-5
+    for |theta| <= 1e3 and rounds harmlessly.  Mode k0 + b is the product
+    of the exact factors e^{i k0 theta} and e^{i b theta}."""
+    assert m < 2 ** 14
+    mant, ex = np.frexp(theta)
+    hi = np.ldexp(np.trunc(np.ldexp(mant, 39)), ex - 39)
+    lo = theta - hi
+
+    def phase(k):
+        kh = np.multiply.outer(k, hi)
+        return (np.cos(kh) + 1j * np.sin(kh)) * np.exp(1j * np.multiply.outer(k, lo))
+
+    block = 128
+    table = phase(np.arange(block))
+    out = np.empty(m, dtype=complex)
+    for k0 in range(0, m, block):
+        rows = min(block, m - k0)
+        out[k0:k0 + rows] = table[:rows] @ (c * phase(np.asarray(k0)))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=hs.integers(1, 5000), m=hs.integers(1, 9000), reach=hs.floats(0.0, 1e3),
+       picked=hs.lists(hs.floats(-1e3, 1e3), max_size=4), seed=hs.integers(0, 2 ** 32 - 1))
+def test_uniform_sum_matches_the_exact_sum(n, m, reach, picked, seed):
+    # stated accuracy 1e-12 sum |c_j|; a float64 direct sum would itself be
+    # off by k |theta| eps (1e-9 here), hence the exact-phase oracle
+    rng = np.random.default_rng(seed)
+    theta = np.concatenate((picked, rng.uniform(-reach, reach, n)))[:n]
+    c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(rng.uniform(-4.0, 4.0, n))
+    err = np.max(np.abs(uniform_sum(c, theta, m) - exact_uniform_sum(c, theta, m)))
+    assert err <= 1e-12 * np.sum(np.abs(c)), (n, m, err / np.sum(np.abs(c)))

@@ -130,6 +130,48 @@ def test_box_momentum_resonance_finite():
     assert abs(vals[0] - vals[1]) < 1e-6
 
 
+def test_custom_momentum_wavefunction_is_the_interpolant_transform():
+    # oracle: mpmath quadrature of the linear interpolant, cell by cell.  The
+    # end samples are far from zero, so the end half-hats count, and p spans
+    # u = p dx/hbar on both sides of the half-hat series switch (0.1) and
+    # beyond 2 pi
+    import mpmath as mp
+
+    x = np.linspace(-1.0, 1.5, 11)
+    psi = 1.0 + 0.5 * x + 0.3j * x * x
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    hbar = 0.9
+    ps = np.array([0.0, 1e-9, 1e-3, 0.3, 0.361, -2.0, 7.3, 80.0])
+    got = st.CustomGrid(x, psi).momentum_wavefunction(hbar)(ps)
+    with mp.workdps(25):
+        for p, g in zip(ps, got):
+            q = mp.mpf(p) / hbar
+            ref = 0
+            for n in range(x.size - 1):
+                a, b = mp.mpf(x[n]), mp.mpf(x[n + 1])
+                pa, pb = complex(psi[n]), complex(psi[n + 1])
+                ref += mp.quad(lambda y: (pa * (b - y) + pb * (y - a)) / (b - a) * mp.expj(-q * y), [a, b])
+            assert abs(g - complex(ref) / math.sqrt(2 * math.pi * hbar)) < 1e-10, p
+
+
+def test_custom_momentum_wavefunction_memory_is_bounded():
+    # 8001 momenta of 1201 samples: one dense kernel alone would be 154 MB
+    import tracemalloc
+
+    x = np.linspace(-8, 8, 1201)
+    psi = np.exp(-x * x / 2.0) + 0j
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    ft = st.CustomGrid(x, psi).momentum_wavefunction(0.25)
+    p = np.linspace(-20, 20, 8001)
+    tracemalloc.start()
+    try:
+        ft(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+
+
 def test_planck_scaled_state():
     x = np.linspace(-8, 8, 2001)
     psi = np.exp(-x * x / 2.0)
