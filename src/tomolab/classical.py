@@ -254,6 +254,12 @@ class FrameSamples:
         dnu = float(self.nu_grid[1] - self.nu_grid[0]) if self.nu_grid.size > 1 else 0.0
         return dmu, dnu
 
+    def edge_tail(self) -> float:
+        """Largest |G| on the outer edge of the frame grid: the size of the
+        tail the inverse maps discard beyond the frame box."""
+        g = np.abs(self.values)
+        return float(max(g[[0, -1], :].max(), g[:, [0, -1]].max()))
+
     def nu_index(self, nu):
         """Index into nu_grid of each requested nu (scalar or array), which
         must be sampled to 1e-9 relative."""

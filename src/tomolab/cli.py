@@ -340,6 +340,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         _write_csv(out_csv, "q,p,W",
                    (np.repeat(qg, pg.size), np.tile(pg, qg.size), wrec.values))
         report["imag_residual"] = resid
+        report["frame_box_tail"] = fam.edge_tail()
         exact = qt.exact_wigner(state, hbar)
         if exact is not None:
             ref = exact(pg[None, :], qg[:, None])
@@ -366,6 +367,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         _write_csv(out_csv, "x,xprime,re,im",
                    (np.repeat(xs, xs.size), np.tile(xs, xs.size), rho.real, rho.imag))
         report["hermiticity_residual"] = herm
+        report["frame_box_tail"] = slices.edge_tail()
         diag = np.real(np.diag(rho))
         report["trace"] = float(np.trapezoid(diag, xs))
         if not state.sampled:
@@ -613,6 +615,19 @@ def _selftest_rows(quick: bool):
     direct = np.exp(1j * np.outer(np.arange(300), theta)) @ c
     check("uniform sum",
           float(np.max(np.abs(sf.uniform_sum(c, theta, 300) - direct))) / float(np.sum(np.abs(c))), 1e-12)
+
+    # closed-form characteristic functions against the trapezoid of the
+    # closed-form tomogram at each frame
+    worst = 0.0
+    mu_c, nu_c = np.array([0.8, -1.1]), np.array([-0.5, 0.0, 1.2])
+    for state in (st.CatOdd(0.8 + 0.3j), st.Superposition(1, 4)):
+        G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
+        for i, j in np.ndindex(G.shape):
+            fr = TomographyFrame(mu_c[i], nu_c[j])
+            x = qt.default_x_grid(state, fr, 0.7, count=4001)
+            ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
+            worst = max(worst, abs(G[i, j] - ref))
+    check("characteristic closed form", worst, 1e-10)
 
     # determinism of serialized output
     import hashlib

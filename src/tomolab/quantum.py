@@ -1,6 +1,6 @@
-"""Quantum tomograms: amplitude closed forms, oscillatory-quadrature
-routes, Wigner-function maps, and the inverse reconstructions back to
-Wigner functions and density matrices.
+"""Quantum tomograms: amplitude closed forms, closed-form characteristic
+functions, oscillatory-quadrature routes, Wigner-function maps, and the
+inverse reconstructions back to Wigner functions and density matrices.
 
 For a pure state the tomogram is |A|^2 / (2 pi hbar |nu|) with the
 amplitude
@@ -34,7 +34,7 @@ from .kernel import (
     bilinear_interp,
     trapezoid_weights,
 )
-from .specfun import faddeeva, uniform_sum
+from .specfun import faddeeva, laguerre_scaled, uniform_sum
 from .states import (
     BoxEigen,
     CatEven,
@@ -339,6 +339,61 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
 
 
 # ---------------------------------------------------------------------------
+# characteristic functions G(mu, nu) = <exp(i(mu q + nu p))> = <D(beta)>
+# ---------------------------------------------------------------------------
+
+def _displacement_beta(mu_grid, nu_grid, hbar: float, varpi: float) -> np.ndarray:
+    """beta[i, j] with exp(i(mu_i q + nu_j p)) = D(beta): beta =
+    sqrt(hbar/2) (i mu/sqrt(varpi) - nu sqrt(varpi)), |beta|^2 = 1/(2 kappa)."""
+    mu = np.asarray(mu_grid, dtype=float)[:, None]
+    nu = np.asarray(nu_grid, dtype=float)[None, :]
+    return (-math.sqrt(0.5 * hbar * varpi) * nu) + 1j * (math.sqrt(0.5 * hbar / varpi) * mu)
+
+
+def _fock_displacement(m: int, n: int, beta):
+    """<m|D(beta)|n> (Cahill & Glauber, Phys. Rev. 177 (1969) 1857): for m >= n
+
+        sqrt(n!/m!) beta^(m-n) e^(-|beta|^2/2) L_n^(m-n)(|beta|^2),
+
+    with the modulus from :func:`specfun.laguerre_scaled`; n > m is the
+    same with (m, n) swapped and beta -> -beta*."""
+    beta = np.asarray(beta, dtype=complex)
+    if n > m:
+        return _fock_displacement(n, m, -np.conj(beta))
+    ell = laguerre_scaled(n, m - n, beta.real ** 2 + beta.imag ** 2)
+    return ell * np.exp(1j * (m - n) * np.angle(beta)) if m > n else ell
+
+
+def _coherent_displacement(a: complex, c: complex, beta):
+    """<a|D(beta)|c> = exp(-|a|^2/2 - |beta+c|^2/2 + a*(beta+c) + (beta c* - beta* c)/2)
+    of coherent states, with the exponent summed before exponentiating:
+    its real part is -|a - beta - c|^2/2, so Ehrenfest-sized |alpha|
+    cannot overflow."""
+    beta = np.asarray(beta, dtype=complex)
+    b = beta + c
+    r = a - b
+    return np.exp(-0.5 * (r.real ** 2 + r.imag ** 2)
+                  + 1j * ((np.conj(a) * b).imag + (beta * np.conj(c)).imag))
+
+
+def _expectation(terms, element, beta) -> np.ndarray:
+    """<psi|D(beta)|psi> of psi = sum_c w_c |c>: sum_{a,c} w_a* w_c element(a, c, beta)."""
+    return sum(np.conj(wa) * wc * element(a, c, beta) for wa, a in terms for wc, c in terms)
+
+
+def _cat_characteristic(state, mu_grid, nu_grid, hbar):
+    N = cat_normalization(state.alpha, state.parity)
+    return _expectation(((N, state.alpha), (state.sign * N, -state.alpha)),
+                        _coherent_displacement, _displacement_beta(mu_grid, nu_grid, hbar, state.varpi))
+
+
+def _superposition_characteristic(state, mu_grid, nu_grid, hbar):
+    w = 1.0 / math.sqrt(2.0)
+    return _expectation(((w, state.n), (w, state.m)), _fock_displacement,
+                        _displacement_beta(mu_grid, nu_grid, hbar, state.varpi))
+
+
+# ---------------------------------------------------------------------------
 # quadrature route (representation-dispatched) and grid helpers
 # ---------------------------------------------------------------------------
 
@@ -544,6 +599,8 @@ class _Route(NamedTuple):
     closed: bool
     tomogram: Callable   # (state, frame, x, hbar) -> tomogram values on x
     amplitude: Callable  # (state, frame, X, hbar) -> A(X)
+    # (state, mu_grid, nu_grid, hbar) -> G on the whole frame grid; closed routes only
+    characteristic: Callable | None = None
 
 
 def _cat_amplitude(state, frame, X, hbar):
@@ -560,20 +617,25 @@ _ROUTES = {
     HOEigen: _Route(
         True,
         lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h, s.varpi),
-        lambda s, fr, X, h: hermite_amplitude(s.n, fr, X, h, s.varpi)),
+        lambda s, fr, X, h: hermite_amplitude(s.n, fr, X, h, s.varpi),
+        lambda s, mu, nu, h: _fock_displacement(s.n, s.n, _displacement_beta(mu, nu, h, s.varpi))),
     Coherent: _Route(
         True,
         lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h, s.varpi),
-        lambda s, fr, X, h: coherent_amplitude(s.alpha, fr, X, h, s.varpi)),
+        lambda s, fr, X, h: coherent_amplitude(s.alpha, fr, X, h, s.varpi),
+        lambda s, mu, nu, h: _coherent_displacement(s.alpha, s.alpha,
+                                                    _displacement_beta(mu, nu, h, s.varpi))),
     **dict.fromkeys((CatEven, CatOdd), _Route(
         True,
         lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h, s.varpi),
-        _cat_amplitude)),
+        _cat_amplitude,
+        _cat_characteristic)),
     Superposition: _Route(
         True,
         lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h, s.varpi),
         lambda s, fr, X, h: (hermite_amplitude(s.n, fr, X, h, s.varpi)
-                             + hermite_amplitude(s.m, fr, X, h, s.varpi)) / math.sqrt(2.0)),
+                             + hermite_amplitude(s.m, fr, X, h, s.varpi)) / math.sqrt(2.0),
+        _superposition_characteristic),
     BoxEigen: _Route(
         False,
         lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
@@ -690,28 +752,57 @@ def _support_slice(state: StateSpec, frame: TomographyFrame, hbar: float,
     return slice(max(i0 - 1, 0), min(i1 + 1, x.size))
 
 
+# Seconds per frame and X point of the common grid that the per-frame
+# family loop costs, measured as loop time / (frames x X points) on
+# `reconstruct` families (2-core machine): exact box tomograms 0.65-0.71 us,
+# sampled states through the generic quadrature 3.6-6.5 us (their node
+# count does not shrink with X).  A loop estimated above FAMILY_BUDGET_S
+# seconds is refused before any frame is built.
+BOX_POINT_S = 8.0e-7
+QUADRATURE_POINT_S = 8.0e-6
+FAMILY_BUDGET_S = 60.0
+
+
 def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
                        x_grid, method: str = "auto") -> FrameSamples:
-    """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX of one
-    state over a rectangular (mu, nu) grid, each by the trapezoid rule on
-    the common X grid as soon as its tomogram is built.
+    """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX =
+    <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid.
 
-    Each frame is only evaluated inside its own support window on the
-    common grid (the tomogram vanishes beyond mu*[q support] +
-    nu*[p support]), which keeps quadrature-route states affordable.
+    States with a closed form (unless method='quadrature') take G from
+    the route's closed-form characteristic function in one vectorised
+    call and ignore x_grid.  Every other state builds each frame's
+    tomogram and reduces it by the trapezoid rule on the common X grid,
+    only inside the frame's own support window (the tomogram vanishes
+    beyond mu*[q support] + nu*[p support]); that loop is refused when
+    its estimated time, frames x X points x the route's cost per point,
+    exceeds FAMILY_BUDGET_S.
     """
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    x = np.asarray(x_grid, dtype=float)
-    kernel = np.exp(1j * x) * trapezoid_weights(x.size) * float(x[1] - x[0])
-    G = np.ones((mu_grid.size, nu_grid.size), dtype=complex)  # zero frame: unit atom at X = 0
-    for i, mu in enumerate(mu_grid):
-        for j, nu in enumerate(nu_grid):
-            if mu == 0.0 and nu == 0.0:
-                continue
-            fr = TomographyFrame(mu, nu)
-            win = _support_slice(state, fr, hbar, x)
-            G[i, j] = np.dot(state_tomogram(state, fr, x[win], hbar, method).values, kernel[win])
+    zero = (mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]
+    route = _ROUTES.get(type(state))
+    if method != "quadrature" and route is not None and route.closed:
+        G = np.array(route.characteristic(state, mu_grid, nu_grid, hbar), dtype=complex)
+        G[zero] = 1.0  # unit atom at X = 0
+    else:
+        x = np.asarray(x_grid, dtype=float)
+        exact = route is not None and not route.closed
+        est = mu_grid.size * nu_grid.size * x.size * (BOX_POINT_S if exact else QUADRATURE_POINT_S)
+        if est > FAMILY_BUDGET_S:
+            raise TomogramError(
+                f"family of {mu_grid.size * nu_grid.size} frames x {x.size} X points "
+                f"would take about {est:.0f} s, over the {FAMILY_BUDGET_S:.0f} s budget")
+        kernel = np.exp(1j * x) * trapezoid_weights(x.size) * float(x[1] - x[0])
+        G = np.ones((mu_grid.size, nu_grid.size), dtype=complex)  # zero frame: unit atom at X = 0
+        for i, mu in enumerate(mu_grid):
+            for j, nu in enumerate(nu_grid):
+                if zero[i, j]:
+                    continue
+                fr = TomographyFrame(mu, nu)
+                win = _support_slice(state, fr, hbar, x)
+                G[i, j] = np.dot(state_tomogram(state, fr, x[win], hbar, method).values, kernel[win])
     # declared alias radii: 4-sigma support is what the Nyquist check needs,
     # not the 8-sigma quadrature padding
     qlo, qhi = position_extent(state, hbar, tails=4.0)

@@ -1,6 +1,6 @@
 """Stable special-function evaluation for tomogram closed forms and
-large-order asymptotics: normalized Hermite functions, the Faddeeva
-function w(z), the Airy function Ai, log-Gamma, the
+large-order asymptotics: normalized Hermite functions, scaled Laguerre
+functions, the Faddeeva function w(z), the Airy function Ai, log-Gamma, the
 large-negative-order parabolic-cylinder asymptotic, and the uniform
 exponential sum behind the quadrature-route tomograms.
 
@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "hermite_phi",
+    "laguerre_scaled",
     "faddeeva",
     "airy_ai",
     "log_gamma",
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 HERMITE_MAX_ORDER = 10_000
+LAGUERRE_MAX_ORDER = 2000
 
 # Series/asymptotic hand-over points for Ai.  The decaying side can switch
 # at 5 (optimally truncated expansion is good to ~4e-11 there); the
@@ -57,6 +59,66 @@ def hermite_phi(n: int, x):
     for k in range(1, n):
         p0, p1 = p1, xv * math.sqrt(2.0 / (k + 1)) * p1 - math.sqrt(k / (k + 1)) * p0
     return float(p1) if scalar else p1
+
+
+# ln 2 = _LN2_HI + _LN2_LO with e * _LN2_HI exact for |e| < 2^20 (fdlibm)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# the recurrence mantissa is cut back by this power of two once it passes it
+_LAGUERRE_RESCALE = 300
+
+
+def laguerre_scaled(n: int, k: int, x):
+    """Scaled Laguerre function
+
+        l_n^(k)(x) = sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x),   x >= 0,
+
+    the modulus of <n+k|D(beta)|n> at x = |beta|^2, so |l| <= 1.  By the
+    normalized recurrence b_j l_{j+1} = (2j+1+k-x) l_j - a_j l_{j-1},
+    a_j = sqrt(j(j+k)), b_j = sqrt((j+1)(j+1+k)), in its difference form
+
+        b_j d_{j+1} = a_j d_j + (c_j - x) l_j,   l_{j+1} = l_j + d_{j+1},
+        c_j = 2j+1+k - a_j - b_j
+            = [(sqrt(j+1+k) - sqrt(j+1))^2 + (sqrt(j+k) - sqrt(j))^2]/2,
+
+    which never rounds x against 2j+1+k (the plain form loses 7e-11 near
+    x = 0 at n = 2000).  It starts from a unit mantissa: the start
+    value's logarithm -x/2 + (k/2) log x - log(k!)/2 and the powers of two
+    taken out of the growing mantissa are carried separately and applied
+    once at the end, so nothing underflows at large n, k or x.  Validated against mpmath
+    for n <= LAGUERRE_MAX_ORDER over 0 <= x <= 4n + 200.  Accepts a
+    scalar or array x.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"Laguerre order and degree must be nonnegative, got n = {n}, k = {k}")
+    if n > LAGUERRE_MAX_ORDER:
+        raise ValueError(f"Laguerre order {n} beyond validated range 0..{LAGUERRE_MAX_ORDER}")
+    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv < 0.0):
+        raise ValueError("scaled Laguerre function needs x >= 0")
+    ell = np.ones_like(xv)
+    d = np.zeros_like(xv)
+    twos = np.zeros(xv.shape, dtype=np.int64)
+    for j in range(n):
+        c = 0.0 if k == 0 else 0.5 * k * k * (1.0 / (math.sqrt(j + 1 + k) + math.sqrt(j + 1)) ** 2
+                                              + 1.0 / (math.sqrt(j + k) + math.sqrt(j)) ** 2)
+        d = (math.sqrt(j * (j + k)) * d + (c - xv) * ell) / math.sqrt((j + 1) * (j + 1 + k))
+        ell = ell + d
+        big = np.abs(ell) > 2.0 ** _LAGUERRE_RESCALE
+        if big.any():
+            cut = np.where(big, _LAGUERRE_RESCALE, 0)
+            ell = np.ldexp(ell, -cut)
+            d = np.ldexp(d, -cut)
+            twos += cut
+    # -x/2 + twos ln 2 nearly cancel where the mantissa grew: sum the exact
+    # parts first
+    expo = (-0.5 * xv + twos * _LN2_HI) + twos * _LN2_LO - 0.5 * math.lgamma(k + 1.0)
+    if k:
+        with np.errstate(divide="ignore"):
+            expo = expo + 0.5 * k * np.log(xv)
+    out = ell * np.exp(expo)
+    return float(out) if scalar else out
 
 
 def _weideman_coefficients(N: int) -> tuple[float, np.ndarray]:

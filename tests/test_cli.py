@@ -220,6 +220,51 @@ def test_reconstruct_centre_frame_is_exactly_zero(tmp_path, state, target, hbar)
     assert rep["max_error_vs_exact"] < 1e-3
 
 
+def test_reconstruct_reports_the_frame_box_tail(tmp_path):
+    # ho:n=1 at hbar = 1 sizes its frame box to |beta|^2 = 40 at the mid-edge
+    # frames, where |G| = |1 - 40| e^{-20} is largest on the edge
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", "ho:n=1", "--target", "wigner", "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["frame_box_tail"] == pytest.approx(39.0 * math.exp(-20.0), rel=1e-9)
+    assert run(["reconstruct", "--state", "superpos:n=1,m=2", "--target", "density",
+                "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert 1e-3 < rep["frame_box_tail"] < 1.0  # the density box discards this much
+
+
+def test_reconstruct_refuses_a_family_over_the_work_budget(tmp_path, capsys):
+    import time
+
+    t0 = time.perf_counter()
+    code = run(["reconstruct", "--state", "box:n=3,L=1", "--target", "wigner", "--hbar", "0.1",
+                "--out", str(tmp_path / "rec")])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "11001 frames x 14866 X points would take about" in err[0]
+    est = float(err[0].split("about ")[1].split(" s")[0])
+    assert est > tomolab.quantum.FAMILY_BUDGET_S
+    assert not os.path.exists(str(tmp_path / "rec" / "reconstruct_report.json"))
+
+
+def test_catalog_reconstruct_leaves_scipy_special_unimported(tmp_path):
+    # the closed-form characteristic functions take their Laguerre factor
+    # from a numpy recurrence, not from scipy.special
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, tomolab.cli as c\n"
+        "assert c.main(['reconstruct', '--state', 'cat:odd,re=1,im=0', '--target', 'wigner',\n"
+        f"               '--hbar', '0.25', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
 def test_centred_grid():
     for m, n in ((3.7, 101), (2.0, 5), (1.0, 3), (1.5, 4)):
         g = cli._centred_grid(m, n)

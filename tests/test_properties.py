@@ -1,9 +1,11 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals, the homogeneity
 W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of Fock
-states and cats."""
+states and cats; and of the closed-form characteristic functions over
+random frame grids: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu), |G| <= 1."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -66,3 +68,22 @@ def test_parity_states_have_even_tomograms(state, fr, hbar):
     x = np.linspace(-1.0, 1.0, 401) * max(abs(lo), abs(hi))
     w = qt.state_tomogram(state, fr, x, hbar).values
     assert np.max(np.abs(w - w[::-1])) < 1e-9 * np.max(w)
+
+
+def _centred(extent: float, half: int) -> np.ndarray:
+    # exactly symmetric, with an exact zero at the centre
+    return extent * np.arange(-half, half + 1) / half
+
+
+_frame_grid = hs.builds(_centred, hs.floats(0.2, 8.0), hs.integers(1, 12))
+_varpi = hs.floats(0.3, 3.0)
+
+
+@_examples
+@given(_catalog, _varpi, _frame_grid, _frame_grid, _hbar)
+def test_characteristic_function_invariants(state, varpi, mu, nu, hbar):
+    state = dataclasses.replace(state, varpi=varpi)
+    G = qt.build_state_family(state, hbar, mu, nu, None).values
+    assert G[mu.size // 2, nu.size // 2] == 1.0
+    assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12
+    assert np.max(np.abs(G)) <= 1.0 + 1e-12

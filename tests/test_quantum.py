@@ -772,3 +772,75 @@ def test_amplitude_overlap_pairs():
         ref = cmath.exp(-abs(alpha) ** 2 / 2) * alpha ** n / math.sqrt(math.factorial(n))
         assert abs(overlap("coh", n) - ref) < 1e-6
     assert abs(overlap("coh", "coh") - 1.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed-form characteristic functions
+# ---------------------------------------------------------------------------
+
+def weyl_overlap(state, mu, nu, hbar):
+    """Oracle: G(mu, nu) = <exp(i(mu q + nu p))>
+    = int psi*(y - hbar nu/2) psi(y + hbar nu/2) e^{i mu y} dy by mpmath.quad."""
+    import mpmath as mp
+
+    psi = st.position_wavefunction(state, hbar)
+    h = 0.5 * hbar * nu
+    lo, hi = st.position_extent(state, hbar, tails=12.0)
+
+    def integrand(y):
+        return complex(np.conj(psi(float(y) - h)) * psi(float(y) + h)) * mp.expj(mu * y)
+
+    return complex(mp.quad(integrand, list(np.linspace(lo - abs(h), hi + abs(h), 5))))
+
+
+# all four (mu, nu) quadrants and both axes
+CHARACTERISTIC_FRAMES = ((0.7, 0.4), (-0.5, 0.9), (-0.8, -0.3), (0.6, -1.1), (1.3, 0.0), (0.0, -1.2))
+
+
+@pytest.mark.parametrize("state", [
+    st.HOEigen(0), st.HOEigen(3, 0.6), st.HOEigen(12),
+    st.Superposition(0, 1), st.Superposition(2, 5, 1.7),
+    st.Coherent(0.7 - 0.4j), st.Coherent(0.7 - 0.4j, 1.8),
+    st.CatEven(0.9 + 0.5j), st.CatOdd(0.9 + 0.5j),
+    st.CatEven(-0.6 + 0.8j, 0.5), st.CatOdd(-0.6 + 0.8j, 0.5),
+], ids=repr)
+def test_characteristic_matches_the_weyl_overlap(state):
+    hbar = 0.7
+    for mu, nu in CHARACTERISTIC_FRAMES:
+        G = qt.build_state_family(state, hbar, [mu], [nu], None).values[0, 0]
+        assert abs(G - weyl_overlap(state, mu, nu, hbar)) < 1e-12, (mu, nu)
+
+
+def test_closed_characteristic_matches_the_tomogram_trapezoid():
+    # the per-frame route it replaces: a fine-grid trapezoid of each frame's
+    # closed-form tomogram against e^{iX}
+    hbar = 0.6
+    mu = np.linspace(-3.0, 3.0, 9)
+    nu = np.linspace(-2.5, 2.5, 9)
+    for state in (st.CatOdd(1.1 - 0.4j, 1.3), st.Superposition(1, 4, 0.8), st.HOEigen(2),
+                  st.Coherent(-0.5 + 0.9j)):
+        G = qt.build_state_family(state, hbar, mu, nu, None).values
+        for i, m in enumerate(mu):
+            for j, n in enumerate(nu):
+                fr = TomographyFrame(m, n)
+                if fr.is_zero:
+                    assert G[i, j] == 1.0
+                    continue
+                x = qt.default_x_grid(state, fr, hbar, count=6001)
+                ref = np.trapezoid(qt.state_tomogram(state, fr, x, hbar).values * np.exp(1j * x), x)
+                assert abs(G[i, j] - ref) < 1e-10, (state, m, n)
+
+
+def test_family_loop_is_refused_over_its_work_budget():
+    box = st.BoxEigen(3, 1.0)
+    x = np.linspace(-80.0, 80.0, 14866)
+    grid = np.linspace(-5.0, 5.0, 105)
+    with pytest.raises(TomogramError, match=r"11025 frames x 14866 X points would take about \d+ s"):
+        qt.build_state_family(box, 0.1, grid, grid, x)
+
+
+def test_family_rejects_an_unknown_method():
+    # the closed route never reaches state_tomogram, which checks it per frame
+    grid = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="unknown method"):
+        qt.build_state_family(st.HOEigen(0), 1.0, grid, grid, None, method="exact")

@@ -13,6 +13,7 @@ from tomolab.specfun import (
     airy_ai,
     faddeeva,
     hermite_phi,
+    laguerre_scaled,
     log_gamma,
     parabolic_u_asymptotic,
     uniform_sum,
@@ -269,3 +270,46 @@ def test_uniform_sum_matches_the_exact_sum(n, m, reach, picked, seed):
     c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(rng.uniform(-4.0, 4.0, n))
     err = np.max(np.abs(uniform_sum(c, theta, m) - exact_uniform_sum(c, theta, m)))
     assert err <= 1e-12 * np.sum(np.abs(c)), (n, m, err / np.sum(np.abs(c)))
+
+
+# ---------------------------------------------------------------------------
+# scaled Laguerre functions
+# ---------------------------------------------------------------------------
+
+def mp_laguerre_scaled(n: int, k: int, x: float) -> float:
+    """Oracle: sqrt(n!/(n+k)!) x^(k/2) e^(-x/2) L_n^(k)(x) at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        xx = mp.mpf(x)
+        return float(mp.sqrt(mp.factorial(n) / mp.factorial(n + k)) * xx ** (mp.mpf(k) / 2)
+                     * mp.exp(-xx / 2) * mp.laguerre(n, k, xx))
+
+
+def test_laguerre_scaled_against_mpmath():
+    # x from 0 (and just above it, where the plain recurrence rounds x away
+    # against 2j+1+k) through the turning point 4n + 2k + 2 to 4n + 200
+    for n, k in ((0, 0), (1, 3), (2, 0), (7, 1), (40, 0), (40, 25), (300, 2),
+                 (2000, 0), (2000, 7), (150, 600)):
+        xs = np.concatenate(([0.0, 1e-9, 1e-4, 0.05], np.linspace(0.5, 4 * n + 200, 11),
+                             [4 * n + 2 * k + 2.0]))
+        got = laguerre_scaled(n, k, xs)
+        for x, g in zip(xs, got):
+            assert abs(g - mp_laguerre_scaled(n, k, x)) < 1e-12, (n, k, x)
+    assert laguerre_scaled(5, 2, 3.0) == pytest.approx(mp_laguerre_scaled(5, 2, 3.0), abs=1e-15)
+
+
+def test_laguerre_scaled_does_not_underflow():
+    # e^(-x/2) alone underflows at x = 8200; the carried exponent does not
+    assert abs(laguerre_scaled(2000, 0, 7900.0) - mp_laguerre_scaled(2000, 0, 7900.0)) < 1e-12
+    assert abs(laguerre_scaled(2000, 0, 7900.0)) > 1e-3
+
+
+def test_laguerre_scaled_rejects_orders_beyond_the_validated_range():
+    laguerre_scaled(sf.LAGUERRE_MAX_ORDER, 0, 1.0)
+    with pytest.raises(ValueError, match="0..2000"):
+        laguerre_scaled(sf.LAGUERRE_MAX_ORDER + 1, 0, 1.0)
+    with pytest.raises(ValueError):
+        laguerre_scaled(3, -1, 1.0)
+    with pytest.raises(ValueError):
+        laguerre_scaled(3, 0, -0.5)
