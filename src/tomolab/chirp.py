@@ -7,8 +7,9 @@ than 1/8 of a local phase period (local frequency |2*a*y + b| / 2pi) nor
 more than half of the envelope's variation scale.  With 8 nodes per
 panel the per-panel error is far below double-precision roundoff.  The
 panel split :func:`_gl_panels` also serves the whole-grid amplitudes
-of ``quantum._ladder_amplitudes``; each caller brings its own phase
-estimate and panel cap.
+of ``quantum._ladder_amplitudes`` and the Weyl-overlap characteristic
+functions of ``quantum._overlap_characteristic``, whose cells need not
+be uniform; each caller brings its own phase estimate and panel cap.
 """
 
 from __future__ import annotations
@@ -40,26 +41,28 @@ class ChirpResolutionError(RuntimeError):
 
 def _gl_panels(coarse: np.ndarray, dphase: np.ndarray, env_scale: float,
                max_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights over the uniform coarse cells,
-    each split into equal panels that keep its phase change dphase under
-    1/8 of a period and its width under half the envelope scale."""
-    ncoarse = coarse.size - 1
-    cell_w = (coarse[-1] - coarse[0]) / ncoarse
+    """Gauss-Legendre nodes and weights over the coarse cells (any widths,
+    increasing edges), each split into equal panels that keep its phase
+    change dphase under 1/8 of a period and its width under half the
+    envelope scale (env_scale = inf: no envelope split).
+
+    The panel edges are built for all cells at once; inside each cell
+    they are the values np.linspace(left, right, nsplit + 1) gives.
+    """
+    width = np.diff(coarse)
     nsplit = np.maximum(
         np.maximum(np.ceil(dphase / _PHASE_PER_PANEL),
-                   np.ceil(cell_w / (0.5 * env_scale))),
+                   np.ceil(width / (0.5 * env_scale))),
         1,
     ).astype(int)
     total = int(nsplit.sum())
     if total > max_panels:
         raise ChirpResolutionError(total, max_panels)
-    edges = np.empty(total + 1)
-    edges[0] = coarse[0]
-    pos = 0
-    for j in range(ncoarse):
-        k = int(nsplit[j])
-        edges[pos + 1 : pos + k + 1] = np.linspace(coarse[j], coarse[j + 1], k + 1)[1:]
-        pos += k
+    cell = np.repeat(np.arange(width.size), nsplit)
+    k = np.arange(1, total + 1) - np.repeat(np.cumsum(nsplit) - nsplit, nsplit)
+    right = k * (width / nsplit)[cell] + coarse[cell]
+    right[k == nsplit[cell]] = coarse[1:]  # each cell ends exactly on its edge
+    edges = np.concatenate((coarse[:1], right))
     centers = 0.5 * (edges[1:] + edges[:-1])
     halves = 0.5 * (edges[1:] - edges[:-1])
     nodes = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()

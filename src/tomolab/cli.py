@@ -53,6 +53,10 @@ STUDIES = (
 
 # a written tomogram whose mass is further than this from 1 fails its command
 TOMOGRAM_MASS_TOL = 1e-2
+# largest |G| a Wigner reconstruction may leave on the edge of its frame
+# box, and how often each axis may double to get there
+FRAME_TAIL_TOL = 1e-3
+FRAME_BOX_DOUBLINGS = 6
 
 
 @dataclass
@@ -323,12 +327,19 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         sq, sp = st.natural_scales(state, hbar)
         mu_max = math.sqrt(lam_cut) / (sq / math.sqrt(2.0))
         nu_max = math.sqrt(lam_cut) / (sp / math.sqrt(2.0))
-        n_mu = 2 * int(math.ceil(mu_max * qext / 2.5)) + 1
-        n_nu = 2 * int(math.ceil(nu_max * pext / 2.5)) + 1
-        xmax = mu_max * qext + nu_max * pext
-        xg = np.linspace(-xmax, xmax, max(1201, int(xmax / 0.05)))
-        fam = qt.build_state_family(state, hbar, _centred_grid(mu_max, n_mu),
-                                    _centred_grid(nu_max, n_nu), xg)
+        # double each axis whose edge frames still carry |G| over
+        # FRAME_TAIL_TOL: a box eigenstate's G decays only like 1/mu^2
+        for _ in range(FRAME_BOX_DOUBLINGS + 1):
+            fam = qt.build_state_family(
+                state, hbar, _centred_grid(mu_max, 2 * int(math.ceil(mu_max * qext / 2.5)) + 1),
+                _centred_grid(nu_max, 2 * int(math.ceil(nu_max * pext / 2.5)) + 1), None)
+            G = np.abs(fam.values)
+            wide_mu = max(G[0].max(), G[-1].max()) > FRAME_TAIL_TOL
+            wide_nu = max(G[:, 0].max(), G[:, -1].max()) > FRAME_TAIL_TOL
+            if not (wide_mu or wide_nu):
+                break
+            mu_max *= 2.0 if wide_mu else 1.0
+            nu_max *= 2.0 if wide_nu else 1.0
         if cfg.grid is not None:
             lo, hi, n = cfg.grid
             qg = np.linspace(lo, hi, n)
@@ -357,11 +368,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         sq, sp = st.natural_scales(state, hbar)
         mu_max = 6.0 / sq
         n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
-        plo, phi = st.momentum_extent(state, hbar, tails=4.0)
-        pext = max(abs(plo), abs(phi))
-        xmax = mu_max * max(np.abs(xs)) + float(np.max(np.abs(nus))) * pext + 8.0 * math.sqrt(hbar)
-        xg = np.linspace(-xmax, xmax, max(2401, int(xmax / 0.05)))
-        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), xg)
+        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), None)
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
         out_csv = os.path.join(cfg.out, "density.csv")
         _write_csv(out_csv, "x,xprime,re,im",
@@ -586,8 +593,7 @@ def _selftest_rows(quick: bool):
 
         gs = st.HOEigen(0)
         mu_g = np.linspace(-8, 8, 33)
-        xg = np.linspace(-40, 40, 1601)
-        fam = qt.build_state_family(gs, 1.0, mu_g, mu_g, xg)
+        fam = qt.build_state_family(gs, 1.0, mu_g, mu_g, None)
         qg = np.linspace(-3, 3, 31)
         wrec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, 1.0)
         wref = qt.exact_wigner(gs, 1.0)(qg[None, :], qg[:, None])
@@ -596,8 +602,7 @@ def _selftest_rows(quick: bool):
         cst = st.Coherent(1 + 0j)
         xs = np.linspace(-3, 3, 25)
         nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel(), 12))
-        slices = qt.build_state_slices(cst, 1.0, nus, np.linspace(-8, 8, 41),
-                                       np.linspace(-60, 60, 2401))
+        slices = qt.build_state_slices(cst, 1.0, nus, np.linspace(-8, 8, 41), None)
         rho_rec, _ = qt.density_grid_from_tomogram(slices, xs, 1.0)
         psi = st.position_wavefunction(cst, 1.0)(xs)
         check("density round trip", float(np.max(np.abs(rho_rec - np.outer(psi, psi.conj())))), 1e-3)
@@ -628,6 +633,22 @@ def _selftest_rows(quick: bool):
             ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
             worst = max(worst, abs(G[i, j] - ref))
     check("characteristic closed form", worst, 1e-10)
+
+    # box closed form and sampled-state overlap quadrature against the same
+    # trapezoids; the default box grid holds the tomogram mass to 1e-4
+    # (BoxEigen.x_extent), which bounds the reference
+    worst = 0.0
+    xp = np.linspace(-6.0, 6.0, 201)
+    psi = np.exp(-(xp - 0.4) ** 2 / 2.0 + 0.6j * xp)
+    packet = st.CustomGrid(xp, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, xp)))
+    for state in (st.BoxEigen(2, 1.5), packet):
+        G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
+        for i, j in np.ndindex(G.shape):
+            fr = TomographyFrame(mu_c[i], nu_c[j])
+            x = qt.default_x_grid(state, fr, 0.7, count=4001)
+            ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
+            worst = max(worst, abs(G[i, j] - ref))
+    check("characteristic overlap", worst, 1e-4)
 
     # determinism of serialized output
     import hashlib

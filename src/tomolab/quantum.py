@@ -393,6 +393,59 @@ def _superposition_characteristic(state, mu_grid, nu_grid, hbar):
                         _displacement_beta(mu_grid, nu_grid, hbar, state.varpi))
 
 
+def _box_characteristic(state, mu_grid, nu_grid, hbar):
+    """G of the box eigenstate.  With k = n pi/L and s = hbar nu/2 the Weyl
+    overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky] e^{i mu y} dy:
+    three integrals int e^{i w y} dy = e^{i w L/2} d sinc(w d/2) over the
+    overlap of length d = L - 2|s|, and zero where d <= 0."""
+    L, k = state.L, state.n * math.pi / state.L
+    mu = np.asarray(mu_grid, dtype=float)[:, None]
+    s = 0.5 * hbar * np.asarray(nu_grid, dtype=float)[None, :]
+    d = np.maximum(L - 2.0 * np.abs(s), 0.0)
+
+    def segment(w):
+        return np.exp(0.5j * L * w) * d * np.sinc(w * d / (2.0 * math.pi))
+
+    return (np.cos(2.0 * k * s) * segment(mu)
+            - 0.5 * (segment(mu + 2.0 * k) + segment(mu - 2.0 * k))) / L
+
+
+# nodes x mu entries of one exp block in _overlap_characteristic
+_OVERLAP_BLOCK = 1 << 20
+
+
+def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
+    """G(mu, nu) = int psi*(y - s) psi(y + s) e^{i mu y} dy, s = hbar nu/2,
+    by Gauss-Legendre quadrature for any state.
+
+    For each nu the panels cover the overlap of the two shifted supports;
+    their coarse edges are the state's cell edges (:func:`_cells`) shifted
+    by -s and +s, so each sub-cell of a sampled state holds a quadratic
+    times e^{i mu y}, and they are split so that no panel spans more than
+    pi/4 of phase at the largest |mu|.  All mu then take one matrix
+    product with exp(i mu y), in blocks of bounded size.
+    """
+    mu = np.asarray(mu_grid, dtype=float)
+    nu = np.asarray(nu_grid, dtype=float)
+    psi = position_wavefunction(state, hbar)
+    edges, env_scale = _cells(state, hbar)
+    mu_max = float(np.max(np.abs(mu), initial=0.0))
+    G = np.zeros((mu.size, nu.size), dtype=complex)
+    for j in range(nu.size):
+        h = 0.5 * hbar * nu[j]
+        lo, hi = edges[0] + abs(h), edges[-1] - abs(h)
+        if hi <= lo:
+            continue  # the shifted supports do not overlap
+        cuts = np.concatenate((edges - h, edges + h))
+        coarse = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+        nodes, weights = _gl_panels(coarse, mu_max * np.diff(coarse), env_scale, 4_000_000)
+        f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
+        rows = max(1, _OVERLAP_BLOCK // nodes.size)
+        for i in range(0, mu.size, rows):
+            G[i:i + rows, j] = np.exp(1j * np.outer(mu[i:i + rows], nodes)) @ f
+    return G
+
+
 # ---------------------------------------------------------------------------
 # quadrature route (representation-dispatched) and grid helpers
 # ---------------------------------------------------------------------------
@@ -511,10 +564,23 @@ def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     return float(out) if np.isscalar(X) else out
 
 
+def _cells(state: StateSpec, hbar: float) -> tuple[np.ndarray, float]:
+    """Edges of the position cells inside which psi is smooth, and the
+    envelope scale that splits them.  A sampled state's interpolant is
+    linear between its samples, so its cells are the sample grid and need
+    no envelope split; other states get 64 equal cells of their extent."""
+    if state.sampled:
+        return state.x_grid, math.inf
+    lo, hi = position_extent(state, hbar)
+    return np.linspace(lo, hi, 65), state.envelope_scale(hbar)
+
+
 def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
-                       y0: float, y1: float, env_scale: float) -> np.ndarray:
-    """Amplitudes int env(y) e^{i(a y^2 + b_k y)} dy for the whole uniform
-    family b_k = slope * x_k, sharing one Gauss-Legendre panel set.
+                       y0: float, y1: float, env_scale: float,
+                       cells: np.ndarray | None = None) -> np.ndarray:
+    """Amplitudes int_{y0}^{y1} env(y) e^{i(a y^2 + b_k y)} dy for the whole
+    uniform family b_k = slope * x_k, sharing one Gauss-Legendre panel set
+    over the coarse cells (edges `cells`, by default 64 equal cells).
 
     Panels are sized for the worst |2 a y + b| over the family.  With the
     X-independent phase e^{i(a y^2 + slope x_0 y)} folded into the weights,
@@ -525,7 +591,7 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     bmax = max(abs(slope * x[0]), abs(slope * x[-1]))
     # conservative single panel set: the stationary point sweeps with X, so
     # size the panels for the frequency envelope 2|a||y| + bmax
-    coarse = np.linspace(y0, y1, 65)
+    coarse = np.linspace(y0, y1, 65) if cells is None else cells
     prim = coarse * np.abs(coarse)  # antiderivative of 2|y|
     dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(coarse)
     nodes, weights = _gl_panels(coarse, dphase, env_scale, 4_000_000)
@@ -566,19 +632,20 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
     sq, sp = natural_scales(state, hbar)
     if state.sampled or abs(frame.nu) * sp >= abs(frame.mu) * sq:
         env = position_wavefunction(state, hbar)
-        lo, hi = position_extent(state, hbar)
+        cells, scale = _cells(state, hbar)
+        lo, hi = cells[0], cells[-1]
         a = frame.mu / (2.0 * hbar * frame.nu)
         slope = -1.0 / (hbar * frame.nu)
-        scale = state.envelope_scale(hbar)
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.nu))
     else:
         env = momentum_wavefunction(state, hbar)
         lo, hi = momentum_extent(state, hbar)
+        cells = None
         a = -frame.nu / (2.0 * hbar * frame.mu)
         slope = 1.0 / (hbar * frame.mu)
         scale = state.envelope_scale(hbar) * sp / sq
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.mu))
-    amps = _ladder_amplitudes(env, a, slope, x, lo, hi, scale)
+    amps = _ladder_amplitudes(env, a, slope, x, lo, hi, scale, cells)
     return Tomogram(frame, x, pref * np.abs(amps) ** 2)
 
 
@@ -599,8 +666,7 @@ class _Route(NamedTuple):
     closed: bool
     tomogram: Callable   # (state, frame, x, hbar) -> tomogram values on x
     amplitude: Callable  # (state, frame, X, hbar) -> A(X)
-    # (state, mu_grid, nu_grid, hbar) -> G on the whole frame grid; closed routes only
-    characteristic: Callable | None = None
+    characteristic: Callable  # (state, mu_grid, nu_grid, hbar) -> G on the whole frame grid
 
 
 def _cat_amplitude(state, frame, X, hbar):
@@ -639,7 +705,8 @@ _ROUTES = {
     BoxEigen: _Route(
         False,
         lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
-        _box_amplitude),
+        _box_amplitude,
+        _box_characteristic),
 }
 
 
@@ -742,67 +809,30 @@ def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
 # tomogram families and the inverse maps
 # ---------------------------------------------------------------------------
 
-def _support_slice(state: StateSpec, frame: TomographyFrame, hbar: float,
-                   x: np.ndarray) -> slice:
-    """Index window of x where the state's tomogram can be nonzero
-    (mu*[q support] + nu*[p support], padded by one width unit)."""
-    lo, hi = state.support_extent(frame, hbar)
-    i0 = int(np.searchsorted(x, lo))
-    i1 = int(np.searchsorted(x, hi)) + 1
-    return slice(max(i0 - 1, 0), min(i1 + 1, x.size))
-
-
-# Seconds per frame and X point of the common grid that the per-frame
-# family loop costs, measured as loop time / (frames x X points) on
-# `reconstruct` families (2-core machine): exact box tomograms 0.65-0.71 us,
-# sampled states through the generic quadrature 3.6-6.5 us (their node
-# count does not shrink with X).  A loop estimated above FAMILY_BUDGET_S
-# seconds is refused before any frame is built.
-BOX_POINT_S = 8.0e-7
-QUADRATURE_POINT_S = 8.0e-6
-FAMILY_BUDGET_S = 60.0
-
-
 def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
                        x_grid, method: str = "auto") -> FrameSamples:
     """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX =
-    <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid.
+    <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid,
+    with no tomogram built; x_grid is ignored.
 
-    States with a closed form (unless method='quadrature') take G from
-    the route's closed-form characteristic function in one vectorised
-    call and ignore x_grid.  Every other state builds each frame's
-    tomogram and reduces it by the trapezoid rule on the common X grid,
-    only inside the frame's own support window (the tomogram vanishes
-    beyond mu*[q support] + nu*[p support]); that loop is refused when
-    its estimated time, frames x X points x the route's cost per point,
-    exceeds FAMILY_BUDGET_S.
+    States in the route table take G from its characteristic function
+    in one vectorised call (the oscillator catalog from <D(beta)>, box
+    states from three elementary integrals); every other state, and with
+    method='quadrature' the oscillator catalog too, takes the Weyl
+    overlap quadrature of :func:`_overlap_characteristic`.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    zero = (mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]
     route = _ROUTES.get(type(state))
-    if method != "quadrature" and route is not None and route.closed:
+    if route is not None and not (method == "quadrature" and route.closed):
         G = np.array(route.characteristic(state, mu_grid, nu_grid, hbar), dtype=complex)
-        G[zero] = 1.0  # unit atom at X = 0
+    elif method == "closed":
+        raise TomogramError(f"no closed form for {state!r}")
     else:
-        x = np.asarray(x_grid, dtype=float)
-        exact = route is not None and not route.closed
-        est = mu_grid.size * nu_grid.size * x.size * (BOX_POINT_S if exact else QUADRATURE_POINT_S)
-        if est > FAMILY_BUDGET_S:
-            raise TomogramError(
-                f"family of {mu_grid.size * nu_grid.size} frames x {x.size} X points "
-                f"would take about {est:.0f} s, over the {FAMILY_BUDGET_S:.0f} s budget")
-        kernel = np.exp(1j * x) * trapezoid_weights(x.size) * float(x[1] - x[0])
-        G = np.ones((mu_grid.size, nu_grid.size), dtype=complex)  # zero frame: unit atom at X = 0
-        for i, mu in enumerate(mu_grid):
-            for j, nu in enumerate(nu_grid):
-                if zero[i, j]:
-                    continue
-                fr = TomographyFrame(mu, nu)
-                win = _support_slice(state, fr, hbar, x)
-                G[i, j] = np.dot(state_tomogram(state, fr, x[win], hbar, method).values, kernel[win])
+        G = _overlap_characteristic(state, mu_grid, nu_grid, hbar)
+    G[(mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]] = 1.0  # unit atom at X = 0
     # declared alias radii: 4-sigma support is what the Nyquist check needs,
     # not the 8-sigma quadrature padding
     qlo, qhi = position_extent(state, hbar, tails=4.0)

@@ -99,11 +99,6 @@ class State:
         corners = [frame.mu * q + frame.nu * p for q in (qlo, qhi) for p in (plo, phi)]
         return min(corners), max(corners)
 
-    def support_extent(self, frame, hbar: float) -> tuple[float, float]:
-        """X interval outside which the tomogram is negligible, padded by one width unit."""
-        lo, hi = self.x_extent(frame, hbar, tails=10.0)
-        return lo - 0.5, hi + 0.5
-
 
 def _num(v: float) -> str:
     """Shortest round-tripping float text, with integral values written as integers."""
@@ -445,9 +440,6 @@ class BoxEigen(State):
         plo, phi = self.momentum_extent(hbar, mass_tol=mass_tol / 4.0)
         corners = [frame.mu * q + frame.nu * p for q in (0.0, self.L) for p in (plo, phi)]
         return min(corners) - 0.5, max(corners) + 0.5
-
-    def support_extent(self, frame, hbar):
-        return self.x_extent(frame, hbar, mass_tol=1e-6)
 
 
 _FT_BLOCK = 1 << 19  # kernel entries per p block of CustomGrid.momentum_wavefunction

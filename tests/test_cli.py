@@ -233,20 +233,39 @@ def test_reconstruct_reports_the_frame_box_tail(tmp_path):
     assert 1e-3 < rep["frame_box_tail"] < 1.0  # the density box discards this much
 
 
-def test_reconstruct_refuses_a_family_over_the_work_budget(tmp_path, capsys):
+def test_reconstruct_box_wigner_at_small_hbar(tmp_path):
+    # the command the per-frame family loop once refused (11,001 frames x
+    # 14,866 X, estimated 131 s): the box characteristic function is closed
+    # form, and the frame box widens until its edge |G| is under 1e-3
     import time
 
+    from mpmath import fp
+
+    out = str(tmp_path / "rec")
     t0 = time.perf_counter()
     code = run(["reconstruct", "--state", "box:n=3,L=1", "--target", "wigner", "--hbar", "0.1",
-                "--out", str(tmp_path / "rec")])
+                "--out", out])
     assert time.perf_counter() - t0 < 5.0
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "11001 frames x 14866 X points would take about" in err[0]
-    est = float(err[0].split("about ")[1].split(" s")[0])
-    assert est > tomolab.quantum.FAMILY_BUDGET_S
-    assert not os.path.exists(str(tmp_path / "rec" / "reconstruct_report.json"))
+    assert code == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["frame_box_tail"] < cli.FRAME_TAIL_TOL
+    rows = np.genfromtxt(os.path.join(out, "wigner.csv"), delimiter=",", names=True)
+    q, p = np.unique(rows["q"]), np.unique(rows["p"])
+    W = rows["W"].reshape(q.size, p.size)
+    k, hbar = 3 * math.pi, 0.1
+
+    def wigner(q0, p0):
+        # W = int psi(q + u/2) psi(q - u/2) e^{-i p u/hbar} du over the box
+        r = min(q0, 1.0 - q0)
+        if r <= 0:
+            return 0.0
+        return fp.quad(lambda u: 2.0 * math.sin(k * (q0 + u / 2)) * math.sin(k * (q0 - u / 2))
+                       * math.cos(p0 * u / hbar),
+                       list(np.linspace(-2 * r, 2 * r, 9 + int(abs(p0) * 4 * r / hbar))))
+
+    for i in (5, 20, 22, 26, 29, 35, 40):  # q outside the box, on its wall, inside
+        for j in (0, 13, 17, 20, 24, 31):
+            assert abs(W[i, j] - wigner(q[i], p[j])) < 1e-3, (q[i], p[j])
 
 
 def test_catalog_reconstruct_leaves_scipy_special_unimported(tmp_path):

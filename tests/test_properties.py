@@ -1,8 +1,9 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals, the homogeneity
 W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of Fock
-states and cats; and of the closed-form characteristic functions over
-random frame grids: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu), |G| <= 1."""
+states and cats; and of the characteristic functions over random frame
+grids, closed forms, box states and sampled states alike: G(0, 0) = 1,
+G(-mu, -nu) = conj G(mu, nu), |G| <= 1."""
 
 import cmath
 import dataclasses
@@ -83,6 +84,27 @@ _varpi = hs.floats(0.3, 3.0)
 @given(_catalog, _varpi, _frame_grid, _frame_grid, _hbar)
 def test_characteristic_function_invariants(state, varpi, mu, nu, hbar):
     state = dataclasses.replace(state, varpi=varpi)
+    G = qt.build_state_family(state, hbar, mu, nu, None).values
+    assert G[mu.size // 2, nu.size // 2] == 1.0
+    assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12
+    assert np.max(np.abs(G)) <= 1.0 + 1e-12
+
+
+def _packet(count, center, width, kick, chirp, floor):
+    # complex samples on [-6, 6]; floor > 0 leaves the end samples nonzero
+    x = np.linspace(-6.0, 6.0, count)
+    psi = np.exp(-(x - center) ** 2 / (2 * width ** 2) + 1j * (kick * x + chirp * x * x)) + floor
+    return st.CustomGrid(x, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, x)))
+
+
+_box = hs.builds(st.BoxEigen, hs.integers(1, 400), hs.floats(0.5, 3.0))
+_sampled = hs.builds(_packet, hs.integers(20, 300), hs.floats(-1.0, 1.0), hs.floats(0.4, 2.0),
+                     hs.floats(-2.0, 2.0), hs.floats(-0.2, 0.2), hs.floats(0.0, 0.05))
+
+
+@_examples
+@given(hs.one_of(_box, _sampled), _frame_grid, _frame_grid, _hbar)
+def test_box_and_sampled_characteristic_invariants(state, mu, nu, hbar):
     G = qt.build_state_family(state, hbar, mu, nu, None).values
     assert G[mu.size // 2, nu.size // 2] == 1.0
     assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12

@@ -323,6 +323,37 @@ def test_sampled_oblique_tomogram_against_mpmath():
             assert abs(tom[i] - ref) < 1e-5 * np.max(tom), (fr, i)
 
 
+def interpolant_amplitude(x, psi, a, b):
+    """Oracle: int psi_lin(y) e^{i(a y^2 + b y)} dy of the linear interpolant
+    by mpmath quadrature, one sample cell at a time."""
+    from mpmath import fp
+
+    amp = 0j
+    for n in range(x.size - 1):
+        x0, x1, p0, p1 = float(x[n]), float(x[n + 1]), complex(psi[n]), complex(psi[n + 1])
+        amp += fp.quad(lambda y: (p0 * (x1 - y) + p1 * (y - x0)) / (x1 - x0)
+                       * fp.expj(a * y * y + b * y), [x0, x1])
+    return amp
+
+
+@pytest.mark.parametrize("count", [81, 161, 321])
+def test_sampled_tomogram_panels_end_on_the_sample_grid(count):
+    # panels that straddle the interpolant's kinks left 1.5e-6 of peak at
+    # this frame whatever the sample count; panels on the sample grid
+    # integrate a smooth function in each cell
+    x = np.linspace(-6, 6, count)
+    psi = np.exp(-(x - 0.3) ** 2 / 1.5 + 0.5j * x)
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    state, hbar, fr = st.CustomGrid(x, psi), 0.8, TomographyFrame(-1.1, 0.45)
+    g = qt.default_x_grid(state, fr, hbar, count=401)
+    tom = qt.tomogram_from_wavefunction(state, fr, g, hbar).values
+    a = fr.mu / (2 * hbar * fr.nu)
+    for i in (60, 140, 200, 260, 340):
+        amp = interpolant_amplitude(x, psi, a, -g[i] / (hbar * fr.nu))
+        ref = abs(amp) ** 2 / (2 * math.pi * hbar * abs(fr.nu))
+        assert abs(tom[i] - ref) < 1e-10 * np.max(tom), i
+
+
 @dataclass(frozen=True)
 class SqueezedGaussian(st.State):
     """psi(y) = (pi s^2)^(-1/4) exp(-y^2/(2 s^2)), a state known only to this file."""
@@ -580,6 +611,48 @@ def test_interval_chirp_against_mpmath():
             assert abs(g - ref) <= 1e-10 * abs(ref), (a, b, L, g, ref)
 
 
+def _loop_panels(coarse, dphase, env_scale):
+    """The per-cell loop that _gl_panels replaced, for uniform cells."""
+    from tomolab.chirp import _GL_NODES, _GL_WEIGHTS, _PHASE_PER_PANEL
+
+    cell_w = (coarse[-1] - coarse[0]) / (coarse.size - 1)
+    nsplit = np.maximum(np.maximum(np.ceil(dphase / _PHASE_PER_PANEL),
+                                   np.ceil(cell_w / (0.5 * env_scale))), 1).astype(int)
+    edges = [coarse[:1]]
+    for j, k in enumerate(nsplit):
+        edges.append(np.linspace(coarse[j], coarse[j + 1], k + 1)[1:])
+    edges = np.concatenate(edges)
+    centers, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return ((centers[:, None] + halves[:, None] * _GL_NODES).ravel(),
+            (halves[:, None] * _GL_WEIGHTS).ravel())
+
+
+def test_gl_panels_match_the_cell_loop_on_uniform_cells(rng):
+    from tomolab.chirp import _gl_panels
+
+    for _ in range(300):
+        y0 = rng.uniform(-50.0, 10.0)
+        coarse = np.linspace(y0, y0 + rng.uniform(1e-3, 80.0), 65)
+        dphase = np.abs(rng.normal(size=64)) * rng.uniform(0.0, 40.0)
+        env = rng.uniform(0.01, 10.0)
+        nodes, weights = _gl_panels(coarse, dphase, env, 10 ** 8)
+        ref_nodes, ref_weights = _loop_panels(coarse, dphase, env)
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_gl_panels_integrate_degree_15_on_nonuniform_cells(rng):
+    from tomolab.chirp import _gl_panels
+
+    for _ in range(20):
+        coarse = np.cumsum(np.concatenate(([rng.uniform(-3.0, 0.0)], rng.uniform(1e-6, 0.7, 40))))
+        dphase = rng.uniform(0.0, 3.0, coarse.size - 1)
+        nodes, weights = _gl_panels(coarse, dphase, rng.uniform(0.05, 5.0), 10 ** 6)
+        poly = np.polynomial.Polynomial(rng.normal(size=16))
+        exact = poly.integ()(coarse[-1]) - poly.integ()(coarse[0])
+        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(np.max(np.abs(coarse)))
+        assert abs(weights @ poly(nodes) - exact) < 1e-13 * scale
+
+
 def test_chirp_resolution_refusal():
     with pytest.raises(ChirpResolutionError) as err:
         chirp_integral(lambda y: np.ones_like(y), 1e7, 0.0, 0.0, 1.0, max_panels=100)
@@ -831,12 +904,97 @@ def test_closed_characteristic_matches_the_tomogram_trapezoid():
                 assert abs(G[i, j] - ref) < 1e-10, (state, m, n)
 
 
-def test_family_loop_is_refused_over_its_work_budget():
-    box = st.BoxEigen(3, 1.0)
-    x = np.linspace(-80.0, 80.0, 14866)
+def box_weyl_overlap(n, L, mu, nu, hbar):
+    """Oracle: the box Weyl overlap by mpmath quadrature over the overlap of
+    the two shifted supports, split at the walls and at every half period of
+    sin(k y)."""
+    from mpmath import fp
+
+    k, h = n * math.pi / L, 0.5 * hbar * nu
+    lo, hi = abs(h), L - abs(h)
+    if hi <= lo:
+        return 0j
+
+    def integrand(y):
+        return (2.0 / L) * math.sin(k * (y - h)) * math.sin(k * (y + h)) * cmath.exp(1j * mu * y)
+
+    return complex(fp.quad(integrand, list(np.linspace(lo, hi, 2 * n + 2 + int(abs(mu) * (hi - lo))))))
+
+
+@pytest.mark.parametrize("n", [1, 3, 50, 400])
+@pytest.mark.parametrize("L", [1.0, 2.5])
+def test_box_characteristic_matches_the_weyl_overlap(n, L):
+    hbar = 0.7
+    for frac in (0.3, 0.999999, 1.2):  # |hbar nu| below, near and above L
+        for mu in (0.0, 2.3, -17.0, 2 * n * math.pi / L + 0.4):
+            nu = math.copysign(frac * L / hbar, mu if mu else -1.0)
+            G = qt.build_state_family(st.BoxEigen(n, L), hbar, [mu], [nu], None).values[0, 0]
+            assert abs(G - box_weyl_overlap(n, L, mu, nu, hbar)) < 1e-12, (frac, mu)
+
+
+def test_large_box_family_matches_the_weyl_overlap():
+    # the 105 x 105 family, x grid included, that the per-frame loop once
+    # had to refuse (11025 frames x 14866 X)
+    hbar = 0.1
     grid = np.linspace(-5.0, 5.0, 105)
-    with pytest.raises(TomogramError, match=r"11025 frames x 14866 X points would take about \d+ s"):
-        qt.build_state_family(box, 0.1, grid, grid, x)
+    G = qt.build_state_family(st.BoxEigen(3, 1.0), hbar, grid, grid,
+                              np.linspace(-80.0, 80.0, 14866)).values
+    assert G.shape == (105, 105) and G[52, 52] == 1.0
+    for i in (0, 17, 40, 52, 61, 88, 104):
+        for j in (3, 30, 52, 70, 101):
+            assert abs(G[i, j] - box_weyl_overlap(3, 1.0, grid[i], grid[j], hbar)) < 1e-12, (i, j)
+
+
+def sampled_weyl_overlap(state, mu, nu, hbar):
+    """Oracle: the Weyl overlap of a sampled state's linear interpolant by
+    mpmath quadrature, split at the sample points shifted by -+hbar nu/2,
+    where each factor is the straight line between its end values."""
+    from mpmath import fp
+
+    x, h = state.x_grid, 0.5 * hbar * nu
+    psi = st.position_wavefunction(state, hbar)
+    lo, hi = x[0] + abs(h), x[-1] - abs(h)
+    cuts = np.concatenate((x - h, x + h))
+    cuts = np.unique(np.concatenate(([lo, hi], cuts[(cuts > lo) & (cuts < hi)])))
+    total = 0j
+    for y0, y1 in zip(cuts[:-1], cuts[1:]):
+        if y1 == y0:
+            continue
+        a0, a1 = complex(np.conj(psi(y0 - h))), complex(np.conj(psi(y1 - h)))
+        b0, b1 = complex(psi(y0 + h)), complex(psi(y1 + h))
+        w = float(y1 - y0)
+        total += fp.quad(lambda y: (a0 + (a1 - a0) * (y - y0) / w) * (b0 + (b1 - b0) * (y - y0) / w)
+                         * cmath.exp(1j * mu * y), [y0, y1])
+    return complex(total)
+
+
+@pytest.mark.parametrize("count", [81, 281, 1401])
+def test_sampled_characteristic_matches_the_weyl_overlap(count):
+    # complex samples, nonzero at both ends; shifts hbar nu/2 on and off
+    # multiples of the sample spacing; mu = 200 needs many panels per cell
+    x = np.linspace(-6.0, 6.0, count)
+    psi = np.exp(-(x - 0.3) ** 2 / (2 * 1.7 ** 2) + 0.8j * x + 0.05j * x * x)
+    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
+    assert min(abs(psi[0]), abs(psi[-1])) > 1e-4
+    state, hbar, dx = st.CustomGrid(x, psi), 0.8, x[1] - x[0]
+    frames = [(0.7, 2 * 3 * dx / hbar), (-1.3, 0.37), (2.1, -2 * 7 * dx / hbar), (0.0, 1.1),
+              (0.9, 0.0), (-4.0, -9.5), (200.0, 0.3)]
+    for mu, nu in frames[:3] if count == 1401 else frames:
+        G = qt.build_state_family(state, hbar, [mu], [nu], None).values[0, 0]
+        assert abs(G - sampled_weyl_overlap(state, mu, nu, hbar)) < 1e-12, (mu, nu)
+
+
+@pytest.mark.parametrize("state", [
+    st.HOEigen(0), st.HOEigen(7, 0.6), st.Superposition(2, 5, 1.7), st.Coherent(0.7 - 0.4j, 1.8),
+    st.CatEven(0.9 + 0.5j), st.CatOdd(-0.6 + 0.8j, 0.5),
+], ids=repr)
+def test_overlap_quadrature_matches_the_closed_characteristic(state):
+    hbar = 0.7
+    mu = np.linspace(-3.0, 3.0, 7)
+    nu = np.linspace(-2.5, 2.5, 7)
+    closed = qt.build_state_family(state, hbar, mu, nu, None).values
+    quad = qt.build_state_family(state, hbar, mu, nu, None, method="quadrature").values
+    assert np.max(np.abs(quad - closed)) < 1e-12
 
 
 def test_family_rejects_an_unknown_method():
