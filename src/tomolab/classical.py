@@ -12,7 +12,8 @@ built from a time CDF F(X), the share of the period that mu*q + nu*p
 spends below X: every grid value is the cell mass F(right edge) -
 F(left edge) over the cell width.  The
 oscillator and box CDFs are closed forms; a generic periodic orbit uses
-the exact CDF of the piecewise-linear orbit through uniform time samples.
+the exact CDF of the piecewise-linear orbit through uniform time samples,
+filled in by spectral doubling when the orbit is smooth.
 The integrable singularities at turning points stay summable, and the
 mass is exact once the grid covers the orbit.
 """
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 _ORBIT_SEGMENTS = 1 << 16  # time-mesh segments per period of a generic orbit
+# odd mesh indices, on no coarser level, that check a converged orbit
+_ORBIT_PROBES = np.arange(1, _ORBIT_SEGMENTS, _ORBIT_SEGMENTS // 8 + 2)
+_ORBIT_CHECKED = 1 << 12  # largest sample count whose interpolant is checked
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,11 @@ class PointTrajectory:
     """Deterministic trajectory (q(t), p(t)).
 
     A finite period is validated (|q(0) - q(T)| and |p(0) - p(T)| below
-    1e-9) and enables time averaging; non-recurrent motion such as free
-    flight may use period = inf, which instantaneous tomograms accept
-    but time averaging rejects.
+    1e-9 times the orbit's scale, the largest of 1 and |q|, |p| at the
+    quarter periods, since the roundoff of q(T) grows with the orbit) and
+    enables time averaging; non-recurrent motion such as free flight may
+    use period = inf, which instantaneous tomograms accept but time
+    averaging rejects.
     """
 
     q_of_t: Callable[[float], float]
@@ -97,9 +103,11 @@ class PointTrajectory:
         if not self.period > 0:
             raise TomogramError(f"period must be positive, got {self.period}")
         if math.isfinite(self.period):
+            scale = max(1.0, *(abs(f(k * self.period / 4.0))
+                               for f in (self.q_of_t, self.p_of_t) for k in range(4)))
             dq = abs(self.q_of_t(0.0) - self.q_of_t(self.period))
             dp = abs(self.p_of_t(0.0) - self.p_of_t(self.period))
-            if dq > 1e-9 or dp > 1e-9:
+            if dq > 1e-9 * scale or dp > 1e-9 * scale:
                 raise TomogramError(
                     f"trajectory is not {self.period}-periodic (gaps {dq:.2e}, {dp:.2e})"
                 )
@@ -460,17 +468,69 @@ def _orbit_cdf(g: np.ndarray, e: np.ndarray) -> np.ndarray:
     return F / lo.size
 
 
+def _trig_resample(g: np.ndarray, m: int) -> np.ndarray:
+    """The trigonometric interpolant of the periodic samples g on m > g.size
+    uniform points (the Nyquist term split evenly between +-g.size/2)."""
+    spec = np.zeros(m // 2 + 1, dtype=complex)
+    spec[: g.size // 2 + 1] = np.fft.rfft(g)
+    spec[g.size // 2] *= 0.5
+    return np.fft.irfft(spec, m) * (m / g.size)
+
+
+def _orbit_samples(model: PointTrajectory, frame: TomographyFrame) -> np.ndarray:
+    """g = mu q + nu p at the _ORBIT_SEGMENTS uniform times of one period.
+
+    An analytic periodic g is a trigonometric series whose interpolants
+    converge geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385), so the mesh is filled by doubling from 16 points: each level
+    predicts the next level's midpoints from the rFFT of the samples so
+    far, then evaluates them.  Once the prediction matches the fresh
+    samples to roundoff, and the interpolant also matches a few
+    finest-mesh probes (a harmonic that aliases onto every coarse level
+    shows there), the samples are resampled onto the whole mesh.  An
+    orbit not converged by _ORBIT_CHECKED samples (a kink, a wrap gap)
+    is evaluated at every mesh time, exactly as a plain loop would.
+    """
+    tmesh = np.linspace(0.0, model.period, _ORBIT_SEGMENTS, endpoint=False)
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        return np.array([frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t)
+                         for t in times.tolist()])
+
+    g = np.empty(_ORBIT_SEGMENTS)
+    step = _ORBIT_SEGMENTS // 16
+    g[::step] = sample(tmesh[::step])
+    while _ORBIT_SEGMENTS // step <= _ORBIT_CHECKED:
+        predicted = _trig_resample(g[::step], 2 * _ORBIT_SEGMENTS // step)[1::2]
+        step //= 2
+        fresh = g[step::2 * step] = sample(tmesh[step::2 * step])
+        tol = 1e-13 * float(np.max(np.abs(g[::step])))
+        if np.max(np.abs(predicted - fresh)) <= tol:
+            full = _trig_resample(g[::step], _ORBIT_SEGMENTS)
+            if np.max(np.abs(full[_ORBIT_PROBES] - sample(tmesh[_ORBIT_PROBES]))) <= tol:
+                full[::step] = g[::step]
+                return full
+    while step > 1:
+        step //= 2
+        g[step::2 * step] = sample(tmesh[step::2 * step])
+    return g
+
+
 def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt.
 
     Every variant returns cell masses over the cell width, the
     differences of a time CDF at the cell edges.  Closed variants
     (BoxTrajectory, OscillatorTrajectory) use their analytic CDFs; a
-    generic PointTrajectory samples mu q + nu p on a uniform mesh of
-    _ORBIT_SEGMENTS per period and takes the CDF of the piecewise-linear
-    orbit through those samples, so the mass is exact whenever the grid
-    covers the orbit, turning points included.  An orbit spanning less
-    than one cell becomes a unit atom at its time mean.
+    generic PointTrajectory fills a uniform mesh of _ORBIT_SEGMENTS
+    values of mu q + nu p per period and takes the CDF of the
+    piecewise-linear orbit through them, so the mass is exact whenever
+    the grid covers the orbit, turning points included.  The mesh is
+    filled by spectral doubling (a smooth orbit costs a few dozen calls
+    of q_of_t and p_of_t, the rest is its verified trigonometric
+    interpolant); an orbit that does not converge (kinks, a wrap gap) is
+    sampled at every mesh time instead.  An orbit spanning less than one
+    cell becomes a unit atom at its time mean.
     """
     x = np.asarray(x_grid, dtype=float)
     if isinstance(model, OscillatorTrajectory):
@@ -483,8 +543,7 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
         raise TomogramError("time averaging needs a finite period")
     if frame.is_zero:
         raise TomogramError("time average rejected for the zero frame")
-    tmesh = np.linspace(0.0, model.period, _ORBIT_SEGMENTS, endpoint=False).tolist()
-    g = np.array([frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t) for t in tmesh])
+    g = _orbit_samples(model, frame)
     dx = x[1] - x[0]
     if float(np.max(g) - np.min(g)) < dx:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, float(np.mean(g))),))

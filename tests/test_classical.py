@@ -24,6 +24,7 @@ from tomolab.classical import (
     trajectory_tomogram,
     write_density_csv,
 )
+from tomolab.classical import _ORBIT_SEGMENTS, _cell_edges, _orbit_cdf
 from tomolab.kernel import (
     GridFunction2D,
     MassDeficitError,
@@ -308,6 +309,132 @@ def test_time_average_rest_state_is_atom():
     tom = time_averaged_tomogram(orbit, fr, np.linspace(-2, 2, 401))
     assert len(tom.atoms) == 1
     assert abs(tom.atoms[0].location - 0.7) < 1e-9
+
+
+def _counted(f):
+    """f plus a list whose one entry counts the calls."""
+    calls = [0]
+
+    def wrapped(t):
+        calls[0] += 1
+        return f(t)
+    return wrapped, calls
+
+
+def _counted_orbit(q_of_t, p_of_t, period):
+    """The orbit with call-counting callables, counters zeroed after the
+    period check."""
+    q, qn = _counted(q_of_t)
+    p, pn = _counted(p_of_t)
+    orbit = PointTrajectory(q, p, period)
+    qn[0] = pn[0] = 0
+    return orbit, qn, pn
+
+
+def _mesh_reference(g, x):
+    """The cell-edge tomogram of the orbit through the mesh values g."""
+    cdf = _orbit_cdf(np.append(g, g[0]), _cell_edges(x))
+    return np.diff(cdf) / (x[1] - x[0])
+
+
+_POINT = parse_classical("point:q0=0.8,p0=-1.3")
+# name: (q_of_t, p_of_t, q(t) on numpy arrays, p(t) likewise, calls allowed)
+_SMOOTH_ORBITS = {
+    "two-harmonic": (lambda t: 1.1 * math.cos(t) + 0.35 * math.cos(2 * t + 2.2),
+                     lambda t: -1.1 * math.sin(t) - 0.7 * math.sin(2 * t + 2.2),
+                     lambda t: 1.1 * np.cos(t) + 0.35 * np.cos(2 * t + 2.2),
+                     lambda t: -1.1 * np.sin(t) - 0.7 * np.sin(2 * t + 2.2), 256),
+    "point": (_POINT.q_of_t, _POINT.p_of_t,
+              lambda t: 0.8 * np.cos(t) - 1.3 * np.sin(t),
+              lambda t: -1.3 * np.cos(t) - 0.8 * np.sin(t), 256),
+    # agrees with its 16-point interpolant at the 32-point midpoints, so
+    # only the finest-mesh probes reveal cos 32t (p need not be dq/dt)
+    "aliased": (lambda t: math.cos(t) + 0.1 * math.cos(32 * t), lambda t: -math.sin(t),
+                lambda t: np.cos(t) + 0.1 * np.cos(32 * t), lambda t: -np.sin(t), 256),
+    # C^4 only: its coefficients fall like k^-6, so it converges late,
+    # and a bound looser than roundoff would stop short of 1e-12
+    "sin^5": (lambda t: abs(math.sin(t)) ** 5, math.cos,
+              lambda t: np.abs(np.sin(t)) ** 5, np.cos, 8192 + 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SMOOTH_ORBITS))
+def test_time_average_smooth_orbits_sample_few_times(case):
+    # a smooth orbit is fixed to roundoff by its verified trigonometric
+    # interpolant: within 1e-12 of peak of the plain full-mesh tomogram
+    q_of_t, p_of_t, q, p, budget = _SMOOTH_ORBITS[case]
+    orbit, qn, pn = _counted_orbit(q_of_t, p_of_t, 2 * math.pi)
+    fr = TomographyFrame(0.83, -0.41)
+    tt = np.linspace(0.0, 2 * math.pi, _ORBIT_SEGMENTS, endpoint=False)
+    g = fr.mu * q(tt) + fr.nu * p(tt)
+    span = g.max() - g.min()
+    x = np.linspace(g.min() - 0.05 * span, g.max() + 0.05 * span, 401)
+    tom = time_averaged_tomogram(orbit, fr, x)
+    assert qn[0] <= budget and pn[0] <= budget
+    ref = _mesh_reference(g, x)
+    assert np.max(np.abs(tom.values - ref)) <= 1e-12 * np.max(ref)
+
+
+def _box_bounce(L, E):
+    """The box orbit from the left wall as scalar callables: triangle-wave q,
+    square-wave p = +-sqrt(2E), period 2L/sqrt(2E)."""
+    v = math.sqrt(2.0 * E)
+    T = 2.0 * L / v
+
+    def q_of_t(t):
+        s = (t % T) * v
+        return s if s <= L else 2.0 * L - s
+
+    def p_of_t(t):
+        return v if (t % T) * v < L else -v
+    return q_of_t, p_of_t, T
+
+
+def test_time_average_kinked_orbit_samples_every_mesh_time():
+    # a box bounce never converges spectrally: it is sampled at all
+    # 65,536 mesh times, bit for bit the plain loop over the mesh.  Only
+    # the two mesh segments that straddle a bounce leave the true orbit,
+    # each misplacing at most its time share 1/N, so no cell is off the
+    # closed box tomogram by more than 2 / (N dx) (measured: 0.998 / (N dx))
+    L, E = 1.3, 0.7
+    q_of_t, p_of_t, T = _box_bounce(L, E)
+    orbit, qn, pn = _counted_orbit(q_of_t, p_of_t, T)
+    fr = TomographyFrame(0.9, -0.35)
+    x = np.linspace(-1.0, 2.0, 601)
+    tom = time_averaged_tomogram(orbit, fr, x)
+    assert qn[0] == pn[0] == _ORBIT_SEGMENTS
+    tmesh = np.linspace(0.0, T, _ORBIT_SEGMENTS, endpoint=False).tolist()
+    g = np.array([fr.mu * q_of_t(t) + fr.nu * p_of_t(t) for t in tmesh])
+    assert np.array_equal(tom.values, _mesh_reference(g, x))
+    ref = classical_box_tomogram_build(fr, L, x, E)
+    assert np.max(np.abs(tom.values - ref.values)) <= 2.0 / (_ORBIT_SEGMENTS * (x[1] - x[0]))
+
+
+def test_time_average_wrap_gap_samples_every_mesh_time():
+    # a 1e-11 gap at t = T passes the period check, but the periodic
+    # extension jumps there, so no interpolant converges
+    orbit, qn, pn = _counted_orbit(lambda t: math.cos(t) + 1e-11 * t / (2 * math.pi),
+                                   lambda t: -math.sin(t), 2 * math.pi)
+    time_averaged_tomogram(orbit, TomographyFrame(0.8, 0.5), np.linspace(-1.5, 1.5, 301))
+    assert qn[0] == pn[0] == _ORBIT_SEGMENTS
+
+
+def test_period_check_is_relative_to_the_orbit_scale():
+    # sin(2 pi) = -2.4e-16, so 1e8 sin(2 pi) is a 2.45e-8 gap of pure roundoff
+    big = PointTrajectory(lambda t: 1e8 * math.cos(t), lambda t: -1e8 * math.sin(t), 2 * math.pi)
+    PointTrajectory(lambda t: 1e8 * (1 - math.cos(t)), lambda t: 1e8 * math.sin(t), 2 * math.pi)
+    with pytest.raises(TomogramError):
+        PointTrajectory(lambda t: 1e8 * math.cos(t) + 0.1 * t, lambda t: -1e8 * math.sin(t),
+                        2 * math.pi)
+    with pytest.raises(TomogramError):
+        PointTrajectory(lambda t: math.cos(t) + 1e-8 * t, lambda t: -math.sin(t), 2 * math.pi)
+    fr = TomographyFrame(0.6, 0.8)
+    x = np.linspace(-1.05e8, 1.05e8, 701)
+    tom = time_averaged_tomogram(big, fr, x)
+    ref = classical_oscillator_tomogram_build(fr, 0.5e16, x)
+    # the piecewise-linear mesh orbit is 1.94e-7 of peak off the arcsine
+    # cells, the same as the unit-amplitude orbit's
+    assert np.max(np.abs(tom.values - ref.values)) <= 1e-6 * np.max(ref.values)
 
 
 def test_box_tomogram_marginal():
