@@ -42,7 +42,6 @@ from .classical import (
     PointTrajectory,
     classical_box_tomogram,
     classical_oscillator_tomogram,
-    inverse_radon,
     radon_density,
     time_averaged_tomogram,
     trajectory_tomogram,

@@ -47,7 +47,6 @@ __all__ = [
     "FrameSamples",
     "build_radon_family",
     "characteristic_quadrature",
-    "inverse_radon",
     "inverse_radon_grid",
     "trajectory_tomogram",
     "time_averaged_tomogram",
@@ -107,7 +106,7 @@ class PointTrajectory:
                                for f in (self.q_of_t, self.p_of_t) for k in range(4)))
             dq = abs(self.q_of_t(0.0) - self.q_of_t(self.period))
             dp = abs(self.p_of_t(0.0) - self.p_of_t(self.period))
-            if dq > 1e-9 * scale or dp > 1e-9 * scale:
+            if not (dq <= 1e-9 * scale and dp <= 1e-9 * scale):  # NaN fails too
                 raise TomogramError(
                     f"trajectory is not {self.period}-periodic (gaps {dq:.2e}, {dp:.2e})"
                 )
@@ -335,13 +334,6 @@ def characteristic_quadrature(family: FrameSamples, q_grid, p_grid) -> np.ndarra
     return acc * (dmu * dnu)
 
 
-def inverse_radon(family: FrameSamples, q: float, p: float) -> float:
-    """Phase-space density f(q, p) recovered from the characteristic
-    samples of a tomogram family; returns the real part."""
-    val, _ = inverse_radon_grid(family, np.asarray([q]), np.asarray([p]))
-    return float(val[0, 0])
-
-
 def inverse_radon_grid(family: FrameSamples, q_grid, p_grid) -> tuple[np.ndarray, float]:
     """f on a (q, p) grid; returns (values[iq, ip], max imaginary residual)."""
     acc = characteristic_quadrature(family, q_grid, p_grid) / (2.0 * math.pi) ** 2
@@ -494,8 +486,11 @@ def _orbit_samples(model: PointTrajectory, frame: TomographyFrame) -> np.ndarray
     tmesh = np.linspace(0.0, model.period, _ORBIT_SEGMENTS, endpoint=False)
 
     def sample(times: np.ndarray) -> np.ndarray:
-        return np.array([frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t)
-                         for t in times.tolist()])
+        g = np.array([frame.mu * model.q_of_t(t) + frame.nu * model.p_of_t(t)
+                      for t in times.tolist()])
+        if not np.all(np.isfinite(g)):
+            raise TomogramError("orbit yields a non-finite mu q + nu p")
+        return g
 
     g = np.empty(_ORBIT_SEGMENTS)
     step = _ORBIT_SEGMENTS // 16
@@ -623,7 +618,7 @@ def read_density_csv(csv_path: str) -> DensityGrid:
         meta = json.load(fh)
     qg = np.linspace(meta["q_grid"]["min"], meta["q_grid"]["max"], meta["q_grid"]["count"])
     pg = np.linspace(meta["p_grid"]["min"], meta["p_grid"]["max"], meta["p_grid"]["count"])
-    data = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] != qg.size * pg.size:
         raise TomogramError(
             f"density CSV has {data.shape[0]} rows, axes declare {qg.size * pg.size}"

@@ -12,6 +12,7 @@ variable TOMOLAB_THREADS caps study parallelism (0 = auto).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -781,8 +782,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses across calls; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.config:
         cfg = RunConfig.from_json(args.config)

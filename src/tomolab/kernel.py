@@ -13,6 +13,7 @@ Integrals over X use the trapezoid rule on the uniform grid throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -338,14 +339,164 @@ def tomogram_distance_l1(a: Tomogram, b: Tomogram) -> float:
 # serialization: CSV of (X, value) plus a JSON metadata sidecar
 # ---------------------------------------------------------------------------
 
+# Every CSV value is written as the bytes of '%.17g' % v, produced for a
+# whole block at once: a double-double product gives the 17 rounded
+# digits, each value is laid out in a fixed-width slot, and a byte mask
+# looked up by layout code zeroes the slot bytes '%.17g' does not print.
+# Slot: sign, "0.000" prefix, an 18-byte digit region (first digit,
+# point, 16 digits; the point moves right for fixed-point values of 10
+# and more), then the suffix "e+308" and the separator.
+_SLOT = b"-0.000" + b"0." + b"0" * 16 + b"e+000,\0\0"
+_WIDTH = len(_SLOT)  # 32: digits 2 to 17 and the suffix fill aligned words
+_E_LO, _E_HI = -326, 310  # decimal exponents of the power table
+_TINY_E = -200  # below this exponent values are scaled by 2**600 first
+_SPLIT_MASK = np.uint64(0xFFFFFFFFF8000000)  # keeps 26 significant bits
+_BLOCK_VALUES = 1 << 12  # values formatted per block, bounding memory
+_TIE_GAP = 1e-6  # fractions this close to 1/2 take the per-value path
+_GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])
+
+
+@functools.cache
+def _g17_tables():
+    """Tables of the '%.17g' writer, built on first use.
+
+    pow10[:, e - _E_LO] holds T = 10**(16 - e) / 2**s as the double t =
+    th + tt (Veltkamp halves), the remainder tl = T - t and the scale 2**s
+    (s = 600 for e < _TINY_E, else 0).  quads maps 0..9999 to four ASCII
+    digits; last[10000 j + g] is the position, counting the leading digit
+    as 1, of the last nonzero digit of group j (0..3) of the 16 digits
+    after the leading one, if that group is g, and 1 if g = 0; suffix
+    maps an exponent to the 8 bytes "e+308,"; point[w - 1] orders the
+    digit region for w integer digits; keep[code] has all bits set on the
+    slot bytes printed and none elsewhere, code = (class * 17 + digits
+    printed - 1) * 2 + sign.
+    """
+    from fractions import Fraction
+
+    rows = []
+    for e in range(_E_LO, _E_HI + 1):
+        s = 600 if e < _TINY_E else 0
+        T = Fraction(10) ** (16 - e) / 2 ** s
+        t = float(T)
+        c = 134217729.0 * t
+        th = c - (c - t)
+        rows.append((t, th, t - th, float(T - Fraction(t)), 2.0 ** s))
+    pow10 = np.array(rows).T.copy()
+    quads = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode(), np.uint32)
+    digits4 = np.array([len(f"{k:04d}".rstrip("0")) for k in range(10000)])
+    last = np.concatenate([np.where(digits4 > 0, digits4 + 4 * j + 1, 1) for j in range(4)])
+    suffix = np.frombuffer("".join(f"e{e:+04d},\0\0" for e in range(_E_LO, _E_HI + 1)).encode(),
+                           np.uint64)
+    point = np.array([[0, *range(2, w + 1), 1, *range(w + 1, 18)] for w in range(1, 18)])
+    keep = np.zeros((23, 17, 2, _WIDTH), np.uint8)
+    keep[..., 29] = 255  # separator
+    keep[:, :, 1, 0] = 255  # sign
+    for kept in range(1, 18):
+        for cls in range(23):
+            e = cls - 4 if cls < 21 else 0
+            if e < 0:  # "0." and zeros, then the digits without a point
+                keep[cls, kept - 1, :, 1:2 - e] = 255
+                keep[cls, kept - 1, :, [6, *range(8, 7 + kept)]] = 255
+            else:  # digits in display order, the point if a digit follows
+                keep[cls, kept - 1, :, 6:6 + kept + (kept > e + 1)] = 255
+    keep[21:, :, :, [24, 25, 27, 28]] = 255
+    keep[22, :, :, 26] = 255  # third exponent digit
+    keep = keep.reshape(-1, _WIDTH).view(np.uint64)
+    tables = pow10, quads, last.astype(np.uint8), suffix, point, keep
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _scaled_floor(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
+    """(floor, fraction) of a * 10**(16 - e) for positive finite a, from
+    Dekker's exact two-product of a and the double part of the table
+    entry plus a times its remainder; the fraction is good to ~1e-14."""
+    t, th, tt, tl, sc = np.take(pow10, e - _E_LO, axis=1)
+    x = a * sc
+    xh = (x.view(np.uint64) & _SPLIT_MASK).view(np.float64)
+    xl = x - xh
+    p = x * t
+    q = ((xh * th - p) + xh * tt + xl * th) + xl * tt
+    pf = np.floor(p)
+    r = (p - pf) + (q + x * tl)
+    rf = np.floor(r)
+    return pf.astype(np.int64) + rf.astype(np.int64), r - rf
+
+
+def _decimal17(v: np.ndarray):
+    """Round |v| to 17 significant digits: (D, E, exact) with |v| ~ D *
+    10**(E - 16) and 10**16 <= D < 10**17, D = E = 0 for zeros.  exact is
+    False where the vector path cannot decide the rounding: non-finite
+    values and fractions within _TIE_GAP of a tie."""
+    finite = np.isfinite(v)
+    nz = finite & (v != 0)
+    a = np.where(nz, np.abs(v), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    pow10 = _g17_tables()[0]
+    n, f = _scaled_floor(a, e, pow10)
+    # log10 can be one off next to a power of ten; the exponent follows
+    # the floor of the product, never the rounded digits (1e-248 prints as
+    # 9.9999999999999998e-249)
+    step = (n >= 10 ** 17).astype(np.int64) - (n < 10 ** 16)
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        n[fix], f[fix] = _scaled_floor(a[fix], e[fix], pow10)
+    exact = (np.abs(f - 0.5) >= _TIE_GAP) & (n >= 10 ** 16) & (n < 10 ** 17)
+    d = n + (f > 0.5)
+    carry = d == 10 ** 17
+    d = np.where(nz, np.where(carry, 10 ** 16, d), 0)
+    e = np.where(nz, e + carry, 0)
+    return d, e, np.where(nz, exact, finite)
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, columns) float array, each value the
+    bytes of '%.17g' % value."""
+    v = table.ravel()
+    d, e, exact = _decimal17(v)
+    _, quads, last, suffix, point, keep_table = _g17_tables()
+    words = np.empty((v.size, _WIDTH // 8), np.uint64)
+    words[:] = np.frombuffer(_SLOT, np.uint64)
+    words[:, 3] = suffix[e - _E_LO]
+    buf = words.view(np.uint8)
+    buf[table.shape[1] - 1::table.shape[1], 29] = ord("\n")
+    # digits: the leading one, then four groups of four from the table
+    hi, lo = np.divmod(d, 10 ** 8)
+    d0, hi = np.divmod(hi, 10 ** 8)
+    groups = np.empty((4, v.size), np.int64)
+    groups[0], groups[1] = np.divmod(hi, 10 ** 4)
+    groups[2], groups[3] = np.divmod(lo, 10 ** 4)
+    buf[:, 6] = d0 + ord("0")
+    buf.view(np.uint32)[:, 2:6] = np.take(quads, groups).T
+    # digits printed: up to the last nonzero one, at least the integer
+    # digits ('%g' drops trailing zeros and a bare point)
+    fixed = (e >= -4) & (e < 17)
+    whole = np.where(fixed, e + 1, 1)  # digits before the point
+    kept = np.maximum(last.take(groups + _GROUP_OFFSETS).max(axis=0), whole)
+    moved = np.flatnonzero(whole > 1)
+    if moved.size:
+        buf[moved, 6:24] = np.take_along_axis(buf[moved, 6:24], point[whole[moved] - 1], axis=1)
+    # layout code: '%g' prints fixed point for -4 <= E < 17 (class E + 4),
+    # otherwise an exponent of two or three digits (class 21 or 22)
+    cls = np.where(fixed, e + 4, np.where(np.abs(e) >= 100, 22, 21))
+    words &= keep_table.take((cls * 17 + kept - 1) * 2 + np.signbit(v), axis=0)
+    for i in np.flatnonzero(~exact):
+        s = np.frombuffer(b"%.17g" % v[i], np.uint8)
+        buf[i, :29] = 0
+        buf[i, :s.size] = s
+    return buf.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str, header: str, columns) -> None:
     """Write the header and one row per index of the equal-length columns,
-    every value a float with 17 significant digits, in one format
-    operation."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    body = (row * cols[0].size) % tuple(np.column_stack(cols).ravel().tolist())
-    _atomic_write(path, header + "\n" + body)
+    every value a float with 17 significant digits (the bytes of '%.17g'),
+    formatted in blocks of whole rows."""
+    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    body = b"".join(_csv_rows(table[k:k + rows]) for k in range(0, table.shape[0], rows))
+    _atomic_write(path, header + "\n" + body.decode("ascii"))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -387,17 +538,10 @@ def read_tomogram(csv_path: str) -> tuple[Tomogram, dict]:
         header = fh.readline()
         if header.strip() != "X,value":
             raise TomogramError(f"unexpected CSV header {header!r}")
-        xs, vs = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sx, sv = line.split(",")
-            xs.append(float(sx))
-            vs.append(float(sv))
+        xs, vs = np.loadtxt(fh, delimiter=",", ndmin=2).T
     side = os.path.splitext(csv_path)[0] + ".json"
     with open(side) as fh:
         meta = json.load(fh)
     frame = TomographyFrame(meta["frame"]["mu"], meta["frame"]["nu"])
     atoms = tuple(DeltaAtom(a["weight"], a["location"]) for a in meta.get("atoms", []))
-    return Tomogram(frame, np.asarray(xs), np.asarray(vs), atoms), meta
+    return Tomogram(frame, xs, vs, atoms), meta

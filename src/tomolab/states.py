@@ -678,12 +678,16 @@ def parse_state(text: str) -> State:
         path = body
         if not os.path.exists(path):
             raise DescriptorError(text, off, f"custom state file not found: {path!r}")
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        names = data.dtype.names or ()
-        if "x" not in names or "re" not in names:
-            raise DescriptorError(text, off, "custom CSV needs header x,re[,im]")
-        im = data["im"] if "im" in names else np.zeros_like(data["x"])
-        return CustomGrid(data["x"], data["re"] + 1j * im)
+        with open(path) as fh:
+            names = [n.strip() for n in fh.readline().lstrip("#").split(",")]
+            if "x" not in names or "re" not in names:
+                raise DescriptorError(text, off, "custom CSV needs header x,re[,im]")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.shape[1] != len(names):
+            raise DescriptorError(text, off, f"custom CSV rows need {len(names)} columns")
+        col = dict(zip(names, data.T))
+        im = col["im"] if "im" in col else np.zeros_like(col["x"])
+        return CustomGrid(col["x"], col["re"] + 1j * im)
     raise DescriptorError(text, 0, f"unknown state kind {kind!r}")
 
 

@@ -437,6 +437,18 @@ def test_period_check_is_relative_to_the_orbit_scale():
     assert np.max(np.abs(tom.values - ref.values)) <= 1e-6 * np.max(ref.values)
 
 
+
+def test_time_average_rejects_an_orbit_that_yields_nan():
+    # NaN gaps compare false both ways: the period check must not pass
+    # them, and an orbit undefined on half its period must not come out
+    # as a half-empty tomogram
+    with pytest.raises(TomogramError):
+        PointTrajectory(lambda t: math.nan if t > 0 else 1.0, lambda t: 0.0, 2 * math.pi)
+    half = PointTrajectory(lambda t: math.sqrt(math.cos(t)) if math.cos(t) >= 0 else math.nan,
+                           lambda t: 0.0, 2 * math.pi)
+    with pytest.raises(TomogramError, match="non-finite"):
+        time_averaged_tomogram(half, TomographyFrame(1.0, 0.0), np.linspace(-2, 2, 101))
+
 def test_box_tomogram_marginal():
     fr = TomographyFrame(1, 0)
     x = np.array([-0.1, 0.2, 0.5, 0.9, 1.3])

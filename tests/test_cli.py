@@ -331,6 +331,16 @@ def test_compare_oscillator(tmp_path, capsys):
     assert rows["l1_distance"] < 0.03
 
 
+
+def test_main_reuses_one_parser_without_carrying_values(tmp_path):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    args = ["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1", "--hbar", "0.01"]
+    assert run(args + ["--frames", "0,1;0.6,0.8", "--out", str(tmp_path / "a")]) == 0
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0
+    rows = np.loadtxt(tmp_path / "b" / "compare.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, :2].tolist() == [[1.0, 0.0]]
+
 def test_compare_box(tmp_path):
     out = str(tmp_path / "cmp")
     code = run(["compare", "--state", "box:n=200,L=1", "--classical", "box:L=1,E=1",

@@ -4,7 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from tomolab import kernel
 from tomolab.kernel import (
     DeltaAtom,
     Tomogram,
@@ -18,7 +21,8 @@ from tomolab.kernel import (
     tomogram_distance_l1,
     write_tomogram,
 )
-from tomolab.quantum import coherent_tomogram, hermite_tomogram
+from tomolab.quantum import coherent_tomogram, hermite_tomogram, state_tomogram
+from tomolab.states import parse_state
 
 from conftest import gaussian_tomogram_values
 
@@ -213,3 +217,70 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.values, t.values)
     with open(side) as fh:
         assert json.load(fh)["atoms"][0]["location"] == 1.0 / 3.0
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer: every value is the bytes of '%.17g' % value
+# ---------------------------------------------------------------------------
+
+def _oracle_rows(table: np.ndarray) -> bytes:
+    """CSV lines formatted one value at a time by CPython's dtoa."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ((row * table.shape[0]) % tuple(table.ravel().tolist())).encode()
+
+
+def _assert_oracle(table: np.ndarray) -> None:
+    got, want = kernel._csv_rows(table), _oracle_rows(table)
+    if got != want:
+        pairs = zip(got.split(b"\n"), want.split(b"\n"))
+        bad = next((g, w) for g, w in pairs if g != w)
+        pytest.fail(f"writer printed {bad[0]!r}, '%.17g' prints {bad[1]!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(hs.floats(), min_size=1, max_size=40), hs.integers(1, 4))
+def test_writer_matches_percent_g17_on_any_float(values, ncols):
+    # hs.floats() draws nan, +-inf, +-0 and subnormals
+    v = np.array(values + [0.0] * (-len(values) % ncols))
+    _assert_oracle(v.reshape(-1, ncols))
+
+
+def test_writer_matches_percent_g17_on_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2 ** 64, size=1 << 20, dtype=np.uint64)
+    table = bits.view(np.float64).reshape(-1, 4)
+    for start in range(0, table.shape[0], 1 << 14):
+        _assert_oracle(table[start:start + (1 << 14)])
+
+
+def test_writer_matches_percent_g17_next_to_powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    table = np.stack([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)], axis=1)
+    _assert_oracle(table)
+    _assert_oracle(-table)
+    # exact ties (5**25 has 18 digits), rounded to even both ways, and the
+    # double 1e-14, below 10**-14, whose 17 digits carry to a new leading 1
+    _assert_oracle(np.array([[2.0 ** -25, 3 * 2.0 ** -25, 1e-14, 0.5]]))
+
+
+def test_writer_file_spans_several_blocks(tmp_path):
+    rows = kernel._BLOCK_VALUES + 1234  # three blocks and a part
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-30, 30, (rows, 3))
+    table[::17, 1] = 0.0
+    path = tmp_path / "wide.csv"
+    kernel._write_csv(str(path), "a,b,c", table.T)
+    assert path.read_bytes() == b"a,b,c\n" + _oracle_rows(table)
+
+
+def test_writer_takes_no_fallback_on_a_tomogram_with_tails_and_zeros():
+    x = np.linspace(-40.0, 40.0, 4501)
+    tom = state_tomogram(parse_state("coherent:re=1,im=0.5"), TomographyFrame(1.0, 0.3), x, 0.5)
+    v = np.concatenate([x, tom.values])
+    assert np.count_nonzero(v == 0) > 100 and np.min(v[v > 0]) < 1e-300
+    _, _, exact = kernel._decimal17(v)
+    assert np.count_nonzero(~exact) == 0
+    # doubles just below a power of ten, where log10 rounds up, stay on the
+    # vector path; a value within the tie gap takes the per-value one
+    below = np.nextafter(10.0 ** np.arange(-300, 300, 10), 0.0)
+    assert kernel._decimal17(np.concatenate([below, [1e-248, 1e-14]]))[2].all()
+    assert not kernel._decimal17(np.array([2.0 ** -25]))[2][0]

@@ -84,6 +84,26 @@ def test_custom_grid_normalization_enforced():
     st.CustomGrid(x, psi)
 
 
+
+def test_custom_state_file_reads_as_the_structured_reader_did(tmp_path):
+    x = np.linspace(-6, 6, 1027)
+    psi = np.exp(-x * x / 2.0 + 0.3j * x) * math.pi ** -0.25
+    path = tmp_path / "psi.csv"
+    np.savetxt(path, np.column_stack([x, psi.real, psi.imag]), delimiter=",",
+               header="x, re, im", comments="")
+    state = st.parse_state(f"custom:{path}")
+    ref = np.genfromtxt(path, delimiter=",", names=True)
+    assert np.array_equal(state.x_grid, ref["x"])
+    assert np.array_equal(state.psi, ref["re"] + 1j * ref["im"])
+    # a header behind a comment mark, and no im column
+    real = tmp_path / "real.csv"
+    np.savetxt(real, np.column_stack([x, np.abs(psi)]), delimiter=",", header="x,re")
+    assert np.array_equal(st.parse_state(f"custom:{real}").psi, np.abs(psi) + 0j)
+    bad = tmp_path / "bad.csv"
+    np.savetxt(bad, np.column_stack([x, psi.imag]), delimiter=",", header="x,im", comments="")
+    with pytest.raises(st.DescriptorError, match="custom CSV needs header x,re"):
+        st.parse_state(f"custom:{bad}")
+
 def test_cat_normalization_constant():
     for a in (0.5, 1.0, 2.0):
         for parity, sign in (("even", 1.0), ("odd", -1.0)):
