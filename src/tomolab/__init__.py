@@ -52,15 +52,12 @@ from .quantum import (
     box_tomogram_stationary_phase,
     cat_tomogram,
     coherent_tomogram,
-    density_from_tomogram,
     hermite_tomogram,
     state_tomogram,
     superposition_tomogram,
     tomogram_amplitude,
     tomogram_from_wavefunction,
     tomogram_from_wigner,
-    wigner_from_density,
-    wigner_from_tomogram,
 )
 from .limits import (
     LimitReport,

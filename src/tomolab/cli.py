@@ -5,8 +5,8 @@ quantum-classical limit study), reconstruct (invert a tomogram family
 back to a Wigner function or density matrix), compare (quantum vs
 classical L1 table), selftest (invariant battery).  All outputs are
 plain CSV/JSON written atomically with 17-significant-digit floats, so a
-rerun with the same configuration is byte-identical; the environment
-variable TOMOLAB_THREADS caps study parallelism (0 = auto).
+rerun with the same configuration is byte-identical.  Each command takes
+only the flags it reads; any other flag, or --config key, exits with status 2.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ from .kernel import (
 )
 
 __all__ = ["main", "RunConfig", "build_parser", "run_selftest"]
-
-STUDIES = (
-    "planck-delta",
-    "interference",
-    "cat-interference",
-    "ehrenfest-coherent",
-    "ehrenfest-cat",
-    "ehrenfest-box",
-    "ehrenfest-oscillator",
-)
 
 # a written tomogram whose mass is further than this from 1 fails its command
 TOMOGRAM_MASS_TOL = 1e-2
@@ -90,10 +80,15 @@ class RunConfig:
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        command = raw.get("command")
+        if command not in COMMAND_FIELDS:
+            raise ValueError(f"unknown command {command!r}")
+        unread = set(raw) - {"command", *COMMAND_FIELDS[command]}
+        if unread:
+            raise ValueError(f"{command} does not read config keys {sorted(unread)}")
         cfg = cls(**raw)
         if cfg.frame is not None:
             cfg.frame = tuple(cfg.frame)
@@ -201,102 +196,127 @@ def _mass_ok(command: str, path: str, tom: Tomogram) -> bool:
 # limit studies
 # ---------------------------------------------------------------------------
 
-def _study_artifacts(cfg: RunConfig, report: lm.LimitReport, state_for_param) -> bool:
-    """Write one tomogram CSV per study point and attach the paths;
-    False when any written tomogram fails its mass check."""
-    os.makedirs(cfg.out, exist_ok=True)
-    ok = True
-    for value in report.parameter_values:
-        tom, label = state_for_param(value)
-        if tom is None:
-            continue
-        path = os.path.join(cfg.out, f"{report.study}_{label}.csv")
-        write_tomogram(tom, path, hbar=value if report.parameter_name == "hbar" else None,
-                       state=None)
-        report.artifacts.append(path)
-        ok = _mass_ok("limit", path, tom) and ok
-    return ok
+def _hbars(p: dict, default: list[float]) -> list[float]:
+    return parse_hbar_sequence(p["hbars"]) if "hbars" in p else default
+
+
+def _ns(p: dict, default: str) -> list[int]:
+    return [int(v) for v in str(p.get("ns", default)).split(",")]
+
+
+def _fixed_energy(p: dict) -> tuple[float, float]:
+    return float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
+
+
+def _tomogram_at(state, frame: TomographyFrame, hbar: float) -> Tomogram:
+    return qt.state_tomogram(state, frame, qt.default_x_grid(state, frame, hbar), hbar)
+
+
+def _planck_delta(p: dict, frame: TomographyFrame):
+    state = st.parse_state(p.get("state") or "ho:n=3")
+    report = lm.weak_delta_convergence(state, _hbars(p, [0.1 * 0.5 ** k for k in range(6)]),
+                                       frame, center=float(p.get("center", 0.0)))
+    return report, lambda h: _tomogram_at(state, frame, h)
+
+
+def _interference(p: dict, frame: TomographyFrame):
+    n, m = int(p.get("n", 0)), int(p.get("m", 1))
+    report = lm.interference_decay(n, m, frame, _hbars(p, [1e-1 * 0.5 ** k for k in range(8)]))
+
+    def profile(h):
+        kappa = 1.0 / (h * (frame.mu ** 2 + frame.nu ** 2))
+        sig = 1.0 / math.sqrt(kappa)
+        x = np.linspace(-10 * sig, 10 * sig, 2001)
+        return x, qt.superposition_cross_term(n, m, frame, x, h)
+    return report, profile
+
+
+def _cat_interference(p: dict, frame: TomographyFrame):
+    alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
+    report = lm.cat_interference_planck(alpha, frame, _hbars(p, [0.1 * 0.5 ** k for k in range(4)]))
+    return report, lambda h: _tomogram_at(st.CatEven(alpha), frame, h)
+
+
+def _ehrenfest_coherent(p: dict, frame: TomographyFrame):
+    qa, pa = _fixed_energy(p)
+    report = lm.ehrenfest_coherent(qa, pa, frame, _hbars(p, [1e-2, 1e-3, 1e-4]))
+    return report, lambda h: _tomogram_at(st.Coherent(complex(qa, pa) / math.sqrt(2.0 * h)), frame, h)
+
+
+def _ehrenfest_cat(p: dict, frame: TomographyFrame):
+    qa, pa = _fixed_energy(p)
+    report = lm.ehrenfest_cat(qa, pa, frame, _hbars(p, [1e-3, 5e-4, 2.5e-4]))
+    return report, lambda h: _tomogram_at(st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h)), frame, h)
+
+
+def _ehrenfest_box(p: dict, frame: TomographyFrame):
+    L = float(p.get("L", 1.0))
+    mom_n = int(p["momentum_check_n"]) if "momentum_check_n" in p else None
+    report = lm.ehrenfest_box(L, _ns(p, "25,50,100,200"), [frame], momentum_check_n=mom_n)
+
+    def profile(n):
+        period = abs(frame.mu) * L / n
+        x = np.arange(-0.5 - math.sqrt(2) * abs(frame.nu),
+                      abs(frame.mu) * L + math.sqrt(2) * abs(frame.nu) + 0.5,
+                      period / 8.0)
+        return x, np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
+    return report, profile
+
+
+def _ehrenfest_oscillator(p: dict, frame: TomographyFrame):
+    def profile(n):
+        x = np.linspace(-2.2, 2.2, 4001) * frame.norm()
+        return x, np.asarray(qt.hermite_tomogram(n, frame, x, 1.0 / n))
+    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), profile
+
+
+# Every limit study: the parameters it reads, and the function that turns
+# them and the frame into (report, artifact).  artifact(value) is the study's
+# output at one parameter value: a Tomogram (written with its sidecar and
+# mass-checked) or an (X, value) profile.
+_STUDIES = {
+    "planck-delta": (("state", "hbars", "center"), _planck_delta),
+    "interference": (("n", "m", "hbars"), _interference),
+    "cat-interference": (("re", "im", "hbars"), _cat_interference),
+    "ehrenfest-coherent": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_coherent),
+    "ehrenfest-cat": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_cat),
+    "ehrenfest-box": (("ns", "L", "momentum_check_n"), _ehrenfest_box),
+    "ehrenfest-oscillator": (("ns",), _ehrenfest_oscillator),
+}
+STUDIES = tuple(_STUDIES)
 
 
 def cmd_limit(cfg: RunConfig) -> int:
     if cfg.study not in STUDIES:
         print(f"unknown study {cfg.study!r}; valid studies: {', '.join(STUDIES)}", file=sys.stderr)
         return 2
+    reads, run = _STUDIES[cfg.study]
+    p = dict(cfg.params)
+    if cfg.state is not None:
+        p.setdefault("state", cfg.state)
+    unread = sorted(set(p) - set(reads))
+    if unread:
+        print(f"limit: {cfg.study} does not read {', '.join(unread)}; it reads "
+              f"{', '.join(reads)}", file=sys.stderr)
+        return 2
     frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(1.0, 0.0)
-    p = cfg.params
-    hbars = parse_hbar_sequence(p["hbars"]) if "hbars" in p else None
-    masses_ok = True
-
-    def tom_for_hbar(state_of):
-        def build(h):
-            state = state_of(h)
-            g = qt.default_x_grid(state, frame, h)
-            return qt.state_tomogram(state, frame, g, h), f"hbar_{h:.6e}"
-        return build
-
-    if cfg.study == "planck-delta":
-        state = st.parse_state(p.get("state") or cfg.state or "ho:n=3")
-        hbars = hbars or [0.1 * 0.5 ** k for k in range(6)]
-        center = float(p.get("center", 0.0))
-        report = lm.weak_delta_convergence(state, hbars, frame, center=center)
-        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(lambda h: state))
-    elif cfg.study == "interference":
-        n, m = int(p.get("n", 0)), int(p.get("m", 1))
-        hbars = hbars or [1e-1 * 0.5 ** k for k in range(8)]
-        report = lm.interference_decay(n, m, frame, hbars)
-        os.makedirs(cfg.out, exist_ok=True)
-        for h in hbars:
-            kappa = 1.0 / (h * (frame.mu ** 2 + frame.nu ** 2))
-            sig = 1.0 / math.sqrt(kappa)
-            x = np.linspace(-10 * sig, 10 * sig, 2001)
-            cross = qt.superposition_cross_term(n, m, frame, x, h)
-            path = os.path.join(cfg.out, f"interference_hbar_{h:.6e}.csv")
-            _write_csv(path, "X,value", (x, cross))
-            report.artifacts.append(path)
-    elif cfg.study == "cat-interference":
-        alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
-        hbars = hbars or [0.1 * 0.5 ** k for k in range(4)]
-        report = lm.cat_interference_planck(alpha, frame, hbars)
-        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(lambda h: st.CatEven(alpha)))
-    elif cfg.study == "ehrenfest-coherent":
-        qa, pa = float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
-        hbars = hbars or [1e-2, 1e-3, 1e-4]
-        report = lm.ehrenfest_coherent(qa, pa, frame, hbars)
-        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(
-            lambda h: st.Coherent(complex(qa, pa) / math.sqrt(2.0 * h))))
-    elif cfg.study == "ehrenfest-cat":
-        qa, pa = float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
-        hbars = hbars or [1e-3, 5e-4, 2.5e-4]
-        report = lm.ehrenfest_cat(qa, pa, frame, hbars)
-        masses_ok = _study_artifacts(cfg, report, tom_for_hbar(
-            lambda h: st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h))))
-    elif cfg.study == "ehrenfest-box":
-        ns = [int(v) for v in str(p.get("ns", "25,50,100,200")).split(",")]
-        L = float(p.get("L", 1.0))
-        mom_n = int(p["momentum_check_n"]) if "momentum_check_n" in p else None
-        report = lm.ehrenfest_box(L, ns, [frame], momentum_check_n=mom_n)
-        os.makedirs(cfg.out, exist_ok=True)
-        for n in ns:
-            period = abs(frame.mu) * L / n
-            x = np.arange(-0.5 - math.sqrt(2) * abs(frame.nu),
-                          abs(frame.mu) * L + math.sqrt(2) * abs(frame.nu) + 0.5,
-                          period / 8.0)
-            w = np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
-            path = os.path.join(cfg.out, f"ehrenfest-box_n_{n}.csv")
-            _write_csv(path, "X,value", (x, w))
-            report.artifacts.append(path)
-    else:  # ehrenfest-oscillator
-        ns = [int(v) for v in str(p.get("ns", "25,50,100")).split(",")]
-        report = lm.ehrenfest_oscillator(ns, frame)
-        os.makedirs(cfg.out, exist_ok=True)
-        for n in ns:
-            x = np.linspace(-2.2, 2.2, 4001) * frame.norm()
-            w = np.asarray(qt.hermite_tomogram(n, frame, x, 1.0 / n))
-            path = os.path.join(cfg.out, f"ehrenfest-oscillator_n_{n}.csv")
-            _write_csv(path, "X,value", (x, w))
-            report.artifacts.append(path)
+    report, artifact = run(p, frame)
 
     os.makedirs(cfg.out, exist_ok=True)
+    on_hbar = report.parameter_name == "hbar"
+    masses_ok = True
+    for value in report.parameter_values:
+        value = value if on_hbar else int(value)
+        label = f"{value:.6e}" if on_hbar else str(value)
+        path = os.path.join(cfg.out, f"{cfg.study}_{report.parameter_name}_{label}.csv")
+        made = artifact(value)
+        if isinstance(made, Tomogram):  # the artifacts of hbar sweeps
+            write_tomogram(made, path, hbar=value, state=None)
+            masses_ok = _mass_ok("limit", path, made) and masses_ok
+        else:
+            _write_csv(path, "X,value", made)
+        report.artifacts.append(path)
+
     report_path = os.path.join(cfg.out, f"{cfg.study}_report.json")
     _atomic_write(report_path, report.to_json() + "\n")
     print(f"report written to {report_path}")
@@ -704,81 +724,82 @@ def cmd_selftest(cfg: RunConfig) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+# every flag: its RunConfig field (or, for the limit study parameters,
+# its params key) and its argparse settings
+_FLAGS = {
+    "state": dict(help="state descriptor, e.g. ho:n=3 or coherent:re=1,im=0"),
+    "classical": dict(required=True,
+                      help="classical descriptor, e.g. oscillator:E=1 or box:L=1,E=1"),
+    "frame": dict(type=lambda s: _parse_pair(s, "frame"), help="mu,nu"),
+    "scaling": dict(type=lambda s: _parse_pair(s, "scaling"), help="s,theta"),
+    "frames": dict(type=_parse_frames_list, help="semicolon-separated frames, e.g. '1,0;0,1'"),
+    "hbar": dict(type=float, default=1.0),
+    "grid": dict(type=_parse_grid, help="min,max,count"),
+    "target": dict(choices=("wigner", "density"), required=True),
+    "quick": dict(action="store_true"),
+    "out": dict(default=".", help="output file or directory"),
+    "hbars": dict(help="hbar sweep a:b:geometric[:count]"),
+    "ns": dict(help="comma-separated quantum numbers"),
+    **dict.fromkeys(("n", "m", "momentum_check_n"), dict(type=int)),
+    **dict.fromkeys(("re", "im", "q_alpha", "p_alpha", "L", "center"), dict(type=float)),
+}
+
+# The RunConfig fields each command reads: its flags and the keys its
+# --config document may hold.  A flag or key that a command does not read is
+# rejected, not ignored.  limit takes its study as a positional argument and
+# each study parameter as a flag that goes to params.
+COMMAND_FIELDS = {
+    "tomogram": ("state", "frame", "scaling", "hbar", "grid", "out"),
+    "limit": ("study", "state", "frame", "scaling", "params", "out"),
+    "reconstruct": ("state", "target", "hbar", "grid", "out"),
+    "compare": ("state", "classical", "frames", "hbar", "grid", "out"),
+    "selftest": ("quick", "out"),
+}
+_COMMAND_HELP = {
+    "tomogram": "evaluate one tomogram to CSV + JSON sidecar",
+    "limit": "run a quantum-classical limit study",
+    "reconstruct": "invert tomograms to a Wigner function or density matrix",
+    "compare": "quantum vs classical L1 table",
+    "selftest": "run the invariant battery",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: compare would read --frame as --frames
     ap = argparse.ArgumentParser(
         prog="tomolab",
         description="symplectic tomograms of classical and quantum states",
+        allow_abbrev=False,
     )
     ap.add_argument("--config", help="JSON run configuration replacing all other flags")
     sub = ap.add_subparsers(dest="command")
-
-    def common(p, state=True):
-        if state:
-            p.add_argument("--state", help="state descriptor, e.g. ho:n=3 or coherent:re=1,im=0")
-        p.add_argument("--frame", type=lambda s: _parse_pair(s, "frame"), help="mu,nu")
-        p.add_argument("--scaling", type=lambda s: _parse_pair(s, "scaling"), help="s,theta")
-        p.add_argument("--hbar", type=float, default=1.0)
-        p.add_argument("--grid", type=_parse_grid, help="min,max,count")
-        p.add_argument("--out", default=".", help="output file or directory")
-
-    p = sub.add_parser("tomogram", help="evaluate one tomogram to CSV + JSON sidecar")
-    common(p)
-
-    p = sub.add_parser("limit", help="run a quantum-classical limit study")
-    p.add_argument("study", choices=STUDIES)
-    common(p)
-    p.add_argument("--hbars", help="hbar sweep a:b:geometric[:count]")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--re", type=float)
-    p.add_argument("--im", type=float)
-    p.add_argument("--q-alpha", type=float, dest="q_alpha")
-    p.add_argument("--p-alpha", type=float, dest="p_alpha")
-    p.add_argument("--ns", help="comma-separated quantum numbers")
-    p.add_argument("--L", type=float)
-    p.add_argument("--center", type=float)
-    p.add_argument("--momentum-check-n", type=int, dest="momentum_check_n")
-
-    p = sub.add_parser("reconstruct", help="invert tomograms to a Wigner function or density matrix")
-    common(p)
-    p.add_argument("--target", choices=("wigner", "density"), required=True)
-
-    p = sub.add_parser("compare", help="quantum vs classical L1 table")
-    common(p)
-    p.add_argument("--classical", required=True,
-                   help="classical descriptor, e.g. oscillator:E=1 or box:L=1,E=1")
-    p.add_argument("--frames", type=_parse_frames_list, default=[],
-                   help="semicolon-separated frames, e.g. '1,0;0,1'")
-
-    p = sub.add_parser("selftest", help="run the invariant battery")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--out", default=".")
-
     # let values like "-5,5,1001" pass as option arguments
     matcher = re.compile(r"^-\d+(\.\d+)?([,:eE+\-.\d]*)$")
     ap._negative_number_matcher = matcher
-    for action in ap._subparsers._group_actions:
-        for p in action.choices.values():
-            p._negative_number_matcher = matcher
+    study_params = [k for k in _FLAGS if k not in RunConfig.__dataclass_fields__]
+    for command, fields in COMMAND_FIELDS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command], allow_abbrev=False)
+        p._negative_number_matcher = matcher
+        for name in fields:
+            if name == "study":
+                p.add_argument("study", choices=STUDIES)
+                continue
+            for flag in study_params if name == "params" else (name,):
+                p.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
     return ap
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of a parsed command line: each flag given sets its
+    field, and the limit study parameters go to params."""
     cfg = RunConfig(command=args.command)
-    for name in ("state", "classical", "frame", "scaling", "hbar", "grid", "target", "out"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "frames", None):
-        cfg.frames = args.frames
-    if args.command == "limit":
-        cfg.study = args.study
-        for key in ("hbars", "n", "m", "re", "im", "q_alpha", "p_alpha", "ns", "L",
-                    "center", "momentum_check_n"):
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg.params[key] = val
-    if args.command == "selftest":
-        cfg.quick = args.quick
+    for key, value in vars(args).items():
+        if value is None or key in ("config", "command"):
+            continue
+        if key in RunConfig.__dataclass_fields__:
+            setattr(cfg, key, value)
+        else:
+            cfg.params[key] = value
     return cfg
 
 
@@ -788,29 +809,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+_HANDLERS = {
+    "tomogram": cmd_tomogram,
+    "limit": cmd_limit,
+    "reconstruct": cmd_reconstruct,
+    "compare": cmd_compare,
+    "selftest": cmd_selftest,
+}
+
+
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
     if args.config:
-        cfg = RunConfig.from_json(args.config)
-    else:
-        if not args.command:
-            ap.print_help()
+        try:
+            cfg = RunConfig.from_json(args.config)
+        except (OSError, ValueError) as exc:  # unreadable, malformed or unread keys
+            print(f"--config: {exc}", file=sys.stderr)
             return 2
-        cfg = _config_from_args(args)
-    handlers = {
-        "tomogram": cmd_tomogram,
-        "limit": cmd_limit,
-        "reconstruct": cmd_reconstruct,
-        "compare": cmd_compare,
-        "selftest": cmd_selftest,
-    }
-    if cfg.command not in handlers:
-        print(f"unknown command {cfg.command!r}", file=sys.stderr)
+    elif not args.command:
+        ap.print_help()
         return 2
+    else:
+        cfg = _config_from_args(args)
     try:
-        return handlers[cfg.command](cfg)
-    except ValueError as exc:  # bad descriptors, frames, grids and tomogram inputs
+        return _HANDLERS[cfg.command](cfg)
+    # bad descriptors, frames, grids, hbar sweeps and tomogram inputs
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{cfg.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -217,10 +217,6 @@ class GridFunction2D:
     def dy(self) -> float:
         return float(self.y_grid[1] - self.y_grid[0])
 
-    def interp(self, x, y):
-        """Bilinear interpolation, zero outside the grid."""
-        return bilinear_interp(self.x_grid, self.y_grid, self.values, x, y)
-
 
 def bilinear_interp(xg: np.ndarray, yg: np.ndarray, vals: np.ndarray, x, y):
     """Bilinear interpolation of vals[i, j] = f(xg[i], yg[j]); zero outside."""

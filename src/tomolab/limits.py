@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -156,24 +154,19 @@ def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float
                        exponent, r2, verdict, details=details)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TOMOLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(4, os.cpu_count() or 1)
-    return n
+def _n_report(study: str, n_values: Sequence[int], distances: list[float],
+              details: dict, *conditions: bool) -> LimitReport:
+    """Report of an n sweep: converged when every study condition holds."""
+    exponent, r2 = _trusted_fit(n_values, distances)
+    verdict = "converged" if all(conditions) else "not-converged"
+    return LimitReport(study, "n", list(map(float, n_values)), distances,
+                       exponent, r2, verdict, details=details)
 
 
-def _map_ordered(fn: Callable, items: Sequence):
-    """Deterministic parallel map: results come back in input order."""
-    n = _thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def _sweep(fn: Callable, values: Sequence) -> list[list]:
+    """fn at every value, in order, as one list per component of its
+    result tuple."""
+    return [list(column) for column in zip(*(fn(v) for v in values))]
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +257,12 @@ def weak_delta_convergence(state_for_hbar, hbar_values: Sequence[float],
             )
         return weak_error(tom, tests, center), resid
 
-    results = _map_ordered(one, list(hbar_values))
-    errors = [r[0] for r in results]
+    errors, residuals = _sweep(one, hbar_values)
     monotone = _decreasing(errors)
     details = {
         "constraint": "planck",
         "center": center,
-        "normalization_residuals": [r[1] for r in results],
+        "normalization_residuals": residuals,
         "monotone": monotone,
     }
     return _hbar_report(study, hbar_values, errors, details, monotone)
@@ -312,12 +304,11 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
         signed = float(dx * np.sum(cross))
         return l1_phys / math.sqrt(kappa), l1_phys, signed
 
-    results = _map_ordered(one, list(hbar_values))
-    distances = [r[0] for r in results]
+    distances, l1_phys, signed = _sweep(one, hbar_values)
     details = {"constraint": "planck", "n": n, "m": m}
     if _trusted_fit(hbar_values, distances)[0] is not None:  # inconclusive reports keep only n, m
-        details["physical_l1"] = [r[1] for r in results]
-        details["signed_integrals"] = [r[2] for r in results]
+        details["physical_l1"] = l1_phys
+        details["signed_integrals"] = signed
     return _hbar_report("interference", hbar_values, distances, details)
 
 
@@ -343,10 +334,7 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
         mass = tom.total_mass()
         return weak_error(tom, tests, 0.0), integral, mass
 
-    results = _map_ordered(one, list(hbar_values))
-    errors = [r[0] for r in results]
-    integrals = [r[1] for r in results]
-    masses = [r[2] for r in results]
+    errors, integrals, masses = _sweep(one, hbar_values)
     hbar_independent = max(abs(v - target) for v in integrals) < 1e-6
     N2 = cat_normalization(alpha, "even") ** 2
     details = {
@@ -380,25 +368,24 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     _require_geometric(hbar_values, 3)
     tests = default_test_battery()
     X_star = frame.mu * q_alpha + frame.nu * p_alpha
-    peak_errors, widths, errors = [], [], []
-    for hbar in hbar_values:
+
+    def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
         sigma = math.sqrt(hbar * (frame.nu ** 2 + frame.mu ** 2) / 2.0)
         grid = np.linspace(X_star - 12 * sigma - 0.5, X_star + 12 * sigma + 0.5, grid_points)
         vals = coherent_tomogram(alpha, frame, grid, hbar)
-        tom = Tomogram(frame, grid, vals)
-        peak = grid[int(np.argmax(vals))]
         peak_pred = coherent_tomogram_peak(alpha, frame, hbar)
-        dx = grid[1] - grid[0]
-        peak_errors.append(abs(peak - X_star) / dx)
-        mean = float(np.trapezoid(grid * vals, dx=dx))
-        var = float(np.trapezoid((grid - mean) ** 2 * vals, dx=dx))
-        widths.append(math.sqrt(max(var, 0.0)))
-        errors.append(weak_error(tom, tests, X_star))
         if not abs(peak_pred - X_star) < 1e-12 * max(1.0, abs(X_star)):
             raise TomogramError(
                 f"coherent peak {peak_pred!r} at hbar={hbar} misses the classical point {X_star!r}"
             )
+        dx = grid[1] - grid[0]
+        mean = float(np.trapezoid(grid * vals, dx=dx))
+        var = float(np.trapezoid((grid - mean) ** 2 * vals, dx=dx))
+        return (abs(grid[int(np.argmax(vals))] - X_star) / dx, math.sqrt(max(var, 0.0)),
+                weak_error(Tomogram(frame, grid, vals), tests, X_star))
+
+    peak_errors, widths, errors = _sweep(one, hbar_values)
     peaks_ok = all(pe <= 1.0 for pe in peak_errors)
     details = {
         "constraint": "ehrenfest",
@@ -445,33 +432,31 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     ffr = fringe_frame(q_alpha, p_alpha)
     hmax = max(hbar_values)
     window = 1.5 * math.sqrt(hmax * (ffr.mu ** 2 + ffr.nu ** 2) / 2.0)
-    crossings, n2s, half_masses, errors = [], [], [], []
-    for hbar in hbar_values:
+    targets = [0.5 * float(t.fn(np.asarray(X_star))) + 0.5 * float(t.fn(np.asarray(-X_star)))
+               for t in tests]
+
+    def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
-        n2s.append(1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))))
         # zero crossings of the interference over the fixed window
         freq = 2.0 * abs(ffr.nu * q_alpha - ffr.mu * p_alpha) / (
             hbar * (ffr.nu ** 2 + ffr.mu ** 2)
         )
         npts = max(2001, int(20 * freq * window / math.pi))
         xw = np.linspace(-window, window, npts)
-        I = cat_interference(alpha, ffr, xw, hbar)
-        sign = np.sign(I)
-        sign = sign[sign != 0]
-        crossings.append(int(np.count_nonzero(np.diff(sign) != 0)))
+        sign = np.sign(cat_interference(alpha, ffr, xw, hbar))
+        crossings = int(np.count_nonzero(np.diff(sign[sign != 0]) != 0))
         # full tomogram in the given frame: half-line masses and weak
         # error against the two-delta mixture
         sigma = math.sqrt(hbar * (frame.nu ** 2 + frame.mu ** 2) / 2.0)
         lim = X_star + 12 * sigma + 0.5
         grid = np.linspace(-lim, lim, 8001)
         vals = cat_tomogram(alpha, "even", frame, grid, hbar)
-        tom = Tomogram(frame, grid, vals)
         dx = grid[1] - grid[0]
-        pos = float(np.trapezoid(np.where(grid > 0, vals, 0.0), dx=dx))
-        half_masses.append(pos)
-        targets = [0.5 * float(t.fn(np.asarray(X_star))) + 0.5 * float(t.fn(np.asarray(-X_star)))
-                   for t in tests]
-        errors.append(weak_error(tom, tests, 0.0, targets=targets))
+        return (crossings, 1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))),
+                float(np.trapezoid(np.where(grid > 0, vals, 0.0), dx=dx)),
+                weak_error(Tomogram(frame, grid, vals), tests, 0.0, targets=targets))
+
+    crossings, n2s, half_masses, errors = _sweep(one, hbar_values)
     details = {
         "constraint": "ehrenfest",
         "q_alpha": q_alpha,
@@ -551,7 +536,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
     if any(f.mu == 0.0 or f.nu == 0.0 for f in frames):
         raise ValueError("box study frames need mu != 0 and nu != 0")
 
-    distances = [max(box_windowed_distance(n, L, fr) for fr in frames) for n in n_values]
+    (distances,) = _sweep(lambda n: (max(box_windowed_distance(n, L, fr) for fr in frames),),
+                          n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "L": L,
@@ -585,12 +571,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
         details["momentum_check_n"] = nq
 
     at_floor = max(distances) < 1e-6
-    ok = (_decreasing(distances) or at_floor) and distances[-1] < 0.05
-    exponent, r2 = _trusted_fit(n_values, distances)
-    return LimitReport(
-        "ehrenfest-box", "n", list(map(float, n_values)), distances,
-        exponent, r2, "converged" if ok else "not-converged", details=details,
-    )
+    return _n_report("ehrenfest-box", n_values, distances, details,
+                     _decreasing(distances) or at_floor, distances[-1] < 0.05)
 
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
@@ -656,7 +638,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     R = math.sqrt(2.0 * r2f)
     xmax = 1.3 * R / math.sqrt(2.0)
 
-    distances = _map_ordered(lambda n: oscillator_windowed_distance(n, frame, xmax), n_values)
+    (distances,) = _sweep(lambda n: (oscillator_windowed_distance(n, frame, xmax),), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
@@ -683,9 +665,5 @@ def ehrenfest_oscillator(n_values: Sequence[int],
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 
-    ok = _decreasing(distances) and distances[-1] < 0.03
-    exponent, r2 = _trusted_fit(n_values, distances)
-    return LimitReport(
-        "ehrenfest-oscillator", "n", list(map(float, n_values)), distances,
-        exponent, r2, "converged" if ok else "not-converged", details=details,
-    )
+    return _n_report("ehrenfest-oscillator", n_values, distances, details,
+                     _decreasing(distances), distances[-1] < 0.03)

@@ -74,15 +74,12 @@ __all__ = [
     "box_x_extent",
     "ehrenfest_hbar",
     "rho_grid",
-    "wigner_from_density",
     "wigner_grid_from_density",
     "exact_wigner",
     "tomogram_from_wigner",
     "build_state_family",
-    "wigner_from_tomogram",
     "wigner_from_tomogram_grid",
     "build_state_slices",
-    "density_from_tomogram",
     "density_grid_from_tomogram",
 ]
 
@@ -749,26 +746,12 @@ def _check_hermitian(rho: GridFunction2D) -> None:
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
 
 
-def wigner_from_density(rho: GridFunction2D, p: float, q: float,
-                        hbar: float) -> float:
-    """W(p, q) = int rho(q + u/2, q - u/2) e^{-i p u/hbar} du (real part;
-    the imaginary residual of a Hermitian input is at roundoff level)."""
-    vals = _wigner_values(rho, np.asarray([float(q)]), np.asarray([float(p)]), hbar)
-    return float(vals[0, 0].real)
-
-
 def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
                              hbar: float) -> tuple[GridFunction2D, float]:
-    """Wigner samples W[iq, ip] plus the worst imaginary residual."""
+    """Wigner samples W[iq, ip] = int rho(q + u/2, q - u/2) e^{-i p u/hbar} du
+    plus the worst imaginary residual (roundoff for a Hermitian input)."""
     q = np.asarray(q_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
-    out = _wigner_values(rho, q, p, hbar)
-    resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    return GridFunction2D(q, p, out.real), resid
-
-
-def _wigner_values(rho: GridFunction2D, q: np.ndarray, p: np.ndarray,
-                   hbar: float) -> np.ndarray:
     # one u-grid for every q, wide enough for the q whose window
     # q +- u/2 stays longest inside the rho grid; beyond its own window
     # each row samples zeros
@@ -780,12 +763,14 @@ def _wigner_values(rho: GridFunction2D, q: np.ndarray, p: np.ndarray,
     x0, x1 = rho.x_grid[0], rho.x_grid[-1]
     umax = 2.0 * float(np.max(np.minimum(q - x0, x1 - q), initial=0.0))
     if umax <= 0:
-        return np.zeros((q.size, p.size), dtype=complex)
-    u = np.linspace(-umax, umax, int(math.ceil(2.0 * umax / du)) + 1)
-    kernel = np.exp(-1j * np.outer(u, p) / hbar) * (trapezoid_weights(u.size) * (u[1] - u[0]))[:, None]
-    vals = bilinear_interp(rho.x_grid, rho.y_grid, rho.values,
-                           q[:, None] + 0.5 * u, q[:, None] - 0.5 * u)
-    return vals @ kernel
+        out = np.zeros((q.size, p.size), dtype=complex)
+    else:
+        u = np.linspace(-umax, umax, int(math.ceil(2.0 * umax / du)) + 1)
+        kernel = np.exp(-1j * np.outer(u, p) / hbar) * (trapezoid_weights(u.size) * (u[1] - u[0]))[:, None]
+        out = bilinear_interp(rho.x_grid, rho.y_grid, rho.values,
+                              q[:, None] + 0.5 * u, q[:, None] - 0.5 * u) @ kernel
+    resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
+    return GridFunction2D(q, p, out.real), resid
 
 
 def exact_wigner(state: StateSpec, hbar: float):
@@ -842,13 +827,6 @@ def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
     return FrameSamples(mu_grid, nu_grid, G, q_extent, p_extent)
 
 
-def wigner_from_tomogram(family: FrameSamples, p: float, q: float,
-                         hbar: float) -> float:
-    """W(p, q) = (hbar/2 pi) * int W(X, mu, nu) e^{i(X - mu q - nu p)} dX dmu dnu."""
-    acc = characteristic_quadrature(family, np.asarray([float(q)]), np.asarray([float(p)]))
-    return float(acc[0, 0].real * hbar / (2.0 * math.pi))
-
-
 def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
                               hbar: float) -> tuple[GridFunction2D, float]:
     """Wigner reconstruction W[iq, ip] plus the worst imaginary residual."""
@@ -866,13 +844,14 @@ def build_state_slices(state: StateSpec, hbar: float, nu_values, mu_grid,
     return build_state_family(state, hbar, mu_grid, nu_values, x_grid, method)
 
 
-def _density_values(samples: FrameSamples, x: np.ndarray, xprime: np.ndarray,
-                    hbar: float) -> np.ndarray:
-    """rho at every pair (x, x') of the broadcast arrays: the trapezoid mu
-    integral of G(mu, (x - x')/hbar) e^{-i mu (x + x')/2} / 2 pi."""
-    x, xprime = np.broadcast_arrays(x, xprime)
-    j = samples.nu_index((x - xprime) / hbar).ravel()
-    s = (0.5 * (x + xprime)).ravel()
+def density_grid_from_tomogram(samples: FrameSamples, x_points,
+                               hbar: float) -> tuple[np.ndarray, float]:
+    """rho(x, x') on the pairwise grid of x_points, the trapezoid mu integral
+    of G(mu, (x - x')/hbar) e^{-i mu (x + x')/2} / 2 pi; returns (matrix,
+    Hermiticity residual)."""
+    xs = np.asarray(x_points, dtype=float)
+    j = samples.nu_index((xs[:, None] - xs[None, :]) / hbar).ravel()
+    s = (0.5 * (xs[:, None] + xs[None, :])).ravel()
     mu = samples.mu_grid
     dmu = samples.frame_step()[0]
     smax = float(np.max(np.abs(s)))
@@ -883,20 +862,6 @@ def _density_values(samples: FrameSamples, x: np.ndarray, xprime: np.ndarray,
         )
     wG = samples.values[:, j] * trapezoid_weights(mu.size)[:, None]
     rho = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s)))
-    return (rho * (dmu / (2.0 * math.pi))).reshape(x.shape)
-
-
-def density_from_tomogram(samples: FrameSamples, x: float, xprime: float,
-                          hbar: float) -> complex:
-    """rho(x, x') = (1/2 pi) int W(X, mu, (x - x')/hbar)
-                                e^{i(X - mu (x + x')/2)} dX dmu."""
-    return complex(_density_values(samples, np.asarray(float(x)), np.asarray(float(xprime)), hbar))
-
-
-def density_grid_from_tomogram(samples: FrameSamples, x_points,
-                               hbar: float) -> tuple[np.ndarray, float]:
-    """rho on the pairwise grid of x_points; returns (matrix, Hermiticity residual)."""
-    xs = np.asarray(x_points, dtype=float)
-    rho = _density_values(samples, xs[:, None], xs[None, :], hbar)
+    rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid

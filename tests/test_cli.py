@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 import tomolab.quantum
 from tomolab import cli
-from tomolab.kernel import read_tomogram
+from tomolab.kernel import normalization_residual, read_tomogram
 
 
 def run(args):
@@ -193,6 +194,113 @@ def test_limit_command_ehrenfest_oscillator(tmp_path):
     assert rep["verdict"] == "converged"
     d = rep["distances"]
     assert d[0] > d[1] > d[2]
+
+
+@pytest.mark.parametrize("study,args,name,values", [
+    ("planck-delta", ["--state", "coherent:re=1,im=0", "--frame", "0.6,0.8",
+                      "--hbars", "4e-3:6.25e-5:geometric:4"], "hbar", [4e-3, 1e-3, 2.5e-4, 6.25e-5]),
+    ("interference", ["--frame", "0.6,0.8", "--hbars", "1e-1:6.25e-3:geometric"],
+     "hbar", [1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3]),
+    ("cat-interference", ["--frame", "0.6,0.8"], "hbar", [1e-1, 5e-2, 2.5e-2, 1.25e-2]),
+    ("ehrenfest-coherent", ["--frame", "1,0"], "hbar", [1e-2, 1e-3, 1e-4]),
+    ("ehrenfest-cat", ["--frame", "1,0"], "hbar", [1e-3, 5e-4, 2.5e-4]),
+    ("ehrenfest-box", ["--ns", "20,40", "--frame", "1,0.3"], "n", [20, 40]),
+    ("ehrenfest-oscillator", ["--ns", "25,50", "--frame", "1,0"], "n", [25, 50]),
+])
+def test_limit_command_writes_one_artifact_per_value(tmp_path, study, args, name, values):
+    out = str(tmp_path / "study")
+    assert run(["limit", study, *args, "--out", out]) == 0
+    labels = [f"{v:.6e}" if name == "hbar" else str(v) for v in values]
+    paths = [os.path.join(out, f"{study}_{name}_{label}.csv") for label in labels]
+    rep = json.load(open(os.path.join(out, f"{study}_report.json")))
+    assert rep["artifacts"] == paths
+    for path in paths:
+        sidecar = os.path.exists(path[:-4] + ".json")
+        if study in ("interference", "ehrenfest-box", "ehrenfest-oscillator"):
+            assert not sidecar  # an (X, value) profile
+            with open(path) as fh:
+                assert fh.readline() == "X,value\n"
+        else:
+            assert sidecar
+            tom, _ = read_tomogram(path)
+            assert normalization_residual(tom) <= cli.TOMOGRAM_MASS_TOL
+
+
+def test_cli_import_leaves_concurrent_futures_unimported():
+    # the limit studies sweep their parameter serially
+    import subprocess
+    import sys
+
+    code = "import sys, tomolab.cli\nassert 'concurrent.futures' not in sys.modules\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--state", "ho:n=3", "--classical", "oscillator:E=1", "--frame", "0,1"],
+    ["reconstruct", "--state", "ho:n=1", "--target", "wigner", "--frame", "1,0"],
+    ["reconstruct", "--state", "ho:n=1", "--target", "wigner", "--scaling", "1,0"],
+    ["limit", "planck-delta", "--hbar", "0.1"],
+    ["limit", "planck-delta", "--grid", "-5,5,101"],
+    ["tomogram", "--state", "ho:n=0", "--frame", "1,0", "--hb", "0.5"],
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, args):
+    # each subcommand takes only the flags its handler reads, spelled in
+    # full: compare once computed frame (1, 0) for --frame 0,1 and exited 0
+    with pytest.raises(SystemExit) as exit_:
+        run(args + ["--out", str(tmp_path / "x")])
+    assert exit_.value.code == 2
+    assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("args,unread", [
+    (["ehrenfest-oscillator", "--ns", "25,50,100", "--hbars", "1e-1:1e-3:geometric",
+      "--q-alpha", "3"], "hbars, q_alpha"),
+    (["ehrenfest-box", "--state", "ho:n=3"], "state"),
+    (["interference", "--frame", "0.6,0.8", "--center", "0.5"], "center"),
+])
+def test_limit_rejects_parameters_its_study_does_not_read(tmp_path, capsys, args, unread):
+    out = str(tmp_path / "study")
+    assert run(["limit", *args, "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"does not read {unread};" in err[0]
+    assert not os.path.exists(out)
+
+
+def test_limit_rejects_a_malformed_sweep(tmp_path, capsys):
+    assert run(["limit", "planck-delta", "--hbars", "0.1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "a:b:geometric" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"command": "compare", "state": "ho:n=3", "classical": "oscillator:E=1", "frame": [0, 1]},
+     "compare does not read config keys ['frame']"),
+    ({"command": "tomogram", "state": "ho:n=0", "frame": [1, 0], "bogus": 1},
+     "unknown config keys: ['bogus']"),
+    ({"command": "selftest", "params": {"n": 1}}, "selftest does not read config keys ['params']"),
+    ({"command": "limit", "study": "ehrenfest-oscillator", "params": {"ns": "25,50", "q_alpha": 3}},
+     "ehrenfest-oscillator does not read q_alpha;"),
+])
+def test_config_keys_a_command_does_not_read_exit_2(tmp_path, capsys, config, message):
+    path = str(tmp_path / "run.json")
+    config["out"] = str(tmp_path / "out")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    assert run(["--config", path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_readme_commands_parse():
+    # every command line the README shows passes only flags its command reads
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    lines = [ln for ln in open(readme) if ln.startswith("tomolab ")]
+    assert len(lines) >= 9
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line.split(" #")[0])[1:])
+        assert args.command in cli.COMMAND_FIELDS
 
 
 def test_reconstruct_density(tmp_path, capsys):

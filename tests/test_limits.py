@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tomolab import cli
 from tomolab import limits as lm
 from tomolab import states as st
 from tomolab.kernel import TomographyFrame
@@ -271,10 +272,21 @@ def test_ehrenfest_oscillator_general_frame():
 
 def test_reports_are_reproducible():
     fr = TomographyFrame(0.6, 0.8)
-    hs = [1e-1 * 0.5 ** k for k in range(5)]
-    a = lm.interference_decay(0, 1, fr, hs).to_json()
-    b = lm.interference_decay(0, 1, fr, hs).to_json()
-    assert a == b
+    studies = [
+        lambda: lm.weak_delta_convergence(st.HOEigen(1), [4e-3 * 0.25 ** k for k in range(4)], fr),
+        lambda: lm.interference_decay(0, 1, fr, [1e-1 * 0.5 ** k for k in range(5)]),
+        lambda: lm.cat_interference_planck(1.0 + 0j, fr, [0.1 * 0.5 ** k for k in range(4)]),
+        lambda: lm.ehrenfest_coherent(1.0, 0.0, fr, [1e-2, 1e-3, 1e-4]),
+        lambda: lm.ehrenfest_cat(1.0, 0.0, fr, [1e-3, 5e-4, 2.5e-4]),
+        lambda: lm.ehrenfest_box(1.0, [25, 50], [TomographyFrame(1.0, 0.3)], momentum_check_n=50),
+        lambda: lm.ehrenfest_oscillator([25, 50], fr),
+    ]
+    names = set()
+    for study in studies:
+        a = study().to_json()
+        assert a == study().to_json()
+        names.add(json.loads(a)["study"])
+    assert names == set(cli.STUDIES)
 
 
 def test_constraint_provenance_recorded():
@@ -282,13 +294,3 @@ def test_constraint_provenance_recorded():
     hs = [4e-3 * 0.25 ** k for k in range(4)]
     assert lm.weak_delta_convergence(st.HOEigen(1), hs, fr).details["constraint"] == "planck"
     assert lm.ehrenfest_coherent(1, 0, fr, [1e-2, 1e-3, 1e-4]).details["constraint"] == "ehrenfest"
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    fr = TomographyFrame(0.6, 0.8)
-    hs = [1e-1 * 0.5 ** k for k in range(5)]
-    monkeypatch.setenv("TOMOLAB_THREADS", "1")
-    serial = lm.interference_decay(0, 1, fr, hs).to_json()
-    monkeypatch.setenv("TOMOLAB_THREADS", "3")
-    threaded = lm.interference_decay(0, 1, fr, hs).to_json()
-    assert serial == threaded

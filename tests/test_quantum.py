@@ -666,16 +666,16 @@ def test_chirp_resolution_refusal():
 def test_wigner_ground_state_value():
     x = np.linspace(-6, 6, 601)
     rho = qt.rho_grid(st.HOEigen(0), 1.0, x)
-    assert abs(qt.wigner_from_density(rho, 0.0, 0.0, 1.0) - 2.0) < 1e-3
+    w, _ = qt.wigner_grid_from_density(rho, [0.0, 0.5], [0.0, 0.5], 1.0)
+    assert abs(w.values[0, 0] - 2.0) < 1e-3
 
 
 def test_wigner_symmetry():
     x = np.linspace(-6, 6, 401)
     rho = qt.rho_grid(st.HOEigen(2), 1.0, x)
     for (p, q) in ((0.5, 0.3), (1.2, -0.4)):
-        a = qt.wigner_from_density(rho, p, q, 1.0)
-        b = qt.wigner_from_density(rho, -p, q, 1.0)
-        assert abs(a - b) < 1e-8
+        w, _ = qt.wigner_grid_from_density(rho, [q, q + 0.5], [-p, p], 1.0)
+        assert abs(w.values[0, 1] - w.values[0, 0]) < 1e-8
 
 
 def test_wigner_trace():
@@ -694,7 +694,7 @@ def test_wigner_rejects_non_hermitian():
     vals = np.outer(np.exp(-x * x), np.exp(-x * x)) + 0j
     vals[3, 5] += 0.1
     with pytest.raises(TomogramError):
-        qt.wigner_from_density(GridFunction2D(x, x, vals), 0.0, 0.0, 1.0)
+        qt.wigner_grid_from_density(GridFunction2D(x, x, vals), [0.0, 0.5], [0.0, 0.5], 1.0)
 
 
 def test_exact_wigner_forms():
@@ -749,8 +749,8 @@ def test_wigner_from_tomogram_ground_and_excited():
     assert resid < 1e-6
 
     fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu, x)
-    w_origin = qt.wigner_from_tomogram(fam1, 0.0, 0.0, hbar)
-    assert w_origin < -1.9  # recovered negativity
+    rec1, _ = qt.wigner_from_tomogram_grid(fam1, [0.0, 0.5], [0.0, 0.5], hbar)
+    assert rec1.values[0, 0] < -1.9  # recovered negativity at the origin
 
 
 def test_wigner_from_tomogram_linearity():
@@ -761,11 +761,11 @@ def test_wigner_from_tomogram_linearity():
     fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu, x)
     mix = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, x)
     object.__setattr__(mix, "values", 0.5 * (fam0.values + fam1.values))
-    p, q = 0.4, -0.3
-    wm = qt.wigner_from_tomogram(mix, p, q, hbar)
-    w0 = qt.wigner_from_tomogram(fam0, p, q, hbar)
-    w1 = qt.wigner_from_tomogram(fam1, p, q, hbar)
-    assert abs(wm - 0.5 * (w0 + w1)) < 1e-10
+    qg, pg = [-0.3, 0.2], [0.4, 0.9]
+    wm = qt.wigner_from_tomogram_grid(mix, qg, pg, hbar)[0].values
+    w0 = qt.wigner_from_tomogram_grid(fam0, qg, pg, hbar)[0].values
+    w1 = qt.wigner_from_tomogram_grid(fam1, qg, pg, hbar)[0].values
+    assert np.max(np.abs(wm - 0.5 * (w0 + w1))) < 1e-10
 
 
 def test_density_from_tomogram_roundtrip():
@@ -808,8 +808,9 @@ def test_density_from_tomogram_missing_slice():
     hbar = 1.0
     slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0, 0.5], np.linspace(-4, 4, 17),
                                    np.linspace(-20, 20, 801))
+    # the pair (x, x') = (0.8, 0.1) needs the missing slice nu = 0.7
     with pytest.raises(TomogramError) as err:
-        qt.density_from_tomogram(slices, 0.8, 0.1, hbar)
+        qt.density_grid_from_tomogram(slices, [0.8, 0.1], hbar)
     assert "0.7" in str(err.value)
 
 
@@ -818,7 +819,7 @@ def test_density_from_tomogram_nyquist_guard():
     slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0], np.linspace(-4, 4, 3),
                                    np.linspace(-20, 20, 801))
     with pytest.raises(TomogramError):
-        qt.density_from_tomogram(slices, 2.0, 2.0, hbar)
+        qt.density_grid_from_tomogram(slices, [2.0], hbar)
 
 
 # ---------------------------------------------------------------------------
