@@ -246,7 +246,21 @@ def _ehrenfest_coherent(p: dict, frame: TomographyFrame):
 def _ehrenfest_cat(p: dict, frame: TomographyFrame):
     qa, pa = _fixed_energy(p)
     report = lm.ehrenfest_cat(qa, pa, frame, _hbars(p, [1e-3, 5e-4, 2.5e-4]))
-    return report, lambda h: _tomogram_at(st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h)), frame, h)
+    f2 = frame.mu ** 2 + frame.nu ** 2
+    # the fringes between the components at +-(mu qa + nu pa) have period
+    # pi hbar f2/|nu qa - mu pa| and weight exp(-(mu qa + nu pa)^2/(hbar f2)):
+    # where that weight passes 1e-6 and the default grid has fewer than two
+    # samples a period, it takes four
+    cross = abs(frame.nu * qa - frame.mu * pa)
+
+    def artifact(h):
+        state = st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h))
+        x = qt.default_x_grid(state, frame, h)
+        fringes = (x[-1] - x[0]) * cross / (math.pi * h * f2)
+        if (frame.mu * qa + frame.nu * pa) ** 2 < h * f2 * math.log(1e6) and 2 * fringes > x.size - 1:
+            x = np.linspace(x[0], x[-1], math.ceil(4 * fringes) + 1)
+        return qt.state_tomogram(state, frame, x, h)
+    return report, artifact
 
 
 def _ehrenfest_box(p: dict, frame: TomographyFrame):

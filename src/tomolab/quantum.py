@@ -708,21 +708,15 @@ _ROUTES = {
 
 
 def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
-                   hbar: float, method: str = "auto") -> Tomogram:
-    """Tomogram of a catalog state: closed forms when available
-    (method='auto' or 'closed'), otherwise the quadrature route."""
+                   hbar: float) -> Tomogram:
+    """Tomogram of a catalog state: its closed form when it has one,
+    otherwise the quadrature route."""
     x = np.asarray(x_grid, dtype=float)
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "quadrature":
-        return tomogram_from_wavefunction(state, frame, x, hbar)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
     route = _ROUTES.get(type(state))
     if route is not None and route.closed:
         return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
-    if method == "closed":
-        raise TomogramError(f"no closed form for {state!r}")
     return tomogram_from_wavefunction(state, frame, x, hbar)
 
 
@@ -795,26 +789,21 @@ def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
 # ---------------------------------------------------------------------------
 
 def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
-                       x_grid, method: str = "auto") -> FrameSamples:
+                       x_grid) -> FrameSamples:
     """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX =
     <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid,
     with no tomogram built; x_grid is ignored.
 
     States in the route table take G from its characteristic function
     in one vectorised call (the oscillator catalog from <D(beta)>, box
-    states from three elementary integrals); every other state, and with
-    method='quadrature' the oscillator catalog too, takes the Weyl
-    overlap quadrature of :func:`_overlap_characteristic`.
+    states from three elementary integrals); every other state takes the
+    Weyl overlap quadrature of :func:`_overlap_characteristic`.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     route = _ROUTES.get(type(state))
-    if route is not None and not (method == "quadrature" and route.closed):
+    if route is not None:
         G = np.array(route.characteristic(state, mu_grid, nu_grid, hbar), dtype=complex)
-    elif method == "closed":
-        raise TomogramError(f"no closed form for {state!r}")
     else:
         G = _overlap_characteristic(state, mu_grid, nu_grid, hbar)
     G[(mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]] = 1.0  # unit atom at X = 0
@@ -838,10 +827,10 @@ def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
 
 
 def build_state_slices(state: StateSpec, hbar: float, nu_values, mu_grid,
-                       x_grid, method: str = "auto") -> FrameSamples:
+                       x_grid) -> FrameSamples:
     """The family at the nu slices nu = (x - x')/hbar that the density-matrix
     reconstruction reads."""
-    return build_state_family(state, hbar, mu_grid, nu_values, x_grid, method)
+    return build_state_family(state, hbar, mu_grid, nu_values, x_grid)
 
 
 def density_grid_from_tomogram(samples: FrameSamples, x_points,

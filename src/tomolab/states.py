@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .specfun import hermite_phi
+from .specfun import hermite_phi, laguerre_scaled
 
 __all__ = [
     "State",
@@ -167,18 +167,9 @@ class HOEigen(_Fock):
         n, w = self.n, self.varpi
 
         def w_fock(p, q):
+            # 2 (-1)^n L_n(2 r^2) e^(-r^2), r^2 = varpi q^2/hbar + p^2/(varpi hbar)
             r2 = w * np.asarray(q, float) ** 2 / hbar + np.asarray(p, float) ** 2 / (w * hbar)
-            # Laguerre L_n(2 r^2) by upward recurrence
-            z = 2.0 * r2
-            l0 = np.ones_like(z)
-            if n == 0:
-                ln = l0
-            else:
-                l1 = 1.0 - z
-                ln = l1
-                for k in range(1, n):
-                    l0, ln = ln, ((2 * k + 1 - z) * ln - k * l0) / (k + 1)
-            return 2.0 * (-1.0) ** n * ln * np.exp(-r2)
+            return 2.0 * (-1.0) ** n * laguerre_scaled(n, 0, 2.0 * r2)
 
         return w_fock
 

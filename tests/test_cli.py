@@ -103,15 +103,26 @@ def test_descriptor_error_exit_code(tmp_path, capsys):
 
 
 def test_tomogram_command_fails_on_a_mass_deficit(tmp_path, capsys):
-    # n = 2000 at hbar = 1e-3 loses most of its mass (Hermite underflow): the
+    # a grid of +-0.5 around the ground state holds about half its mass: the
     # CSV is still written for inspection, but the command must not succeed
-    out = str(tmp_path / "ho2000.csv")
-    code = run(["tomogram", "--state", "ho:n=2000", "--hbar", "0.001", "--frame", "1,0",
-                "--out", out])
+    out = str(tmp_path / "ho0.csv")
+    code = run(["tomogram", "--state", "ho:n=0", "--hbar", "1", "--frame", "1,0",
+                "--grid=-0.5,0.5,101", "--out", out])
     assert code == 1
     assert os.path.exists(out)
     err = capsys.readouterr().err
     assert "normalization residual" in err and "0.01" in err
+
+
+def test_tomogram_command_keeps_the_mass_of_a_large_order(tmp_path, capsys):
+    # e^(-x^2/2) underflowing in the Hermite recurrence once cost this
+    # tomogram a third of its mass (residual 0.337)
+    out = str(tmp_path / "ho1000.csv")
+    code = run(["tomogram", "--state", "ho:n=1000", "--frame", "1,0.3", "--hbar", "1e-3",
+                "--grid=-1.9,1.9,4001", "--out", out])
+    assert code == 0
+    tom, _ = read_tomogram(out)
+    assert normalization_residual(tom) < 1e-10
 
 
 def test_value_errors_exit_cleanly(tmp_path, capsys):
@@ -170,19 +181,36 @@ def test_limit_command_planck_delta(tmp_path):
     assert rep["details"]["center"] == 0.0
 
 
-def test_limit_command_fails_on_an_artifact_mass_deficit(tmp_path, capsys):
-    # at hbar = 1e-3 the default 2001-point grid misses the cat's fringes
-    # near this frame and the artifact's mass is off by 4e-2: the report is
-    # still written, but the command must not succeed
+def test_limit_command_fails_on_an_artifact_mass_deficit(tmp_path, capsys, monkeypatch):
+    # with the tolerance below the artifacts' roundoff every artifact misses
+    # it: the report is still written, but the command must not succeed
+    monkeypatch.setattr(cli, "TOMOGRAM_MASS_TOL", 1e-16)
     out = str(tmp_path / "study")
-    code = run(["limit", "ehrenfest-cat", "--q-alpha", "1.4961860991915943",
-                "--p-alpha", "-0.8333520530471484",
-                "--scaling", "0.9252541173618899,0.9586151787036555", "--out", out])
+    code = run(["limit", "ehrenfest-coherent", "--frame", "1,0", "--out", out])
     assert code == 1
-    assert os.path.exists(os.path.join(out, "ehrenfest-cat_report.json"))
+    assert os.path.exists(os.path.join(out, "ehrenfest-coherent_report.json"))
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "ehrenfest-cat_hbar_1.000000e-03.csv" in err[0] and "4.026e-02" in err[0]
+    assert len(err) == 3
+    assert "ehrenfest-coherent_hbar_1.000000e-03.csv" in err[1] and "tolerance 1e-16" in err[1]
+
+
+def test_limit_command_ehrenfest_cat_resolves_its_fringes(tmp_path):
+    # near the fringe frame the default 2001 points undersample the fringes
+    # at hbar = 1e-3 (mass off by 4e-2); there the grid takes four points a
+    # period, and away from it stays at 2001 points
+    qa, pa = "1.4961860991915943", "-0.8333520530471484"
+    out = str(tmp_path / "near")
+    code = run(["limit", "ehrenfest-cat", "--q-alpha", qa, "--p-alpha", pa,
+                "--scaling", "0.9252541173618899,0.9586151787036555", "--out", out])
+    assert code == 0
+    tom, _ = read_tomogram(os.path.join(out, "ehrenfest-cat_hbar_1.000000e-03.csv"))
+    assert tom.x_grid.size > 2001 and normalization_residual(tom) < 1e-10
+    out = str(tmp_path / "far")
+    assert run(["limit", "ehrenfest-cat", "--q-alpha", qa, "--p-alpha", pa,
+                "--frame", "1,0", "--out", out]) == 0
+    for h in ("1.000000e-03", "5.000000e-04", "2.500000e-04"):
+        tom, _ = read_tomogram(os.path.join(out, f"ehrenfest-cat_hbar_{h}.csv"))
+        assert tom.x_grid.size == 2001
 
 
 def test_limit_command_ehrenfest_oscillator(tmp_path):
@@ -194,6 +222,20 @@ def test_limit_command_ehrenfest_oscillator(tmp_path):
     assert rep["verdict"] == "converged"
     d = rep["distances"]
     assert d[0] > d[1] > d[2]
+
+
+def test_limit_command_ehrenfest_oscillator_at_large_order(tmp_path):
+    # past n ~ 700 the Hermite recurrence used to underflow in the allowed
+    # region, and n = 1000 sat at distance 8.5e-2
+    out = str(tmp_path / "study")
+    code = run(["limit", "ehrenfest-oscillator", "--ns", "250,500,1000,2000", "--frame", "1,0",
+                "--out", out])
+    assert code == 0
+    rep = json.load(open(os.path.join(out, "ehrenfest-oscillator_report.json")))
+    assert rep["verdict"] == "converged"
+    d = rep["distances"]
+    assert d[0] > d[1] > d[2] > d[3]
+    assert -1.3 < rep["exponent"] < -0.8
 
 
 @pytest.mark.parametrize("study,args,name,values", [

@@ -994,12 +994,5 @@ def test_overlap_quadrature_matches_the_closed_characteristic(state):
     mu = np.linspace(-3.0, 3.0, 7)
     nu = np.linspace(-2.5, 2.5, 7)
     closed = qt.build_state_family(state, hbar, mu, nu, None).values
-    quad = qt.build_state_family(state, hbar, mu, nu, None, method="quadrature").values
+    quad = qt._overlap_characteristic(state, mu, nu, hbar)
     assert np.max(np.abs(quad - closed)) < 1e-12
-
-
-def test_family_rejects_an_unknown_method():
-    # the closed route never reaches state_tomogram, which checks it per frame
-    grid = np.linspace(-1.0, 1.0, 3)
-    with pytest.raises(ValueError, match="unknown method"):
-        qt.build_state_family(st.HOEigen(0), 1.0, grid, grid, None, method="exact")

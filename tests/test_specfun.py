@@ -93,6 +93,52 @@ def test_hermite_uniform_bound(rng):
         assert np.max(np.abs(hermite_phi(n, x))) <= 0.8
 
 
+def mp_hermite_phi(n: int, x: float) -> float:
+    """Oracle: (sqrt(pi) 2^n n!)^(-1/2) H_n(x) e^(-x^2/2) at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        xx = mp.mpf(x)
+        lognorm = (mp.log(mp.pi) / 2 + n * mp.log(2) + mp.loggamma(n + 1)) / 2
+        return float(mp.hermite(n, xx) * mp.exp(-xx * xx / 2 - lognorm))
+
+
+# a forbidden-tail point where mpmath gives |phi_n| of about 1e-299
+_HERMITE_TAIL = {720: 60.7, 1000: 66.5, 3000: 96.0, 10000: 156.7}
+
+
+@pytest.mark.parametrize("n", sorted(_HERMITE_TAIL))
+def test_hermite_against_mpmath_at_large_order(n):
+    # e^(-x^2/2) alone underflows past |x| = 38.6, inside the allowed
+    # region of every order n >= 745; the carried exponent does not
+    xt = math.sqrt(2 * n + 1)
+    xs = np.concatenate((np.linspace(-0.93 * xt, 0.97 * xt, 5),
+                         [xt, -(xt + 1.0), xt + 3.0, xt + 6.0, _HERMITE_TAIL[n]]))
+    for x, g in zip(xs, hermite_phi(n, xs)):
+        ref = mp_hermite_phi(n, x)
+        assert abs(ref) >= 1e-300
+        assert abs(g - ref) <= 1e-12 and abs(g - ref) <= 1e-10 * abs(ref), (n, x, g, ref)
+
+
+def test_far_arguments_give_zero_not_nan():
+    far = np.array([1e4, -1e4, 1e300, -np.finfo(float).max])
+    for n in (0, 1, 1000, sf.HERMITE_MAX_ORDER):
+        assert np.array_equal(hermite_phi(n, far), np.zeros(4)), n
+    assert hermite_phi(7, -1e4) == 0.0
+    far = np.array([1e6, 1e300, np.finfo(float).max])
+    for n, k in ((0, 0), (3, 5), (sf.LAGUERRE_MAX_ORDER, 0)):
+        assert np.array_equal(laguerre_scaled(n, k, far), np.zeros(3)), (n, k)
+
+
+def test_hermite_unit_norm_at_the_largest_order():
+    # the 30,001-point trapezoid rule on [-160, 160] (step 0.0107, under
+    # half the shortest period 2 pi/sqrt(2n+1)), summed on its nonnegative
+    # half since phi_n^2 is even
+    x = np.linspace(0.0, 160.0, 15001)
+    norm = 2.0 * np.trapezoid(hermite_phi(sf.HERMITE_MAX_ORDER, x) ** 2, x)
+    assert abs(norm - 1.0) < 1e-10
+
+
 def test_airy_origin():
     ref = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
     assert abs(airy_ai(0.0) - ref) < 1e-12

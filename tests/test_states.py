@@ -206,3 +206,26 @@ def test_planck_scaled_state():
     same = st.planck_scaled_state(prof, -0.5, 1.0)
     assert np.array_equal(same.x_grid, prof.x_grid)
     assert np.array_equal(same.psi, prof.psi)
+
+
+def mp_fock_wigner(n: int, r2: float) -> float:
+    """Oracle: 2 (-1)^n L_n(2 r^2) e^(-r^2) at 30 digits."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        r2 = mp.mpf(r2)
+        return float(2 * (-1) ** n * mp.laguerre(n, 0, 2 * r2) * mp.exp(-r2))
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_fock_wigner_against_mpmath_at_large_order(n):
+    # the plain Laguerre recurrence overflowed to NaN at every one of these
+    # points; r^2 = varpi q^2/hbar + p^2/(varpi hbar)
+    varpi, hbar = 0.8, 0.5
+    w = st.HOEigen(n, varpi).exact_wigner(hbar)
+    r = math.sqrt(2.0 * n)
+    for p, q in ((0.0, r), (0.5, r), (math.sqrt(n), math.sqrt(n) + 0.3),
+                 (-1.0, math.sqrt(2 * n + 1) + 0.5), (3.0, -math.sqrt(2 * n + 12))):
+        q, p = q * math.sqrt(hbar / varpi), p * math.sqrt(hbar * varpi)
+        got = w(np.array([p]), np.array([q]))[0]
+        assert abs(got - mp_fock_wigner(n, varpi * q * q / hbar + p * p / (varpi * hbar))) < 1e-12, (p, q)
