@@ -577,13 +577,10 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
     """W_n(X, 1, 0) through the parabolic-cylinder asymptotic,
-    sqrt(n/pi) U^2(-(n+1/2), sqrt(2n) X)/n!, assembled in log space."""
+    sqrt(n/pi) U^2(-(n+1/2), sqrt(2n) X)/n!, with the prefactor's square
+    root applied to U before squaring (U^2 alone overflows past n = 170)."""
     pref = 0.5 * math.log(n / math.pi) - log_gamma(n + 1.0)
-    out = np.empty_like(X)
-    for i, xx in enumerate(X):
-        u = parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * abs(xx))
-        out[i] = math.exp(pref + 2.0 * math.log(abs(u))) if u != 0.0 else 0.0
-    return out
+    return (parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * np.abs(X)) * math.exp(0.5 * pref)) ** 2
 
 
 def oscillator_local_period(n: int, frame: TomographyFrame, X: np.ndarray) -> np.ndarray:

@@ -648,12 +648,15 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
 
 def default_x_grid(state: StateSpec, frame: TomographyFrame, hbar: float,
                    count: int = 2001, tails: float = 8.0) -> np.ndarray:
-    """Uniform X grid covering mu*[q support] + nu*[p support]."""
+    """Uniform X grid covering mu*[q support] + nu*[p support], with at
+    least 3n + 1 points for a state of largest order n, about three for
+    each node of its tomogram (2n + 1 left 5e-5 of the mass off at
+    n = 3000)."""
     lo, hi = state.x_extent(frame, hbar, tails)
     if hi - lo < 1e-9:
         lo -= 1.0
         hi += 1.0
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, max(count, 3 * state.max_order() + 1))
 
 
 class _Route(NamedTuple):

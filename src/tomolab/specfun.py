@@ -4,16 +4,24 @@ functions, the Faddeeva function w(z), the Airy function Ai, log-Gamma, the
 large-negative-order parabolic-cylinder asymptotic, and the uniform
 exponential sum behind the quadrature-route tomograms.
 
-The Hermite and Laguerre recurrences run on mantissas with the exponent
-carried apart, -x^2/2 or -x/2 plus the powers of two taken out as the
-mantissa grows, so neither overflows nor underflows before its result
-does: Hermite orders up to 10000 and Laguerre orders up to 2000 hold
-against mpmath wherever the raw polynomials or e^(-x^2/2) leave double range.
+Hermite and Laguerre functions come from one recurrence: the normalized
+Laguerre recurrence in its difference form, which Hermite runs in steps of
+two orders as phi_{2m+p}(x) = (-1)^m x^p l_m^(p-1/2)(x^2).  It updates two
+array buffers in place on mantissas with the exponent carried apart, -x^2/2
+or -x/2 plus the powers of two taken out as the mantissa grows, so neither
+overflows nor underflows before its result does: Hermite orders up to 10000
+and Laguerre orders up to 2000 hold against mpmath wherever the raw
+polynomials or e^(-x^2/2) leave double range.
+
+Ai and the U asymptotic take arrays as well as scalars: every element is
+truncated as a scalar would be, and a scalar runs the same code on Python
+floats and math at the cost of scalar code.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -48,56 +56,84 @@ _HEADROOM = 960
 # every function here underflows beyond this argument; clipping to it keeps
 # one recurrence step below the headroom
 _X_FAR = 2.0 ** 500
+# phi_n, n <= HERMITE_MAX_ORDER, is below the smallest double beyond
+# |x| = 200; clipping at 2^10 keeps the odd start value x inside the 64
+# bits above the headroom
+_HERMITE_X_FAR = 2.0 ** 10
 
 
-def _carried(step, n: int, v, growth: float, big, small=0.0):
-    # Runs the two-term recurrence (u, v) <- step(j, u, v), j < n, from
-    # (0, v) on mantissas and returns the true v_n exp(big + small), a float
-    # for a 0-d v.  Every `stride` steps both mantissas are divided by the
-    # power of two of the larger one and the powers are counted apart; one
-    # step multiplies the larger by at most `growth`, so from |v| <= 1
-    # nothing passes 2^_HEADROOM between two checks.  The counted powers
-    # nearly cancel `big` (-x^2/2 or -x/2, exact) where the mantissa grew,
-    # so that sum comes first, and the exponential is taken once: nothing
-    # underflows before the result does.
-    u = 0.0
-    twos = np.zeros(np.shape(v), dtype=np.int64)
-    stride = max(1, int(_HEADROOM / math.log2(max(growth, 2.0))))
+def _carried(n: int, alpha: float, y, v, small, ymax: float):
+    # Runs the normalized Laguerre recurrence (see laguerre_scaled) in its
+    # difference form for n steps on the mantissa v of
+    # l_0 = v exp(-y/2 + small), y <= ymax, and returns the true l_n, a
+    # float for a scalar v.  Each step updates the mantissas d and v in
+    # place (a scalar v runs the same lines on numpy scalars); every `stride`
+    # steps both mantissas are divided by the power of two of the larger
+    # one and the powers are counted apart.  One step multiplies the larger
+    # by at most `growth`, so from |v| <= 1 nothing passes 2^_HEADROOM
+    # between two checks, and the rescaling is exact, so no element's value
+    # depends on another's.  The counted powers nearly cancel -y/2 (exact)
+    # where the mantissa grew, so that sum comes first, and the exponential
+    # is taken once: nothing underflows before the result does.
+    d = 0.0 * v
+    twos = np.int64(0)
+    # |d_{j+1}| <= |d_j| + sqrt(2)(|c_j| + y)|l_j| with a_j <= b_j,
+    # b_j >= 1/sqrt(2) and |c_j| <= |alpha| for alpha >= -1/2
+    growth = 2.0 + math.sqrt(2.0) * (abs(alpha) + ymax)
+    stride = max(1, int(_HEADROOM / math.log2(growth)))
     for j in range(n):
-        u, v = step(j, u, v)
+        if alpha == 0:
+            c = 0.0
+        else:
+            # (sqrt(j+alpha) - sqrt(j))^2 is alpha itself at j = 0
+            inner = 1.0 / (math.sqrt(j + alpha) + math.sqrt(j)) ** 2 if j + alpha > 0 else 1.0 / alpha
+            c = 0.5 * alpha * alpha * (1.0 / (math.sqrt(j + 1 + alpha) + math.sqrt(j + 1)) ** 2 + inner)
+        d *= math.sqrt(j * (j + alpha))
+        t = c - y
+        t *= v
+        d += t
+        d /= math.sqrt((j + 1) * (j + 1 + alpha))
+        v += d
         if j % stride == stride - 1:
-            e = np.frexp(np.maximum(np.abs(u), np.abs(v)))[1]
-            u, v = np.ldexp(u, -e), np.ldexp(v, -e)
-            twos += e
+            e = np.frexp(np.maximum(np.abs(d), np.abs(v)))[1]
+            d = np.ldexp(d, -e)
+            v = np.ldexp(v, -e)
+            twos = twos + e
     v, e = np.frexp(v)
-    twos += e
-    out = v * np.exp((big + twos * _LN2_HI) + twos * _LN2_LO + small)
+    twos = twos + e
+    out = v * np.exp((-0.5 * y + twos * _LN2_HI) + twos * _LN2_LO + small)
     return float(out) if out.ndim == 0 else out
 
 
 def hermite_phi(n: int, x):
     """Normalized Hermite function phi_n(x) = (sqrt(pi) 2^n n!)^(-1/2) H_n(x) e^(-x^2/2).
 
-    Evaluated with the normalized recurrence
-        phi_{k+1} = x*sqrt(2/(k+1))*phi_k - sqrt(k/(k+1))*phi_{k-1}
-    from the mantissa pi^(-1/4), with -x^2/2 and the powers of two taken
-    out of the growing mantissa carried as a separate exponent, so only
-    the result can underflow.  Within 1e-12 absolute, and 1e-10 relative
-    down to 1e-300, of mpmath for n <= HERMITE_MAX_ORDER from x = 0
-    through the turning point into the tail.  Accepts a scalar or array x.
+    Evaluated in steps of two orders: with n = 2m + p, p = 0 or 1,
+
+        phi_n(x) = (-1)^m x^p l_m^(p - 1/2)(x^2),
+
+    where l_m^(alpha)(y) = sqrt(m!/Gamma(m+alpha+1)) L_m^(alpha)(y) e^(-y/2)
+    (DLMF 18.7.19-20) runs the normalized Laguerre recurrence of
+    laguerre_scaled in its difference form, from the mantissa x^p with
+    -x^2/2 - log Gamma(p + 1/2)/2 and the powers of two taken out of the
+    growing mantissa carried as a separate exponent, so only the result
+    can underflow.  The difference form never rounds x^2 against 2m + p,
+    which the plain two-step recurrence does (4e-12 lost at n = 10000 near
+    x = 0).  Within 1e-12 absolute, and 1e-10 relative down to 1e-300, of
+    mpmath for n <= HERMITE_MAX_ORDER from x = 0 through the turning point
+    into the tail; phi_n(-x) = (-1)^n phi_n(x) exactly, and an element's
+    value does not depend on the rest of the array.  Accepts a scalar or
+    array x.
     """
     if n < 0:
         raise ValueError(f"Hermite order must be nonnegative, got {n}")
     if n > HERMITE_MAX_ORDER:
         raise ValueError(f"Hermite order {n} beyond validated range {HERMITE_MAX_ORDER}")
-    xv = np.clip(np.asarray(x, dtype=float), -_X_FAR, _X_FAR)
-
-    def step(k, p0, p1):
-        return p1, xv * math.sqrt(2.0 / (k + 1)) * p1 - math.sqrt(k / (k + 1)) * p0
-
-    # |phi_{k+1}| <= (sqrt(2)|x| + 1) max(|phi_k|, |phi_{k-1}|)
-    growth = 1.0 + math.sqrt(2.0) * float(np.abs(xv).max(initial=0.0))
-    return _carried(step, n, np.full_like(xv, math.pi ** -0.25), growth, -0.5 * xv * xv)
+    xv = np.minimum(np.maximum(np.asarray(x, dtype=float), -_HERMITE_X_FAR), _HERMITE_X_FAR)
+    m, p = divmod(n, 2)
+    v = xv.copy() if p else xv * 0.0 + 1.0
+    out = _carried(m, p - 0.5, xv * xv, v, -0.5 * math.lgamma(p + 0.5), _HERMITE_X_FAR ** 2)
+    return -out if m & 1 else out
 
 
 def laguerre_scaled(n: int, k: int, x):
@@ -129,20 +165,11 @@ def laguerre_scaled(n: int, k: int, x):
     if np.any(xv < 0.0):
         raise ValueError("scaled Laguerre function needs x >= 0")
     xv = np.minimum(xv, _X_FAR)
-
-    def step(j, d, ell):
-        c = 0.0 if k == 0 else 0.5 * k * k * (1.0 / (math.sqrt(j + 1 + k) + math.sqrt(j + 1)) ** 2
-                                              + 1.0 / (math.sqrt(j + k) + math.sqrt(j)) ** 2)
-        d = (math.sqrt(j * (j + k)) * d + (c - xv) * ell) / math.sqrt((j + 1) * (j + 1 + k))
-        return d, ell + d
-
-    # |d_{j+1}| <= |d_j| + (c_j + x)|l_j| with b_j >= 1 and c_j <= k
-    growth = 2.0 + k + float(xv.max(initial=0.0))
     small = -0.5 * math.lgamma(k + 1.0)
     if k:
         with np.errstate(divide="ignore"):
             small = small + 0.5 * k * np.log(xv)
-    return _carried(step, n, np.ones_like(xv), growth, -0.5 * xv, small)
+    return _carried(n, k, xv, xv * 0.0 + 1.0, small, float(xv.max(initial=0.0)))
 
 
 def _weideman_coefficients(N: int) -> tuple[float, np.ndarray]:
@@ -274,96 +301,144 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)   # Ai(0)
 _AIP0 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)  # -Ai'(0)
+# x^3 ratios of consecutive Maclaurin terms of the two Ai series, two steps a row
+_AIRY_STEPS = [(1.0 / ((3 * k + 2) * (3 * k + 3)), 1.0 / ((3 * k + 3) * (3 * k + 4)),
+                1.0 / ((3 * k + 5) * (3 * k + 6)), 1.0 / ((3 * k + 6) * (3 * k + 7))) for k in range(0, 120, 2)]
+# u_k of the Ai expansions for large |x| (DLMF 9.7.2)
+_AIRY_U = [1.0]
+for _k in range(60):
+    _AIRY_U.append(_AIRY_U[-1] * ((3 * _k + 0.5) * (3 * _k + 1.5) * (3 * _k + 2.5)
+                                  / (54.0 * (_k + 1) * (_k + 0.5))))
 
 
-def _airy_series(x: float) -> float:
+# The Airy and U kernels below are written once for a Python float, which
+# they run on floats and math at the cost of scalar code, and for a float
+# array, which they run on numpy with per-element masks; a mask is a bool
+# for a float.
+
+def _float_or_array(x):
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
+        return float(x)
+    return np.asarray(x, dtype=float)
+
+
+def _xp(x):
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _split(x, index, fs):
+    # the pair fs[i](x) on the elements of x whose index is i, each
+    # function evaluated on its own elements only
+    if not isinstance(x, np.ndarray):
+        return fs[index](x)
+    out = [np.empty_like(x), np.empty_like(x)]
+    for i, f in enumerate(fs):
+        mask = index == i
+        for o, v in zip(out, f(x[mask])):
+            o[mask] = v
+    return tuple(out)
+
+
+def _airy_series(x):
     # Maclaurin series Ai = c1*f - c2*g; converges for all x, numerically
-    # trustworthy for roughly -8 < x < 7 in double precision.
+    # trustworthy for roughly -8 < x < 7 in double precision.  Terms are
+    # added two at a time until every element's two series have converged;
+    # past its own convergence an element's terms are below half an ulp of
+    # its sums and leave them unchanged, so each element gets its own
+    # truncation.
     x3 = x * x * x
     tf = 1.0
     tg = x
     f = tf
     g = tg
-    for k in range(0, 120):
-        tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-        tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        if abs(tf) < 1e-18 * abs(f) and abs(tg) < 1e-18 * max(abs(g), 1e-30):
+    for rf, rg, rf2, rg2 in _AIRY_STEPS:
+        tf = tf * (x3 * rf)
+        tg = tg * (x3 * rg)
+        f = f + tf
+        g = g + tg
+        tf = tf * (x3 * rf2)
+        tg = tg * (x3 * rg2)
+        f = f + tf
+        g = g + tg
+        done = (abs(tf) <= 1e-18 * abs(f)) & (abs(tg) <= 1e-18 * abs(g))
+        # a bool for a float; no call here keeps a scalar Ai as cheap as before
+        if done is True or done is not False and done.all():
             break
-    return _AI0 * f - _AIP0 * g
+    return _AI0 * f - _AIP0 * g, 0.0
 
 
-def _airy_u_terms(zeta: float, kmax: int = 60) -> list[float]:
-    # u_k / zeta^k for the Poincare expansion, truncated at the smallest term
-    terms = [1.0]
-    u = 1.0
-    for k in range(kmax):
-        u *= (3 * k + 0.5) * (3 * k + 1.5) * (3 * k + 2.5) / (54.0 * (k + 1) * (k + 0.5))
-        t = u / zeta ** (k + 1)
-        if abs(t) > abs(terms[-1]):
+def _airy_u_sum(zeta, w):
+    # sum_k w^k u_k zeta^-k, each element truncated at its smallest term:
+    # before the first term larger than the one before it, and after the
+    # first term below 1e-19
+    s = 1.0
+    r = 1.0 / zeta
+    t = 1.0
+    wk = 1.0
+    live = True
+    for k in range(1, len(_AIRY_U)):
+        last = t
+        t = _AIRY_U[k] * r ** k
+        wk = wk * w
+        live = live & (t <= last)
+        s = s + wk * t * live
+        live = live & (t >= 1e-19)
+        if not _any(live):
             break
-        terms.append(t)
-        if abs(t) < 1e-19:
-            break
-    return terms
+    return s
 
 
-def _airy_asym_pos(x: float) -> float:
+def _airy_decaying(x):
+    # Ai(x) = m e^(-zeta), zeta = (2/3) x^(3/2), by the expansion for x -> +inf
     zeta = (2.0 / 3.0) * x ** 1.5
-    s = 0.0
-    for k, t in enumerate(_airy_u_terms(zeta)):
-        s += (-1.0) ** k * t
-    return math.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * x ** 0.25)
+    return _airy_u_sum(zeta, -1.0) / (2.0 * math.sqrt(math.pi) * x ** 0.25), zeta
 
 
-def _airy_asym_neg(x: float) -> float:
+def _airy_oscillatory(x):
     # Ai(-z) ~ pi^(-1/2) z^(-1/4) [ sin(zeta + pi/4) * S_even
-    #                               - cos(zeta + pi/4) * S_odd ]
+    #                               - cos(zeta + pi/4) * S_odd ],
+    # S_even + i S_odd = sum_k i^k u_k zeta^-k
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
-    terms = _airy_u_terms(zeta)
-    s_even = 0.0
-    s_odd = 0.0
-    for k, t in enumerate(terms):
-        if k % 2 == 0:
-            s_even += (-1.0) ** (k // 2) * t
-        else:
-            s_odd += (-1.0) ** ((k - 1) // 2) * t
+    s = _airy_u_sum(zeta, 1j)
     ph = zeta + 0.25 * math.pi
-    return (math.sin(ph) * s_even - math.cos(ph) * s_odd) / (math.sqrt(math.pi) * z ** 0.25)
+    xp = _xp(x)
+    return (xp.sin(ph) * s.real - xp.cos(ph) * s.imag) / (math.sqrt(math.pi) * z ** 0.25), 0.0
 
 
-def airy_ai(x: float) -> float:
-    """Airy function Ai(x) for |x| <= 100.
+def _airy(x):
+    # (m, zeta) with Ai(x) = m e^(-zeta) for any real x; zeta is 0 off the
+    # decaying branch, and m does not underflow
+    return _split(x, (x > AIRY_SWITCH_NEG) * 1 + (x >= AIRY_SWITCH_POS),
+                  (_airy_oscillatory, _airy_series, _airy_decaying))
+
+
+def airy_ai(x):
+    """Airy function Ai(x) for |x| <= 100, for a scalar or an array x.
 
     Maclaurin series on (AIRY_SWITCH_NEG, AIRY_SWITCH_POS), the standard
-    decaying/oscillatory asymptotic expansions beyond; both branches agree
-    at the switch points to better than 1e-9 (regression-tested).
+    decaying/oscillatory asymptotic expansions beyond, each element
+    truncated where the scalar series would be; both branches agree at the
+    switch points to better than 1e-9 (regression-tested), and the whole
+    range holds within 5e-12 of mpmath.  A scalar x gives a float.
     """
-    x = float(x)
-    if abs(x) > 100.0:
-        raise ValueError(f"airy_ai validated only for |x| <= 100, got {x}")
-    if x >= AIRY_SWITCH_POS:
-        return _airy_asym_pos(x)
-    if x <= AIRY_SWITCH_NEG:
-        return _airy_asym_neg(x)
-    return _airy_series(x)
+    x = _float_or_array(x)
+    if _any(abs(x) > 100.0):
+        raise ValueError(f"airy_ai validated only for |x| <= 100, got {np.max(np.abs(x))}")
+    m, zeta = _airy(x)
+    return m * _xp(x).exp(-zeta)
 
 
-def _theta_oscillatory(xi: float) -> float:
-    return 0.25 * (math.acos(xi) - xi * math.sqrt(1.0 - xi * xi))
-
-
-def _theta_decaying(xi: float) -> float:
-    return 0.25 * (xi * math.sqrt(xi * xi - 1.0) - math.acosh(xi))
-
-
-def parabolic_u_asymptotic(a: float, x: float) -> float:
+def parabolic_u_asymptotic(a: float, x):
     """Large-|a| asymptotic of the parabolic cylinder function U(a, x)
-    for a <= -10 and x >= 0:
+    for a <= -10 and a scalar or array x >= 0 (DLMF 12.10):
 
         U(a, x) ~ 2^(-1/4 - a/2) Gamma(1/4 - a/2) (tau/(xi^2 - 1))^(1/4) Ai(tau)
 
@@ -373,30 +448,35 @@ def parabolic_u_asymptotic(a: float, x: float) -> float:
     the ratio tau/(xi^2 - 1) tends to |a|^(2/3), so the formula is
     continuous across the branches by construction.
 
-    The prefactor is assembled in log space; 2^(-a/2) Gamma(1/4 - a/2)
-    overflows directly for |a| beyond ~150.
+    The prefactor and the decay of Ai are assembled in log space;
+    2^(-a/2) Gamma(1/4 - a/2) overflows directly for |a| beyond ~150, and
+    where U's envelope leaves double range (|a| beyond ~300) an
+    OverflowError is raised.  A scalar x gives a float.
     """
     if a > -10:
         raise ValueError(f"asymptotic regime requires a <= -10, got a = {a}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    x = _float_or_array(x)
+    if _any(x < 0.0):
+        raise ValueError(f"argument must be nonnegative, got {np.min(x)}")
+    xp = _xp(x)
     am = -float(a)
+
+    def turning(xi):
+        return 0.0, am ** (2.0 / 3.0)
+
+    def oscillatory(xi):
+        tau = -((6.0 * am * (0.25 * (xp.acos(xi) - xi * xp.sqrt(1.0 - xi * xi)))) ** (2.0 / 3.0))
+        return tau, tau / (xi * xi - 1.0)
+
+    def decaying(xi):
+        tau = (6.0 * am * (0.25 * (xi * xp.sqrt(xi * xi - 1.0) - xp.acosh(xi)))) ** (2.0 / 3.0)
+        return tau, tau / (xi * xi - 1.0)
+
     xi = x / (2.0 * math.sqrt(am))
-    if abs(xi - 1.0) < 1e-4:
-        ratio = am ** (2.0 / 3.0)
-        tau = 0.0
-    elif xi < 1.0:
-        theta = _theta_oscillatory(xi)
-        tau = -((6.0 * am * theta) ** (2.0 / 3.0))
-        ratio = tau / (xi * xi - 1.0)
-    else:
-        theta = _theta_decaying(xi)
-        tau = (6.0 * am * theta) ** (2.0 / 3.0)
-        ratio = tau / (xi * xi - 1.0)
-    ai = airy_ai(tau) if abs(tau) <= 100.0 else _airy_asym_neg(tau)
-    if ai == 0.0:
-        return 0.0
+    tau, ratio = _split(xi, (1.0 - xi < 1e-4) * 1 + (xi - 1.0 >= 1e-4), (oscillatory, turning, decaying))
+    m, zeta = _airy(tau)
     log_pref = (-0.25 - 0.5 * a) * math.log(2.0) + log_gamma(0.25 - 0.5 * a)
-    return math.copysign(1.0, ai) * math.exp(
-        log_pref + 0.25 * math.log(ratio) + math.log(abs(ai))
-    )
+    power = log_pref + 0.25 * xp.log(ratio) - zeta
+    if _any(power > _LOG_DOUBLE_MAX):
+        raise OverflowError(f"U(a, x) beyond the double range at a = {a}")
+    return m * xp.exp(power)

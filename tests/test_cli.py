@@ -181,6 +181,19 @@ def test_limit_command_planck_delta(tmp_path):
     assert rep["details"]["center"] == 0.0
 
 
+def test_limit_command_planck_delta_resolves_a_large_order(tmp_path):
+    # 2001 points left the n = 6000 artifacts 2e-2 short of unit mass
+    out = str(tmp_path / "study")
+    code = run(["limit", "planck-delta", "--state", "ho:n=6000",
+                "--hbars", "1e-2:1.25e-3:geometric", "--frame", "1,0", "--out", out])
+    assert code == 0
+    rep = json.load(open(os.path.join(out, "planck-delta_report.json")))
+    assert len(rep["artifacts"]) == 4
+    for path in rep["artifacts"]:
+        tom, _ = read_tomogram(path)
+        assert tom.x_grid.size == 18001 and normalization_residual(tom) < 1e-10
+
+
 def test_limit_command_fails_on_an_artifact_mass_deficit(tmp_path, capsys, monkeypatch):
     # with the tolerance below the artifacts' roundoff every artifact misses
     # it: the report is still written, but the command must not succeed

@@ -1,9 +1,10 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals, the homogeneity
 W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of Fock
-states and cats; and of the characteristic functions over random frame
-grids, closed forms, box states and sampled states alike: G(0, 0) = 1,
-G(-mu, -nu) = conj G(mu, nu), |G| <= 1."""
+states and cats, bitwise for Fock states on symmetric grids; and of the
+characteristic functions over random frame grids, closed forms, box states
+and sampled states alike: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu),
+|G| <= 1."""
 
 import cmath
 import dataclasses
@@ -78,6 +79,16 @@ def _centred(extent: float, half: int) -> np.ndarray:
 
 _frame_grid = hs.builds(_centred, hs.floats(0.2, 8.0), hs.integers(1, 12))
 _varpi = hs.floats(0.3, 3.0)
+
+
+@_examples
+@given(hs.builds(st.HOEigen, hs.integers(0, 2000), _varpi), _frame, _hbar)
+def test_fock_tomograms_on_symmetric_grids_are_exactly_even(state, fr, hbar):
+    # phi_n(-x) = (-1)^n phi_n(x) holds bitwise, so W_n(-X) = W_n(X) does too
+    lo, hi = state.x_extent(fr, hbar, 8.0)
+    x = _centred(max(abs(lo), abs(hi)), 400)
+    w = qt.state_tomogram(state, fr, x, hbar).values
+    assert np.array_equal(w, w[::-1])
 
 
 @_examples

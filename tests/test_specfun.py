@@ -130,6 +130,31 @@ def test_far_arguments_give_zero_not_nan():
         assert np.array_equal(laguerre_scaled(n, k, far), np.zeros(3)), (n, k)
 
 
+def test_hermite_near_the_origin_at_the_largest_order():
+    # the plain two-step recurrence rounds x^2 against 2k+1 and loses
+    # 1e-12 here; the difference form does not
+    for x in (0.0, 1e-3, 0.3, 1.0, 2.5):
+        for n in (sf.HERMITE_MAX_ORDER, sf.HERMITE_MAX_ORDER - 1):
+            ref = mp_hermite_phi(n, x)
+            assert abs(hermite_phi(n, x) - ref) <= 1e-13, (n, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(0, 2000), hs.floats(allow_nan=False, allow_infinity=False))
+def test_hermite_parity_is_exact(n, x):
+    assert hermite_phi(n, -x) == (-1) ** n * hermite_phi(n, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.integers(0, 300),
+       hs.lists(hs.floats(-60.0, 60.0) | hs.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=20))
+def test_hermite_scalar_call_equals_its_array_element(n, xs):
+    got = hermite_phi(n, np.array(xs))
+    for x, g in zip(xs, got):
+        assert hermite_phi(n, x) == g
+
+
 def test_hermite_unit_norm_at_the_largest_order():
     # the 30,001-point trapezoid rule on [-160, 160] (step 0.0107, under
     # half the shortest period 2 pi/sqrt(2n+1)), summed on its nonnegative
@@ -158,15 +183,33 @@ def test_airy_oscillatory_against_integral_oracle():
 
 
 def test_airy_switch_continuity():
+    def ai(branch, x):
+        m, zeta = branch(x)
+        return m * math.exp(-zeta)
+
     for seam in (sf.AIRY_SWITCH_POS, sf.AIRY_SWITCH_NEG):
-        series = sf._airy_series(seam)
-        asym = sf._airy_asym_pos(seam) if seam > 0 else sf._airy_asym_neg(seam)
-        assert abs(series - asym) < 1e-9
+        asym = sf._airy_decaying if seam > 0 else sf._airy_oscillatory
+        assert abs(ai(sf._airy_series, seam) - ai(asym, seam)) < 1e-9
+
+
+def test_airy_array_against_mpmath():
+    # every branch and both seams, each element truncated on its own
+    import mpmath as mp
+
+    seams = [s + d for s in (sf.AIRY_SWITCH_POS, sf.AIRY_SWITCH_NEG) for d in (-1e-12, 0.0, 1e-12)]
+    x = np.concatenate((np.linspace(-100.0, 100.0, 4001), seams))
+    got = airy_ai(x)
+    ref = np.array([float(mp.airyai(v)) for v in x])
+    assert np.max(np.abs(got - ref)) < 5e-12
+    for v, g in zip(seams, got[-len(seams):]):
+        assert abs(airy_ai(v) - g) < 1e-14 and isinstance(airy_ai(v), float)
 
 
 def test_airy_domain():
     with pytest.raises(ValueError):
         airy_ai(101.0)
+    with pytest.raises(ValueError):
+        airy_ai(np.array([0.0, -100.5, 3.0]))
     airy_ai(-100.0)
 
 
@@ -224,11 +267,7 @@ def test_parabolic_envelope_matches_hermite_n100():
     lognorm = 0.5 * math.log(n / math.pi) - math.lgamma(n + 1.0)
 
     def w_u(X):
-        out = np.empty_like(X)
-        for i, xx in enumerate(np.abs(X)):
-            u = parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * xx)
-            out[i] = math.exp(lognorm + 2.0 * math.log(abs(u))) if u else 0.0
-        return out
+        return np.exp(lognorm) * parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * np.abs(X)) ** 2
 
     def w_h(X):
         return math.sqrt(n) * hermite_phi(n, math.sqrt(n) * X) ** 2
@@ -240,11 +279,48 @@ def test_parabolic_envelope_matches_hermite_n100():
         assert abs(au / ah - 1.0) < 0.02
 
 
+def test_parabolic_array_matches_the_per_point_loop():
+    # the criterion-9 cross-check's 121 x 48 points at n = 100, against
+    # the per-point loop the study used to run
+    from tomolab.kernel import TomographyFrame
+    from tomolab.limits import _oscillator_u_route
+
+    n = 100
+    centers = np.linspace(-1.3, 1.3, 121)
+    periods = oscillator_local_period(n, TomographyFrame(1.0, 0.0), centers)
+    offs = ((np.arange(48) + 0.5) / 48 - 0.5) * 3
+    X = (centers[:, None] + offs[None, :] * periods[:, None]).ravel()
+    pref = 0.5 * math.log(n / math.pi) - math.lgamma(n + 1.0)
+    ref = np.empty_like(X)
+    for i, xx in enumerate(X):
+        u = parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * abs(xx))
+        ref[i] = math.exp(pref + 2.0 * math.log(abs(u))) if u != 0.0 else 0.0
+    assert np.max(np.abs(_oscillator_u_route(n, X) / ref - 1.0)) < 1e-9
+
+
+def test_parabolic_decaying_side_does_not_underflow():
+    # Ai(tau) alone leaves the normal double range past tau = 104 (x = 61.4
+    # here); U, whose prefactor is e^181, does not
+    import mpmath as mp
+
+    xs = np.array([40.0, 60.0, 64.0, 66.0])
+    for x, got in zip(xs, parabolic_u_asymptotic(-100.5, xs)):
+        assert abs(got / float(mp.pcfu(-100.5, x)) - 1.0) < 1e-3, x
+
+
 def test_parabolic_domain():
     with pytest.raises(ValueError):
         parabolic_u_asymptotic(-5.0, 1.0)
     with pytest.raises(ValueError):
         parabolic_u_asymptotic(-20.0, -0.1)
+    with pytest.raises(ValueError):
+        parabolic_u_asymptotic(-5.0, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        parabolic_u_asymptotic(-20.0, np.array([1.0, -0.1, 3.0]))
+    assert isinstance(parabolic_u_asymptotic(-20.0, 1.0), float)
+    for x in (5.0, np.array([5.0, 60.0])):
+        with pytest.raises(OverflowError):
+            parabolic_u_asymptotic(-400.5, x)
 
 
 # ---------------------------------------------------------------------------
