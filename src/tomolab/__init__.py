@@ -55,7 +55,6 @@ from .quantum import (
     hermite_tomogram,
     state_tomogram,
     superposition_tomogram,
-    tomogram_amplitude,
     tomogram_from_wavefunction,
     tomogram_from_wigner,
 )

@@ -216,11 +216,11 @@ def radon_line_integral(grid: GridFunction2D, frame: TomographyFrame,
 
 
 def radon_density(model: DensityGrid, frame: TomographyFrame,
-                  x_grid: Sequence[float], mass_tol: float = 1e-3) -> Tomogram:
+                  x_grid: Sequence[float]) -> Tomogram:
     """Tomogram of a gridded density: W(X) = int f delta(X - mu q - nu p) dq dp.
 
     Raises MassDeficitError when the X grid (or the density grid) fails to
-    capture the full probability mass within mass_tol.
+    capture the full probability mass within 1e-3.
     """
     if frame.is_zero:
         raise TomogramError("Radon transform rejected for the zero frame")
@@ -229,7 +229,7 @@ def radon_density(model: DensityGrid, frame: TomographyFrame,
     np.maximum(values, 0.0, out=values)
     tom = Tomogram(frame, x, values)
     deficit = abs(tom.total_mass() - 1.0)
-    if deficit > mass_tol:
+    if deficit > 1e-3:
         raise MassDeficitError(deficit)
     return tom
 

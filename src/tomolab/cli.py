@@ -655,34 +655,26 @@ def _selftest_rows(quick: bool):
     check("uniform sum",
           float(np.max(np.abs(sf.uniform_sum(c, theta, 300) - direct))) / float(np.sum(np.abs(c))), 1e-12)
 
-    # closed-form characteristic functions against the trapezoid of the
-    # closed-form tomogram at each frame
-    worst = 0.0
+    # characteristic functions against the trapezoid of each frame's
+    # tomogram: the oscillator closed forms, and the box closed form and
+    # sampled-state overlap quadrature; the default box grid holds the
+    # tomogram mass to 1e-4 (BoxEigen.x_extent), which bounds that reference
     mu_c, nu_c = np.array([0.8, -1.1]), np.array([-0.5, 0.0, 1.2])
-    for state in (st.CatOdd(0.8 + 0.3j), st.Superposition(1, 4)):
-        G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
-        for i, j in np.ndindex(G.shape):
-            fr = TomographyFrame(mu_c[i], nu_c[j])
-            x = qt.default_x_grid(state, fr, 0.7, count=4001)
-            ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
-            worst = max(worst, abs(G[i, j] - ref))
-    check("characteristic closed form", worst, 1e-10)
-
-    # box closed form and sampled-state overlap quadrature against the same
-    # trapezoids; the default box grid holds the tomogram mass to 1e-4
-    # (BoxEigen.x_extent), which bounds the reference
-    worst = 0.0
     xp = np.linspace(-6.0, 6.0, 201)
     psi = np.exp(-(xp - 0.4) ** 2 / 2.0 + 0.6j * xp)
     packet = st.CustomGrid(xp, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, xp)))
-    for state in (st.BoxEigen(2, 1.5), packet):
-        G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
-        for i, j in np.ndindex(G.shape):
-            fr = TomographyFrame(mu_c[i], nu_c[j])
-            x = qt.default_x_grid(state, fr, 0.7, count=4001)
-            ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
-            worst = max(worst, abs(G[i, j] - ref))
-    check("characteristic overlap", worst, 1e-4)
+    for name, states, threshold in (
+            ("characteristic closed form", (st.CatOdd(0.8 + 0.3j), st.Superposition(1, 4)), 1e-10),
+            ("characteristic overlap", (st.BoxEigen(2, 1.5), packet), 1e-4)):
+        worst = 0.0
+        for state in states:
+            G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
+            for i, j in np.ndindex(G.shape):
+                fr = TomographyFrame(mu_c[i], nu_c[j])
+                x = qt.default_x_grid(state, fr, 0.7, count=4001)
+                ref = np.trapezoid(qt.state_tomogram(state, fr, x, 0.7).values * np.exp(1j * x), x)
+                worst = max(worst, abs(G[i, j] - ref))
+        check(name, worst, threshold)
 
     # determinism of serialized output
     import hashlib

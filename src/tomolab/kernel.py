@@ -53,9 +53,9 @@ class TomogramError(ValueError):
 class MassDeficitError(TomogramError):
     """A produced tomogram misses probability mass beyond tolerance."""
 
-    def __init__(self, deficit: float, message: str | None = None):
+    def __init__(self, deficit: float):
         self.deficit = float(deficit)
-        super().__init__(message or f"tomogram mass deficit {deficit:.3e} exceeds tolerance")
+        super().__init__(f"tomogram mass deficit {deficit:.3e} exceeds tolerance")
 
 
 @dataclass(frozen=True)

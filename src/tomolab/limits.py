@@ -36,7 +36,7 @@ from .quantum import (
     tomogram_from_wavefunction,
 )
 from .specfun import log_gamma, parabolic_u_asymptotic
-from .states import CatEven, CustomGrid, cat_normalization, planck_scaled_state
+from .states import CatEven, CustomGrid, StateSpec, cat_normalization, planck_scaled_state
 
 __all__ = [
     "LimitReport",
@@ -231,23 +231,17 @@ def planck_scaled_tomogram(profile: CustomGrid, gamma: float, hbar: float,
     return tomogram_from_wavefunction(scaled, frame, x_grid, hbar)
 
 
-def weak_delta_convergence(state_for_hbar, hbar_values: Sequence[float],
-                           frame: TomographyFrame, center: float = 0.0,
-                           tests: Sequence[TestFunction] | None = None,
-                           grid_points: int = 4001,
-                           study: str = "planck-delta") -> LimitReport:
-    """Weak convergence of a tomogram family to N*delta(X - center).
-
-    state_for_hbar is a StateSpec (one spec swept over hbar) or a
-    callable hbar -> StateSpec.  Every tomogram must be normalized to
-    1e-3 before its weak error enters the report.
+def weak_delta_convergence(state: StateSpec, hbar_values: Sequence[float],
+                           frame: TomographyFrame, center: float = 0.0) -> LimitReport:
+    """Weak convergence of the tomograms of one state, swept over hbar, to
+    N*delta(X - center).  Every tomogram must be normalized to 1e-3 before
+    its weak error enters the report.
     """
     _require_geometric(hbar_values, 4)
-    tests = tuple(tests) if tests is not None else default_test_battery()
+    tests = default_test_battery()
 
     def one(hbar: float):
-        state = state_for_hbar(hbar) if callable(state_for_hbar) else state_for_hbar
-        grid = default_x_grid(state, frame, hbar, count=grid_points)
+        grid = default_x_grid(state, frame, hbar, count=4001)
         tom = state_tomogram(state, frame, grid, hbar)
         resid = normalization_residual(tom)
         if resid > 1e-3:
@@ -265,7 +259,7 @@ def weak_delta_convergence(state_for_hbar, hbar_values: Sequence[float],
         "normalization_residuals": residuals,
         "monotone": monotone,
     }
-    return _hbar_report(study, hbar_values, errors, details, monotone)
+    return _hbar_report("planck-delta", hbar_values, errors, details, monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +353,7 @@ def _ehrenfest_alpha(q_alpha: float, p_alpha: float, hbar: float) -> complex:
 
 
 def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
-                       hbar_values: Sequence[float],
-                       grid_points: int = 4001) -> LimitReport:
+                       hbar_values: Sequence[float]) -> LimitReport:
     """Coherent states at fixed mean energy: alpha grows as hbar shrinks so
     the tomogram peak stays at mu q_alpha + nu p_alpha while the width
     collapses like sqrt(hbar); the weak limit is the tomogram of the
@@ -372,7 +365,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
         sigma = math.sqrt(hbar * (frame.nu ** 2 + frame.mu ** 2) / 2.0)
-        grid = np.linspace(X_star - 12 * sigma - 0.5, X_star + 12 * sigma + 0.5, grid_points)
+        grid = np.linspace(X_star - 12 * sigma - 0.5, X_star + 12 * sigma + 0.5, 4001)
         vals = coherent_tomogram(alpha, frame, grid, hbar)
         peak_pred = coherent_tomogram_peak(alpha, frame, hbar)
         if not abs(peak_pred - X_star) < 1e-12 * max(1.0, abs(X_star)):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chirp import _gl_panels, chirp_integral
+from .chirp import _gl_panels
 from .classical import FrameSamples, characteristic_quadrature, radon_line_integral
 from .kernel import (
     DeltaAtom,
@@ -56,7 +56,6 @@ __all__ = [
     "amplitude_generating",
     "hermite_amplitude",
     "coherent_amplitude",
-    "tomogram_amplitude",
     "hermite_tomogram",
     "coherent_tomogram",
     "coherent_tomogram_peak",
@@ -164,35 +163,6 @@ def coherent_amplitude(alpha: complex, frame: TomographyFrame, X, hbar: float,
     expo = _coherent_exponent(alpha, z, Xv, hbar, varpi) - Xv * Xv / (2.0 * hbar * frame.nu * zc)
     out = pref * np.exp(expo)
     return complex(out) if scalar else out
-
-
-def _box_amplitude(state: BoxEigen, frame: TomographyFrame, X: float, hbar: float) -> complex:
-    """The box amplitude as the difference of the two exact interval
-    chirp integrals, one per exponential in sin(k y)."""
-    a = frame.mu / (2.0 * hbar * frame.nu)
-    k = state.n * math.pi / state.L
-    am, ap = interval_chirp(a, -X / (hbar * frame.nu) + np.array([k, -k]), state.L)
-    return math.sqrt(2.0 / state.L) * (am - ap) / 2j
-
-
-def tomogram_amplitude(state: StateSpec, frame: TomographyFrame, X: float,
-                       hbar: float) -> complex:
-    """Amplitude A_psi(X, mu, nu) for any state (nu != 0).
-
-    States in the route table use their closed forms (box states the
-    exact interval chirp integrals of :func:`interval_chirp`); every other
-    state falls back to phase-resolved oscillatory quadrature of the
-    defining integral.
-    """
-    _require_nu(frame, "tomogram_amplitude")
-    route = _ROUTES.get(type(state))
-    if route is not None:
-        return complex(route.amplitude(state, frame, X, hbar))
-    psi = position_wavefunction(state, hbar)
-    lo, hi = position_extent(state, hbar)
-    a = frame.mu / (2.0 * hbar * frame.nu)
-    b = -X / (hbar * frame.nu)
-    return chirp_integral(psi, a, b, lo, hi, env_scale=state.envelope_scale(hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +435,9 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
     b = -X/(hbar nu), k = n pi/L (:func:`interval_chirp`, Faddeeva
     closed form); W = |A_- - A_+|^2 / (4 pi L hbar |nu|).
 
-    nu = 0 uses the exact position marginal |psi_n(X/mu)|^2/|mu| and the
-    zero frame the unit atom delta(X).  The cost is independent of n.
+    nu = 0 uses the exact position marginal |psi_n(X/mu)|^2/|mu|, mu = 0
+    (a = 0) the linear branch of :func:`interval_chirp`, and the zero frame
+    the unit atom delta(X).  The cost is independent of n.
     """
     state = BoxEigen(n, L)
     x = np.asarray(x_grid, dtype=float)
@@ -599,18 +570,18 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
 
 def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
                                x_grid, hbar: float) -> Tomogram:
-    """Tomogram by quadrature of the defining amplitude integral.
+    """Tomogram by quadrature of the defining amplitude integral, for
+    every state: the reference route closed forms are checked against.
 
     Exact branches: nu = 0 -> |psi(X/mu)|^2/|mu|; mu = 0 ->
     |psihat(X/nu)|^2/|nu|; the zero frame -> unit atom at X = 0.
-    Box states take their own two-integral quadrature.  Otherwise the
-    representation is chosen so the 1/|nu| (position route) or 1/|mu|
-    (momentum route) prefactor stays bounded: the position integral is
-    used when |nu|*sigma_p >= |mu|*sigma_q (ties included) with the
-    state's natural scales, else the Fourier-side integral.  Sampled
-    states always integrate on the position side, where their support is
-    compact, mu = 0 included: every frame then integrates the same
-    linear interpolant.
+    Otherwise the representation is chosen so the 1/|nu| (position
+    route) or 1/|mu| (momentum route) prefactor stays bounded: the
+    position integral is used when |nu|*sigma_p >= |mu|*sigma_q (ties
+    included) with the state's natural scales, else the Fourier-side
+    integral.  Sampled states always integrate on the position side,
+    where their support is compact, mu = 0 included: every frame then
+    integrates the same linear interpolant.
     """
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
@@ -623,9 +594,6 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
         ft = momentum_wavefunction(state, hbar)
         vals = np.abs(ft(x / frame.nu)) ** 2 / abs(frame.nu)
         return Tomogram(frame, x, vals)
-    route = _ROUTES.get(type(state))
-    if route is not None and not route.closed:
-        return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
     sq, sp = natural_scales(state, hbar)
     if state.sampled or abs(frame.nu) * sp >= abs(frame.mu) * sq:
         env = position_wavefunction(state, hbar)
@@ -660,20 +628,13 @@ def default_x_grid(state: StateSpec, frame: TomographyFrame, hbar: float,
 
 
 class _Route(NamedTuple):
-    """Per-class tomogram route: a closed form, or (closed=False) a
-    state-specific quadrature that replaces the generic one."""
+    """Closed forms of one state class: its tomogram, which
+    :func:`state_tomogram` takes in place of quadrature, and its
+    characteristic function, which :func:`build_state_family` takes in
+    place of the Weyl overlap quadrature."""
 
-    closed: bool
-    tomogram: Callable   # (state, frame, x, hbar) -> tomogram values on x
-    amplitude: Callable  # (state, frame, X, hbar) -> A(X)
+    tomogram: Callable  # (state, frame, x, hbar) -> tomogram values on x
     characteristic: Callable  # (state, mu_grid, nu_grid, hbar) -> G on the whole frame grid
-
-
-def _cat_amplitude(state, frame, X, hbar):
-    N = cat_normalization(state.alpha, state.parity)
-    aa = coherent_amplitude(state.alpha, frame, X, hbar, state.varpi)
-    ab = coherent_amplitude(-state.alpha, frame, X, hbar, state.varpi)
-    return N * (aa + state.sign * ab)
 
 
 # Keyed by class here because states.py cannot import this module; the
@@ -681,44 +642,36 @@ def _cat_amplitude(state, frame, X, hbar):
 # those names (tracing, tests) reaches every route.
 _ROUTES = {
     HOEigen: _Route(
-        True,
         lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h, s.varpi),
-        lambda s, fr, X, h: hermite_amplitude(s.n, fr, X, h, s.varpi),
         lambda s, mu, nu, h: _fock_displacement(s.n, s.n, _displacement_beta(mu, nu, h, s.varpi))),
     Coherent: _Route(
-        True,
         lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h, s.varpi),
-        lambda s, fr, X, h: coherent_amplitude(s.alpha, fr, X, h, s.varpi),
         lambda s, mu, nu, h: _coherent_displacement(s.alpha, s.alpha,
                                                     _displacement_beta(mu, nu, h, s.varpi))),
     **dict.fromkeys((CatEven, CatOdd), _Route(
-        True,
         lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h, s.varpi),
-        _cat_amplitude,
         _cat_characteristic)),
     Superposition: _Route(
-        True,
         lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h, s.varpi),
-        lambda s, fr, X, h: (hermite_amplitude(s.n, fr, X, h, s.varpi)
-                             + hermite_amplitude(s.m, fr, X, h, s.varpi)) / math.sqrt(2.0),
         _superposition_characteristic),
     BoxEigen: _Route(
-        False,
         lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
-        _box_amplitude,
         _box_characteristic),
 }
 
 
 def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
                    hbar: float) -> Tomogram:
-    """Tomogram of a catalog state: its closed form when it has one,
-    otherwise the quadrature route."""
+    """Tomogram of any state, and the one place its route is chosen: the
+    zero frame is the unit atom delta(X); a state in the route table takes
+    its closed form (a box state :func:`box_tomogram`, with its own nu = 0
+    and mu = 0 branches); every other state takes the quadrature of
+    :func:`tomogram_from_wavefunction`."""
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
     route = _ROUTES.get(type(state))
-    if route is not None and route.closed:
+    if route is not None:
         return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
     return tomogram_from_wavefunction(state, frame, x, hbar)
 

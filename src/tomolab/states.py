@@ -415,6 +415,9 @@ class BoxEigen(State):
         r = core + 1.5 * tail
         return -r, r
 
+    def envelope_scale(self, hbar):
+        return self.L / max(8, self.n)
+
     def max_order(self):
         return self.n
 

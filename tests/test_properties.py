@@ -1,7 +1,7 @@
 """Property tests of the tomogram invariants over random catalog states,
-frames and hbar: normalization, the two marginals, the homogeneity
-W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of Fock
-states and cats, bitwise for Fock states on symmetric grids; and of the
+frames and hbar: normalization, the two marginals (box states too), the
+homogeneity W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of
+Fock states and cats, bitwise for Fock states on symmetric grids; and of the
 characteristic functions over random frame grids, closed forms, box states
 and sampled states alike: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu),
 |G| <= 1."""
@@ -28,6 +28,9 @@ _catalog = hs.one_of(
     hs.lists(hs.integers(0, 20), min_size=2, max_size=2, unique=True)
     .map(lambda nm: st.Superposition(*nm)),
 )
+# box tomograms hold their mass only to 1e-4, so box states stay out of the
+# shared catalog and its 1e-6 normalization property
+_box = hs.builds(st.BoxEigen, hs.integers(1, 40), hs.floats(0.5, 2.0))
 _frame = hs.builds(frame_from_scaling, hs.floats(0.5, 2.0), hs.floats(0.0, 2 * math.pi))
 _hbar = hs.floats(0.1, 2.0)
 _lam = hs.floats(0.3, 3.0).flatmap(lambda a: hs.sampled_from((a, -a)))
@@ -42,7 +45,7 @@ def test_tomograms_are_normalized(state, fr, hbar):
 
 
 @_examples
-@given(_catalog, _hbar)
+@given(hs.one_of(_catalog, _box), _hbar)
 def test_marginals_are_the_position_and_momentum_densities(state, hbar):
     for fr, wf in ((TomographyFrame(1, 0), st.position_wavefunction(state, hbar)),
                    (TomographyFrame(0, 1), st.momentum_wavefunction(state, hbar))):

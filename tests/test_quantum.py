@@ -88,17 +88,6 @@ def test_coherent_amplitude_alpha_zero_reduces():
                - qt.hermite_amplitude(0, fr, 0.3, 1.0)) < 1e-14
 
 
-def test_tomogram_amplitude_consistency():
-    fr = TomographyFrame(0.6, 0.8)
-    X, hbar = 0.4, 0.7
-    for state in (st.HOEigen(2), st.Coherent(0.9 + 0.2j), st.Superposition(0, 3),
-                  st.CatEven(1.1), st.BoxEigen(3, 1.0)):
-        amp = qt.tomogram_amplitude(state, fr, X, hbar)
-        density = abs(amp) ** 2 / (2.0 * math.pi * hbar * abs(fr.nu))
-        tom = qt.state_tomogram(state, fr, np.array([X - 0.01, X, X + 0.01]), hbar)
-        assert abs(density - tom.values[1]) < 1e-8 * max(tom.values[1], 1e-10)
-
-
 def test_amplitude_branch_continuity_through_small_nu():
     # the tomogram built from amplitudes stays continuous as nu crosses 0
     fr0 = TomographyFrame(0.8, 0.0)
@@ -413,9 +402,10 @@ def test_state_protocol_carries_a_new_state():
 
 def test_zero_frame_atom():
     x = np.linspace(-1, 1, 21)
-    tom = qt.tomogram_from_wavefunction(st.HOEigen(0), TomographyFrame(0, 0), x, 1.0)
-    assert len(tom.atoms) == 1
-    assert tom.atoms[0].weight == 1.0 and tom.atoms[0].location == 0.0
+    for tom in (qt.tomogram_from_wavefunction(st.HOEigen(0), TomographyFrame(0, 0), x, 1.0),
+                qt.state_tomogram(st.BoxEigen(3, 1.0), TomographyFrame(0, 0), x, 1.0)):
+        assert len(tom.atoms) == 1
+        assert tom.atoms[0].weight == 1.0 and tom.atoms[0].location == 0.0
 
 
 def test_momentum_side_dispatch_matches_closed_form():
@@ -531,18 +521,23 @@ def test_box_stationary_phase_branches():
 
 
 def test_box_exact_matches_position_quadrature():
-    # the generic position-side quadrature of the box wave function
+    # the generic quadrature of the box wave function: position-side frames
+    # on 1501 points, and momentum-side ones (|nu| sigma_p < |mu| sigma_q),
+    # slower and limited by the power-law momentum tails, on 401
     L = 1.0
-    for n in (3, 20, 50):
+    cases = [("position", n, fr, 1501, 1e-8) for n in (3, 20, 50)
+             for fr in (TomographyFrame(0.8, 0.45), TomographyFrame(-1.3, 0.6))]
+    cases += [("momentum", n, fr, 401, 1e-5) for n in (1, 5)
+              for fr in (TomographyFrame(1.0, 0.1), TomographyFrame(-1.2, 0.25))]
+    for side, n, fr, count, tol in cases:
+        state = st.BoxEigen(n, L)
         hbar = qt.ehrenfest_hbar(n, L)
-        psi = st.position_wavefunction(st.BoxEigen(n, L), hbar)
-        for fr in (TomographyFrame(0.8, 0.45), TomographyFrame(-1.3, 0.6)):
-            x = np.linspace(*qt.box_x_extent(st.BoxEigen(n, L), fr, hbar), 1501)
-            exact = qt.box_tomogram(n, L, fr, x, hbar).values
-            amps = qt._ladder_amplitudes(psi, fr.mu / (2 * hbar * fr.nu), -1 / (hbar * fr.nu),
-                                         x, 0.0, L, L / max(8.0, n))
-            quad = np.abs(amps) ** 2 / (2 * math.pi * hbar * abs(fr.nu))
-            assert np.max(np.abs(exact - quad)) < 1e-8 * np.max(quad), (n, fr)
+        sq, sp = st.natural_scales(state, hbar)
+        assert (abs(fr.nu) * sp < abs(fr.mu) * sq) == (side == "momentum")
+        x = np.linspace(*qt.box_x_extent(state, fr, hbar), count)
+        exact = qt.box_tomogram(n, L, fr, x, hbar).values
+        quad = qt.tomogram_from_wavefunction(state, fr, x, hbar).values
+        assert np.max(np.abs(exact - quad)) < tol * np.max(quad), (n, fr)
 
 
 def test_box_large_n_mass_and_plateaus():
