@@ -24,7 +24,12 @@ __all__ = ["chirp_integral", "ChirpResolutionError", "MAX_PANELS"]
 MAX_PANELS = 2_000_000
 _PHASE_PER_PANEL = math.pi / 4.0  # 1/8 of a period
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# np.polynomial.legendre.leggauss(8), bit for bit (importing numpy.polynomial
+# costs several ms of every CLI start)
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                      0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                        0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
 
 
 class ChirpResolutionError(RuntimeError):

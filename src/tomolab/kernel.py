@@ -120,16 +120,17 @@ def _check_uniform_grid(x: np.ndarray, what: str = "x_grid") -> float:
     """Validate a uniformly spaced increasing grid; return its spacing."""
     if x.ndim != 1:
         raise TomogramError(f"{what} must be one-dimensional")
-    if x.size == 0:
-        return 0.0
-    if x.size == 1:
+    if x.size < 2:
         return 0.0
     d = np.diff(x)
     if np.any(d <= 0):
         raise TomogramError(f"{what} must be strictly increasing")
     h = (x[-1] - x[0]) / (x.size - 1)
-    if not np.allclose(d, h, rtol=1e-9, atol=1e-12 * max(abs(h), 1.0)):
-        raise TomogramError(f"{what} must be uniformly spaced")
+    # |dx - h| <= atol + rtol |h| in one test that an inf or NaN anywhere fails
+    with np.errstate(invalid="ignore"):
+        uniform = np.all(np.abs(d - h) <= 1e-12 * max(abs(h), 1.0) + 1e-9 * abs(h))
+    if not uniform:
+        raise TomogramError(f"{what} must be finite and uniformly spaced")
     return float(h)
 
 

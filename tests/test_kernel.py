@@ -97,6 +97,33 @@ def test_tomogram_validation():
     assert t.values[1] == 0.0
 
 
+@pytest.mark.parametrize("bad", [[-np.inf, 0.0, np.inf], [0.0, 1.0, np.inf],
+                                 [0.0, 1.0, np.nan], [np.nan, 1.0, 2.0], [0.0, np.nan, 2.0]])
+def test_grids_must_be_finite(bad):
+    # [-inf, 0, inf] passed as a "uniform" grid with mass inf before
+    with pytest.raises(TomogramError):
+        Tomogram(TomographyFrame(1, 0), np.array(bad), np.ones(3))
+    with pytest.raises(TomogramError):
+        kernel.GridFunction2D(np.array(bad), np.arange(3.0), np.ones((3, 3)))
+    with pytest.raises(TomogramError):
+        kernel.GridFunction2D(np.arange(3.0), np.array(bad), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("h", [0.01, 1.0, 100.0])
+def test_grid_spacing_tolerance(h):
+    # |dx - h| <= 1e-12 max(|h|, 1) + 1e-9 |h|: a drift of 1e-10 h passes, 1e-8 h does not
+    for drift, accepted in ((1e-10, True), (1e-8, False)):
+        x = h * np.arange(11.0)
+        x[5] += drift * h
+        for make in (lambda: Tomogram(TomographyFrame(1, 0), x, np.ones(11)),
+                     lambda: kernel.GridFunction2D(x, x, np.ones((11, 11)))):
+            if accepted:
+                make()
+            else:
+                with pytest.raises(TomogramError):
+                    make()
+
+
 def test_distance_identical():
     x = np.linspace(-5, 5, 501)
     fr = TomographyFrame(1, 0)

@@ -654,6 +654,14 @@ def test_chirp_resolution_refusal():
     assert err.value.needed > 100
 
 
+def test_gl_nodes_are_leggauss_bit_for_bit():
+    from tomolab.chirp import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Wigner maps
 # ---------------------------------------------------------------------------
@@ -726,6 +734,79 @@ def test_tomogram_from_wigner_zero_frame():
     assert tom.atoms == (qt.DeltaAtom(1.0, 0.0),) or (
         tom.atoms[0].weight == 1.0 and tom.atoms[0].location == 0.0
     )
+
+
+def _dual_route_geometry(hbar):
+    """The density grid and Wigner q = p grid of the benchmark's dual-route job."""
+    s = math.sqrt(hbar)
+    return np.linspace(-6 * s, 6 * s, 401), np.linspace(-4.5 * s, 4.5 * s, 161)
+
+
+@pytest.mark.parametrize("state, bound", [
+    # 1/100 of the errors of the earlier interpolated u-grid map
+    (st.HOEigen(0), 1.9e-6), (st.HOEigen(1), 4.6e-6), (st.HOEigen(3), 1.05e-5),
+    (st.Coherent(0.7 - 0.4j), 4e-6),
+])
+def test_wigner_from_density_matches_exact_off_the_half_grid(state, bound):
+    hbar = 0.5
+    x, q = _dual_route_geometry(hbar)
+    t = (q - x[0]) / (0.5 * (x[1] - x[0]))
+    assert np.mean(np.abs(t - np.round(t)) > 1e-3) > 0.7  # most q sit between half-grid rows
+    w, resid = qt.wigner_grid_from_density(qt.rho_grid(state, hbar, x), q, q, hbar)
+    ref = qt.exact_wigner(state, hbar)(q[None, :], q[:, None])
+    assert np.max(np.abs(w.values - ref)) < bound
+    assert resid <= 1e-12
+
+
+def test_wigner_half_grid_rows_match_the_anti_diagonal_loop(rng):
+    # on a half-grid row the map is the trapezoid sum over rho[a, m - a] itself
+    x = np.linspace(-2.0, 2.0, 9)
+    h = x[1] - x[0]
+    vals = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    rho = GridFunction2D(x, x, vals + vals.conj().T)
+    q = x[0] + 0.5 * h * np.arange(17)
+    p = np.linspace(-1.5, 1.5, 7)
+    w, resid = qt.wigner_grid_from_density(rho, q, p, 0.7)
+    for m in range(17):
+        a = np.arange(max(0, m - 8), min(8, m) + 1)
+        wt = np.full(a.size, 2 * h)
+        wt[0] -= h
+        wt[-1] -= h
+        u = (2 * a - m) * h
+        ref = [np.sum(wt * rho.values[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p]
+        assert np.allclose(w.values[m], np.real(ref), rtol=0, atol=1e-13 * np.max(np.abs(vals)))
+    assert resid < 1e-13 * np.max(np.abs(vals))
+
+
+def test_wigner_residual_is_the_anti_hermitian_part():
+    hbar = 0.5
+    x, q = _dual_route_geometry(hbar)
+    rho = qt.rho_grid(st.HOEigen(1), hbar, x)
+    g = np.exp(-x * x / (2 * hbar))
+    bad = GridFunction2D(x, x, rho.values + 1e-8j * np.outer(g, g))  # D^dagger = -D
+    qt._check_hermitian(bad)  # small enough to pass the Hermiticity gate
+    _, clean = qt.wigner_grid_from_density(rho, q, q, hbar)
+    _, resid = qt.wigner_grid_from_density(bad, q, q, hbar)
+    # Im R peaks at q = p = 0: 1e-8 int g(u/2)^2 du = 1e-8 sqrt(4 pi hbar)
+    assert clean <= 1e-12
+    assert abs(resid - 1e-8 * math.sqrt(4 * math.pi * hbar)) < 1e-6 * resid
+
+
+def test_wigner_rows_outside_the_density_grid_are_zero():
+    x = np.linspace(-3, 3, 121)
+    q = np.linspace(-4, 4, 33)
+    w, _ = qt.wigner_grid_from_density(qt.rho_grid(st.HOEigen(0), 1.0, x), q, [-1.0, 0.0, 1.0], 1.0)
+    assert np.all(w.values[np.abs(q) > 3] == 0.0)
+    assert np.all(w.values[np.abs(q) < 2.5] > 0.0)
+
+
+def test_wigner_refuses_aliased_momenta():
+    x = np.linspace(-6, 6, 241)
+    rho = qt.rho_grid(st.HOEigen(0), 1.0, x)
+    bound = math.pi * 1.0 / (2 * (x[1] - x[0]))
+    qt.wigner_grid_from_density(rho, [0.0, 0.5], [-bound, bound], 1.0)
+    with pytest.raises(TomogramError, match=r"pi\*hbar/\(2h\) = 31\.42"):
+        qt.wigner_grid_from_density(rho, [0.0, 0.5], [0.0, 1.01 * bound], 1.0)
 
 
 # ---------------------------------------------------------------------------
