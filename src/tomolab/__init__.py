@@ -66,7 +66,6 @@ from .limits import (
     ehrenfest_coherent,
     ehrenfest_oscillator,
     interference_decay,
-    planck_scaled_tomogram,
     weak_delta_convergence,
 )
 

@@ -80,6 +80,8 @@ class RunConfig:
     def from_json(cls, path: str) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict) or not isinstance(raw.get("params", {}), dict):
+            raise ValueError("a config and its params must be JSON objects")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -89,15 +91,22 @@ class RunConfig:
         unread = set(raw) - {"command", *COMMAND_FIELDS[command]}
         if unread:
             raise ValueError(f"{command} does not read config keys {sorted(unread)}")
-        cfg = cls(**raw)
-        if cfg.frame is not None:
-            cfg.frame = tuple(cfg.frame)
-        if cfg.scaling is not None:
-            cfg.scaling = tuple(cfg.scaling)
-        if cfg.grid is not None:
-            cfg.grid = (float(cfg.grid[0]), float(cfg.grid[1]), int(cfg.grid[2]))
-        cfg.frames = [tuple(f) for f in cfg.frames]
+        cfg = cls(**_as_flags(raw))
+        cfg.params = _as_flags(cfg.params)
         return cfg
+
+
+def _flag_text(value) -> str:
+    """A config value as flag text: a list joined by ',', a list of lists by ';'."""
+    if not isinstance(value, list):
+        return str(value)
+    return (";" if any(isinstance(v, list) for v in value) else ",").join(map(_flag_text, value))
+
+
+def _as_flags(raw: dict) -> dict:
+    """Config values through their flags' parsers: the command line's checks and messages."""
+    return {k: v if v is None or "type" not in _FLAGS.get(k, {}) else _FLAGS[k]["type"](_flag_text(v))
+            for k, v in raw.items()}
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -829,7 +838,8 @@ def main(argv=None) -> int:
     if args.config:
         try:
             cfg = RunConfig.from_json(args.config)
-        except (OSError, ValueError) as exc:  # unreadable, malformed or unread keys
+        # unreadable, malformed, unread keys or values their flags reject
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"--config: {exc}", file=sys.stderr)
             return 2
     elif not args.command:

@@ -228,19 +228,13 @@ def bilinear_interp(xg: np.ndarray, yg: np.ndarray, vals: np.ndarray, x, y):
     hx = (xg[-1] - xg[0]) / (xg.size - 1)
     hy = (yg[-1] - yg[0]) / (yg.size - 1)
     coords = np.stack([(x - xg[0]) / hx, (y - yg[0]) / hy])
-    if np.iscomplexobj(vals):
-        re = ndimage.map_coordinates(vals.real, coords, order=1, mode="constant", cval=0.0)
-        im = ndimage.map_coordinates(vals.imag, coords, order=1, mode="constant", cval=0.0)
-        return re + 1j * im
     return ndimage.map_coordinates(vals, coords, order=1, mode="constant", cval=0.0)
 
 
 def trapezoid_mass(values: np.ndarray, dx: float) -> float:
     """Trapezoid-rule integral of uniformly sampled values, fixed summation order."""
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return 0.0
-    if v.size == 1:
+    if v.size < 2:
         return 0.0
     return float(dx * (np.add.reduce(v) - 0.5 * (v[0] + v[-1])))
 

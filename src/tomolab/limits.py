@@ -33,17 +33,14 @@ from .quantum import (
     hermite_tomogram,
     state_tomogram,
     superposition_cross_term,
-    tomogram_from_wavefunction,
 )
 from .specfun import log_gamma, parabolic_u_asymptotic
-from .states import CatEven, CustomGrid, StateSpec, cat_normalization, planck_scaled_state
+from .states import CatEven, StateSpec, cat_normalization
 
 __all__ = [
     "LimitReport",
-    "TestFunction",
     "default_test_battery",
     "fit_power_law",
-    "planck_scaled_tomogram",
     "weak_delta_convergence",
     "interference_decay",
     "cat_interference_planck",
@@ -173,26 +170,15 @@ def _sweep(fn: Callable, values: Sequence) -> list[list]:
 # weak-convergence machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Smooth bounded test function for weak-convergence pairing."""
-
-    label: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
-def default_test_battery() -> tuple[TestFunction, ...]:
+def default_test_battery() -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
     """Gaussians of widths {0.5, 1, 2} centered at {-1, 0, 1} plus one
     bounded oscillatory function cos(X) e^{-X^2/4}; the spread of centers
     and widths distinguishes mass, location and spurious oscillation."""
     tests = []
     for c in (-1.0, 0.0, 1.0):
         for w in (0.5, 1.0, 2.0):
-            tests.append(TestFunction(
-                f"gauss(c={c:g},w={w:g})",
-                lambda X, c=c, w=w: np.exp(-((X - c) ** 2) / (2.0 * w * w)),
-            ))
-    tests.append(TestFunction("cos*gauss", lambda X: np.cos(X) * np.exp(-X * X / 4.0)))
+            tests.append(lambda X, c=c, w=w: np.exp(-((X - c) ** 2) / (2.0 * w * w)))
+    tests.append(lambda X: np.cos(X) * np.exp(-X * X / 4.0))
     return tuple(tests)
 
 
@@ -205,7 +191,7 @@ def _require_geometric(values: Sequence[float], minimum: int) -> None:
         raise ValueError("parameter values must form a geometric sequence")
 
 
-def weak_error(tom: Tomogram, tests: Sequence[TestFunction],
+def weak_error(tom: Tomogram, tests: Sequence[Callable[[np.ndarray], np.ndarray]],
                center: float, targets: Sequence[float] | None = None) -> float:
     """max over the battery of |int W phi dX - N phi(center)| (or, with
     explicit targets, |int W phi dX - target_phi|)."""
@@ -213,22 +199,11 @@ def weak_error(tom: Tomogram, tests: Sequence[TestFunction],
     mass = tom.total_mass()
     errs = []
     for k, t in enumerate(tests):
-        lhs = dx * (np.dot(v, t.fn(x)) - 0.5 * (v[0] * t.fn(x[0]) + v[-1] * t.fn(x[-1])))
-        lhs += sum(a.weight * float(t.fn(np.asarray(a.location))) for a in tom.atoms)
-        rhs = targets[k] if targets is not None else mass * float(t.fn(np.asarray(center)))
+        lhs = dx * (np.dot(v, t(x)) - 0.5 * (v[0] * t(x[0]) + v[-1] * t(x[-1])))
+        lhs += sum(a.weight * float(t(np.asarray(a.location))) for a in tom.atoms)
+        rhs = targets[k] if targets is not None else mass * float(t(np.asarray(center)))
         errs.append(abs(lhs - rhs))
     return max(errs)
-
-
-def planck_scaled_tomogram(profile: CustomGrid, gamma: float, hbar: float,
-                           frame: TomographyFrame, x_grid) -> Tomogram:
-    """Tomogram of the scaled state psi(x) = hbar^(gamma/2) Psi(hbar^gamma x).
-
-    For gamma = -1/2 the family is exactly self-similar: W(X) =
-    hbar^(-1/2) F(X/sqrt(hbar)) with F the hbar = 1 tomogram.
-    """
-    scaled = planck_scaled_state(profile, gamma, hbar)
-    return tomogram_from_wavefunction(scaled, frame, x_grid, hbar)
 
 
 def weak_delta_convergence(state: StateSpec, hbar_values: Sequence[float],
@@ -425,7 +400,7 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     ffr = fringe_frame(q_alpha, p_alpha)
     hmax = max(hbar_values)
     window = 1.5 * math.sqrt(hmax * (ffr.mu ** 2 + ffr.nu ** 2) / 2.0)
-    targets = [0.5 * float(t.fn(np.asarray(X_star))) + 0.5 * float(t.fn(np.asarray(-X_star)))
+    targets = [0.5 * float(t(np.asarray(X_star))) + 0.5 * float(t(np.asarray(-X_star)))
                for t in tests]
 
     def one(hbar: float):
@@ -585,15 +560,12 @@ def oscillator_local_period(n: int, frame: TomographyFrame, X: np.ndarray) -> np
     return math.pi / (math.sqrt(kappa) * np.sqrt(inside))
 
 
-def oscillator_windowed_distance(n: int, frame: TomographyFrame,
-                                 xmax: float | None = None) -> float:
+def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
     """L1 distance between the 3-period locally averaged oscillator
     tomogram at unit energy (hbar = 1/n) and the classical arcsine law,
-    over |X| <= xmax (default 0.92 R, clear of the turning points)."""
-    r2f = frame.mu ** 2 + frame.nu ** 2
-    R = math.sqrt(2.0 * r2f)
-    if xmax is None:
-        xmax = 1.3 * R / math.sqrt(2.0)
+    over |X| <= 0.92 R, clear of the turning points."""
+    R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
+    xmax = 1.3 * R / math.sqrt(2.0)
     hbar = 1.0 / n
     centers = np.linspace(-xmax, xmax, 241)
     periods = oscillator_local_period(n, frame, centers)
@@ -628,7 +600,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     R = math.sqrt(2.0 * r2f)
     xmax = 1.3 * R / math.sqrt(2.0)
 
-    (distances,) = _sweep(lambda n: (oscillator_windowed_distance(n, frame, xmax),), n_values)
+    (distances,) = _sweep(lambda n: (oscillator_windowed_distance(n, frame),), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],

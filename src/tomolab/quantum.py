@@ -54,7 +54,6 @@ from .states import (
 __all__ = [
     "amplitude_generating",
     "hermite_amplitude",
-    "coherent_amplitude",
     "hermite_tomogram",
     "coherent_tomogram",
     "coherent_tomogram_peak",
@@ -65,7 +64,6 @@ __all__ = [
     "tomogram_from_wavefunction",
     "state_tomogram",
     "default_x_grid",
-    "momentum_extent",
     "box_tomogram",
     "box_tomogram_stationary_phase",
     "interval_chirp",
@@ -142,25 +140,6 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float,
     phase = np.exp(-Xv * Xv / (2.0 * hbar * frame.nu * zc) + 0.5 * Q * Q)
     root = cmath.exp(1j * math.atan2(frame.mu, varpi * frame.nu))
     out = pref * phase * (-1j * root) ** n * math.pi ** 0.25 * hermite_phi(n, Q)
-    return complex(out) if scalar else out
-
-
-def coherent_amplitude(alpha: complex, frame: TomographyFrame, X, hbar: float,
-                       varpi: float = 1.0):
-    """Amplitude of the coherent state |alpha>: A_alpha = e^{-|alpha|^2/2} J(alpha).
-
-    The damping is folded into the exponent before exponentiating: the
-    combined real part is <= 0 for every alpha, so Ehrenfest-sized
-    |alpha| ~ 1/sqrt(hbar) cannot overflow.
-    """
-    _require_nu(frame, "coherent_amplitude")
-    scalar = np.isscalar(X)
-    Xv = np.asarray(X, dtype=float)
-    z = _zeta(frame, varpi)
-    zc = z.conjugate()
-    pref = (varpi / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
-    expo = _coherent_exponent(alpha, z, Xv, hbar, varpi) - Xv * Xv / (2.0 * hbar * frame.nu * zc)
-    out = pref * np.exp(expo)
     return complex(out) if scalar else out
 
 
@@ -290,8 +269,6 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
     """Even/odd cat tomogram N^2 [W_alpha + W_{-alpha} +- I]."""
     if parity not in ("even", "odd"):
         raise TomogramError(f"cat parity must be 'even' or 'odd', got {parity!r}")
-    if frame.is_zero:
-        raise TomogramError("closed-form tomogram rejected for the zero frame")
     sign = 1.0 if parity == "even" else -1.0
     N2 = cat_normalization(alpha, parity) ** 2
     Xv = np.asarray(X, dtype=float)
@@ -434,18 +411,13 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
     b = -X/(hbar nu), k = n pi/L (:func:`interval_chirp`, Faddeeva
     closed form); W = |A_- - A_+|^2 / (4 pi L hbar |nu|).
 
-    nu = 0 uses the exact position marginal |psi_n(X/mu)|^2/|mu|, mu = 0
-    (a = 0) the linear branch of :func:`interval_chirp`, and the zero frame
-    the unit atom delta(X).  The cost is independent of n.
+    nu = 0, the zero frame included, takes the exact branches of
+    :func:`tomogram_from_wavefunction`; mu = 0 (a = 0) is the linear branch
+    of :func:`interval_chirp`.  The cost is independent of n.
     """
-    state = BoxEigen(n, L)
     x = np.asarray(x_grid, dtype=float)
-    if frame.is_zero:
-        return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
     if frame.nu == 0.0:
-        psi = position_wavefunction(state, hbar)
-        vals = np.abs(psi(x / frame.mu)) ** 2 / abs(frame.mu)
-        return Tomogram(frame, x, vals)
+        return tomogram_from_wavefunction(BoxEigen(n, L), frame, x, hbar)
     pref = 1.0 / (4.0 * math.pi * L * hbar * abs(frame.nu))
     a = frame.mu / (2.0 * hbar * frame.nu)
     b = -x / (hbar * frame.nu)
@@ -663,8 +635,8 @@ def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
                    hbar: float) -> Tomogram:
     """Tomogram of any state, and the one place its route is chosen: the
     zero frame is the unit atom delta(X); a state in the route table takes
-    its closed form (a box state :func:`box_tomogram`, with its own nu = 0
-    and mu = 0 branches); every other state takes the quadrature of
+    its closed form (a box state :func:`box_tomogram`, exact in every
+    frame); every other state takes the quadrature of
     :func:`tomogram_from_wavefunction`."""
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
@@ -691,7 +663,7 @@ def _check_hermitian(rho: GridFunction2D) -> None:
         raise TomogramError("density matrix grid must be square with equal axes")
     scale = max(1.0, float(np.max(np.abs(rho.values))))
     resid = float(np.max(np.abs(rho.values - rho.values.conj().T)))
-    if resid > 1e-6 * scale:
+    if not resid <= 1e-6 * scale:
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
 
 

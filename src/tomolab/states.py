@@ -588,6 +588,8 @@ def planck_scaled_state(profile: CustomGrid, gamma: float, hbar: float,
 
     The profile grid is stretched by hbar^(-gamma) so the scaled state
     stays exactly normalized; gamma in [-1, 0] is the validated range.
+    For gamma = -1/2 the family is exactly self-similar: its tomogram is
+    W(X) = hbar^(-1/2) F(X/sqrt(hbar)) with F the hbar = 1 tomogram.
     """
     if not -1.0 <= gamma <= 0.0:
         raise ValueError(f"scaling exponent gamma must lie in [-1, 0], got {gamma}")

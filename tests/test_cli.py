@@ -336,6 +336,15 @@ def test_limit_rejects_a_malformed_sweep(tmp_path, capsys):
     ({"command": "selftest", "params": {"n": 1}}, "selftest does not read config keys ['params']"),
     ({"command": "limit", "study": "ehrenfest-oscillator", "params": {"ns": "25,50", "q_alpha": 3}},
      "ehrenfest-oscillator does not read q_alpha;"),
+    # values meet their flags' parsers, as on the command line
+    ({"command": "tomogram", "state": "ho:n=0", "frame": [1]},
+     "frame must be two comma-separated numbers, got '1'"),
+    ({"command": "compare", "state": "ho:n=3", "classical": "oscillator:E=1", "frames": [[1, 0, 2]]},
+     "frame must be two comma-separated numbers, got '1,0,2'"),
+    ({"command": "tomogram", "state": "ho:n=0", "frame": [1, 0], "grid": [-5, 5, 1]},
+     "grid count must be at least 2"),
+    ({"command": "limit", "study": "ehrenfest-oscillator", "params": [1, 2]},
+     "a config and its params must be JSON objects"),
 ])
 def test_config_keys_a_command_does_not_read_exit_2(tmp_path, capsys, config, message):
     path = str(tmp_path / "run.json")

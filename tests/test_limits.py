@@ -8,6 +8,8 @@ from tomolab import cli
 from tomolab import limits as lm
 from tomolab import states as st
 from tomolab.kernel import TomographyFrame
+from tomolab.quantum import tomogram_from_wavefunction
+from tomolab.states import planck_scaled_state
 
 
 def gaussian_profile(n=2001, extent=8.0):
@@ -51,7 +53,7 @@ def test_planck_scaled_tomogram_width_gamma_half():
     widths = []
     for hbar in (0.04, 0.01):
         x = np.linspace(-3 * math.sqrt(hbar) * 4, 3 * math.sqrt(hbar) * 4, 1201)
-        tom = lm.planck_scaled_tomogram(prof, -0.5, hbar, fr, x)
+        tom = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, hbar), fr, x, hbar)
         mass = tom.grid_mass()
         mean = np.trapezoid(tom.x_grid * tom.values, tom.x_grid) / mass
         var = np.trapezoid((tom.x_grid - mean) ** 2 * tom.values, tom.x_grid) / mass
@@ -65,8 +67,8 @@ def test_planck_scaled_self_similarity_gamma_half():
     fr = TomographyFrame(0.5, 1.0)
     h1, h2 = 0.04, 0.01
     u = np.linspace(-4, 4, 801)
-    t1 = lm.planck_scaled_tomogram(prof, -0.5, h1, fr, u * math.sqrt(h1))
-    t2 = lm.planck_scaled_tomogram(prof, -0.5, h2, fr, u * math.sqrt(h2))
+    t1 = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, h1), fr, u * math.sqrt(h1), h1)
+    t2 = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, h2), fr, u * math.sqrt(h2), h2)
     f1 = math.sqrt(h1) * t1.values
     f2 = math.sqrt(h2) * t2.values
     assert np.max(np.abs(f1 - f2)) < 1e-8
@@ -81,7 +83,7 @@ def test_planck_scaled_gamma_zero_momentum_frame():
     widths = []
     for hbar in (0.08, 0.02):
         x = np.linspace(-12 * hbar, 12 * hbar, 2401)
-        tom = lm.planck_scaled_tomogram(prof, 0.0, hbar, fr, x)
+        tom = tomogram_from_wavefunction(planck_scaled_state(prof, 0.0, hbar), fr, x, hbar)
         mass = tom.grid_mass()
         assert abs(mass - 1.0) < 1e-3
         var = np.trapezoid(tom.x_grid ** 2 * tom.values, tom.x_grid) / mass
@@ -93,9 +95,7 @@ def test_planck_scaled_hbar_one_identity():
     prof = gaussian_profile()
     fr = TomographyFrame(0.6, 0.8)
     x = np.linspace(-5, 5, 501)
-    t1 = lm.planck_scaled_tomogram(prof, -0.5, 1.0, fr, x)
-    from tomolab.quantum import tomogram_from_wavefunction
-
+    t1 = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, 1.0), fr, x, 1.0)
     t2 = tomogram_from_wavefunction(prof, fr, x, 1.0)
     assert np.max(np.abs(t1.values - t2.values)) < 1e-14
 

@@ -1,16 +1,19 @@
 """The package's public surface: every exported name resolves, and so does
 every function the benchmark tracer (perfbench/tracer.py) wraps by name,
-which only a traced benchmark run would otherwise notice missing."""
+which only a traced benchmark run would otherwise notice missing.  The
+source size the README states is the one its own rule counts."""
 
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import tomolab
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +34,12 @@ def test_every_traced_function_resolves(monkeypatch):
     for w in wraps:
         target = getattr(importlib.import_module(f"tomolab.{w.module}"), w.func, None)
         assert callable(target), (w.module, w.func)
+
+
+def test_readme_states_the_source_size():
+    # the README's rule: lines of src/tomolab/*.py not matching ^\s*(#|$)
+    stated = int(re.search(r"wc -l` \((\d+)", (_ROOT / "README.md").read_text()).group(1))
+    counted = sum(1 for path in (_ROOT / "src" / "tomolab").glob("*.py")
+                  for line in path.read_text().splitlines()
+                  if not re.match(r"\s*(#|$)", line))
+    assert counted == stated
