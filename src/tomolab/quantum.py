@@ -661,8 +661,12 @@ def rho_grid(state: StateSpec, hbar: float, x_grid) -> GridFunction2D:
 def _check_hermitian(rho: GridFunction2D) -> None:
     if rho.values.shape[0] != rho.values.shape[1] or not np.array_equal(rho.x_grid, rho.y_grid):
         raise TomogramError("density matrix grid must be square with equal axes")
-    scale = max(1.0, float(np.max(np.abs(rho.values))))
-    resid = float(np.max(np.abs(rho.values - rho.values.conj().T)))
+    v = rho.values
+    scale = max(1.0, float(np.max(np.abs(v))))
+    # |rho - rho^dagger|^2 from the parts: (Re rho - Re rho^T)^2 + (Im rho + Im rho^T)^2
+    d = np.square(v.real - v.real.T)
+    d += np.square(v.imag + v.imag.T)
+    resid = math.sqrt(float(np.max(d)))
     if not resid <= 1e-6 * scale:
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
 
@@ -714,7 +718,11 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     v = np.ascontiguousarray(rho.values)
     diag = np.lib.stride_tricks.as_strided(v, shape=(2 * n - 1, n), writeable=False,
                                            strides=(v.itemsize, (n - 1) * v.itemsize))
-    phase = np.exp(np.outer(a, p) * (-2j * h / hbar))
+    # e^{-2i p a h/hbar} written as its cos and sin parts, twice as fast as a complex exp
+    arg = np.outer(a, p) * (-2.0 * h / hbar)
+    phase = np.empty(arg.shape, complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
     R = (diag[m] * w) @ phase
     # e^{i p m h/hbar} from the table: conj(phase[m // 2]), times e^{i p h/hbar} for odd m
     R *= phase[m // 2].conj()

@@ -28,6 +28,9 @@ def test_tomogram_command_ground_state(tmp_path, capsys):
     assert "normalization residual" in captured
 
 
+_NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+
+
 def test_box_tomogram_leaves_scipy_special_unimported(tmp_path):
     # the Faddeeva function is numpy-only: importing scipy.special would add
     # ~0.27 s and ~20 MB to every process that draws a box tomogram
@@ -37,10 +40,10 @@ def test_box_tomogram_leaves_scipy_special_unimported(tmp_path):
     out = str(tmp_path / "box.csv")
     code = (
         "import sys, tomolab.cli as c\n"
-        "assert 'scipy.special' not in sys.modules\n"
-        "assert c.main(['tomogram', '--state', 'box:n=40,L=1', '--frame', '1,0.3',\n"
+        + _NO_SCIPY
+        + "assert c.main(['tomogram', '--state', 'box:n=40,L=1', '--frame', '1,0.3',\n"
         f"               '--hbar', '0.0112', '--out', {out!r}]) == 0\n"
-        "assert 'scipy.special' not in sys.modules\n"
+        + _NO_SCIPY
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
@@ -450,7 +453,30 @@ def test_catalog_reconstruct_leaves_scipy_special_unimported(tmp_path):
         "import sys, tomolab.cli as c\n"
         "assert c.main(['reconstruct', '--state', 'cat:odd,re=1,im=0', '--target', 'wigner',\n"
         f"               '--hbar', '0.25', '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert 'scipy.special' not in sys.modules\n"
+        + _NO_SCIPY
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
+def test_dual_route_and_radon_load_no_scipy():
+    # the Radon line integral interpolates with numpy: scipy.ndimage cost
+    # ~26 MB and ~0.4 s in every process that reached it; the CSV writer's
+    # tables are built from integers, without fractions or decimal
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, numpy as np, tomolab.cli as c\n"
+        "from tomolab import classical as cl\n"
+        "from tomolab.kernel import GridFunction2D, TomographyFrame\n"
+        "assert c.main(['selftest', '--quick']) == 0\n"
+        "q = np.linspace(-5, 5, 81)\n"
+        "f = np.exp(-q[:, None] ** 2 / 2 - q ** 2 / 2) / (2 * np.pi)\n"
+        "cl.radon_density(cl.DensityGrid(GridFunction2D(q, q, f)), TomographyFrame(1, 1),\n"
+        "                 np.linspace(-8, 8, 101))\n"
+        + _NO_SCIPY
+        + "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)

@@ -311,3 +311,75 @@ def test_writer_takes_no_fallback_on_a_tomogram_with_tails_and_zeros():
     below = np.nextafter(10.0 ** np.arange(-300, 300, 10), 0.0)
     assert kernel._decimal17(np.concatenate([below, [1e-248, 1e-14]]))[2].all()
     assert not kernel._decimal17(np.array([2.0 ** -25]))[2][0]
+
+
+def _reference_g17_tables():
+    """The writer tables built the slow, evidently right way: exact
+    fractions for the powers of ten, string formatting and per-entry loops
+    for the byte tables."""
+    from fractions import Fraction
+
+    rows = []
+    for e in range(kernel._E_LO, kernel._E_HI + 1):
+        s = 600 if e < kernel._TINY_E else 0
+        T = Fraction(10) ** (16 - e) / 2 ** s
+        t = float(T)
+        c = 134217729.0 * t
+        th = c - (c - t)
+        rows.append((t, th, t - th, float(T - Fraction(t)), 2.0 ** s))
+    quads = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode(), np.uint32)
+    digits4 = np.array([len(f"{k:04d}".rstrip("0")) for k in range(10000)])
+    last = np.concatenate([np.where(digits4 > 0, digits4 + 4 * j + 1, 1) for j in range(4)])
+    suffix = np.frombuffer("".join(f"e{e:+04d},\0\0" for e in range(kernel._E_LO, kernel._E_HI + 1))
+                           .encode(), np.uint64)
+    point = np.array([[0, *range(2, w + 1), 1, *range(w + 1, 18)] for w in range(1, 18)])
+    keep = np.zeros((23, 17, 2, kernel._WIDTH), np.uint8)
+    keep[..., 29] = 255
+    keep[:, :, 1, 0] = 255
+    for kept in range(1, 18):
+        for cls in range(23):
+            e = cls - 4 if cls < 21 else 0
+            if e < 0:
+                keep[cls, kept - 1, :, 1:2 - e] = 255
+                keep[cls, kept - 1, :, [6, *range(8, 7 + kept)]] = 255
+            else:
+                keep[cls, kept - 1, :, 6:6 + kept + (kept > e + 1)] = 255
+    keep[21:, :, :, [24, 25, 27, 28]] = 255
+    keep[22, :, :, 26] = 255
+    return (np.array(rows).T, quads, last.astype(np.uint8), suffix, point,
+            keep.reshape(-1, kernel._WIDTH).view(np.uint64))
+
+
+def test_writer_tables_equal_the_fraction_built_reference_bit_for_bit():
+    for got, want in zip(kernel._g17_tables(), _reference_g17_tables(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_grid", [False, True])
+@pytest.mark.parametrize("shape", [(161, 161), (7, 5), (2, 2), (2, 9)])
+def test_bilinear_interp_matches_scipy_map_coordinates(shape, complex_grid):
+    # scipy serves as a test-side oracle only: order 1, mode "constant"
+    # interpolates on [x0, x_{n-1}] x [y0, y_{n-1}] and is cval outside
+    from scipy import ndimage
+
+    rng = np.random.default_rng(sum(shape) + complex_grid)
+    xg, yg = np.linspace(-3.0, 2.0, shape[0]), np.linspace(-1.0, 4.0, shape[1])
+    vals = rng.standard_normal(shape)
+    if complex_grid:
+        vals = vals + 1j * rng.standard_normal(shape)
+    x = np.concatenate([rng.uniform(-3.5, 2.5, 4000), np.full(40, 2.0), rng.uniform(-3.0, 2.0, 40),
+                        [-3.0, 2.0, -3.0, 2.0, 2.0 + 1e-12, -3.0 - 1e-12]])
+    y = np.concatenate([rng.uniform(-1.5, 4.5, 4000), rng.uniform(-1.0, 4.0, 40), np.full(40, 4.0),
+                        [-1.0, -1.0, 4.0, 4.0, 0.0, 0.0]])
+    x, y = x.reshape(-1, 2), y.reshape(-1, 2)  # any shape of points
+    hx = (xg[-1] - xg[0]) / (xg.size - 1)
+    hy = (yg[-1] - yg[0]) / (yg.size - 1)
+    want = ndimage.map_coordinates(vals, np.stack([(x - xg[0]) / hx, (y - yg[0]) / hy]),
+                                   order=1, mode="constant", cval=0.0)
+    got = kernel.bilinear_interp(xg, yg, vals, x, y)
+    assert got.dtype == want.dtype and got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(vals))
+    assert np.array_equal(got == 0, want == 0)
+    inside = (x >= -3.0) & (x <= 2.0) & (y >= -1.0) & (y <= 4.0)
+    assert np.all(got[~inside] == 0) and np.all(got[inside] != 0)
