@@ -50,6 +50,7 @@ __all__ = [
     "inverse_radon_grid",
     "trajectory_tomogram",
     "time_averaged_tomogram",
+    "box_plateaus",
     "classical_box_tomogram",
     "classical_box_tomogram_build",
     "classical_oscillator_tomogram",
@@ -355,8 +356,11 @@ def _cell_edges(x: np.ndarray) -> np.ndarray:
     return np.concatenate(([x[0] - 0.5 * dx], x + 0.5 * dx))
 
 
-def _oscillator_cdf(X: np.ndarray, R: float) -> np.ndarray:
-    return 0.5 + np.arcsin(np.clip(X / R, -1.0, 1.0)) / math.pi
+def _oscillator_radius(frame: TomographyFrame, E: float) -> float:
+    """Turning-point radius R = sqrt(2E(mu^2+nu^2)) of the oscillator tomogram."""
+    if frame.is_zero:
+        raise TomogramError("oscillator tomogram rejected for the zero frame")
+    return math.sqrt(2.0 * E * (frame.mu ** 2 + frame.nu ** 2))
 
 
 def classical_oscillator_tomogram(X, frame: TomographyFrame, E: float = 1.0):
@@ -367,9 +371,7 @@ def classical_oscillator_tomogram(X, frame: TomographyFrame, E: float = 1.0):
     zero outside; the value diverges integrably at the turning points
     |X| = R (grid builders assign those cells their exact mass).
     """
-    if frame.is_zero:
-        raise TomogramError("oscillator tomogram rejected for the zero frame")
-    R = math.sqrt(2.0 * E * (frame.mu ** 2 + frame.nu ** 2))
+    R = _oscillator_radius(frame, E)
     X = np.asarray(X, dtype=float)
     inside = np.abs(X) < R
     out = np.zeros_like(X)
@@ -386,12 +388,17 @@ def classical_oscillator_tomogram_build(frame: TomographyFrame, E: float,
     the turning points, keep the integrable singularities summable, and
     make the trapezoid mass exact once the support lies inside the grid.
     """
-    if frame.is_zero:
-        raise TomogramError("oscillator tomogram rejected for the zero frame")
+    R = _oscillator_radius(frame, E)
     x = np.asarray(x_grid, dtype=float)
-    R = math.sqrt(2.0 * E * (frame.mu ** 2 + frame.nu ** 2))
-    masses = np.diff(_oscillator_cdf(_cell_edges(x), R))
-    return Tomogram(frame, x, masses / (x[1] - x[0]))
+    cdf = 0.5 + np.arcsin(np.clip(_cell_edges(x) / R, -1.0, 1.0)) / math.pi
+    return Tomogram(frame, x, np.diff(cdf) / (x[1] - x[0]))
+
+
+def box_plateaus(frame: TomographyFrame, L: float, E: float = 1.0):
+    """The sorted X intervals mu*[0, L] - nu sqrt(2E) and mu*[0, L] + nu sqrt(2E):
+    the energy-E box tomogram's two plateaus of mass 1/2 (atoms when mu = 0)."""
+    s = frame.nu * math.sqrt(2.0 * E)
+    return tuple(tuple(sorted((c, frame.mu * L + c))) for c in (-s, s))
 
 
 def classical_box_tomogram(X, frame: TomographyFrame, L: float):
@@ -408,22 +415,9 @@ def classical_box_tomogram(X, frame: TomographyFrame, L: float):
     if frame.mu == 0.0:
         raise TomogramError("pointwise box tomogram needs mu != 0; mu = 0 is two delta atoms")
     X = np.asarray(X, dtype=float)
-    qm = X / frame.mu - math.sqrt(2.0) * frame.nu / frame.mu
-    qp = X / frame.mu + math.sqrt(2.0) * frame.nu / frame.mu
-    chi_m = ((qm >= 0.0) & (qm <= L)).astype(float)
-    chi_p = ((qp >= 0.0) & (qp <= L)).astype(float)
-    out = (chi_m + chi_p) / (2.0 * abs(frame.mu) * L)
+    chi = sum(((X >= lo) & (X <= hi)).astype(float) for lo, hi in box_plateaus(frame, L))
+    out = chi / (2.0 * abs(frame.mu) * L)
     return float(out) if out.ndim == 0 else out
-
-
-def _box_cdf(X: np.ndarray, frame: TomographyFrame, L: float, E: float = 1.0) -> np.ndarray:
-    # cumulative mass of the two 1/(2|mu|L) plateaus over mu*[0, L] +- nu*sqrt(2E)
-    s = frame.nu * math.sqrt(2.0 * E)
-    lo_m, hi_m = sorted((s, frame.mu * L + s))
-    lo_p, hi_p = sorted((-s, frame.mu * L - s))
-    c = np.clip((X - lo_m) / (hi_m - lo_m), 0.0, 1.0) * 0.5
-    c += np.clip((X - lo_p) / (hi_p - lo_p), 0.0, 1.0) * 0.5
-    return c
 
 
 def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid,
@@ -433,14 +427,13 @@ def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid,
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         raise TomogramError("box tomogram rejected for the zero frame")
+    plateaus = box_plateaus(frame, L, E)
     if frame.mu == 0.0:
-        s = frame.nu * math.sqrt(2.0 * E)
-        atoms = (DeltaAtom(0.5, -s), DeltaAtom(0.5, s))
+        atoms = tuple(DeltaAtom(0.5, lo) for lo, _ in plateaus)
         return Tomogram(frame, x, np.zeros_like(x), atoms)
     edges = _cell_edges(x)
-    masses = np.diff(_box_cdf(edges, frame, L, E))
-    dx = x[1] - x[0]
-    return Tomogram(frame, x, masses / dx)
+    cdf = sum(np.clip((edges - lo) / (hi - lo), 0.0, 1.0) * 0.5 for lo, hi in plateaus)
+    return Tomogram(frame, x, np.diff(cdf) / (x[1] - x[0]))
 
 
 def _orbit_cdf(g: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -511,29 +504,8 @@ def _orbit_samples(model: PointTrajectory, frame: TomographyFrame) -> np.ndarray
     return g
 
 
-def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
-    """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt.
-
-    Every variant returns cell masses over the cell width, the
-    differences of a time CDF at the cell edges.  Closed variants
-    (BoxTrajectory, OscillatorTrajectory) use their analytic CDFs; a
-    generic PointTrajectory fills a uniform mesh of _ORBIT_SEGMENTS
-    values of mu q + nu p per period and takes the CDF of the
-    piecewise-linear orbit through them, so the mass is exact whenever
-    the grid covers the orbit, turning points included.  The mesh is
-    filled by spectral doubling (a smooth orbit costs a few dozen calls
-    of q_of_t and p_of_t, the rest is its verified trigonometric
-    interpolant); an orbit that does not converge (kinks, a wrap gap) is
-    sampled at every mesh time instead.  An orbit spanning less than one
-    cell becomes a unit atom at its time mean.
-    """
-    x = np.asarray(x_grid, dtype=float)
-    if isinstance(model, OscillatorTrajectory):
-        return classical_oscillator_tomogram_build(frame, model.E, x)
-    if isinstance(model, BoxTrajectory):
-        return classical_box_tomogram_build(frame, model.L, x, model.E)
-    if not isinstance(model, PointTrajectory):
-        raise TypeError(f"unsupported classical model {model!r}")
+def _orbit_average(model: PointTrajectory, frame: TomographyFrame, x: np.ndarray) -> Tomogram:
+    """The PointTrajectory route of :func:`time_averaged_tomogram`."""
     if not math.isfinite(model.period):
         raise TomogramError("time averaging needs a finite period")
     if frame.is_zero:
@@ -546,14 +518,48 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     return Tomogram(frame, x, np.diff(cdf) / dx)
 
 
+# The time average of each classical model, keyed by class; the entries
+# call the module functions by global name, so rebinding one of those
+# names (tracing, tests) reaches every route.
+_TIME_AVERAGES = {
+    DensityGrid: lambda m, fr, x: radon_density(m, fr, x),
+    OscillatorTrajectory: lambda m, fr, x: classical_oscillator_tomogram_build(fr, m.E, x),
+    BoxTrajectory: lambda m, fr, x: classical_box_tomogram_build(fr, m.L, x, m.E),
+    PointTrajectory: lambda m, fr, x: _orbit_average(m, fr, x),
+}
+
+
+def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
+    """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt of any
+    classical model, and the one place its route is chosen.
+
+    A stationary DensityGrid gives its Radon transform; the trajectory
+    variants return cell masses over the cell width, the differences of a
+    time CDF at the cell edges.  Closed variants (BoxTrajectory,
+    OscillatorTrajectory) use their analytic CDFs; a generic PointTrajectory
+    fills a uniform mesh of _ORBIT_SEGMENTS values of mu q + nu p per period
+    and takes the CDF of the piecewise-linear orbit through them, so the
+    mass is exact whenever the grid covers the orbit, turning points
+    included.  The mesh is filled by spectral doubling (a smooth orbit costs
+    a few dozen calls of q_of_t and p_of_t, the rest is its verified
+    trigonometric interpolant); an orbit that does not converge (kinks, a
+    wrap gap) is sampled at every mesh time instead.  An orbit spanning less
+    than one cell becomes a unit atom at its time mean.
+    """
+    route = _TIME_AVERAGES.get(type(model))
+    if route is None:
+        raise TypeError(f"unsupported classical model {model!r}")
+    return route(model, frame, np.asarray(x_grid, dtype=float))
+
+
 def parse_classical(text: str):
     """Parse a classical model descriptor:
 
         oscillator:E=<f>    box:L=<f>,E=<f>    point:q0=<f>,p0=<f>
         grid:<path.csv>
 
-    point gives harmonic motion (m = omega = 1) from (q0, p0); grid loads
-    a phase-space density written by :func:`write_density_csv`.
+    point is the phase-space point (q0, p0) at rest; grid loads a
+    phase-space density written by :func:`write_density_csv`.
     """
     from .states import DescriptorError, _parse_kv
 
@@ -570,11 +576,7 @@ def parse_classical(text: str):
     if kind == "point":
         kv = _parse_kv(text, body, off, {"q0": float, "p0": float}, ())
         q0, p0 = kv.get("q0", 0.0), kv.get("p0", 0.0)
-        return PointTrajectory(
-            lambda t: q0 * math.cos(t) + p0 * math.sin(t),
-            lambda t: p0 * math.cos(t) - q0 * math.sin(t),
-            2.0 * math.pi,
-        )
+        return PointTrajectory(lambda t: q0, lambda t: p0, 1.0)
     if kind == "grid":
         import os
 

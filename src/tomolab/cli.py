@@ -278,10 +278,8 @@ def _ehrenfest_box(p: dict, frame: TomographyFrame):
     report = lm.ehrenfest_box(L, _ns(p, "25,50,100,200"), [frame], momentum_check_n=mom_n)
 
     def profile(n):
-        period = abs(frame.mu) * L / n
-        x = np.arange(-0.5 - math.sqrt(2) * abs(frame.nu),
-                      abs(frame.mu) * L + math.sqrt(2) * abs(frame.nu) + 0.5,
-                      period / 8.0)
+        edges = np.ravel(cl.box_plateaus(frame, L))
+        x = np.arange(edges.min() - 0.5, edges.max() + 0.5, abs(frame.mu) * L / n / 8.0)
         return x, np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
     return report, profile
 
@@ -451,6 +449,11 @@ def _require_unit_energy(kind: str, **values: tuple[float, float]) -> None:
                                     f"it needs {name} = {expected!r}, got {given!r}")
 
 
+# the note of a plain-L1 row; the orbit models take the default
+_PLAIN_NOTES = {cl.DensityGrid: "plain L1",
+                cl.PointTrajectory: "plain L1 (point state spread to its cell)"}
+
+
 def _compare_row(state, model, frame: TomographyFrame, hbar: float,
                  grid: np.ndarray | None) -> tuple[float, str]:
     """One quantum-vs-classical L1 distance with the appropriate
@@ -459,16 +462,17 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
     Eigenstate rows against matching orbits are compared after local
     averaging (turning zones / support edges excluded); those rows hold
     at unit energy only, so other hbar, E, varpi or L values raise
-    CompareInputError.  A `point` classical model stands for the static
-    phase-space point (q0, p0), whose tomogram is the delta atom at
-    mu q0 + nu p0 spread over its grid cell.
+    CompareInputError.  Every other row is the plain L1 distance to the
+    model's time average with its atoms spread to their cells; a `point`
+    model is at rest, so its average is the unit atom at mu q0 + nu p0.
     """
-    if isinstance(state, st.HOEigen) and isinstance(model, cl.OscillatorTrajectory):
+    pair = (type(state), type(model))
+    if pair == (st.HOEigen, cl.OscillatorTrajectory):
         _require_unit_energy("oscillator", hbar=(hbar, 1.0 / state.n), E=(model.E, 1.0),
                              varpi=(state.varpi, 1.0))
         d = lm.oscillator_windowed_distance(state.n, frame)
         return d, "windowed; turning zones excluded"
-    if isinstance(state, st.BoxEigen) and isinstance(model, cl.BoxTrajectory):
+    if pair == (st.BoxEigen, cl.BoxTrajectory):
         _require_unit_energy("box", L=(state.L, model.L), E=(model.E, 1.0),
                              hbar=(hbar, qt.ehrenfest_hbar(state.n, model.L)))
         if frame.mu == 0.0 or frame.nu == 0.0:
@@ -480,16 +484,8 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
     if grid is None:
         grid = qt.default_x_grid(state, frame, hbar, count=4001)
     tomq = qt.state_tomogram(state, frame, grid, hbar)
-    if isinstance(model, cl.DensityGrid):
-        tomc = cl.radon_density(model, frame, grid)
-        note = "plain L1"
-    elif isinstance(model, cl.PointTrajectory):
-        atom = cl.trajectory_tomogram(model, 0.0, frame)
-        tomc = spread_atoms(Tomogram(frame, grid, np.zeros_like(grid), (atom,)))
-        note = "plain L1 (point state spread to its cell)"
-    else:
-        tomc = spread_atoms(cl.time_averaged_tomogram(model, frame, grid))
-        note = "plain L1 (orbit average; atoms spread to cells)"
+    tomc = spread_atoms(cl.time_averaged_tomogram(model, frame, grid))
+    note = _PLAIN_NOTES.get(type(model), "plain L1 (orbit average; atoms spread to cells)")
     return tomogram_distance_l1(tomq, tomc), note
 
 

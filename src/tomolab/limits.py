@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import classical_box_tomogram, classical_oscillator_tomogram
+from .classical import box_plateaus, classical_box_tomogram, classical_oscillator_tomogram
 from .kernel import Tomogram, TomographyFrame, TomogramError, normalization_residual
 from .quantum import (
     box_tomogram,
@@ -464,8 +464,7 @@ def box_windowed_distance(n: int, L: float, fr: TomographyFrame) -> float:
     tomogram at unit energy and the classical two-plateau tomogram,
     excluding two sample steps around the four support edges."""
     period = abs(fr.mu) * L / n
-    s = math.sqrt(2.0) * fr.nu
-    edges = np.array([s, fr.mu * L + s, -s, fr.mu * L - s])
+    edges = np.ravel(box_plateaus(fr, L))
     lo = min(min(edges) - 0.2, -0.2)
     hi = max(max(edges) + 0.2, 0.2)
     step = max(period, (hi - lo) / 600.0)

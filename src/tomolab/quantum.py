@@ -33,7 +33,7 @@ from .kernel import (
     TomogramError,
     trapezoid_weights,
 )
-from .specfun import faddeeva, laguerre_scaled, uniform_sum
+from .specfun import faddeeva, hermite_phi, laguerre_scaled, uniform_sum
 from .states import (
     BoxEigen,
     CatEven,
@@ -125,8 +125,6 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float,
     defining integral for nu < 0 as well; |A_n|^2/(2 pi hbar |nu|)
     reproduces the Hermite tomogram.  Accepts scalar or array X.
     """
-    from .specfun import hermite_phi
-
     _require_nu(frame, "hermite_amplitude")
     z = _zeta(frame, varpi)
     zc = z.conjugate()
@@ -163,8 +161,6 @@ def hermite_tomogram(n: int, frame: TomographyFrame, X, hbar: float,
 
     the squared scaled Hermite function with its normalizing Jacobian.
     """
-    from .specfun import hermite_phi
-
     kappa = _kappa(frame, hbar, varpi)
     Xv = np.asarray(X, dtype=float)
     out = math.sqrt(kappa) * hermite_phi(n, math.sqrt(kappa) * Xv) ** 2
@@ -209,8 +205,6 @@ def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X,
     the chirp phase common to both amplitudes cancels and is never
     formed, so the form holds down to nu = 0 (the position marginal).
     """
-    from .specfun import hermite_phi
-
     kappa = _kappa(frame, hbar, varpi)
     Q = math.sqrt(kappa) * np.asarray(X, dtype=float)
     turn = math.cos((n - m) * (math.atan2(frame.mu, varpi * frame.nu) - 0.5 * math.pi))
@@ -515,11 +509,10 @@ def _cells(state: StateSpec, hbar: float) -> tuple[np.ndarray, float]:
 
 
 def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
-                       y0: float, y1: float, env_scale: float,
-                       cells: np.ndarray | None = None) -> np.ndarray:
-    """Amplitudes int_{y0}^{y1} env(y) e^{i(a y^2 + b_k y)} dy for the whole
-    uniform family b_k = slope * x_k, sharing one Gauss-Legendre panel set
-    over the coarse cells (edges `cells`, by default 64 equal cells).
+                       cells: np.ndarray, env_scale: float) -> np.ndarray:
+    """Amplitudes int env(y) e^{i(a y^2 + b_k y)} dy over [cells[0], cells[-1]]
+    for the whole uniform family b_k = slope * x_k, sharing one
+    Gauss-Legendre panel set over the coarse cells (edges `cells`).
 
     Panels are sized for the worst |2 a y + b| over the family.  With the
     X-independent phase e^{i(a y^2 + slope x_0 y)} folded into the weights,
@@ -530,10 +523,9 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     bmax = max(abs(slope * x[0]), abs(slope * x[-1]))
     # conservative single panel set: the stationary point sweeps with X, so
     # size the panels for the frequency envelope 2|a||y| + bmax
-    coarse = np.linspace(y0, y1, 65) if cells is None else cells
-    prim = coarse * np.abs(coarse)  # antiderivative of 2|y|
-    dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(coarse)
-    nodes, weights = _gl_panels(coarse, dphase, env_scale, 4_000_000)
+    prim = cells * np.abs(cells)  # antiderivative of 2|y|
+    dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(cells)
+    nodes, weights = _gl_panels(cells, dphase, env_scale, 4_000_000)
     g = env(nodes) * np.exp(1j * (a * nodes + slope * x[0]) * nodes) * weights
     dx = float(x[1] - x[0]) if x.size > 1 else 0.0
     return uniform_sum(g, slope * dx * nodes, x.size)
@@ -569,19 +561,17 @@ def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
     if state.sampled or abs(frame.nu) * sp >= abs(frame.mu) * sq:
         env = position_wavefunction(state, hbar)
         cells, scale = _cells(state, hbar)
-        lo, hi = cells[0], cells[-1]
         a = frame.mu / (2.0 * hbar * frame.nu)
         slope = -1.0 / (hbar * frame.nu)
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.nu))
     else:
         env = momentum_wavefunction(state, hbar)
-        lo, hi = momentum_extent(state, hbar)
-        cells = None
+        cells = np.linspace(*momentum_extent(state, hbar), 65)
         a = -frame.nu / (2.0 * hbar * frame.mu)
         slope = 1.0 / (hbar * frame.mu)
         scale = state.envelope_scale(hbar) * sp / sq
         pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.mu))
-    amps = _ladder_amplitudes(env, a, slope, x, lo, hi, scale, cells)
+    amps = _ladder_amplitudes(env, a, slope, x, cells, scale)
     return Tomogram(frame, x, pref * np.abs(amps) ** 2)
 
 

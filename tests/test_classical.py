@@ -10,6 +10,7 @@ from tomolab.classical import (
     DensityGrid,
     OscillatorTrajectory,
     PointTrajectory,
+    box_plateaus,
     build_radon_family,
     classical_box_tomogram,
     classical_box_tomogram_build,
@@ -337,14 +338,14 @@ def _mesh_reference(g, x):
     return np.diff(cdf) / (x[1] - x[0])
 
 
-_POINT = parse_classical("point:q0=0.8,p0=-1.3")
 # name: (q_of_t, p_of_t, q(t) on numpy arrays, p(t) likewise, calls allowed)
 _SMOOTH_ORBITS = {
     "two-harmonic": (lambda t: 1.1 * math.cos(t) + 0.35 * math.cos(2 * t + 2.2),
                      lambda t: -1.1 * math.sin(t) - 0.7 * math.sin(2 * t + 2.2),
                      lambda t: 1.1 * np.cos(t) + 0.35 * np.cos(2 * t + 2.2),
                      lambda t: -1.1 * np.sin(t) - 0.7 * np.sin(2 * t + 2.2), 256),
-    "point": (_POINT.q_of_t, _POINT.p_of_t,
+    "point": (lambda t: 0.8 * math.cos(t) - 1.3 * math.sin(t),
+              lambda t: -1.3 * math.cos(t) - 0.8 * math.sin(t),
               lambda t: 0.8 * np.cos(t) - 1.3 * np.sin(t),
               lambda t: -1.3 * np.cos(t) - 0.8 * np.sin(t), 256),
     # agrees with its 16-point interpolant at the 32-point midpoints, so
@@ -478,6 +479,11 @@ def test_box_tomogram_boundary_interior_value():
     fr = TomographyFrame(1, 0)
     assert classical_box_tomogram(0.0, fr, 1.0) == 1.0
     assert classical_box_tomogram(1.0, fr, 1.0) == 1.0
+    # the computed plateau edges count as inside too, in a frame where
+    # (X - sqrt2 nu)/mu rounds past L at the edge X = mu L - sqrt2 nu
+    fr = TomographyFrame(-1.4, 0.6)
+    edges = np.ravel(box_plateaus(fr, 1.0))
+    assert np.all(classical_box_tomogram(edges, fr, 1.0) >= 1.0 / 2.8)
 
 
 def test_box_build_normalized():
@@ -507,9 +513,29 @@ def test_parse_classical():
     assert isinstance(parse_classical("oscillator:E=2"), OscillatorTrajectory)
     b = parse_classical("box:L=2,E=0.5")
     assert isinstance(b, BoxTrajectory) and b.L == 2 and b.E == 0.5
-    p = parse_classical("point:q0=1,p0=0")
+    p = parse_classical("point:q0=0.8,p0=-1.3")
     assert isinstance(p, PointTrajectory)
-    assert abs(p.q_of_t(0.0) - 1.0) < 1e-15
+    # the point at rest: its time average is one unit atom at mu q0 + nu p0
+    assert [(p.q_of_t(t), p.p_of_t(t)) for t in (0.0, 0.3, 2.0)] == [(0.8, -1.3)] * 3
+    fr = TomographyFrame(0.6, 0.8)
+    tom = time_averaged_tomogram(p, fr, np.linspace(-3, 3, 121))
+    assert len(tom.atoms) == 1 and tom.atoms[0].weight == 1.0
+    assert tom.atoms[0].location == pytest.approx(0.6 * 0.8 - 0.8 * 1.3, abs=1e-14)
+    assert not np.any(tom.values)
+
+
+def test_time_average_of_a_density_is_its_radon_transform():
+    dens = gaussian_density(sq=0.7, sp=1.2, extent=6.0, n=121)
+    fr = TomographyFrame(0.6, -0.8)
+    x = np.linspace(-7, 7, 281)
+    tom = time_averaged_tomogram(dens, fr, x)
+    assert np.array_equal(tom.values, radon_density(dens, fr, x).values) and not tom.atoms
+
+
+def test_time_average_rejects_what_is_not_a_classical_model():
+    with pytest.raises(TypeError, match="unsupported classical model"):
+        # a descriptor that was never parsed
+        time_averaged_tomogram("oscillator:E=1", TomographyFrame(1, 0), np.linspace(-1, 1, 5))
 
 
 def test_density_csv_roundtrip(tmp_path):

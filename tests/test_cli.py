@@ -284,6 +284,22 @@ def test_limit_command_writes_one_artifact_per_value(tmp_path, study, args, name
             assert normalization_residual(tom) <= cli.TOMOGRAM_MASS_TOL
 
 
+def test_limit_ehrenfest_box_profile_spans_the_support_for_negative_mu(tmp_path):
+    # at mu < 0 the plateaus lie below X = 0, so a profile whose X span
+    # starts at -0.5 - sqrt2|nu| for either sign of mu loses a quarter of
+    # its mass; mirrored frames must carry the same mass
+    masses = []
+    for mu in ("1", "-1"):
+        out = str(tmp_path / f"mu{mu}")
+        assert run(["limit", "ehrenfest-box", "--ns", "25,50", "--frame", f"{mu},0.3",
+                    "--out", out]) == 0
+        prof = np.loadtxt(os.path.join(out, "ehrenfest-box_n_50.csv"), delimiter=",",
+                          skiprows=1)
+        x, w = prof[:, 0], prof[:, 1]
+        masses.append(float(np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(x))))
+    assert abs(masses[0] - masses[1]) < 1e-2
+
+
 def test_cli_import_leaves_concurrent_futures_unimported():
     # the limit studies sweep their parameter serially
     import subprocess
