@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ FRAME_BOX_DOUBLINGS = 6
 @dataclass
 class RunConfig:
     """One CLI invocation; mirrors the flag set so a JSON document can
-    replay a run via --config."""
+    replay a run via --config, and holds the defaults of both."""
 
     command: str
     state: str | None = None
@@ -86,9 +87,9 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         command = raw.get("command")
-        if command not in COMMAND_FIELDS:
+        if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
-        unread = set(raw) - {"command", *COMMAND_FIELDS[command]}
+        unread = set(raw) - {"command", *COMMANDS[command].reads}
         if unread:
             raise ValueError(f"{command} does not read config keys {sorted(unread)}")
         cfg = cls(**_as_flags(raw))
@@ -128,6 +129,14 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _hbar(text: str) -> float:
+    """A value of hbar: only 0 < hbar < inf describes a quantum state."""
+    h = float(text)
+    if not 0.0 < h < math.inf:
+        raise argparse.ArgumentTypeError(f"hbar must be positive and finite, got {text!r}")
+    return h
+
+
 def parse_hbar_sequence(text: str) -> list[float]:
     """`a:b:geometric[:count]` - from a toward b; with no count the ratio
     is 1/2 and the sweep stops at the last value >= min(a, b)."""
@@ -136,9 +145,7 @@ def parse_hbar_sequence(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"hbar sweep must look like a:b:geometric[:count], got {text!r}"
         )
-    a, b = float(parts[0]), float(parts[1])
-    if a <= 0 or b <= 0:
-        raise argparse.ArgumentTypeError("hbar endpoints must be positive")
+    a, b = _hbar(parts[0]), _hbar(parts[1])
     if len(parts) == 4:
         n = int(parts[3])
         if n < 2:
@@ -158,13 +165,6 @@ def _parse_frames_list(text: str) -> list[tuple[float, float]]:
     return [_parse_pair(tok, "frame") for tok in text.split(";") if tok]
 
 
-def _grid_from_config(cfg: RunConfig, state, frame: TomographyFrame) -> np.ndarray:
-    if cfg.grid is not None:
-        lo, hi, n = cfg.grid
-        return np.linspace(lo, hi, n)
-    return qt.default_x_grid(state, frame, cfg.hbar)
-
-
 def _centred_grid(m: float, n: int) -> np.ndarray:
     """n points from -m to m, exactly symmetric, whose centre point (odd n)
     is exactly 0: np.linspace can leave it at +-4e-16, a frame whose
@@ -180,7 +180,7 @@ def _centred_grid(m: float, n: int) -> np.ndarray:
 def cmd_tomogram(cfg: RunConfig) -> int:
     state = st.parse_state(cfg.state)
     frame = cfg.resolved_frame()
-    grid = _grid_from_config(cfg, state, frame)
+    grid = np.linspace(*cfg.grid) if cfg.grid else qt.default_x_grid(state, frame, cfg.hbar)
     tom = qt.state_tomogram(state, frame, grid, cfg.hbar)
     out = cfg.out if cfg.out.endswith(".csv") else os.path.join(cfg.out, "tomogram.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
@@ -382,11 +382,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
                 break
             mu_max *= 2.0 if wide_mu else 1.0
             nu_max *= 2.0 if wide_nu else 1.0
-        if cfg.grid is not None:
-            lo, hi, n = cfg.grid
-            qg = np.linspace(lo, hi, n)
-        else:
-            qg = np.linspace(-0.6 * qext, 0.6 * qext, 41)
+        qg = np.linspace(*cfg.grid) if cfg.grid else np.linspace(-0.6 * qext, 0.6 * qext, 41)
         pg = qg * pext / qext
         wrec, resid = qt.wigner_from_tomogram_grid(fam, qg, pg, hbar)
         out_csv = os.path.join(cfg.out, "wigner.csv")
@@ -400,12 +396,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
             report["max_error_vs_exact"] = float(np.max(np.abs(wrec.values - ref)))
         print(f"wigner grid written to {out_csv}")
     elif cfg.target == "density":
-        if cfg.grid is not None:
-            lo, hi, n = cfg.grid
-            xs = np.linspace(lo, hi, n)
-        else:
-            qlo, qhi = st.position_extent(state, hbar, tails=3.0)
-            xs = np.linspace(qlo, qhi, 31)
+        xs = (np.linspace(*cfg.grid) if cfg.grid
+              else np.linspace(*st.position_extent(state, hbar, tails=3.0), 31))
         nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
         sq, sp = st.natural_scales(state, hbar)
         mu_max = 6.0 / sq
@@ -495,7 +487,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     frames = [TomographyFrame(*f) for f in cfg.frames] or [TomographyFrame(1.0, 0.0)]
     rows = []
     notes = []
-    grid = np.linspace(*cfg.grid) if cfg.grid is not None else None
+    grid = np.linspace(*cfg.grid) if cfg.grid else None
     for fr in frames:
         try:
             d, note = _compare_row(state, model, fr, cfg.hbar, grid)
@@ -738,39 +730,40 @@ def cmd_selftest(cfg: RunConfig) -> int:
 # its params key) and its argparse settings
 _FLAGS = {
     "state": dict(help="state descriptor, e.g. ho:n=3 or coherent:re=1,im=0"),
-    "classical": dict(required=True,
-                      help="classical descriptor, e.g. oscillator:E=1 or box:L=1,E=1"),
+    "classical": dict(help="classical descriptor, e.g. oscillator:E=1 or box:L=1,E=1"),
     "frame": dict(type=lambda s: _parse_pair(s, "frame"), help="mu,nu"),
     "scaling": dict(type=lambda s: _parse_pair(s, "scaling"), help="s,theta"),
     "frames": dict(type=_parse_frames_list, help="semicolon-separated frames, e.g. '1,0;0,1'"),
-    "hbar": dict(type=float, default=1.0),
+    "hbar": dict(type=_hbar),
     "grid": dict(type=_parse_grid, help="min,max,count"),
-    "target": dict(choices=("wigner", "density"), required=True),
+    "target": dict(choices=("wigner", "density")),
     "quick": dict(action="store_true"),
-    "out": dict(default=".", help="output file or directory"),
+    "out": dict(help="output file or directory"),
     "hbars": dict(help="hbar sweep a:b:geometric[:count]"),
     "ns": dict(help="comma-separated quantum numbers"),
     **dict.fromkeys(("n", "m", "momentum_check_n"), dict(type=int)),
     **dict.fromkeys(("re", "im", "q_alpha", "p_alpha", "L", "center"), dict(type=float)),
 }
 
-# The RunConfig fields each command reads: its flags and the keys its
-# --config document may hold.  A flag or key that a command does not read is
-# rejected, not ignored.  limit takes its study as a positional argument and
-# each study parameter as a flag that goes to params.
-COMMAND_FIELDS = {
-    "tomogram": ("state", "frame", "scaling", "hbar", "grid", "out"),
-    "limit": ("study", "state", "frame", "scaling", "params", "out"),
-    "reconstruct": ("state", "target", "hbar", "grid", "out"),
-    "compare": ("state", "classical", "frames", "hbar", "grid", "out"),
-    "selftest": ("quick", "out"),
-}
-_COMMAND_HELP = {
-    "tomogram": "evaluate one tomogram to CSV + JSON sidecar",
-    "limit": "run a quantum-classical limit study",
-    "reconstruct": "invert tomograms to a Wigner function or density matrix",
-    "compare": "quantum vs classical L1 table",
-    "selftest": "run the invariant battery",
+
+# Every command, described once for the command line and --config: its
+# handler, its help line, the RunConfig fields it reads (its flags and the
+# keys its --config document may hold; any other is rejected, not ignored)
+# and the fields it cannot run without, which main checks for both.  limit
+# takes its study as a positional argument and each study parameter as a
+# flag that goes to params.
+Command = namedtuple("Command", "run help reads needs", defaults=((),))
+
+COMMANDS = {
+    "tomogram": Command(cmd_tomogram, "evaluate one tomogram to CSV + JSON sidecar",
+                        ("state", "frame", "scaling", "hbar", "grid", "out"), ("state",)),
+    "limit": Command(cmd_limit, "run a quantum-classical limit study",
+                     ("study", "state", "frame", "scaling", "params", "out")),
+    "reconstruct": Command(cmd_reconstruct, "invert tomograms to a Wigner function or density matrix",
+                           ("state", "target", "hbar", "grid", "out"), ("state", "target")),
+    "compare": Command(cmd_compare, "quantum vs classical L1 table",
+                       ("state", "classical", "frames", "hbar", "grid", "out"), ("state", "classical")),
+    "selftest": Command(cmd_selftest, "run the invariant battery", ("quick", "out")),
 }
 
 
@@ -787,14 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
     matcher = re.compile(r"^-\d+(\.\d+)?([,:eE+\-.\d]*)$")
     ap._negative_number_matcher = matcher
     study_params = [k for k in _FLAGS if k not in RunConfig.__dataclass_fields__]
-    for command, fields in COMMAND_FIELDS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command], allow_abbrev=False)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p._negative_number_matcher = matcher
-        for name in fields:
-            if name == "study":
+        for key in command.reads:
+            if key == "study":
                 p.add_argument("study", choices=STUDIES)
                 continue
-            for flag in study_params if name == "params" else (name,):
+            for flag in study_params if key == "params" else (key,):
                 p.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag])
     return ap
 
@@ -819,15 +812,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_HANDLERS = {
-    "tomogram": cmd_tomogram,
-    "limit": cmd_limit,
-    "reconstruct": cmd_reconstruct,
-    "compare": cmd_compare,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
@@ -843,8 +827,13 @@ def main(argv=None) -> int:
         return 2
     else:
         cfg = _config_from_args(args)
+    command = COMMANDS[cfg.command]
+    missing = [name for name in command.needs if getattr(cfg, name) is None]
+    if missing:
+        print(f"{cfg.command}: missing {', '.join(missing)}", file=sys.stderr)
+        return 2
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return command.run(cfg)
     # bad descriptors, frames, grids, hbar sweeps and tomogram inputs
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"{cfg.command}: {exc}", file=sys.stderr)

@@ -13,9 +13,9 @@ overflows nor underflows before its result does: Hermite orders up to 10000
 and Laguerre orders up to 2000 hold against mpmath wherever the raw
 polynomials or e^(-x^2/2) leave double range.
 
-Ai and the U asymptotic take arrays as well as scalars: every element is
-truncated as a scalar would be, and a scalar runs the same code on Python
-floats and math at the cost of scalar code.
+Ai and the U asymptotic run one numpy code path for every input: a scalar
+is a one-element array, so it gives exactly the value of its element in an
+array, and each element is truncated on its own.
 """
 
 from __future__ import annotations
@@ -314,30 +314,9 @@ for _k in range(60):
                                   / (54.0 * (_k + 1) * (_k + 0.5))))
 
 
-# The Airy and U kernels below are written once for a Python float, which
-# they run on floats and math at the cost of scalar code, and for a float
-# array, which they run on numpy with per-element masks; a mask is a bool
-# for a float.
-
-def _float_or_array(x):
-    if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        return float(x)
-    return np.asarray(x, dtype=float)
-
-
-def _xp(x):
-    return np if isinstance(x, np.ndarray) else math
-
-
-def _any(mask) -> bool:
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
-
-
 def _split(x, index, fs):
     # the pair fs[i](x) on the elements of x whose index is i, each
     # function evaluated on its own elements only
-    if not isinstance(x, np.ndarray):
-        return fs[index](x)
     out = [np.empty_like(x), np.empty_like(x)]
     for i, f in enumerate(fs):
         mask = index == i
@@ -367,9 +346,7 @@ def _airy_series(x):
         tg = tg * (x3 * rg2)
         f = f + tf
         g = g + tg
-        done = (abs(tf) <= 1e-18 * abs(f)) & (abs(tg) <= 1e-18 * abs(g))
-        # a bool for a float; no call here keeps a scalar Ai as cheap as before
-        if done is True or done is not False and done.all():
+        if np.all((abs(tf) <= 1e-18 * abs(f)) & (abs(tg) <= 1e-18 * abs(g))):
             break
     return _AI0 * f - _AIP0 * g, 0.0
 
@@ -390,7 +367,7 @@ def _airy_u_sum(zeta, w):
         live = live & (t <= last)
         s = s + wk * t * live
         live = live & (t >= 1e-19)
-        if not _any(live):
+        if not np.any(live):
             break
     return s
 
@@ -409,8 +386,7 @@ def _airy_oscillatory(x):
     zeta = (2.0 / 3.0) * z ** 1.5
     s = _airy_u_sum(zeta, 1j)
     ph = zeta + 0.25 * math.pi
-    xp = _xp(x)
-    return (xp.sin(ph) * s.real - xp.cos(ph) * s.imag) / (math.sqrt(math.pi) * z ** 0.25), 0.0
+    return (np.sin(ph) * s.real - np.cos(ph) * s.imag) / (math.sqrt(math.pi) * z ** 0.25), 0.0
 
 
 def _airy(x):
@@ -425,15 +401,17 @@ def airy_ai(x):
 
     Maclaurin series on (AIRY_SWITCH_NEG, AIRY_SWITCH_POS), the standard
     decaying/oscillatory asymptotic expansions beyond, each element
-    truncated where the scalar series would be; both branches agree at the
-    switch points to better than 1e-9 (regression-tested), and the whole
-    range holds within 5e-12 of mpmath.  A scalar x gives a float.
+    truncated on its own; both branches agree at the switch points to
+    better than 1e-9 (regression-tested), and the whole range holds within
+    5e-12 of mpmath.  A scalar x gives a float, the value of its element in
+    an array.
     """
-    x = _float_or_array(x)
-    if _any(abs(x) > 100.0):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 100.0):
         raise ValueError(f"airy_ai validated only for |x| <= 100, got {np.max(np.abs(x))}")
-    m, zeta = _airy(x)
-    return m * _xp(x).exp(-zeta)
+    m, zeta = _airy(np.atleast_1d(x))
+    out = (m * np.exp(-zeta)).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def parabolic_u_asymptotic(a: float, x):
@@ -451,32 +429,33 @@ def parabolic_u_asymptotic(a: float, x):
     The prefactor and the decay of Ai are assembled in log space;
     2^(-a/2) Gamma(1/4 - a/2) overflows directly for |a| beyond ~150, and
     where U's envelope leaves double range (|a| beyond ~300) an
-    OverflowError is raised.  A scalar x gives a float.
+    OverflowError is raised.  A scalar x gives a float, the value of its
+    element in an array.
     """
     if a > -10:
         raise ValueError(f"asymptotic regime requires a <= -10, got a = {a}")
-    x = _float_or_array(x)
-    if _any(x < 0.0):
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
         raise ValueError(f"argument must be nonnegative, got {np.min(x)}")
-    xp = _xp(x)
     am = -float(a)
 
     def turning(xi):
         return 0.0, am ** (2.0 / 3.0)
 
     def oscillatory(xi):
-        tau = -((6.0 * am * (0.25 * (xp.acos(xi) - xi * xp.sqrt(1.0 - xi * xi)))) ** (2.0 / 3.0))
+        tau = -((6.0 * am * (0.25 * (np.acos(xi) - xi * np.sqrt(1.0 - xi * xi)))) ** (2.0 / 3.0))
         return tau, tau / (xi * xi - 1.0)
 
     def decaying(xi):
-        tau = (6.0 * am * (0.25 * (xi * xp.sqrt(xi * xi - 1.0) - xp.acosh(xi)))) ** (2.0 / 3.0)
+        tau = (6.0 * am * (0.25 * (xi * np.sqrt(xi * xi - 1.0) - np.acosh(xi)))) ** (2.0 / 3.0)
         return tau, tau / (xi * xi - 1.0)
 
-    xi = x / (2.0 * math.sqrt(am))
+    xi = np.atleast_1d(x) / (2.0 * math.sqrt(am))
     tau, ratio = _split(xi, (1.0 - xi < 1e-4) * 1 + (xi - 1.0 >= 1e-4), (oscillatory, turning, decaying))
     m, zeta = _airy(tau)
     log_pref = (-0.25 - 0.5 * a) * math.log(2.0) + log_gamma(0.25 - 0.5 * a)
-    power = log_pref + 0.25 * xp.log(ratio) - zeta
-    if _any(power > _LOG_DOUBLE_MAX):
+    power = log_pref + 0.25 * np.log(ratio) - zeta
+    if np.any(power > _LOG_DOUBLE_MAX):
         raise OverflowError(f"U(a, x) beyond the double range at a = {a}")
-    return m * xp.exp(power)
+    out = (m * np.exp(power)).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out

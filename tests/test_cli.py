@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -147,6 +148,10 @@ def test_hbar_sequence_parsing():
     assert abs(seq[-1] - 0.001) < 1e-15
     with pytest.raises(Exception):
         cli.parse_hbar_sequence("1:2:linear")
+    # both endpoints meet the --hbar check; an infinite start with no count once never returned
+    for text in ("inf:1e-3:geometric:5", "inf:1e-3:geometric", "1e-1:nan:geometric", "0:1e-3:geometric:4"):
+        with pytest.raises(argparse.ArgumentTypeError, match="hbar must be positive and finite"):
+            cli.parse_hbar_sequence(text)
 
 
 def test_limit_command_interference(tmp_path, capsys):
@@ -376,6 +381,56 @@ def test_config_keys_a_command_does_not_read_exit_2(tmp_path, capsys, config, me
     assert not os.path.exists(tmp_path / "out")
 
 
+def _exit_code(form, tmp_path, out: str):
+    """Run a command line (a list) or a --config document (a dict) writing
+    to out; argparse's own rejections exit through SystemExit."""
+    if isinstance(form, dict):
+        path = str(tmp_path / "run.json")
+        with open(path, "w") as fh:
+            json.dump({**form, "out": out}, fh)
+        argv = ["--config", path]
+    else:
+        argv = form + ["--out", out]
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("form,missing", [
+    (["tomogram", "--frame", "1,0"], "state"),
+    (["reconstruct", "--target", "wigner"], "state"),
+    (["reconstruct", "--state", "ho:n=1"], "target"),
+    (["compare", "--classical", "oscillator:E=1"], "state"),
+    (["compare", "--state", "ho:n=3"], "classical"),
+    ({"command": "tomogram", "frame": [1, 0]}, "state"),
+    ({"command": "reconstruct", "state": "ho:n=1"}, "target"),
+    ({"command": "compare", "classical": "oscillator:E=1"}, "state"),
+    ({"command": "compare", "state": "ho:n=3"}, "classical"),
+])
+def test_a_command_without_its_descriptor_exits_2(tmp_path, capsys, form, missing):
+    # these once ended in a TypeError traceback, or wrote before failing
+    out = str(tmp_path / "out")
+    assert _exit_code(form, tmp_path, out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f": missing {missing}")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_hbar_must_be_positive_and_finite(tmp_path, capsys, hbar, via_config):
+    # 0 once ended in a ZeroDivisionError traceback and nan wrote a NaN tomogram
+    out = str(tmp_path / "out")
+    form = {"command": "tomogram", "state": "ho:n=0", "frame": [1, 0], "hbar": hbar}
+    if not via_config:
+        form = ["tomogram", "--state", "ho:n=0", "--frame", "1,0", "--hbar", str(hbar)]
+    assert _exit_code(form, tmp_path, out) == 2
+    err = capsys.readouterr().err
+    assert f"hbar must be positive and finite, got '{hbar}'" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_readme_commands_parse():
     # every command line the README shows passes only flags its command reads
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -383,7 +438,7 @@ def test_readme_commands_parse():
     assert len(lines) >= 9
     for line in lines:
         args = cli.build_parser().parse_args(shlex.split(line.split(" #")[0])[1:])
-        assert args.command in cli.COMMAND_FIELDS
+        assert args.command in cli.COMMANDS
 
 
 def test_reconstruct_density(tmp_path, capsys):

@@ -205,6 +205,25 @@ def test_airy_array_against_mpmath():
         assert abs(airy_ai(v) - g) < 1e-14 and isinstance(airy_ai(v), float)
 
 
+_AIRY_SEAMS = [v for s in (sf.AIRY_SWITCH_POS, sf.AIRY_SWITCH_NEG) for v in (math.nextafter(s, 0.0), s)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.lists(hs.floats(-100.0, 100.0) | hs.sampled_from(_AIRY_SEAMS), min_size=1, max_size=20))
+def test_airy_scalar_call_equals_its_array_element(xs):
+    got = airy_ai(np.array(xs))
+    for x, g in zip(xs, got):
+        assert airy_ai(x) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.floats(-200.0, -10.0), hs.lists(hs.floats(0.0, 100.0), min_size=1, max_size=20))
+def test_parabolic_scalar_call_equals_its_array_element(a, xs):
+    got = parabolic_u_asymptotic(a, np.array(xs))
+    for x, g in zip(xs, got):
+        assert parabolic_u_asymptotic(a, x) == g
+
+
 def test_airy_domain():
     with pytest.raises(ValueError):
         airy_ai(101.0)
