@@ -40,6 +40,7 @@ from .kernel import (
 __all__ = [
     "DensityGrid",
     "PointTrajectory",
+    "RestPoint",
     "BoxTrajectory",
     "OscillatorTrajectory",
     "radon_density",
@@ -111,6 +112,14 @@ class PointTrajectory:
                 raise TomogramError(
                     f"trajectory is not {self.period}-periodic (gaps {dq:.2e}, {dp:.2e})"
                 )
+
+
+class RestPoint(PointTrajectory):
+    """The phase-space point (q0, p0) at rest, whose time average is its
+    instantaneous tomogram: the unit atom at mu q0 + nu p0."""
+
+    def __init__(self, q0: float, p0: float):
+        super().__init__(lambda t: q0, lambda t: p0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -526,6 +535,7 @@ _TIME_AVERAGES = {
     OscillatorTrajectory: lambda m, fr, x: classical_oscillator_tomogram_build(fr, m.E, x),
     BoxTrajectory: lambda m, fr, x: classical_box_tomogram_build(fr, m.L, x, m.E),
     PointTrajectory: lambda m, fr, x: _orbit_average(m, fr, x),
+    RestPoint: lambda m, fr, x: Tomogram(fr, x, np.zeros_like(x), (trajectory_tomogram(m, 0, fr),)),
 }
 
 
@@ -544,7 +554,8 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     a few dozen calls of q_of_t and p_of_t, the rest is its verified
     trigonometric interpolant); an orbit that does not converge (kinks, a
     wrap gap) is sampled at every mesh time instead.  An orbit spanning less
-    than one cell becomes a unit atom at its time mean.
+    than one cell becomes a unit atom at its time mean; a RestPoint is its
+    unit atom, with no mesh.
     """
     route = _TIME_AVERAGES.get(type(model))
     if route is None:
@@ -576,7 +587,7 @@ def parse_classical(text: str):
     if kind == "point":
         kv = _parse_kv(text, body, off, {"q0": float, "p0": float}, ())
         q0, p0 = kv.get("q0", 0.0), kv.get("p0", 0.0)
-        return PointTrajectory(lambda t: q0, lambda t: p0, 1.0)
+        return RestPoint(q0, p0)
     if kind == "grid":
         import os
 

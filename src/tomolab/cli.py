@@ -110,18 +110,23 @@ def _as_flags(raw: dict) -> dict:
             for k, v in raw.items()}
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _fields(text: str, types: tuple, what: str) -> tuple:
+    """The comma-separated fields of text read by types, or an error saying what they must be."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{what} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        if len(parts) == len(types):
+            return tuple(t(p) for t, p in zip(types, parts))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+
+
+def _parse_pair(text: str, what: str) -> tuple[float, float]:
+    return _fields(text, (float, float), f"{what} must be two comma-separated numbers")
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be min,max,count, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = _fields(text, (float, float, int), "grid must be min,max,count with an integer count")
     if n < 2:
         raise argparse.ArgumentTypeError("grid count must be at least 2")
     if hi <= lo:
@@ -131,9 +136,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def _hbar(text: str) -> float:
     """A value of hbar: only 0 < hbar < inf describes a quantum state."""
-    h = float(text)
+    what = "hbar must be positive and finite"
+    (h,) = _fields(text, (float,), what)
     if not 0.0 < h < math.inf:
-        raise argparse.ArgumentTypeError(f"hbar must be positive and finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
     return h
 
 
@@ -150,6 +156,9 @@ def parse_hbar_sequence(text: str) -> list[float]:
         n = int(parts[3])
         if n < 2:
             raise argparse.ArgumentTypeError("hbar sweep needs at least 2 points")
+        if not 0.0 < b / a < math.inf:  # b/a leaves double range: space the logarithms
+            la, lb = math.log(a), math.log(b)
+            return [a, *(math.exp(la + (lb - la) * k / (n - 1)) for k in range(1, n - 1)), b]
         ratio = (b / a) ** (1.0 / (n - 1))
         return [a * ratio ** k for k in range(n)]
     lo = min(a, b)
@@ -184,7 +193,7 @@ def cmd_tomogram(cfg: RunConfig) -> int:
     tom = qt.state_tomogram(state, frame, grid, cfg.hbar)
     out = cfg.out if cfg.out.endswith(".csv") else os.path.join(cfg.out, "tomogram.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    write_tomogram(tom, out, hbar=cfg.hbar, state=st.state_descriptor(state))
+    write_tomogram(tom, out, hbar=cfg.hbar, state=state.descriptor())
     print(f"tomogram written to {out}")
     print(f"normalization residual: {normalization_residual(tom):.3e}")
     return 0 if _mass_ok("tomogram", out, tom) else 1
@@ -355,7 +364,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     state = st.parse_state(cfg.state)
     hbar = cfg.hbar
     os.makedirs(cfg.out, exist_ok=True)
-    report: dict = {"state": st.state_descriptor(state), "hbar": hbar, "target": cfg.target}
+    report: dict = {"state": state.descriptor(), "hbar": hbar, "target": cfg.target}
 
     if cfg.target == "wigner":
         qlo, qhi = st.position_extent(state, hbar, tails=4.0)
@@ -390,7 +399,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
                    (np.repeat(qg, pg.size), np.tile(pg, qg.size), wrec.values))
         report["imag_residual"] = resid
         report["frame_box_tail"] = fam.edge_tail()
-        exact = qt.exact_wigner(state, hbar)
+        exact = state.exact_wigner(hbar)
         if exact is not None:
             ref = exact(pg[None, :], qg[:, None])
             report["max_error_vs_exact"] = float(np.max(np.abs(wrec.values - ref)))
@@ -443,7 +452,7 @@ def _require_unit_energy(kind: str, **values: tuple[float, float]) -> None:
 
 # the note of a plain-L1 row; the orbit models take the default
 _PLAIN_NOTES = {cl.DensityGrid: "plain L1",
-                cl.PointTrajectory: "plain L1 (point state spread to its cell)"}
+                cl.RestPoint: "plain L1 (point state spread to its cell)"}
 
 
 def _compare_row(state, model, frame: TomographyFrame, hbar: float,
@@ -502,7 +511,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     out_csv = os.path.join(cfg.out, "compare.csv")
     _write_csv(out_csv, "mu,nu,l1_distance", zip(*rows))
     meta = {
-        "state": st.state_descriptor(state),
+        "state": state.descriptor(),
         "classical": cfg.classical,
         "hbar": cfg.hbar,
         "notes": notes,
@@ -542,7 +551,7 @@ def _selftest_rows(quick: bool):
     worst = 0.0
     for _ in range(3 if quick else 8):
         fr = frame_from_scaling(rng.uniform(0.7, 1.4), rng.uniform(0.2, 1.2))
-        lo, hi = qt.box_x_extent(st.BoxEigen(nbox, 1.0), fr, hb, mass_tol=2e-4)
+        lo, hi = st.BoxEigen(nbox, 1.0).x_extent(fr, hb, mass_tol=2e-4)
         dx = 2.0 * math.pi * hb * max(abs(fr.nu), 0.05) / 14.0
         g = np.arange(lo, hi, dx)
         worst = max(worst, normalization_residual(qt.box_tomogram(nbox, 1.0, fr, g, hb)))
@@ -628,7 +637,7 @@ def _selftest_rows(quick: bool):
         fam = qt.build_state_family(gs, 1.0, mu_g, mu_g, None)
         qg = np.linspace(-3, 3, 31)
         wrec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, 1.0)
-        wref = qt.exact_wigner(gs, 1.0)(qg[None, :], qg[:, None])
+        wref = gs.exact_wigner(1.0)(qg[None, :], qg[:, None])
         check("wigner round trip", float(np.max(np.abs(wrec.values - wref))), 1e-3)
 
         cst = st.Coherent(1 + 0j)

@@ -35,7 +35,7 @@ from .quantum import (
     superposition_cross_term,
 )
 from .specfun import log_gamma, parabolic_u_asymptotic
-from .states import CatEven, StateSpec, cat_normalization
+from .states import CatEven, State, cat_normalization
 
 __all__ = [
     "LimitReport",
@@ -206,7 +206,7 @@ def weak_error(tom: Tomogram, tests: Sequence[Callable[[np.ndarray], np.ndarray]
     return max(errs)
 
 
-def weak_delta_convergence(state: StateSpec, hbar_values: Sequence[float],
+def weak_delta_convergence(state: State, hbar_values: Sequence[float],
                            frame: TomographyFrame, center: float = 0.0) -> LimitReport:
     """Weak convergence of the tomograms of one state, swept over hbar, to
     N*delta(X - center).  Every tomogram must be normalized to 1e-3 before

@@ -10,9 +10,13 @@ amplitude
 (nu != 0); nu = 0 and mu = 0 reduce exactly to the position and momentum
 marginals and (mu, nu) = (0, 0) to the unit atom delta(X).  Oscillator
 closed forms come from the Gaussian generating function J(s) with
-zeta = varpi*nu + i*mu; all fractional powers of zeta-ratios are taken
-so the amplitudes agree with the defining integral in every (mu, nu)
-quadrant (regression-tested against quadrature).
+zeta = nu + i*mu at mass times frequency varpi = 1; all fractional powers
+of zeta-ratios are taken so the amplitudes agree with the defining
+integral in every (mu, nu) quadrant (regression-tested against
+quadrature).  Canonical maps act on the frame: a varpi oscillator state
+takes the varpi = 1 form in the frame (mu/sqrt(varpi), nu sqrt(varpi)),
+and the Fourier turn q -> p, p -> -q makes the momentum-side quadrature
+the position-side one applied to psihat in the frame (nu, -mu).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .states import (
     CatOdd,
     Coherent,
     HOEigen,
-    StateSpec,
+    State,
     Superposition,
     cat_normalization,
     coherent_center,
@@ -84,40 +88,35 @@ __all__ = [
 # amplitude closed forms
 # ---------------------------------------------------------------------------
 
-def _zeta(frame: TomographyFrame, varpi: float) -> complex:
-    return complex(varpi * frame.nu, frame.mu)
-
-
 def _require_nu(frame: TomographyFrame, who: str) -> None:
     if frame.nu == 0.0:
         raise TomogramError(f"{who} requires nu != 0 (nu = 0 is the exact position branch)")
 
 
 def amplitude_generating(s: complex, frame: TomographyFrame, X: float,
-                         hbar: float, varpi: float = 1.0) -> complex:
+                         hbar: float) -> complex:
     """Generating function of the oscillator amplitudes,
 
-        J(s) = (varpi/pi hbar)^(1/4) sqrt(2 pi hbar nu / zeta*)
-               * exp[ zeta s^2/(2 zeta*) - i sqrt(2 varpi/hbar) X s / zeta*
+        J(s) = (1/pi hbar)^(1/4) sqrt(2 pi hbar nu / zeta*)
+               * exp[ zeta s^2/(2 zeta*) - i sqrt(2/hbar) X s / zeta*
                       - X^2/(2 hbar nu zeta*) ],
 
     whose Taylor coefficients are A_n / sqrt(n!).  Principal branch of the
     complex square root; entire in s.
     """
     _require_nu(frame, "amplitude_generating")
-    z = _zeta(frame, varpi)
+    z = complex(frame.nu, frame.mu)  # zeta
     zc = z.conjugate()
-    pref = (varpi / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
+    pref = (1.0 / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
     expo = (
         z * s * s / (2.0 * zc)
-        - 1j * math.sqrt(2.0 * varpi / hbar) * X * s / zc
+        - 1j * math.sqrt(2.0 / hbar) * X * s / zc
         - X * X / (2.0 * hbar * frame.nu * zc)
     )
     return pref * cmath.exp(expo)
 
 
-def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float,
-                      varpi: float = 1.0):
+def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
     """Closed-form amplitude A_n of the n-th oscillator eigenstate.
 
     Written with the same prefactor as J(s) and the unimodular factor
@@ -126,17 +125,17 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float,
     reproduces the Hermite tomogram.  Accepts scalar or array X.
     """
     _require_nu(frame, "hermite_amplitude")
-    z = _zeta(frame, varpi)
+    z = complex(frame.nu, frame.mu)  # zeta
     zc = z.conjugate()
-    kappa = varpi / (hbar * (z * zc).real)
+    kappa = 1.0 / (hbar * (z * zc).real)
     scalar = np.isscalar(X)
     Xv = np.asarray(X, dtype=float)
     Q = np.sqrt(kappa) * Xv
-    pref = (varpi / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
+    pref = (1.0 / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
     # exp(-X^2/(2 hbar nu zeta*)) = (unit phase) * exp(-Q^2/2); the decay is
     # folded into phi_n(Q) so nothing overflows at large |X|
     phase = np.exp(-Xv * Xv / (2.0 * hbar * frame.nu * zc) + 0.5 * Q * Q)
-    root = cmath.exp(1j * math.atan2(frame.mu, varpi * frame.nu))
+    root = cmath.exp(1j * math.atan2(frame.mu, frame.nu))
     out = pref * phase * (-1j * root) ** n * math.pi ** 0.25 * hermite_phi(n, Q)
     return complex(out) if scalar else out
 
@@ -145,59 +144,49 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float,
 # closed-form tomograms
 # ---------------------------------------------------------------------------
 
-def _kappa(frame: TomographyFrame, hbar: float, varpi: float) -> float:
-    d = varpi ** 2 * frame.nu ** 2 + frame.mu ** 2
+def _kappa(frame: TomographyFrame, hbar: float) -> float:
+    d = frame.nu ** 2 + frame.mu ** 2
     if d == 0.0:
         raise TomogramError("closed-form tomogram rejected for the zero frame")
-    return varpi / (hbar * d)
+    return 1.0 / (hbar * d)
 
 
-def hermite_tomogram(n: int, frame: TomographyFrame, X, hbar: float,
-                     varpi: float = 1.0):
+def hermite_tomogram(n: int, frame: TomographyFrame, X, hbar: float):
     """Tomogram of the n-th oscillator eigenstate,
 
         W_n(X) = sqrt(kappa) * phi_n(sqrt(kappa) X)^2,
-        kappa  = varpi / (hbar (varpi^2 nu^2 + mu^2)),
+        kappa  = 1 / (hbar (nu^2 + mu^2)),
 
     the squared scaled Hermite function with its normalizing Jacobian.
     """
-    kappa = _kappa(frame, hbar, varpi)
+    kappa = _kappa(frame, hbar)
     Xv = np.asarray(X, dtype=float)
     out = math.sqrt(kappa) * hermite_phi(n, math.sqrt(kappa) * Xv) ** 2
     return float(out) if np.isscalar(X) else out
 
 
-def coherent_tomogram_peak(alpha: complex, frame: TomographyFrame, hbar: float,
-                           varpi: float = 1.0) -> float:
+def coherent_tomogram_peak(alpha: complex, frame: TomographyFrame, hbar: float) -> float:
     """Peak location mu*<q> + nu*<p> of the coherent-state tomogram."""
-    qbar, pbar = coherent_center(alpha, hbar, varpi)
+    qbar, pbar = coherent_center(alpha, hbar)
     return frame.mu * qbar + frame.nu * pbar
 
 
-def coherent_tomogram(alpha: complex, frame: TomographyFrame, X, hbar: float,
-                      varpi: float = 1.0):
-    """Gaussian tomogram of |alpha>:
+def coherent_tomogram(alpha: complex, frame: TomographyFrame, X, hbar: float):
+    """Gaussian tomogram of |alpha>, with kappa = 1/(hbar (nu^2 + mu^2)):
 
-        sqrt(varpi/(pi hbar (varpi^2 nu^2 + mu^2)))
-        * exp[-(sqrt(varpi) X - mu sqrt(2 hbar) Re alpha
-               - varpi nu sqrt(2 hbar) Im alpha)^2 / (hbar (varpi^2 nu^2 + mu^2))]
+        sqrt(kappa/pi) exp[-kappa (X - sqrt(2 hbar) (mu Re alpha + nu Im alpha))^2]
     """
-    d = varpi ** 2 * frame.nu ** 2 + frame.mu ** 2
+    d = frame.nu ** 2 + frame.mu ** 2
     if d == 0.0:
         raise TomogramError("closed-form tomogram rejected for the zero frame")
     Xv = np.asarray(X, dtype=float)
-    shift = (
-        frame.mu * math.sqrt(2.0 * hbar) * alpha.real
-        + varpi * frame.nu * math.sqrt(2.0 * hbar) * alpha.imag
-    )
-    out = math.sqrt(varpi / (math.pi * hbar * d)) * np.exp(
-        -((math.sqrt(varpi) * Xv - shift) ** 2) / (hbar * d)
-    )
+    r = math.sqrt(2.0 * hbar)
+    shift = frame.mu * r * alpha.real + frame.nu * r * alpha.imag
+    out = math.sqrt(1.0 / (math.pi * hbar * d)) * np.exp(-((Xv - shift) ** 2) / (hbar * d))
     return float(out) if np.isscalar(X) else out
 
 
-def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X,
-                             hbar: float, varpi: float = 1.0):
+def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X, hbar: float):
     """Interference term Re(A_n A_m*) / (2 pi hbar |nu|) of (|n>+|m>)/sqrt2,
 
         sqrt(kappa) cos((n - m)(arg zeta - pi/2)) phi_n(Q) phi_m(Q),   Q = sqrt(kappa) X:
@@ -205,61 +194,57 @@ def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X,
     the chirp phase common to both amplitudes cancels and is never
     formed, so the form holds down to nu = 0 (the position marginal).
     """
-    kappa = _kappa(frame, hbar, varpi)
+    kappa = _kappa(frame, hbar)
     Q = math.sqrt(kappa) * np.asarray(X, dtype=float)
-    turn = math.cos((n - m) * (math.atan2(frame.mu, varpi * frame.nu) - 0.5 * math.pi))
+    turn = math.cos((n - m) * (math.atan2(frame.mu, frame.nu) - 0.5 * math.pi))
     out = math.sqrt(kappa) * turn * hermite_phi(n, Q) * hermite_phi(m, Q)
     return float(out) if np.isscalar(X) else out
 
 
-def superposition_tomogram(n: int, m: int, frame: TomographyFrame, X,
-                           hbar: float, varpi: float = 1.0):
+def superposition_tomogram(n: int, m: int, frame: TomographyFrame, X, hbar: float):
     """Tomogram of (|n> + |m>)/sqrt2: the half-half mixture plus the
     amplitude interference term, in every nonzero frame."""
     if n == m:
         raise TomogramError("superposition requires distinct eigenstates")
     Xv = np.asarray(X, dtype=float)
     out = (
-        0.5 * hermite_tomogram(n, frame, Xv, hbar, varpi)
-        + 0.5 * hermite_tomogram(m, frame, Xv, hbar, varpi)
-        + superposition_cross_term(n, m, frame, Xv, hbar, varpi)
+        0.5 * hermite_tomogram(n, frame, Xv, hbar)
+        + 0.5 * hermite_tomogram(m, frame, Xv, hbar)
+        + superposition_cross_term(n, m, frame, Xv, hbar)
     )
     out = np.maximum(out, 0.0)
     return float(out) if np.isscalar(X) else out
 
 
-def _coherent_exponent(alpha: complex, z: complex, X: np.ndarray, hbar: float,
-                       varpi: float) -> np.ndarray:
+def _coherent_exponent(alpha: complex, z: complex, X: np.ndarray, hbar: float) -> np.ndarray:
     # exponent of A_alpha without the chirp -X^2/(2 hbar nu zeta*) that every
     # coherent amplitude in the frame shares
     zc = z.conjugate()
     return (-0.5 * abs(alpha) ** 2 + z * alpha * alpha / (2.0 * zc)
-            - 1j * math.sqrt(2.0 * varpi / hbar) * X * alpha / zc)
+            - 1j * math.sqrt(2.0 / hbar) * X * alpha / zc)
 
 
-def cat_interference(alpha: complex, frame: TomographyFrame, X, hbar: float,
-                     varpi: float = 1.0):
+def cat_interference(alpha: complex, frame: TomographyFrame, X, hbar: float):
     """Interference term I = 2 Re(A_alpha A_{-alpha}*)/(2 pi hbar |nu|) of a
     cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar.
 
     The chirp phase common to both amplitudes cancels and is never
-    formed: with kappa = varpi/(hbar |zeta|^2),
+    formed: with kappa = 1/(hbar |zeta|^2),
 
         I = 2 sqrt(kappa/pi) Re exp(E_alpha + E_{-alpha}* - kappa X^2),
 
     which holds down to nu = 0 (the position marginal).
     """
-    kappa = _kappa(frame, hbar, varpi)
+    kappa = _kappa(frame, hbar)
     Xv = np.asarray(X, dtype=float)
-    z = _zeta(frame, varpi)
-    expo = (_coherent_exponent(alpha, z, Xv, hbar, varpi)
-            + np.conj(_coherent_exponent(-alpha, z, Xv, hbar, varpi)) - kappa * Xv * Xv)
+    z = complex(frame.nu, frame.mu)  # zeta
+    expo = (_coherent_exponent(alpha, z, Xv, hbar)
+            + np.conj(_coherent_exponent(-alpha, z, Xv, hbar)) - kappa * Xv * Xv)
     out = 2.0 * math.sqrt(kappa / math.pi) * np.exp(expo).real
     return float(out) if np.isscalar(X) else out
 
 
-def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
-                 hbar: float, varpi: float = 1.0):
+def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X, hbar: float):
     """Even/odd cat tomogram N^2 [W_alpha + W_{-alpha} +- I]."""
     if parity not in ("even", "odd"):
         raise TomogramError(f"cat parity must be 'even' or 'odd', got {parity!r}")
@@ -267,9 +252,9 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
     N2 = cat_normalization(alpha, parity) ** 2
     Xv = np.asarray(X, dtype=float)
     out = N2 * (
-        coherent_tomogram(alpha, frame, Xv, hbar, varpi)
-        + coherent_tomogram(-alpha, frame, Xv, hbar, varpi)
-        + sign * cat_interference(alpha, frame, Xv, hbar, varpi)
+        coherent_tomogram(alpha, frame, Xv, hbar)
+        + coherent_tomogram(-alpha, frame, Xv, hbar)
+        + sign * cat_interference(alpha, frame, Xv, hbar)
     )
     out = np.maximum(out, 0.0)
     return float(out) if np.isscalar(X) else out
@@ -279,12 +264,12 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X,
 # characteristic functions G(mu, nu) = <exp(i(mu q + nu p))> = <D(beta)>
 # ---------------------------------------------------------------------------
 
-def _displacement_beta(mu_grid, nu_grid, hbar: float, varpi: float) -> np.ndarray:
+def _displacement_beta(mu_grid, nu_grid, hbar: float) -> np.ndarray:
     """beta[i, j] with exp(i(mu_i q + nu_j p)) = D(beta): beta =
-    sqrt(hbar/2) (i mu/sqrt(varpi) - nu sqrt(varpi)), |beta|^2 = 1/(2 kappa)."""
+    sqrt(hbar/2) (i mu - nu), |beta|^2 = 1/(2 kappa)."""
     mu = np.asarray(mu_grid, dtype=float)[:, None]
     nu = np.asarray(nu_grid, dtype=float)[None, :]
-    return (-math.sqrt(0.5 * hbar * varpi) * nu) + 1j * (math.sqrt(0.5 * hbar / varpi) * mu)
+    return (-math.sqrt(0.5 * hbar) * nu) + 1j * (math.sqrt(0.5 * hbar) * mu)
 
 
 def _fock_displacement(m: int, n: int, beta):
@@ -321,13 +306,13 @@ def _expectation(terms, element, beta) -> np.ndarray:
 def _cat_characteristic(state, mu_grid, nu_grid, hbar):
     N = cat_normalization(state.alpha, state.parity)
     return _expectation(((N, state.alpha), (state.sign * N, -state.alpha)),
-                        _coherent_displacement, _displacement_beta(mu_grid, nu_grid, hbar, state.varpi))
+                        _coherent_displacement, _displacement_beta(mu_grid, nu_grid, hbar))
 
 
 def _superposition_characteristic(state, mu_grid, nu_grid, hbar):
     w = 1.0 / math.sqrt(2.0)
     return _expectation(((w, state.n), (w, state.m)), _fock_displacement,
-                        _displacement_beta(mu_grid, nu_grid, hbar, state.varpi))
+                        _displacement_beta(mu_grid, nu_grid, hbar))
 
 
 def _box_characteristic(state, mu_grid, nu_grid, hbar):
@@ -497,7 +482,7 @@ def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     return float(out) if np.isscalar(X) else out
 
 
-def _cells(state: StateSpec, hbar: float) -> tuple[np.ndarray, float]:
+def _cells(state: State, hbar: float) -> tuple[np.ndarray, float]:
     """Edges of the position cells inside which psi is smooth, and the
     envelope scale that splits them.  A sampled state's interpolant is
     linear between its samples, so its cells are the sample grid and need
@@ -531,51 +516,40 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     return uniform_sum(g, slope * dx * nodes, x.size)
 
 
-def tomogram_from_wavefunction(state: StateSpec, frame: TomographyFrame,
+def tomogram_from_wavefunction(state: State, frame: TomographyFrame,
                                x_grid, hbar: float) -> Tomogram:
     """Tomogram by quadrature of the defining amplitude integral, for
     every state: the reference route closed forms are checked against.
 
-    Exact branches: nu = 0 -> |psi(X/mu)|^2/|mu|; mu = 0 ->
-    |psihat(X/nu)|^2/|nu|; the zero frame -> unit atom at X = 0.
-    Otherwise the representation is chosen so the 1/|nu| (position
-    route) or 1/|mu| (momentum route) prefactor stays bounded: the
-    position integral is used when |nu|*sigma_p >= |mu|*sigma_q (ties
-    included) with the state's natural scales, else the Fourier-side
-    integral.  Sampled states always integrate on the position side,
-    where their support is compact, mu = 0 included: every frame then
-    integrates the same linear interpolant.
+    The zero frame is the unit atom at X = 0; nu = 0 is the exact
+    position marginal |psi(X/mu)|^2/|mu|; otherwise the amplitude integral
+    of psi, with the prefactor 1/(2 pi hbar |nu|).  The representation is
+    chosen so that prefactor stays bounded: the Fourier turn q -> p,
+    p -> -q takes the frame to (nu, -mu) and psi to psihat, and is taken
+    when mu = 0 (so the exact momentum marginal |psihat(X/nu)|^2/|nu|) or
+    when |nu|*sigma_p < |mu|*sigma_q; ties stay on the position side.
+    Sampled states always integrate on the position side, where their
+    support is compact, mu = 0 included: every frame then integrates the
+    same linear interpolant.
     """
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
-    if frame.nu == 0.0:
-        psi = position_wavefunction(state, hbar)
-        vals = np.abs(psi(x / frame.mu)) ** 2 / abs(frame.mu)
-        return Tomogram(frame, x, vals)
-    if frame.mu == 0.0 and not state.sampled:
-        ft = momentum_wavefunction(state, hbar)
-        vals = np.abs(ft(x / frame.nu)) ** 2 / abs(frame.nu)
-        return Tomogram(frame, x, vals)
     sq, sp = natural_scales(state, hbar)
-    if state.sampled or abs(frame.nu) * sp >= abs(frame.mu) * sq:
-        env = position_wavefunction(state, hbar)
-        cells, scale = _cells(state, hbar)
-        a = frame.mu / (2.0 * hbar * frame.nu)
-        slope = -1.0 / (hbar * frame.nu)
-        pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.nu))
-    else:
-        env = momentum_wavefunction(state, hbar)
-        cells = np.linspace(*momentum_extent(state, hbar), 65)
-        a = -frame.nu / (2.0 * hbar * frame.mu)
-        slope = 1.0 / (hbar * frame.mu)
-        scale = state.envelope_scale(hbar) * sp / sq
-        pref = 1.0 / (2.0 * math.pi * hbar * abs(frame.mu))
-    amps = _ladder_amplitudes(env, a, slope, x, cells, scale)
-    return Tomogram(frame, x, pref * np.abs(amps) ** 2)
+    fourier = not state.sampled and frame.nu != 0.0 and (
+        frame.mu == 0.0 or abs(frame.nu) * sp < abs(frame.mu) * sq)
+    mu, nu = (frame.nu, -frame.mu) if fourier else (frame.mu, frame.nu)
+    env = (momentum_wavefunction if fourier else position_wavefunction)(state, hbar)
+    if nu == 0.0:
+        return Tomogram(frame, x, np.abs(env(x / mu)) ** 2 / abs(mu))
+    # psihat's cells span the momentum extent; it varies on psi's scale times sigma_p/sigma_q
+    cells = ((np.linspace(*momentum_extent(state, hbar), 65), state.envelope_scale(hbar) * sp / sq)
+             if fourier else _cells(state, hbar))
+    amps = _ladder_amplitudes(env, mu / (2.0 * hbar * nu), -1.0 / (hbar * nu), x, *cells)
+    return Tomogram(frame, x, np.abs(amps) ** 2 * (1.0 / (2.0 * math.pi * hbar * abs(nu))))
 
 
-def default_x_grid(state: StateSpec, frame: TomographyFrame, hbar: float,
+def default_x_grid(state: State, frame: TomographyFrame, hbar: float,
                    count: int = 2001, tails: float = 8.0) -> np.ndarray:
     """Uniform X grid covering mu*[q support] + nu*[p support], with at
     least 3n + 1 points for a state of largest order n, about three for
@@ -600,20 +574,21 @@ class _Route(NamedTuple):
 
 # Keyed by class here because states.py cannot import this module; the
 # entries call the module functions by global name, so rebinding one of
-# those names (tracing, tests) reaches every route.
+# those names (tracing, tests) reaches every route.  The oscillator
+# entries are written at varpi = 1 and receive the frame (or frame grids)
+# that _unit_varpi maps each state to.
 _ROUTES = {
     HOEigen: _Route(
-        lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h, s.varpi),
-        lambda s, mu, nu, h: _fock_displacement(s.n, s.n, _displacement_beta(mu, nu, h, s.varpi))),
+        lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h),
+        lambda s, mu, nu, h: _fock_displacement(s.n, s.n, _displacement_beta(mu, nu, h))),
     Coherent: _Route(
-        lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h, s.varpi),
-        lambda s, mu, nu, h: _coherent_displacement(s.alpha, s.alpha,
-                                                    _displacement_beta(mu, nu, h, s.varpi))),
+        lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h),
+        lambda s, mu, nu, h: _coherent_displacement(s.alpha, s.alpha, _displacement_beta(mu, nu, h))),
     **dict.fromkeys((CatEven, CatOdd), _Route(
-        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h, s.varpi),
+        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h),
         _cat_characteristic)),
     Superposition: _Route(
-        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h, s.varpi),
+        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h),
         _superposition_characteristic),
     BoxEigen: _Route(
         lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
@@ -621,19 +596,28 @@ _ROUTES = {
 }
 
 
-def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
+def _unit_varpi(state: State, mu, nu):
+    """(mu/sqrt(varpi), nu sqrt(varpi)): the squeeze q -> q sqrt(varpi),
+    p -> p/sqrt(varpi) takes a varpi oscillator state to varpi = 1 and
+    relabels its frame (values or grids) so; other states keep theirs."""
+    r = math.sqrt(getattr(state, "varpi", 1.0))
+    return mu / r, nu * r
+
+
+def state_tomogram(state: State, frame: TomographyFrame, x_grid,
                    hbar: float) -> Tomogram:
     """Tomogram of any state, and the one place its route is chosen: the
     zero frame is the unit atom delta(X); a state in the route table takes
-    its closed form (a box state :func:`box_tomogram`, exact in every
-    frame); every other state takes the quadrature of
-    :func:`tomogram_from_wavefunction`."""
+    its closed form in the frame :func:`_unit_varpi` maps it to (a box
+    state :func:`box_tomogram`, exact in every frame); every other state
+    takes the quadrature of :func:`tomogram_from_wavefunction`."""
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
     route = _ROUTES.get(type(state))
     if route is not None:
-        return Tomogram(frame, x, route.tomogram(state, frame, x, hbar))
+        unit = TomographyFrame(*_unit_varpi(state, frame.mu, frame.nu))
+        return Tomogram(frame, x, route.tomogram(state, unit, x, hbar))
     return tomogram_from_wavefunction(state, frame, x, hbar)
 
 
@@ -641,7 +625,7 @@ def state_tomogram(state: StateSpec, frame: TomographyFrame, x_grid,
 # Wigner maps
 # ---------------------------------------------------------------------------
 
-def rho_grid(state: StateSpec, hbar: float, x_grid) -> GridFunction2D:
+def rho_grid(state: State, hbar: float, x_grid) -> GridFunction2D:
     """Pure-state density matrix rho(x, x') = psi(x) psi*(x') on a grid."""
     x = np.asarray(x_grid, dtype=float)
     psi = position_wavefunction(state, hbar)(x)
@@ -722,7 +706,7 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     return GridFunction2D(q, p, out), float(np.max(np.abs(R.imag), initial=0.0))
 
 
-def exact_wigner(state: StateSpec, hbar: float):
+def exact_wigner(state: State, hbar: float):
     """Analytic Wigner function (p, q) -> W of the state, or None without one."""
     return state.exact_wigner(hbar)
 
@@ -743,22 +727,24 @@ def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
 # tomogram families and the inverse maps
 # ---------------------------------------------------------------------------
 
-def build_state_family(state: StateSpec, hbar: float, mu_grid, nu_grid,
+def build_state_family(state: State, hbar: float, mu_grid, nu_grid,
                        x_grid) -> FrameSamples:
     """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX =
     <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid,
     with no tomogram built; x_grid is ignored.
 
     States in the route table take G from its characteristic function
-    in one vectorised call (the oscillator catalog from <D(beta)>, box
-    states from three elementary integrals); every other state takes the
+    in one vectorised call on the grids :func:`_unit_varpi` maps them to
+    (the oscillator catalog from <D(beta)>, box states from three
+    elementary integrals); every other state takes the
     Weyl overlap quadrature of :func:`_overlap_characteristic`.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     route = _ROUTES.get(type(state))
     if route is not None:
-        G = np.array(route.characteristic(state, mu_grid, nu_grid, hbar), dtype=complex)
+        G = np.array(route.characteristic(state, *_unit_varpi(state, mu_grid, nu_grid), hbar),
+                     dtype=complex)
     else:
         G = _overlap_characteristic(state, mu_grid, nu_grid, hbar)
     G[(mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]] = 1.0  # unit atom at X = 0
@@ -781,7 +767,7 @@ def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
     return GridFunction2D(q, p, acc.real), float(np.max(np.abs(acc.imag)))
 
 
-def build_state_slices(state: StateSpec, hbar: float, nu_values, mu_grid,
+def build_state_slices(state: State, hbar: float, nu_values, mu_grid,
                        x_grid) -> FrameSamples:
     """The family at the nu slices nu = (x - x')/hbar that the density-matrix
     reconstruction reads."""

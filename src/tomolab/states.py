@@ -31,10 +31,8 @@ __all__ = [
     "Superposition",
     "BoxEigen",
     "CustomGrid",
-    "StateSpec",
     "DescriptorError",
     "parse_state",
-    "state_descriptor",
     "cat_normalization",
     "coherent_center",
     "position_wavefunction",
@@ -86,6 +84,7 @@ class State:
         return 0
 
     def descriptor(self) -> str:
+        """Inverse of parse_state for catalog states (used in JSON sidecars)."""
         raise NotImplementedError
 
     def exact_wigner(self, hbar: float):
@@ -545,9 +544,6 @@ class CustomGrid(State):
         return "custom:<grid>"
 
 
-StateSpec = State
-
-
 def _require_hbar(hbar: float) -> None:
     if not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
@@ -685,8 +681,3 @@ def parse_state(text: str) -> State:
         im = col["im"] if "im" in col else np.zeros_like(col["x"])
         return CustomGrid(col["x"], col["re"] + 1j * im)
     raise DescriptorError(text, 0, f"unknown state kind {kind!r}")
-
-
-def state_descriptor(state: State) -> str:
-    """Inverse of parse_state for catalog states (used in JSON sidecars)."""
-    return state.descriptor()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from tomolab import classical
 from tomolab.classical import (
     BoxTrajectory,
     DensityGrid,
@@ -27,6 +28,7 @@ from tomolab.classical import (
 )
 from tomolab.classical import _ORBIT_SEGMENTS, _cell_edges, _orbit_cdf
 from tomolab.kernel import (
+    DeltaAtom,
     GridFunction2D,
     MassDeficitError,
     frame_from_scaling,
@@ -522,6 +524,19 @@ def test_parse_classical():
     assert len(tom.atoms) == 1 and tom.atoms[0].weight == 1.0
     assert tom.atoms[0].location == pytest.approx(0.6 * 0.8 - 0.8 * 1.3, abs=1e-14)
     assert not np.any(tom.values)
+
+
+def test_point_at_rest_is_one_atom_at_mu_q0_plus_nu_p0(monkeypatch):
+    # the orbit mesh once put these atoms at 0.10000000000000002 and -2.079999999999999
+    def no_mesh(*args):
+        raise AssertionError("a point at rest fills no orbit mesh")
+
+    monkeypatch.setattr(classical, "_orbit_samples", no_mesh)
+    x = np.linspace(-3, 3, 121)
+    for text, fr, where in (("point:q0=0.1,p0=0", TomographyFrame(1, 0), 0.1),
+                            ("point:q0=-0.7,p0=1.1", TomographyFrame(0.3, -1.7), -2.08)):
+        tom = time_averaged_tomogram(parse_classical(text), fr, x)
+        assert tom.atoms == (DeltaAtom(1.0, where),) and not np.any(tom.values)
 
 
 def test_time_average_of_a_density_is_its_radon_transform():

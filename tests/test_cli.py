@@ -154,6 +154,27 @@ def test_hbar_sequence_parsing():
             cli.parse_hbar_sequence(text)
 
 
+@pytest.mark.parametrize("text", ["1e300:1e-300:geometric:3", "1e-300:1e300:geometric:3",
+                                  "1e200:1e-200:geometric:5", "1e-200:1e200:geometric:6"])
+def test_hbar_sweep_beyond_double_range_ratio(text):
+    # b/a over- or underflows: the sweep once read [1e300, 0.0, 0.0] and [1e-300, inf, inf]
+    a, b = map(float, text.split(":")[:2])
+    seq = cli.parse_hbar_sequence(text)
+    assert seq[0] == a and seq[-1] == b and len(seq) == int(text.rsplit(":", 1)[1])
+    assert all(0.0 < h < math.inf for h in seq)
+    step = 1.0 if b > a else -1.0
+    assert all(step * (seq[k + 1] - seq[k]) > 0.0 for k in range(len(seq) - 1))
+    logs = np.log(seq)
+    assert np.max(np.abs(np.diff(logs, 2))) < 1e-12 * np.max(np.abs(logs))
+
+
+def test_hbar_sweep_in_double_range_keeps_its_values():
+    for a, b, n in ((0.1, 1e-4, 7), (1.0, 0.001, 4), (2.5, 7.0, 5), (1e-150, 1e150, 3)):
+        ratio = (b / a) ** (1.0 / (n - 1))
+        want = [a * ratio ** k for k in range(n)]
+        assert cli.parse_hbar_sequence(f"{a!r}:{b!r}:geometric:{n}") == want
+
+
 def test_limit_command_interference(tmp_path, capsys):
     out = str(tmp_path / "study")
     code = run(["limit", "interference", "--n", "0", "--m", "1", "--frame", "0.6,0.8",
@@ -428,6 +449,29 @@ def test_hbar_must_be_positive_and_finite(tmp_path, capsys, hbar, via_config):
     assert _exit_code(form, tmp_path, out) == 2
     err = capsys.readouterr().err
     assert f"hbar must be positive and finite, got '{hbar}'" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("tomogram", "--frame", "1,a", "frame must be two comma-separated numbers, got '1,a'"),
+    ("tomogram", "--frame", "1", "frame must be two comma-separated numbers, got '1'"),
+    ("tomogram", "--scaling", "x,0.3", "scaling must be two comma-separated numbers, got 'x,0.3'"),
+    ("compare", "--frames", "1,0;0,x", "frame must be two comma-separated numbers, got '0,x'"),
+    ("tomogram", "--grid", "0,x,3", "grid must be min,max,count with an integer count, got '0,x,3'"),
+    ("tomogram", "--grid", "0,1,2.5", "grid must be min,max,count with an integer count, got '0,1,2.5'"),
+    ("tomogram", "--hbar", "abc", "hbar must be positive and finite, got 'abc'"),
+])
+def test_typed_flags_name_their_meaning(tmp_path, capsys, command, flag, value, message):
+    # argparse once printed its parser's name: invalid <lambda> value, invalid _hbar value
+    out = str(tmp_path / "out")
+    argv = [command, "--state", "ho:n=0", flag, value, "--out", out]
+    if command == "compare":
+        argv += ["--classical", "oscillator:E=1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err and "invalid" not in err
     assert not os.path.exists(out)
 
 
@@ -725,8 +769,8 @@ def test_selftest_detects_injected_normalization_bug(monkeypatch, tmp_path):
     # a 1 percent scaling bug in a closed form must trip the normalization row
     real = tomolab.quantum.hermite_tomogram
 
-    def broken(n, frame, X, hbar, varpi=1.0):
-        return 1.01 * real(n, frame, X, hbar, varpi)
+    def broken(n, frame, X, hbar):
+        return 1.01 * real(n, frame, X, hbar)
 
     monkeypatch.setattr(tomolab.quantum, "hermite_tomogram", broken)
     rows = cli._selftest_rows(quick=True)

@@ -116,31 +116,72 @@ def test_hermite_tomogram_matches_quadrature_route():
 
 
 def test_closed_forms_with_varpi(rng):
-    # mass-times-frequency away from 1 exercises every zeta = varpi nu + i mu
+    # a varpi state's closed form is the varpi = 1 form in the frame
+    # (mu/sqrt(varpi), nu sqrt(varpi)); the quadrature route integrates the
+    # state's own varpi wave functions, so it checks that frame map
     for _ in range(5):
         varpi = float(rng.uniform(0.4, 2.5))
         hbar = float(rng.uniform(0.3, 1.5))
         fr = TomographyFrame(float(rng.uniform(-2, 2)),
                              float(rng.choice([-1, 1]) * rng.uniform(0.3, 2)))
         n = int(rng.integers(0, 6))
-        state = st.HOEigen(n, varpi)
-        x = qt.default_x_grid(state, fr, hbar, count=41)
-        tq = qt.tomogram_from_wavefunction(state, fr, x, hbar)
-        wc = qt.hermite_tomogram(n, fr, x, hbar, varpi)
-        assert np.max(np.abs(tq.values - wc)) < 1e-9 * np.max(wc)
-
         alpha = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        cstate = st.Coherent(alpha, varpi)
-        x = qt.default_x_grid(cstate, fr, hbar, count=41)
-        tq = qt.tomogram_from_wavefunction(cstate, fr, x, hbar)
-        wc = qt.coherent_tomogram(alpha, fr, x, hbar, varpi)
-        assert np.max(np.abs(tq.values - wc)) < 1e-9 * np.max(wc)
+        for state in (st.HOEigen(n, varpi), st.Coherent(alpha, varpi),
+                      st.Superposition(n, n + 3, varpi), st.CatEven(alpha, varpi),
+                      st.CatOdd(alpha, varpi)):
+            x = qt.default_x_grid(state, fr, hbar, count=41)
+            wc = qt.state_tomogram(state, fr, x, hbar).values
+            tq = qt.tomogram_from_wavefunction(state, fr, x, hbar).values
+            assert np.max(np.abs(tq - wc)) < 1e-9 * np.max(wc), state
     # superposition with varpi stays a normalized density
     fr = TomographyFrame(0.7, -0.9)
     x = np.linspace(-8, 8, 2001)
-    w = qt.superposition_tomogram(1, 4, fr, x, 0.8, varpi=1.7)
+    w = qt.state_tomogram(st.Superposition(1, 4, 1.7), fr, x, 0.8).values
     assert np.min(w) >= 0.0
     assert abs(np.trapezoid(w, x) - 1.0) < 1e-8
+
+
+def _sides_taken(monkeypatch, state, frame, hbar, x):
+    """The wave functions tomogram_from_wavefunction reads, in order, and
+    "quadrature" when it integrates the amplitude; plus its tomogram."""
+    seen = []
+    for name in ("position_wavefunction", "momentum_wavefunction", "_ladder_amplitudes"):
+        def counted(*args, _name=name, _orig=getattr(qt, name)):
+            seen.append("quadrature" if _name == "_ladder_amplitudes" else _name)
+            return _orig(*args)
+        monkeypatch.setattr(qt, name, counted)
+    return seen, qt.tomogram_from_wavefunction(state, frame, x, hbar)
+
+
+def test_quadrature_representation_choice(monkeypatch):
+    # sigma_q = sqrt(hbar/varpi) = 0.5, sigma_p = sqrt(hbar varpi) = 2: the
+    # tie |nu| sigma_p = |mu| sigma_q is mu = 4 nu, exactly at (2, 0.5)
+    state, hbar = st.HOEigen(2, 4.0), 1.0
+    x = np.linspace(-4.0, 4.0, 33)
+    for (mu, nu), want in (((2.0, 0.5), ["position_wavefunction", "quadrature"]),
+                           ((2.0, 0.4999), ["momentum_wavefunction", "quadrature"]),
+                           ((2.0, 0.5001), ["position_wavefunction", "quadrature"]),
+                           ((-2.0, -0.4999), ["momentum_wavefunction", "quadrature"])):
+        seen, _ = _sides_taken(monkeypatch, state, TomographyFrame(mu, nu), hbar, x)
+        assert seen == want, (mu, nu)
+    # mu = 0 is the exact momentum marginal, nu = 0 the exact position one
+    seen, tom = _sides_taken(monkeypatch, state, TomographyFrame(0.0, -0.5), hbar, x)
+    assert seen == ["momentum_wavefunction"]
+    ft = st.momentum_wavefunction(state, hbar)
+    assert np.array_equal(tom.values, np.abs(ft(x / -0.5)) ** 2 / 0.5)
+    seen, tom = _sides_taken(monkeypatch, state, TomographyFrame(2.0, 0.0), hbar, x)
+    assert seen == ["position_wavefunction"]
+    psi = st.position_wavefunction(state, hbar)
+    assert np.array_equal(tom.values, np.abs(psi(x / 2.0)) ** 2 / 2.0)
+    # the zero frame reads no wave function
+    seen, tom = _sides_taken(monkeypatch, state, TomographyFrame(0.0, 0.0), hbar, x)
+    assert seen == [] and [(a.weight, a.location) for a in tom.atoms] == [(1.0, 0.0)]
+    # a sampled state stays on the position side at mu = 0
+    y = np.linspace(-6.0, 6.0, 121)
+    g = np.exp(-0.5 * y * y + 0.4j * y)
+    custom = st.CustomGrid(y, g / math.sqrt(np.trapezoid(np.abs(g) ** 2, y)))
+    seen, _ = _sides_taken(monkeypatch, custom, TomographyFrame(0.0, 0.7), hbar, x)
+    assert seen == ["position_wavefunction", "quadrature"]
 
 
 def test_coherent_tomogram_reduction_and_peak():

@@ -49,7 +49,7 @@ def test_descriptor_roundtrip():
     for text in ("ho:n=3,varpi=1", "coherent:re=1,im=0", "cat:even,re=1.2,im=0",
                  "superpos:n=1,m=4", "box:n=5,L=1"):
         state = st.parse_state(text)
-        again = st.parse_state(st.state_descriptor(state))
+        again = st.parse_state(state.descriptor())
         assert type(again) is type(state)
 
 
@@ -72,7 +72,7 @@ _catalog = hs.one_of(
 def test_descriptor_round_trips_exactly(state):
     # every float survives at full precision and varpi is kept for the
     # whole oscillator family, so a JSON sidecar replays its run exactly
-    assert st.parse_state(st.state_descriptor(state)) == state
+    assert st.parse_state(state.descriptor()) == state
 
 
 def test_custom_grid_normalization_enforced():
