@@ -49,6 +49,9 @@ TOMOGRAM_MASS_TOL = 1e-2
 # box, and how often each axis may double to get there
 FRAME_TAIL_TOL = 1e-3
 FRAME_BOX_DOUBLINGS = 6
+# a reconstruction further than this from the exact state, where one is
+# known, fails its command (acceptance criterion 11's bound)
+RECONSTRUCT_ERROR_TOL = 1e-3
 
 
 @dataclass
@@ -300,18 +303,19 @@ def _ehrenfest_oscillator(p: dict, frame: TomographyFrame):
     return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), profile
 
 
-# Every limit study: the parameters it reads, and the function that turns
-# them and the frame into (report, artifact).  artifact(value) is the study's
-# output at one parameter value: a Tomogram (written with its sidecar and
-# mass-checked) or an (X, value) profile.
+# Every limit study: the parameters it reads, the function that turns them
+# and the frame into (report, artifact), and the frame it runs in without
+# --frame or --scaling.  artifact(value) is the study's output at one
+# parameter value: a Tomogram (written with its sidecar and mass-checked)
+# or an (X, value) profile.
 _STUDIES = {
-    "planck-delta": (("state", "hbars", "center"), _planck_delta),
-    "interference": (("n", "m", "hbars"), _interference),
-    "cat-interference": (("re", "im", "hbars"), _cat_interference),
-    "ehrenfest-coherent": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_coherent),
-    "ehrenfest-cat": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_cat),
-    "ehrenfest-box": (("ns", "L", "momentum_check_n"), _ehrenfest_box),
-    "ehrenfest-oscillator": (("ns",), _ehrenfest_oscillator),
+    "planck-delta": (("state", "hbars", "center"), _planck_delta, (1.0, 0.0)),
+    "interference": (("n", "m", "hbars"), _interference, (0.6, 0.8)),
+    "cat-interference": (("re", "im", "hbars"), _cat_interference, (0.6, 0.8)),
+    "ehrenfest-coherent": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_coherent, (1.0, 0.0)),
+    "ehrenfest-cat": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_cat, (1.0, 0.0)),
+    "ehrenfest-box": (("ns", "L", "momentum_check_n"), _ehrenfest_box, (1.0, 0.3)),
+    "ehrenfest-oscillator": (("ns",), _ehrenfest_oscillator, (1.0, 0.0)),
 }
 STUDIES = tuple(_STUDIES)
 
@@ -320,7 +324,7 @@ def cmd_limit(cfg: RunConfig) -> int:
     if cfg.study not in STUDIES:
         print(f"unknown study {cfg.study!r}; valid studies: {', '.join(STUDIES)}", file=sys.stderr)
         return 2
-    reads, run = _STUDIES[cfg.study]
+    reads, run, default_frame = _STUDIES[cfg.study]
     p = dict(cfg.params)
     if cfg.state is not None:
         p.setdefault("state", cfg.state)
@@ -329,7 +333,7 @@ def cmd_limit(cfg: RunConfig) -> int:
         print(f"limit: {cfg.study} does not read {', '.join(unread)}; it reads "
               f"{', '.join(reads)}", file=sys.stderr)
         return 2
-    frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(1.0, 0.0)
+    frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(*default_frame)
     report, artifact = run(p, frame)
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -430,9 +434,15 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
     rep_path = os.path.join(cfg.out, "reconstruct_report.json")
     _atomic_write(rep_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if "max_error_vs_exact" in report:
-        print(f"max error vs exact: {report['max_error_vs_exact']:.3e}")
-    return 0
+    err = report.get("max_error_vs_exact")
+    if err is None:
+        return 0
+    print(f"max error vs exact: {err:.3e}")
+    if err <= RECONSTRUCT_ERROR_TOL:
+        return 0
+    print(f"reconstruct: {out_csv}: max error vs exact {err:.3e} exceeds the tolerance "
+          f"{RECONSTRUCT_ERROR_TOL:g}", file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------

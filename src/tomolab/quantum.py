@@ -16,7 +16,8 @@ integral in every (mu, nu) quadrant (regression-tested against
 quadrature).  Canonical maps act on the frame: a varpi oscillator state
 takes the varpi = 1 form in the frame (mu/sqrt(varpi), nu sqrt(varpi)),
 and the Fourier turn q -> p, p -> -q makes the momentum-side quadrature
-the position-side one applied to psihat in the frame (nu, -mu).
+the position-side one applied to psihat in the frame (nu, -mu).  Every
+quadrature takes its Gauss-Legendre panels from one rule, :func:`_chirp_panels`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chirp import _gl_panels
 from .classical import FrameSamples, characteristic_quadrature, radon_line_integral
 from .kernel import (
     DeltaAtom,
@@ -71,11 +71,9 @@ __all__ = [
     "box_tomogram",
     "box_tomogram_stationary_phase",
     "interval_chirp",
-    "box_x_extent",
     "ehrenfest_hbar",
     "rho_grid",
     "wigner_grid_from_density",
-    "exact_wigner",
     "tomogram_from_wigner",
     "build_state_family",
     "wigner_from_tomogram_grid",
@@ -360,7 +358,7 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
             continue  # the shifted supports do not overlap
         cuts = np.concatenate((edges - h, edges + h))
         coarse = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
-        nodes, weights = _gl_panels(coarse, mu_max * np.diff(coarse), env_scale, 4_000_000)
+        nodes, weights = _chirp_panels(coarse, 0.0, mu_max, env_scale)
         f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
         rows = max(1, _OVERLAP_BLOCK // nodes.size)
         for i in range(0, mu.size, rows):
@@ -375,12 +373,6 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
 def ehrenfest_hbar(n: int, L: float = 1.0) -> float:
     """hbar pinned by unit energy for the box eigenstate: sqrt2 L/(n pi)."""
     return math.sqrt(2.0) * L / (n * math.pi)
-
-
-def box_x_extent(state: BoxEigen, frame: TomographyFrame, hbar: float,
-                 mass_tol: float = 1e-4) -> tuple[float, float]:
-    """X interval capturing the box tomogram mass to ~mass_tol."""
-    return state.x_extent(frame, hbar, mass_tol=mass_tol)
 
 
 def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
@@ -482,6 +474,62 @@ def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     return float(out) if np.isscalar(X) else out
 
 
+# at most this many Gauss-Legendre panels (8 nodes each) per panel set
+_MAX_PANELS = 4_000_000
+_PHASE_PER_PANEL = math.pi / 4.0  # 1/8 of a period
+
+# np.polynomial.legendre.leggauss(8), bit for bit (importing numpy.polynomial
+# costs several ms of every CLI start)
+_GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                      0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                        0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+
+
+class ChirpResolutionError(RuntimeError):
+    """The requested integral needs more quadrature panels than allowed."""
+
+    def __init__(self, needed: int, allowed: int):
+        self.needed, self.allowed = needed, allowed
+        super().__init__(f"chirp quadrature needs {needed} panels ({8 * needed} nodes) "
+                         f"but only {allowed} are allowed")
+
+
+def _gl_panels(coarse: np.ndarray, dphase: np.ndarray,
+               env_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights over the coarse cells (any widths,
+    increasing edges), each split into equal panels that keep its phase
+    change dphase under 1/8 of a period and its width under half the
+    envelope scale (env_scale = inf: no envelope split).  Inside each cell
+    the panel edges are the values np.linspace(left, right, nsplit + 1) gives.
+    """
+    width = np.diff(coarse)
+    nsplit = np.maximum(np.maximum(np.ceil(dphase / _PHASE_PER_PANEL),
+                                   np.ceil(width / (0.5 * env_scale))), 1).astype(int)
+    total = int(nsplit.sum())
+    if total > _MAX_PANELS:
+        raise ChirpResolutionError(total, _MAX_PANELS)
+    cell = np.repeat(np.arange(width.size), nsplit)
+    k = np.arange(1, total + 1) - np.repeat(np.cumsum(nsplit) - nsplit, nsplit)
+    right = k * (width / nsplit)[cell] + coarse[cell]
+    right[k == nsplit[cell]] = coarse[1:]  # each cell ends exactly on its edge
+    edges = np.concatenate((coarse[:1], right))
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (centers[:, None] + halves[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (halves[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
+
+
+def _chirp_panels(cells: np.ndarray, a: float, b_max: float,
+                  env_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The panel rule of every chirped quadrature: one panel set for all
+    env(y) e^{i(a y^2 + b y)} with |b| <= b_max, whose phase changes across
+    a cell by at most |a| |Delta(y|y|)| + b_max Delta y wherever y = -b/2a lies."""
+    dphase = abs(a) * np.abs(np.diff(cells * np.abs(cells))) + b_max * np.diff(cells)
+    return _gl_panels(cells, dphase, env_scale)
+
+
 def _cells(state: State, hbar: float) -> tuple[np.ndarray, float]:
     """Edges of the position cells inside which psi is smooth, and the
     envelope scale that splits them.  A sampled state's interpolant is
@@ -505,12 +553,8 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     sum_j g_j e^{i k slope dx y_j} of :func:`specfun.uniform_sum`.
     """
     x = np.asarray(x, dtype=float)
-    bmax = max(abs(slope * x[0]), abs(slope * x[-1]))
-    # conservative single panel set: the stationary point sweeps with X, so
-    # size the panels for the frequency envelope 2|a||y| + bmax
-    prim = cells * np.abs(cells)  # antiderivative of 2|y|
-    dphase = abs(a) * np.abs(np.diff(prim)) + bmax * np.diff(cells)
-    nodes, weights = _gl_panels(cells, dphase, env_scale, 4_000_000)
+    # one panel set for the family: the stationary point sweeps with X
+    nodes, weights = _chirp_panels(cells, a, max(abs(slope * x[0]), abs(slope * x[-1])), env_scale)
     g = env(nodes) * np.exp(1j * (a * nodes + slope * x[0]) * nodes) * weights
     dx = float(x[1] - x[0]) if x.size > 1 else 0.0
     return uniform_sum(g, slope * dx * nodes, x.size)
@@ -704,11 +748,6 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     out = np.zeros((q.size, p.size))
     out[inside] = np.einsum("qk,qkp->qp", lag, R.real[at.reshape(nodes.shape)])
     return GridFunction2D(q, p, out), float(np.max(np.abs(R.imag), initial=0.0))
-
-
-def exact_wigner(state: State, hbar: float):
-    """Analytic Wigner function (p, q) -> W of the state, or None without one."""
-    return state.exact_wigner(hbar)
 
 
 def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,

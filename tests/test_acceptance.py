@@ -102,7 +102,7 @@ def test_criterion_02_normalization():
     nbox, L = 5, 1.0
     hb = qt.ehrenfest_hbar(nbox, L)
     for fr in frames:
-        lo, hi = qt.box_x_extent(st.BoxEigen(nbox, L), fr, hb, mass_tol=2e-4)
+        lo, hi = st.BoxEigen(nbox, L).x_extent(fr, hb, mass_tol=2e-4)
         dx = 2.0 * math.pi * hb * max(abs(fr.nu), 0.05) / L / 14.0
         g = np.arange(lo, hi, dx)
         worst_quad = max(worst_quad,
@@ -284,7 +284,7 @@ def test_criterion_11_reconstruction_round_trips():
     fam = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, np.linspace(-40, 40, 1601))
     qg = np.linspace(-3, 3, 25)
     wrec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, hbar)
-    wref = qt.exact_wigner(st.HOEigen(0), hbar)(qg[None, :], qg[:, None])
+    wref = st.HOEigen(0).exact_wigner(hbar)(qg[None, :], qg[:, None])
     err_wig = float(np.max(np.abs(wrec.values - wref)))
 
     gq = np.linspace(-8, 8, 321)

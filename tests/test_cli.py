@@ -187,6 +187,13 @@ def test_limit_command_interference(tmp_path, capsys):
     assert all(os.path.exists(p) for p in rep["artifacts"])
 
 
+@pytest.mark.parametrize("study", cli.STUDIES)
+def test_limit_study_runs_at_its_defaults(tmp_path, study):
+    # interference, cat-interference and ehrenfest-box refuse the frame
+    # (1, 0), so each study brings a default frame it accepts
+    assert run(["limit", study, "--out", str(tmp_path / "study")]) == 0
+
+
 def test_limit_command_unknown_study(tmp_path, capsys):
     # argparse enforces the study choices on the command line
     with pytest.raises(SystemExit):
@@ -517,10 +524,26 @@ def test_reconstruct_reports_the_frame_box_tail(tmp_path):
     assert run(["reconstruct", "--state", "ho:n=1", "--target", "wigner", "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
     assert rep["frame_box_tail"] == pytest.approx(39.0 * math.exp(-20.0), rel=1e-9)
+    # its error, 1.2e-3, is past the reconstruct tolerance: the files are
+    # written and the command exits 1
     assert run(["reconstruct", "--state", "superpos:n=1,m=2", "--target", "density",
-                "--out", out]) == 0
+                "--out", out]) == 1
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
     assert 1e-3 < rep["frame_box_tail"] < 1.0  # the density box discards this much
+
+
+@pytest.mark.parametrize("state,hbar,error", [("box:n=2,L=1", "0.5", 6.287e-1),
+                                              ("ho:n=3", "1", 1.071e-2)])
+def test_reconstruct_exits_1_past_the_error_tolerance(tmp_path, capsys, state, hbar, error):
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", state, "--target", "density", "--hbar", hbar,
+                "--out", out]) == 1
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] == pytest.approx(error, rel=1e-3)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert os.path.join(out, "density.csv") in err[0] and f"{error:.3e}" in err[0]
+    assert os.path.exists(os.path.join(out, "density.csv"))
 
 
 def test_reconstruct_box_wigner_at_small_hbar(tmp_path):
@@ -592,6 +615,7 @@ def test_dual_route_and_radon_load_no_scipy():
         "                 np.linspace(-8, 8, 101))\n"
         + _NO_SCIPY
         + "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+        + "assert 'tomolab.chirp' not in sys.modules\n"  # no command needs it
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)

@@ -505,7 +505,7 @@ def test_box_normalization():
     for n in (5, 20, 50):
         hbar = qt.ehrenfest_hbar(n, L)
         fr = TomographyFrame(1.0, 0.4)
-        lo, hi = qt.box_x_extent(st.BoxEigen(n, L), fr, hbar, mass_tol=2e-5)
+        lo, hi = st.BoxEigen(n, L).x_extent(fr, hbar, mass_tol=2e-5)
         dx = 2.0 * math.pi * hbar * 0.4 / L / 14.0
         x = np.arange(lo, hi, dx)
         tom = qt.box_tomogram(n, L, fr, x, hbar)
@@ -569,7 +569,7 @@ def test_box_exact_matches_position_quadrature():
         hbar = qt.ehrenfest_hbar(n, L)
         sq, sp = st.natural_scales(state, hbar)
         assert (abs(fr.nu) * sp < abs(fr.mu) * sq) == (side == "momentum")
-        x = np.linspace(*qt.box_x_extent(state, fr, hbar), count)
+        x = np.linspace(*state.x_extent(fr, hbar), count)
         exact = qt.box_tomogram(n, L, fr, x, hbar).values
         quad = qt.tomogram_from_wavefunction(state, fr, x, hbar).values
         assert np.max(np.abs(exact - quad)) < tol * np.max(quad), (n, fr)
@@ -582,7 +582,7 @@ def test_box_large_n_mass_and_plateaus():
     n, L = 2000, 1.0
     hbar = qt.ehrenfest_hbar(n, L)
     fr = TomographyFrame(1.0, 0.3)
-    lo, hi = qt.box_x_extent(st.BoxEigen(n, L), fr, hbar, mass_tol=1e-5)
+    lo, hi = st.BoxEigen(n, L).x_extent(fr, hbar, mass_tol=1e-5)
     x = np.arange(lo, hi, 2 * math.pi * hbar * abs(fr.nu) / (14 * L))
     assert normalization_residual(qt.box_tomogram(n, L, fr, x, hbar)) < 1e-5
     # edge-diffraction cross terms oscillate with period 2 pi hbar nu / |y_edge - y_s|,
@@ -643,7 +643,7 @@ def test_interval_chirp_against_mpmath():
 
 def _loop_panels(coarse, dphase, env_scale):
     """The per-cell loop that _gl_panels replaced, for uniform cells."""
-    from tomolab.chirp import _GL_NODES, _GL_WEIGHTS, _PHASE_PER_PANEL
+    from tomolab.quantum import _GL_NODES, _GL_WEIGHTS, _PHASE_PER_PANEL
 
     cell_w = (coarse[-1] - coarse[0]) / (coarse.size - 1)
     nsplit = np.maximum(np.maximum(np.ceil(dphase / _PHASE_PER_PANEL),
@@ -658,25 +658,25 @@ def _loop_panels(coarse, dphase, env_scale):
 
 
 def test_gl_panels_match_the_cell_loop_on_uniform_cells(rng):
-    from tomolab.chirp import _gl_panels
+    from tomolab.quantum import _gl_panels
 
     for _ in range(300):
         y0 = rng.uniform(-50.0, 10.0)
         coarse = np.linspace(y0, y0 + rng.uniform(1e-3, 80.0), 65)
         dphase = np.abs(rng.normal(size=64)) * rng.uniform(0.0, 40.0)
         env = rng.uniform(0.01, 10.0)
-        nodes, weights = _gl_panels(coarse, dphase, env, 10 ** 8)
+        nodes, weights = _gl_panels(coarse, dphase, env)
         ref_nodes, ref_weights = _loop_panels(coarse, dphase, env)
         assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
 
 
 def test_gl_panels_integrate_degree_15_on_nonuniform_cells(rng):
-    from tomolab.chirp import _gl_panels
+    from tomolab.quantum import _gl_panels
 
     for _ in range(20):
         coarse = np.cumsum(np.concatenate(([rng.uniform(-3.0, 0.0)], rng.uniform(1e-6, 0.7, 40))))
         dphase = rng.uniform(0.0, 3.0, coarse.size - 1)
-        nodes, weights = _gl_panels(coarse, dphase, rng.uniform(0.05, 5.0), 10 ** 6)
+        nodes, weights = _gl_panels(coarse, dphase, rng.uniform(0.05, 5.0))
         poly = np.polynomial.Polynomial(rng.normal(size=16))
         exact = poly.integ()(coarse[-1]) - poly.integ()(coarse[0])
         scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(np.max(np.abs(coarse)))
@@ -685,12 +685,32 @@ def test_gl_panels_integrate_degree_15_on_nonuniform_cells(rng):
 
 def test_chirp_resolution_refusal():
     with pytest.raises(ChirpResolutionError) as err:
-        chirp_integral(lambda y: np.ones_like(y), 1e7, 0.0, 0.0, 1.0, max_panels=100)
-    assert err.value.needed > 100
+        chirp_integral(lambda y: np.ones_like(y), 1e7, 0.0, 0.0, 1.0)
+    assert err.value.needed > err.value.allowed
+
+
+def test_chirp_integral_matches_the_closed_form_and_mpmath():
+    # stationary point -b/2a inside [0, L], at its ends and outside it
+    for a in (-40.0, -3.0, 0.5, 7.0, 150.0):
+        for b in (-60.0, -5.0, 0.0, 2.0, 33.0):
+            for L in (0.5, 1.0, 2.5):
+                got = chirp_integral(lambda y: np.ones_like(y), a, b, 0.0, L)
+                for ref in (complex(qt.interval_chirp(a, np.array([b]), L)[0]),
+                            mp_interval_chirp(a, b, L)):
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, b, L, got, ref)
+
+
+def test_chirp_integral_of_a_gaussian_envelope():
+    # int e^{-y^2} e^{i(a y^2 + b y)} dy = sqrt(pi/(1 - i a)) e^{-b^2/(4(1 - i a))}
+    for a in (-40.0, -3.0, 0.0, 0.5, 7.0, 150.0):
+        for b in (-60.0, -5.0, 0.0, 2.0, 33.0):
+            got = chirp_integral(lambda y: np.exp(-y * y), a, b, -12.0, 12.0)
+            ref = cmath.sqrt(math.pi / (1 - 1j * a)) * cmath.exp(-b * b / (4 * (1 - 1j * a)))
+            assert abs(got - ref) <= 1e-13 * math.sqrt(math.pi), (a, b, got, ref)
 
 
 def test_gl_nodes_are_leggauss_bit_for_bit():
-    from tomolab.chirp import _GL_NODES, _GL_WEIGHTS
+    from tomolab.quantum import _GL_NODES, _GL_WEIGHTS
 
     nodes, weights = np.polynomial.legendre.leggauss(8)
     assert _GL_NODES.tobytes() == nodes.tobytes()
@@ -746,12 +766,12 @@ def test_wigner_rejects_nan_density():
 
 
 def test_exact_wigner_forms():
-    w1 = qt.exact_wigner(st.HOEigen(1), 1.0)
+    w1 = st.HOEigen(1).exact_wigner(1.0)
     assert abs(w1(0.0, 0.0) + 2.0) < 1e-14  # negative at the origin
-    wc = qt.exact_wigner(st.Coherent(1 + 0j), 1.0)
+    wc = st.Coherent(1 + 0j).exact_wigner(1.0)
     qbar = math.sqrt(2.0)
     assert abs(wc(0.0, qbar) - 2.0) < 1e-14
-    assert qt.exact_wigner(st.BoxEigen(2, 1.0), 1.0) is None
+    assert st.BoxEigen(2, 1.0).exact_wigner(1.0) is None
 
 
 def test_tomogram_from_wigner_dual_route(rng):
@@ -798,7 +818,7 @@ def test_wigner_from_density_matches_exact_off_the_half_grid(state, bound):
     t = (q - x[0]) / (0.5 * (x[1] - x[0]))
     assert np.mean(np.abs(t - np.round(t)) > 1e-3) > 0.7  # most q sit between half-grid rows
     w, resid = qt.wigner_grid_from_density(qt.rho_grid(state, hbar, x), q, q, hbar)
-    ref = qt.exact_wigner(state, hbar)(q[None, :], q[:, None])
+    ref = state.exact_wigner(hbar)(q[None, :], q[:, None])
     assert np.max(np.abs(w.values - ref)) < bound
     assert resid <= 1e-12
 
@@ -865,7 +885,7 @@ def test_wigner_from_tomogram_ground_and_excited():
     fam0 = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, x)
     qg = np.linspace(-2.5, 2.5, 21)
     rec, resid = qt.wigner_from_tomogram_grid(fam0, qg, qg, hbar)
-    ref = qt.exact_wigner(st.HOEigen(0), hbar)(qg[None, :], qg[:, None])
+    ref = st.HOEigen(0).exact_wigner(hbar)(qg[None, :], qg[:, None])
     assert np.max(np.abs(rec.values - ref)) < 1e-3
     assert resid < 1e-6
 
