@@ -340,7 +340,11 @@ def characteristic_quadrature(family: FrameSamples, q_grid, p_grid) -> np.ndarra
                                   trapezoid_weights(family.nu_grid.size))
     Eq = np.exp(-1j * np.outer(family.mu_grid, q))  # (nmu, nq)
     Ep = np.exp(-1j * np.outer(family.nu_grid, p))  # (nnu, np)
-    acc = np.einsum("mn,mq,np->qp", Gw, Eq, Ep, optimize=True)
+    # the longer frame axis is contracted first, leaving the smaller intermediate
+    if family.nu_grid.size > family.mu_grid.size:
+        acc = ((Ep.T @ Gw.T) @ Eq).T
+    else:
+        acc = (Eq.T @ Gw) @ Ep
     return acc * (dmu * dnu)
 
 
@@ -607,11 +611,10 @@ def write_density_csv(model: DensityGrid, csv_path: str) -> str:
     import json
     import os
 
-    from .kernel import _atomic_write, _write_csv
+    from .kernel import _atomic_write, _write_grid_csv
 
     g = model.f
-    _write_csv(csv_path, "q,p,f", (np.repeat(g.x_grid, g.y_grid.size),
-                                   np.tile(g.y_grid, g.x_grid.size), g.values))
+    _write_grid_csv(csv_path, "q,p,f", g.x_grid, g.y_grid, g.values)
     meta = {
         "q_grid": {"min": float(g.x_grid[0]), "max": float(g.x_grid[-1]), "count": int(g.x_grid.size)},
         "p_grid": {"min": float(g.y_grid[0]), "max": float(g.y_grid[-1]), "count": int(g.y_grid.size)},

@@ -34,6 +34,7 @@ from .kernel import (
     Tomogram,
     _atomic_write,
     _write_csv,
+    _write_grid_csv,
     frame_from_scaling,
     normalization_residual,
     spread_atoms,
@@ -399,8 +400,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         pg = qg * pext / qext
         wrec, resid = qt.wigner_from_tomogram_grid(fam, qg, pg, hbar)
         out_csv = os.path.join(cfg.out, "wigner.csv")
-        _write_csv(out_csv, "q,p,W",
-                   (np.repeat(qg, pg.size), np.tile(pg, qg.size), wrec.values))
+        _write_grid_csv(out_csv, "q,p,W", qg, pg, wrec.values)
         report["imag_residual"] = resid
         report["frame_box_tail"] = fam.edge_tail()
         exact = state.exact_wigner(hbar)
@@ -418,8 +418,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), None)
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
         out_csv = os.path.join(cfg.out, "density.csv")
-        _write_csv(out_csv, "x,xprime,re,im",
-                   (np.repeat(xs, xs.size), np.tile(xs, xs.size), rho.real, rho.imag))
+        _write_grid_csv(out_csv, "x,xprime,re,im", xs, xs, rho.real, rho.imag)
         report["hermiticity_residual"] = herm
         report["frame_box_tail"] = slices.edge_tail()
         diag = np.real(np.diag(rho))
@@ -853,8 +852,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return command.run(cfg)
-    # bad descriptors, frames, grids, hbar sweeps and tomogram inputs
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    # bad descriptors, frames, grids, hbar sweeps and tomogram inputs, and
+    # integrals past the quadrature panel cap
+    except (ValueError, argparse.ArgumentTypeError, qt.ChirpResolutionError) as exc:
         print(f"{cfg.command}: {exc}", file=sys.stderr)
         return 2
 

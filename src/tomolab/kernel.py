@@ -460,17 +460,15 @@ def _decimal17(v: np.ndarray):
     return d, e, np.where(nz, exact, finite)
 
 
-def _csv_rows(table: np.ndarray) -> bytes:
-    """The CSV lines of a (rows, columns) float array, each value the
-    bytes of '%.17g' % value."""
-    v = table.ravel()
+def _slots(v: np.ndarray) -> np.ndarray:
+    """The (v.size, _WIDTH) byte slots of a flat float array: each the
+    bytes of '%.17g' % value and a ',' separator, zero-padded."""
     d, e, exact = _decimal17(v)
     _, quads, last, suffix, point, keep_table = _g17_tables()
     words = np.empty((v.size, _WIDTH // 8), np.uint64)
     words[:] = np.frombuffer(_SLOT, np.uint64)
     words[:, 3] = suffix[e - _E_LO]
     buf = words.view(np.uint8)
-    buf[table.shape[1] - 1::table.shape[1], 29] = ord("\n")
     # digits: the leading one, then four groups of four from the table
     hi, lo = np.divmod(d, 10 ** 8)
     d0, hi = np.divmod(hi, 10 ** 8)
@@ -495,7 +493,20 @@ def _csv_rows(table: np.ndarray) -> bytes:
         s = np.frombuffer(b"%.17g" % v[i], np.uint8)
         buf[i, :29] = 0
         buf[i, :s.size] = s
-    return buf.tobytes().translate(None, b"\0")
+    return buf
+
+
+def _lines(slots: np.ndarray) -> bytes:
+    """The CSV lines of (rows, columns, _WIDTH) slots: the last separator
+    of each row becomes a newline and the padding is dropped."""
+    slots[:, -1, 29] = ord("\n")
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, columns) float array, each value the
+    bytes of '%.17g' % value."""
+    return _lines(_slots(table.ravel()).reshape(*table.shape, _WIDTH))
 
 
 def _write_csv(path: str, header: str, columns) -> None:
@@ -506,6 +517,31 @@ def _write_csv(path: str, header: str, columns) -> None:
     rows = max(1, _BLOCK_VALUES // table.shape[1])
     body = b"".join(_csv_rows(table[k:k + rows]) for k in range(0, table.shape[0], rows))
     _atomic_write(path, header + "\n" + body.decode("ascii"))
+
+
+def _write_grid_csv(path: str, header: str, x, y, *values) -> None:
+    """Write the header and one row x[i], y[j], values[0][i, j], ... per
+    grid point, j fastest: the bytes _write_csv writes for the columns
+    (np.repeat(x, y.size), np.tile(y, x.size), *values), with each axis
+    value formatted once and the value columns in blocks of whole rows."""
+    nx, ny = len(x), len(y)
+    axes = np.concatenate((x, y), dtype=float)
+    table = np.column_stack([np.asarray(v, dtype=float).ravel() for v in values])
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    parts = []
+    for k in range(0, table.shape[0], rows):
+        at = np.arange(k, min(k + rows, table.shape[0]))
+        vals = table[k:k + at.size].ravel()
+        if k == 0:  # the axes are formatted with the first block, saving a call
+            axes, vals = np.split(_slots(np.concatenate((axes, vals))), [nx + ny])
+        else:
+            vals = _slots(vals)
+        block = np.empty((at.size, table.shape[1] + 2, _WIDTH), np.uint8)
+        block[:, 0] = axes.take(at // ny, axis=0)
+        block[:, 1] = axes.take(nx + at % ny, axis=0)
+        block[:, 2:] = vals.reshape(at.size, -1, _WIDTH)
+        parts.append(_lines(block))
+    _atomic_write(path, header + "\n" + b"".join(parts).decode("ascii"))
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -343,7 +343,8 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
     by -s and +s, so each sub-cell of a sampled state holds a quadratic
     times e^{i mu y}, and they are split so that no panel spans more than
     pi/4 of phase at the largest |mu|.  All mu then take one matrix
-    product with exp(i mu y), in blocks of bounded size.
+    product with exp(i mu y), in blocks of bounded size; each block takes
+    exp(i |mu| y) once per distinct |mu| and its conjugate for mu < 0.
     """
     mu = np.asarray(mu_grid, dtype=float)
     nu = np.asarray(nu_grid, dtype=float)
@@ -362,7 +363,10 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
         f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
         rows = max(1, _OVERLAP_BLOCK // nodes.size)
         for i in range(0, mu.size, rows):
-            G[i:i + rows, j] = np.exp(1j * np.outer(mu[i:i + rows], nodes)) @ f
+            a, at = np.unique(np.abs(mu[i:i + rows]), return_inverse=True)
+            E = np.exp(1j * np.outer(a, nodes))[at]
+            np.conjugate(E, out=E, where=(mu[i:i + rows] < 0)[:, None])
+            G[i:i + rows, j] = E @ f
     return G
 
 
@@ -676,15 +680,23 @@ def rho_grid(state: State, hbar: float, x_grid) -> GridFunction2D:
     return GridFunction2D(x, x, np.outer(psi, np.conj(psi)))
 
 
+_HERMITIAN_ROWS = 64  # rows of rho - rho^dagger built at once by _check_hermitian
+
+
 def _check_hermitian(rho: GridFunction2D) -> None:
     if rho.values.shape[0] != rho.values.shape[1] or not np.array_equal(rho.x_grid, rho.y_grid):
         raise TomogramError("density matrix grid must be square with equal axes")
     v = rho.values
     scale = max(1.0, float(np.max(np.abs(v))))
-    # |rho - rho^dagger|^2 from the parts: (Re rho - Re rho^T)^2 + (Im rho + Im rho^T)^2
-    d = np.square(v.real - v.real.T)
-    d += np.square(v.imag + v.imag.T)
-    resid = math.sqrt(float(np.max(d)))
+    # |rho - rho^dagger|^2 from the parts, (Re rho - Re rho^T)^2 + (Im rho + Im rho^T)^2,
+    # in blocks of rows: three n x n temporaries cost more in page faults than in arithmetic
+    worst = []
+    for i in range(0, v.shape[0], _HERMITIAN_ROWS):
+        r = slice(i, i + _HERMITIAN_ROWS)
+        d = np.square(v.real[r] - v.real[:, r].T)
+        d += np.square(v.imag[r] + v.imag[:, r].T)
+        worst.append(np.max(d))
+    resid = math.sqrt(float(np.max(worst)))  # NaN anywhere stays NaN and fails
     if not resid <= 1e-6 * scale:
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
 
@@ -830,7 +842,9 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
             f"(need dmu <= {math.pi / smax:.3f})"
         )
     wG = samples.values[:, j] * trapezoid_weights(mu.size)[:, None]
-    rho = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s)))
+    # one exp per distinct (x + x')/2: the grid repeats each along anti-diagonals
+    s, at = np.unique(s, return_inverse=True)
+    rho = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s))[:, at])
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid

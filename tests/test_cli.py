@@ -659,6 +659,27 @@ def test_reconstruct_custom_state_omits_exact(tmp_path):
     assert "max_error_vs_exact" not in rep
 
 
+def test_a_request_past_the_panel_cap_exits_2(tmp_path, capsys):
+    # a sampled state at mu = 1000 needs ~5e8 panels: once a
+    # ChirpResolutionError traceback with status 1
+    x = np.linspace(-8.0, 8.0, 281)
+    psi = np.exp(-(x - 0.3) ** 2 / 2.0)
+    psi = psi / math.sqrt(np.trapezoid(psi * psi, x))
+    path = str(tmp_path / "packet.csv")
+    with open(path, "w") as fh:
+        fh.write("x,re,im\n")
+        for xi, pi in zip(x, psi):
+            fh.write(f"{float(xi):.17g},{float(pi):.17g},0.0\n")
+    out = str(tmp_path / "t.csv")
+    code = run(["tomogram", "--state", f"custom:{path}", "--frame", "1000,0.001",
+                "--hbar", "0.5", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("tomogram: chirp quadrature needs")
+    assert "but only 4000000 are allowed" in err[0]
+    assert not os.path.exists(out)
+
+
 def test_compare_oscillator(tmp_path, capsys):
     out = str(tmp_path / "cmp")
     code = run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1",

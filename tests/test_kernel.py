@@ -299,6 +299,33 @@ def test_writer_file_spans_several_blocks(tmp_path):
     assert path.read_bytes() == b"a,b,c\n" + _oracle_rows(table)
 
 
+_SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308 / 3])
+
+
+@pytest.mark.parametrize("nx, ny, nvalues", [
+    (1, 1, 1), (1, 9, 2), (9, 1, 2), (3, 4, 1),
+    (70, 50, 3),  # 3500 rows of 5 values: blocks that end inside an x row
+    (2, 9000, 1),  # one x row spans three blocks
+])
+def test_grid_writer_matches_the_repeat_tile_columns(tmp_path, nx, ny, nvalues):
+    rng = np.random.default_rng(nx * 1000 + ny)
+    x = rng.standard_normal(nx) * 10.0 ** rng.integers(-20, 20, nx)
+    y = rng.standard_normal(ny) * 10.0 ** rng.integers(-300, 300, ny)
+    values = [rng.standard_normal((nx, ny)) * 10.0 ** rng.integers(-320, 300, (nx, ny))
+              for _ in range(nvalues)]
+    # -0.0, nan, +-inf and subnormals on both axes and in every value column
+    x[:min(nx, _SPECIALS.size)] = _SPECIALS[:nx]
+    y[-min(ny, _SPECIALS.size):] = _SPECIALS[-ny:]
+    for v in values:
+        v.ravel()[::7][:_SPECIALS.size] = _SPECIALS[:v.ravel()[::7].size]
+    columns = (np.repeat(x, ny), np.tile(y, nx), *values)
+    kernel._write_grid_csv(str(tmp_path / "grid.csv"), "h", x, y, *values)
+    kernel._write_csv(str(tmp_path / "plain.csv"), "h", columns)
+    got = (tmp_path / "grid.csv").read_bytes()
+    assert got == b"h\n" + _oracle_rows(np.column_stack([c.ravel() for c in columns]))
+    assert got == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_writer_takes_no_fallback_on_a_tomogram_with_tails_and_zeros():
     x = np.linspace(-40.0, 40.0, 4501)
     tom = state_tomogram(parse_state("coherent:re=1,im=0.5"), TomographyFrame(1.0, 0.3), x, 0.5)

@@ -928,21 +928,37 @@ def test_density_from_tomogram_roundtrip():
     assert abs(np.trapezoid(diag, xs) - 1.0) < 1e-3
 
 
+def _packet_state():
+    x = np.linspace(-8.0, 8.0, 281)
+    psi = np.exp(-(x - 0.3) ** 2 / 2.0 + 0.4j * x)
+    return st.CustomGrid(x, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, x)))
+
+
 def test_density_map_matches_the_pairwise_sum():
     # reference: the per-pair trapezoid mu sum that the vectorised map replaced
     hbar = 0.8
     xs = np.linspace(-2, 2.5, 10)
     nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
     mu = np.linspace(-6, 6, 25)
-    fam = qt.build_state_slices(st.CatOdd(0.6 + 0.4j), hbar, nus, mu, np.linspace(-40, 40, 1601))
-    rho, _ = qt.density_grid_from_tomogram(fam, xs, hbar)
     w = np.full(mu.size, mu[1] - mu[0])
     w[[0, -1]] *= 0.5
-    for a, x in enumerate(xs):
-        for b, xp in enumerate(xs):
-            j = int(np.argmin(np.abs(fam.nu_grid - (x - xp) / hbar)))
-            ref = np.sum(fam.values[:, j] * np.exp(-1j * mu * (x + xp) / 2) * w) / (2 * math.pi)
-            assert abs(rho[a, b] - ref) < 1e-13
+    for state in (st.CatOdd(0.6 + 0.4j), _packet_state()):
+        fam = qt.build_state_slices(state, hbar, nus, mu, np.linspace(-40, 40, 1601))
+        rho, _ = qt.density_grid_from_tomogram(fam, xs, hbar)
+        for a, x in enumerate(xs):
+            for b, xp in enumerate(xs):
+                j = int(np.argmin(np.abs(fam.nu_grid - (x - xp) / hbar)))
+                ref = np.sum(fam.values[:, j] * np.exp(-1j * mu * (x + xp) / 2) * w) / (2 * math.pi)
+                assert abs(rho[a, b] - ref) < 1e-13
+        # the map takes one exp per distinct (x + x')/2; with one exp per
+        # (mu, pair) entry it must agree bit for bit
+        j = fam.nu_index((xs[:, None] - xs[None, :]) / hbar).ravel()
+        s = (0.5 * (xs[:, None] + xs[None, :])).ravel()
+        wG = fam.values[:, j] * (w / (mu[1] - mu[0]))[:, None]
+        ref = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s)))
+        ref = (ref * ((mu[1] - mu[0]) / (2.0 * math.pi))).reshape(xs.size, xs.size)
+        assert np.unique(s).size < s.size // 4
+        assert np.array_equal(rho, ref)
 
 
 def test_density_from_tomogram_missing_slice():
@@ -1131,3 +1147,30 @@ def test_overlap_quadrature_matches_the_closed_characteristic(state):
     closed = qt.build_state_family(state, hbar, mu, nu, None).values
     quad = qt._overlap_characteristic(state, mu, nu, hbar)
     assert np.max(np.abs(quad - closed)) < 1e-12
+
+
+@pytest.mark.parametrize("state", [st.Superposition(1, 3), _packet_state()], ids=["superpos", "custom"])
+@pytest.mark.parametrize("block", [None, 5000])
+def test_overlap_equals_the_exp_of_every_mu(monkeypatch, state, block):
+    # exp(i |mu| y) is taken once per |mu| and conjugated for mu < 0; the
+    # reference takes exp(i mu y) for every signed mu and must agree bit for
+    # bit, also when the mu rows are split over blocks
+    if block is not None:
+        monkeypatch.setattr(qt, "_OVERLAP_BLOCK", block)
+    hbar = 0.9
+    mu = np.r_[np.linspace(-4.0, 4.0, 17), 2.7, -0.35]  # pairs, a zero and unpaired values
+    nu = np.array([-1.3, 0.0, 0.45, 2.0])
+    G = qt._overlap_characteristic(state, mu, nu, hbar)
+    psi = st.position_wavefunction(state, hbar)
+    edges, env_scale = qt._cells(state, hbar)
+    ref = np.zeros_like(G)
+    for j, h in enumerate(0.5 * hbar * nu):
+        cuts = np.concatenate((edges - h, edges + h))
+        lo, hi = edges[0] + abs(h), edges[-1] - abs(h)
+        nodes, weights = qt._chirp_panels(np.unique(cuts[(cuts >= lo) & (cuts <= hi)]), 0.0, 4.0,
+                                          env_scale)
+        f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
+        rows = max(1, qt._OVERLAP_BLOCK // nodes.size)
+        for i in range(0, mu.size, rows):
+            ref[i:i + rows, j] = np.exp(1j * np.outer(mu[i:i + rows], nodes)) @ f
+    assert np.array_equal(G, ref)
