@@ -608,10 +608,9 @@ def parse_classical(text: str):
 def write_density_csv(model: DensityGrid, csv_path: str) -> str:
     """Write the density as CSV rows `q,p,f` (p fastest) with a JSON
     sidecar declaring both axes; returns the sidecar path."""
-    import json
     import os
 
-    from .kernel import _atomic_write, _write_grid_csv
+    from .kernel import _write_grid_csv, _write_json
 
     g = model.f
     _write_grid_csv(csv_path, "q,p,f", g.x_grid, g.y_grid, g.values)
@@ -620,7 +619,7 @@ def write_density_csv(model: DensityGrid, csv_path: str) -> str:
         "p_grid": {"min": float(g.y_grid[0]), "max": float(g.y_grid[-1]), "count": int(g.y_grid.size)},
     }
     side = os.path.splitext(csv_path)[0] + ".json"
-    _atomic_write(side, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(side, meta)
     return side
 
 

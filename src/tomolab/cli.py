@@ -35,6 +35,7 @@ from .kernel import (
     _atomic_write,
     _write_csv,
     _write_grid_csv,
+    _write_json,
     frame_from_scaling,
     normalization_residual,
     spread_atoms,
@@ -353,7 +354,7 @@ def cmd_limit(cfg: RunConfig) -> int:
         report.artifacts.append(path)
 
     report_path = os.path.join(cfg.out, f"{cfg.study}_report.json")
-    _atomic_write(report_path, report.to_json() + "\n")
+    _atomic_write(report_path, (report.to_json() + "\n").encode())
     print(f"report written to {report_path}")
     print(f"verdict: {report.verdict}")
     if report.fitted_exponent is not None:
@@ -432,7 +433,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         return 2
 
     rep_path = os.path.join(cfg.out, "reconstruct_report.json")
-    _atomic_write(rep_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(rep_path, report)
     err = report.get("max_error_vs_exact")
     if err is None:
         return 0
@@ -525,8 +526,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "hbar": cfg.hbar,
         "notes": notes,
     }
-    _atomic_write(os.path.join(cfg.out, "compare.json"),
-                  json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(cfg.out, "compare.json"), meta)
     print(f"table written to {out_csv}")
     return 0
 
@@ -731,8 +731,7 @@ def run_selftest(quick: bool = False, out: str | None = None) -> int:
             {"check": name, "value": value, "threshold": threshold, "passed": passed}
             for name, value, threshold, passed in rows
         ]
-        _atomic_write(os.path.join(out, "selftest.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(os.path.join(out, "selftest.json"), payload)
     return 0 if ok else 1
 
 

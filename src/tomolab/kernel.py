@@ -516,7 +516,7 @@ def _write_csv(path: str, header: str, columns) -> None:
     table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
     rows = max(1, _BLOCK_VALUES // table.shape[1])
     body = b"".join(_csv_rows(table[k:k + rows]) for k in range(0, table.shape[0], rows))
-    _atomic_write(path, header + "\n" + body.decode("ascii"))
+    _atomic_write(path, header.encode() + b"\n" + body)
 
 
 def _write_grid_csv(path: str, header: str, x, y, *values) -> None:
@@ -541,15 +541,20 @@ def _write_grid_csv(path: str, header: str, x, y, *values) -> None:
         block[:, 1] = axes.take(nx + at % ny, axis=0)
         block[:, 2:] = vals.reshape(at.size, -1, _WIDTH)
         parts.append(_lines(block))
-    _atomic_write(path, header + "\n" + b"".join(parts).decode("ascii"))
+    _atomic_write(path, header.encode() + b"\n" + b"".join(parts))
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write_json(path: str, payload) -> None:
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -573,7 +578,7 @@ def write_tomogram(t: Tomogram, csv_path: str, hbar: float | None = None,
         "atoms": [{"weight": a.weight, "location": a.location} for a in t.atoms],
     }
     side = os.path.splitext(csv_path)[0] + ".json"
-    _atomic_write(side, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(side, meta)
     return side
 
 

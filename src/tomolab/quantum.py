@@ -46,7 +46,6 @@ from .states import (
     HOEigen,
     State,
     Superposition,
-    cat_normalization,
     coherent_center,
     momentum_extent,
     momentum_wavefunction,
@@ -142,11 +141,56 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
 # closed-form tomograms
 # ---------------------------------------------------------------------------
 
-def _kappa(frame: TomographyFrame, hbar: float) -> float:
+def _rows(basis: str, labels, frame: TomographyFrame, X, hbar: float):
+    """sqrt(kappa) and the chirp-free rows u_a(X) of the basis vectors |a>
+    (Fock orders or coherent amplitudes), kappa = 1/(hbar |zeta|^2), so that
+    the amplitude of sum_a w_a |a> gives the tomogram sqrt(kappa) |sum_a w_a u_a|^2.
+
+    The amplitudes share the chirp and the prefactor of J(s), which are
+    never formed.  A Fock row is phi_k(sqrt(kappa) X) times
+    e^{i(k - k_0)(arg zeta - pi/2)}; a coherent row is the Gaussian
+    pi^(-1/4) e^{-kappa (X - X_a)^2/2} about X_a = coherent_tomogram_peak
+    times the phase Im(zeta a^2/(2 zeta*)) - sqrt(2/hbar) X Re(a/zeta*),
+    written as modulus and phase so large |a| cannot overflow.  Phases
+    are taken relative to the first row, which stays real, so the forms
+    hold down to nu = 0 (the position marginal).
+    """
     d = frame.nu ** 2 + frame.mu ** 2
     if d == 0.0:
         raise TomogramError("closed-form tomogram rejected for the zero frame")
-    return 1.0 / (hbar * d)
+    kappa = 1.0 / (hbar * d)
+    root = math.sqrt(kappa)
+    Xv = np.asarray(X, dtype=float)
+    if basis == "fock":
+        turn = math.atan2(frame.mu, frame.nu) - 0.5 * math.pi
+        rows = [hermite_phi(k, root * Xv) for k in labels]
+        phases = [(k - labels[0]) * turn for k in labels]
+    else:
+        zc = complex(frame.nu, -frame.mu)  # zeta*
+        chirp = [((zc.conjugate() * a * a / (2.0 * zc)).imag, -math.sqrt(2.0 / hbar) * (a / zc).real)
+                 for a in labels]
+        rows = [math.pi ** -0.25 * np.exp(-0.5 * kappa * (Xv - coherent_tomogram_peak(a, frame, hbar)) ** 2)
+                for a in labels]
+        phases = [(c - chirp[0][0]) + (s - chirp[0][1]) * Xv for c, s in chirp]
+    return root, rows[:1] + [u * np.exp(1j * t) for u, t in zip(rows[1:], phases[1:])]
+
+
+def _tomogram(state: State, frame: TomographyFrame, X, hbar: float):
+    """sqrt(kappa) |sum_a w_a u_a(X)|^2 of a catalog state at varpi = 1:
+    one closed form for every oscillator state, never negative."""
+    terms = state.terms
+    root, rows = _rows(state.basis, [a for _, a in terms], frame, X, hbar)
+    amp = sum(w * u for (w, _), u in zip(terms, rows))
+    out = root * (amp.real ** 2 + amp.imag ** 2)
+    return float(out) if np.isscalar(X) else out
+
+
+def _cross_term(basis: str, a, b, frame: TomographyFrame, X, hbar: float):
+    """sqrt(kappa) Re(u_a u_b*), the interference of |a> and |b> in the
+    tomogram of w (|a> + |b>) per unit 2 w^2."""
+    root, (ua, ub) = _rows(basis, (a, b), frame, X, hbar)
+    out = root * (ua * np.conj(ub)).real
+    return float(out) if np.isscalar(X) else out
 
 
 def hermite_tomogram(n: int, frame: TomographyFrame, X, hbar: float):
@@ -157,10 +201,7 @@ def hermite_tomogram(n: int, frame: TomographyFrame, X, hbar: float):
 
     the squared scaled Hermite function with its normalizing Jacobian.
     """
-    kappa = _kappa(frame, hbar)
-    Xv = np.asarray(X, dtype=float)
-    out = math.sqrt(kappa) * hermite_phi(n, math.sqrt(kappa) * Xv) ** 2
-    return float(out) if np.isscalar(X) else out
+    return _tomogram(HOEigen(n), frame, X, hbar)
 
 
 def coherent_tomogram_peak(alpha: complex, frame: TomographyFrame, hbar: float) -> float:
@@ -174,88 +215,34 @@ def coherent_tomogram(alpha: complex, frame: TomographyFrame, X, hbar: float):
 
         sqrt(kappa/pi) exp[-kappa (X - sqrt(2 hbar) (mu Re alpha + nu Im alpha))^2]
     """
-    d = frame.nu ** 2 + frame.mu ** 2
-    if d == 0.0:
-        raise TomogramError("closed-form tomogram rejected for the zero frame")
-    Xv = np.asarray(X, dtype=float)
-    r = math.sqrt(2.0 * hbar)
-    shift = frame.mu * r * alpha.real + frame.nu * r * alpha.imag
-    out = math.sqrt(1.0 / (math.pi * hbar * d)) * np.exp(-((Xv - shift) ** 2) / (hbar * d))
-    return float(out) if np.isscalar(X) else out
+    return _tomogram(Coherent(alpha), frame, X, hbar)
 
 
 def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X, hbar: float):
     """Interference term Re(A_n A_m*) / (2 pi hbar |nu|) of (|n>+|m>)/sqrt2,
 
-        sqrt(kappa) cos((n - m)(arg zeta - pi/2)) phi_n(Q) phi_m(Q),   Q = sqrt(kappa) X:
-
-    the chirp phase common to both amplitudes cancels and is never
-    formed, so the form holds down to nu = 0 (the position marginal).
+        sqrt(kappa) cos((n - m)(arg zeta - pi/2)) phi_n(Q) phi_m(Q),   Q = sqrt(kappa) X.
     """
-    kappa = _kappa(frame, hbar)
-    Q = math.sqrt(kappa) * np.asarray(X, dtype=float)
-    turn = math.cos((n - m) * (math.atan2(frame.mu, frame.nu) - 0.5 * math.pi))
-    out = math.sqrt(kappa) * turn * hermite_phi(n, Q) * hermite_phi(m, Q)
-    return float(out) if np.isscalar(X) else out
+    return _cross_term("fock", n, m, frame, X, hbar)
 
 
 def superposition_tomogram(n: int, m: int, frame: TomographyFrame, X, hbar: float):
     """Tomogram of (|n> + |m>)/sqrt2: the half-half mixture plus the
     amplitude interference term, in every nonzero frame."""
-    if n == m:
-        raise TomogramError("superposition requires distinct eigenstates")
-    Xv = np.asarray(X, dtype=float)
-    out = (
-        0.5 * hermite_tomogram(n, frame, Xv, hbar)
-        + 0.5 * hermite_tomogram(m, frame, Xv, hbar)
-        + superposition_cross_term(n, m, frame, Xv, hbar)
-    )
-    out = np.maximum(out, 0.0)
-    return float(out) if np.isscalar(X) else out
-
-
-def _coherent_exponent(alpha: complex, z: complex, X: np.ndarray, hbar: float) -> np.ndarray:
-    # exponent of A_alpha without the chirp -X^2/(2 hbar nu zeta*) that every
-    # coherent amplitude in the frame shares
-    zc = z.conjugate()
-    return (-0.5 * abs(alpha) ** 2 + z * alpha * alpha / (2.0 * zc)
-            - 1j * math.sqrt(2.0 / hbar) * X * alpha / zc)
+    return _tomogram(Superposition(n, m), frame, X, hbar)
 
 
 def cat_interference(alpha: complex, frame: TomographyFrame, X, hbar: float):
     """Interference term I = 2 Re(A_alpha A_{-alpha}*)/(2 pi hbar |nu|) of a
-    cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar.
-
-    The chirp phase common to both amplitudes cancels and is never
-    formed: with kappa = 1/(hbar |zeta|^2),
-
-        I = 2 sqrt(kappa/pi) Re exp(E_alpha + E_{-alpha}* - kappa X^2),
-
-    which holds down to nu = 0 (the position marginal).
-    """
-    kappa = _kappa(frame, hbar)
-    Xv = np.asarray(X, dtype=float)
-    z = complex(frame.nu, frame.mu)  # zeta
-    expo = (_coherent_exponent(alpha, z, Xv, hbar)
-            + np.conj(_coherent_exponent(-alpha, z, Xv, hbar)) - kappa * Xv * Xv)
-    out = 2.0 * math.sqrt(kappa / math.pi) * np.exp(expo).real
-    return float(out) if np.isscalar(X) else out
+    cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar."""
+    return 2.0 * _cross_term("coherent", alpha, -alpha, frame, X, hbar)
 
 
 def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X, hbar: float):
     """Even/odd cat tomogram N^2 [W_alpha + W_{-alpha} +- I]."""
     if parity not in ("even", "odd"):
         raise TomogramError(f"cat parity must be 'even' or 'odd', got {parity!r}")
-    sign = 1.0 if parity == "even" else -1.0
-    N2 = cat_normalization(alpha, parity) ** 2
-    Xv = np.asarray(X, dtype=float)
-    out = N2 * (
-        coherent_tomogram(alpha, frame, Xv, hbar)
-        + coherent_tomogram(-alpha, frame, Xv, hbar)
-        + sign * cat_interference(alpha, frame, Xv, hbar)
-    )
-    out = np.maximum(out, 0.0)
-    return float(out) if np.isscalar(X) else out
+    return _tomogram((CatEven if parity == "even" else CatOdd)(alpha), frame, X, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +288,10 @@ def _expectation(terms, element, beta) -> np.ndarray:
     return sum(np.conj(wa) * wc * element(a, c, beta) for wa, a in terms for wc, c in terms)
 
 
-def _cat_characteristic(state, mu_grid, nu_grid, hbar):
-    N = cat_normalization(state.alpha, state.parity)
-    return _expectation(((N, state.alpha), (state.sign * N, -state.alpha)),
-                        _coherent_displacement, _displacement_beta(mu_grid, nu_grid, hbar))
-
-
-def _superposition_characteristic(state, mu_grid, nu_grid, hbar):
-    w = 1.0 / math.sqrt(2.0)
-    return _expectation(((w, state.n), (w, state.m)), _fock_displacement,
-                        _displacement_beta(mu_grid, nu_grid, hbar))
+def _catalog_characteristic(state, mu_grid, nu_grid, hbar):
+    """<psi|D(beta)|psi> of an oscillator catalog state from its terms."""
+    element = _fock_displacement if state.basis == "fock" else _coherent_displacement
+    return _expectation(state.terms, element, _displacement_beta(mu_grid, nu_grid, hbar))
 
 
 def _box_characteristic(state, mu_grid, nu_grid, hbar):
@@ -626,18 +607,12 @@ class _Route(NamedTuple):
 # entries are written at varpi = 1 and receive the frame (or frame grids)
 # that _unit_varpi maps each state to.
 _ROUTES = {
-    HOEigen: _Route(
-        lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h),
-        lambda s, mu, nu, h: _fock_displacement(s.n, s.n, _displacement_beta(mu, nu, h))),
-    Coherent: _Route(
-        lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h),
-        lambda s, mu, nu, h: _coherent_displacement(s.alpha, s.alpha, _displacement_beta(mu, nu, h))),
+    HOEigen: _Route(lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h), _catalog_characteristic),
+    Coherent: _Route(lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h), _catalog_characteristic),
     **dict.fromkeys((CatEven, CatOdd), _Route(
-        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h),
-        _cat_characteristic)),
+        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h), _catalog_characteristic)),
     Superposition: _Route(
-        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h),
-        _superposition_characteristic),
+        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h), _catalog_characteristic),
     BoxEigen: _Route(
         lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
         _box_characteristic),

@@ -119,7 +119,26 @@ class _Oscillator(State):
 
 
 class _Fock(_Oscillator):
-    """Eigenstate combinations, whose extents grow with the largest order."""
+    """Eigenstate combinations sum_k w_k |k>, terms = ((w_k, k), ...); the
+    wave functions, extents and largest order are read off the terms."""
+
+    basis: ClassVar[str] = "fock"
+
+    def max_order(self):
+        return max(k for _, k in self.terms)
+
+    def position_wavefunction(self, hbar):
+        return self._wave(math.sqrt(self.varpi / hbar), 1.0)
+
+    def momentum_wavefunction(self, hbar):
+        return self._wave(math.sqrt(1.0 / (self.varpi * hbar)), -1j)
+
+    def _wave(self, s, turn):
+        # sum_k w_k turn^k sqrt(s) phi_k(s y): the Fourier transform of
+        # phi_k is (-i)^k phi_k, so psihat is psi with s -> 1/sqrt(varpi hbar)
+        terms = self.terms
+        return lambda y: sum(w * turn ** k * math.sqrt(s) * hermite_phi(k, s * np.asarray(y, dtype=float))
+                             for w, k in terms) + 0j
 
     def position_extent(self, hbar, tails=8.0):
         r = math.sqrt(hbar / self.varpi) * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
@@ -145,19 +164,9 @@ class HOEigen(_Fock):
             raise ValueError(f"oscillator quantum number must be >= 0, got {self.n}")
         super().__post_init__()
 
-    def max_order(self):
-        return self.n
-
-    def position_wavefunction(self, hbar):
-        s = math.sqrt(self.varpi / hbar)
-        n = self.n
-        return lambda y: math.sqrt(s) * hermite_phi(n, s * np.asarray(y, dtype=float)) + 0j
-
-    def momentum_wavefunction(self, hbar):
-        s = math.sqrt(1.0 / (self.varpi * hbar))
-        n = self.n
-        phase = (-1j) ** n
-        return lambda p: phase * math.sqrt(s) * hermite_phi(n, s * np.asarray(p, dtype=float))
+    @property
+    def terms(self):
+        return ((1.0, self.n),)
 
     def descriptor(self):
         return f"ho:n={self.n},varpi={_num(self.varpi)}"
@@ -188,40 +197,21 @@ class Superposition(_Fock):
             raise ValueError("superposition requires two distinct eigenstates")
         super().__post_init__()
 
-    def max_order(self):
-        return max(self.n, self.m)
-
-    def position_wavefunction(self, hbar):
-        s = math.sqrt(self.varpi / hbar)
-        n, m = self.n, self.m
-
-        def sup_psi(y):
-            y = np.asarray(y, dtype=float)
-            return math.sqrt(s / 2.0) * (hermite_phi(n, s * y) + hermite_phi(m, s * y)) + 0j
-
-        return sup_psi
-
-    def momentum_wavefunction(self, hbar):
-        s = math.sqrt(1.0 / (self.varpi * hbar))
-        n, m = self.n, self.m
-
-        def sup_ft(p):
-            p = np.asarray(p, dtype=float)
-            return math.sqrt(s / 2.0) * (
-                (-1j) ** n * hermite_phi(n, s * p) + (-1j) ** m * hermite_phi(m, s * p)
-            )
-
-        return sup_ft
+    @property
+    def terms(self):
+        w = 1.0 / math.sqrt(2.0)
+        return ((w, self.n), (w, self.m))
 
     def descriptor(self):
         return f"superpos:n={self.n},m={self.m}{self._varpi_field()}"
 
 
 def cat_normalization(alpha: complex, parity: str) -> float:
-    """N_+- = 1/sqrt(2(1 +- exp(-2|alpha|^2)))."""
+    """N_+- = 1/sqrt(2(1 +- exp(-2|alpha|^2))), the odd one through expm1,
+    which keeps its relative accuracy as alpha -> 0."""
     a2 = abs(alpha) ** 2
-    sign = 1.0 if parity == "even" else -1.0
-    return 1.0 / math.sqrt(2.0 * (1.0 + sign * math.exp(-2.0 * a2)))
+    norm = 1.0 + math.exp(-2.0 * a2) if parity == "even" else -math.expm1(-2.0 * a2)
+    return 1.0 / math.sqrt(2.0 * norm)
 
 
 def coherent_center(alpha: complex, hbar: float, varpi: float = 1.0) -> tuple[float, float]:
@@ -252,19 +242,34 @@ def _coherent_psihat(alpha: complex, hbar: float, varpi: float, p: np.ndarray) -
 
 
 class _Displaced(_Oscillator):
-    """Coherent packets |alpha> and their superpositions; _span(center, r) is the extent."""
+    """Coherent packets and their superpositions sum_a w_a |a>, terms =
+    ((w_a, a), ...); the wave functions and extents are read off the terms."""
+
+    basis: ClassVar[str] = "coherent"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         super().__post_init__()
 
+    def position_wavefunction(self, hbar):
+        return self._wave(_coherent_psi, hbar)
+
+    def momentum_wavefunction(self, hbar):
+        return self._wave(_coherent_psihat, hbar)
+
+    def _wave(self, packet, hbar):
+        terms, varpi = self.terms, self.varpi
+        return lambda y: sum(w * packet(a, hbar, varpi, np.asarray(y, dtype=float)) for w, a in terms)
+
     def position_extent(self, hbar, tails=8.0):
-        qbar, _ = coherent_center(self.alpha, hbar, self.varpi)
-        return self._span(qbar, tails * math.sqrt(hbar / self.varpi))
+        q = [coherent_center(a, hbar, self.varpi)[0] for _, a in self.terms]
+        r = tails * math.sqrt(hbar / self.varpi)
+        return min(q) - r, max(q) + r
 
     def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
-        _, pbar = coherent_center(self.alpha, hbar, self.varpi)
-        return self._span(pbar, tails * math.sqrt(hbar * self.varpi))
+        p = [coherent_center(a, hbar, self.varpi)[1] for _, a in self.terms]
+        r = tails * math.sqrt(hbar * self.varpi)
+        return min(p) - r, max(p) + r
 
     def envelope_scale(self, hbar):
         _, pbar = coherent_center(self.alpha, hbar, self.varpi)
@@ -281,15 +286,9 @@ class Coherent(_Displaced):
     alpha: complex
     varpi: float = 1.0
 
-    def position_wavefunction(self, hbar):
-        return lambda y: _coherent_psi(self.alpha, hbar, self.varpi, np.asarray(y, dtype=float))
-
-    def momentum_wavefunction(self, hbar):
-        return lambda p: _coherent_psihat(self.alpha, hbar, self.varpi, np.asarray(p, dtype=float))
-
-    @staticmethod
-    def _span(center, r):
-        return center - r, center + r
+    @property
+    def terms(self):
+        return ((1.0, self.alpha),)
 
     def descriptor(self):
         return f"coherent:{self._alpha_fields()}"
@@ -315,30 +314,20 @@ class _Cat(_Displaced):
     varpi: float = 1.0
     sign: ClassVar[float]
 
+    def __post_init__(self):
+        super().__post_init__()
+        # N- = 1/sqrt(2(1 - exp(-2|alpha|^2))) is finite only while |alpha|^2 > 0
+        if self.sign < 0 and self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag == 0.0:
+            raise ValueError("an odd cat state needs alpha != 0 (its alpha -> 0 limit is |1>)")
+
     @property
     def parity(self) -> str:
         return "even" if self.sign > 0 else "odd"
 
-    def _superpose(self, packet, hbar):
+    @property
+    def terms(self):
         N = cat_normalization(self.alpha, self.parity)
-        a, w, sign = self.alpha, self.varpi, self.sign
-
-        def cat_wave(y):
-            y = np.asarray(y, dtype=float)
-            return N * (packet(a, hbar, w, y) + sign * packet(-a, hbar, w, y))
-
-        return cat_wave
-
-    def position_wavefunction(self, hbar):
-        return self._superpose(_coherent_psi, hbar)
-
-    def momentum_wavefunction(self, hbar):
-        return self._superpose(_coherent_psihat, hbar)
-
-    @staticmethod
-    def _span(center, r):
-        r = abs(center) + r
-        return -r, r
+        return ((N, self.alpha), (self.sign * N, -self.alpha))
 
     def descriptor(self):
         return f"cat:{self.parity},{self._alpha_fields()}"

@@ -680,6 +680,18 @@ def test_a_request_past_the_panel_cap_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_an_odd_cat_at_alpha_zero_exits_2(tmp_path, capsys):
+    # N- = 1/sqrt(2(1 - exp(-2|alpha|^2))) is infinite at alpha = 0: refused
+    # with one stderr line, not a ZeroDivisionError traceback
+    out = str(tmp_path / "t.csv")
+    code = run(["tomogram", "--state", "cat:odd,re=0,im=0", "--frame", "0.6,-0.8",
+                "--hbar", "0.7", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("tomogram: an odd cat state needs alpha != 0")
+    assert not os.path.exists(out)
+
+
 def test_compare_oscillator(tmp_path, capsys):
     out = str(tmp_path / "cmp")
     code = run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1",

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, and so does
 every function the benchmark tracer (perfbench/tracer.py) wraps by name,
 which only a traced benchmark run would otherwise notice missing, and
-every classical time-average route reaches a traced name.  The
+every classical time-average route and every catalog state's tomogram
+route reaches a traced name.  The
 source size the README states is the one its own rule counts."""
 
 import importlib
@@ -15,6 +16,8 @@ import numpy as np
 
 import tomolab
 from tomolab import classical as cl
+from tomolab import quantum as qt
+from tomolab import states as st
 from tomolab.kernel import GridFunction2D, TomographyFrame
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +71,25 @@ def test_time_average_routes_reach_the_traced_names(monkeypatch):
         cl.time_averaged_tomogram(model, TomographyFrame(0.6, 0.8), x)
     assert calls == ["classical_box_tomogram_build", "classical_oscillator_tomogram_build",
                      "radon_density"]
+
+
+def test_state_routes_reach_the_traced_names(monkeypatch):
+    # each catalog class reaches its closed form through the module global
+    # the tracer rebinds, once per tomogram
+    calls = []
+    names = ("hermite_tomogram", "coherent_tomogram", "cat_tomogram",
+             "superposition_tomogram", "box_tomogram")
+    for name in names:
+        def counted(*args, _name=name, _orig=getattr(qt, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(qt, name, counted)
+    x = np.linspace(-6, 6, 241)
+    states = (st.HOEigen(2, 1.5), st.Coherent(0.5 - 0.2j), st.CatEven(0.8j), st.CatOdd(-0.7),
+              st.Superposition(0, 3), st.BoxEigen(2, 1.5))
+    expected = ["hermite_tomogram", "coherent_tomogram", "cat_tomogram", "cat_tomogram",
+                "superposition_tomogram", "box_tomogram"]
+    for state, name in zip(states, expected):
+        calls.clear()
+        qt.state_tomogram(state, TomographyFrame(0.6, 0.8), x, 0.7)
+        assert calls == [name], (state, calls)

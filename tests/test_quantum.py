@@ -267,6 +267,73 @@ def test_cat_parity_validation():
             cat(1.0, varpi=-1.0)
 
 
+_ALPHA_AT_MILLI_HBAR = cmath.rect(1.0 / math.sqrt(2e-3), 0.4)  # |alpha| sqrt(2 hbar) = 1
+
+
+@pytest.mark.parametrize("state, hbar", [
+    (st.Superposition(1, 4, 1.7), 0.8), (st.Superposition(0, 3, 0.6), 0.3),
+    (st.CatEven(0.9 - 0.5j, 1.4), 0.6), (st.CatOdd(-0.4 + 1.1j, 0.6), 0.9),
+    (st.Coherent(1.2 + 0.7j, 2.0), 0.5),
+    (st.CatEven(_ALPHA_AT_MILLI_HBAR), 1e-3), (st.CatOdd(_ALPHA_AT_MILLI_HBAR), 1e-3),
+    (st.Coherent(_ALPHA_AT_MILLI_HBAR), 1e-3),
+], ids=repr)
+def test_closed_forms_match_quadrature_in_every_quadrant(state, hbar):
+    # the closed forms against the quadrature of the defining integral in
+    # all four sign quadrants of (mu, nu) and at nu = 0, within 3 sigma of
+    # each coherent peak or across the classically allowed band of Fock states
+    sq, sp = st.natural_scales(state, hbar)
+    for mu, nu in ((0.6, 0.8), (-0.6, 0.8), (-0.9, -0.5), (1.1, -0.4), (1.3, 0.0), (-0.7, 0.0)):
+        fr = TomographyFrame(mu, nu)
+        sig = math.hypot(mu * sq, nu * sp)
+        if isinstance(state, st.Superposition):
+            r = math.sqrt(2.0 * state.max_order() + 1.0) * sig
+            grids = [np.linspace(-r, r, 201)]
+        else:
+            centres = (st.coherent_center(a, hbar, state.varpi) for _, a in state.terms)
+            grids = [np.linspace(c - 3.0 * sig, c + 3.0 * sig, 101)
+                     for c in (mu * q + nu * p for q, p in centres)]
+        for x in grids:
+            closed = qt.state_tomogram(state, fr, x, hbar).values
+            quad = qt.tomogram_from_wavefunction(state, fr, x, hbar).values
+            assert np.max(np.abs(closed - quad)) < 1e-6 * np.max(closed), (mu, nu)
+
+
+def test_interference_terms_are_what_the_mixtures_miss(rng):
+    # superposition = half-half mixture + cross term; cat = N^2 (mixture +- I)
+    x = np.linspace(-7.0, 7.0, 1401)
+    for _ in range(6):
+        fr = random_frame(rng)
+        hbar = float(rng.uniform(0.2, 1.5))
+        n, m = (int(k) for k in rng.choice(12, size=2, replace=False))
+        sup = qt.superposition_tomogram(n, m, fr, x, hbar)
+        mix = 0.5 * qt.hermite_tomogram(n, fr, x, hbar) + 0.5 * qt.hermite_tomogram(m, fr, x, hbar)
+        cross = qt.superposition_cross_term(n, m, fr, x, hbar)
+        assert np.max(np.abs(sup - mix - cross)) < 1e-13 * np.max(sup)
+        alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        for parity, sign in (("even", 1.0), ("odd", -1.0)):
+            N2 = st.cat_normalization(alpha, parity) ** 2
+            cat = qt.cat_tomogram(alpha, parity, fr, x, hbar)
+            mix = N2 * (qt.coherent_tomogram(alpha, fr, x, hbar) + qt.coherent_tomogram(-alpha, fr, x, hbar))
+            interference = sign * N2 * qt.cat_interference(alpha, fr, x, hbar)
+            assert np.max(np.abs(cat - mix - interference)) < 1e-13 * np.max(cat)
+
+
+def test_odd_cat_tends_to_the_first_fock_state():
+    # N- (|alpha> - |-alpha>) -> |1> (up to a phase) as alpha -> 0; the odd
+    # normalization through expm1 keeps this limit, and alpha = 0 is refused
+    fr = TomographyFrame(0.6, -0.8)
+    x = np.linspace(-5.0, 5.0, 1001)
+    ref = qt.hermite_tomogram(1, fr, x, 0.7)
+    for alpha in (1e-7, 1e-7j, -0.6e-7 + 0.8e-7j):
+        state = st.CatOdd(alpha)
+        w = qt.state_tomogram(state, fr, x, 0.7).values
+        assert np.max(np.abs(w - ref)) < 1e-6 * np.max(ref), alpha
+        tom = qt.state_tomogram(state, fr, qt.default_x_grid(state, fr, 0.7), 0.7)
+        assert normalization_residual(tom) < 1e-6, alpha
+    with pytest.raises(ValueError, match="odd cat"):
+        st.CatOdd(0j)
+
+
 # ---------------------------------------------------------------------------
 # quadrature route dispatch and special frames
 # ---------------------------------------------------------------------------
