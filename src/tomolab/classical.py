@@ -414,6 +414,11 @@ def box_plateaus(frame: TomographyFrame, L: float, E: float = 1.0):
     return tuple(tuple(sorted((c, frame.mu * L + c))) for c in (-s, s))
 
 
+def _box_indicators(X: np.ndarray, frame: TomographyFrame, L: float):
+    """The closed-interval indicators of the two unit-energy plateaus at X."""
+    return tuple(((X >= lo) & (X <= hi)).astype(float) for lo, hi in box_plateaus(frame, L))
+
+
 def classical_box_tomogram(X, frame: TomographyFrame, L: float):
     """Time-averaged box tomogram at unit energy for mu != 0:
 
@@ -427,9 +432,7 @@ def classical_box_tomogram(X, frame: TomographyFrame, L: float):
         raise TomogramError("box tomogram rejected for the zero frame")
     if frame.mu == 0.0:
         raise TomogramError("pointwise box tomogram needs mu != 0; mu = 0 is two delta atoms")
-    X = np.asarray(X, dtype=float)
-    chi = sum(((X >= lo) & (X <= hi)).astype(float) for lo, hi in box_plateaus(frame, L))
-    out = chi / (2.0 * abs(frame.mu) * L)
+    out = sum(_box_indicators(np.asarray(X, dtype=float), frame, L)) / (2.0 * abs(frame.mu) * L)
     return float(out) if out.ndim == 0 else out
 
 

@@ -289,7 +289,7 @@ def _ehrenfest_cat(p: dict, frame: TomographyFrame):
 def _ehrenfest_box(p: dict, frame: TomographyFrame):
     L = float(p.get("L", 1.0))
     mom_n = int(p["momentum_check_n"]) if "momentum_check_n" in p else None
-    report = lm.ehrenfest_box(L, _ns(p, "25,50,100,200"), [frame], momentum_check_n=mom_n)
+    report = lm.ehrenfest_box(L, _ns(p, "25,50,100,200"), frame, momentum_check_n=mom_n)
 
     def profile(n):
         edges = np.ravel(cl.box_plateaus(frame, L))

@@ -152,9 +152,10 @@ def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float
 
 
 def _n_report(study: str, n_values: Sequence[int], distances: list[float],
-              details: dict, *conditions: bool) -> LimitReport:
-    """Report of an n sweep: converged when every study condition holds."""
-    exponent, r2 = _trusted_fit(n_values, distances)
+              details: dict, *conditions: bool, fit: bool = True) -> LimitReport:
+    """Report of an n sweep: converged when every study condition holds;
+    without `fit` (distances at the roundoff floor) no exponent or R^2."""
+    exponent, r2 = _trusted_fit(n_values, distances) if fit else (None, None)
     verdict = "converged" if all(conditions) else "not-converged"
     return LimitReport(study, "n", list(map(float, n_values)), distances,
                        exponent, r2, verdict, details=details)
@@ -480,48 +481,34 @@ def box_windowed_distance(n: int, L: float, fr: TomographyFrame) -> float:
     return float(np.sum(np.abs(avg - classical)) * step)
 
 
-def ehrenfest_box(L: float, n_values: Sequence[int],
-                  frames: Sequence[TomographyFrame],
+def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
                   momentum_check_n: int | None = None) -> LimitReport:
     """Box eigenstates at unit energy (hbar = sqrt2 L/(n pi), n upward):
     the stationary-phase tomogram, averaged over one fringe period,
     approaches the two-plateau classical box tomogram in L1 away from the
     four support edges.
 
-    The fringe cos n(F_-(Qs-) - F_+(Qs+)) is exactly periodic in X with
-    period |mu| L / n, so the one-period local average removes it
-    identically where both plateaus overlap; the distances then sit at
-    the quadrature floor (~1e-15) for every n instead of decaying
-    smoothly, and the verdict treats an all-floor sequence as converged.
+    The fringe cos(2 pi n X/(mu L)) is exactly periodic in X with period
+    |mu| L/n, so the one-period local average removes it identically
+    where both plateaus overlap; the distances then sit at the roundoff
+    floor (~1e-15) for every n instead of decaying smoothly, and the
+    verdict treats an all-floor sequence as converged, with no fit.
     Optionally also measures the momentum-frame mass concentration near
     X = +-sqrt2 from the exact box tomogram at n = momentum_check_n,
     frame (0.02, 1)."""
     n_values = list(n_values)
     if any(n < 10 for n in n_values):
         raise ValueError("stationary-phase study needs n >= 10")
-    frames = list(frames)
-    if any(f.mu == 0.0 or f.nu == 0.0 for f in frames):
-        raise ValueError("box study frames need mu != 0 and nu != 0")
+    if frame.mu == 0.0 or frame.nu == 0.0:
+        raise ValueError("box study frame needs mu != 0 and nu != 0")
 
-    (distances,) = _sweep(lambda n: (max(box_windowed_distance(n, L, fr) for fr in frames),),
-                          n_values)
+    (distances,) = _sweep(lambda n: (box_windowed_distance(n, L, frame),), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "L": L,
-        "frames": [[f.mu, f.nu] for f in frames],
+        "frame": [frame.mu, frame.nu],
         "hbar_values": [ehrenfest_hbar(n, L) for n in n_values],
     }
-
-    # position-marginal plateau at the largest n, frame -> (1, 0)
-    n_last = n_values[-1]
-    fr_pos = TomographyFrame(1.0, 0.02)
-    period = L / n_last
-    centers = np.linspace(0.15 * L, 0.85 * L, 41)
-    avg = windowed_average(
-        lambda X: np.asarray(box_tomogram_stationary_phase(n_last, L, fr_pos, X)),
-        centers, period,
-    )
-    details["plateau_error"] = float(np.max(np.abs(avg - 1.0 / L)))
 
     if momentum_check_n is not None:
         nq = momentum_check_n
@@ -539,7 +526,7 @@ def ehrenfest_box(L: float, n_values: Sequence[int],
 
     at_floor = max(distances) < 1e-6
     return _n_report("ehrenfest-box", n_values, distances, details,
-                     _decreasing(distances) or at_floor, distances[-1] < 0.05)
+                     _decreasing(distances) or at_floor, distances[-1] < 0.05, fit=not at_floor)
 
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
@@ -559,6 +546,13 @@ def oscillator_local_period(n: int, frame: TomographyFrame, X: np.ndarray) -> np
     return math.pi / (math.sqrt(kappa) * np.sqrt(inside))
 
 
+def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
+                          frame: TomographyFrame, centers: np.ndarray) -> np.ndarray:
+    """windowed_average of fn over 3 local periods of W_n (16 samples each)."""
+    return windowed_average(fn, centers, oscillator_local_period(n, frame, centers),
+                            samples_per_window=16, periods=3)
+
+
 def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
     """L1 distance between the 3-period locally averaged oscillator
     tomogram at unit energy (hbar = 1/n) and the classical arcsine law,
@@ -567,18 +561,14 @@ def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
     xmax = 1.3 * R / math.sqrt(2.0)
     hbar = 1.0 / n
     centers = np.linspace(-xmax, xmax, 241)
-    periods = oscillator_local_period(n, frame, centers)
-    avg = windowed_average(
-        lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
-        centers, periods, samples_per_window=16, periods=3,
-    )
+    avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
+                                n, frame, centers)
     classical = np.asarray(classical_oscillator_tomogram(centers, frame, 1.0))
     return float(np.sum(np.abs(avg - classical)) * (centers[1] - centers[0]))
 
 
 def ehrenfest_oscillator(n_values: Sequence[int],
-                         frame: TomographyFrame = TomographyFrame(1.0, 0.0),
-                         u_route_check_n: int | None = 100) -> LimitReport:
+                         frame: TomographyFrame = TomographyFrame(1.0, 0.0)) -> LimitReport:
     """Oscillator eigenstates at unit energy (hbar = 1/n): the locally
     averaged tomogram approaches the arcsine law 1/(pi sqrt(R^2 - X^2)),
     R = sqrt(2(mu^2+nu^2)), on the classically allowed region, and is
@@ -586,9 +576,9 @@ def ehrenfest_oscillator(n_values: Sequence[int],
 
     The local average runs over 3 periods of the squared-Hermite
     oscillation (period estimated from the WKB phase derivative);
-    distances are L1 against the arcsine law on |X| <= 0.92 R.  At
-    u_route_check_n (frame (1,0) only) the same windowed average is
-    cross-computed through the parabolic-cylinder asymptotic.
+    distances are L1 against the arcsine law on |X| <= 0.92 R.  At n = 100
+    (frame (1,0) only) the same windowed average is cross-computed
+    through the parabolic-cylinder asymptotic.
     """
     if frame.is_zero:
         raise TomogramError("oscillator study rejected for the zero frame")
@@ -613,16 +603,12 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     details["forbidden_value"] = float(hermite_tomogram(n_last, frame, Xf, 1.0 / n_last))
     details["forbidden_bound"] = math.exp(-n_last / 10.0)
 
-    if u_route_check_n is not None and frame.mu == 1.0 and frame.nu == 0.0:
-        n = u_route_check_n
+    if frame.mu == 1.0 and frame.nu == 0.0:
+        n = 100
         centers = np.linspace(-1.3, 1.3, 121)
-        periods = oscillator_local_period(n, frame, centers)
-        avg_h = windowed_average(
-            lambda X: np.asarray(hermite_tomogram(n, frame, X, 1.0 / n)),
-            centers, periods, samples_per_window=16, periods=3,
-        )
-        avg_u = windowed_average(lambda X: _oscillator_u_route(n, X),
-                                 centers, periods, samples_per_window=16, periods=3)
+        avg_h = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, 1.0 / n)),
+                                      n, frame, centers)
+        avg_u = _three_period_average(lambda X: _oscillator_u_route(n, X), n, frame, centers)
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 

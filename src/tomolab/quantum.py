@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import FrameSamples, characteristic_quadrature, radon_line_integral
+from .classical import FrameSamples, _box_indicators, characteristic_quadrature, radon_line_integral
 from .kernel import (
     DeltaAtom,
     GridFunction2D,
@@ -424,38 +424,26 @@ def interval_chirp(a: float, b, L: float) -> np.ndarray:
     return (math.sqrt(math.pi) / (2.0 * ra)) * _RAY * out
 
 
-def _box_phase(n: int, L: float, frame: TomographyFrame, X: float, y, branch: int):
-    # F_-+(y) = (pi/L) [ mu y^2/(2 sqrt2 nu) - (X/(sqrt2 nu) -+ 1) y ]
-    s2 = math.sqrt(2.0)
-    return (math.pi / L) * (
-        frame.mu * y * y / (2.0 * s2 * frame.nu)
-        - (X / (s2 * frame.nu) - branch) * y
-    )
-
-
 def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     """Large-n stationary-phase form of the box tomogram at the
     unit-energy hbar = sqrt2 L/(n pi):
 
-        [chi(Qs-) + chi(Qs+) - 2 chi(Qs-) chi(Qs+) cos n(F_-(Qs-) - F_+(Qs+))]
-        / (2 |mu| L),
+        [chi_- + chi_+ - 2 chi_- chi_+ cos(2 pi n X/(mu L))] / (2 |mu| L),
 
-    Qs-+ = X/mu -+ sqrt2 nu/mu.  Vanishes when both stationary points
-    leave [0, L]; requires mu != 0, nu != 0 and n >= 10.
+    chi_-+ the indicators of the two classical plateaus (`box_plateaus`).
+    The two branch phases differ by exactly 2 pi n X/(mu L), so the fringe
+    has period |mu| L/n and averages out over one period where the
+    plateaus overlap.  Vanishes off both plateaus; requires mu != 0,
+    nu != 0 and n >= 10.
     """
     if frame.mu == 0.0 or frame.nu == 0.0:
         raise TomogramError("stationary-phase route requires mu != 0 and nu != 0")
     if n < 10:
         raise TomogramError(f"stationary phase validated for n >= 10, got {n}")
     Xv = np.asarray(X, dtype=float)
-    s2 = math.sqrt(2.0)
-    qm = Xv / frame.mu - s2 * frame.nu / frame.mu
-    qp = Xv / frame.mu + s2 * frame.nu / frame.mu
-    chim = ((qm >= 0.0) & (qm <= L)).astype(float)
-    chip = ((qp >= 0.0) & (qp <= L)).astype(float)
-    fm = _box_phase(n, L, frame, Xv, qm, +1)
-    fp = _box_phase(n, L, frame, Xv, qp, -1)
-    out = (chim + chip - 2.0 * chim * chip * np.cos(n * (fm - fp))) / (2.0 * abs(frame.mu) * L)
+    chim, chip = _box_indicators(Xv, frame, L)
+    fringe = np.cos(2.0 * math.pi * n * Xv / (frame.mu * L))
+    out = (chim + chip - 2.0 * chim * chip * fringe) / (2.0 * abs(frame.mu) * L)
     return float(out) if np.isscalar(X) else out
 
 

@@ -209,7 +209,7 @@ class Superposition(_Fock):
 def cat_normalization(alpha: complex, parity: str) -> float:
     """N_+- = 1/sqrt(2(1 +- exp(-2|alpha|^2))), the odd one through expm1,
     which keeps its relative accuracy as alpha -> 0."""
-    a2 = abs(alpha) ** 2
+    a2 = abs(alpha) * abs(alpha)
     norm = 1.0 + math.exp(-2.0 * a2) if parity == "even" else -math.expm1(-2.0 * a2)
     return 1.0 / math.sqrt(2.0 * norm)
 
@@ -249,6 +249,8 @@ class _Displaced(_Oscillator):
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not math.isfinite(self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag):
+            raise ValueError(f"|alpha|^2 must be finite, got alpha = {self.alpha}")
         super().__post_init__()
 
     def position_wavefunction(self, hbar):
@@ -316,9 +318,11 @@ class _Cat(_Displaced):
 
     def __post_init__(self):
         super().__post_init__()
-        # N- = 1/sqrt(2(1 - exp(-2|alpha|^2))) is finite only while |alpha|^2 > 0
-        if self.sign < 0 and self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag == 0.0:
-            raise ValueError("an odd cat state needs alpha != 0 (its alpha -> 0 limit is |1>)")
+        # N- = 1/sqrt(2(1 - exp(-2|alpha|^2))) is finite only while |alpha|^2 > 0,
+        # and the rows of |alpha> and |-alpha> lose ~1e-16/|alpha| to their difference
+        if self.sign < 0 and abs(self.alpha) < 1e-8:
+            raise ValueError(f"an odd cat state needs alpha != 0 and |alpha| >= 1e-8, got {self.alpha} "
+                             "(its alpha -> 0 limit is |1>)")
 
     @property
     def parity(self) -> str:

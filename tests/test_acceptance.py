@@ -224,7 +224,7 @@ def test_criterion_08_ehrenfest_box():
     0.1 at n = 400, frame (0.02, 1); under 3 min."""
     t0 = time.time()
     d200 = lm.box_windowed_distance(200, 1.0, TomographyFrame(1.0, 0.3))
-    rep = lm.ehrenfest_box(1.0, [50, 100, 200], [TomographyFrame(1.0, 0.3)],
+    rep = lm.ehrenfest_box(1.0, [50, 100, 200], TomographyFrame(1.0, 0.3),
                            momentum_check_n=400)
     conc = rep.details["momentum_concentration"]
     elapsed = time.time() - t0
@@ -237,8 +237,7 @@ def test_criterion_09_ehrenfest_oscillator():
     """n = 100: windowed L1 to the arcsine law on |X| <= 1.3 below 0.03;
     forbidden-region value at X = 2 below 1e-4; parabolic-cylinder route
     within 2 percent of the Hermite route."""
-    rep = lm.ehrenfest_oscillator([25, 50, 100], TomographyFrame(1.0, 0.0),
-                                  u_route_check_n=100)
+    rep = lm.ehrenfest_oscillator([25, 50, 100], TomographyFrame(1.0, 0.0))
     d100 = rep.distances[-1]
     forb = qt.hermite_tomogram(100, TomographyFrame(1.0, 0.0), 2.0, 1.0 / 100)
     urel = rep.details["u_route_relative_error"]

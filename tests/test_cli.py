@@ -333,6 +333,19 @@ def test_limit_ehrenfest_box_profile_spans_the_support_for_negative_mu(tmp_path)
     assert abs(masses[0] - masses[1]) < 1e-2
 
 
+def test_limit_ehrenfest_box_at_the_roundoff_floor_reports_no_exponent(tmp_path):
+    # one-period means cancel the fringe exactly, so these distances are
+    # roundoff; a fit through them once read exponent +1.0005
+    out = str(tmp_path / "box")
+    assert run(["limit", "ehrenfest-box", "--ns", "1000,10000,100000", "--frame", "1,0.3",
+                "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "ehrenfest-box_report.json")))
+    assert max(rep["distances"]) < 1e-6
+    assert rep["exponent"] is None and rep["r2"] is None
+    assert rep["verdict"] == "converged"
+    assert rep["details"]["frame"] == [1.0, 0.3]
+
+
 def test_cli_import_leaves_concurrent_futures_unimported():
     # the limit studies sweep their parameter serially
     import subprocess
@@ -689,6 +702,21 @@ def test_an_odd_cat_at_alpha_zero_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("tomogram: an odd cat state needs alpha != 0")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("state,message", [
+    ("cat:even,re=1e200,im=0", "|alpha|^2 must be finite, got alpha = (1e+200+0j)"),
+    ("coherent:re=1e200,im=0", "|alpha|^2 must be finite, got alpha = (1e+200+0j)"),
+    # the rows of |alpha> and |-alpha> differ only below 1e-8: the difference is roundoff
+    ("cat:odd,re=1e-12,im=0", "an odd cat state needs alpha != 0 and |alpha| >= 1e-8, got (1e-12+0j)"),
+])
+def test_an_alpha_out_of_range_exits_2(tmp_path, capsys, state, message):
+    out = str(tmp_path / "t.csv")
+    code = run(["tomogram", "--state", state, "--frame", "1,0", "--hbar", "0.7", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"tomogram: {message}")
     assert not os.path.exists(out)
 
 

@@ -3,8 +3,10 @@ every function the benchmark tracer (perfbench/tracer.py) wraps by name,
 which only a traced benchmark run would otherwise notice missing, and
 every classical time-average route and every catalog state's tomogram
 route reaches a traced name.  The
-source size the README states is the one its own rule counts."""
+source size the README states is the one its own rule counts, and no
+private top-level name is left unused."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -93,3 +95,31 @@ def test_state_routes_reach_the_traced_names(monkeypatch):
         calls.clear()
         qt.state_tomogram(state, TomographyFrame(0.6, 0.8), x, 0.7)
         assert calls == [name], (state, calls)
+
+
+def test_every_private_top_level_name_is_used():
+    # a helper left behind when its caller goes is dead code no test runs
+    sources = {path: path.read_text() for path in (_ROOT / "src" / "tomolab").glob("*.py")}
+    defined, used = [], set()
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append(f"{path.name}:{name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(d for d in defined if d.split(":")[1] not in used)
+    assert not unused, unused

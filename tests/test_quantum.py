@@ -622,6 +622,27 @@ def test_box_stationary_phase_branches():
         qt.box_tomogram_stationary_phase(5, L, fr, 0.0)
 
 
+@pytest.mark.parametrize("n", [10, 200, 10 ** 5])
+def test_box_stationary_phase_fringe_averages_out_over_one_period(n):
+    # the fringe cos(2 pi n X/(mu L)) has period |mu| L/n, so one-period
+    # means are the classical two-plateau tomogram away from the plateau
+    # edges: why the ehrenfest-box distance sits at the roundoff floor
+    from tomolab.classical import box_plateaus, classical_box_tomogram
+    from tomolab.limits import windowed_average
+
+    for L, fr in ((1.0, TomographyFrame(1.0, 0.2)), (1.7, TomographyFrame(-0.8, 0.3)),
+                  (1.0, TomographyFrame(-1.3, -0.25))):
+        period = abs(fr.mu) * L / n
+        edges = np.ravel(box_plateaus(fr, L))
+        centers = np.linspace(edges.min() - 0.3, edges.max() + 0.3, 801)
+        centers = centers[np.all(np.abs(centers[:, None] - edges[None, :]) > period, axis=1)]
+        avg = windowed_average(
+            lambda X: np.asarray(qt.box_tomogram_stationary_phase(n, L, fr, X)), centers, period)
+        classical = classical_box_tomogram(centers, fr, L)
+        assert np.max(np.abs(avg - classical)) < 1e-10, (L, fr)
+        assert np.any(classical == 2.0 / (2.0 * abs(fr.mu) * L))  # both plateaus overlap somewhere
+
+
 def test_box_exact_matches_position_quadrature():
     # the generic quadrature of the box wave function: position-side frames
     # on 1501 points, and momentum-side ones (|nu| sigma_p < |mu| sigma_q),
