@@ -54,6 +54,9 @@ FRAME_BOX_DOUBLINGS = 6
 # a reconstruction further than this from the exact state, where one is
 # known, fails its command (acceptance criterion 11's bound)
 RECONSTRUCT_ERROR_TOL = 1e-3
+# an ehrenfest-box sweep whose profile at some n needs more rows is refused
+# (n = 100000 in the frame (1, 0.3) needs 2,278,823)
+BOX_PROFILE_MAX_ROWS = 4_000_000
 
 
 @dataclass
@@ -139,13 +142,17 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _number(text: str, what: str, ok=math.isfinite) -> float:
+    """One number that ok accepts, or an error saying what it must be."""
+    (v,) = _fields(text, (float,), what)
+    if not ok(v):
+        raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+    return v
+
+
 def _hbar(text: str) -> float:
     """A value of hbar: only 0 < hbar < inf describes a quantum state."""
-    what = "hbar must be positive and finite"
-    (h,) = _fields(text, (float,), what)
-    if not 0.0 < h < math.inf:
-        raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
-    return h
+    return _number(text, "hbar must be positive and finite", lambda h: 0.0 < h < math.inf)
 
 
 def parse_hbar_sequence(text: str) -> list[float]:
@@ -224,7 +231,10 @@ def _hbars(p: dict, default: list[float]) -> list[float]:
 
 
 def _ns(p: dict, default: str) -> list[int]:
-    return [int(v) for v in str(p.get("ns", default)).split(",")]
+    ns = [int(v) for v in str(p.get("ns", default)).split(",")]
+    if min(ns) < 1:
+        raise ValueError(f"quantum numbers must be positive, got {p['ns']!r}")
+    return ns
 
 
 def _fixed_energy(p: dict) -> tuple[float, float]:
@@ -289,11 +299,22 @@ def _ehrenfest_cat(p: dict, frame: TomographyFrame):
 def _ehrenfest_box(p: dict, frame: TomographyFrame):
     L = float(p.get("L", 1.0))
     mom_n = int(p["momentum_check_n"]) if "momentum_check_n" in p else None
-    report = lm.ehrenfest_box(L, _ns(p, "25,50,100,200"), frame, momentum_check_n=mom_n)
+    ns = _ns(p, "25,50,100,200")
+    # each profile samples |mu| L/(8n) apart across the plateau edges +- 0.5;
+    # a sweep whose profile rows pass the bound is refused before it runs
+    # (the study itself refuses mu = 0 and L <= 0)
+    edges = np.ravel(cl.box_plateaus(frame, L))
+    lo, hi = edges.min() - 0.5, edges.max() + 0.5
+    step = {n: abs(frame.mu) * L / n / 8.0 for n in ns}
+    for n in ns:
+        rows = math.ceil((hi - lo) / step[n]) if step[n] > 0 else 0
+        if rows > BOX_PROFILE_MAX_ROWS:
+            raise ValueError(f"the ehrenfest-box profile at n={n} needs {rows} rows, "
+                             f"over the bound of {BOX_PROFILE_MAX_ROWS}")
+    report = lm.ehrenfest_box(L, ns, frame, momentum_check_n=mom_n)
 
     def profile(n):
-        edges = np.ravel(cl.box_plateaus(frame, L))
-        x = np.arange(edges.min() - 0.5, edges.max() + 0.5, abs(frame.mu) * L / n / 8.0)
+        x = np.arange(lo, hi, step[n])
         return x, np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
     return report, profile
 
@@ -301,7 +322,7 @@ def _ehrenfest_box(p: dict, frame: TomographyFrame):
 def _ehrenfest_oscillator(p: dict, frame: TomographyFrame):
     def profile(n):
         x = np.linspace(-2.2, 2.2, 4001) * frame.norm()
-        return x, np.asarray(qt.hermite_tomogram(n, frame, x, 1.0 / n))
+        return x, np.asarray(qt.hermite_tomogram(n, frame, x, qt.oscillator_ehrenfest_hbar(n)))
     return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), profile
 
 
@@ -453,11 +474,11 @@ class CompareInputError(ValueError):
     """compare inputs that the chosen comparison cannot honour."""
 
 
-def _require_unit_energy(kind: str, **values: tuple[float, float]) -> None:
+def _require_ehrenfest_values(kind: str, **values: tuple[float, float]) -> None:
     for name, (given, expected) in values.items():
         if abs(given - expected) > 1e-9 * abs(expected):
-            raise CompareInputError(f"the windowed {kind} comparison holds at unit energy only: "
-                                    f"it needs {name} = {expected!r}, got {given!r}")
+            raise CompareInputError(f"the windowed {kind} comparison holds at its Ehrenfest values "
+                                    f"only: it needs {name} = {expected!r}, got {given!r}")
 
 
 # the note of a plain-L1 row; the orbit models take the default
@@ -472,19 +493,20 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
 
     Eigenstate rows against matching orbits are compared after local
     averaging (turning zones / support edges excluded); those rows hold
-    at unit energy only, so other hbar, E, varpi or L values raise
-    CompareInputError.  Every other row is the plain L1 distance to the
+    only at the studies' Ehrenfest values (hbar = 1/n against the E = 1
+    orbit for ho, unit energy for box), so other hbar, E, varpi or L values
+    raise CompareInputError.  Every other row is the plain L1 distance to the
     model's time average with its atoms spread to their cells; a `point`
     model is at rest, so its average is the unit atom at mu q0 + nu p0.
     """
     pair = (type(state), type(model))
     if pair == (st.HOEigen, cl.OscillatorTrajectory):
-        _require_unit_energy("oscillator", hbar=(hbar, 1.0 / state.n), E=(model.E, 1.0),
-                             varpi=(state.varpi, 1.0))
+        _require_ehrenfest_values("oscillator", hbar=(hbar, qt.oscillator_ehrenfest_hbar(state.n)),
+                             E=(model.E, 1.0), varpi=(state.varpi, 1.0))
         d = lm.oscillator_windowed_distance(state.n, frame)
         return d, "windowed; turning zones excluded"
     if pair == (st.BoxEigen, cl.BoxTrajectory):
-        _require_unit_energy("box", L=(state.L, model.L), E=(model.E, 1.0),
+        _require_ehrenfest_values("box", L=(state.L, model.L), E=(model.E, 1.0),
                              hbar=(hbar, qt.ehrenfest_hbar(state.n, model.L)))
         if frame.mu == 0.0 or frame.nu == 0.0:
             return math.nan, "frame needs mu != 0 and nu != 0"
@@ -759,7 +781,8 @@ _FLAGS = {
     "hbars": dict(help="hbar sweep a:b:geometric[:count]"),
     "ns": dict(help="comma-separated quantum numbers"),
     **dict.fromkeys(("n", "m", "momentum_check_n"), dict(type=int)),
-    **dict.fromkeys(("re", "im", "q_alpha", "p_alpha", "L", "center"), dict(type=float)),
+    **{k: dict(type=lambda s, k=k: _number(s, f"{k} must be a finite number"))
+       for k in ("re", "im", "q_alpha", "p_alpha", "L", "center")},
 }
 
 

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,12 +59,17 @@ class MassDeficitError(TomogramError):
         super().__init__(f"tomogram mass deficit {deficit:.3e} exceeds tolerance")
 
 
+_NORMAL_MIN = sys.float_info.min  # the smallest normal double
+
+
 @dataclass(frozen=True)
 class TomographyFrame:
     """Axis label (mu, nu) of the coordinate X = mu*q + nu*p.
 
-    mu carries units 1/[q], nu units 1/[p]; any real pair is allowed.
-    Operations that divide by |mu| or |nu| document their own domain.
+    mu carries units 1/[q], nu units 1/[p]; any finite pair is allowed
+    whose mu^2 + nu^2 is 0 (the zero frame) or a normal double, so that
+    1/(mu^2 + nu^2) is finite.  Operations that divide by |mu| or |nu|
+    document their own domain.
     """
 
     mu: float
@@ -74,6 +80,8 @@ class TomographyFrame:
         object.__setattr__(self, "nu", float(self.nu))
         if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
             raise TomogramError("frame parameters must be finite")
+        if self.mu * self.mu + self.nu * self.nu < _NORMAL_MIN and not self.is_zero:
+            raise TomogramError(f"frame ({self.mu!r}, {self.nu!r}) is too small: mu^2 + nu^2 underflows")
 
     @property
     def is_zero(self) -> bool:

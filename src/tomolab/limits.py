@@ -1,13 +1,13 @@
 """Planck- and Ehrenfest-limit studies.
 
-Each study sweeps a parameter family (hbar downward, or quantum number n
-upward at fixed energy), measures how far the quantum tomograms are from
-their distributional targets, fits the decay on a log-log scale, and
-returns a LimitReport.  Limits here hold in the weak sense, so the
-comparisons are built accordingly: pairing against a fixed battery of
-smooth test functions for delta targets, and local averaging over a few
-oscillation periods before L1 comparison against smooth classical
-tomograms.
+Each study sweeps hbar -> 0 or quantum number n -> infinity, measures how
+far the quantum tomograms are from their distributional targets, fits the
+decay on a log-log scale, and returns a LimitReport with the verdict of
+its sweep kind, whatever order the values come in.  Limits here hold in
+the weak sense, so the comparisons are built accordingly: pairing against
+a fixed battery of smooth test functions for delta targets, and local
+averaging over a few oscillation periods before L1 comparison against
+smooth classical tomograms.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .quantum import (
     default_x_grid,
     ehrenfest_hbar,
     hermite_tomogram,
+    oscillator_ehrenfest_hbar,
     state_tomogram,
     superposition_cross_term,
 )
@@ -66,8 +67,8 @@ class LimitReport:
     """Record of one convergence study.
 
     distances[i] is the study's error measure at parameter_values[i];
-    fitted_exponent is the log-log slope magnitude and is present only
-    when the fit is trustworthy (R^2 >= 0.98).
+    fitted_exponent, the signed log-log slope, is present only when the
+    fit is trustworthy (R^2 >= 0.98).
     """
 
     study: str
@@ -132,31 +133,35 @@ def _trusted_fit(values: Sequence[float], distances: Sequence[float]):
     return exponent, r2
 
 
-def _decreasing(distances: Sequence[float]) -> bool:
-    return all(distances[i] > distances[i + 1] for i in range(len(distances) - 1))
+def _falls(values: Sequence[float], distances: Sequence[float], toward_zero: bool) -> bool:
+    """Whether the distances fall strictly as the parameter moves toward its
+    limit (0, or infinity), whatever order the sweep lists the values in."""
+    steps = np.diff(np.asarray(distances, dtype=float)[np.argsort(values)])
+    return bool(np.all(steps > 0 if toward_zero else steps < 0))
 
 
 def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float],
-                 details: dict, *conditions: bool, gate: bool = True) -> LimitReport:
-    """Report of an hbar sweep with the shared verdict: converged when the
-    fit is trusted, its exponent positive and every study condition holds;
-    not-converged otherwise; inconclusive without a trusted fit unless the
-    study's gate condition already fails."""
+                 details: dict, *conditions: bool) -> LimitReport:
+    """Report of an hbar sweep: not-converged when a study condition
+    fails, the distances do not fall as hbar -> 0 or a trusted fit has an
+    exponent <= 0; inconclusive when nothing fails but no fit is trusted;
+    converged otherwise."""
     exponent, r2 = _trusted_fit(hbar_values, distances)
-    if exponent is None:
-        verdict = "inconclusive" if gate else "not-converged"
-    else:
-        verdict = "converged" if exponent > 0 and all(conditions) else "not-converged"
+    failed = (not all(conditions) or not _falls(hbar_values, distances, toward_zero=True)
+              or (exponent is not None and exponent <= 0))
+    verdict = "not-converged" if failed else "inconclusive" if exponent is None else "converged"
     return LimitReport(study, "hbar", list(map(float, hbar_values)), distances,
                        exponent, r2, verdict, details=details)
 
 
 def _n_report(study: str, n_values: Sequence[int], distances: list[float],
-              details: dict, *conditions: bool, fit: bool = True) -> LimitReport:
-    """Report of an n sweep: converged when every study condition holds;
-    without `fit` (distances at the roundoff floor) no exponent or R^2."""
-    exponent, r2 = _trusted_fit(n_values, distances) if fit else (None, None)
-    verdict = "converged" if all(conditions) else "not-converged"
+              details: dict, *conditions: bool) -> LimitReport:
+    """Report of an n sweep: converged when every study condition holds and
+    the distances fall as n -> infinity or all sit at the roundoff floor."""
+    roundoff = max(distances) < 1e-6  # falling, and reported with no exponent or R^2
+    exponent, r2 = (None, None) if roundoff else _trusted_fit(n_values, distances)
+    falls = roundoff or _falls(n_values, distances, toward_zero=False)
+    verdict = "converged" if falls and all(conditions) else "not-converged"
     return LimitReport(study, "n", list(map(float, n_values)), distances,
                        exponent, r2, verdict, details=details)
 
@@ -228,14 +233,13 @@ def weak_delta_convergence(state: State, hbar_values: Sequence[float],
         return weak_error(tom, tests, center), resid
 
     errors, residuals = _sweep(one, hbar_values)
-    monotone = _decreasing(errors)
     details = {
         "constraint": "planck",
         "center": center,
         "normalization_residuals": residuals,
-        "monotone": monotone,
+        "monotone": _falls(hbar_values, errors, toward_zero=True),
     }
-    return _hbar_report("planck-delta", hbar_values, errors, details, monotone)
+    return _hbar_report("planck-delta", hbar_values, errors, details)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +280,10 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
 
     distances, l1_phys, signed = _sweep(one, hbar_values)
     details = {"constraint": "planck", "n": n, "m": m}
-    if _trusted_fit(hbar_values, distances)[0] is not None:  # inconclusive reports keep only n, m
-        details["physical_l1"] = l1_phys
-        details["signed_integrals"] = signed
-    return _hbar_report("interference", hbar_values, distances, details)
+    report = _hbar_report("interference", hbar_values, distances, details)
+    if report.fitted_exponent is not None:  # reports without a trusted fit keep only n, m
+        details.update(physical_l1=l1_phys, signed_integrals=signed)
+    return report
 
 
 def cat_interference_planck(alpha: complex, frame: TomographyFrame,
@@ -315,8 +319,7 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
         "masses": masses,
         "weak_limit_coefficient": N2 * (2.0 + target),
     }
-    return _hbar_report("cat-interference", hbar_values, errors, details,
-                        _decreasing(errors), hbar_independent, gate=hbar_independent)
+    return _hbar_report("cat-interference", hbar_values, errors, details, hbar_independent)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +370,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
             math.sqrt(h * (frame.mu ** 2 + frame.nu ** 2) / 2.0) for h in hbar_values
         ],
     }
-    return _hbar_report("ehrenfest-coherent", hbar_values, errors, details,
-                        _decreasing(errors), peaks_ok)
+    return _hbar_report("ehrenfest-coherent", hbar_values, errors, details, peaks_ok)
 
 
 def fringe_frame(q_alpha: float, p_alpha: float) -> TomographyFrame:
@@ -437,7 +439,7 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         "normalizations": n2s,
         "positive_half_masses": half_masses,
     }
-    return _hbar_report("ehrenfest-cat", hbar_values, errors, details, _decreasing(errors))
+    return _hbar_report("ehrenfest-cat", hbar_values, errors, details)
 
 
 def windowed_average(fn: Callable[[np.ndarray], np.ndarray], centers: np.ndarray,
@@ -491,16 +493,15 @@ def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
     The fringe cos(2 pi n X/(mu L)) is exactly periodic in X with period
     |mu| L/n, so the one-period local average removes it identically
     where both plateaus overlap; the distances then sit at the roundoff
-    floor (~1e-15) for every n instead of decaying smoothly, and the
-    verdict treats an all-floor sequence as converged, with no fit.
-    Optionally also measures the momentum-frame mass concentration near
-    X = +-sqrt2 from the exact box tomogram at n = momentum_check_n,
-    frame (0.02, 1)."""
+    floor (~1e-15) for every n, where an n sweep counts as falling.  The
+    stationary-phase route refuses n < 10, mu = 0 and nu = 0.  Optionally
+    also measures the momentum-frame mass concentration near X = +-sqrt2
+    from the exact box tomogram at n = momentum_check_n >= 1, frame (0.02, 1)."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"box study needs a positive finite L, got {L!r}")
+    if momentum_check_n is not None and momentum_check_n < 1:
+        raise ValueError(f"momentum check needs n >= 1, got {momentum_check_n}")
     n_values = list(n_values)
-    if any(n < 10 for n in n_values):
-        raise ValueError("stationary-phase study needs n >= 10")
-    if frame.mu == 0.0 or frame.nu == 0.0:
-        raise ValueError("box study frame needs mu != 0 and nu != 0")
 
     (distances,) = _sweep(lambda n: (box_windowed_distance(n, L, frame),), n_values)
     details: dict = {
@@ -524,9 +525,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
         details["momentum_concentration"] = conc
         details["momentum_check_n"] = nq
 
-    at_floor = max(distances) < 1e-6
     return _n_report("ehrenfest-box", n_values, distances, details,
-                     _decreasing(distances) or at_floor, distances[-1] < 0.05, fit=not at_floor)
+                     distances[n_values.index(max(n_values))] < 0.05)
 
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
@@ -540,7 +540,7 @@ def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
 def oscillator_local_period(n: int, frame: TomographyFrame, X: np.ndarray) -> np.ndarray:
     """Spacing of the squared-Hermite oscillation of W_n at hbar = 1/n,
     from the WKB phase derivative (pi over sqrt(kappa (2n+1) - kappa^2 X^2))."""
-    hbar = 1.0 / n
+    hbar = oscillator_ehrenfest_hbar(n)
     kappa = 1.0 / (hbar * (frame.mu ** 2 + frame.nu ** 2))
     inside = np.maximum(2.0 * n + 1.0 - kappa * X * X, 1.0)
     return math.pi / (math.sqrt(kappa) * np.sqrt(inside))
@@ -554,12 +554,13 @@ def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
 
 
 def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
-    """L1 distance between the 3-period locally averaged oscillator
-    tomogram at unit energy (hbar = 1/n) and the classical arcsine law,
-    over |X| <= 0.92 R, clear of the turning points."""
+    """L1 distance between the 3-period locally averaged tomogram of the
+    oscillator eigenstate n at hbar = 1/n (energy 1 + 1/(2n)) and the
+    arcsine law of the E = 1 orbit, over |X| <= 0.92 R, clear of the
+    turning points."""
     R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
     xmax = 1.3 * R / math.sqrt(2.0)
-    hbar = 1.0 / n
+    hbar = oscillator_ehrenfest_hbar(n)
     centers = np.linspace(-xmax, xmax, 241)
     avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
                                 n, frame, centers)
@@ -569,8 +570,9 @@ def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
 
 def ehrenfest_oscillator(n_values: Sequence[int],
                          frame: TomographyFrame = TomographyFrame(1.0, 0.0)) -> LimitReport:
-    """Oscillator eigenstates at unit energy (hbar = 1/n): the locally
-    averaged tomogram approaches the arcsine law 1/(pi sqrt(R^2 - X^2)),
+    """Oscillator eigenstates at hbar = 1/n, whose energy hbar(n + 1/2) =
+    1 + 1/(2n) tends to 1: the locally averaged tomogram approaches the
+    arcsine law 1/(pi sqrt(R^2 - X^2)) of the E = 1 orbit,
     R = sqrt(2(mu^2+nu^2)), on the classically allowed region, and is
     exponentially small beyond the turning points.
 
@@ -593,24 +595,27 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
-        "hbar_values": [1.0 / n for n in n_values],
+        "hbar_values": [oscillator_ehrenfest_hbar(n) for n in n_values],
         "allowed_region_halfwidth": xmax,
     }
 
-    # forbidden-region smallness at X = sqrt2 R (i.e. 2 in the (1,0) frame)
-    n_last = n_values[-1]
+    # forbidden-region smallness at X = sqrt2 R (i.e. 2 in the (1,0) frame),
+    # at the largest n
+    n_top = max(n_values)
     Xf = 2.0 * R / math.sqrt(2.0)
-    details["forbidden_value"] = float(hermite_tomogram(n_last, frame, Xf, 1.0 / n_last))
-    details["forbidden_bound"] = math.exp(-n_last / 10.0)
+    details["forbidden_value"] = float(hermite_tomogram(n_top, frame, Xf,
+                                                        oscillator_ehrenfest_hbar(n_top)))
+    details["forbidden_bound"] = math.exp(-n_top / 10.0)
 
     if frame.mu == 1.0 and frame.nu == 0.0:
         n = 100
+        hbar = oscillator_ehrenfest_hbar(n)
         centers = np.linspace(-1.3, 1.3, 121)
-        avg_h = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, 1.0 / n)),
+        avg_h = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
                                       n, frame, centers)
         avg_u = _three_period_average(lambda X: _oscillator_u_route(n, X), n, frame, centers)
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 
     return _n_report("ehrenfest-oscillator", n_values, distances, details,
-                     _decreasing(distances), distances[-1] < 0.03)
+                     distances[n_values.index(n_top)] < 0.03)

@@ -71,6 +71,7 @@ __all__ = [
     "box_tomogram_stationary_phase",
     "interval_chirp",
     "ehrenfest_hbar",
+    "oscillator_ehrenfest_hbar",
     "rho_grid",
     "wigner_grid_from_density",
     "tomogram_from_wigner",
@@ -358,6 +359,13 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
 def ehrenfest_hbar(n: int, L: float = 1.0) -> float:
     """hbar pinned by unit energy for the box eigenstate: sqrt2 L/(n pi)."""
     return math.sqrt(2.0) * L / (n * math.pi)
+
+
+def oscillator_ehrenfest_hbar(n: int) -> float:
+    """hbar of the oscillator eigenstate n in the Ehrenfest studies: 1/n,
+    so its energy hbar(n + 1/2) = 1 + 1/(2n) tends to that of the E = 1
+    orbit it is compared with."""
+    return 1.0 / n
 
 
 def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,

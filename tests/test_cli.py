@@ -720,6 +720,52 @@ def test_an_alpha_out_of_range_exits_2(tmp_path, capsys, state, message):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("args,message", [
+    # once a ZeroDivisionError traceback, an exit 0, and an exit 0 with negative hbar_values
+    (["ehrenfest-box", "--ns", "20,40", "--momentum-check-n", "0"], "momentum check needs n >= 1, got 0"),
+    (["ehrenfest-box", "--ns", "20,40", "--momentum-check-n", "-5"], "momentum check needs n >= 1, got -5"),
+    (["ehrenfest-box", "--L", "-1"], "box study needs a positive finite L, got -1.0"),
+    (["ehrenfest-box", "--ns", "0,25"], "quantum numbers must be positive, got '0,25'"),
+    # mu^2 + nu^2 underflows to 0 while the frame is not the zero frame:
+    # once ZeroDivisionError tracebacks
+    (["ehrenfest-oscillator", "--ns", "20,40", "--frame", "1e-200,0"],
+     "frame (1e-200, 0.0) is too small: mu^2 + nu^2 underflows"),
+    (["interference", "--frame", "1e-200,1e-200"],
+     "frame (1e-200, 1e-200) is too small: mu^2 + nu^2 underflows"),
+    # a profile step of |mu| L/(8n) = 6e-15 once asked numpy for 2.10 PiB
+    (["ehrenfest-box", "--ns", "20,40", "--frame", "1e-12,0.3"],
+     "the ehrenfest-box profile at n=20 needs 295764501987978 rows, over the bound of 4000000"),
+    (["ehrenfest-box", "--ns", "1000,200000", "--frame", "1,0.3"],
+     "the ehrenfest-box profile at n=200000 needs 4557646 rows, over the bound of 4000000"),
+])
+def test_a_study_input_outside_its_domain_exits_2(tmp_path, capsys, args, message):
+    out = str(tmp_path / "study")
+    assert run(["limit", *args, "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"limit: {message}"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("study,flag", [
+    ("planck-delta", "--center"), ("cat-interference", "--re"), ("cat-interference", "--im"),
+    ("ehrenfest-coherent", "--q-alpha"), ("ehrenfest-cat", "--p-alpha"), ("ehrenfest-box", "--L"),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_real_study_parameters_must_be_finite(tmp_path, capsys, study, flag, value):
+    # --center inf once ran to the verdict inconclusive with exit 0
+    out = str(tmp_path / "study")
+    assert _exit_code(["limit", study, f"{flag}={value}"], tmp_path, out) == 2
+    err = capsys.readouterr().err
+    name = flag[2:].replace("-", "_")
+    assert f"argument {flag}: {name} must be a finite number, got '{value}'" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+    form = {"command": "limit", "study": study, "params": {name: float(value)}}
+    assert _exit_code(form, tmp_path, out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"--config: {name} must be a finite number, got '{float(value)}'"]
+
+
 def test_compare_oscillator(tmp_path, capsys):
     out = str(tmp_path / "cmp")
     code = run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1",
@@ -848,6 +894,11 @@ def test_selftest_quick_passes(tmp_path):
     assert cli.run_selftest(quick=True, out=str(tmp_path)) == 0
     rows = json.load(open(tmp_path / "selftest.json"))
     assert all(r["passed"] for r in rows)
+
+
+def test_selftest_full_passes():
+    # the full battery adds the radon, Wigner and density round trips
+    assert cli.run_selftest(quick=False) == 0
 
 
 def test_selftest_detects_injected_normalization_bug(monkeypatch, tmp_path):

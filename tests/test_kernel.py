@@ -410,3 +410,13 @@ def test_bilinear_interp_matches_scipy_map_coordinates(shape, complex_grid):
     assert np.array_equal(got == 0, want == 0)
     inside = (x >= -3.0) & (x <= 2.0) & (y >= -1.0) & (y <= 4.0)
     assert np.all(got[~inside] == 0) and np.all(got[inside] != 0)
+
+
+def test_a_frame_whose_squared_norm_underflows_is_refused():
+    # 1/(mu^2 + nu^2) must be finite wherever a frame is not the zero frame
+    for mu, nu in ((1e-200, 0.0), (1e-200, 1e-200), (0.0, -1e-160)):
+        with pytest.raises(TomogramError, match="too small: mu\\^2 \\+ nu\\^2 underflows"):
+            TomographyFrame(mu, nu)
+    assert TomographyFrame(0.0, 0.0).is_zero
+    assert TomographyFrame(1e-150, 0.0).mu == 1e-150
+    assert TomographyFrame(1e300, 1e300).nu == 1e300

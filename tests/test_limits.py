@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,3 +293,82 @@ def test_constraint_provenance_recorded():
     hs = [4e-3 * 0.25 ** k for k in range(4)]
     assert lm.weak_delta_convergence(st.HOEigen(1), hs, fr).details["constraint"] == "planck"
     assert lm.ehrenfest_coherent(1, 0, fr, [1e-2, 1e-3, 1e-4]).details["constraint"] == "ehrenfest"
+
+
+_SWEEPS = {
+    "planck-delta": (lambda v: lm.weak_delta_convergence(st.HOEigen(1), v, TomographyFrame(0.6, 0.8)),
+                     [4e-3 * 0.25 ** k for k in range(4)]),
+    "interference": (lambda v: lm.interference_decay(0, 1, TomographyFrame(0.6, 0.8), v),
+                     [1e-1 * 0.5 ** k for k in range(5)]),
+    "cat-interference": (lambda v: lm.cat_interference_planck(1.0 + 0j, TomographyFrame(0.6, 0.8), v),
+                         [0.1 * 0.5 ** k for k in range(4)]),
+    "ehrenfest-coherent": (lambda v: lm.ehrenfest_coherent(1.0, 0.0, TomographyFrame(1.0, 0.0), v),
+                           [1e-2, 1e-3, 1e-4]),
+    "ehrenfest-cat": (lambda v: lm.ehrenfest_cat(1.0, 0.0, TomographyFrame(1.0, 0.0), v),
+                      [1e-3, 5e-4, 2.5e-4]),
+    "ehrenfest-box": (lambda v: lm.ehrenfest_box(1.0, v, TomographyFrame(1.0, 0.3), momentum_check_n=50),
+                      [25, 50]),
+    "ehrenfest-oscillator": (lambda v: lm.ehrenfest_oscillator(v, TomographyFrame(0.6, 0.8)), [25, 50]),
+}
+
+
+@pytest.mark.parametrize("study", sorted(_SWEEPS))
+def test_a_reversed_sweep_gets_the_same_verdict(study):
+    # the verdict asks whether the distances fall toward the limit; it once
+    # read the list order, so an upward hbar sweep or a downward n sweep of
+    # the same data read not-converged
+    run, values = _SWEEPS[study]
+    down, up = run(values), run(values[::-1])
+    assert down.study == up.study == study
+    assert down.verdict == up.verdict == "converged"
+    assert up.distances == down.distances[::-1]
+    for a, b in ((down.fitted_exponent, up.fitted_exponent), (down.r_squared, up.r_squared)):
+        assert (a is None and b is None) or a == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+def test_an_hbar_sweep_without_a_trusted_fit():
+    hs = [0.1, 0.05, 0.025, 0.0125]
+    falling = [1.0, 0.9, 0.8, 1e-3]  # falls toward hbar -> 0, far from a power law
+    rep = lm._hbar_report("s", hs, falling, {})
+    assert rep.fitted_exponent is None and rep.r_squared < 0.98
+    assert rep.verdict == "inconclusive"
+    assert lm._hbar_report("s", hs[::-1], falling[::-1], {}, True).verdict == "inconclusive"
+    # a failed condition, or distances that do not fall, are not-converged
+    assert lm._hbar_report("s", hs, falling, {}, True, False).verdict == "not-converged"
+    assert lm._hbar_report("s", hs, [1.0, 0.8, 0.9, 1e-3], {}).verdict == "not-converged"
+    # a trusted fit of distances that grow toward hbar -> 0
+    rising = [h ** -0.5 for h in hs]
+    rep = lm._hbar_report("s", hs, rising, {})
+    assert rep.fitted_exponent == pytest.approx(-0.5) and rep.verdict == "not-converged"
+
+
+def test_an_n_sweep_at_the_roundoff_floor_counts_as_falling():
+    for ns, d in (([20, 40, 80], [3e-16, 5e-16, 4e-16]), ([80, 40, 20], [4e-16, 5e-16, 3e-16])):
+        rep = lm._n_report("s", ns, d, {}, True)
+        assert rep.verdict == "converged"
+        assert rep.fitted_exponent is None and rep.r_squared is None
+    # off the floor the distances must fall as n grows, in any listing order
+    assert lm._n_report("s", [20, 40], [2e-2, 1e-2], {}).verdict == "converged"
+    assert lm._n_report("s", [40, 20], [1e-2, 2e-2], {}).verdict == "converged"
+    assert lm._n_report("s", [20, 40], [1e-2, 2e-2], {}).verdict == "not-converged"
+
+
+def test_the_n_study_thresholds_read_the_largest_n():
+    fr = TomographyFrame(1.0, 0.0)
+    down = lm.ehrenfest_oscillator([50, 25], fr)
+    up = lm.ehrenfest_oscillator([25, 50], fr)
+    assert down.details["forbidden_value"] == up.details["forbidden_value"]
+    assert down.details["forbidden_bound"] == up.details["forbidden_bound"] == math.exp(-5.0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(L=-1.0), "box study needs a positive finite L, got -1.0"),
+    (dict(L=math.inf), "box study needs a positive finite L, got inf"),
+    (dict(momentum_check_n=0), "momentum check needs n >= 1, got 0"),
+    (dict(momentum_check_n=-5), "momentum check needs n >= 1, got -5"),
+])
+def test_ehrenfest_box_refuses_inputs_outside_its_domain(kwargs, message):
+    args = {"L": 1.0, "momentum_check_n": None, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lm.ehrenfest_box(args["L"], [20, 40], TomographyFrame(1.0, 0.3),
+                         momentum_check_n=args["momentum_check_n"])
