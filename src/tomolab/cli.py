@@ -54,9 +54,6 @@ FRAME_BOX_DOUBLINGS = 6
 # a reconstruction further than this from the exact state, where one is
 # known, fails its command (acceptance criterion 11's bound)
 RECONSTRUCT_ERROR_TOL = 1e-3
-# an ehrenfest-box sweep whose profile at some n needs more rows is refused
-# (n = 100000 in the frame (1, 0.3) needs 2,278,823)
-BOX_PROFILE_MAX_ROWS = 4_000_000
 
 
 @dataclass
@@ -113,9 +110,13 @@ def _flag_text(value) -> str:
 
 
 def _as_flags(raw: dict) -> dict:
-    """Config values through their flags' parsers: the command line's checks and messages."""
-    return {k: v if v is None or "type" not in _FLAGS.get(k, {}) else _FLAGS[k]["type"](_flag_text(v))
-            for k, v in raw.items()}
+    """Config values as their flags give them: the flag text, through the
+    flag's parser when it has one (the command line's checks and messages)."""
+    def value(flag: dict | None, v):
+        if v is None or flag is None or "action" in flag:
+            return v
+        return flag.get("type", str)(_flag_text(v))
+    return {k: value(_FLAGS.get(k), v) for k, v in raw.items()}
 
 
 def _fields(text: str, types: tuple, what: str) -> tuple:
@@ -297,40 +298,20 @@ def _ehrenfest_cat(p: dict, frame: TomographyFrame):
 
 
 def _ehrenfest_box(p: dict, frame: TomographyFrame):
-    L = float(p.get("L", 1.0))
-    mom_n = int(p["momentum_check_n"]) if "momentum_check_n" in p else None
-    ns = _ns(p, "25,50,100,200")
-    # each profile samples |mu| L/(8n) apart across the plateau edges +- 0.5;
-    # a sweep whose profile rows pass the bound is refused before it runs
-    # (the study itself refuses mu = 0 and L <= 0)
-    edges = np.ravel(cl.box_plateaus(frame, L))
-    lo, hi = edges.min() - 0.5, edges.max() + 0.5
-    step = {n: abs(frame.mu) * L / n / 8.0 for n in ns}
-    for n in ns:
-        rows = math.ceil((hi - lo) / step[n]) if step[n] > 0 else 0
-        if rows > BOX_PROFILE_MAX_ROWS:
-            raise ValueError(f"the ehrenfest-box profile at n={n} needs {rows} rows, "
-                             f"over the bound of {BOX_PROFILE_MAX_ROWS}")
-    report = lm.ehrenfest_box(L, ns, frame, momentum_check_n=mom_n)
-
-    def profile(n):
-        x = np.arange(lo, hi, step[n])
-        return x, np.asarray(lm.box_tomogram_stationary_phase(n, L, frame, x))
-    return report, profile
+    return lm.ehrenfest_box(p.get("L", 1.0), _ns(p, "25,50,100,200"), frame,
+                            momentum_check_n=p.get("momentum_check_n")), None
 
 
 def _ehrenfest_oscillator(p: dict, frame: TomographyFrame):
-    def profile(n):
-        x = np.linspace(-2.2, 2.2, 4001) * frame.norm()
-        return x, np.asarray(qt.hermite_tomogram(n, frame, x, qt.oscillator_ehrenfest_hbar(n)))
-    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), profile
+    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), None
 
 
 # Every limit study: the parameters it reads, the function that turns them
 # and the frame into (report, artifact), and the frame it runs in without
 # --frame or --scaling.  artifact(value) is the study's output at one
 # parameter value: a Tomogram (written with its sidecar and mass-checked)
-# or an (X, value) profile.
+# or an (X, value) profile.  The n studies have none: each of their values
+# writes the report's curve behind its distance, as X,quantum,classical.
 _STUDIES = {
     "planck-delta": (("state", "hbars", "center"), _planck_delta, (1.0, 0.0)),
     "interference": (("n", "m", "hbars"), _interference, (0.6, 0.8)),
@@ -362,16 +343,16 @@ def cmd_limit(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     on_hbar = report.parameter_name == "hbar"
     masses_ok = True
-    for value in report.parameter_values:
+    for i, value in enumerate(report.parameter_values):
         value = value if on_hbar else int(value)
         label = f"{value:.6e}" if on_hbar else str(value)
         path = os.path.join(cfg.out, f"{cfg.study}_{report.parameter_name}_{label}.csv")
-        made = artifact(value)
+        made = report.curves[i][:3] if report.curves else artifact(value)
         if isinstance(made, Tomogram):  # the artifacts of hbar sweeps
             write_tomogram(made, path, hbar=value, state=None)
             masses_ok = _mass_ok("limit", path, made) and masses_ok
         else:
-            _write_csv(path, "X,value", made)
+            _write_csv(path, "X,quantum,classical" if report.curves else "X,value", made)
         report.artifacts.append(path)
 
     report_path = os.path.join(cfg.out, f"{cfg.study}_report.json")
@@ -816,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="JSON run configuration replacing all other flags")
     sub = ap.add_subparsers(dest="command")
-    # let values like "-5,5,1001" pass as option arguments
-    matcher = re.compile(r"^-\d+(\.\d+)?([,:eE+\-.\d]*)$")
+    # let values like "-5,5,1001", "-.5" and "-inf" pass as option arguments
+    matcher = re.compile(r"^-(\.?\d|inf|nan)[\w,;:.+\-]*$", re.IGNORECASE)
     ap._negative_number_matcher = matcher
     study_params = [k for k in _FLAGS if k not in RunConfig.__dataclass_fields__]
     for name, command in COMMANDS.items():

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,9 +85,6 @@ class TomographyFrame:
     @property
     def is_zero(self) -> bool:
         return self.mu == 0.0 and self.nu == 0.0
-
-    def norm(self) -> float:
-        return math.hypot(self.mu, self.nu)
 
     def scaled(self, lam: float) -> "TomographyFrame":
         return TomographyFrame(lam * self.mu, lam * self.nu)
@@ -558,8 +554,10 @@ def _write_json(path: str, payload) -> None:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix=".part")
+    """Write data to path by one rename of a new file beside it, created
+    like open() would create it: mode 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

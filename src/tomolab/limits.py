@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .classical import box_plateaus, classical_box_tomogram, classical_oscillator_tomogram
 from .kernel import Tomogram, TomographyFrame, TomogramError, normalization_residual
 from .quantum import (
+    _require_stationary_phase,
     box_tomogram,
     box_tomogram_stationary_phase,
     cat_interference,
@@ -68,7 +69,10 @@ class LimitReport:
 
     distances[i] is the study's error measure at parameter_values[i];
     fitted_exponent, the signed log-log slope, is present only when the
-    fit is trustworthy (R^2 >= 0.98).
+    fit is trustworthy (R^2 >= 0.98).  The n studies keep curves[i] =
+    (X, quantum, classical, dx): the windowed quantum average and the
+    classical tomogram at the X centres, whose sum |quantum - classical| dx
+    is distances[i].  Curves are not part of the JSON.
     """
 
     study: str
@@ -80,6 +84,7 @@ class LimitReport:
     verdict: str
     details: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
+    curves: list[tuple] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.parameter_values, dtype=float)
@@ -462,10 +467,9 @@ def windowed_average(fn: Callable[[np.ndarray], np.ndarray], centers: np.ndarray
     return vals.mean(axis=1)
 
 
-def box_windowed_distance(n: int, L: float, fr: TomographyFrame) -> float:
-    """L1 distance between the fringe-averaged stationary-phase box
-    tomogram at unit energy and the classical two-plateau tomogram,
-    excluding two sample steps around the four support edges."""
+def _box_curve(n: int, L: float, fr: TomographyFrame) -> tuple[float, tuple]:
+    """box_windowed_distance and its curve (LimitReport.curves)."""
+    _require_stationary_phase(n, fr)  # before the period divides by n
     period = abs(fr.mu) * L / n
     edges = np.ravel(box_plateaus(fr, L))
     lo = min(min(edges) - 0.2, -0.2)
@@ -475,12 +479,20 @@ def box_windowed_distance(n: int, L: float, fr: TomographyFrame) -> float:
     keep = np.ones(centers.size, dtype=bool)
     for e in edges:
         keep &= np.abs(centers - e) > 2.0 * step
+    centers = centers[keep]
     avg = windowed_average(
         lambda X: np.asarray(box_tomogram_stationary_phase(n, L, fr, X)),
-        centers[keep], period,
+        centers, period,
     )
-    classical = np.asarray(classical_box_tomogram(centers[keep], fr, L))
-    return float(np.sum(np.abs(avg - classical)) * step)
+    classical = np.asarray(classical_box_tomogram(centers, fr, L))
+    return float(np.sum(np.abs(avg - classical)) * step), (centers, avg, classical, step)
+
+
+def box_windowed_distance(n: int, L: float, fr: TomographyFrame) -> float:
+    """L1 distance between the fringe-averaged stationary-phase box
+    tomogram at unit energy and the classical two-plateau tomogram,
+    excluding two sample steps around the four support edges."""
+    return _box_curve(n, L, fr)[0]
 
 
 def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
@@ -503,7 +515,7 @@ def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
         raise ValueError(f"momentum check needs n >= 1, got {momentum_check_n}")
     n_values = list(n_values)
 
-    (distances,) = _sweep(lambda n: (box_windowed_distance(n, L, frame),), n_values)
+    distances, curves = _sweep(lambda n: _box_curve(n, L, frame), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "L": L,
@@ -525,8 +537,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
         details["momentum_concentration"] = conc
         details["momentum_check_n"] = nq
 
-    return _n_report("ehrenfest-box", n_values, distances, details,
-                     distances[n_values.index(max(n_values))] < 0.05)
+    return replace(_n_report("ehrenfest-box", n_values, distances, details,
+                             distances[n_values.index(max(n_values))] < 0.05), curves=curves)
 
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
@@ -553,11 +565,8 @@ def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
                             samples_per_window=16, periods=3)
 
 
-def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
-    """L1 distance between the 3-period locally averaged tomogram of the
-    oscillator eigenstate n at hbar = 1/n (energy 1 + 1/(2n)) and the
-    arcsine law of the E = 1 orbit, over |X| <= 0.92 R, clear of the
-    turning points."""
+def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple]:
+    """oscillator_windowed_distance and its curve (LimitReport.curves)."""
     R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
     xmax = 1.3 * R / math.sqrt(2.0)
     hbar = oscillator_ehrenfest_hbar(n)
@@ -565,7 +574,16 @@ def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
     avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
                                 n, frame, centers)
     classical = np.asarray(classical_oscillator_tomogram(centers, frame, 1.0))
-    return float(np.sum(np.abs(avg - classical)) * (centers[1] - centers[0]))
+    dx = centers[1] - centers[0]
+    return float(np.sum(np.abs(avg - classical)) * dx), (centers, avg, classical, dx)
+
+
+def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
+    """L1 distance between the 3-period locally averaged tomogram of the
+    oscillator eigenstate n at hbar = 1/n (energy 1 + 1/(2n)) and the
+    arcsine law of the E = 1 orbit, over |X| <= 0.92 R, clear of the
+    turning points."""
+    return _oscillator_curve(n, frame)[0]
 
 
 def ehrenfest_oscillator(n_values: Sequence[int],
@@ -591,7 +609,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     R = math.sqrt(2.0 * r2f)
     xmax = 1.3 * R / math.sqrt(2.0)
 
-    (distances,) = _sweep(lambda n: (oscillator_windowed_distance(n, frame),), n_values)
+    distances, curves = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
@@ -617,5 +635,5 @@ def ehrenfest_oscillator(n_values: Sequence[int],
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 
-    return _n_report("ehrenfest-oscillator", n_values, distances, details,
-                     distances[n_values.index(n_top)] < 0.03)
+    return replace(_n_report("ehrenfest-oscillator", n_values, distances, details,
+                             distances[n_values.index(n_top)] < 0.03), curves=curves)

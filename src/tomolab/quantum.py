@@ -432,6 +432,14 @@ def interval_chirp(a: float, b, L: float) -> np.ndarray:
     return (math.sqrt(math.pi) / (2.0 * ra)) * _RAY * out
 
 
+def _require_stationary_phase(n: int, frame: TomographyFrame) -> None:
+    """Refuse what the box stationary-phase form does not hold for."""
+    if frame.mu == 0.0 or frame.nu == 0.0:
+        raise TomogramError("stationary-phase route requires mu != 0 and nu != 0")
+    if n < 10:
+        raise TomogramError(f"stationary phase validated for n >= 10, got {n}")
+
+
 def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     """Large-n stationary-phase form of the box tomogram at the
     unit-energy hbar = sqrt2 L/(n pi):
@@ -444,10 +452,7 @@ def box_tomogram_stationary_phase(n: int, L: float, frame: TomographyFrame, X):
     plateaus overlap.  Vanishes off both plateaus; requires mu != 0,
     nu != 0 and n >= 10.
     """
-    if frame.mu == 0.0 or frame.nu == 0.0:
-        raise TomogramError("stationary-phase route requires mu != 0 and nu != 0")
-    if n < 10:
-        raise TomogramError(f"stationary phase validated for n >= 10, got {n}")
+    _require_stationary_phase(n, frame)
     Xv = np.asarray(X, dtype=float)
     chim, chip = _box_indicators(Xv, frame, L)
     fringe = np.cos(2.0 * math.pi * n * Xv / (frame.mu * L))

@@ -20,6 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .kernel import _check_uniform_grid
 from .specfun import hermite_phi, laguerre_scaled
 
 __all__ = [
@@ -445,9 +446,7 @@ class CustomGrid(State):
         v = np.array(psi, dtype=complex)
         if x.ndim != 1 or v.shape != x.shape or x.size < 4:
             raise ValueError("CustomGrid needs matching 1D arrays of at least 4 samples")
-        d = np.diff(x)
-        if np.any(d <= 0) or not np.allclose(d, d[0], rtol=1e-9):
-            raise ValueError("CustomGrid x-grid must be uniform increasing")
+        _check_uniform_grid(x, "CustomGrid x-grid")
         norm = math.sqrt(float(np.trapezoid(np.abs(v) ** 2, x)))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"CustomGrid wave function has L2 norm {norm!r}, expected 1")

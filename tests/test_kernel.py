@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -420,3 +421,18 @@ def test_a_frame_whose_squared_norm_underflows_is_refused():
     assert TomographyFrame(0.0, 0.0).is_zero
     assert TomographyFrame(1e-150, 0.0).mu == 1e-150
     assert TomographyFrame(1e300, 1e300).nu == 1e300
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_written_files_take_the_mode_open_gives_them(tmp_path, umask):
+    # the renamed temporary file once kept mkstemp's 0o600 whatever the umask
+    old = os.umask(umask)
+    try:
+        kernel._write_json(str(tmp_path / "a.json"), {"k": 1})
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("a.json", "plain")}
+    assert modes == {0o666 & ~umask}
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "plain"]

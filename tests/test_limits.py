@@ -8,7 +8,7 @@ import pytest
 from tomolab import cli
 from tomolab import limits as lm
 from tomolab import states as st
-from tomolab.kernel import TomographyFrame
+from tomolab.kernel import TomogramError, TomographyFrame
 from tomolab.quantum import tomogram_from_wavefunction
 from tomolab.states import planck_scaled_state
 
@@ -359,6 +359,16 @@ def test_the_n_study_thresholds_read_the_largest_n():
     up = lm.ehrenfest_oscillator([25, 50], fr)
     assert down.details["forbidden_value"] == up.details["forbidden_value"]
     assert down.details["forbidden_bound"] == up.details["forbidden_bound"] == math.exp(-5.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lm.ehrenfest_box(1.0, [0, 25], TomographyFrame(1.0, 0.3)),
+    lambda: lm.box_windowed_distance(0, 1.0, TomographyFrame(1.0, 0.3)),
+], ids=["ehrenfest_box", "box_windowed_distance"])
+def test_the_box_study_refuses_n_0_before_dividing_by_it(call):
+    # the fringe period |mu| L/n once raised ZeroDivisionError first
+    with pytest.raises(TomogramError, match="stationary phase validated for n >= 10, got 0"):
+        call()
 
 
 @pytest.mark.parametrize("kwargs,message", [

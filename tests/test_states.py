@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from tomolab import states as st
+from tomolab.kernel import TomogramError, _check_uniform_grid
 
 
 def test_parse_ho():
@@ -83,6 +84,19 @@ def test_custom_grid_normalization_enforced():
         st.CustomGrid(x, psi)  # not normalized
     psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
     st.CustomGrid(x, psi)
+
+
+def test_custom_grid_spacing_takes_the_kernel_rule(tmp_path):
+    # np.allclose's default atol of 1e-8 once passed any spacing below 1e-8
+    x = np.array([0.0, 1e-9, 5e-9, 6e-9])
+    with pytest.raises(TomogramError, match="uniformly spaced"):
+        _check_uniform_grid(x)
+    with pytest.raises(TomogramError, match="CustomGrid x-grid must be finite and uniformly spaced"):
+        st.CustomGrid(x, np.full(4, 1e4 + 0j))
+    path = tmp_path / "psi.csv"
+    np.savetxt(path, np.column_stack([x, np.full(4, 1e4)]), delimiter=",", header="x,re", comments="")
+    with pytest.raises(TomogramError, match="CustomGrid x-grid must be finite and uniformly spaced"):
+        st.parse_state(f"custom:{path}")
 
 
 
