@@ -242,76 +242,45 @@ def _fixed_energy(p: dict) -> tuple[float, float]:
     return float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
 
 
-def _tomogram_at(state, frame: TomographyFrame, hbar: float) -> Tomogram:
-    return qt.state_tomogram(state, frame, qt.default_x_grid(state, frame, hbar), hbar)
+def _planck_delta(p: dict, frame: TomographyFrame) -> lm.LimitReport:
+    return lm.weak_delta_convergence(st.parse_state(p.get("state") or "ho:n=3"),
+                                     _hbars(p, [0.1 * 0.5 ** k for k in range(6)]),
+                                     frame, center=float(p.get("center", 0.0)))
 
 
-def _planck_delta(p: dict, frame: TomographyFrame):
-    state = st.parse_state(p.get("state") or "ho:n=3")
-    report = lm.weak_delta_convergence(state, _hbars(p, [0.1 * 0.5 ** k for k in range(6)]),
-                                       frame, center=float(p.get("center", 0.0)))
-    return report, lambda h: _tomogram_at(state, frame, h)
+def _interference(p: dict, frame: TomographyFrame) -> lm.LimitReport:
+    return lm.interference_decay(int(p.get("n", 0)), int(p.get("m", 1)), frame,
+                                 _hbars(p, [1e-1 * 0.5 ** k for k in range(8)]))
 
 
-def _interference(p: dict, frame: TomographyFrame):
-    n, m = int(p.get("n", 0)), int(p.get("m", 1))
-    report = lm.interference_decay(n, m, frame, _hbars(p, [1e-1 * 0.5 ** k for k in range(8)]))
-
-    def profile(h):
-        kappa = 1.0 / (h * (frame.mu ** 2 + frame.nu ** 2))
-        sig = 1.0 / math.sqrt(kappa)
-        x = np.linspace(-10 * sig, 10 * sig, 2001)
-        return x, qt.superposition_cross_term(n, m, frame, x, h)
-    return report, profile
-
-
-def _cat_interference(p: dict, frame: TomographyFrame):
+def _cat_interference(p: dict, frame: TomographyFrame) -> lm.LimitReport:
     alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
-    report = lm.cat_interference_planck(alpha, frame, _hbars(p, [0.1 * 0.5 ** k for k in range(4)]))
-    return report, lambda h: _tomogram_at(st.CatEven(alpha), frame, h)
+    return lm.cat_interference_planck(alpha, frame, _hbars(p, [0.1 * 0.5 ** k for k in range(4)]))
 
 
-def _ehrenfest_coherent(p: dict, frame: TomographyFrame):
-    qa, pa = _fixed_energy(p)
-    report = lm.ehrenfest_coherent(qa, pa, frame, _hbars(p, [1e-2, 1e-3, 1e-4]))
-    return report, lambda h: _tomogram_at(st.Coherent(complex(qa, pa) / math.sqrt(2.0 * h)), frame, h)
+def _ehrenfest_coherent(p: dict, frame: TomographyFrame) -> lm.LimitReport:
+    return lm.ehrenfest_coherent(*_fixed_energy(p), frame, _hbars(p, [1e-2, 1e-3, 1e-4]))
 
 
-def _ehrenfest_cat(p: dict, frame: TomographyFrame):
-    qa, pa = _fixed_energy(p)
-    report = lm.ehrenfest_cat(qa, pa, frame, _hbars(p, [1e-3, 5e-4, 2.5e-4]))
-    f2 = frame.mu ** 2 + frame.nu ** 2
-    # the fringes between the components at +-(mu qa + nu pa) have period
-    # pi hbar f2/|nu qa - mu pa| and weight exp(-(mu qa + nu pa)^2/(hbar f2)):
-    # where that weight passes 1e-6 and the default grid has fewer than two
-    # samples a period, it takes four
-    cross = abs(frame.nu * qa - frame.mu * pa)
-
-    def artifact(h):
-        state = st.CatEven(complex(qa, pa) / math.sqrt(2.0 * h))
-        x = qt.default_x_grid(state, frame, h)
-        fringes = (x[-1] - x[0]) * cross / (math.pi * h * f2)
-        if (frame.mu * qa + frame.nu * pa) ** 2 < h * f2 * math.log(1e6) and 2 * fringes > x.size - 1:
-            x = np.linspace(x[0], x[-1], math.ceil(4 * fringes) + 1)
-        return qt.state_tomogram(state, frame, x, h)
-    return report, artifact
+def _ehrenfest_cat(p: dict, frame: TomographyFrame) -> lm.LimitReport:
+    return lm.ehrenfest_cat(*_fixed_energy(p), frame, _hbars(p, [1e-3, 5e-4, 2.5e-4]))
 
 
-def _ehrenfest_box(p: dict, frame: TomographyFrame):
+def _ehrenfest_box(p: dict, frame: TomographyFrame) -> lm.LimitReport:
     return lm.ehrenfest_box(p.get("L", 1.0), _ns(p, "25,50,100,200"), frame,
-                            momentum_check_n=p.get("momentum_check_n")), None
+                            momentum_check_n=p.get("momentum_check_n"))
 
 
-def _ehrenfest_oscillator(p: dict, frame: TomographyFrame):
-    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame), None
+def _ehrenfest_oscillator(p: dict, frame: TomographyFrame) -> lm.LimitReport:
+    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame)
 
 
 # Every limit study: the parameters it reads, the function that turns them
-# and the frame into (report, artifact), and the frame it runs in without
-# --frame or --scaling.  artifact(value) is the study's output at one
-# parameter value: a Tomogram (written with its sidecar and mass-checked)
-# or an (X, value) profile.  The n studies have none: each of their values
-# writes the report's curve behind its distance, as X,quantum,classical.
+# and the frame into its report, and the frame it runs in without --frame
+# or --scaling.  Each parameter value writes the report's curve, what the
+# study measured there: a Tomogram (with its sidecar, and mass-checked),
+# the X,value interference profile, or an n study's X,quantum,classical
+# curve behind its distance.
 _STUDIES = {
     "planck-delta": (("state", "hbars", "center"), _planck_delta, (1.0, 0.0)),
     "interference": (("n", "m", "hbars"), _interference, (0.6, 0.8)),
@@ -338,7 +307,7 @@ def cmd_limit(cfg: RunConfig) -> int:
               f"{', '.join(reads)}", file=sys.stderr)
         return 2
     frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(*default_frame)
-    report, artifact = run(p, frame)
+    report = run(p, frame)
 
     os.makedirs(cfg.out, exist_ok=True)
     on_hbar = report.parameter_name == "hbar"
@@ -347,12 +316,12 @@ def cmd_limit(cfg: RunConfig) -> int:
         value = value if on_hbar else int(value)
         label = f"{value:.6e}" if on_hbar else str(value)
         path = os.path.join(cfg.out, f"{cfg.study}_{report.parameter_name}_{label}.csv")
-        made = report.curves[i][:3] if report.curves else artifact(value)
-        if isinstance(made, Tomogram):  # the artifacts of hbar sweeps
-            write_tomogram(made, path, hbar=value, state=None)
-            masses_ok = _mass_ok("limit", path, made) and masses_ok
+        curve = report.curves[i]
+        if isinstance(curve, Tomogram):
+            write_tomogram(curve, path, hbar=value, state=None)
+            masses_ok = _mass_ok("limit", path, curve) and masses_ok
         else:
-            _write_csv(path, "X,quantum,classical" if report.curves else "X,value", made)
+            _write_csv(path, "X,value" if on_hbar else "X,quantum,classical", curve[:3])
         report.artifacts.append(path)
 
     report_path = os.path.join(cfg.out, f"{cfg.study}_report.json")
@@ -482,7 +451,11 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
     """
     pair = (type(state), type(model))
     if pair == (st.HOEigen, cl.OscillatorTrajectory):
-        _require_ehrenfest_values("oscillator", hbar=(hbar, qt.oscillator_ehrenfest_hbar(state.n)),
+        try:
+            hbar_n = qt.oscillator_ehrenfest_hbar(state.n)
+        except ValueError as exc:  # n = 0: no Ehrenfest value to compare at
+            raise CompareInputError(exc) from None
+        _require_ehrenfest_values("oscillator", hbar=(hbar, hbar_n),
                              E=(model.E, 1.0), varpi=(state.varpi, 1.0))
         d = lm.oscillator_windowed_distance(state.n, frame)
         return d, "windowed; turning zones excluded"

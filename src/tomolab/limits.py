@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +26,6 @@ from .quantum import (
     box_tomogram,
     box_tomogram_stationary_phase,
     cat_interference,
-    cat_tomogram,
-    coherent_tomogram,
     coherent_tomogram_peak,
     default_x_grid,
     ehrenfest_hbar,
@@ -37,7 +35,7 @@ from .quantum import (
     superposition_cross_term,
 )
 from .specfun import log_gamma, parabolic_u_asymptotic
-from .states import CatEven, State, cat_normalization
+from .states import CatEven, Coherent, State, cat_normalization
 
 __all__ = [
     "LimitReport",
@@ -69,10 +67,12 @@ class LimitReport:
 
     distances[i] is the study's error measure at parameter_values[i];
     fitted_exponent, the signed log-log slope, is present only when the
-    fit is trustworthy (R^2 >= 0.98).  The n studies keep curves[i] =
-    (X, quantum, classical, dx): the windowed quantum average and the
-    classical tomogram at the X centres, whose sum |quantum - classical| dx
-    is distances[i].  Curves are not part of the JSON.
+    fit is trustworthy (R^2 >= 0.98).  curves[i] is what the study
+    measured at parameter_values[i]: the Tomogram of the four tomogram
+    studies, the (X, cross term) profile of the interference study, and for
+    the n studies (X, quantum, classical, dx), the windowed quantum average
+    and the classical tomogram at the X centres, whose sum
+    |quantum - classical| dx is distances[i].  Curves are not part of the JSON.
     """
 
     study: str
@@ -84,14 +84,10 @@ class LimitReport:
     verdict: str
     details: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
-    curves: list[tuple] = field(default_factory=list, repr=False, compare=False)
+    curves: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.parameter_values, dtype=float)
-        if p.size >= 2:
-            d = np.diff(p)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise ValueError("parameter_values must be strictly monotone")
+        _require_monotone(self.parameter_values)
         if not np.all(np.isfinite(np.asarray(self.distances, dtype=float))):
             raise ValueError("distances must be finite")
         if self.fitted_exponent is not None and (
@@ -112,6 +108,12 @@ class LimitReport:
             "artifacts": self.artifacts,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _require_monotone(values: Sequence[float]) -> None:
+    d = np.diff(np.asarray(values, dtype=float))
+    if not (np.all(d > 0) or np.all(d < 0)):
+        raise ValueError(f"sweep values must be strictly monotone, got {list(values)}")
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> tuple[float | None, float | None]:
@@ -146,7 +148,7 @@ def _falls(values: Sequence[float], distances: Sequence[float], toward_zero: boo
 
 
 def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float],
-                 details: dict, *conditions: bool) -> LimitReport:
+                 details: dict, *conditions: bool, curves: list = ()) -> LimitReport:
     """Report of an hbar sweep: not-converged when a study condition
     fails, the distances do not fall as hbar -> 0 or a trusted fit has an
     exponent <= 0; inconclusive when nothing fails but no fit is trusted;
@@ -156,11 +158,11 @@ def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float
               or (exponent is not None and exponent <= 0))
     verdict = "not-converged" if failed else "inconclusive" if exponent is None else "converged"
     return LimitReport(study, "hbar", list(map(float, hbar_values)), distances,
-                       exponent, r2, verdict, details=details)
+                       exponent, r2, verdict, details=details, curves=list(curves))
 
 
 def _n_report(study: str, n_values: Sequence[int], distances: list[float],
-              details: dict, *conditions: bool) -> LimitReport:
+              details: dict, *conditions: bool, curves: list = ()) -> LimitReport:
     """Report of an n sweep: converged when every study condition holds and
     the distances fall as n -> infinity or all sit at the roundoff floor."""
     roundoff = max(distances) < 1e-6  # falling, and reported with no exponent or R^2
@@ -168,12 +170,14 @@ def _n_report(study: str, n_values: Sequence[int], distances: list[float],
     falls = roundoff or _falls(n_values, distances, toward_zero=False)
     verdict = "converged" if falls and all(conditions) else "not-converged"
     return LimitReport(study, "n", list(map(float, n_values)), distances,
-                       exponent, r2, verdict, details=details)
+                       exponent, r2, verdict, details=details, curves=list(curves))
 
 
 def _sweep(fn: Callable, values: Sequence) -> list[list]:
     """fn at every value, in order, as one list per component of its
-    result tuple."""
+    result tuple; values that are not strictly monotone are refused
+    before any is computed."""
+    _require_monotone(values)
     return [list(column) for column in zip(*(fn(v) for v in values))]
 
 
@@ -227,24 +231,23 @@ def weak_delta_convergence(state: State, hbar_values: Sequence[float],
     tests = default_test_battery()
 
     def one(hbar: float):
-        grid = default_x_grid(state, frame, hbar, count=4001)
-        tom = state_tomogram(state, frame, grid, hbar)
+        tom = state_tomogram(state, frame, default_x_grid(state, frame, hbar), hbar)
         resid = normalization_residual(tom)
         if resid > 1e-3:
             raise TomogramError(
                 f"tomogram at hbar={hbar} not normalized (residual {resid:.2e}); "
                 f"grid does not cover the state"
             )
-        return weak_error(tom, tests, center), resid
+        return weak_error(tom, tests, center), resid, tom
 
-    errors, residuals = _sweep(one, hbar_values)
+    errors, residuals, toms = _sweep(one, hbar_values)
     details = {
         "constraint": "planck",
         "center": center,
         "normalization_residuals": residuals,
         "monotone": _falls(hbar_values, errors, toward_zero=True),
     }
-    return _hbar_report("planck-delta", hbar_values, errors, details)
+    return _hbar_report("planck-delta", hbar_values, errors, details, curves=toms)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,8 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
     kappa^(-1/2) ~ sqrt(hbar).  The report's distances are that profile
     norm, int |Re A_n A_m*|/(2 pi hbar |nu| sqrt(kappa)) dX; the
     invariant L1 values and the signed integrals (zero by eigenstate
-    orthogonality) are kept in details.
+    orthogonality) are kept in details.  Each curve is every second
+    sample of the summed profile, 2001 rows over its range.
     """
     if n == m:
         raise ValueError("interference study needs two distinct eigenstates")
@@ -281,11 +285,11 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
         dx = x[1] - x[0]
         l1_phys = float(dx * np.sum(np.abs(cross)))
         signed = float(dx * np.sum(cross))
-        return l1_phys / math.sqrt(kappa), l1_phys, signed
+        return l1_phys / math.sqrt(kappa), l1_phys, signed, (x[::2], cross[::2])
 
-    distances, l1_phys, signed = _sweep(one, hbar_values)
+    distances, l1_phys, signed, profiles = _sweep(one, hbar_values)
     details = {"constraint": "planck", "n": n, "m": m}
-    report = _hbar_report("interference", hbar_values, distances, details)
+    report = _hbar_report("interference", hbar_values, distances, details, curves=profiles)
     if report.fitted_exponent is not None:  # reports without a trusted fit keep only n, m
         details.update(physical_l1=l1_phys, signed_integrals=signed)
     return report
@@ -302,18 +306,14 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
         raise ValueError("cat interference study needs nu != 0")
     target = 2.0 * math.exp(-2.0 * abs(alpha) ** 2)
     tests = default_test_battery()
+    state = CatEven(alpha)
 
     def one(hbar: float):
-        state = CatEven(alpha)
-        grid = default_x_grid(state, frame, hbar, count=8001, tails=10.0)
-        I = cat_interference(alpha, frame, grid, hbar)
-        dx = grid[1] - grid[0]
-        integral = float(np.trapezoid(I, dx=dx))
-        tom = state_tomogram(state, frame, grid, hbar)
-        mass = tom.total_mass()
-        return weak_error(tom, tests, 0.0), integral, mass
+        tom = state_tomogram(state, frame, default_x_grid(state, frame, hbar), hbar)
+        integral = float(np.trapezoid(cat_interference(alpha, frame, tom.x_grid, hbar), dx=tom.dx))
+        return weak_error(tom, tests, 0.0), integral, tom.total_mass(), tom
 
-    errors, integrals, masses = _sweep(one, hbar_values)
+    errors, integrals, masses, toms = _sweep(one, hbar_values)
     hbar_independent = max(abs(v - target) for v in integrals) < 1e-6
     N2 = cat_normalization(alpha, "even") ** 2
     details = {
@@ -324,7 +324,8 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
         "masses": masses,
         "weak_limit_coefficient": N2 * (2.0 + target),
     }
-    return _hbar_report("cat-interference", hbar_values, errors, details, hbar_independent)
+    return _hbar_report("cat-interference", hbar_values, errors, details, hbar_independent,
+                        curves=toms)
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +349,20 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
 
     def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
-        sigma = math.sqrt(hbar * (frame.nu ** 2 + frame.mu ** 2) / 2.0)
-        grid = np.linspace(X_star - 12 * sigma - 0.5, X_star + 12 * sigma + 0.5, 4001)
-        vals = coherent_tomogram(alpha, frame, grid, hbar)
+        state = Coherent(alpha)
+        tom = state_tomogram(state, frame, default_x_grid(state, frame, hbar), hbar)
+        grid, vals, dx = tom.x_grid, tom.values, tom.dx
         peak_pred = coherent_tomogram_peak(alpha, frame, hbar)
         if not abs(peak_pred - X_star) < 1e-12 * max(1.0, abs(X_star)):
             raise TomogramError(
                 f"coherent peak {peak_pred!r} at hbar={hbar} misses the classical point {X_star!r}"
             )
-        dx = grid[1] - grid[0]
         mean = float(np.trapezoid(grid * vals, dx=dx))
         var = float(np.trapezoid((grid - mean) ** 2 * vals, dx=dx))
         return (abs(grid[int(np.argmax(vals))] - X_star) / dx, math.sqrt(max(var, 0.0)),
-                weak_error(Tomogram(frame, grid, vals), tests, X_star))
+                weak_error(tom, tests, X_star), tom)
 
-    peak_errors, widths, errors = _sweep(one, hbar_values)
+    peak_errors, widths, errors, toms = _sweep(one, hbar_values)
     peaks_ok = all(pe <= 1.0 for pe in peak_errors)
     details = {
         "constraint": "ehrenfest",
@@ -375,7 +375,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
             math.sqrt(h * (frame.mu ** 2 + frame.nu ** 2) / 2.0) for h in hbar_values
         ],
     }
-    return _hbar_report("ehrenfest-coherent", hbar_values, errors, details, peaks_ok)
+    return _hbar_report("ehrenfest-coherent", hbar_values, errors, details, peaks_ok, curves=toms)
 
 
 def fringe_frame(q_alpha: float, p_alpha: float) -> TomographyFrame:
@@ -405,6 +405,8 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     _require_geometric(hbar_values, 3)
     tests = default_test_battery()
     X_star = abs(frame.mu * q_alpha + frame.nu * p_alpha)
+    f2 = frame.mu ** 2 + frame.nu ** 2
+    cross = abs(frame.nu * q_alpha - frame.mu * p_alpha)
     ffr = fringe_frame(q_alpha, p_alpha)
     hmax = max(hbar_values)
     window = 1.5 * math.sqrt(hmax * (ffr.mu ** 2 + ffr.nu ** 2) / 2.0)
@@ -422,17 +424,21 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         sign = np.sign(cat_interference(alpha, ffr, xw, hbar))
         crossings = int(np.count_nonzero(np.diff(sign[sign != 0]) != 0))
         # full tomogram in the given frame: half-line masses and weak
-        # error against the two-delta mixture
-        sigma = math.sqrt(hbar * (frame.nu ** 2 + frame.mu ** 2) / 2.0)
-        lim = X_star + 12 * sigma + 0.5
-        grid = np.linspace(-lim, lim, 8001)
-        vals = cat_tomogram(alpha, "even", frame, grid, hbar)
-        dx = grid[1] - grid[0]
+        # error against the two-delta mixture.  The fringes between the
+        # components at +-X_star have period pi hbar f2/cross and weight
+        # exp(-X_star^2/(hbar f2)): where that weight passes 1e-6 and the
+        # default grid has fewer than two samples a period, it takes four
+        state = CatEven(alpha)
+        grid = default_x_grid(state, frame, hbar)
+        fringes = (grid[-1] - grid[0]) * cross / (math.pi * hbar * f2)
+        if X_star ** 2 < hbar * f2 * math.log(1e6) and 2 * fringes > grid.size - 1:
+            grid = np.linspace(grid[0], grid[-1], math.ceil(4 * fringes) + 1)
+        tom = state_tomogram(state, frame, grid, hbar)
         return (crossings, 1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))),
-                float(np.trapezoid(np.where(grid > 0, vals, 0.0), dx=dx)),
-                weak_error(Tomogram(frame, grid, vals), tests, 0.0, targets=targets))
+                float(np.trapezoid(np.where(grid > 0, tom.values, 0.0), dx=tom.dx)),
+                weak_error(tom, tests, 0.0, targets=targets), tom)
 
-    crossings, n2s, half_masses, errors = _sweep(one, hbar_values)
+    crossings, n2s, half_masses, errors, toms = _sweep(one, hbar_values)
     details = {
         "constraint": "ehrenfest",
         "q_alpha": q_alpha,
@@ -444,7 +450,7 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         "normalizations": n2s,
         "positive_half_masses": half_masses,
     }
-    return _hbar_report("ehrenfest-cat", hbar_values, errors, details)
+    return _hbar_report("ehrenfest-cat", hbar_values, errors, details, curves=toms)
 
 
 def windowed_average(fn: Callable[[np.ndarray], np.ndarray], centers: np.ndarray,
@@ -537,8 +543,8 @@ def ehrenfest_box(L: float, n_values: Sequence[int], frame: TomographyFrame,
         details["momentum_concentration"] = conc
         details["momentum_check_n"] = nq
 
-    return replace(_n_report("ehrenfest-box", n_values, distances, details,
-                             distances[n_values.index(max(n_values))] < 0.05), curves=curves)
+    return _n_report("ehrenfest-box", n_values, distances, details,
+                     distances[n_values.index(max(n_values))] < 0.05, curves=curves)
 
 
 def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
@@ -635,5 +641,5 @@ def ehrenfest_oscillator(n_values: Sequence[int],
         details["u_route_relative_error"] = float(np.max(np.abs(avg_u / avg_h - 1.0)))
         details["u_route_n"] = n
 
-    return replace(_n_report("ehrenfest-oscillator", n_values, distances, details,
-                             distances[n_values.index(n_top)] < 0.03), curves=curves)
+    return _n_report("ehrenfest-oscillator", n_values, distances, details,
+                     distances[n_values.index(n_top)] < 0.03, curves=curves)

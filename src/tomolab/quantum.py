@@ -365,6 +365,8 @@ def oscillator_ehrenfest_hbar(n: int) -> float:
     """hbar of the oscillator eigenstate n in the Ehrenfest studies: 1/n,
     so its energy hbar(n + 1/2) = 1 + 1/(2n) tends to that of the E = 1
     orbit it is compared with."""
+    if n < 1:
+        raise ValueError(f"the oscillator Ehrenfest hbar 1/n needs n >= 1, got n = {n}")
     return 1.0 / n
 
 

@@ -10,7 +10,7 @@ import pytest
 import tomolab.quantum
 from tomolab import cli
 from tomolab import limits as lm
-from tomolab.kernel import TomographyFrame, normalization_residual, read_tomogram
+from tomolab.kernel import Tomogram, TomographyFrame, normalization_residual, read_tomogram
 
 
 def run(args):
@@ -385,6 +385,79 @@ def test_a_box_sweep_once_refused_for_its_profile_rows_runs(tmp_path, args):
     assert rep["verdict"] == "converged"
     for path in rep["artifacts"]:
         assert np.loadtxt(path, delimiter=",", skiprows=1).shape[0] <= 600
+
+
+_STUDY_FUNCTIONS = {
+    "planck-delta": "weak_delta_convergence", "interference": "interference_decay",
+    "cat-interference": "cat_interference_planck", "ehrenfest-coherent": "ehrenfest_coherent",
+    "ehrenfest-cat": "ehrenfest_cat", "ehrenfest-box": "ehrenfest_box",
+    "ehrenfest-oscillator": "ehrenfest_oscillator",
+}
+
+
+@pytest.mark.parametrize("study", cli.STUDIES)
+def test_limit_writes_what_its_study_measured(tmp_path, monkeypatch, study):
+    # each CSV is the study's own curve at that value, not a second
+    # evaluation of the tomogram on another grid
+    made = []
+    real = getattr(lm, _STUDY_FUNCTIONS[study])
+    monkeypatch.setattr(lm, _STUDY_FUNCTIONS[study], lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+    out = str(tmp_path / "study")
+    assert run(["limit", study, "--out", out]) == 0
+    (report,) = made
+    assert len(report.curves) == len(report.artifacts) == len(report.distances)
+    for path, value, d, curve in zip(report.artifacts, report.parameter_values,
+                                     report.distances, report.curves):
+        if isinstance(curve, Tomogram):
+            tom, meta = read_tomogram(path)
+            assert tom.frame == curve.frame and meta["hbar"] == value
+            assert np.array_equal(tom.x_grid, curve.x_grid) and np.array_equal(tom.values, curve.values)
+            if study in ("planck-delta", "ehrenfest-coherent"):
+                center = report.details.get("target_location", report.details.get("center"))
+                assert lm.weak_error(tom, lm.default_test_battery(), center) == d
+        else:
+            columns = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+            assert len(columns) == len(curve[:3])
+            assert all(np.array_equal(a, b) for a, b in zip(columns, curve))
+
+
+def test_limit_ehrenfest_coherent_evaluates_each_tomogram_once(tmp_path, monkeypatch):
+    calls = []
+    real = tomolab.quantum.coherent_tomogram
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+    monkeypatch.setattr(tomolab.quantum, "coherent_tomogram", counted)
+    monkeypatch.setattr(lm, "coherent_tomogram", counted, raising=False)
+    assert run(["limit", "ehrenfest-coherent", "--out", str(tmp_path / "study")]) == 0
+    assert calls == [1e-2, 1e-3, 1e-4]
+
+
+def test_limit_interference_profile_covers_its_support(tmp_path):
+    # a +-10 sigma profile once cut the n = 40, m = 45 cross term off at
+    # 7.0e-3 of its peak
+    out = str(tmp_path / "study")
+    assert run(["limit", "interference", "--n", "40", "--m", "45", "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "interference_report.json")))
+    for path in rep["artifacts"]:
+        x, v = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        assert x.size == 2001
+        peak = np.max(np.abs(v))
+        assert abs(v[0]) < 1e-12 * peak and abs(v[-1]) < 1e-12 * peak
+
+
+def test_every_study_at_its_defaults_writes_the_same_bytes_twice(tmp_path, monkeypatch):
+    trees = []
+    for run_dir in ("a", "b"):
+        os.makedirs(tmp_path / run_dir)
+        monkeypatch.chdir(tmp_path / run_dir)
+        for study in cli.STUDIES:
+            assert run(["limit", study, "--out", "out"]) == 0
+        trees.append({name: open(os.path.join("out", name), "rb").read()
+                      for name in sorted(os.listdir("out"))})
+    assert trees[0] == trees[1]
+    assert {name.split("_")[0] for name in trees[0]} == set(cli.STUDIES)
 
 
 def test_cli_import_leaves_concurrent_futures_unimported():
@@ -812,6 +885,13 @@ def test_an_alpha_out_of_range_exits_2(tmp_path, capsys, state, message):
      "frame (1e-200, 0.0) is too small: mu^2 + nu^2 underflows"),
     (["interference", "--frame", "1e-200,1e-200"],
      "frame (1e-200, 1e-200) is too small: mu^2 + nu^2 underflows"),
+    # a repeated or turning-back value is refused before any is computed, not after the
+    # whole sweep and a RankWarning
+    (["ehrenfest-oscillator", "--ns", "25,25"], "sweep values must be strictly monotone, got [25, 25]"),
+    (["interference", "--hbars", "0.1:0.1:geometric:5"],
+     "sweep values must be strictly monotone, got [0.1, 0.1, 0.1, 0.1, 0.1]"),
+    (["ehrenfest-oscillator", "--ns", "25,50,25"],
+     "sweep values must be strictly monotone, got [25, 50, 25]"),
 ])
 def test_a_study_input_outside_its_domain_exits_2(tmp_path, capsys, args, message):
     out = str(tmp_path / "study")
@@ -878,6 +958,17 @@ def test_compare_rejects_values_the_windowed_rows_ignore(tmp_path, capsys):
     assert code == 2
     assert "hbar = 0.01" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "compare.csv"))
+
+
+def test_compare_refuses_the_ground_state_against_the_orbit(tmp_path, capsys):
+    # hbar = 1/n has no value at n = 0: once a row "L1 = nan" and exit 0
+    out = str(tmp_path / "cmp")
+    code = run(["compare", "--state", "ho:n=0", "--classical", "oscillator:E=1",
+                "--hbar", "1", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["compare: the oscillator Ehrenfest hbar 1/n needs n >= 1, got n = 0"]
+    assert not os.path.exists(out)
 
 
 def test_compare_coherent_vs_point(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 
 from tomolab import cli
 from tomolab import limits as lm
+from tomolab import quantum as qt
 from tomolab import states as st
-from tomolab.kernel import TomogramError, TomographyFrame
+from tomolab.kernel import Tomogram, TomogramError, TomographyFrame
 from tomolab.quantum import tomogram_from_wavefunction
 from tomolab.states import planck_scaled_state
 
@@ -282,10 +283,25 @@ def test_reports_are_reproducible():
     ]
     names = set()
     for study in studies:
-        a = study().to_json()
-        assert a == study().to_json()
-        names.add(json.loads(a)["study"])
+        a, b = study(), study()
+        assert a.to_json() == b.to_json()
+        names.add(a.study)
+        assert len(a.curves) == len(b.curves) == len(a.parameter_values)
+        for ca, cb in zip(a.curves, b.curves):
+            if isinstance(ca, Tomogram):
+                assert ca.frame == cb.frame and ca.atoms == cb.atoms
+                ca, cb = (ca.x_grid, ca.values), (cb.x_grid, cb.values)
+            assert len(ca) == len(cb) and all(np.array_equal(u, v) for u, v in zip(ca, cb))
     assert names == set(cli.STUDIES)
+
+
+def test_the_oscillator_ehrenfest_hbar_needs_n_at_least_1():
+    # 1/n once divided by zero at n = 0
+    for call in (lambda: qt.oscillator_ehrenfest_hbar(0),
+                 lambda: lm.oscillator_windowed_distance(0, TomographyFrame(1.0, 0.0))):
+        with pytest.raises(ValueError, match=re.escape("needs n >= 1, got n = 0")):
+            call()
+    assert qt.oscillator_ehrenfest_hbar(1) == 1.0
 
 
 def test_constraint_provenance_recorded():
