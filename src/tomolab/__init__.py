@@ -19,7 +19,6 @@ from .kernel import (
     frame_from_scaling,
     normalization_residual,
     read_tomogram,
-    resample_tomogram,
     spread_atoms,
     tomogram_distance_l1,
     write_tomogram,

@@ -3,14 +3,13 @@ trajectories, time averaging, the inverse Radon map, and the two
 closed-form classical tomograms (particle in a box, harmonic oscillator).
 
 Conventions: phase-space densities f(q, p) are carried as GridFunction2D
-with values[iq, ip]; the Radon transform over the line X = mu*q + nu*p
-is computed by rotating to the line coordinate and integrating along it.
-A family of frames is carried as its characteristic samples G(mu, nu)
-(FrameSamples), which a gridded density gets from the Fourier-slice
-theorem without projecting.  Time-averaged trajectory tomograms are
-built from a time CDF F(X), the share of the period that mu*q + nu*p
-spends below X: every grid value is the cell mass F(right edge) -
-F(left edge) over the cell width.  The
+with values[iq, ip]; their Radon transform over the line X = mu*q + nu*p
+comes from the Fourier-slice theorem, one frame from its characteristic
+function on the ray (t mu, t nu), and a family of frames is carried as
+its characteristic samples G(mu, nu) (FrameSamples), with no projection.
+Time-averaged trajectory tomograms are built from a time CDF F(X), the
+share of the period that mu*q + nu*p spends below X: every grid value is
+the cell mass F(right edge) - F(left edge) over the cell width.  The
 oscillator and box CDFs are closed forms; a generic periodic orbit uses
 the exact CDF of the piecewise-linear orbit through uniform time samples,
 filled in by spectral doubling when the orbit is smooth.
@@ -33,7 +32,7 @@ from .kernel import (
     TomographyFrame,
     Tomogram,
     TomogramError,
-    bilinear_interp,
+    _check_uniform_grid,
     trapezoid_weights,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "BoxTrajectory",
     "OscillatorTrajectory",
     "radon_density",
-    "radon_line_integral",
     "FrameSamples",
     "build_radon_family",
     "characteristic_quadrature",
@@ -154,75 +152,48 @@ def trapezoid2d(values: np.ndarray, dx: float, dy: float) -> float:
 # Radon transform of a gridded density
 # ---------------------------------------------------------------------------
 
-def _support_box(grid: GridFunction2D) -> tuple[float, float, float, float]:
-    """Bounding box of the nonzero samples, padded by one cell."""
-    mask = np.abs(grid.values) > 0.0
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    if rows.size == 0:
-        return grid.x_grid[0], grid.x_grid[0], grid.y_grid[0], grid.y_grid[0]
-    q0 = grid.x_grid[max(rows[0] - 1, 0)]
-    q1 = grid.x_grid[min(rows[-1] + 1, grid.x_grid.size - 1)]
-    p0 = grid.y_grid[max(cols[0] - 1, 0)]
-    p1 = grid.y_grid[min(cols[-1] + 1, grid.y_grid.size - 1)]
-    return float(q0), float(q1), float(p0), float(p1)
+def _weighted_phases(k: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """E[i, a] = w_a e^{i k_i axis_a}, the trapezoid-weighted phase table of
+    an axis, written from real cos and sin (the Fourier-slice contractions
+    of single frames and of families share it)."""
+    arg = np.outer(k, axis)
+    E = np.empty(arg.shape, complex)
+    np.cos(arg, out=E.real)
+    np.sin(arg, out=E.imag)
+    return E * trapezoid_weights(axis.size)
 
 
-def _clip_interval(c: np.ndarray, d: float, lo: float, hi: float,
-                   t0: np.ndarray, t1: np.ndarray) -> None:
-    """Intersect [t0, t1] (in place) with {t : lo <= c + t*d <= hi}."""
-    if d == 0.0:
-        outside = (c < lo) | (c > hi)
-        t0[outside] = np.inf
-        t1[outside] = -np.inf
-        return
-    a = (lo - c) / d
-    b = (hi - c) / d
-    lo_t = np.minimum(a, b)
-    hi_t = np.maximum(a, b)
-    np.maximum(t0, lo_t, out=t0)
-    np.minimum(t1, hi_t, out=t1)
+def _radon_slice(g: GridFunction2D, frame: TomographyFrame, x: np.ndarray) -> np.ndarray:
+    """int g delta(X - mu q - nu p) dq dp of a real grid g on the uniform X
+    grid x, from G(t mu, t nu) = int g e^{it(mu q + nu p)} on the ray:
 
+        W(X) = (1/pi) Re int_0^T G(t mu, t nu) e^{-itX} dt,
 
-def radon_line_integral(grid: GridFunction2D, frame: TomographyFrame,
-                        x_grid: np.ndarray) -> np.ndarray:
-    """Line integrals (1/sqrt(mu^2+nu^2)) * int g(line_X(t)) dt for every X.
-
-    line_X(t) = X*(mu, nu)/(mu^2+nu^2) + t*(-nu, mu)/sqrt(mu^2+nu^2), the
-    exact parametrization of X = mu*q + nu*p; g is interpolated
-    bilinearly, vanishes off its grid, and the t range is clipped per X
-    to the support box so far-off lines cost nothing.
+    both integrals by the trapezoid rule, T = pi/cell the ray's Nyquist
+    point (projected cell max(|mu| dq, |nu| dp)).  The t step 2 pi/(hi - lo)
+    makes the alias period the projected grid padded by one cell, [lo, hi],
+    so the ray takes one sample per two projected cells whatever the X
+    grid, and X beyond [lo, hi] is exactly 0.  The t sum at the X inside
+    is one FFT convolution, by k j = (k^2 + j^2 - (j - k)^2)/2 (Bluestein's
+    chirp z-transform): its length is the ray's samples plus those X.
     """
     mu, nu = frame.mu, frame.nu
-    r2 = mu * mu + nu * nu
-    if r2 == 0.0:
-        raise TomogramError("Radon transform undefined for the zero frame")
-    r = math.sqrt(r2)
-    q0, q1, p0, p1 = _support_box(grid)
-    x = np.asarray(x_grid, dtype=float)
-    cq = x * (mu / r2)
-    cp = x * (nu / r2)
-    dq, dp = -nu / r, mu / r
-    t0 = np.full(x.shape, -np.inf)
-    t1 = np.full(x.shape, np.inf)
-    _clip_interval(cq, dq, q0, q1, t0, t1)
-    _clip_interval(cp, dp, p0, p1, t0, t1)
-    length = np.maximum(t1 - t0, 0.0)
-    out = np.zeros_like(x)
-    lmax = float(np.max(length)) if length.size else 0.0
-    if lmax <= 0.0:
-        return out
-    dt = 0.75 * min(grid.dx, grid.dy)
-    nfix = max(9, int(math.ceil(lmax / dt)) + 1)
-    live = np.nonzero(length > 0.0)[0]
-    u = np.linspace(0.0, 1.0, nfix)
-    tmat = t0[live, None] + length[live, None] * u[None, :]
-    qpts = cq[live, None] + tmat * dq
-    ppts = cp[live, None] + tmat * dp
-    samples = bilinear_interp(grid.x_grid, grid.y_grid, grid.values, qpts, ppts)
-    sums = np.add.reduce(samples, axis=1) - 0.5 * (samples[:, 0] + samples[:, -1])
-    out[live] = sums * (length[live] / (nfix - 1)) / r
-    return out
+    ends = [mu * q + nu * p for q in g.x_grid[[0, -1]] for p in g.y_grid[[0, -1]]]
+    cell = max(abs(mu) * g.dx, abs(nu) * g.dy)
+    lo, hi = min(ends) - cell, max(ends) + cell
+    dt = 2.0 * math.pi / (hi - lo)
+    t = np.arange(int((hi - lo) / (2.0 * cell)) + 1) * dt
+    half = 0.5 * dt * _check_uniform_grid(x)  # e^{-i t_k X_j} = e^{-i t_k x0} e^{-2i half k j}
+    G = ((_weighted_phases(t * mu, g.x_grid) @ g.values) * _weighted_phases(t * nu, g.y_grid)).sum(axis=1)
+    inside = (x >= lo) & (x <= hi)
+    x0 = x[inside][0] if inside.any() else 0.0
+    k, j = np.arange(t.size), np.arange(np.count_nonzero(inside))
+    m = np.arange(1 - t.size, j.size)
+    u = G * trapezoid_weights(t.size) * np.exp(-1j * (t * x0 + half * (k * k)))
+    conv = np.fft.ifft(np.fft.fft(u, m.size) * np.fft.fft(np.exp(1j * half * (m * m))))
+    W = np.zeros(x.size)
+    W[inside] = (np.exp(-1j * half * (j * j)) * conv[t.size - 1:]).real * (g.dx * g.dy * dt / math.pi)
+    return W
 
 
 def radon_density(model: DensityGrid, frame: TomographyFrame,
@@ -235,7 +206,7 @@ def radon_density(model: DensityGrid, frame: TomographyFrame,
     if frame.is_zero:
         raise TomogramError("Radon transform rejected for the zero frame")
     x = np.asarray(x_grid, dtype=float)
-    values = radon_line_integral(model.f, frame, x)
+    values = _radon_slice(model.f, frame, x)
     np.maximum(values, 0.0, out=values)
     tom = Tomogram(frame, x, values)
     deficit = abs(tom.total_mass() - 1.0)
@@ -322,8 +293,7 @@ def build_radon_family(model: DensityGrid, mu_grid, nu_grid, x_grid,
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
     g = model.f
-    Eq = np.exp(1j * np.outer(mu_grid, g.x_grid)) * trapezoid_weights(g.x_grid.size)
-    Ep = np.exp(1j * np.outer(nu_grid, g.y_grid)) * trapezoid_weights(g.y_grid.size)
+    Eq, Ep = _weighted_phases(mu_grid, g.x_grid), _weighted_phases(nu_grid, g.y_grid)
     G = (Eq @ g.values @ Ep.T) * (g.dx * g.dy)
     G[np.ix_(mu_grid == 0.0, nu_grid == 0.0)] = 1.0  # unit atom at X = 0
     return FrameSamples(mu_grid, nu_grid, G, float(q_extent), float(p_extent))

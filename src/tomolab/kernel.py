@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "frame_from_scaling",
     "normalization_residual",
     "tomogram_distance_l1",
-    "resample_tomogram",
     "spread_atoms",
     "trapezoid_mass",
     "trapezoid_weights",
@@ -223,35 +221,6 @@ class GridFunction2D:
         return float(self.y_grid[1] - self.y_grid[0])
 
 
-def bilinear_interp(xg: np.ndarray, yg: np.ndarray, vals: np.ndarray, x, y):
-    """Bilinear interpolation of real or complex vals[i, j] = f(xg[i], yg[j])
-    on uniform axes at the points of the equal-shape arrays x, y; exactly
-    zero outside [xg[0], xg[-1]] x [yg[0], yg[-1]]."""
-    vals = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)
-    nx, ny = vals.shape
-    tx = (np.asarray(x, dtype=float) - xg[0]) / ((xg[-1] - xg[0]) / (nx - 1))
-    ty = (np.asarray(y, dtype=float) - yg[0]) / ((yg[-1] - yg[0]) / (ny - 1))
-    outside = ~((tx >= 0) & (tx <= nx - 1) & (ty >= 0) & (ty <= ny - 1))  # NaN included
-    tx[outside] = 0.0
-    ty[outside] = 0.0
-    # cell (i, j) with i <= nx - 2, j <= ny - 2: the last row and column are
-    # reached at weight 1 from the cell before them
-    i = np.minimum(tx.astype(np.intp), nx - 2)
-    j = np.minimum(ty.astype(np.intp), ny - 2)
-    tx -= i
-    ty -= j
-    # lerp along x at j and at j + 1, then along y, updating in place: a
-    # third faster than fresh temporaries on 1e5 points
-    flat = vals.ravel()
-    k = i * ny + j
-    lo, hi = flat.take(k), flat.take(k + 1)
-    k += ny
-    lo += tx * (flat.take(k) - lo)
-    hi += tx * (flat.take(k + 1) - hi)
-    lo += ty * (hi - lo)
-    return np.where(outside, 0.0, lo)
-
-
 def trapezoid_mass(values: np.ndarray, dx: float) -> float:
     """Trapezoid-rule integral of uniformly sampled values, fixed summation order."""
     v = np.asarray(values, dtype=float)
@@ -276,16 +245,6 @@ def normalization_residual(t: Tomogram) -> float:
     if t.x_grid.size == 0 and not t.atoms:
         raise TomogramError("empty tomogram has no normalization")
     return abs(t.total_mass() - 1.0)
-
-
-def resample_tomogram(t: Tomogram, new_grid: Sequence[float]) -> Tomogram:
-    """Linear-interpolation resample of the smooth part onto new_grid.
-
-    Values outside the original grid are zero; atoms are carried over.
-    """
-    ng = np.asarray(new_grid, dtype=float)
-    vals = np.interp(ng, t.x_grid, t.values, left=0.0, right=0.0)
-    return Tomogram(t.frame, ng, vals, t.atoms)
 
 
 def spread_atoms(t: Tomogram) -> Tomogram:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import FrameSamples, _box_indicators, characteristic_quadrature, radon_line_integral
+from .classical import FrameSamples, _box_indicators, _radon_slice, characteristic_quadrature
 from .kernel import (
     DeltaAtom,
     GridFunction2D,
@@ -747,7 +747,7 @@ def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
-    line = radon_line_integral(w, frame, x) / (2.0 * math.pi * hbar)
+    line = _radon_slice(w, frame, x) / (2.0 * math.pi * hbar)
     np.maximum(line, 0.0, out=line)
     return Tomogram(frame, x, line)
 

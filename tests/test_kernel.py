@@ -17,7 +17,6 @@ from tomolab.kernel import (
     frame_from_scaling,
     normalization_residual,
     read_tomogram,
-    resample_tomogram,
     spread_atoms,
     tomogram_distance_l1,
     write_tomogram,
@@ -209,14 +208,6 @@ def test_distance_atom_matching():
         tomogram_distance_l1(a, d)
 
 
-def test_resample_preserves_normalization():
-    x = np.linspace(-8, 8, 1001)
-    fr = TomographyFrame(1, 0)
-    t = Tomogram(fr, x, gaussian_tomogram_values(x))
-    fine = resample_tomogram(t, np.linspace(-8, 8, 2001))
-    assert abs(normalization_residual(fine) - normalization_residual(t)) < 1e-6
-
-
 def test_spread_atoms_conserves_mass():
     x = np.linspace(-2, 2, 401)
     fr = TomographyFrame(1, 0)
@@ -382,35 +373,6 @@ def test_writer_tables_equal_the_fraction_built_reference_bit_for_bit():
     for got, want in zip(kernel._g17_tables(), _reference_g17_tables(), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("complex_grid", [False, True])
-@pytest.mark.parametrize("shape", [(161, 161), (7, 5), (2, 2), (2, 9)])
-def test_bilinear_interp_matches_scipy_map_coordinates(shape, complex_grid):
-    # scipy serves as a test-side oracle only: order 1, mode "constant"
-    # interpolates on [x0, x_{n-1}] x [y0, y_{n-1}] and is cval outside
-    from scipy import ndimage
-
-    rng = np.random.default_rng(sum(shape) + complex_grid)
-    xg, yg = np.linspace(-3.0, 2.0, shape[0]), np.linspace(-1.0, 4.0, shape[1])
-    vals = rng.standard_normal(shape)
-    if complex_grid:
-        vals = vals + 1j * rng.standard_normal(shape)
-    x = np.concatenate([rng.uniform(-3.5, 2.5, 4000), np.full(40, 2.0), rng.uniform(-3.0, 2.0, 40),
-                        [-3.0, 2.0, -3.0, 2.0, 2.0 + 1e-12, -3.0 - 1e-12]])
-    y = np.concatenate([rng.uniform(-1.5, 4.5, 4000), rng.uniform(-1.0, 4.0, 40), np.full(40, 4.0),
-                        [-1.0, -1.0, 4.0, 4.0, 0.0, 0.0]])
-    x, y = x.reshape(-1, 2), y.reshape(-1, 2)  # any shape of points
-    hx = (xg[-1] - xg[0]) / (xg.size - 1)
-    hy = (yg[-1] - yg[0]) / (yg.size - 1)
-    want = ndimage.map_coordinates(vals, np.stack([(x - xg[0]) / hx, (y - yg[0]) / hy]),
-                                   order=1, mode="constant", cval=0.0)
-    got = kernel.bilinear_interp(xg, yg, vals, x, y)
-    assert got.dtype == want.dtype and got.shape == x.shape
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(vals))
-    assert np.array_equal(got == 0, want == 0)
-    inside = (x >= -3.0) & (x <= 2.0) & (y >= -1.0) & (y <= 4.0)
-    assert np.all(got[~inside] == 0) and np.all(got[inside] != 0)
 
 
 def test_a_frame_whose_squared_norm_underflows_is_refused():

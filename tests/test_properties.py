@@ -1,10 +1,11 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals (box states too), the
 homogeneity W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of
-Fock states and cats, bitwise for Fock states on symmetric grids; and of the
+Fock states and cats, bitwise for Fock states on symmetric grids; of the
 characteristic functions over random frame grids, closed forms, box states
 and sampled states alike: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu),
-|G| <= 1."""
+|G| <= 1; and of the Radon transform of gridded Gaussian mixtures against
+their closed-form projections, with its mass and homogeneity."""
 
 import cmath
 import dataclasses
@@ -14,9 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from tomolab import classical as cl
 from tomolab import quantum as qt
 from tomolab import states as st
-from tomolab.kernel import TomographyFrame, frame_from_scaling, normalization_residual
+from tomolab.kernel import GridFunction2D, TomographyFrame, frame_from_scaling, normalization_residual
 
 _alpha = hs.builds(cmath.rect, hs.floats(0.3, 2.0), hs.floats(0.0, 2 * math.pi))
 _fock = hs.builds(st.HOEigen, hs.integers(0, 20))
@@ -123,3 +125,38 @@ def test_box_and_sampled_characteristic_invariants(state, mu, nu, hbar):
     assert G[mu.size // 2, nu.size // 2] == 1.0
     assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12
     assert np.max(np.abs(G)) <= 1.0 + 1e-12
+
+
+# (q0, p0, sq, sp) of a mixture component; its tails are below 1e-10 of
+# its peak on the +-9 grid
+_component = hs.tuples(hs.floats(-1.0, 1.0), hs.floats(-1.0, 1.0), hs.floats(0.5, 1.0), hs.floats(0.5, 1.0))
+
+
+def _mixture_projection(comps, fr, x):
+    # component (w, q0, p0, sq, sp) projects to N(mu q0 + nu p0, mu^2 sq^2 + nu^2 sp^2)
+    out = np.zeros_like(x)
+    for w, q0, p0, sq, sp in comps:
+        var = (fr.mu * sq) ** 2 + (fr.nu * sp) ** 2
+        out += w * np.exp(-(x - fr.mu * q0 - fr.nu * p0) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
+    return out
+
+
+@_examples
+@given(_component, _component, hs.floats(0.1, 0.9), _frame, _lam)
+def test_radon_of_a_gaussian_mixture_is_its_closed_form(c1, c2, w1, fr, lam):
+    comps = ((w1, *c1), (1.0 - w1, *c2))
+    g = np.linspace(-9, 9, 361)
+    f = sum(w * np.exp(-(g[:, None] - q0) ** 2 / (2 * sq * sq) - (g[None, :] - p0) ** 2 / (2 * sp * sp))
+            / (2 * math.pi * sq * sp) for w, q0, p0, sq, sp in comps)
+    dens = cl.DensityGrid(GridFunction2D(g, g, f))
+    x = np.linspace(-12, 12, 481) * math.hypot(fr.mu, fr.nu)
+    tom = cl.radon_density(dens, fr, x)
+    ref = _mixture_projection(comps, fr, x)
+    assert np.max(np.abs(tom.values - ref)) < 1e-9 * np.max(ref)
+    assert abs(tom.total_mass() - 1.0) < 1e-9
+    # W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam|
+    xl = lam * x if lam > 0 else (lam * x)[::-1]
+    wl = cl.radon_density(dens, fr.scaled(lam), xl).values
+    if lam < 0:
+        wl = wl[::-1]
+    assert np.max(np.abs(wl - tom.values / abs(lam))) < 1e-9 * np.max(tom.values / abs(lam))

@@ -874,7 +874,7 @@ def test_tomogram_from_wigner_dual_route(rng):
         xt = np.linspace(-6, 6, 201)
         tom = qt.tomogram_from_wigner(wgrid, fr, xt, hbar)
         ref = qt.hermite_tomogram(0, fr, xt, hbar)
-        assert np.max(np.abs(tom.values - ref)) < 1e-3
+        assert np.max(np.abs(tom.values - ref)) < 1e-8
         assert normalization_residual(tom) < 1e-3
 
 
