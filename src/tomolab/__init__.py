@@ -46,7 +46,6 @@ from .classical import (
     trajectory_tomogram,
 )
 from .quantum import (
-    amplitude_generating,
     box_tomogram,
     box_tomogram_stationary_phase,
     cat_tomogram,

@@ -19,7 +19,9 @@ mass is exact once the grid covers the orbit.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -566,8 +568,6 @@ def parse_classical(text: str):
         q0, p0 = kv.get("q0", 0.0), kv.get("p0", 0.0)
         return RestPoint(q0, p0)
     if kind == "grid":
-        import os
-
         if not os.path.exists(body):
             raise DescriptorError(text, off, f"density file not found: {body!r}")
         return read_density_csv(body)
@@ -581,8 +581,6 @@ def parse_classical(text: str):
 def write_density_csv(model: DensityGrid, csv_path: str) -> str:
     """Write the density as CSV rows `q,p,f` (p fastest) with a JSON
     sidecar declaring both axes; returns the sidecar path."""
-    import os
-
     from .kernel import _write_grid_csv, _write_json
 
     g = model.f
@@ -597,19 +595,23 @@ def write_density_csv(model: DensityGrid, csv_path: str) -> str:
 
 
 def read_density_csv(csv_path: str) -> DensityGrid:
-    """Read a density written by :func:`write_density_csv`."""
-    import json
-    import os
-
+    """Read a density written by :func:`write_density_csv`: header `q,p,f`,
+    q and p columns within 1e-6 of a step of the sidecar's axes, p fastest."""
     side = os.path.splitext(csv_path)[0] + ".json"
     with open(side) as fh:
         meta = json.load(fh)
     qg = np.linspace(meta["q_grid"]["min"], meta["q_grid"]["max"], meta["q_grid"]["count"])
     pg = np.linspace(meta["p_grid"]["min"], meta["p_grid"]["max"], meta["p_grid"]["count"])
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != qg.size * pg.size:
-        raise TomogramError(
-            f"density CSV has {data.shape[0]} rows, axes declare {qg.size * pg.size}"
-        )
+    with open(csv_path) as fh:
+        header = fh.readline().strip()
+        if header != "q,p,f":
+            raise TomogramError(f"density CSV header must be q,p,f, got {header!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape != (qg.size * pg.size, 3):
+        raise TomogramError(f"density CSV has shape {data.shape}, axes declare ({qg.size * pg.size}, 3)")
+    want = np.stack(np.meshgrid(qg, pg, indexing="ij"), axis=-1)
+    step = np.array([np.ptp(qg), np.ptp(pg)]) / np.maximum([qg.size - 1, pg.size - 1], 1)
+    if not np.all(np.abs(data[:, :2].reshape(want.shape) - want) <= 1e-6 * step):
+        raise TomogramError("density CSV q and p columns must be the sidecar's axes, p fastest")
     vals = data[:, 2].reshape(qg.size, pg.size)
     return DensityGrid(GridFunction2D(qg, pg, vals))

@@ -9,11 +9,10 @@ amplitude
 
 (nu != 0); nu = 0 and mu = 0 reduce exactly to the position and momentum
 marginals and (mu, nu) = (0, 0) to the unit atom delta(X).  Oscillator
-closed forms come from the Gaussian generating function J(s) with
-zeta = nu + i*mu at mass times frequency varpi = 1; all fractional powers
-of zeta-ratios are taken so the amplitudes agree with the defining
-integral in every (mu, nu) quadrant (regression-tested against
-quadrature).  Canonical maps act on the frame: a varpi oscillator state
+closed forms are written with zeta = nu + i*mu at mass times frequency
+varpi = 1; all fractional powers of zeta-ratios are taken so the
+amplitudes agree with the defining integral in every (mu, nu) quadrant
+(regression-tested against quadrature).  Canonical maps act on the frame: a varpi oscillator state
 takes the varpi = 1 form in the frame (mu/sqrt(varpi), nu sqrt(varpi)),
 and the Fourier turn q -> p, p -> -q makes the momentum-side quadrature
 the position-side one applied to psihat in the frame (nu, -mu).  Every
@@ -55,7 +54,6 @@ from .states import (
 )
 
 __all__ = [
-    "amplitude_generating",
     "hermite_amplitude",
     "hermite_tomogram",
     "coherent_tomogram",
@@ -86,43 +84,16 @@ __all__ = [
 # amplitude closed forms
 # ---------------------------------------------------------------------------
 
-def _require_nu(frame: TomographyFrame, who: str) -> None:
-    if frame.nu == 0.0:
-        raise TomogramError(f"{who} requires nu != 0 (nu = 0 is the exact position branch)")
-
-
-def amplitude_generating(s: complex, frame: TomographyFrame, X: float,
-                         hbar: float) -> complex:
-    """Generating function of the oscillator amplitudes,
-
-        J(s) = (1/pi hbar)^(1/4) sqrt(2 pi hbar nu / zeta*)
-               * exp[ zeta s^2/(2 zeta*) - i sqrt(2/hbar) X s / zeta*
-                      - X^2/(2 hbar nu zeta*) ],
-
-    whose Taylor coefficients are A_n / sqrt(n!).  Principal branch of the
-    complex square root; entire in s.
-    """
-    _require_nu(frame, "amplitude_generating")
-    z = complex(frame.nu, frame.mu)  # zeta
-    zc = z.conjugate()
-    pref = (1.0 / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
-    expo = (
-        z * s * s / (2.0 * zc)
-        - 1j * math.sqrt(2.0 / hbar) * X * s / zc
-        - X * X / (2.0 * hbar * frame.nu * zc)
-    )
-    return pref * cmath.exp(expo)
-
-
 def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
     """Closed-form amplitude A_n of the n-th oscillator eigenstate.
 
-    Written with the same prefactor as J(s) and the unimodular factor
-    (-i e^{i arg zeta})^n, which keeps the branch consistent with the
-    defining integral for nu < 0 as well; |A_n|^2/(2 pi hbar |nu|)
-    reproduces the Hermite tomogram.  Accepts scalar or array X.
+    The unimodular factor (-i e^{i arg zeta})^n keeps the principal branch
+    of the prefactor consistent with the defining integral for nu < 0 as
+    well; |A_n|^2/(2 pi hbar |nu|) reproduces the Hermite tomogram.
+    Accepts scalar or array X.
     """
-    _require_nu(frame, "hermite_amplitude")
+    if frame.nu == 0.0:
+        raise TomogramError("hermite_amplitude requires nu != 0 (nu = 0 is the exact position branch)")
     z = complex(frame.nu, frame.mu)  # zeta
     zc = z.conjugate()
     kappa = 1.0 / (hbar * (z * zc).real)
@@ -147,14 +118,14 @@ def _rows(basis: str, labels, frame: TomographyFrame, X, hbar: float):
     (Fock orders or coherent amplitudes), kappa = 1/(hbar |zeta|^2), so that
     the amplitude of sum_a w_a |a> gives the tomogram sqrt(kappa) |sum_a w_a u_a|^2.
 
-    The amplitudes share the chirp and the prefactor of J(s), which are
-    never formed.  A Fock row is phi_k(sqrt(kappa) X) times
-    e^{i(k - k_0)(arg zeta - pi/2)}; a coherent row is the Gaussian
-    pi^(-1/4) e^{-kappa (X - X_a)^2/2} about X_a = coherent_tomogram_peak
-    times the phase Im(zeta a^2/(2 zeta*)) - sqrt(2/hbar) X Re(a/zeta*),
-    written as modulus and phase so large |a| cannot overflow.  Phases
-    are taken relative to the first row, which stays real, so the forms
-    hold down to nu = 0 (the position marginal).
+    The amplitudes share the chirp and the prefactor of
+    :func:`hermite_amplitude`, which are never formed.  A Fock row is
+    phi_k(sqrt(kappa) X) times e^{i(k - k_0)(arg zeta - pi/2)}; a coherent
+    row is the Gaussian pi^(-1/4) e^{-kappa (X - X_a)^2/2} about
+    X_a = coherent_tomogram_peak times the phase Im(zeta a^2/(2 zeta*))
+    - sqrt(2/hbar) X Re(a/zeta*), written as modulus and phase so large
+    |a| cannot overflow.  Phases are taken relative to the first row, which
+    stays real, so the forms hold down to nu = 0 (the position marginal).
     """
     d = frame.nu ** 2 + frame.mu ** 2
     if d == 0.0:

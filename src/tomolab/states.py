@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kernel import _check_uniform_grid
+from .kernel import _NORMAL_MIN, _check_uniform_grid
 from .specfun import hermite_phi, laguerre_scaled
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "natural_scales",
     "position_extent",
     "momentum_extent",
-    "planck_scaled_state",
 ]
 
 
@@ -55,8 +54,9 @@ class State:
     other edit.  A closed form is opted in through quantum's route table.
     """
 
-    # psi is interpolated samples rather than a formula: the quadrature
-    # route stays on the position side, where the samples have compact
+    # psi is interpolated samples rather than a formula: the state is
+    # position-only (it has no momentum wave function), every route
+    # integrates its samples on the position side, where they have compact
     # support, and there is no exact wave function to check results against
     sampled: ClassVar[bool] = False
 
@@ -100,6 +100,12 @@ class State:
         return min(corners), max(corners)
 
 
+def _require_normal(name: str, value: float) -> None:
+    # below the smallest normal double, 1/value or sqrt(1/value) overflows
+    if not (math.isfinite(value) and value >= _NORMAL_MIN):
+        raise ValueError(f"{name} must be a finite positive normal double, got {value!r}")
+
+
 def _num(v: float) -> str:
     """Shortest round-tripping float text, with integral values written as integers."""
     return repr(float(v)).removesuffix(".0")
@@ -109,8 +115,7 @@ class _Oscillator(State):
     """The varpi oscillator family (mass * frequency = varpi)."""
 
     def __post_init__(self):
-        if not self.varpi > 0:
-            raise ValueError(f"varpi must be positive, got {self.varpi}")
+        _require_normal("varpi", self.varpi)
 
     def natural_scales(self, hbar):
         return math.sqrt(hbar / self.varpi), math.sqrt(hbar * self.varpi)
@@ -360,8 +365,7 @@ class BoxEigen(State):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"box quantum number must be >= 1, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"box width must be positive, got {self.L}")
+        _require_normal("box width L", self.L)
 
     def position_wavefunction(self, hbar):
         k = self.n * math.pi / self.L
@@ -429,14 +433,12 @@ class BoxEigen(State):
         return min(corners) - 0.5, max(corners) + 0.5
 
 
-_FT_BLOCK = 1 << 19  # kernel entries per p block of CustomGrid.momentum_wavefunction
-
-
 class CustomGrid(State):
     """Arbitrary normalized wave function sampled on a uniform grid.
 
     Samples are interpolated linearly and treated as zero outside the
-    grid.  The L2 norm must be 1 within 1e-8.
+    grid; the state is position-only, with no momentum wave function.
+    The L2 norm must be 1 within 1e-8.
     """
 
     sampled = True
@@ -468,44 +470,6 @@ class CustomGrid(State):
             return re + 1j * im
 
         return custom_psi
-
-    def momentum_wavefunction(self, hbar):
-        """The Fourier transform of the same linear interpolant that the
-        position routes integrate: with q = p/hbar and u = q dx, the
-        interior samples' DTFT times dx sinc^2(u/2) (their hat functions)
-        plus the two end half-hats dx e^{-i q x_end} R(+-u),
-        R(u) = int_0^1 (1 - s) e^{-i u s} ds.  p is taken in blocks, so
-        memory stays bounded for any number of p."""
-        xg, pg = self.x_grid, self.psi
-        dx = float(xg[1] - xg[0])
-        scale = dx / math.sqrt(2.0 * math.pi * hbar)
-        rows = max(1, _FT_BLOCK // xg.size)
-
-        def half_hat(u):
-            # R(u) = sinc^2(u/2)/2 - i (u - sin u)/u^2, the odd part by its
-            # series where the closed form cancels
-            small = np.abs(u) < 0.1
-            us = np.where(small, 1.0, u)
-            u2 = u * u
-            odd = np.where(small, u * (1.0 / 6.0 - u2 * (1.0 / 120.0 - u2 * (1.0 / 5040.0 - u2 / 362880.0))),
-                           (us - np.sin(us)) / (us * us))
-            return 0.5 * np.sinc(u / (2.0 * math.pi)) ** 2 - 1j * odd
-
-        def custom_ft(p):
-            q = np.atleast_1d(np.asarray(p, dtype=float)) / hbar
-            out = np.empty(q.size, dtype=complex)
-            for i in range(0, q.size, rows):
-                qb = q[i:i + rows]
-                ker = np.multiply.outer(qb, -1j * xg[1:-1])
-                np.exp(ker, out=ker)
-                u = qb * dx
-                out[i:i + rows] = (np.sinc(u / (2.0 * math.pi)) ** 2 * (ker @ pg[1:-1])
-                                   + half_hat(u) * pg[0] * np.exp(-1j * qb * xg[0])
-                                   + half_hat(-u) * pg[-1] * np.exp(-1j * qb * xg[-1]))
-            out *= scale
-            return out if out.size > 1 else out[0]
-
-        return custom_ft
 
     def natural_scales(self, hbar):
         dens = np.abs(self.psi) ** 2
@@ -568,22 +532,6 @@ def momentum_extent(state: State, hbar: float, tails: float = 8.0,
     """Interval of p outside which |psihat| is negligible (box states have
     power-law momentum tails sized from the requested mass tolerance)."""
     return state.momentum_extent(hbar, tails, mass_tol)
-
-
-def planck_scaled_state(profile: CustomGrid, gamma: float, hbar: float,
-                        x0: float = 0.0) -> CustomGrid:
-    """Apply the scaling law psi(x) = hbar^(gamma/2) * Psi(hbar^gamma * (x - x0)).
-
-    The profile grid is stretched by hbar^(-gamma) so the scaled state
-    stays exactly normalized; gamma in [-1, 0] is the validated range.
-    For gamma = -1/2 the family is exactly self-similar: its tomogram is
-    W(X) = hbar^(-1/2) F(X/sqrt(hbar)) with F the hbar = 1 tomogram.
-    """
-    if not -1.0 <= gamma <= 0.0:
-        raise ValueError(f"scaling exponent gamma must lie in [-1, 0], got {gamma}")
-    _require_hbar(hbar)
-    scale = hbar ** (-gamma)
-    return CustomGrid(profile.x_grid * scale + x0, profile.psi * hbar ** (gamma / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -589,3 +589,19 @@ def test_density_csv_roundtrip(tmp_path):
     assert np.array_equal(back.f.x_grid, dens.f.x_grid)
     loaded = parse_classical(f"grid:{path}")
     assert isinstance(loaded, DensityGrid)
+
+
+def test_density_csv_refuses_what_it_would_misread(tmp_path):
+    # both once loaded silently: rows written q fastest were read p fastest,
+    # and any three columns were taken for q,p,f
+    dens = gaussian_density(sq=1.0, sp=0.5, extent=5.0, n=41)
+    path = tmp_path / "dens.csv"
+    write_density_csv(dens, str(path))
+    header, *rows = path.read_text().splitlines()
+    n = dens.f.x_grid.size
+    q_fastest = [rows[i * n + j] for j in range(n) for i in range(n)]
+    for text, message in (("\n".join([header] + q_fastest), "sidecar's axes, p fastest"),
+                          ("\n".join(["x,re,im"] + rows), "header must be q,p,f")):
+        path.write_text(text + "\n")
+        with pytest.raises(TomogramError, match=message):
+            read_density_csv(str(path))

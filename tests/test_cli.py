@@ -10,7 +10,8 @@ import pytest
 import tomolab.quantum
 from tomolab import cli
 from tomolab import limits as lm
-from tomolab.kernel import Tomogram, TomographyFrame, normalization_residual, read_tomogram
+from tomolab.classical import DensityGrid, write_density_csv
+from tomolab.kernel import GridFunction2D, Tomogram, TomographyFrame, normalization_residual, read_tomogram
 
 
 def run(args):
@@ -137,6 +138,38 @@ def test_value_errors_exit_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--frame" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("state, field", [
+    ("ho:n=1,varpi=5e-324", "varpi"), ("coherent:re=1,im=0,varpi=1e-320", "varpi"),
+    ("box:n=1,L=5e-324", "L"), ("ho:n=1,varpi=inf", "varpi"), ("box:n=1,L=inf", "L")])
+def test_state_scales_must_be_finite_normal_doubles(tmp_path, capsys, state, field):
+    # the subnormal ones once ended in OverflowError and ZeroDivisionError
+    # tracebacks, and the infinite ones blamed the frame or the x grid
+    out = str(tmp_path / "x.csv")
+    assert run(["tomogram", "--state", state, "--frame", "1,0.5", "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{field} must be a finite positive normal double" in err[0]
+    assert not os.path.exists(out)
+
+
+def test_compare_refuses_a_density_file_written_q_fastest(tmp_path, capsys):
+    # under the same header and sidecar this file once compared at L1 1.527
+    # with its coherent state, where the p-fastest file reads 0.332
+    g = np.linspace(-6, 6, 121)
+    f = np.exp(-(g[:, None] - 2) ** 2 / 2 - g[None, :] ** 2 / 2) / (2 * math.pi)
+    path = tmp_path / "f.csv"
+    write_density_csv(DensityGrid(GridFunction2D(g, g, f)), str(path))
+    argv = ["compare", "--state", "coherent:re=1.4142135623730951,im=0",
+            "--classical", f"grid:{path}", "--frames", "1,0", "--out", str(tmp_path / "out")]
+    assert run(argv) == 0
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [rows[i * g.size + j] for j in range(g.size)
+                                           for i in range(g.size)]) + "\n")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sidecar's axes, p fastest" in err[0]
 
 
 def test_hbar_sequence_parsing():

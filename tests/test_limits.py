@@ -11,7 +11,6 @@ from tomolab import quantum as qt
 from tomolab import states as st
 from tomolab.kernel import Tomogram, TomogramError, TomographyFrame
 from tomolab.quantum import tomogram_from_wavefunction
-from tomolab.states import planck_scaled_state
 
 
 def gaussian_profile(n=2001, extent=8.0):
@@ -19,6 +18,12 @@ def gaussian_profile(n=2001, extent=8.0):
     psi = np.exp(-x * x / 2.0)
     psi = psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
     return st.CustomGrid(x, psi)
+
+
+def planck_scaled_state(profile, gamma, hbar, x0=0.0):
+    """psi(x) = hbar^(gamma/2) Psi(hbar^gamma (x - x0)): the profile on its
+    grid stretched by hbar^(-gamma), so the state stays exactly normalized."""
+    return st.CustomGrid(profile.x_grid * hbar ** -gamma + x0, profile.psi * hbar ** (gamma / 2.0))
 
 
 def test_limit_report_invariants():
@@ -94,10 +99,12 @@ def test_planck_scaled_gamma_zero_momentum_frame():
 
 
 def test_planck_scaled_hbar_one_identity():
+    # at hbar = 1 the member is the profile moved by x0, whose tomogram is
+    # the profile's moved by mu x0
     prof = gaussian_profile()
     fr = TomographyFrame(0.6, 0.8)
     x = np.linspace(-5, 5, 501)
-    t1 = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, 1.0), fr, x, 1.0)
+    t1 = tomogram_from_wavefunction(planck_scaled_state(prof, -0.5, 1.0, x0=0.7), fr, x + 0.6 * 0.7, 1.0)
     t2 = tomogram_from_wavefunction(prof, fr, x, 1.0)
     assert np.max(np.abs(t1.values - t2.values)) < 1e-14
 
@@ -130,7 +137,7 @@ def test_weak_delta_convergence_shifted_profile():
     hs = [4e-3 * 0.25 ** k for k in range(4)]
 
     def state_of(h):
-        return st.planck_scaled_state(prof, -0.5, h, x0=x0)
+        return planck_scaled_state(prof, -0.5, h, x0=x0)
 
     def grid_of(h):
         c = fr.mu * x0

@@ -3,8 +3,9 @@ every function the benchmark tracer (perfbench/tracer.py) wraps by name,
 which only a traced benchmark run would otherwise notice missing, and
 every classical time-average route and every catalog state's tomogram
 route reaches a traced name.  The
-source size the README states is the one its own rule counts, and no
-private top-level name is left unused."""
+source size the README states is the one its own rule counts, no
+private top-level name is left unused, and every public name is used or
+documented."""
 
 import ast
 import importlib
@@ -97,6 +98,18 @@ def test_state_routes_reach_the_traced_names(monkeypatch):
         assert calls == [name], (state, calls)
 
 
+def _used_names(tree) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def test_every_private_top_level_name_is_used():
     # a helper left behind when its caller goes is dead code no test runs
     sources = {path: path.read_text() for path in (_ROOT / "src" / "tomolab").glob("*.py")}
@@ -114,12 +127,23 @@ def test_every_private_top_level_name_is_used():
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined.append(f"{path.name}:{name}")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+        used |= _used_names(tree)
     unused = sorted(d for d in defined if d.split(":")[1] not in used)
     assert not unused, unused
+
+
+def test_every_public_name_is_used_or_documented():
+    # an __all__ name that only tests reach is a feature no command, study
+    # or benchmark job runs: package code uses it (a re-export in
+    # __init__.py does not count), the benchmark names it, or the README does
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (_ROOT / "src" / "tomolab").glob("*.py") if path.name != "__init__.py"}
+    used = set().union(*map(_used_names, trees.values()))
+    text = (_ROOT / "README.md").read_text() + "".join(
+        path.read_text() for path in (_ROOT / "perfbench").glob("*.py"))
+    unreached = []
+    for module, tree in trees.items():
+        for name in getattr(importlib.import_module(f"tomolab.{module}"), "__all__", ()):
+            if name not in used and not re.search(rf"\b{name}\b", text):
+                unreached.append(f"{module}.{name}")
+    assert not unreached, unreached

@@ -28,7 +28,7 @@ def brute_amplitude(state, frame, X, hbar, npts=200001, tails=12.0):
 
 
 # ---------------------------------------------------------------------------
-# amplitudes and generating function
+# amplitudes
 # ---------------------------------------------------------------------------
 
 def test_hermite_amplitude_matches_defining_integral(rng):
@@ -42,44 +42,9 @@ def test_hermite_amplitude_matches_defining_integral(rng):
         assert abs(val - ref) < 1e-6 * max(abs(ref), 1e-6)
 
 
-def test_amplitude_generating_taylor_matches_closed_forms():
-    # Cauchy-integral Taylor coefficients of J(s) reproduce A_n/sqrt(n!)
-    X, hbar = 0.7, 0.55
-    M, r = 128, 0.8
-    for (mu, nu) in [(0.6, 0.8), (1.2, -0.7), (-0.9, -0.5), (-1.1, 0.4)]:
-        fr = TomographyFrame(mu, nu)
-        sk = r * np.exp(2j * math.pi * np.arange(M) / M)
-        J = np.array([qt.amplitude_generating(s, fr, X, hbar) for s in sk])
-        coeff = np.fft.fft(J) / M / r ** np.arange(M)
-        for n in range(7):
-            an = coeff[n] * math.sqrt(math.factorial(n))
-            ref = qt.hermite_amplitude(n, fr, X, hbar)
-            assert abs(an - ref) < 1e-8 * max(abs(ref), 1.0)
-
-
-def test_amplitude_generating_zero_is_ground_amplitude():
-    fr = TomographyFrame(0.5, 1.1)
-    assert abs(qt.amplitude_generating(0.0, fr, 0.3, 0.8)
-               - qt.hermite_amplitude(0, fr, 0.3, 0.8)) < 1e-14
-
-
-def test_amplitude_generating_finite_on_disk(rng):
-    for _ in range(20):
-        fr = random_frame(rng)
-        if fr.nu == 0.0:
-            continue
-        s = rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2)
-        if abs(s) > 2:
-            s *= 2 / abs(s)
-        val = qt.amplitude_generating(s, fr, rng.uniform(-3, 3), 0.9)
-        assert np.isfinite(val.real) and np.isfinite(val.imag)
-
-
 def test_amplitude_requires_nu():
     with pytest.raises(TomogramError):
         qt.hermite_amplitude(0, TomographyFrame(1, 0), 0.0, 1.0)
-    with pytest.raises(TomogramError):
-        qt.amplitude_generating(0.0, TomographyFrame(1, 0), 0.0, 1.0)
 
 
 def test_amplitude_branch_continuity_through_small_nu():
@@ -369,7 +334,9 @@ def test_sampled_marginals_integrate_one_interpolant():
     # every frame integrates the same linear interpolant, whose squared norm
     # sum (|a|^2 + Re a b* + |b|^2) dx/3 over the cells differs from the
     # samples' trapezoid norm (1); at mu = 0 the tomogram is |psihat|^2 of
-    # that interpolant
+    # that interpolant, here by the trapezoid rule on 8 and 16 points a cell,
+    # Richardson-extrapolated: the samples stay nodes, so each cell's error
+    # is a series in its step squared
     x = np.linspace(-8, 8, 401)
     psi = np.exp(-(x - 0.4) ** 2 / 2.0 + 0.8j * x)
     psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))
@@ -384,8 +351,13 @@ def test_sampled_marginals_integrate_one_interpolant():
         mass = np.trapezoid(tom.values, g)
         assert abs(mass - norm2) < 1e-6, (fr, mass - norm2)
         if mu == 0.0:
-            ref = np.abs(state.momentum_wavefunction(1.0)(g)) ** 2
-            assert np.max(np.abs(tom.values - ref)) < 1e-5 * np.max(ref)
+            amps = []
+            for per_cell in (8, 16):
+                y = np.linspace(x[0], x[-1], per_cell * (x.size - 1) + 1)
+                lin = np.interp(y, x, psi.real) + 1j * np.interp(y, x, psi.imag)
+                amps.append(np.trapezoid(lin * np.exp(-1j * np.outer(g[::50], y)), y, axis=1))
+            ref = np.abs((4.0 * amps[1] - amps[0]) / 3.0) ** 2 / (2.0 * math.pi)
+            assert np.max(np.abs(tom.values[::50] - ref)) < 1e-9 * np.max(ref)
 
 
 def test_sampled_oblique_tomogram_against_mpmath():
