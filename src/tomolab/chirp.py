@@ -2,7 +2,7 @@
 
 No package code calls :func:`chirp_integral`: the module stays only while
 the benchmark tracer (perfbench/tracer.py) wraps that name.  The panels
-come from ``quantum._chirp_panels``, the rule of every quadrature route.
+come from ``quantum._chirp_panels``, by the phase rule of every quadrature.
 """
 
 from __future__ import annotations

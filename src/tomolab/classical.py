@@ -37,6 +37,7 @@ from .kernel import (
     _check_uniform_grid,
     trapezoid_weights,
 )
+from .specfun import chirp_sum
 
 __all__ = [
     "DensityGrid",
@@ -176,8 +177,7 @@ def _radon_slice(g: GridFunction2D, frame: TomographyFrame, x: np.ndarray) -> np
     makes the alias period the projected grid padded by one cell, [lo, hi],
     so the ray takes one sample per two projected cells whatever the X
     grid, and X beyond [lo, hi] is exactly 0.  The t sum at the X inside
-    is one FFT convolution, by k j = (k^2 + j^2 - (j - k)^2)/2 (Bluestein's
-    chirp z-transform): its length is the ray's samples plus those X.
+    is one chirp z-transform (:func:`specfun.chirp_sum`).
     """
     mu, nu = frame.mu, frame.nu
     ends = [mu * q + nu * p for q in g.x_grid[[0, -1]] for p in g.y_grid[[0, -1]]]
@@ -185,17 +185,14 @@ def _radon_slice(g: GridFunction2D, frame: TomographyFrame, x: np.ndarray) -> np
     lo, hi = min(ends) - cell, max(ends) + cell
     dt = 2.0 * math.pi / (hi - lo)
     t = np.arange(int((hi - lo) / (2.0 * cell)) + 1) * dt
-    half = 0.5 * dt * _check_uniform_grid(x)  # e^{-i t_k X_j} = e^{-i t_k x0} e^{-2i half k j}
     G = ((_weighted_phases(t * mu, g.x_grid) @ g.values) * _weighted_phases(t * nu, g.y_grid)).sum(axis=1)
     inside = (x >= lo) & (x <= hi)
     x0 = x[inside][0] if inside.any() else 0.0
-    k, j = np.arange(t.size), np.arange(np.count_nonzero(inside))
-    m = np.arange(1 - t.size, j.size)
-    u = G * trapezoid_weights(t.size) * np.exp(-1j * (t * x0 + half * (k * k)))
-    conv = np.fft.ifft(np.fft.fft(u, m.size) * np.fft.fft(np.exp(1j * half * (m * m))))
+    # e^{-i t_k X_j} = e^{-i t_k x0} e^{-i k j dt dX}
+    u = G * trapezoid_weights(t.size) * np.exp(-1j * t * x0)
     W = np.zeros(x.size)
-    W[inside] = (np.exp(-1j * half * (j * j)) * conv[t.size - 1:]).real * (g.dx * g.dy * dt / math.pi)
-    return W
+    W[inside] = chirp_sum(u, -0.5 * dt * _check_uniform_grid(x), np.count_nonzero(inside)).real
+    return W * (g.dx * g.dy * dt / math.pi)
 
 
 def radon_density(model: DensityGrid, frame: TomographyFrame,
@@ -598,6 +595,8 @@ def read_density_csv(csv_path: str) -> DensityGrid:
     """Read a density written by :func:`write_density_csv`: header `q,p,f`,
     q and p columns within 1e-6 of a step of the sidecar's axes, p fastest."""
     side = os.path.splitext(csv_path)[0] + ".json"
+    if not os.path.exists(side):
+        raise TomogramError(f"density file {csv_path!r} has no JSON sidecar {side!r}")
     with open(side) as fh:
         meta = json.load(fh)
     qg = np.linspace(meta["q_grid"]["min"], meta["q_grid"]["max"], meta["q_grid"]["count"])

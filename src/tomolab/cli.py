@@ -639,12 +639,12 @@ def _selftest_rows(quick: bool):
         check(f"airy seam ({side})", abs(sf.airy_ai(seam) - sf.airy_ai(math.nextafter(seam, 0.0))), 1e-9)
     check("hermite ground value", abs(sf.hermite_phi(0, 0.0) - math.pi ** -0.25), 1e-14)
     check("log_gamma(5) = log 24", abs(sf.log_gamma(5.0) - math.log(24.0)), 1e-12)
-    # |k theta| <= 300 pi keeps the direct sum's own rounding near 1e-13
-    theta = rng.uniform(-math.pi, math.pi, 200)
-    c = rng.normal(size=200) + 1j * rng.normal(size=200)
-    direct = np.exp(1j * np.outer(np.arange(300), theta)) @ c
-    check("uniform sum",
-          float(np.max(np.abs(sf.uniform_sum(c, theta, 300) - direct))) / float(np.sum(np.abs(c))), 1e-12)
+    # |2 c k m| <= 120 keeps the direct sum's own rounding near 1e-14
+    c = rng.uniform(-1e-3, 1e-3)
+    u = rng.normal(size=200) + 1j * rng.normal(size=200)
+    direct = np.exp(2j * c * np.outer(np.arange(300), np.arange(200))) @ u
+    check("chirp sum",
+          float(np.max(np.abs(sf.chirp_sum(u, c, 300) - direct))) / float(np.sum(np.abs(u))), 1e-12)
 
     # characteristic functions against the trapezoid of each frame's
     # tomogram: the oscillator closed forms, and the box closed form and

@@ -16,7 +16,7 @@ amplitudes agree with the defining integral in every (mu, nu) quadrant
 takes the varpi = 1 form in the frame (mu/sqrt(varpi), nu sqrt(varpi)),
 and the Fourier turn q -> p, p -> -q makes the momentum-side quadrature
 the position-side one applied to psihat in the frame (nu, -mu).  Every
-quadrature takes its Gauss-Legendre panels from one rule, :func:`_chirp_panels`.
+quadrature splits its Gauss-Legendre panels by one phase rule, :func:`_phase_change`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from .kernel import (
     TomographyFrame,
     Tomogram,
     TomogramError,
+    _check_uniform_grid,
     trapezoid_weights,
 )
-from .specfun import faddeeva, hermite_phi, laguerre_scaled, uniform_sum
+from .specfun import chirp_sum, faddeeva, hermite_phi, laguerre_scaled
 from .states import (
     BoxEigen,
     CatEven,
@@ -141,7 +142,7 @@ def _rows(basis: str, labels, frame: TomographyFrame, X, hbar: float):
         zc = complex(frame.nu, -frame.mu)  # zeta*
         chirp = [((zc.conjugate() * a * a / (2.0 * zc)).imag, -math.sqrt(2.0 / hbar) * (a / zc).real)
                  for a in labels]
-        rows = [math.pi ** -0.25 * np.exp(-0.5 * kappa * (Xv - coherent_tomogram_peak(a, frame, hbar)) ** 2)
+        rows = [math.pi ** -0.25 * np.exp(-0.5 * (root * (Xv - coherent_tomogram_peak(a, frame, hbar))) ** 2)
                 for a in labels]
         phases = [(c - chirp[0][0]) + (s - chirp[0][1]) * Xv for c, s in chirp]
     return root, rows[:1] + [u * np.exp(1j * t) for u, t in zip(rows[1:], phases[1:])]
@@ -483,10 +484,14 @@ def _gl_panels(coarse: np.ndarray, dphase: np.ndarray,
 def _chirp_panels(cells: np.ndarray, a: float, b_max: float,
                   env_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The panel rule of every chirped quadrature: one panel set for all
-    env(y) e^{i(a y^2 + b y)} with |b| <= b_max, whose phase changes across
-    a cell by at most |a| |Delta(y|y|)| + b_max Delta y wherever y = -b/2a lies."""
-    dphase = abs(a) * np.abs(np.diff(cells * np.abs(cells))) + b_max * np.diff(cells)
-    return _gl_panels(cells, dphase, env_scale)
+    env(y) e^{i(a y^2 + b y)} with |b| <= b_max, split by :func:`_phase_change`."""
+    return _gl_panels(cells, _phase_change(cells, a, b_max), env_scale)
+
+
+def _phase_change(cells: np.ndarray, a: float, b_max: float) -> np.ndarray:
+    """Most a y^2 + b y, |b| <= b_max, changes across each cell wherever
+    y = -b/2a lies: |a| |Delta(y|y|)| + b_max Delta y."""
+    return abs(a) * np.abs(np.diff(cells * np.abs(cells))) + b_max * np.diff(cells)
 
 
 def _cells(state: State, hbar: float) -> tuple[np.ndarray, float]:
@@ -504,19 +509,27 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
                        cells: np.ndarray, env_scale: float) -> np.ndarray:
     """Amplitudes int env(y) e^{i(a y^2 + b_k y)} dy over [cells[0], cells[-1]]
     for the whole uniform family b_k = slope * x_k, sharing one
-    Gauss-Legendre panel set over the coarse cells (edges `cells`).
+    Gauss-Legendre panel set over the equal coarse cells (edges `cells`).
 
-    Panels are sized for the worst |2 a y + b| over the family.  With the
-    X-independent phase e^{i(a y^2 + slope x_0 y)} folded into the weights,
-    the amplitude at x_k = x_0 + k dx is the exponential sum
-    sum_j g_j e^{i k slope dx y_j} of :func:`specfun.uniform_sum`.
+    Every cell is split like the one whose phase changes most over the
+    family, so the panels are equal, of width h, end on the cell edges,
+    and node r of panel p sits at y_r + p h.  With e^{i(a y^2 + slope x_0 y)}
+    folded into the weights g, the amplitude at x_k = x_0 + k dx is
+    sum_r e^{i k s y_r} sum_p g_{p,r} e^{i k s h p}, s = slope dx: eight
+    chirp sums in one :func:`specfun.chirp_sum` call.
     """
     x = np.asarray(x, dtype=float)
     # one panel set for the family: the stationary point sweeps with X
-    nodes, weights = _chirp_panels(cells, a, max(abs(slope * x[0]), abs(slope * x[-1])), env_scale)
-    g = env(nodes) * np.exp(1j * (a * nodes + slope * x[0]) * nodes) * weights
-    dx = float(x[1] - x[0]) if x.size > 1 else 0.0
-    return uniform_sum(g, slope * dx * nodes, x.size)
+    worst = _phase_change(cells, a, max(abs(slope * x[0]), abs(slope * x[-1]))).max()
+    first, weights = _gl_panels(cells[:2], np.array([worst]), env_scale)
+    panels = first.size // 8 * (cells.size - 1)
+    if panels > _MAX_PANELS:
+        raise ChirpResolutionError(panels, _MAX_PANELS)
+    y, h, s = first[:8], (cells[-1] - cells[0]) / panels, slope * _check_uniform_grid(x)
+    nodes = y + h * np.arange(panels)[:, None]
+    g = env(nodes.ravel()).reshape(nodes.shape) * np.exp(1j * (a * nodes + slope * x[0]) * nodes)
+    sums = chirp_sum(g.T * weights[:8, None], 0.5 * s * h, x.size)
+    return (np.exp(1j * s * np.multiply.outer(y, np.arange(x.size))) * sums).sum(axis=0)
 
 
 def tomogram_from_wavefunction(state: State, frame: TomographyFrame,

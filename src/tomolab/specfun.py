@@ -1,8 +1,8 @@
 """Stable special-function evaluation for tomogram closed forms and
 large-order asymptotics: normalized Hermite functions, scaled Laguerre
 functions, the Faddeeva function w(z), the Airy function Ai, log-Gamma, the
-large-negative-order parabolic-cylinder asymptotic, and the uniform
-exponential sum behind the quadrature-route tomograms.
+large-negative-order parabolic-cylinder asymptotic, and the chirp
+z-transform behind the quadrature-route and Radon-slice tomograms.
 
 Hermite and Laguerre functions come from one recurrence: the normalized
 Laguerre recurrence in its difference form, which Hermite runs in steps of
@@ -32,7 +32,7 @@ __all__ = [
     "airy_ai",
     "log_gamma",
     "parabolic_u_asymptotic",
-    "uniform_sum",
+    "chirp_sum",
     "AIRY_SWITCH_POS",
     "AIRY_SWITCH_NEG",
 ]
@@ -214,84 +214,29 @@ def faddeeva(z):
     return complex(out) if scalar else out
 
 
-def _truncate(x: float, bits: int) -> float:
-    """x > 0 cut to its leading `bits` mantissa bits."""
-    mant, ex = math.frexp(x)
-    return math.ldexp(math.floor(math.ldexp(mant, bits)), ex - bits)
+# every 2^a 3^b 5^c up to 2^40 (each once), ascending: the lengths numpy's
+# FFT takes fastest.  np.unique would import numpy.ma, 16 ms of every start
+_FFT_LENGTHS = np.multiply.outer(np.multiply.outer(2.0 ** np.arange(41), 3.0 ** np.arange(26)), 5.0 ** np.arange(18))
+_FFT_LENGTHS = np.sort(_FFT_LENGTHS[_FFT_LENGTHS <= 2.0 ** 40])
 
 
-# Gaussian gridding of uniform_sum (Greengard & Lee, SIAM Rev. 46 (2004) 443)
-# on a grid of M = 2m points, each node spread to its 2 w + 1 nearest grid
-# points.  With tau = s/M^2 and s = (4/3)(w + 1/2) pi, the aliasing of the
-# edge modes |h| = m/2 and the Gaussian's truncation both fall to
-# exp(-(2/3)(w + 1/2) pi): 5.3e-13 at w = 13 (w = 12 leaves 5e-12)
-_SPREAD = 13
-_SPREAD_BLOCK = 4096  # nodes per spreading pass: memory O(block w + M)
-# 2 pi = _P1 + _P2 + _P3, where n _P1 and n _P2 are exact for |n| < 2^26
-_P1 = _truncate(2.0 * math.pi, 27)
-_P2 = 2.0 * math.pi - _P1
-_P3 = 2.4492935982947064e-16
-_THETA_MAX = 4.0e8  # |theta|/(2 pi) < 2^26
-
-
-def uniform_sum(c, theta, m: int) -> np.ndarray:
-    """f_k = sum_j c_j exp(i k theta_j) for k = 0 ... m-1, by Gaussian
-    gridding in O(N w + m log m) work.
-
-    Each theta_j is reduced to l_j (2 pi/M) + d_j in double-double
-    arithmetic (|theta_j| < 4e8), so the phase of mode k carries no
-    k |theta_j| rounding error; the nodes, modulated to centre the modes
-    on k = m // 2, are spread with one np.bincount per real and imaginary
-    part per block, the grid goes through one inverse FFT and the
-    Gaussian's Fourier coefficients are divided out.  The error is at most
-    1e-12 * sum_j |c_j| for every m >= 1.
+def chirp_sum(u, c: float, n: int) -> np.ndarray:
+    """f[..., k] = sum_m u[..., m] e^{2ickm}, k = 0 ... n-1, along the last
+    axis of u (M terms), by Bluestein's chirp z-transform (Rabiner, Schafer
+    & Rader, IEEE Trans. Audio Electroacoust. 17 (1969) 86): as
+    2km = k^2 + m^2 - (k - m)^2, f is e^{ick^2} times the convolution of
+    u_m e^{icm^2} with e^{-icd^2}, one FFT product of the least 2^a 3^b 5^c
+    length >= M + n - 1.  Each phase c m^2 is rounded once, so for
+    |c| (M + n)^2 up to 1e6 the error is below
+    (1e-12 + 2e-16 |c| (M + n)^2) sum |u|.  n = 0 gives an empty last axis.
     """
-    c = np.asarray(c, dtype=complex).ravel()
-    theta = np.asarray(theta, dtype=float).ravel()
-    if m < 1 or c.shape != theta.shape:
-        raise ValueError(f"uniform_sum needs m >= 1 and matching c, theta (m = {m})")
-    M = 2 * m
-    K = m // 2
-    w = _SPREAD
-    tau = (4.0 / 3.0) * (w + 0.5) * math.pi / (M * M)
-    step = 2.0 * math.pi / M
-    step_hi = _truncate(step, 27)
-    step_lo = ((2.0 * math.pi - step_hi * M) + _P3) / M
-    offs = np.arange(-w, w + 1)
-    tail = np.exp(-((offs * step) ** 2) / (4.0 * tau))
-    span = M + 2 * w
-    re = np.zeros(span)
-    im = np.zeros(span)
-    for i in range(0, c.size, _SPREAD_BLOCK):
-        t = theta[i:i + _SPREAD_BLOCK]
-        if not np.max(np.abs(t)) < _THETA_MAX:
-            raise ValueError(f"uniform_sum needs finite |theta| < {_THETA_MAX:g}")
-        # theta - 2 pi n = s + lo exactly (TwoSum), then s + lo = l step + d
-        n = np.rint(t / (2.0 * math.pi))
-        a = t - n * _P1
-        b = -n * _P2
-        s = a + b
-        z = s - a
-        lo = (a - (s - z)) + (b - z) - n * _P3
-        l = np.rint(s / step)
-        d = (s - l * step_hi) - l * step_lo + lo
-        li = l.astype(np.int64) % M
-        cm = c[i:i + _SPREAD_BLOCK] * np.exp(1j * (step * ((K * li) % M) + K * d))
-        # exp(-(d - o step)^2/(4 tau)) = e0 q^(o + w) g_o: two exponentials
-        # per node, a running product over the offsets o
-        q = np.exp(d * (step / (2.0 * tau)))
-        g = np.empty((offs.size, d.size))
-        g[0] = np.exp(-d * (d + 2.0 * w * step) / (4.0 * tau))
-        for j in range(1, offs.size):
-            np.multiply(g[j - 1], q, out=g[j])
-        g *= tail[:, None]
-        idx = (li + (offs + w)[:, None]).ravel()
-        re += np.bincount(idx, (g * cm.real).ravel(), span)
-        im += np.bincount(idx, (g * cm.imag).ravel(), span)
-    fold = (np.arange(span) - w) % M
-    grid = np.bincount(fold, re, M) + 1j * np.bincount(fold, im, M)
-    h = np.arange(m) - K
-    return np.fft.ifft(grid)[h % M] * (math.sqrt(math.pi / tau) * np.exp(tau * h * h))
+    u = np.asarray(u, dtype=complex)
+    M = u.shape[-1]
+    L = int(_FFT_LENGTHS[np.searchsorted(_FFT_LENGTHS, M + n - 1)])
+    m = np.arange(1 - M, max(n, 1))
+    w = np.exp(1j * c * (m * m))  # e^{i c m^2}, m = 1 - M ... n - 1
+    conv = np.fft.ifft(np.fft.fft(u * w[M - 1::-1], L) * np.fft.fft(w.conj(), L))
+    return w[M - 1:M - 1 + n] * conv[..., M - 1:M - 1 + n]
 
 
 def log_gamma(x: float) -> float:

@@ -143,6 +143,20 @@ def test_radon_ray_samples_do_not_depend_on_the_x_grid(monkeypatch):
     assert not np.any(tom.values[np.abs(tom.x_grid) > 0.2])
 
 
+def test_radon_with_no_x_inside_the_projected_grid_is_zero(monkeypatch):
+    # every X beyond [lo, hi] is exactly 0, and the chirp sum is asked for none
+    asked = []
+
+    def counted(u, c, n, _orig=classical.chirp_sum):
+        asked.append(n)
+        return _orig(u, c, n)
+
+    monkeypatch.setattr(classical, "chirp_sum", counted)
+    x = np.linspace(14.0, 20.0, 31)  # the grid projects onto |X| <= 12 plus a cell
+    values = classical._radon_slice(gaussian_density().f, TomographyFrame(1.0, 0.5), x)
+    assert asked == [0] and values.shape == x.shape and not np.any(values)
+
+
 def test_inverse_radon_round_trip():
     dens = gaussian_density(extent=7.0, n=281)
     frames = np.linspace(-4.5, 4.5, 19)

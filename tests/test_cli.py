@@ -172,6 +172,19 @@ def test_compare_refuses_a_density_file_written_q_fastest(tmp_path, capsys):
     assert len(err) == 1 and "sidecar's axes, p fastest" in err[0]
 
 
+def test_compare_refuses_a_density_file_without_its_sidecar(tmp_path, capsys):
+    # the descriptor check once looked only for the CSV, and the missing
+    # sidecar ended in a FileNotFoundError traceback with status 1
+    g = np.linspace(-6, 6, 61)
+    f = np.exp(-(g[:, None] - 2) ** 2 / 2 - g[None, :] ** 2 / 2) / (2 * math.pi)
+    path = tmp_path / "f.csv"
+    os.remove(write_density_csv(DensityGrid(GridFunction2D(g, g, f)), str(path)))
+    assert run(["compare", "--state", "coherent:re=1.4142135623730951,im=0", "--classical",
+                f"grid:{path}", "--frames", "1,0", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(tmp_path / "f.json") in err[0]
+
+
 def test_hbar_sequence_parsing():
     seq = cli.parse_hbar_sequence("1e-1:1e-3:geometric")
     assert seq[0] == 0.1

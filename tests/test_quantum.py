@@ -417,6 +417,45 @@ def test_sampled_tomogram_panels_end_on_the_sample_grid(count):
         assert abs(tom[i] - ref) < 1e-10 * np.max(tom), i
 
 
+@pytest.mark.parametrize("a, slope, x, env_scale", [
+    (0.7, -1.3, np.array([0.4]), 0.5),                      # one X point
+    (-0.7, 2.1, np.array([-1.0, 2.5]), 0.5),                # two X points
+    (0.0, 0.05, np.linspace(-2.0, 2.0, 20001), math.inf),   # X points >> panels (64)
+    (300.0, 1.0, np.linspace(-0.5, 0.5, 3), math.inf),      # panels (21120) >> X points
+])
+def test_ladder_amplitudes_match_the_direct_sum_over_their_nodes(a, slope, x, env_scale):
+    # the chirp sums against sum_j g_j e^{i(a y_j + b_k) y_j} over the
+    # nodes env was called at: equal panels, node r of panel p at y_r + p h
+    cells = np.linspace(-3.0, 4.0, 65)
+    seen = []
+
+    def env(y):
+        seen.append(y)
+        return (1.0 + 0.3j * y) * np.exp(-0.5 * (y - 0.4) ** 2)
+
+    amps = qt._ladder_amplitudes(env, a, slope, x, cells, env_scale)
+    nodes = seen[0].reshape(-1, 8)
+    h = (cells[-1] - cells[0]) / nodes.shape[0]
+    assert nodes.shape[0] % (cells.size - 1) == 0
+    assert np.max(np.abs(nodes - nodes[0] - h * np.arange(nodes.shape[0])[:, None])) <= 1e-15 * np.max(np.abs(cells))
+    g = env(nodes) * (0.5 * h * qt._GL_WEIGHTS)
+    direct = np.array([np.sum(g * np.exp(1j * (a * nodes + slope * xk) * nodes)) for xk in x])
+    assert np.max(np.abs(amps - direct)) <= 1e-12 * np.sum(np.abs(g))
+
+
+@pytest.mark.parametrize("varpi", [2.3e-308, 1e-300, 1e300])
+def test_coherent_tomogram_at_extreme_varpi_keeps_its_mass(varpi):
+    # kappa (X - X_a)^2 once overflowed at varpi = 2.3e-308 and left a
+    # normalization residual of 4e-3; sqrt(kappa) (X - X_a) is squared now.
+    # Underflow stays unchecked: at varpi = 1e300 the X = 0 point's
+    # distance squares to 0, which is its value to rounding
+    state = st.Coherent(1.0 + 0j, varpi)
+    fr = TomographyFrame(1.0, 0.5)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        tom = qt.state_tomogram(state, fr, qt.default_x_grid(state, fr, 1.0), 1.0)
+        assert normalization_residual(tom) < 1e-12
+
+
 @dataclass(frozen=True)
 class SqueezedGaussian(st.State):
     """psi(y) = (pi s^2)^(-1/4) exp(-y^2/(2 s^2)), a state known only to this file."""

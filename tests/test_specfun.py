@@ -11,12 +11,12 @@ from tomolab import specfun as sf
 from tomolab.limits import oscillator_local_period, windowed_average
 from tomolab.specfun import (
     airy_ai,
+    chirp_sum,
     faddeeva,
     hermite_phi,
     laguerre_scaled,
     log_gamma,
     parabolic_u_asymptotic,
-    uniform_sum,
 )
 
 
@@ -379,8 +379,8 @@ def test_faddeeva_upper_half_plane():
 def exact_uniform_sum(c: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
     """Oracle: sum_j c_j e^{i k theta_j} with every phase k theta_j formed
     exactly.  theta_hi keeps 39 mantissa bits, so k theta_hi is exact for
-    k < 2^14 and cos/sin reduce it exactly; k theta_lo stays below 2e-5
-    for |theta| <= 1e3 and rounds harmlessly.  Mode k0 + b is the product
+    k < 2^14 and cos/sin reduce it exactly; k theta_lo is below
+    2^-39 k |theta| and rounds harmlessly.  Mode k0 + b is the product
     of the exact factors e^{i k0 theta} and e^{i b theta}."""
     assert m < 2 ** 14
     mant, ex = np.frexp(theta)
@@ -401,16 +401,23 @@ def exact_uniform_sum(c: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=hs.integers(1, 5000), m=hs.integers(1, 9000), reach=hs.floats(0.0, 1e3),
-       picked=hs.lists(hs.floats(-1e3, 1e3), max_size=4), seed=hs.integers(0, 2 ** 32 - 1))
-def test_uniform_sum_matches_the_exact_sum(n, m, reach, picked, seed):
-    # stated accuracy 1e-12 sum |c_j|; a float64 direct sum would itself be
-    # off by k |theta| eps (1e-9 here), hence the exact-phase oracle
+@given(M=hs.integers(1, 5000), n=hs.integers(1, 9000), decades=hs.floats(-2.0, 6.0),
+       sign=hs.sampled_from((-1.0, 1.0)), seed=hs.integers(0, 2 ** 32 - 1))
+def test_chirp_sum_matches_the_exact_sum(M, n, decades, sign, seed):
+    # stated accuracy (1e-12 + 2e-16 q) sum |u| over the stated range
+    # q = |c| (M + n)^2 <= 1e6; a float64 direct sum would itself be off by
+    # 2 k m |c| eps, hence the exact-phase oracle, whose phases 2 c m carry
+    # one rounding each (at most q eps/2 after the factor k)
     rng = np.random.default_rng(seed)
-    theta = np.concatenate((picked, rng.uniform(-reach, reach, n)))[:n]
-    c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(rng.uniform(-4.0, 4.0, n))
-    err = np.max(np.abs(uniform_sum(c, theta, m) - exact_uniform_sum(c, theta, m)))
-    assert err <= 1e-12 * np.sum(np.abs(c)), (n, m, err / np.sum(np.abs(c)))
+    q = 10.0 ** decades
+    c = sign * q / (M + n) ** 2
+    u = (rng.normal(size=M) + 1j * rng.normal(size=M)) * np.exp(rng.uniform(-4.0, 4.0, M))
+    exact = exact_uniform_sum(u, 2.0 * c * np.arange(M), n)
+    err = np.max(np.abs(chirp_sum(u, c, n) - exact))
+    assert err <= (1e-12 + 2e-16 * q) * np.sum(np.abs(u)), (M, n, q, err / np.sum(np.abs(u)))
+    # a batch along the leading axes holds the same bound
+    err = np.max(np.abs(chirp_sum(np.stack((u, 1j * u)), c, n) - [exact, 1j * exact]))
+    assert err <= (1e-12 + 2e-16 * q) * np.sum(np.abs(u))
 
 
 # ---------------------------------------------------------------------------
