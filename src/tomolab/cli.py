@@ -360,7 +360,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         for _ in range(FRAME_BOX_DOUBLINGS + 1):
             fam = qt.build_state_family(
                 state, hbar, _centred_grid(mu_max, 2 * int(math.ceil(mu_max * qext / 2.5)) + 1),
-                _centred_grid(nu_max, 2 * int(math.ceil(nu_max * pext / 2.5)) + 1), None)
+                _centred_grid(nu_max, 2 * int(math.ceil(nu_max * pext / 2.5)) + 1))
             G = np.abs(fam.values)
             wide_mu = max(G[0].max(), G[-1].max()) > FRAME_TAIL_TOL
             wide_nu = max(G[:, 0].max(), G[:, -1].max()) > FRAME_TAIL_TOL
@@ -387,7 +387,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         sq, sp = st.natural_scales(state, hbar)
         mu_max = 6.0 / sq
         n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
-        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu), None)
+        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu))
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
         out_csv = os.path.join(cfg.out, "density.csv")
         _write_grid_csv(out_csv, "x,xprime,re,im", xs, xs, rho.real, rho.imag)
@@ -619,7 +619,7 @@ def _selftest_rows(quick: bool):
 
         gs = st.HOEigen(0)
         mu_g = np.linspace(-8, 8, 33)
-        fam = qt.build_state_family(gs, 1.0, mu_g, mu_g, None)
+        fam = qt.build_state_family(gs, 1.0, mu_g, mu_g)
         qg = np.linspace(-3, 3, 31)
         wrec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, 1.0)
         wref = gs.exact_wigner(1.0)(qg[None, :], qg[:, None])
@@ -628,7 +628,7 @@ def _selftest_rows(quick: bool):
         cst = st.Coherent(1 + 0j)
         xs = np.linspace(-3, 3, 25)
         nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel(), 12))
-        slices = qt.build_state_slices(cst, 1.0, nus, np.linspace(-8, 8, 41), None)
+        slices = qt.build_state_slices(cst, 1.0, nus, np.linspace(-8, 8, 41))
         rho_rec, _ = qt.density_grid_from_tomogram(slices, xs, 1.0)
         psi = st.position_wavefunction(cst, 1.0)(xs)
         check("density round trip", float(np.max(np.abs(rho_rec - np.outer(psi, psi.conj())))), 1e-3)
@@ -659,7 +659,7 @@ def _selftest_rows(quick: bool):
             ("characteristic overlap", (st.BoxEigen(2, 1.5), packet), 1e-4)):
         worst = 0.0
         for state in states:
-            G = qt.build_state_family(state, 0.7, mu_c, nu_c, None).values
+            G = qt.build_state_family(state, 0.7, mu_c, nu_c).values
             for i, j in np.ndindex(G.shape):
                 fr = TomographyFrame(mu_c[i], nu_c[j])
                 x = qt.default_x_grid(state, fr, 0.7, count=4001)

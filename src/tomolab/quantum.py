@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import FrameSamples, _box_indicators, _radon_slice, characteristic_quadrature
+from .classical import (FrameSamples, _box_indicators, _phases, _radon_slice, _weighted_phases,
+                        characteristic_quadrature)
 from .kernel import (
     DeltaAtom,
     GridFunction2D,
@@ -35,7 +36,6 @@ from .kernel import (
     Tomogram,
     TomogramError,
     _check_uniform_grid,
-    trapezoid_weights,
 )
 from .specfun import chirp_sum, faddeeva, hermite_phi, laguerre_scaled
 from .states import (
@@ -284,7 +284,7 @@ def _box_characteristic(state, mu_grid, nu_grid, hbar):
             - 0.5 * (segment(mu + 2.0 * k) + segment(mu - 2.0 * k))) / L
 
 
-# nodes x mu entries of one exp block in _overlap_characteristic
+# nodes x mu entries of one phase block in _overlap_characteristic
 _OVERLAP_BLOCK = 1 << 20
 
 
@@ -297,8 +297,8 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
     by -s and +s, so each sub-cell of a sampled state holds a quadratic
     times e^{i mu y}, and they are split so that no panel spans more than
     pi/4 of phase at the largest |mu|.  All mu then take one matrix
-    product with exp(i mu y), in blocks of bounded size; each block takes
-    exp(i |mu| y) once per distinct |mu| and its conjugate for mu < 0.
+    product with the phase table e^{i mu y} (:func:`classical._phases`),
+    in blocks of bounded size.
     """
     mu = np.asarray(mu_grid, dtype=float)
     nu = np.asarray(nu_grid, dtype=float)
@@ -317,10 +317,7 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
         f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
         rows = max(1, _OVERLAP_BLOCK // nodes.size)
         for i in range(0, mu.size, rows):
-            a, at = np.unique(np.abs(mu[i:i + rows]), return_inverse=True)
-            E = np.exp(1j * np.outer(a, nodes))[at]
-            np.conjugate(E, out=E, where=(mu[i:i + rows] < 0)[:, None])
-            G[i:i + rows, j] = E @ f
+            G[i:i + rows, j] = _phases(mu[i:i + rows], nodes) @ f
     return G
 
 
@@ -529,7 +526,7 @@ def _ladder_amplitudes(env, a: float, slope: float, x: np.ndarray,
     nodes = y + h * np.arange(panels)[:, None]
     g = env(nodes.ravel()).reshape(nodes.shape) * np.exp(1j * (a * nodes + slope * x[0]) * nodes)
     sums = chirp_sum(g.T * weights[:8, None], 0.5 * s * h, x.size)
-    return (np.exp(1j * s * np.multiply.outer(y, np.arange(x.size))) * sums).sum(axis=0)
+    return (_phases(y, s * np.arange(x.size)) * sums).sum(axis=0)
 
 
 def tomogram_from_wavefunction(state: State, frame: TomographyFrame,
@@ -710,11 +707,7 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     v = np.ascontiguousarray(rho.values)
     diag = np.lib.stride_tricks.as_strided(v, shape=(2 * n - 1, n), writeable=False,
                                            strides=(v.itemsize, (n - 1) * v.itemsize))
-    # e^{-2i p a h/hbar} written as its cos and sin parts, twice as fast as a complex exp
-    arg = np.outer(a, p) * (-2.0 * h / hbar)
-    phase = np.empty(arg.shape, complex)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
+    phase = _phases(a, p * (-2.0 * h / hbar))  # e^{-2i p a h/hbar}
     R = (diag[m] * w) @ phase
     # e^{i p m h/hbar} from the table: conj(phase[m // 2]), times e^{i p h/hbar} for odd m
     R *= phase[m // 2].conj()
@@ -740,11 +733,10 @@ def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,
 # tomogram families and the inverse maps
 # ---------------------------------------------------------------------------
 
-def build_state_family(state: State, hbar: float, mu_grid, nu_grid,
-                       x_grid) -> FrameSamples:
+def build_state_family(state: State, hbar: float, mu_grid, nu_grid) -> FrameSamples:
     """Characteristic samples G(mu, nu) = int W(X; mu, nu) e^{iX} dX =
     <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid,
-    with no tomogram built; x_grid is ignored.
+    with no tomogram built.
 
     States in the route table take G from its characteristic function
     in one vectorised call on the grids :func:`_unit_varpi` maps them to
@@ -780,11 +772,10 @@ def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
     return GridFunction2D(q, p, acc.real), float(np.max(np.abs(acc.imag)))
 
 
-def build_state_slices(state: State, hbar: float, nu_values, mu_grid,
-                       x_grid) -> FrameSamples:
+def build_state_slices(state: State, hbar: float, nu_values, mu_grid) -> FrameSamples:
     """The family at the nu slices nu = (x - x')/hbar that the density-matrix
     reconstruction reads."""
-    return build_state_family(state, hbar, mu_grid, nu_values, x_grid)
+    return build_state_family(state, hbar, mu_grid, nu_values)
 
 
 def density_grid_from_tomogram(samples: FrameSamples, x_points,
@@ -803,10 +794,9 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
             f"mu grid too coarse for |x + x'|/2 = {smax:.3f} "
             f"(need dmu <= {math.pi / smax:.3f})"
         )
-    wG = samples.values[:, j] * trapezoid_weights(mu.size)[:, None]
-    # one exp per distinct (x + x')/2: the grid repeats each along anti-diagonals
+    # one phase row per distinct (x + x')/2: the grid repeats each along anti-diagonals
     s, at = np.unique(s, return_inverse=True)
-    rho = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s))[:, at])
+    rho = np.einsum("km,mk->k", _weighted_phases(-s, mu)[at], samples.values[:, j])
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid

@@ -118,7 +118,8 @@ class _Oscillator(State):
         _require_normal("varpi", self.varpi)
 
     def natural_scales(self, hbar):
-        return math.sqrt(hbar / self.varpi), math.sqrt(hbar * self.varpi)
+        # each root taken apart: hbar * varpi overflows near the largest double
+        return math.sqrt(hbar) / math.sqrt(self.varpi), math.sqrt(hbar) * math.sqrt(self.varpi)
 
     def _varpi_field(self) -> str:
         return "" if self.varpi == 1.0 else f",varpi={_num(self.varpi)}"
@@ -134,10 +135,10 @@ class _Fock(_Oscillator):
         return max(k for _, k in self.terms)
 
     def position_wavefunction(self, hbar):
-        return self._wave(math.sqrt(self.varpi / hbar), 1.0)
+        return self._wave(math.sqrt(self.varpi) * math.sqrt(1.0 / hbar), 1.0)
 
     def momentum_wavefunction(self, hbar):
-        return self._wave(math.sqrt(1.0 / (self.varpi * hbar)), -1j)
+        return self._wave(math.sqrt(1.0 / hbar) / math.sqrt(self.varpi), -1j)
 
     def _wave(self, s, turn):
         # sum_k w_k turn^k sqrt(s) phi_k(s y): the Fourier transform of
@@ -147,15 +148,15 @@ class _Fock(_Oscillator):
                              for w, k in terms) + 0j
 
     def position_extent(self, hbar, tails=8.0):
-        r = math.sqrt(hbar / self.varpi) * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
+        r = self.natural_scales(hbar)[0] * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
         return -r, r
 
     def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
-        r = math.sqrt(hbar * self.varpi) * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
+        r = self.natural_scales(hbar)[1] * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
         return -r, r
 
     def envelope_scale(self, hbar):
-        return math.sqrt(hbar / self.varpi) / math.sqrt(2.0 * self.max_order() + 1.0)
+        return self.natural_scales(hbar)[0] / math.sqrt(2.0 * self.max_order() + 1.0)
 
 
 @dataclass(frozen=True)
@@ -222,14 +223,14 @@ def cat_normalization(alpha: complex, parity: str) -> float:
 
 def coherent_center(alpha: complex, hbar: float, varpi: float = 1.0) -> tuple[float, float]:
     """Phase-space mean (q, p) of |alpha>: alpha = (sqrt(varpi) q + i p/sqrt(varpi)) / sqrt(2 hbar)."""
-    qbar = math.sqrt(2.0 * hbar / varpi) * alpha.real
-    pbar = math.sqrt(2.0 * hbar * varpi) * alpha.imag
+    qbar = math.sqrt(2.0 * hbar) / math.sqrt(varpi) * alpha.real
+    pbar = math.sqrt(2.0 * hbar) * math.sqrt(varpi) * alpha.imag
     return qbar, pbar
 
 
 def _coherent_psi(alpha: complex, hbar: float, varpi: float, y: np.ndarray) -> np.ndarray:
     qbar, pbar = coherent_center(alpha, hbar, varpi)
-    amp = (varpi / (math.pi * hbar)) ** 0.25
+    amp = varpi ** 0.25 * (1.0 / (math.pi * hbar)) ** 0.25
     return amp * np.exp(
         -varpi * (y - qbar) ** 2 / (2.0 * hbar)
         + 1j * pbar * y / hbar
@@ -239,9 +240,9 @@ def _coherent_psi(alpha: complex, hbar: float, varpi: float, y: np.ndarray) -> n
 
 def _coherent_psihat(alpha: complex, hbar: float, varpi: float, p: np.ndarray) -> np.ndarray:
     qbar, pbar = coherent_center(alpha, hbar, varpi)
-    amp = (1.0 / (math.pi * hbar * varpi)) ** 0.25
+    amp = (1.0 / (math.pi * hbar)) ** 0.25 / varpi ** 0.25
     return amp * np.exp(
-        -((p - pbar) ** 2) / (2.0 * hbar * varpi)
+        -((p - pbar) ** 2) / (2.0 * hbar) / varpi
         - 1j * qbar * p / hbar
         + 0.5j * pbar * qbar / hbar
     )
@@ -271,17 +272,17 @@ class _Displaced(_Oscillator):
 
     def position_extent(self, hbar, tails=8.0):
         q = [coherent_center(a, hbar, self.varpi)[0] for _, a in self.terms]
-        r = tails * math.sqrt(hbar / self.varpi)
+        r = tails * self.natural_scales(hbar)[0]
         return min(q) - r, max(q) + r
 
     def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
         p = [coherent_center(a, hbar, self.varpi)[1] for _, a in self.terms]
-        r = tails * math.sqrt(hbar * self.varpi)
+        r = tails * self.natural_scales(hbar)[1]
         return min(p) - r, max(p) + r
 
     def envelope_scale(self, hbar):
         _, pbar = coherent_center(self.alpha, hbar, self.varpi)
-        return min(math.sqrt(hbar / self.varpi), hbar / (abs(pbar) + 1e-30))
+        return min(self.natural_scales(hbar)[0], hbar / (abs(pbar) + 1e-30))
 
     def _alpha_fields(self) -> str:
         return f"re={_num(self.alpha.real)},im={_num(self.alpha.imag)}{self._varpi_field()}"

@@ -273,14 +273,13 @@ def test_criterion_11_reconstruction_round_trips():
     cst = st.Coherent(1 + 0j)
     xs = np.linspace(-3, 3, 25)
     nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
-    slices = qt.build_state_slices(cst, hbar, nus, np.linspace(-8, 8, 41),
-                                   np.linspace(-60, 60, 2401))
+    slices = qt.build_state_slices(cst, hbar, nus, np.linspace(-8, 8, 41))
     rho, _ = qt.density_grid_from_tomogram(slices, xs, hbar)
     psi = st.position_wavefunction(cst, hbar)(xs)
     err_rho = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
 
     mu = np.linspace(-8, 8, 33)
-    fam = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, np.linspace(-40, 40, 1601))
+    fam = qt.build_state_family(st.HOEigen(0), hbar, mu, mu)
     qg = np.linspace(-3, 3, 25)
     wrec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, hbar)
     wref = st.HOEigen(0).exact_wigner(hbar)(qg[None, :], qg[:, None])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -223,6 +224,38 @@ def test_inverse_radon_nyquist_guard():
     fam = build_radon_family(dens, frames, frames, x, q_extent=5.5, p_extent=5.5)
     with pytest.raises(TomogramError):
         inverse_radon_grid(fam, np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+
+
+def _trapezoid(n):
+    w = np.ones(n)
+    w[[0, -1]] = 0.5
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs.lists(hs.floats(-100.0, 100.0), min_size=1, max_size=12),
+       hs.lists(hs.floats(-100.0, 100.0), min_size=1, max_size=12))
+def test_phase_tables_match_the_complex_exp(k, y):
+    # |k y| up to 1e4; the tables are written from real cos and sin
+    k, y = np.array(k), np.array(y)
+    ref = np.exp(1j * np.outer(k, y))
+    assert np.max(np.abs(classical._phases(k, y) - ref)) <= 1e-15
+    assert np.max(np.abs(classical._weighted_phases(k, y) - ref * _trapezoid(y.size))) <= 1e-15
+
+
+@pytest.mark.parametrize("n_mu, n_nu", [(23, 9), (9, 23)])
+def test_characteristic_quadrature_of_a_non_square_family_is_the_double_sum(n_mu, n_nu):
+    # on a square (q, p) grid multi_dot sums the longer frame axis first,
+    # so the two shapes take the two contraction orders
+    rng = np.random.default_rng(7)
+    mu, nu = np.linspace(-2.0, 2.0, n_mu), np.linspace(-1.5, 1.5, n_nu)
+    G = rng.normal(size=(n_mu, n_nu)) + 1j * rng.normal(size=(n_mu, n_nu))
+    q, p = np.linspace(-1.0, 1.0, 11), np.linspace(-0.8, 1.2, 11)
+    got = classical.characteristic_quadrature(classical.FrameSamples(mu, nu, G, 1.0, 1.0), q, p)
+    w = np.outer(_trapezoid(n_mu), _trapezoid(n_nu)) * G * (mu[1] - mu[0]) * (nu[1] - nu[0])
+    ref = np.array([[sum(w[i, j] * cmath.exp(-1j * (mu[i] * a + nu[j] * b))
+                         for i in range(n_mu) for j in range(n_nu)) for b in p] for a in q])
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.sum(np.abs(w))
 
 
 def test_trajectory_tomogram_examples():

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ def test_state_scales_must_be_finite_normal_doubles(tmp_path, capsys, state, fie
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"{field} must be a finite positive normal double" in err[0]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("hbar", ["0.5", "1", "2"])
+@pytest.mark.parametrize("state", [
+    "coherent:re=1,im=0,varpi=1.7e308", "cat:odd,re=1,im=0.3,varpi=1e308",
+    "ho:n=3,varpi=1.7e308", "superpos:n=1,m=4,varpi=1.7e308"])
+def test_a_varpi_near_the_largest_double_keeps_its_mass(tmp_path, capsys, state, hbar):
+    # sqrt(2 hbar varpi) and sqrt(hbar varpi) once overflowed past hbar varpi
+    # ~ 9e307 and 1.8e308: six of these twelve exited 2 ("x_grid must be
+    # finite") or ended in a RuntimeWarning
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["tomogram", "--state", state, "--frame", "1,0.5", "--hbar", hbar,
+                    "--out", str(out)]) == 0
+    assert normalization_residual(read_tomogram(str(out))[0]) < 1e-12
 
 
 def test_compare_refuses_a_density_file_written_q_fastest(tmp_path, capsys):

@@ -147,3 +147,25 @@ def test_every_public_name_is_used_or_documented():
             if name not in used and not re.search(rf"\b{name}\b", text):
                 unreached.append(f"{module}.{name}")
     assert not unreached, unreached
+
+
+def test_dense_phase_tables_are_built_in_one_place():
+    # classical._phases builds every e^{i k y} table of the Fourier maps:
+    # no other function takes np.exp of an outer product (np.outer,
+    # np.multiply.outer or a [:, None] broadcast) or fills a cos/sin table
+    for name in ("classical.py", "quantum.py"):
+        tree = ast.parse((_ROOT / "src" / "tomolab" / name).read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_phases":
+                continue
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and isinstance(call.func.value, ast.Name) and call.func.value.id == "np"):
+                    continue
+                where = (name, fn.name, call.lineno)
+                if call.func.attr == "exp":
+                    inner = list(ast.walk(call))
+                    assert not any(isinstance(n, ast.Attribute) and n.attr == "outer" for n in inner), where
+                    assert not any(isinstance(n, ast.Constant) and n.value is None for n in inner), where
+                if call.func.attr in ("cos", "sin"):
+                    assert not any(k.arg == "out" for k in call.keywords), where

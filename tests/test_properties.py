@@ -100,7 +100,7 @@ def test_fock_tomograms_on_symmetric_grids_are_exactly_even(state, fr, hbar):
 @given(_catalog, _varpi, _frame_grid, _frame_grid, _hbar)
 def test_characteristic_function_invariants(state, varpi, mu, nu, hbar):
     state = dataclasses.replace(state, varpi=varpi)
-    G = qt.build_state_family(state, hbar, mu, nu, None).values
+    G = qt.build_state_family(state, hbar, mu, nu).values
     assert G[mu.size // 2, nu.size // 2] == 1.0
     assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12
     assert np.max(np.abs(G)) <= 1.0 + 1e-12
@@ -121,7 +121,7 @@ _sampled = hs.builds(_packet, hs.integers(20, 300), hs.floats(-1.0, 1.0), hs.flo
 @_examples
 @given(hs.one_of(_box, _sampled), _frame_grid, _frame_grid, _hbar)
 def test_box_and_sampled_characteristic_invariants(state, mu, nu, hbar):
-    G = qt.build_state_family(state, hbar, mu, nu, None).values
+    G = qt.build_state_family(state, hbar, mu, nu).values
     assert G[mu.size // 2, nu.size // 2] == 1.0
     assert np.max(np.abs(G[::-1, ::-1] - np.conj(G))) < 1e-12
     assert np.max(np.abs(G)) <= 1.0 + 1e-12

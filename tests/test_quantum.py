@@ -508,7 +508,7 @@ def test_state_protocol_carries_a_new_state():
             tom = qt.state_tomogram(state, fr, x, hbar)
             assert np.max(np.abs(tom.values - ref)) < 1e-6 * np.max(ref)
     # the family carries G(mu, nu) = int W e^{iX} dX = exp(-var/2), 1 at the zero frame
-    fam = qt.build_state_family(state, hbar, grid, grid, x)
+    fam = qt.build_state_family(state, hbar, grid, grid)
     var = grid[:, None] ** 2 * state.s ** 2 / 2 + grid[None, :] ** 2 * hbar ** 2 / (2 * state.s ** 2)
     assert np.max(np.abs(fam.values - np.exp(-var / 2))) < 1e-6
 
@@ -980,15 +980,14 @@ def test_wigner_refuses_aliased_momenta():
 def test_wigner_from_tomogram_ground_and_excited():
     hbar = 1.0
     mu = np.linspace(-8, 8, 33)
-    x = np.linspace(-40, 40, 1601)
-    fam0 = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, x)
+    fam0 = qt.build_state_family(st.HOEigen(0), hbar, mu, mu)
     qg = np.linspace(-2.5, 2.5, 21)
     rec, resid = qt.wigner_from_tomogram_grid(fam0, qg, qg, hbar)
     ref = st.HOEigen(0).exact_wigner(hbar)(qg[None, :], qg[:, None])
     assert np.max(np.abs(rec.values - ref)) < 1e-3
     assert resid < 1e-6
 
-    fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu, x)
+    fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu)
     rec1, _ = qt.wigner_from_tomogram_grid(fam1, [0.0, 0.5], [0.0, 0.5], hbar)
     assert rec1.values[0, 0] < -1.9  # recovered negativity at the origin
 
@@ -996,10 +995,9 @@ def test_wigner_from_tomogram_ground_and_excited():
 def test_wigner_from_tomogram_linearity():
     hbar = 1.0
     mu = np.linspace(-8, 8, 33)
-    x = np.linspace(-40, 40, 1601)
-    fam0 = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, x)
-    fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu, x)
-    mix = qt.build_state_family(st.HOEigen(0), hbar, mu, mu, x)
+    fam0 = qt.build_state_family(st.HOEigen(0), hbar, mu, mu)
+    fam1 = qt.build_state_family(st.HOEigen(1), hbar, mu, mu)
+    mix = qt.build_state_family(st.HOEigen(0), hbar, mu, mu)
     object.__setattr__(mix, "values", 0.5 * (fam0.values + fam1.values))
     qg, pg = [-0.3, 0.2], [0.4, 0.9]
     wm = qt.wigner_from_tomogram_grid(mix, qg, pg, hbar)[0].values
@@ -1015,8 +1013,7 @@ def test_density_from_tomogram_roundtrip():
     # so the diagonal trace captures all the mass
     xs = np.linspace(-2.5, 5.5, 33)
     nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
-    slices = qt.build_state_slices(cst, hbar, nus, np.linspace(-8, 8, 41),
-                                   np.linspace(-80, 80, 3201))
+    slices = qt.build_state_slices(cst, hbar, nus, np.linspace(-8, 8, 41))
     rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
     psi = st.position_wavefunction(cst, hbar)(xs)
     assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) < 1e-3
@@ -1042,7 +1039,7 @@ def test_density_map_matches_the_pairwise_sum():
     w = np.full(mu.size, mu[1] - mu[0])
     w[[0, -1]] *= 0.5
     for state in (st.CatOdd(0.6 + 0.4j), _packet_state()):
-        fam = qt.build_state_slices(state, hbar, nus, mu, np.linspace(-40, 40, 1601))
+        fam = qt.build_state_slices(state, hbar, nus, mu)
         rho, _ = qt.density_grid_from_tomogram(fam, xs, hbar)
         for a, x in enumerate(xs):
             for b, xp in enumerate(xs):
@@ -1062,8 +1059,7 @@ def test_density_map_matches_the_pairwise_sum():
 
 def test_density_from_tomogram_missing_slice():
     hbar = 1.0
-    slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0, 0.5], np.linspace(-4, 4, 17),
-                                   np.linspace(-20, 20, 801))
+    slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0, 0.5], np.linspace(-4, 4, 17))
     # the pair (x, x') = (0.8, 0.1) needs the missing slice nu = 0.7
     with pytest.raises(TomogramError) as err:
         qt.density_grid_from_tomogram(slices, [0.8, 0.1], hbar)
@@ -1072,8 +1068,7 @@ def test_density_from_tomogram_missing_slice():
 
 def test_density_from_tomogram_nyquist_guard():
     hbar = 1.0
-    slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0], np.linspace(-4, 4, 3),
-                                   np.linspace(-20, 20, 801))
+    slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0], np.linspace(-4, 4, 3))
     with pytest.raises(TomogramError):
         qt.density_grid_from_tomogram(slices, [2.0], hbar)
 
@@ -1131,7 +1126,7 @@ CHARACTERISTIC_FRAMES = ((0.7, 0.4), (-0.5, 0.9), (-0.8, -0.3), (0.6, -1.1), (1.
 def test_characteristic_matches_the_weyl_overlap(state):
     hbar = 0.7
     for mu, nu in CHARACTERISTIC_FRAMES:
-        G = qt.build_state_family(state, hbar, [mu], [nu], None).values[0, 0]
+        G = qt.build_state_family(state, hbar, [mu], [nu]).values[0, 0]
         assert abs(G - weyl_overlap(state, mu, nu, hbar)) < 1e-12, (mu, nu)
 
 
@@ -1143,7 +1138,7 @@ def test_closed_characteristic_matches_the_tomogram_trapezoid():
     nu = np.linspace(-2.5, 2.5, 9)
     for state in (st.CatOdd(1.1 - 0.4j, 1.3), st.Superposition(1, 4, 0.8), st.HOEigen(2),
                   st.Coherent(-0.5 + 0.9j)):
-        G = qt.build_state_family(state, hbar, mu, nu, None).values
+        G = qt.build_state_family(state, hbar, mu, nu).values
         for i, m in enumerate(mu):
             for j, n in enumerate(nu):
                 fr = TomographyFrame(m, n)
@@ -1179,7 +1174,7 @@ def test_box_characteristic_matches_the_weyl_overlap(n, L):
     for frac in (0.3, 0.999999, 1.2):  # |hbar nu| below, near and above L
         for mu in (0.0, 2.3, -17.0, 2 * n * math.pi / L + 0.4):
             nu = math.copysign(frac * L / hbar, mu if mu else -1.0)
-            G = qt.build_state_family(st.BoxEigen(n, L), hbar, [mu], [nu], None).values[0, 0]
+            G = qt.build_state_family(st.BoxEigen(n, L), hbar, [mu], [nu]).values[0, 0]
             assert abs(G - box_weyl_overlap(n, L, mu, nu, hbar)) < 1e-12, (frac, mu)
 
 
@@ -1188,8 +1183,7 @@ def test_large_box_family_matches_the_weyl_overlap():
     # had to refuse (11025 frames x 14866 X)
     hbar = 0.1
     grid = np.linspace(-5.0, 5.0, 105)
-    G = qt.build_state_family(st.BoxEigen(3, 1.0), hbar, grid, grid,
-                              np.linspace(-80.0, 80.0, 14866)).values
+    G = qt.build_state_family(st.BoxEigen(3, 1.0), hbar, grid, grid).values
     assert G.shape == (105, 105) and G[52, 52] == 1.0
     for i in (0, 17, 40, 52, 61, 88, 104):
         for j in (3, 30, 52, 70, 101):
@@ -1231,8 +1225,21 @@ def test_sampled_characteristic_matches_the_weyl_overlap(count):
     frames = [(0.7, 2 * 3 * dx / hbar), (-1.3, 0.37), (2.1, -2 * 7 * dx / hbar), (0.0, 1.1),
               (0.9, 0.0), (-4.0, -9.5), (200.0, 0.3)]
     for mu, nu in frames[:3] if count == 1401 else frames:
-        G = qt.build_state_family(state, hbar, [mu], [nu], None).values[0, 0]
+        G = qt.build_state_family(state, hbar, [mu], [nu]).values[0, 0]
         assert abs(G - sampled_weyl_overlap(state, mu, nu, hbar)) < 1e-12, (mu, nu)
+
+
+def test_overlap_block_with_mixed_signs_matches_the_weyl_overlap():
+    # one mu block holding both signs of each |mu|, a repeated mu and zero:
+    # every row takes its own phases, with no |mu| shared or conjugated
+    x = np.linspace(-6.0, 6.0, 81)
+    psi = np.exp(-(x - 0.3) ** 2 / (2 * 1.7 ** 2) + 0.8j * x + 0.05j * x * x)
+    state, hbar = st.CustomGrid(x, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, x))), 0.8
+    mu = np.array([-2.5, 0.7, 2.5, -0.7, 0.7, 0.0, -2.5, 1.3])
+    nu = np.array([0.37, -1.1])
+    G = qt._overlap_characteristic(state, mu, nu, hbar)
+    for i, j in np.ndindex(G.shape):
+        assert abs(G[i, j] - sampled_weyl_overlap(state, mu[i], nu[j], hbar)) < 1e-12, (mu[i], nu[j])
 
 
 @pytest.mark.parametrize("state", [
@@ -1243,7 +1250,7 @@ def test_overlap_quadrature_matches_the_closed_characteristic(state):
     hbar = 0.7
     mu = np.linspace(-3.0, 3.0, 7)
     nu = np.linspace(-2.5, 2.5, 7)
-    closed = qt.build_state_family(state, hbar, mu, nu, None).values
+    closed = qt.build_state_family(state, hbar, mu, nu).values
     quad = qt._overlap_characteristic(state, mu, nu, hbar)
     assert np.max(np.abs(quad - closed)) < 1e-12
 
@@ -1251,9 +1258,9 @@ def test_overlap_quadrature_matches_the_closed_characteristic(state):
 @pytest.mark.parametrize("state", [st.Superposition(1, 3), _packet_state()], ids=["superpos", "custom"])
 @pytest.mark.parametrize("block", [None, 5000])
 def test_overlap_equals_the_exp_of_every_mu(monkeypatch, state, block):
-    # exp(i |mu| y) is taken once per |mu| and conjugated for mu < 0; the
-    # reference takes exp(i mu y) for every signed mu and must agree bit for
-    # bit, also when the mu rows are split over blocks
+    # the phase table is written from cos and sin; the reference takes
+    # exp(i mu y) for every signed mu and must agree bit for bit, also when
+    # the mu rows are split over blocks
     if block is not None:
         monkeypatch.setattr(qt, "_OVERLAP_BLOCK", block)
     hbar = 0.9
