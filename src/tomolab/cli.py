@@ -33,6 +33,7 @@ from .kernel import (
     TomographyFrame,
     Tomogram,
     _atomic_write,
+    _distinct,
     _write_csv,
     _write_grid_csv,
     _write_json,
@@ -383,7 +384,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     elif cfg.target == "density":
         xs = (np.linspace(*cfg.grid) if cfg.grid
               else np.linspace(*st.position_extent(state, hbar, tails=3.0), 31))
-        nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
+        nus = _distinct(np.round((xs[:, None] - xs[None, :]) / hbar, 12))
         sq, sp = st.natural_scales(state, hbar)
         mu_max = 6.0 / sq
         n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
@@ -437,7 +438,7 @@ _PLAIN_NOTES = {cl.DensityGrid: "plain L1",
 
 
 def _compare_row(state, model, frame: TomographyFrame, hbar: float,
-                 grid: np.ndarray | None) -> tuple[float, str]:
+                 grid: np.ndarray | None, windowed) -> tuple[float, str]:
     """One quantum-vs-classical L1 distance with the appropriate
     oscillation handling and exclusion zones.
 
@@ -448,6 +449,7 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
     raise CompareInputError.  Every other row is the plain L1 distance to the
     model's time average with its atoms spread to their cells; a `point`
     model is at rest, so its average is the unit atom at mu q0 + nu p0.
+    windowed(n) is the oscillator windowed distance, one for every frame.
     """
     pair = (type(state), type(model))
     if pair == (st.HOEigen, cl.OscillatorTrajectory):
@@ -457,8 +459,9 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
             raise CompareInputError(exc) from None
         _require_ehrenfest_values("oscillator", hbar=(hbar, hbar_n),
                              E=(model.E, 1.0), varpi=(state.varpi, 1.0))
-        d = lm.oscillator_windowed_distance(state.n, frame)
-        return d, "windowed; turning zones excluded"
+        if frame.is_zero:
+            return math.nan, "zero frame not comparable"
+        return windowed(state.n), "windowed; turning zones excluded"
     if pair == (st.BoxEigen, cl.BoxTrajectory):
         _require_ehrenfest_values("box", L=(state.L, model.L), E=(model.E, 1.0),
                              hbar=(hbar, qt.ehrenfest_hbar(state.n, model.L)))
@@ -483,9 +486,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows = []
     notes = []
     grid = np.linspace(*cfg.grid) if cfg.grid else None
+    # the same in every nonzero frame, so computed at most once per command
+    windowed = functools.cache(lambda n: lm.oscillator_windowed_distance(n, TomographyFrame(1.0, 0.0)))
     for fr in frames:
         try:
-            d, note = _compare_row(state, model, fr, cfg.hbar, grid)
+            d, note = _compare_row(state, model, fr, cfg.hbar, grid, windowed)
         except CompareInputError:
             raise  # the whole command fails (exit 2), not just this row
         except Exception as exc:  # report per-row failures, keep going
@@ -627,7 +632,7 @@ def _selftest_rows(quick: bool):
 
         cst = st.Coherent(1 + 0j)
         xs = np.linspace(-3, 3, 25)
-        nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel(), 12))
+        nus = _distinct(np.round(xs[:, None] - xs[None, :], 12))
         slices = qt.build_state_slices(cst, 1.0, nus, np.linspace(-8, 8, 41))
         rho_rec, _ = qt.density_grid_from_tomogram(slices, xs, 1.0)
         psi = st.position_wavefunction(cst, 1.0)(xs)

@@ -572,23 +572,32 @@ def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
 
 
 def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple]:
-    """oscillator_windowed_distance and its curve (LimitReport.curves)."""
-    R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
-    xmax = 1.3 * R / math.sqrt(2.0)
+    """oscillator_windowed_distance and its curve (LimitReport.curves).
+
+    At varpi = 1 the eigenstate's Wigner function depends on q^2 + p^2
+    alone, so its tomogram is even in X and, in a frame of length r, that
+    of (1, 0) under X -> r X, values -> values/r.  The Hermite average is
+    taken in (1, 0) at the 121 centers of [0, 1.3], mirrored onto the 241
+    of [-1.3, 1.3] and mapped: every nonzero frame has the same distance."""
+    if frame.is_zero:
+        raise TomogramError("oscillator windowed distance rejected for the zero frame")
+    unit = TomographyFrame(1.0, 0.0)
     hbar = oscillator_ehrenfest_hbar(n)
-    centers = np.linspace(-xmax, xmax, 241)
-    avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
-                                n, frame, centers)
-    classical = np.asarray(classical_oscillator_tomogram(centers, frame, 1.0))
-    dx = centers[1] - centers[0]
-    return float(np.sum(np.abs(avg - classical)) * dx), (centers, avg, classical, dx)
+    half = np.linspace(0.0, 1.3, 121)
+    avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, unit, X, hbar)), n, unit, half)
+    centers, avg = np.concatenate((-half[:0:-1], half)), np.concatenate((avg[:0:-1], avg))
+    classical = np.asarray(classical_oscillator_tomogram(centers, unit, 1.0))
+    dx = half[1] - half[0]
+    r = math.hypot(frame.mu, frame.nu)
+    return (float(np.sum(np.abs(avg - classical)) * dx),
+            (r * centers, avg / r, classical / r, r * dx))
 
 
 def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
     """L1 distance between the 3-period locally averaged tomogram of the
     oscillator eigenstate n at hbar = 1/n (energy 1 + 1/(2n)) and the
     arcsine law of the E = 1 orbit, over |X| <= 0.92 R, clear of the
-    turning points."""
+    turning points; the same in every nonzero frame."""
     return _oscillator_curve(n, frame)[0]
 
 
@@ -606,21 +615,17 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     (frame (1,0) only) the same windowed average is cross-computed
     through the parabolic-cylinder asymptotic.
     """
-    if frame.is_zero:
-        raise TomogramError("oscillator study rejected for the zero frame")
     n_values = list(n_values)
     if any(n < 20 for n in n_values):
         raise ValueError("oscillator study needs n >= 20")
-    r2f = frame.mu ** 2 + frame.nu ** 2
-    R = math.sqrt(2.0 * r2f)
-    xmax = 1.3 * R / math.sqrt(2.0)
+    R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
 
     distances, curves = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
         "hbar_values": [oscillator_ehrenfest_hbar(n) for n in n_values],
-        "allowed_region_halfwidth": xmax,
+        "allowed_region_halfwidth": 1.3 * R / math.sqrt(2.0),
     }
 
     # forbidden-region smallness at X = sqrt2 R (i.e. 2 in the (1,0) frame),
@@ -634,7 +639,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     if frame.mu == 1.0 and frame.nu == 0.0:
         n = 100
         hbar = oscillator_ehrenfest_hbar(n)
-        centers = np.linspace(-1.3, 1.3, 121)
+        centers = np.linspace(0.0, 1.3, 61)  # both routes are even in X
         avg_h = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, frame, X, hbar)),
                                       n, frame, centers)
         avg_u = _three_period_average(lambda X: _oscillator_u_route(n, X), n, frame, centers)

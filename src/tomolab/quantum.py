@@ -36,6 +36,7 @@ from .kernel import (
     Tomogram,
     TomogramError,
     _check_uniform_grid,
+    _distinct,
 )
 from .specfun import chirp_sum, faddeeva, hermite_phi, laguerre_scaled
 from .states import (
@@ -312,7 +313,7 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
         if hi <= lo:
             continue  # the shifted supports do not overlap
         cuts = np.concatenate((edges - h, edges + h))
-        coarse = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+        coarse = _distinct(cuts[(cuts >= lo) & (cuts <= hi)])
         nodes, weights = _chirp_panels(coarse, 0.0, mu_max, env_scale)
         f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
         rows = max(1, _OVERLAP_BLOCK // nodes.size)
@@ -695,7 +696,8 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     for j in range(k):
         for i in set(range(k)) - {j}:
             lag[:, j] *= (t - nodes[:, i]) / (j - i)
-    m, at = np.unique(nodes, return_inverse=True)
+    m = _distinct(nodes)
+    at = np.searchsorted(m, nodes)
     # trapezoid weights of step 2h over the a with 0 <= m - a < n
     a = np.arange(n)
     b = m[:, None] - a
@@ -713,7 +715,7 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     R *= phase[m // 2].conj()
     R[m % 2 == 1] *= np.exp(1j * h / hbar * p)
     out = np.zeros((q.size, p.size))
-    out[inside] = np.einsum("qk,qkp->qp", lag, R.real[at.reshape(nodes.shape)])
+    out[inside] = np.einsum("qk,qkp->qp", lag, R.real[at])
     return GridFunction2D(q, p, out), float(np.max(np.abs(R.imag), initial=0.0))
 
 
@@ -795,8 +797,9 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
             f"(need dmu <= {math.pi / smax:.3f})"
         )
     # one phase row per distinct (x + x')/2: the grid repeats each along anti-diagonals
-    s, at = np.unique(s, return_inverse=True)
-    rho = np.einsum("km,mk->k", _weighted_phases(-s, mu)[at], samples.values[:, j])
+    u = _distinct(s)
+    at = np.searchsorted(u, s)
+    rho = np.einsum("km,mk->k", _weighted_phases(-u, mu)[at], samples.values[:, j])
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid

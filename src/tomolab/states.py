@@ -179,11 +179,12 @@ class HOEigen(_Fock):
         return f"ho:n={self.n},varpi={_num(self.varpi)}"
 
     def exact_wigner(self, hbar):
-        n, w = self.n, self.varpi
+        n, rw, rh = self.n, math.sqrt(self.varpi), math.sqrt(hbar)
 
         def w_fock(p, q):
-            # 2 (-1)^n L_n(2 r^2) e^(-r^2), r^2 = varpi q^2/hbar + p^2/(varpi hbar)
-            r2 = w * np.asarray(q, float) ** 2 / hbar + np.asarray(p, float) ** 2 / (w * hbar)
+            # 2 (-1)^n L_n(2 r^2) e^(-r^2), r^2 = varpi q^2/hbar + p^2/(varpi hbar),
+            # with the scale roots taken apart so that no varpi overflows
+            r2 = (np.asarray(q, float) * (rw / rh)) ** 2 + (np.asarray(p, float) / (rw * rh)) ** 2
             return 2.0 * (-1.0) ** n * laguerre_scaled(n, 0, 2.0 * r2)
 
         return w_fock
@@ -304,13 +305,11 @@ class Coherent(_Displaced):
 
     def exact_wigner(self, hbar):
         qbar, pbar = coherent_center(self.alpha, hbar, self.varpi)
-        w = self.varpi
+        rw, rh = math.sqrt(self.varpi), math.sqrt(hbar)
 
         def w_coh(p, q):
-            return 2.0 * np.exp(
-                -w * (np.asarray(q, float) - qbar) ** 2 / hbar
-                - (np.asarray(p, float) - pbar) ** 2 / (w * hbar)
-            )
+            return 2.0 * np.exp(-((np.asarray(q, float) - qbar) * (rw / rh)) ** 2
+                                - ((np.asarray(p, float) - pbar) / (rw * rh)) ** 2)
 
         return w_coh
 

@@ -732,6 +732,40 @@ def test_reconstruct_density(tmp_path, capsys):
     assert abs(rep["trace"] - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("state,error", [("ho:n=1,varpi=1.7e308", 5.401e-08),
+                                         ("coherent:re=0.5,im=0.5,varpi=1.7e308", 8.164e-08),
+                                         ("ho:n=3,varpi=1e-300", 1.054e-08)])
+def test_reconstruct_wigner_at_extreme_varpi(tmp_path, state, error):
+    # varpi q^2 once overflowed in the exact Wigner forms: an overflow
+    # warning and exit 1 with errors 8.9e-1 and 5.6e-1 against the reference
+    out = str(tmp_path / "rec")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["reconstruct", "--state", state, "--target", "wigner", "--hbar", "1",
+                    "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] == pytest.approx(error, rel=1e-3)
+
+
+def test_density_reconstruct_and_custom_families_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique's first call imports numpy.ma, 15-19 ms in every process
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, numpy as np, tomolab.cli as c\n"
+        "from tomolab import quantum as qt, states as st\n"
+        f"assert c.main(['reconstruct', '--state', 'coherent:re=1,im=0', '--target', 'density',"
+        f" '--hbar', '1', '--out', {str(tmp_path / 'rec')!r}]) == 0\n"
+        "x = np.linspace(-6, 6, 121)\n"
+        "state = st.CustomGrid(x, np.exp(-x ** 2 / 2) / np.pi ** 0.25)\n"
+        "qt.build_state_family(state, 1.0, np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
 @pytest.mark.parametrize("state,target,hbar", [
     ("coherent:re=0.45,im=0.4", "density", "0.3349075317892564"),
     ("ho:n=3", "wigner", "0.5"),
@@ -991,6 +1025,36 @@ def test_compare_oscillator(tmp_path, capsys):
     assert code == 0
     rows = np.genfromtxt(os.path.join(out, "compare.csv"), delimiter=",", names=True)
     assert rows["l1_distance"] < 0.03
+
+
+def test_compare_oscillator_in_the_zero_frame(tmp_path, capsys):
+    # once "L1 = nan [failed: float division by zero]"; the frame-free
+    # distance must not stand in for the zero-frame tomogram, a unit atom
+    out = str(tmp_path / "cmp")
+    assert run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1",
+                "--hbar", "0.01", "--frames", "0,0;1,0", "--out", out]) == 0
+    rows = np.loadtxt(os.path.join(out, "compare.csv"), delimiter=",", skiprows=1, ndmin=2)
+    assert math.isnan(rows[0, 2])
+    assert rows[1, 2] == lm.oscillator_windowed_distance(100, TomographyFrame(1.0, 0.0))
+    notes = json.load(open(os.path.join(out, "compare.json")))["notes"]
+    assert notes == ["zero frame not comparable", "windowed; turning zones excluded"]
+
+
+def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeypatch):
+    # the windowed distance is the same in every nonzero frame: one
+    # 121-center, 48-sample average serves all three rows
+    points = []
+
+    def counted(n, x):
+        points.append(np.size(x))
+        return tomolab.specfun.hermite_phi(n, x)
+    monkeypatch.setattr(tomolab.quantum, "hermite_phi", counted)
+    out = str(tmp_path / "cmp")
+    assert run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1", "--hbar", "0.01",
+                "--frames", "1,0;0.568,0.856;-0.3,1.7", "--out", out]) == 0
+    assert points == [5808]
+    rows = np.loadtxt(os.path.join(out, "compare.csv"), delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(rows[:, 2] == rows[0, 2])
 
 
 

@@ -398,3 +398,13 @@ def test_written_files_take_the_mode_open_gives_them(tmp_path, umask):
     modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("a.json", "plain")}
     assert modes == {0o666 & ~umask}
     assert sorted(os.listdir(tmp_path)) == ["a.json", "plain"]
+
+
+def test_distinct_is_np_unique_and_searchsorted_its_inverse():
+    rng = np.random.default_rng(7)
+    x = np.round(rng.normal(size=(40, 40)), 1)
+    cases = [x, x - x.T, rng.integers(0, 9, size=(30, 4)), np.array([0.0, -0.0, 1.0, 0.0]), np.zeros(0)]
+    for a in cases:
+        values, inverse = np.unique(a, return_inverse=True)
+        assert np.array_equal(kernel._distinct(a), values)
+        assert np.array_equal(np.searchsorted(kernel._distinct(a), a), inverse.reshape(a.shape))

@@ -9,8 +9,10 @@ from tomolab import cli
 from tomolab import limits as lm
 from tomolab import quantum as qt
 from tomolab import states as st
+from tomolab.classical import classical_oscillator_tomogram
 from tomolab.kernel import Tomogram, TomogramError, TomographyFrame
 from tomolab.quantum import tomogram_from_wavefunction
+from tomolab.specfun import hermite_phi
 
 
 def gaussian_profile(n=2001, extent=8.0):
@@ -275,6 +277,56 @@ def test_ehrenfest_oscillator_study():
 def test_ehrenfest_oscillator_general_frame():
     rep = lm.ehrenfest_oscillator([25, 50, 100], TomographyFrame(0.6, 0.8))
     assert rep.verdict == "converged"
+
+
+@pytest.mark.parametrize("n", [60, 452])
+def test_oscillator_curve_matches_the_direct_average_in_its_frame(n):
+    # the oracle: 3-period averages of the tomogram at the 241 centers of
+    # |X| <= 1.3 r, taken in the frame itself over both signs of X
+    fr = TomographyFrame(0.568, 0.856)
+    r2 = fr.mu ** 2 + fr.nu ** 2
+    centers = np.linspace(-1.3 * math.sqrt(r2), 1.3 * math.sqrt(r2), 241)
+    kappa = n / r2
+    period = math.pi / (math.sqrt(kappa) * np.sqrt(np.maximum(2 * n + 1 - kappa * centers ** 2, 1.0)))
+    avg = lm.windowed_average(lambda X: qt.hermite_tomogram(n, fr, X, 1.0 / n), centers, period,
+                              samples_per_window=16, periods=3)
+    classical = classical_oscillator_tomogram(centers, fr, 1.0)
+    distance = float(np.sum(np.abs(avg - classical)) * (centers[1] - centers[0]))
+
+    rep = lm.ehrenfest_oscillator([n], fr)
+    X, quantum, cl_curve, dx = rep.curves[0]
+    assert np.max(np.abs(X - centers)) < 1e-14
+    assert np.max(np.abs(quantum - avg)) < 1e-12 * np.max(avg)
+    assert np.max(np.abs(cl_curve - classical)) < 1e-12 * np.max(classical)
+    assert rep.distances[0] == pytest.approx(distance, rel=1e-11)
+
+
+def test_the_oscillator_curve_is_even_and_its_distance_frame_free():
+    # W_n depends on q^2 + p^2 alone at varpi = 1: one distance in every
+    # nonzero frame, and a curve that is exactly even in X
+    frames = [TomographyFrame(1.0, 0.0), TomographyFrame(0.568, 0.856),
+              TomographyFrame(-0.3, 1.7), TomographyFrame(0.0, 2.5)]
+    distances = {lm.oscillator_windowed_distance(452, fr) for fr in frames}
+    assert len(distances) == 1
+    for X, quantum, classical, _ in lm.ehrenfest_oscillator([25, 50], frames[2]).curves:
+        assert np.array_equal(X, -X[::-1]) and X.size == 241
+        assert np.array_equal(quantum, quantum[::-1])
+        assert np.array_equal(classical, classical[::-1])
+    with pytest.raises(TomogramError, match="zero frame"):
+        lm.oscillator_windowed_distance(50, TomographyFrame(0.0, 0.0))
+
+
+def test_the_oscillator_study_evaluates_5808_hermite_points_per_order(monkeypatch):
+    # 121 centers on X >= 0 times 48 window samples: once 241 x 48 = 11,568
+    calls = []
+
+    def counted(n, x):
+        calls.append((n, np.size(x)))
+        return hermite_phi(n, x)
+    monkeypatch.setattr(qt, "hermite_phi", counted)
+    lm.ehrenfest_oscillator([25, 50], TomographyFrame(0.6, 0.8))
+    # the last call is the forbidden-region value at the largest n
+    assert sorted(calls) == [(25, 5808), (50, 1), (50, 5808)]
 
 
 def test_reports_are_reproducible():

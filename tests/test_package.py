@@ -169,3 +169,13 @@ def test_dense_phase_tables_are_built_in_one_place():
                     assert not any(isinstance(n, ast.Constant) and n.value is None for n in inner), where
                 if call.func.attr in ("cos", "sin"):
                     assert not any(k.arg == "out" for k in call.keywords), where
+
+
+def test_no_np_unique_in_the_package():
+    # np.unique's first call in a process imports numpy.ma (15-19 ms):
+    # kernel._distinct gives the same sorted distinct values without it
+    for path in (_ROOT / "src" / "tomolab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "unique"
+                        and isinstance(node.value, ast.Name) and node.value.id == "np"), (
+                path.name, node.lineno)
