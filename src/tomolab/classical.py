@@ -19,7 +19,6 @@ mass is exact once the grid covers the orbit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -35,6 +34,11 @@ from .kernel import (
     Tomogram,
     TomogramError,
     _check_uniform_grid,
+    _read_json,
+    _read_table,
+    _sidecar,
+    _write_csv,
+    _write_json,
     trapezoid_weights,
 )
 from .specfun import chirp_sum
@@ -577,39 +581,37 @@ def parse_classical(text: str):
 def write_density_csv(model: DensityGrid, csv_path: str) -> str:
     """Write the density as CSV rows `q,p,f` (p fastest) with a JSON
     sidecar declaring both axes; returns the sidecar path."""
-    from .kernel import _write_grid_csv, _write_json
-
     g = model.f
-    _write_grid_csv(csv_path, "q,p,f", g.x_grid, g.y_grid, g.values)
+    iq, ip = np.divmod(np.arange(g.values.size), g.y_grid.size)
+    _write_csv(csv_path, "q,p,f", ((g.x_grid, iq), (g.y_grid, ip), g.values))
     meta = {
         "q_grid": {"min": float(g.x_grid[0]), "max": float(g.x_grid[-1]), "count": int(g.x_grid.size)},
         "p_grid": {"min": float(g.y_grid[0]), "max": float(g.y_grid[-1]), "count": int(g.y_grid.size)},
     }
-    side = os.path.splitext(csv_path)[0] + ".json"
-    _write_json(side, meta)
-    return side
+    return _write_json(_sidecar(csv_path), meta)
 
 
 def read_density_csv(csv_path: str) -> DensityGrid:
     """Read a density written by :func:`write_density_csv`: header `q,p,f`,
     q and p columns within 1e-6 of a step of the sidecar's axes, p fastest."""
-    side = os.path.splitext(csv_path)[0] + ".json"
+    side = _sidecar(csv_path)
     if not os.path.exists(side):
         raise TomogramError(f"density file {csv_path!r} has no JSON sidecar {side!r}")
-    with open(side) as fh:
-        meta = json.load(fh)
+    meta = _read_json(side)
     qg = np.linspace(meta["q_grid"]["min"], meta["q_grid"]["max"], meta["q_grid"]["count"])
     pg = np.linspace(meta["p_grid"]["min"], meta["p_grid"]["max"], meta["p_grid"]["count"])
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "q,p,f":
-            raise TomogramError(f"density CSV header must be q,p,f, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape != (qg.size * pg.size, 3):
-        raise TomogramError(f"density CSV has shape {data.shape}, axes declare ({qg.size * pg.size}, 3)")
+
+    def bad_shape(_, shape):
+        return TomogramError(f"density CSV has shape {shape}, axes declare ({qg.size * pg.size}, 3)")
+
+    col = _read_table(
+        csv_path, lambda line, _: None if line.strip() == "q,p,f" else TomogramError(
+            f"density CSV header must be q,p,f, got {line.strip()!r}"), bad_shape)
+    if col["f"].size != qg.size * pg.size:
+        raise bad_shape(None, (col["f"].size, 3))
     want = np.stack(np.meshgrid(qg, pg, indexing="ij"), axis=-1)
     step = np.array([np.ptp(qg), np.ptp(pg)]) / np.maximum([qg.size - 1, pg.size - 1], 1)
-    if not np.all(np.abs(data[:, :2].reshape(want.shape) - want) <= 1e-6 * step):
+    if not np.all(np.abs(np.stack((col["q"], col["p"]), axis=-1).reshape(want.shape) - want) <= 1e-6 * step):
         raise TomogramError("density CSV q and p columns must be the sidecar's axes, p fastest")
-    vals = data[:, 2].reshape(qg.size, pg.size)
+    vals = col["f"].reshape(qg.size, pg.size)
     return DensityGrid(GridFunction2D(qg, pg, vals))

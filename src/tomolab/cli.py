@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -32,10 +31,9 @@ from .kernel import (
     GridFunction2D,
     TomographyFrame,
     Tomogram,
-    _atomic_write,
     _distinct,
+    _read_json,
     _write_csv,
-    _write_grid_csv,
     _write_json,
     frame_from_scaling,
     normalization_residual,
@@ -85,8 +83,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = _read_json(path)
         if not isinstance(raw, dict) or not isinstance(raw.get("params", {}), dict):
             raise ValueError("a config and its params must be JSON objects")
         unknown = set(raw) - set(cls.__dataclass_fields__)
@@ -206,7 +203,6 @@ def cmd_tomogram(cfg: RunConfig) -> int:
     grid = np.linspace(*cfg.grid) if cfg.grid else qt.default_x_grid(state, frame, cfg.hbar)
     tom = qt.state_tomogram(state, frame, grid, cfg.hbar)
     out = cfg.out if cfg.out.endswith(".csv") else os.path.join(cfg.out, "tomogram.csv")
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     write_tomogram(tom, out, hbar=cfg.hbar, state=state.descriptor())
     print(f"tomogram written to {out}")
     print(f"normalization residual: {normalization_residual(tom):.3e}")
@@ -310,7 +306,6 @@ def cmd_limit(cfg: RunConfig) -> int:
     frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(*default_frame)
     report = run(p, frame)
 
-    os.makedirs(cfg.out, exist_ok=True)
     on_hbar = report.parameter_name == "hbar"
     masses_ok = True
     for i, value in enumerate(report.parameter_values):
@@ -325,8 +320,7 @@ def cmd_limit(cfg: RunConfig) -> int:
             _write_csv(path, "X,value" if on_hbar else "X,quantum,classical", curve[:3])
         report.artifacts.append(path)
 
-    report_path = os.path.join(cfg.out, f"{cfg.study}_report.json")
-    _atomic_write(report_path, (report.to_json() + "\n").encode())
+    report_path = _write_json(os.path.join(cfg.out, f"{cfg.study}_report.json"), report.payload())
     print(f"report written to {report_path}")
     print(f"verdict: {report.verdict}")
     if report.fitted_exponent is not None:
@@ -341,7 +335,6 @@ def cmd_limit(cfg: RunConfig) -> int:
 def cmd_reconstruct(cfg: RunConfig) -> int:
     state = st.parse_state(cfg.state)
     hbar = cfg.hbar
-    os.makedirs(cfg.out, exist_ok=True)
     report: dict = {"state": state.descriptor(), "hbar": hbar, "target": cfg.target}
 
     if cfg.target == "wigner":
@@ -372,15 +365,13 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         qg = np.linspace(*cfg.grid) if cfg.grid else np.linspace(-0.6 * qext, 0.6 * qext, 41)
         pg = qg * pext / qext
         wrec, resid = qt.wigner_from_tomogram_grid(fam, qg, pg, hbar)
-        out_csv = os.path.join(cfg.out, "wigner.csv")
-        _write_grid_csv(out_csv, "q,p,W", qg, pg, wrec.values)
+        header, x, y, values = "q,p,W", qg, pg, (wrec.values,)
         report["imag_residual"] = resid
         report["frame_box_tail"] = fam.edge_tail()
         exact = state.exact_wigner(hbar)
         if exact is not None:
             ref = exact(pg[None, :], qg[:, None])
             report["max_error_vs_exact"] = float(np.max(np.abs(wrec.values - ref)))
-        print(f"wigner grid written to {out_csv}")
     elif cfg.target == "density":
         xs = (np.linspace(*cfg.grid) if cfg.grid
               else np.linspace(*st.position_extent(state, hbar, tails=3.0), 31))
@@ -390,8 +381,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
         slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu))
         rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
-        out_csv = os.path.join(cfg.out, "density.csv")
-        _write_grid_csv(out_csv, "x,xprime,re,im", xs, xs, rho.real, rho.imag)
+        header, x, y, values = "x,xprime,re,im", xs, xs, (rho.real, rho.imag)
         report["hermiticity_residual"] = herm
         report["frame_box_tail"] = slices.edge_tail()
         diag = np.real(np.diag(rho))
@@ -399,13 +389,16 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         if not state.sampled:
             psi = st.position_wavefunction(state, hbar)(xs)
             report["max_error_vs_exact"] = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
-        print(f"density grid written to {out_csv}")
     else:
         print(f"unknown reconstruction target {cfg.target!r} (wigner | density)", file=sys.stderr)
         return 2
 
-    rep_path = os.path.join(cfg.out, "reconstruct_report.json")
-    _write_json(rep_path, report)
+    # one row per grid point, y fastest, each axis value formatted once
+    out_csv = os.path.join(cfg.out, f"{cfg.target}.csv")
+    ix, iy = np.divmod(np.arange(x.size * y.size), y.size)
+    _write_csv(out_csv, header, ((x, ix), (y, iy), *values))
+    print(f"{cfg.target} grid written to {out_csv}")
+    _write_json(os.path.join(cfg.out, "reconstruct_report.json"), report)
     err = report.get("max_error_vs_exact")
     if err is None:
         return 0
@@ -498,9 +491,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         rows.append((fr.mu, fr.nu, d))
         notes.append(note)
         print(f"frame ({fr.mu:g}, {fr.nu:g}): L1 = {d:.6g}   [{note}]")
-    os.makedirs(cfg.out, exist_ok=True)
     out_csv = os.path.join(cfg.out, "compare.csv")
-    _write_csv(out_csv, "mu,nu,l1_distance", zip(*rows))
+    _write_csv(out_csv, "mu,nu,l1_distance", np.array(rows).T)
     meta = {
         "state": state.descriptor(),
         "classical": cfg.classical,
@@ -674,6 +666,7 @@ def _selftest_rows(quick: bool):
 
     # determinism of serialized output
     import hashlib
+    import pathlib
     import tempfile
 
     state = st.Coherent(0.5 + 0.5j)
@@ -684,11 +677,8 @@ def _selftest_rows(quick: bool):
         tom = qt.state_tomogram(state, fr, g, 1.0)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
-            write_tomogram(tom, path, hbar=1.0, state="coherent:re=0.5,im=0.5")
-            with open(path, "rb") as fh:
-                blob = fh.read()
-            with open(os.path.join(tmp, "t.json"), "rb") as fh:
-                blob += fh.read()
+            side = write_tomogram(tom, path, hbar=1.0, state="coherent:re=0.5,im=0.5")
+            blob = b"".join(pathlib.Path(p).read_bytes() for p in (path, side))
         digests.append(hashlib.sha256(blob).hexdigest())
     check("byte determinism", 0.0 if digests[0] == digests[1] else 1.0, 0.5)
     return rows
@@ -707,7 +697,6 @@ def run_selftest(quick: bool = False, out: str | None = None) -> int:
         print(line)
     print(f"selftest: {'all checks passed' if ok else 'FAILURES PRESENT'}")
     if out:
-        os.makedirs(out, exist_ok=True)
         payload = [
             {"check": name, "value": value, "threshold": threshold, "passed": passed}
             for name, value, threshold, passed in rows

@@ -467,63 +467,75 @@ def _slots(v: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _lines(slots: np.ndarray) -> bytes:
-    """The CSV lines of (rows, columns, _WIDTH) slots: the last separator
-    of each row becomes a newline and the padding is dropped."""
-    slots[:, -1, 29] = ord("\n")
-    return slots.tobytes().translate(None, b"\0")
-
-
-def _csv_rows(table: np.ndarray) -> bytes:
-    """The CSV lines of a (rows, columns) float array, each value the
-    bytes of '%.17g' % value."""
-    return _lines(_slots(table.ravel()).reshape(*table.shape, _WIDTH))
-
-
 def _write_csv(path: str, header: str, columns) -> None:
     """Write the header and one row per index of the equal-length columns,
-    every value a float with 17 significant digits (the bytes of '%.17g'),
-    formatted in blocks of whole rows."""
-    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns])
-    rows = max(1, _BLOCK_VALUES // table.shape[1])
-    body = b"".join(_csv_rows(table[k:k + rows]) for k in range(0, table.shape[0], rows))
-    _atomic_write(path, header.encode() + b"\n" + body)
-
-
-def _write_grid_csv(path: str, header: str, x, y, *values) -> None:
-    """Write the header and one row x[i], y[j], values[0][i, j], ... per
-    grid point, j fastest: the bytes _write_csv writes for the columns
-    (np.repeat(x, y.size), np.tile(y, x.size), *values), with each axis
-    value formatted once and the value columns in blocks of whole rows."""
-    nx, ny = len(x), len(y)
-    axes = np.concatenate((x, y), dtype=float)
-    table = np.column_stack([np.asarray(v, dtype=float).ravel() for v in values])
+    each value the bytes of '%.17g', in blocks of whole rows.  Leading
+    columns may be indexed, (values, index) for values[index], their values
+    formatted once, with the first block: a grid file passes its axes as
+    (x, rows // ny) and (y, rows % ny)."""
+    keyed = [c for c in columns if isinstance(c, tuple)]
+    values = [np.asarray(v, dtype=float).ravel() for v, _ in keyed]
+    table = np.column_stack([np.asarray(c, dtype=float).ravel() for c in columns[len(keyed):]])
     rows = max(1, _BLOCK_VALUES // table.shape[1])
     parts = []
     for k in range(0, table.shape[0], rows):
-        at = np.arange(k, min(k + rows, table.shape[0]))
-        vals = table[k:k + at.size].ravel()
-        if k == 0:  # the axes are formatted with the first block, saving a call
-            axes, vals = np.split(_slots(np.concatenate((axes, vals))), [nx + ny])
+        block = table[k:k + rows]
+        if k == 0 and keyed:  # the indexed values go with the first block, saving a call
+            *formatted, slots = np.split(_slots(np.concatenate((*values, block.ravel()))),
+                                         np.cumsum([v.size for v in values]))
         else:
-            vals = _slots(vals)
-        block = np.empty((at.size, table.shape[1] + 2, _WIDTH), np.uint8)
-        block[:, 0] = axes.take(at // ny, axis=0)
-        block[:, 1] = axes.take(nx + at % ny, axis=0)
-        block[:, 2:] = vals.reshape(at.size, -1, _WIDTH)
-        parts.append(_lines(block))
+            slots = _slots(block.ravel())
+        lines = slots.reshape(block.shape[0], -1, _WIDTH)  # a plain table's slots in place
+        if keyed:
+            lines = np.concatenate([*(f.take(index[k:k + rows], axis=0)[:, None]
+                                      for f, (_, index) in zip(formatted, keyed)), lines], axis=1)
+        # the last separator of each row becomes a newline; the padding goes
+        lines[:, -1, 29] = ord("\n")
+        parts.append(lines.tobytes().translate(None, b"\0"))
     _atomic_write(path, header.encode() + b"\n" + b"".join(parts))
 
 
-def _write_json(path: str, payload) -> None:
-    """Write payload as indented JSON with sorted keys and a final newline."""
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+def _json_text(payload) -> str:
+    """payload as indented JSON with sorted keys: the one JSON serializer."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _write_json(path: str, payload) -> str:
+    """Write payload as :func:`_json_text` and a final newline; returns path."""
+    _atomic_write(path, (_json_text(payload) + "\n").encode())
+    return path
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _sidecar(csv_path: str) -> str:
+    return os.path.splitext(csv_path)[0] + ".json"
+
+
+def _read_table(path: str, bad_header, bad_width) -> dict[str, np.ndarray]:
+    """The float columns of a CSV table by the names in its header, read by
+    one np.loadtxt; a format's own errors are bad_header(header line, names),
+    or None, checked before any row is read, and bad_width(names, shape)."""
+    with open(path) as fh:
+        header = fh.readline()
+        names = [n.strip() for n in header.lstrip("#").split(",")]
+        if (error := bad_header(header, names)) is not None:
+            raise error
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.shape[1] != len(names):
+        raise bad_width(names, rows.shape)
+    return dict(zip(names, rows.T))
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    """Write data to path by one rename of a new file beside it, created
-    like open() would create it: mode 0o666 less the umask."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_{os.urandom(8).hex()}.part")
+    """Write data to path (its folder made if missing) by one rename of a new
+    file beside it, created like open() would create it: mode 0o666 less the umask."""
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".tmp_{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -550,21 +562,16 @@ def write_tomogram(t: Tomogram, csv_path: str, hbar: float | None = None,
         "state": state,
         "atoms": [{"weight": a.weight, "location": a.location} for a in t.atoms],
     }
-    side = os.path.splitext(csv_path)[0] + ".json"
-    _write_json(side, meta)
-    return side
+    return _write_json(_sidecar(csv_path), meta)
 
 
 def read_tomogram(csv_path: str) -> tuple[Tomogram, dict]:
     """Read a tomogram written by :func:`write_tomogram`; returns (tomogram, meta)."""
-    with open(csv_path) as fh:
-        header = fh.readline()
-        if header.strip() != "X,value":
-            raise TomogramError(f"unexpected CSV header {header!r}")
-        xs, vs = np.loadtxt(fh, delimiter=",", ndmin=2).T
-    side = os.path.splitext(csv_path)[0] + ".json"
-    with open(side) as fh:
-        meta = json.load(fh)
+    col = _read_table(
+        csv_path, lambda line, _: None if line.strip() == "X,value" else TomogramError(
+            f"unexpected CSV header {line!r}"),
+        lambda *_: TomogramError("tomogram CSV rows need 2 columns"))
+    meta = _read_json(_sidecar(csv_path))
     frame = TomographyFrame(meta["frame"]["mu"], meta["frame"]["nu"])
     atoms = tuple(DeltaAtom(a["weight"], a["location"]) for a in meta.get("atoms", []))
-    return Tomogram(frame, xs, vs, atoms), meta
+    return Tomogram(frame, col["X"], col["value"], atoms), meta

@@ -12,7 +12,6 @@ smooth classical tomograms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classical import box_plateaus, classical_box_tomogram, classical_oscillator_tomogram
-from .kernel import Tomogram, TomographyFrame, TomogramError, normalization_residual
+from .kernel import Tomogram, TomographyFrame, TomogramError, _json_text, normalization_residual
 from .quantum import (
     _require_stationary_phase,
     box_tomogram,
@@ -95,8 +94,8 @@ class LimitReport:
         ):
             raise ValueError("fitted_exponent requires a fit with R^2 >= 0.98")
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        return {
             "study": self.study,
             "parameters": self.parameter_name,
             "values": list(map(float, self.parameter_values)),
@@ -107,7 +106,9 @@ class LimitReport:
             "details": self.details,
             "artifacts": self.artifacts,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return _json_text(self.payload())
 
 
 def _require_monotone(values: Sequence[float]) -> None:

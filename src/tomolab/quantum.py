@@ -47,6 +47,7 @@ from .states import (
     HOEigen,
     State,
     Superposition,
+    _box_wave_number,
     coherent_center,
     momentum_extent,
     momentum_wavefunction,
@@ -273,7 +274,7 @@ def _box_characteristic(state, mu_grid, nu_grid, hbar):
     overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky] e^{i mu y} dy:
     three integrals int e^{i w y} dy = e^{i w L/2} d sinc(w d/2) over the
     overlap of length d = L - 2|s|, and zero where d <= 0."""
-    L, k = state.L, state.n * math.pi / state.L
+    L, k = state.L, _box_wave_number(state.n, state.L)
     mu = np.asarray(mu_grid, dtype=float)[:, None]
     s = 0.5 * hbar * np.asarray(nu_grid, dtype=float)[None, :]
     d = np.maximum(L - 2.0 * np.abs(s), 0.0)
@@ -299,7 +300,7 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
     times e^{i mu y}, and they are split so that no panel spans more than
     pi/4 of phase at the largest |mu|.  All mu then take one matrix
     product with the phase table e^{i mu y} (:func:`classical._phases`),
-    in blocks of bounded size.
+    in blocks of bounded size; nu and -nu share the panels and the table.
     """
     mu = np.asarray(mu_grid, dtype=float)
     nu = np.asarray(nu_grid, dtype=float)
@@ -307,18 +308,23 @@ def _overlap_characteristic(state, mu_grid, nu_grid, hbar):
     edges, env_scale = _cells(state, hbar)
     mu_max = float(np.max(np.abs(mu), initial=0.0))
     G = np.zeros((mu.size, nu.size), dtype=complex)
-    for j in range(nu.size):
-        h = 0.5 * hbar * nu[j]
-        lo, hi = edges[0] + abs(h), edges[-1] - abs(h)
+    for a in _distinct(np.abs(nu)):
+        # nu and -nu shift the supports by -+s alike, so they share the cut
+        # set, the panels and the phase table; each keeps its own f
+        js = np.flatnonzero(np.abs(nu) == a)
+        h = 0.5 * hbar * a
+        lo, hi = edges[0] + h, edges[-1] - h
         if hi <= lo:
             continue  # the shifted supports do not overlap
         cuts = np.concatenate((edges - h, edges + h))
         coarse = _distinct(cuts[(cuts >= lo) & (cuts <= hi)])
         nodes, weights = _chirp_panels(coarse, 0.0, mu_max, env_scale)
-        f = np.conj(psi(nodes - h)) * psi(nodes + h) * weights
+        fs = [np.conj(psi(nodes - s)) * psi(nodes + s) * weights for s in 0.5 * hbar * nu[js]]
         rows = max(1, _OVERLAP_BLOCK // nodes.size)
         for i in range(0, mu.size, rows):
-            G[i:i + rows, j] = _phases(mu[i:i + rows], nodes) @ f
+            E = _phases(mu[i:i + rows], nodes)
+            for j, f in zip(js, fs):
+                G[i:i + rows, j] = E @ f
     return G
 
 
@@ -352,12 +358,12 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
     of :func:`interval_chirp`.  The cost is independent of n.
     """
     x = np.asarray(x_grid, dtype=float)
+    k = _box_wave_number(n, L)
     if frame.nu == 0.0:
         return tomogram_from_wavefunction(BoxEigen(n, L), frame, x, hbar)
     pref = 1.0 / (4.0 * math.pi * L * hbar * abs(frame.nu))
     a = frame.mu / (2.0 * hbar * frame.nu)
     b = -x / (hbar * frame.nu)
-    k = n * math.pi / L
     am = interval_chirp(a, b + k, L)
     ap = interval_chirp(a, b - k, L)
     return Tomogram(frame, x, pref * np.abs(am - ap) ** 2)

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .kernel import _NORMAL_MIN, _check_uniform_grid
+from .kernel import _NORMAL_MIN, _check_uniform_grid, _read_table
 from .specfun import hermite_phi, laguerre_scaled
 
 __all__ = [
@@ -104,6 +104,15 @@ def _require_normal(name: str, value: float) -> None:
     # below the smallest normal double, 1/value or sqrt(1/value) overflows
     if not (math.isfinite(value) and value >= _NORMAL_MIN):
         raise ValueError(f"{name} must be a finite positive normal double, got {value!r}")
+
+
+def _box_wave_number(n: int, L: float) -> float:
+    """k = n pi/L of a box eigenstate, refused where k or a scale the box
+    routes build from it (k^2, L^2, the momentum reach's k^2/L) is not normal."""
+    k = n * math.pi / L
+    for name, value in (("k = n pi/L", k), ("k^2", k * k), ("L^2", L * L), ("k^2/L", k * k / L)):
+        _require_normal(f"box {name} at n = {n}, L = {L!r},", value)
+    return k
 
 
 def _num(v: float) -> str:
@@ -368,7 +377,7 @@ class BoxEigen(State):
         _require_normal("box width L", self.L)
 
     def position_wavefunction(self, hbar):
-        k = self.n * math.pi / self.L
+        k = _box_wave_number(self.n, self.L)
         amp = math.sqrt(2.0 / self.L)
         L = self.L
 
@@ -380,7 +389,7 @@ class BoxEigen(State):
         return box_psi
 
     def momentum_wavefunction(self, hbar):
-        k = self.n * math.pi / self.L
+        k = _box_wave_number(self.n, self.L)
         L = self.L
         alt = (-1.0) ** self.n
         amp = math.sqrt(2.0 / L) / math.sqrt(2.0 * math.pi * hbar)
@@ -401,12 +410,13 @@ class BoxEigen(State):
         return self.L / 2.0, hbar * self.n * math.pi / self.L
 
     def position_extent(self, hbar, tails=8.0):
+        _box_wave_number(self.n, self.L)
         return 0.0, self.L
 
     def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
         """Power-law momentum tails: the reach is sized from the requested
         mass tolerance, not from tails."""
-        k = self.n * math.pi / self.L
+        k = _box_wave_number(self.n, self.L)
         core = hbar * k
         tail = (8.0 * k * k * hbar ** 3 / (3.0 * math.pi * self.L * mass_tol)) ** (1.0 / 3.0)
         r = core + 1.5 * tail
@@ -607,17 +617,11 @@ def parse_state(text: str) -> State:
         kv = _parse_kv(text, body, off, {"n": int, "L": float}, ("n",))
         return BoxEigen(kv["n"], kv.get("L", 1.0))
     if kind == "custom":
-        path = body
-        if not os.path.exists(path):
-            raise DescriptorError(text, off, f"custom state file not found: {path!r}")
-        with open(path) as fh:
-            names = [n.strip() for n in fh.readline().lstrip("#").split(",")]
-            if "x" not in names or "re" not in names:
-                raise DescriptorError(text, off, "custom CSV needs header x,re[,im]")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[1] != len(names):
-            raise DescriptorError(text, off, f"custom CSV rows need {len(names)} columns")
-        col = dict(zip(names, data.T))
-        im = col["im"] if "im" in col else np.zeros_like(col["x"])
-        return CustomGrid(col["x"], col["re"] + 1j * im)
+        if not os.path.exists(body):
+            raise DescriptorError(text, off, f"custom state file not found: {body!r}")
+        col = _read_table(
+            body, lambda _, names: None if "x" in names and "re" in names else DescriptorError(
+                text, off, "custom CSV needs header x,re[,im]"),
+            lambda names, _: DescriptorError(text, off, f"custom CSV rows need {len(names)} columns"))
+        return CustomGrid(col["x"], col["re"] + 1j * col.get("im", 0.0))
     raise DescriptorError(text, 0, f"unknown state kind {kind!r}")

@@ -154,6 +154,22 @@ def test_state_scales_must_be_finite_normal_doubles(tmp_path, capsys, state, fie
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("L", ["2.3e-308", "1e308"])
+def test_a_box_whose_wave_number_leaves_the_normal_doubles_is_refused(tmp_path, capsys, L):
+    # both widths are normal doubles, but k = pi/L overflows k^2 at the
+    # first (which exited 2 after a RuntimeWarning, blaming the x grid) and
+    # underflows it at the second (which wrote a NaN tomogram and exited 1)
+    out = str(tmp_path / "x.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["tomogram", "--state", f"box:n=1,L={L}", "--frame", "1,0.5", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"L = {float(L)!r}" in err[0]
+    assert "must be a finite positive normal double" in err[0]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("hbar", ["0.5", "1", "2"])
 @pytest.mark.parametrize("state", [
     "coherent:re=1,im=0,varpi=1.7e308", "cat:odd,re=1,im=0.3,varpi=1e308",

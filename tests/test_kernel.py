@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from tomolab import kernel
+from tomolab.classical import DensityGrid, read_density_csv, write_density_csv
 from tomolab.kernel import (
     DeltaAtom,
+    GridFunction2D,
     Tomogram,
     TomographyFrame,
     TomogramError,
@@ -22,7 +25,7 @@ from tomolab.kernel import (
     write_tomogram,
 )
 from tomolab.quantum import coherent_tomogram, hermite_tomogram, state_tomogram
-from tomolab.states import parse_state
+from tomolab.states import DescriptorError, parse_state
 
 from conftest import gaussian_tomogram_values
 
@@ -238,6 +241,38 @@ def test_serialization_roundtrip(tmp_path):
         assert json.load(fh)["atoms"][0]["location"] == 1.0 / 3.0
 
 
+def _read_custom(path):
+    return parse_state(f"custom:{path}")
+
+
+@pytest.mark.parametrize("read, header, kind, message", [
+    (read_tomogram, "X,value", "header", (TomogramError, "unexpected CSV header 'x,im\\n'")),
+    (read_tomogram, "X,value", "ragged", (ValueError, "the number of columns changed from 2 to 4 at row 3")),
+    (read_density_csv, "q,p,f", "header", (TomogramError, "density CSV header must be q,p,f, got 'x,im'")),
+    (read_density_csv, "q,p,f", "ragged", (ValueError, "the number of columns changed from 3 to 4 at row 3")),
+    (_read_custom, "x,re", "header", (DescriptorError, "custom CSV needs header x,re[,im]\n  custom:{path}\n")),
+    (_read_custom, "x,re", "ragged", (ValueError, "the number of columns changed from 2 to 4 at row 3")),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_readers_keep_their_errors(tmp_path, read, header, kind, message):
+    # the three readers share kernel's one table reader, and a user still
+    # sees each one's own error for a header it refuses and numpy's for a
+    # ragged row
+    path = str(tmp_path / "f.csv")
+    g = np.linspace(-1.0, 1.0, 3)  # the sidecar read_density_csv reads first
+    write_density_csv(DensityGrid(GridFunction2D(g, g, np.full((3, 3), 0.25))), path)
+    width = header.count(",") + 1
+    rows = ["0" + ",0" * (width - 1), "1" + ",1" * (width - 1), "3,4,5,6"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(["x,im" if kind == "header" else header] + rows) + "\n")
+    with pytest.raises(ValueError) as caught:
+        read(path)
+    kind, text = message
+    assert type(caught.value) is kind
+    assert str(caught.value).startswith(text.format(path=path))
+    if kind is ValueError:
+        assert str(caught.value).endswith("; use `usecols` to select a subset and avoid this error")
+
+
 # ---------------------------------------------------------------------------
 # the CSV writer: every value is the bytes of '%.17g' % value
 # ---------------------------------------------------------------------------
@@ -248,8 +283,17 @@ def _oracle_rows(table: np.ndarray) -> bytes:
     return ((row * table.shape[0]) % tuple(table.ravel().tolist())).encode()
 
 
+def _written(table: np.ndarray) -> bytes:
+    """The CSV lines kernel._write_csv writes for the columns of table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        kernel._write_csv(path, "h", table.T)
+        with open(path, "rb") as fh:
+            return fh.read()[len(b"h\n"):]
+
+
 def _assert_oracle(table: np.ndarray) -> None:
-    got, want = kernel._csv_rows(table), _oracle_rows(table)
+    got, want = _written(table), _oracle_rows(table)
     if got != want:
         pairs = zip(got.split(b"\n"), want.split(b"\n"))
         bad = next((g, w) for g, w in pairs if g != w)
@@ -311,11 +355,26 @@ def test_grid_writer_matches_the_repeat_tile_columns(tmp_path, nx, ny, nvalues):
     for v in values:
         v.ravel()[::7][:_SPECIALS.size] = _SPECIALS[:v.ravel()[::7].size]
     columns = (np.repeat(x, ny), np.tile(y, nx), *values)
-    kernel._write_grid_csv(str(tmp_path / "grid.csv"), "h", x, y, *values)
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    kernel._write_csv(str(tmp_path / "grid.csv"), "h", ((x, ix), (y, iy), *values))
     kernel._write_csv(str(tmp_path / "plain.csv"), "h", columns)
     got = (tmp_path / "grid.csv").read_bytes()
     assert got == b"h\n" + _oracle_rows(np.column_stack([c.ravel() for c in columns]))
     assert got == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_indexed_columns_write_their_gathered_values(tmp_path):
+    # indexes in any order and repeating, not a grid's, over blocks of
+    # whole rows
+    rng = np.random.default_rng(11)
+    rows = kernel._BLOCK_VALUES + 777
+    labels = np.r_[rng.standard_normal(5) * 1e-200, _SPECIALS]
+    index = rng.integers(0, labels.size, (2, rows))
+    a, b = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-40, 40, (2, rows))
+    kernel._write_csv(str(tmp_path / "keyed.csv"), "l,m,a,b",
+                      ((labels, index[0]), (labels[::-1], index[1]), a, b))
+    want = _oracle_rows(np.column_stack([labels[index[0]], labels[::-1][index[1]], a, b]))
+    assert (tmp_path / "keyed.csv").read_bytes() == b"l,m,a,b\n" + want
 
 
 def test_writer_takes_no_fallback_on_a_tomogram_with_tails_and_zeros():

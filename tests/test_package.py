@@ -179,3 +179,24 @@ def test_no_np_unique_in_the_package():
             assert not (isinstance(node, ast.Attribute) and node.attr == "unique"
                         and isinstance(node.value, ast.Name) and node.value.id == "np"), (
                 path.name, node.lineno)
+
+
+def test_file_formats_are_known_in_kernel_alone():
+    # kernel holds the one table reader, the one JSON serializer and the one
+    # sidecar rule: outside it no function calls np.loadtxt or json (but
+    # RunConfig.from_json, which reads the user's --config document) or
+    # builds a '.json' sidecar path from a CSV path
+    for path in (_ROOT / "src" / "tomolab").glob("*.py"):
+        if path.name == "kernel.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "from_json":
+                continue
+            for node in ast.walk(fn):
+                where = (path.name, fn.name, getattr(node, "lineno", None))
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "splitext", where
+                    if isinstance(node.value, ast.Name):
+                        assert (node.value.id, node.attr) != ("np", "loadtxt"), where
+                        assert node.value.id != "json", where
+                assert not (isinstance(node, ast.Constant) and node.value == ".json"), where

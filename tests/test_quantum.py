@@ -1260,12 +1260,12 @@ def test_overlap_quadrature_matches_the_closed_characteristic(state):
 def test_overlap_equals_the_exp_of_every_mu(monkeypatch, state, block):
     # the phase table is written from cos and sin; the reference takes
     # exp(i mu y) for every signed mu and must agree bit for bit, also when
-    # the mu rows are split over blocks
+    # the mu rows are split over blocks and when nu and -nu share a table
     if block is not None:
         monkeypatch.setattr(qt, "_OVERLAP_BLOCK", block)
     hbar = 0.9
     mu = np.r_[np.linspace(-4.0, 4.0, 17), 2.7, -0.35]  # pairs, a zero and unpaired values
-    nu = np.array([-1.3, 0.0, 0.45, 2.0])
+    nu = np.array([-1.3, 0.0, 0.45, 2.0, -0.45])
     G = qt._overlap_characteristic(state, mu, nu, hbar)
     psi = st.position_wavefunction(state, hbar)
     edges, env_scale = qt._cells(state, hbar)
