@@ -251,11 +251,11 @@ class FrameSamples:
         dnu = float(self.nu_grid[1] - self.nu_grid[0]) if self.nu_grid.size > 1 else 0.0
         return dmu, dnu
 
-    def edge_tail(self) -> float:
-        """Largest |G| on the outer edge of the frame grid: the size of the
-        tail the inverse maps discard beyond the frame box."""
+    def edge_tails(self) -> tuple[float, float]:
+        """Largest |G| on the first and last mu, and on the first and last nu:
+        the tail the inverse maps discard beyond the frame box on each axis."""
         g = np.abs(self.values)
-        return float(max(g[[0, -1], :].max(), g[:, [0, -1]].max()))
+        return float(g[[0, -1], :].max()), float(g[:, [0, -1]].max())
 
     def nu_index(self, nu):
         """Index into nu_grid of each requested nu (scalar or array), which

@@ -46,10 +46,6 @@ __all__ = ["main", "RunConfig", "build_parser", "run_selftest"]
 
 # a written tomogram whose mass is further than this from 1 fails its command
 TOMOGRAM_MASS_TOL = 1e-2
-# largest |G| a Wigner reconstruction may leave on the edge of its frame
-# box, and how often each axis may double to get there
-FRAME_TAIL_TOL = 1e-3
-FRAME_BOX_DOUBLINGS = 6
 # a reconstruction further than this from the exact state, where one is
 # known, fails its command (acceptance criterion 11's bound)
 RECONSTRUCT_ERROR_TOL = 1e-3
@@ -185,14 +181,6 @@ def _parse_frames_list(text: str) -> list[tuple[float, float]]:
     return [_parse_pair(tok, "frame") for tok in text.split(";") if tok]
 
 
-def _centred_grid(m: float, n: int) -> np.ndarray:
-    """n points from -m to m, exactly symmetric, whose centre point (odd n)
-    is exactly 0: np.linspace can leave it at +-4e-16, a frame whose
-    tomogram is a needle of width ~1e-15 that no X grid resolves."""
-    h = (n - 1) / 2
-    return m * (np.arange(n) - h) / h if n > 1 else np.zeros(1)
-
-
 # ---------------------------------------------------------------------------
 # tomogram
 # ---------------------------------------------------------------------------
@@ -205,18 +193,17 @@ def cmd_tomogram(cfg: RunConfig) -> int:
     out = cfg.out if cfg.out.endswith(".csv") else os.path.join(cfg.out, "tomogram.csv")
     write_tomogram(tom, out, hbar=cfg.hbar, state=state.descriptor())
     print(f"tomogram written to {out}")
-    print(f"normalization residual: {normalization_residual(tom):.3e}")
-    return 0 if _mass_ok("tomogram", out, tom) else 1
-
-
-def _mass_ok(command: str, path: str, tom: Tomogram) -> bool:
-    """Whether the tomogram written to path has its mass within
-    TOMOGRAM_MASS_TOL of 1; if not, say so in one stderr line."""
     resid = normalization_residual(tom)
-    if resid <= TOMOGRAM_MASS_TOL:
+    print(f"normalization residual: {resid:.3e}")
+    return 0 if _within("tomogram", out, "normalization residual", resid, TOMOGRAM_MASS_TOL) else 1
+
+
+def _within(command: str, path: str, what: str, value: float, tol: float) -> bool:
+    """The gate of every written output: whether value, what was measured
+    of the file at path, is within tol; if not, say so in one stderr line."""
+    if value <= tol:
         return True
-    print(f"{command}: {path}: normalization residual {resid:.3e} exceeds the tolerance "
-          f"{TOMOGRAM_MASS_TOL:g}", file=sys.stderr)
+    print(f"{command}: {path}: {what} {value:.3e} exceeds the tolerance {tol:g}", file=sys.stderr)
     return False
 
 
@@ -315,7 +302,8 @@ def cmd_limit(cfg: RunConfig) -> int:
         curve = report.curves[i]
         if isinstance(curve, Tomogram):
             write_tomogram(curve, path, hbar=value, state=None)
-            masses_ok = _mass_ok("limit", path, curve) and masses_ok
+            masses_ok = _within("limit", path, "normalization residual", normalization_residual(curve),
+                                TOMOGRAM_MASS_TOL) and masses_ok
         else:
             _write_csv(path, "X,value" if on_hbar else "X,quantum,classical", curve[:3])
         report.artifacts.append(path)
@@ -334,61 +322,13 @@ def cmd_limit(cfg: RunConfig) -> int:
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
     state = st.parse_state(cfg.state)
-    hbar = cfg.hbar
-    report: dict = {"state": state.descriptor(), "hbar": hbar, "target": cfg.target}
-
+    grid = np.linspace(*cfg.grid) if cfg.grid else None
     if cfg.target == "wigner":
-        qlo, qhi = st.position_extent(state, hbar, tails=4.0)
-        plo, phi = st.momentum_extent(state, hbar, tails=4.0)
-        qext = max(abs(qlo), abs(qhi))
-        pext = max(abs(plo), abs(phi))
-        # the characteristic function of |n> decays like L_n(lam) e^{-lam/2}
-        # with lam = (mu^2 sq^2 + nu^2 sp^2); size the frame box so the
-        # discarded tail is ~1e-6
-        lam_cut = 32.0 + 8.0 * state.max_order()
-        sq, sp = st.natural_scales(state, hbar)
-        mu_max = math.sqrt(lam_cut) / (sq / math.sqrt(2.0))
-        nu_max = math.sqrt(lam_cut) / (sp / math.sqrt(2.0))
-        # double each axis whose edge frames still carry |G| over
-        # FRAME_TAIL_TOL: a box eigenstate's G decays only like 1/mu^2
-        for _ in range(FRAME_BOX_DOUBLINGS + 1):
-            fam = qt.build_state_family(
-                state, hbar, _centred_grid(mu_max, 2 * int(math.ceil(mu_max * qext / 2.5)) + 1),
-                _centred_grid(nu_max, 2 * int(math.ceil(nu_max * pext / 2.5)) + 1))
-            G = np.abs(fam.values)
-            wide_mu = max(G[0].max(), G[-1].max()) > FRAME_TAIL_TOL
-            wide_nu = max(G[:, 0].max(), G[:, -1].max()) > FRAME_TAIL_TOL
-            if not (wide_mu or wide_nu):
-                break
-            mu_max *= 2.0 if wide_mu else 1.0
-            nu_max *= 2.0 if wide_nu else 1.0
-        qg = np.linspace(*cfg.grid) if cfg.grid else np.linspace(-0.6 * qext, 0.6 * qext, 41)
-        pg = qg * pext / qext
-        wrec, resid = qt.wigner_from_tomogram_grid(fam, qg, pg, hbar)
-        header, x, y, values = "q,p,W", qg, pg, (wrec.values,)
-        report["imag_residual"] = resid
-        report["frame_box_tail"] = fam.edge_tail()
-        exact = state.exact_wigner(hbar)
-        if exact is not None:
-            ref = exact(pg[None, :], qg[:, None])
-            report["max_error_vs_exact"] = float(np.max(np.abs(wrec.values - ref)))
+        wrec, fields = qt.reconstruct_wigner(state, cfg.hbar, grid)
+        header, x, y, values = "q,p,W", wrec.x_grid, wrec.y_grid, (wrec.values,)
     elif cfg.target == "density":
-        xs = (np.linspace(*cfg.grid) if cfg.grid
-              else np.linspace(*st.position_extent(state, hbar, tails=3.0), 31))
-        nus = _distinct(np.round((xs[:, None] - xs[None, :]) / hbar, 12))
-        sq, sp = st.natural_scales(state, hbar)
-        mu_max = 6.0 / sq
-        n_mu = 2 * int(math.ceil(mu_max * max(np.abs(xs)) / 2.5)) + 1
-        slices = qt.build_state_slices(state, hbar, nus, _centred_grid(mu_max, n_mu))
-        rho, herm = qt.density_grid_from_tomogram(slices, xs, hbar)
+        xs, rho, fields = qt.reconstruct_density(state, cfg.hbar, grid)
         header, x, y, values = "x,xprime,re,im", xs, xs, (rho.real, rho.imag)
-        report["hermiticity_residual"] = herm
-        report["frame_box_tail"] = slices.edge_tail()
-        diag = np.real(np.diag(rho))
-        report["trace"] = float(np.trapezoid(diag, xs))
-        if not state.sampled:
-            psi = st.position_wavefunction(state, hbar)(xs)
-            report["max_error_vs_exact"] = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
     else:
         print(f"unknown reconstruction target {cfg.target!r} (wigner | density)", file=sys.stderr)
         return 2
@@ -398,16 +338,13 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     ix, iy = np.divmod(np.arange(x.size * y.size), y.size)
     _write_csv(out_csv, header, ((x, ix), (y, iy), *values))
     print(f"{cfg.target} grid written to {out_csv}")
+    report = {"state": state.descriptor(), "hbar": cfg.hbar, "target": cfg.target, **fields}
     _write_json(os.path.join(cfg.out, "reconstruct_report.json"), report)
-    err = report.get("max_error_vs_exact")
+    err = fields.get("max_error_vs_exact")
     if err is None:
         return 0
     print(f"max error vs exact: {err:.3e}")
-    if err <= RECONSTRUCT_ERROR_TOL:
-        return 0
-    print(f"reconstruct: {out_csv}: max error vs exact {err:.3e} exceeds the tolerance "
-          f"{RECONSTRUCT_ERROR_TOL:g}", file=sys.stderr)
-    return 1
+    return 0 if _within("reconstruct", out_csv, "max error vs exact", err, RECONSTRUCT_ERROR_TOL) else 1
 
 
 # ---------------------------------------------------------------------------

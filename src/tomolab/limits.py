@@ -34,7 +34,7 @@ from .quantum import (
     superposition_cross_term,
 )
 from .specfun import log_gamma, parabolic_u_asymptotic
-from .states import CatEven, Coherent, State, cat_normalization
+from .states import CatEven, Coherent, State, _box_wave_number, cat_normalization
 
 __all__ = [
     "LimitReport",
@@ -477,6 +477,7 @@ def windowed_average(fn: Callable[[np.ndarray], np.ndarray], centers: np.ndarray
 def _box_curve(n: int, L: float, fr: TomographyFrame) -> tuple[float, tuple]:
     """box_windowed_distance and its curve (LimitReport.curves)."""
     _require_stationary_phase(n, fr)  # before the period divides by n
+    _box_wave_number(n, L)  # refuses, naming L, a box whose scales leave the normal doubles
     period = abs(fr.mu) * L / n
     edges = np.ravel(box_plateaus(fr, L))
     lo = min(min(edges) - 0.2, -0.2)

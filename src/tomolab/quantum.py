@@ -80,6 +80,8 @@ __all__ = [
     "wigner_from_tomogram_grid",
     "build_state_slices",
     "density_grid_from_tomogram",
+    "reconstruct_wigner",
+    "reconstruct_density",
 ]
 
 
@@ -761,13 +763,15 @@ def build_state_family(state: State, hbar: float, mu_grid, nu_grid) -> FrameSamp
     else:
         G = _overlap_characteristic(state, mu_grid, nu_grid, hbar)
     G[(mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]] = 1.0  # unit atom at X = 0
-    # declared alias radii: 4-sigma support is what the Nyquist check needs,
-    # not the 8-sigma quadrature padding
+    return FrameSamples(mu_grid, nu_grid, G, *_support_radii(state, hbar))
+
+
+def _support_radii(state: State, hbar: float) -> tuple[float, float]:
+    # the 4-sigma q and p radii: what the Nyquist check and the frame step
+    # need, not the 8-sigma quadrature padding
     qlo, qhi = position_extent(state, hbar, tails=4.0)
     plo, phi = momentum_extent(state, hbar, tails=4.0)
-    q_extent = max(abs(qlo), abs(qhi))
-    p_extent = max(abs(plo), abs(phi))
-    return FrameSamples(mu_grid, nu_grid, G, q_extent, p_extent)
+    return max(abs(qlo), abs(qhi)), max(abs(plo), abs(phi))
 
 
 def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
@@ -809,3 +813,74 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
     resid = float(np.max(np.abs(rho - rho.conj().T)))
     return rho, resid
+
+
+# ---------------------------------------------------------------------------
+# reconstructions of a state from its own tomogram family
+# ---------------------------------------------------------------------------
+
+# largest |G| a Wigner reconstruction may leave on the edge of its frame
+# box, and how often each axis may double to get there
+FRAME_TAIL_TOL = 1e-3
+FRAME_BOX_DOUBLINGS = 6
+
+
+def _frame_axis(reach: float, radius: float) -> np.ndarray:
+    """-reach to reach in an odd count of steps of at most 2.5/radius, the
+    Radon sampling condition for a support of that radius (Natterer, The
+    Mathematics of Computerized Tomography, ch. III)."""
+    n = 2 * int(math.ceil(reach * radius / 2.5)) + 1
+    # exactly symmetric with its centre exactly 0: np.linspace can leave it
+    # at +-4e-16, a frame whose tomogram is a needle of width ~1e-15 that no
+    # X grid resolves
+    h = (n - 1) / 2
+    return reach * (np.arange(n) - h) / h if n > 1 else np.zeros(1)
+
+
+def reconstruct_wigner(state: State, hbar: float, q_grid=None) -> tuple[GridFunction2D, dict]:
+    """W from the state's frame family on q_grid (default 41 points over 0.6
+    of the q support radius) by q scaled to the p radius, and the fields
+    imag_residual, frame_box_tail and (exact W known) max_error_vs_exact."""
+    qext, pext = _support_radii(state, hbar)
+    # the characteristic function of |n> decays like L_n(lam) e^{-lam/2}
+    # with lam = (mu^2 sq^2 + nu^2 sp^2)/2; size the frame box so the
+    # discarded tail is ~1e-6
+    lam_cut = 32.0 + 8.0 * state.max_order()
+    sq, sp = natural_scales(state, hbar)
+    mu_max = math.sqrt(lam_cut) / (sq / math.sqrt(2.0))
+    nu_max = math.sqrt(lam_cut) / (sp / math.sqrt(2.0))
+    # double each axis whose edge frames still carry |G| over
+    # FRAME_TAIL_TOL: a box eigenstate's G decays only like 1/mu^2
+    for _ in range(FRAME_BOX_DOUBLINGS + 1):
+        fam = build_state_family(state, hbar, _frame_axis(mu_max, qext), _frame_axis(nu_max, pext))
+        wide_mu, wide_nu = (tail > FRAME_TAIL_TOL for tail in fam.edge_tails())
+        if not (wide_mu or wide_nu):
+            break
+        mu_max *= 2.0 if wide_mu else 1.0
+        nu_max *= 2.0 if wide_nu else 1.0
+    q = np.linspace(-0.6 * qext, 0.6 * qext, 41) if q_grid is None else np.asarray(q_grid, dtype=float)
+    p = q * pext / qext
+    wrec, resid = wigner_from_tomogram_grid(fam, q, p, hbar)
+    report = {"imag_residual": resid, "frame_box_tail": max(fam.edge_tails())}
+    exact = state.exact_wigner(hbar)
+    if exact is not None:
+        report["max_error_vs_exact"] = float(np.max(np.abs(wrec.values - exact(p[None, :], q[:, None]))))
+    return wrec, report
+
+
+def reconstruct_density(state: State, hbar: float, x_points=None) -> tuple[np.ndarray, np.ndarray, dict]:
+    """x_points (default 31 over the 3-sigma position support), rho on their
+    pairs from the slices nu = (x - x')/hbar, |mu| <= 6/sigma_q, and the fields
+    hermiticity_residual, frame_box_tail, trace and (not sampled) max_error_vs_exact."""
+    xs = (np.linspace(*position_extent(state, hbar, tails=3.0), 31) if x_points is None
+          else np.asarray(x_points, dtype=float))
+    nus = _distinct(np.round((xs[:, None] - xs[None, :]) / hbar, 12))
+    sq, _ = natural_scales(state, hbar)
+    slices = build_state_slices(state, hbar, nus, _frame_axis(6.0 / sq, max(np.abs(xs))))
+    rho, herm = density_grid_from_tomogram(slices, xs, hbar)
+    report = {"hermiticity_residual": herm, "frame_box_tail": max(slices.edge_tails()),
+              "trace": float(np.trapezoid(np.real(np.diag(rho)), xs))}
+    if not state.sampled:
+        psi = position_wavefunction(state, hbar)(xs)
+        report["max_error_vs_exact"] = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
+    return xs, rho, report

@@ -418,7 +418,9 @@ class BoxEigen(State):
         mass tolerance, not from tails."""
         k = _box_wave_number(self.n, self.L)
         core = hbar * k
-        tail = (8.0 * k * k * hbar ** 3 / (3.0 * math.pi * self.L * mass_tol)) ** (1.0 / 3.0)
+        # (8 k^2 hbar^3/(3 pi L mass_tol))^(1/3), each cube root taken apart:
+        # the product overflows for boxes that pass the scale check
+        tail = (8.0 / (3.0 * math.pi * mass_tol)) ** (1 / 3) * k ** (2 / 3) * hbar / self.L ** (1 / 3)
         r = core + 1.5 * tail
         return -r, r
 

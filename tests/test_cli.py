@@ -11,6 +11,7 @@ import pytest
 import tomolab.quantum
 from tomolab import cli
 from tomolab import limits as lm
+from tomolab import states as st
 from tomolab.classical import DensityGrid, write_density_csv
 from tomolab.kernel import GridFunction2D, Tomogram, TomographyFrame, normalization_residual, read_tomogram
 
@@ -168,6 +169,35 @@ def test_a_box_whose_wave_number_leaves_the_normal_doubles_is_refused(tmp_path, 
     assert len(err) == 1 and f"L = {float(L)!r}" in err[0]
     assert "must be a finite positive normal double" in err[0]
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("L", ["2.3e-308", "1e308"])
+def test_the_box_study_refuses_a_width_whose_wave_number_leaves_the_normal_doubles(tmp_path, capsys, L):
+    # the study once met the fringe cos(2 pi n X/(mu L)) first: a RuntimeWarning
+    # from the stationary-phase form, then "limit: distances must be finite"
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["limit", "ehrenfest-box", "--ns", "25,50", "--L", L, "--frame", "1,0.3",
+                    "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"L = {float(L)!r}" in err[0]
+    assert "must be a finite positive normal double" in err[0]
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_narrow_box_keeps_its_momentum_reach_finite(tmp_path, capsys):
+    # 8 k^2 hbar^3/(3 pi L mass_tol) reached 3.3e308 before its cube root was
+    # taken: a RuntimeWarning and exit 2, "x_grid must be finite and uniformly spaced"
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["tomogram", "--state", "box:n=1,L=1e-101", "--frame", "1,0.5", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.json"]
+    assert normalization_residual(read_tomogram(str(out))[0]) < 1e-5
 
 
 @pytest.mark.parametrize("hbar", ["0.5", "1", "2"])
@@ -825,6 +855,26 @@ def test_reconstruct_exits_1_past_the_error_tolerance(tmp_path, capsys, state, h
     assert os.path.exists(os.path.join(out, "density.csv"))
 
 
+@pytest.mark.parametrize("state,target", [("ho:n=3", "wigner"), ("coherent:re=1,im=0", "density")])
+def test_reconstruct_writes_the_library_reconstruction(tmp_path, state, target):
+    # the command writes what quantum.reconstruct_wigner / reconstruct_density
+    # return: the report is their fields after state, hbar and target
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", state, "--target", target, "--hbar", "0.5",
+                "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    parsed = st.parse_state(state)
+    if target == "wigner":
+        wrec, fields = tomolab.quantum.reconstruct_wigner(parsed, 0.5)
+        values = (wrec.values,)
+    else:
+        _, rho, fields = tomolab.quantum.reconstruct_density(parsed, 0.5)
+        values = (rho.real, rho.imag)
+    assert rep == {"state": parsed.descriptor(), "hbar": 0.5, "target": target, **fields}
+    rows = np.loadtxt(os.path.join(out, f"{target}.csv"), delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2:], np.column_stack([v.ravel() for v in values]))
+
+
 def test_reconstruct_box_wigner_at_small_hbar(tmp_path):
     # the command the per-frame family loop once refused (11,001 frames x
     # 14,866 X, estimated 131 s): the box characteristic function is closed
@@ -840,7 +890,7 @@ def test_reconstruct_box_wigner_at_small_hbar(tmp_path):
     assert time.perf_counter() - t0 < 5.0
     assert code == 0
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
-    assert rep["frame_box_tail"] < cli.FRAME_TAIL_TOL
+    assert rep["frame_box_tail"] < tomolab.quantum.FRAME_TAIL_TOL
     rows = np.genfromtxt(os.path.join(out, "wigner.csv"), delimiter=",", names=True)
     q, p = np.unique(rows["q"]), np.unique(rows["p"])
     W = rows["W"].reshape(q.size, p.size)
@@ -900,13 +950,19 @@ def test_dual_route_and_radon_load_no_scipy():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
 
 
-def test_centred_grid():
-    for m, n in ((3.7, 101), (2.0, 5), (1.0, 3), (1.5, 4)):
-        g = cli._centred_grid(m, n)
-        assert g.size == n and g[0] == -m and g[-1] == m
-        assert np.array_equal(g, -g[::-1])
-        assert n % 2 == 0 or g[n // 2] == 0.0
-    assert np.array_equal(cli._centred_grid(4.0, 1), [0.0])
+@pytest.mark.parametrize("reach,radius", [(3.7, 8.1), (2.0, 2.5), (1.0, 2.5), (math.sqrt(80.0), 4.0),
+                                          (0.4, 1.0), (60.0, 0.7071067811865476), (1e-3, 1e-3)])
+def test_frame_axis(reach, radius):
+    # the reconstructions' frame axes: odd, exactly symmetric, centred exactly
+    # on 0 (np.linspace can leave a needle-thin frame at +-4e-16 there) and
+    # stepped at most 2.5/radius; the ends are reach h/h, within one rounding
+    # of +-reach
+    g = tomolab.quantum._frame_axis(reach, radius)
+    assert g.size % 2 == 1 and abs(g[-1] - reach) <= np.spacing(reach)
+    assert np.array_equal(g, -g[::-1]) and g[g.size // 2] == 0.0
+    assert np.max(np.diff(g)) <= 2.5 / radius * (1.0 + 1e-12)
+    # reach * radius rounding to 0 leaves the one frame at the origin
+    assert np.array_equal(tomolab.quantum._frame_axis(1e-200, 1e-200), [0.0])
 
 
 def test_reconstruct_wigner_negativity(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from tomolab import quantum as qt
 from tomolab import states as st
 from tomolab.chirp import ChirpResolutionError, chirp_integral
+from tomolab.classical import FrameSamples
 from tomolab.kernel import (
     GridFunction2D,
     TomographyFrame,
@@ -1280,3 +1281,19 @@ def test_overlap_equals_the_exp_of_every_mu(monkeypatch, state, block):
         for i in range(0, mu.size, rows):
             ref[i:i + rows, j] = np.exp(1j * np.outer(mu[i:i + rows], nodes)) @ f
     assert np.array_equal(G, ref)
+
+
+def test_edge_tails_read_each_axis_of_the_frame_box():
+    # the Wigner target's box for ho:n=1 at hbar = 1 reaches |beta|^2 = 40 on
+    # both axes, where |G| = |L_1(40)| e^{-20} = 39 e^{-20} at the mid-edge frames
+    state = st.HOEigen(1)
+    qext, pext = qt._support_radii(state, 1.0)
+    reach = math.sqrt(80.0)
+    fam = qt.build_state_family(state, 1.0, qt._frame_axis(reach, qext), qt._frame_axis(reach, pext))
+    assert fam.edge_tails() == pytest.approx((39.0 * math.exp(-20.0),) * 2, rel=1e-9)
+    # the first and last mu rows, then the first and last nu columns
+    G = np.zeros((5, 4), dtype=complex)
+    G[2, 1] = 9.0  # inside: on neither edge
+    G[4, 2], G[1, 0], G[0, 3] = 3j, -5.0, 2.0
+    fam = FrameSamples(np.arange(5.0), np.arange(4.0), G, 1.0, 1.0)
+    assert fam.edge_tails() == (3.0, 5.0)
