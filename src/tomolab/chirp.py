@@ -11,9 +11,9 @@ from typing import Callable
 
 import numpy as np
 
-from .quantum import ChirpResolutionError, _chirp_panels
+from .quantum import _chirp_panels
 
-__all__ = ["chirp_integral", "ChirpResolutionError"]
+__all__ = ["chirp_integral"]
 
 
 def chirp_integral(env: Callable[[np.ndarray], np.ndarray], a: float, b: float,

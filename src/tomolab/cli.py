@@ -572,7 +572,6 @@ def _selftest_rows(quick: bool):
     for side, seam in (("positive", sf.AIRY_SWITCH_POS), ("negative", sf.AIRY_SWITCH_NEG)):
         check(f"airy seam ({side})", abs(sf.airy_ai(seam) - sf.airy_ai(math.nextafter(seam, 0.0))), 1e-9)
     check("hermite ground value", abs(sf.hermite_phi(0, 0.0) - math.pi ** -0.25), 1e-14)
-    check("log_gamma(5) = log 24", abs(sf.log_gamma(5.0) - math.log(24.0)), 1e-12)
     # |2 c k m| <= 120 keeps the direct sum's own rounding near 1e-14
     c = rng.uniform(-1e-3, 1e-3)
     u = rng.normal(size=200) + 1j * rng.normal(size=200)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classical import box_plateaus, classical_box_tomogram, classical_oscillator_tomogram
-from .kernel import Tomogram, TomographyFrame, TomogramError, _json_text, normalization_residual
+from .kernel import Tomogram, TomographyFrame, TomogramError, normalization_residual
 from .quantum import (
     _require_stationary_phase,
     box_tomogram,
@@ -33,7 +33,7 @@ from .quantum import (
     state_tomogram,
     superposition_cross_term,
 )
-from .specfun import log_gamma, parabolic_u_asymptotic
+from .specfun import parabolic_u_asymptotic
 from .states import CatEven, Coherent, State, _box_wave_number, cat_normalization
 
 __all__ = [
@@ -106,9 +106,6 @@ class LimitReport:
             "details": self.details,
             "artifacts": self.artifacts,
         }
-
-    def to_json(self) -> str:
-        return _json_text(self.payload())
 
 
 def _require_monotone(values: Sequence[float]) -> None:
@@ -553,7 +550,7 @@ def _oscillator_u_route(n: int, X: np.ndarray) -> np.ndarray:
     """W_n(X, 1, 0) through the parabolic-cylinder asymptotic,
     sqrt(n/pi) U^2(-(n+1/2), sqrt(2n) X)/n!, with the prefactor's square
     root applied to U before squaring (U^2 alone overflows past n = 170)."""
-    pref = 0.5 * math.log(n / math.pi) - log_gamma(n + 1.0)
+    pref = 0.5 * math.log(n / math.pi) - math.lgamma(n + 1.0)
     return (parabolic_u_asymptotic(-(n + 0.5), math.sqrt(2.0 * n) * np.abs(X)) * math.exp(0.5 * pref)) ** 2
 
 

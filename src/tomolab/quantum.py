@@ -49,7 +49,6 @@ from .states import (
     Superposition,
     _box_wave_number,
     coherent_center,
-    momentum_extent,
     momentum_wavefunction,
     natural_scales,
     position_extent,
@@ -565,7 +564,7 @@ def tomogram_from_wavefunction(state: State, frame: TomographyFrame,
     if nu == 0.0:
         return Tomogram(frame, x, np.abs(env(x / mu)) ** 2 / abs(mu))
     # psihat's cells span the momentum extent; it varies on psi's scale times sigma_p/sigma_q
-    cells = ((np.linspace(*momentum_extent(state, hbar), 65), state.envelope_scale(hbar) * sp / sq)
+    cells = ((np.linspace(*state.momentum_extent(hbar), 65), state.envelope_scale(hbar) * sp / sq)
              if fourier else _cells(state, hbar))
     amps = _ladder_amplitudes(env, mu / (2.0 * hbar * nu), -1.0 / (hbar * nu), x, *cells)
     return Tomogram(frame, x, np.abs(amps) ** 2 * (1.0 / (2.0 * math.pi * hbar * abs(nu))))
@@ -770,7 +769,7 @@ def _support_radii(state: State, hbar: float) -> tuple[float, float]:
     # the 4-sigma q and p radii: what the Nyquist check and the frame step
     # need, not the 8-sigma quadrature padding
     qlo, qhi = position_extent(state, hbar, tails=4.0)
-    plo, phi = momentum_extent(state, hbar, tails=4.0)
+    plo, phi = state.momentum_extent(hbar, tails=4.0)
     return max(abs(qlo), abs(qhi)), max(abs(plo), abs(phi))
 
 

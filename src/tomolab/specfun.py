@@ -30,7 +30,6 @@ __all__ = [
     "laguerre_scaled",
     "faddeeva",
     "airy_ai",
-    "log_gamma",
     "parabolic_u_asymptotic",
     "chirp_sum",
     "AIRY_SWITCH_POS",
@@ -239,13 +238,6 @@ def chirp_sum(u, c: float, n: int) -> np.ndarray:
     return w[M - 1:M - 1 + n] * conv[..., M - 1:M - 1 + n]
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, accurate to better than 1e-12 relative."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
-
-
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)   # Ai(0)
 _AIP0 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)  # -Ai'(0)
@@ -398,7 +390,7 @@ def parabolic_u_asymptotic(a: float, x):
     xi = np.atleast_1d(x) / (2.0 * math.sqrt(am))
     tau, ratio = _split(xi, (1.0 - xi < 1e-4) * 1 + (xi - 1.0 >= 1e-4), (oscillatory, turning, decaying))
     m, zeta = _airy(tau)
-    log_pref = (-0.25 - 0.5 * a) * math.log(2.0) + log_gamma(0.25 - 0.5 * a)
+    log_pref = (-0.25 - 0.5 * a) * math.log(2.0) + math.lgamma(0.25 - 0.5 * a)
     power = log_pref + 0.25 * np.log(ratio) - zeta
     if np.any(power > _LOG_DOUBLE_MAX):
         raise OverflowError(f"U(a, x) beyond the double range at a = {a}")

@@ -40,7 +40,6 @@ __all__ = [
     "momentum_wavefunction",
     "natural_scales",
     "position_extent",
-    "momentum_extent",
 ]
 
 
@@ -74,6 +73,8 @@ class State:
 
     def momentum_extent(self, hbar: float, tails: float = 8.0,
                         mass_tol: float = 1e-6) -> tuple[float, float]:
+        """Interval of p outside which |psihat| is negligible (box states have
+        power-law momentum tails sized from the requested mass tolerance)."""
         raise NotImplementedError
 
     def envelope_scale(self, hbar: float) -> float:
@@ -438,11 +439,11 @@ class BoxEigen(State):
 
         The smooth support is mu*[0, L] broadened by nu times the momentum
         spread; beyond it the tomogram decays like 1/X^4 (sharp-wall
-        diffraction), so the pad is sized from that power law.
+        diffraction), which the momentum reach at mass_tol/4 carries.
         """
         plo, phi = self.momentum_extent(hbar, mass_tol=mass_tol / 4.0)
         corners = [frame.mu * q + frame.nu * p for q in (0.0, self.L) for p in (plo, phi)]
-        return min(corners) - 0.5, max(corners) + 0.5
+        return min(corners), max(corners)
 
 
 class CustomGrid(State):
@@ -537,13 +538,6 @@ def natural_scales(state: State, hbar: float) -> tuple[float, float]:
 def position_extent(state: State, hbar: float, tails: float = 8.0) -> tuple[float, float]:
     """Interval [ymin, ymax] outside which |psi| is negligible."""
     return state.position_extent(hbar, tails)
-
-
-def momentum_extent(state: State, hbar: float, tails: float = 8.0,
-                    mass_tol: float = 1e-6) -> tuple[float, float]:
-    """Interval of p outside which |psihat| is negligible (box states have
-    power-law momentum tails sized from the requested mass tolerance)."""
-    return state.momentum_extent(hbar, tails, mass_tol)
 
 
 # ---------------------------------------------------------------------------

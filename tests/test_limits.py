@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -34,7 +33,7 @@ def test_limit_report_invariants():
     with pytest.raises(ValueError):
         lm.LimitReport("s", "hbar", [0.1, 0.2], [1, 2], 0.5, 0.9, "x")  # low R^2
     rep = lm.LimitReport("s", "hbar", [0.2, 0.1], [2.0, 1.0], 1.0, 0.999, "converged")
-    payload = json.loads(rep.to_json())
+    payload = rep.payload()
     assert payload["study"] == "s"
     assert payload["exponent"] == 1.0
     assert payload["verdict"] == "converged"
@@ -343,7 +342,7 @@ def test_reports_are_reproducible():
     names = set()
     for study in studies:
         a, b = study(), study()
-        assert a.to_json() == b.to_json()
+        assert a.payload() == b.payload()
         names.add(a.study)
         assert len(a.curves) == len(b.curves) == len(a.parameter_values)
         for ca, cb in zip(a.curves, b.curves):

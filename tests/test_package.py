@@ -1,4 +1,6 @@
-"""The package's public surface: every exported name resolves, and so does
+"""The package's public surface: every exported name resolves, is exported
+by its own module alone (the package binds only `__version__`, and
+importing one module loads only the modules it uses), and so does
 every function the benchmark tracer (perfbench/tracer.py) wraps by name,
 which only a traced benchmark run would otherwise notice missing, and
 every classical time-average route and every catalog state's tomogram
@@ -10,8 +12,10 @@ documented."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +36,37 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"tomolab.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_importing_one_module_loads_one_module():
+    code = ("import sys, tomolab; "
+            "print(sorted(n for n in vars(tomolab) if not n.startswith('_') or n == '__version__')); "
+            "import tomolab.kernel; "
+            "print(sorted(m for m in sys.modules if m.startswith('tomolab')))")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env).stdout.splitlines()
+    assert out == ["['__version__']", "['tomolab', 'tomolab.kernel']"]
+
+
+def test_no_name_is_exported_twice():
+    # a function is imported from the module that defines it: no __all__
+    # lists a name its module imports from a sibling, and __init__.py binds
+    # nothing but __version__
+    for path in (_ROOT / "src" / "tomolab").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            bound = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+            imports = [node.lineno for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+            assert bound == ["__version__"] and not imports, (bound, imports)
+            continue
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        assert not exported & imported, (path.name, sorted(exported & imported))
 
 
 def test_every_traced_function_resolves(monkeypatch):
@@ -134,8 +169,8 @@ def test_every_private_top_level_name_is_used():
 
 def test_every_public_name_is_used_or_documented():
     # an __all__ name that only tests reach is a feature no command, study
-    # or benchmark job runs: package code uses it (a re-export in
-    # __init__.py does not count), the benchmark names it, or the README does
+    # or benchmark job runs: package code uses it, the benchmark names it,
+    # or the README does
     trees = {path.stem: ast.parse(path.read_text())
              for path in (_ROOT / "src" / "tomolab").glob("*.py") if path.name != "__init__.py"}
     used = set().union(*map(_used_names, trees.values()))

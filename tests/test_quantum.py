@@ -7,7 +7,7 @@ import pytest
 
 from tomolab import quantum as qt
 from tomolab import states as st
-from tomolab.chirp import ChirpResolutionError, chirp_integral
+from tomolab.chirp import chirp_integral
 from tomolab.classical import FrameSamples
 from tomolab.kernel import (
     GridFunction2D,
@@ -591,6 +591,16 @@ def test_box_normalization():
         assert normalization_residual(tom) < 1e-4
 
 
+@pytest.mark.parametrize("L", [1e-3, 1.0, 1e3, 1e5])
+@pytest.mark.parametrize("mu, nu", [(0.0, 1.0), (0.3, 0.9)])
+def test_box_default_grid_keeps_the_mass(L, mu, nu):
+    # at hbar = 1 a wide box's momentum core hbar k is far below 1, so its
+    # X interval must follow the box's own scales, with no absolute margin
+    state, fr = st.BoxEigen(1, L), TomographyFrame(mu, nu)
+    x = qt.default_x_grid(state, fr, 1.0)
+    assert normalization_residual(qt.state_tomogram(state, fr, x, 1.0)) < 1e-4
+
+
 def test_box_prefactor_reconciliation():
     # the general prefactor equals n/(4 L^2 sqrt2 |nu|) under hbar = sqrt2 L/(n pi)
     n, L, nu = 7, 1.0, 0.6
@@ -784,7 +794,7 @@ def test_gl_panels_integrate_degree_15_on_nonuniform_cells(rng):
 
 
 def test_chirp_resolution_refusal():
-    with pytest.raises(ChirpResolutionError) as err:
+    with pytest.raises(qt.ChirpResolutionError) as err:
         chirp_integral(lambda y: np.ones_like(y), 1e7, 0.0, 0.0, 1.0)
     assert err.value.needed > err.value.allowed
 
