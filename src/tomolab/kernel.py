@@ -333,6 +333,7 @@ _SPLIT_MASK = np.uint64(0xFFFFFFFFF8000000)  # keeps 26 significant bits
 _BLOCK_VALUES = 1 << 12  # values formatted per block, bounding memory
 _TIE_GAP = 1e-6  # fractions this close to 1/2 take the per-value path
 _GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])
+_GROUP_POWERS = np.array([[10 ** 16], [10 ** 12], [10 ** 8], [10 ** 4]])
 
 
 @functools.cache
@@ -392,8 +393,9 @@ def _scaled_floor(a: np.ndarray, e: np.ndarray, pow10: np.ndarray):
     """(floor, fraction) of a * 10**(16 - e) for positive finite a, from
     Dekker's exact two-product of a and the double part of the table
     entry plus a times its remainder; the fraction is good to ~1e-14."""
-    t, th, tt, tl, sc = np.take(pow10, e - _E_LO, axis=1)
-    x = a * sc
+    col = e - _E_LO
+    t, th, tt, tl = np.take(pow10[:4], col, axis=1)
+    x = a * pow10[4].take(col) if e.min(initial=0) < _TINY_E else a  # the scale row is 1 elsewhere
     xh = (x.view(np.uint64) & _SPLIT_MASK).view(np.float64)
     xl = x - xh
     p = x * t
@@ -409,9 +411,12 @@ def _decimal17(v: np.ndarray):
     10**(E - 16) and 10**16 <= D < 10**17, D = E = 0 for zeros.  exact is
     False where the vector path cannot decide the rounding: non-finite
     values and fractions within _TIE_GAP of a tie."""
-    finite = np.isfinite(v)
-    nz = finite & (v != 0)
-    a = np.where(nz, np.abs(v), 1.0)
+    a = np.abs(v)
+    # NaN fails both tests; a block without zeros or non-finite values skips the masks
+    plain = a.min(initial=np.inf) > 0 and a.max(initial=0.0) < np.inf
+    if not plain:
+        nz = (a > 0) & (a < np.inf)
+        a = np.where(nz, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     pow10 = _g17_tables()[0]
     n, f = _scaled_floor(a, e, pow10)
@@ -425,10 +430,12 @@ def _decimal17(v: np.ndarray):
         n[fix], f[fix] = _scaled_floor(a[fix], e[fix], pow10)
     exact = (np.abs(f - 0.5) >= _TIE_GAP) & (n >= 10 ** 16) & (n < 10 ** 17)
     d = n + (f > 0.5)
-    carry = d == 10 ** 17
-    d = np.where(nz, np.where(carry, 10 ** 16, d), 0)
-    e = np.where(nz, e + carry, 0)
-    return d, e, np.where(nz, exact, finite)
+    carry = np.flatnonzero(d == 10 ** 17)
+    d[carry] = 10 ** 16
+    e[carry] += 1
+    if plain:
+        return d, e, exact
+    return np.where(nz, d, 0), np.where(nz, e, 0), np.where(nz, exact, v == 0)
 
 
 def _slots(v: np.ndarray) -> np.ndarray:
@@ -437,16 +444,18 @@ def _slots(v: np.ndarray) -> np.ndarray:
     d, e, exact = _decimal17(v)
     _, quads, last, suffix, point, keep_table = _g17_tables()
     words = np.empty((v.size, _WIDTH // 8), np.uint64)
-    words[:] = np.frombuffer(_SLOT, np.uint64)
+    words[:, 0] = np.frombuffer(_SLOT[:8], np.uint64)  # digits and suffix fill words 1 to 3
     words[:, 3] = suffix[e - _E_LO]
     buf = words.view(np.uint8)
-    # digits: the leading one, then four groups of four from the table
-    hi, lo = np.divmod(d, 10 ** 8)
-    d0, hi = np.divmod(hi, 10 ** 8)
+    # digits: the leading one, then four groups of four from the table;
+    # with q_i = D // 10**(16 - 4i) and q_4 = D, group i is q_{i+1} - 10**4 q_i
+    q = d // _GROUP_POWERS
+    buf[:, 6] = q[0] + ord("0")
     groups = np.empty((4, v.size), np.int64)
-    groups[0], groups[1] = np.divmod(hi, 10 ** 4)
-    groups[2], groups[3] = np.divmod(lo, 10 ** 4)
-    buf[:, 6] = d0 + ord("0")
+    groups[:3] = q[1:]
+    groups[3] = d
+    q *= 10 ** 4
+    groups -= q
     buf.view(np.uint32)[:, 2:6] = np.take(quads, groups).T
     # digits printed: up to the last nonzero one, at least the integer
     # digits ('%g' drops trailing zeros and a bare point)

@@ -6,12 +6,14 @@ z-transform behind the quadrature-route and Radon-slice tomograms.
 
 Hermite and Laguerre functions come from one recurrence: the normalized
 Laguerre recurrence in its difference form, which Hermite runs in steps of
-two orders as phi_{2m+p}(x) = (-1)^m x^p l_m^(p-1/2)(x^2).  It updates two
-array buffers in place on mantissas with the exponent carried apart, -x^2/2
-or -x/2 plus the powers of two taken out as the mantissa grows, so neither
-overflows nor underflows before its result does: Hermite orders up to 10000
-and Laguerre orders up to 2000 hold against mpmath wherever the raw
-polynomials or e^(-x^2/2) leave double range.
+two orders as phi_{2m+p}(x) = (-1)^m x^p l_m^(p-1/2)(x^2).  It carries
+e_j = a_j d_j beside the mantissa l, so a step is e += (c_j - y) l,
+l += e / b_j: five in-place passes over three array buffers, with every
+c_j and b_j computed before the steps.  The exponent is carried apart,
+-x^2/2 or -x/2 plus the powers of two taken out as the mantissa grows, so
+neither overflows nor underflows before its result does: Hermite orders up
+to 10000 and Laguerre orders up to 2000 hold against mpmath wherever the
+raw polynomials or e^(-x^2/2) leave double range.
 
 Ai and the U asymptotic run one numpy code path for every input: a scalar
 is a one-element array, so it gives exactly the value of its element in an
@@ -65,42 +67,46 @@ def _carried(n: int, alpha: float, y, v, small, ymax: float):
     # Runs the normalized Laguerre recurrence (see laguerre_scaled) in its
     # difference form for n steps on the mantissa v of
     # l_0 = v exp(-y/2 + small), y <= ymax, and returns the true l_n, a
-    # float for a scalar v.  Each step updates the mantissas d and v in
-    # place (a scalar v runs the same lines on numpy scalars); every `stride`
-    # steps both mantissas are divided by the power of two of the larger
-    # one and the powers are counted apart.  One step multiplies the larger
-    # by at most `growth`, so from |v| <= 1 nothing passes 2^_HEADROOM
-    # between two checks, and the rescaling is exact, so no element's value
-    # depends on another's.  The counted powers nearly cancel -y/2 (exact)
-    # where the mantissa grew, so that sum comes first, and the exponential
-    # is taken once: nothing underflows before the result does.
-    d = 0.0 * v
+    # float for a scalar v.  It carries e_j = a_j d_j (a_j = b_{j-1}), so a
+    # step is e += (c_j - y) l, l += e / b_j: five in-place passes over
+    # three buffers, e, l and t (0-d for a scalar v).  Every `stride` steps e and l are divided
+    # by the power of two of the larger one and the powers are counted
+    # apart.  One step multiplies the larger by at most `growth`, so from
+    # |v| <= 1 nothing passes 2^_HEADROOM between two checks, and the
+    # rescaling is exact, so no element's value depends on another's.  The
+    # counted powers nearly cancel -y/2 (exact) where the mantissa grew, so
+    # that sum comes first, and the exponential is taken once: nothing
+    # underflows before the result does.
+    l = np.array(v, dtype=float)
+    e = np.zeros_like(l)
+    t = np.empty_like(l)
     twos = np.int64(0)
-    # |d_{j+1}| <= |d_j| + sqrt(2)(|c_j| + y)|l_j| with a_j <= b_j,
-    # b_j >= 1/sqrt(2) and |c_j| <= |alpha| for alpha >= -1/2
-    growth = 2.0 + math.sqrt(2.0) * (abs(alpha) + ymax)
+    # |e_{j+1}| <= |e_j| + (|c_j| + y)|l_j| and |l_{j+1}| <= |l_j| + sqrt(2)|e_{j+1}|,
+    # as b_j >= 1/sqrt(2) and |c_j| <= |alpha| for alpha >= -1/2
+    growth = 1.0 + math.sqrt(2.0) * (1.0 + abs(alpha) + ymax)
     stride = max(1, int(_HEADROOM / math.log2(growth)))
-    for j in range(n):
-        if alpha == 0:
-            c = 0.0
-        else:
-            # (sqrt(j+alpha) - sqrt(j))^2 is alpha itself at j = 0
-            inner = 1.0 / (math.sqrt(j + alpha) + math.sqrt(j)) ** 2 if j + alpha > 0 else 1.0 / alpha
-            c = 0.5 * alpha * alpha * (1.0 / (math.sqrt(j + 1 + alpha) + math.sqrt(j + 1)) ** 2 + inner)
-        d *= math.sqrt(j * (j + alpha))
-        t = c - y
-        t *= v
-        d += t
-        d /= math.sqrt((j + 1) * (j + 1 + alpha))
-        v += d
+    # every c_j and b_j at once, before the steps
+    js = np.arange(n + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / (np.sqrt(js + alpha) + np.sqrt(js)) ** 2
+    if alpha <= 0:  # (sqrt(j+alpha) - sqrt(j))^2 is alpha itself at j = 0, and c is 0 at alpha = 0
+        inner[0] = 1.0 / alpha if alpha else 0.0
+    c = 0.5 * alpha * alpha * (inner[1:] + inner[:-1])
+    b = np.sqrt(js[1:] * (js[1:] + alpha))
+    for j, (cj, bj) in enumerate(zip(c.tolist(), b.tolist())):
+        np.subtract(cj, y, out=t)
+        t *= l
+        e += t
+        np.divide(e, bj, out=t)
+        l += t
         if j % stride == stride - 1:
-            e = np.frexp(np.maximum(np.abs(d), np.abs(v)))[1]
-            d = np.ldexp(d, -e)
-            v = np.ldexp(v, -e)
-            twos = twos + e
-    v, e = np.frexp(v)
-    twos = twos + e
-    out = v * np.exp((-0.5 * y + twos * _LN2_HI) + twos * _LN2_LO + small)
+            k = np.frexp(np.maximum(np.abs(e), np.abs(l)))[1]
+            np.ldexp(e, -k, out=e)
+            np.ldexp(l, -k, out=l)
+            twos = twos + k
+    l, k = np.frexp(l)
+    twos = twos + k
+    out = l * np.exp((-0.5 * y + twos * _LN2_HI) + twos * _LN2_LO + small)
     return float(out) if out.ndim == 0 else out
 
 
@@ -130,7 +136,7 @@ def hermite_phi(n: int, x):
         raise ValueError(f"Hermite order {n} beyond validated range {HERMITE_MAX_ORDER}")
     xv = np.minimum(np.maximum(np.asarray(x, dtype=float), -_HERMITE_X_FAR), _HERMITE_X_FAR)
     m, p = divmod(n, 2)
-    v = xv.copy() if p else xv * 0.0 + 1.0
+    v = xv if p else np.ones_like(xv)
     out = _carried(m, p - 0.5, xv * xv, v, -0.5 * math.lgamma(p + 0.5), _HERMITE_X_FAR ** 2)
     return -out if m & 1 else out
 
@@ -168,7 +174,7 @@ def laguerre_scaled(n: int, k: int, x):
     if k:
         with np.errstate(divide="ignore"):
             small = small + 0.5 * k * np.log(xv)
-    return _carried(n, k, xv, xv * 0.0 + 1.0, small, float(xv.max(initial=0.0)))
+    return _carried(n, k, xv, np.ones_like(xv), small, float(xv.max(initial=0.0)))
 
 
 def _weideman_coefficients(N: int) -> tuple[float, np.ndarray]:

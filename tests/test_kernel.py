@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import tempfile
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -333,6 +334,31 @@ def test_writer_file_spans_several_blocks(tmp_path):
     path = tmp_path / "wide.csv"
     kernel._write_csv(str(path), "a,b,c", table.T)
     assert path.read_bytes() == b"a,b,c\n" + _oracle_rows(table)
+
+
+def test_writer_blocks_of_each_kind_match_percent_g17(tmp_path):
+    # one block each: finite nonzero values above 1e-200, only zeros and
+    # non-finite values, normal values with one value below 1e-200 last,
+    # only values below 1e-200, and values whose 17 digits carry to the next
+    # power of ten (the double nearest 10**k lies below it)
+    size = kernel._BLOCK_VALUES
+    rng = np.random.default_rng(40)
+    signs = rng.choice([-1.0, 1.0], size)
+    normal = signs * rng.random(size) * 10.0 ** rng.integers(-199, 12, size)  # no exact ties
+    special = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], size)
+    one_tiny = normal.copy()
+    one_tiny[-1] = 3e-250
+    tiny = signs * rng.random(size) * 10.0 ** rng.integers(-323, -200, size)
+    carries = [t for k in range(-300, 309) if Decimal(t := float(f"1e{k}")) < Decimal(10) ** k
+               and b"%.17g" % t == b"1e%+03d" % k]
+    assert len(carries) == 13  # 1e-243 and 1e-14 among them
+    carried = signs * np.resize(carries, size)
+    column = np.concatenate([normal, special, one_tiny, tiny, carried])
+    kernel._write_csv(str(tmp_path / "kinds.csv"), "v", (column,))
+    assert (tmp_path / "kinds.csv").read_bytes() == b"v\n" + _oracle_rows(column[:, None])
+    # the finite blocks take no per-value path, which would hide a wrong vector result
+    for block in (normal, one_tiny, tiny, carried):
+        assert kernel._decimal17(block)[2].all()
 
 
 _SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308 / 3])

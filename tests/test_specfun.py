@@ -154,6 +154,44 @@ def test_hermite_scalar_call_equals_its_array_element(n, xs):
         assert hermite_phi(n, x) == g
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("n", [0, 3, 400, 2000])
+def test_laguerre_scalar_call_equals_its_array_element(n, k):
+    # a scalar runs the recurrence on 0-d buffers, rescaled on its own schedule
+    xs = np.array([0.0, 1e-300, 0.5, 7.25, n + k + 1.0, 4.0 * n, 4.0 * n + 200.0])
+    got = laguerre_scaled(n, k, xs)
+    for x, g in zip(xs, got):
+        assert laguerre_scaled(n, k, x) == g
+
+
+def _carried_loop(n, alpha, y, v, small):
+    """The recurrence of specfun._carried with each c_j and b_j from the math
+    module inside the step, and no rescaling (n and y small enough)."""
+    l, e = np.array(v, dtype=float), np.zeros_like(y)
+    for j in range(n):
+        c = 0.0
+        if alpha:
+            inner = 1.0 / (math.sqrt(j + alpha) + math.sqrt(j)) ** 2 if j + alpha > 0 else 1.0 / alpha
+            c = 0.5 * alpha * alpha * (1.0 / (math.sqrt(j + 1 + alpha) + math.sqrt(j + 1)) ** 2 + inner)
+        e = e + (c - y) * l
+        l = l + e / math.sqrt((j + 1) * (j + 1 + alpha))
+    l, k = np.frexp(l)
+    return l * np.exp((-0.5 * y + k * sf._LN2_HI) + k * sf._LN2_LO + small)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+def test_carried_coefficients_taken_before_the_steps_equal_the_per_step_ones(n):
+    # c_j and b_j come from numpy for all j at once; the values are the same
+    x = np.linspace(0.0, 12.0, 49)
+    for p in (0, 1):
+        want = _carried_loop(n, p - 0.5, x * x, x ** p, -0.5 * math.lgamma(p + 0.5))
+        assert np.array_equal(hermite_phi(2 * n + p, x) * (-1) ** n, want)
+    for k in (0, 1, 5):
+        with np.errstate(divide="ignore"):
+            small = -0.5 * math.lgamma(k + 1.0) + (0.5 * k * np.log(x) if k else 0.0)
+        assert np.array_equal(laguerre_scaled(n, k, x), _carried_loop(n, k, x, np.ones_like(x), small))
+
+
 def test_hermite_unit_norm_at_the_largest_order():
     # the 30,001-point trapezoid rule on [-160, 160] (step 0.0107, under
     # half the shortest period 2 pi/sqrt(2n+1)), summed on its nonnegative
