@@ -647,15 +647,12 @@ def rho_grid(state: State, hbar: float, x_grid) -> GridFunction2D:
     return GridFunction2D(x, x, np.outer(psi, np.conj(psi)))
 
 
-_HERMITIAN_ROWS = 64  # rows of rho - rho^dagger built at once by _check_hermitian
+_HERMITIAN_ROWS = 64  # rows of rho - rho^dagger built at once by _hermitian_residual
 
 
-def _check_hermitian(rho: GridFunction2D) -> None:
-    if rho.values.shape[0] != rho.values.shape[1] or not np.array_equal(rho.x_grid, rho.y_grid):
-        raise TomogramError("density matrix grid must be square with equal axes")
-    v = rho.values
-    scale = max(1.0, float(np.max(np.abs(v))))
-    # |rho - rho^dagger|^2 from the parts, (Re rho - Re rho^T)^2 + (Im rho + Im rho^T)^2,
+def _hermitian_residual(v: np.ndarray) -> float:
+    """max |v - v^dagger| of a square matrix; NaN if any entry is NaN."""
+    # |v - v^dagger|^2 from the parts, (Re v - Re v^T)^2 + (Im v + Im v^T)^2,
     # in blocks of rows: three n x n temporaries cost more in page faults than in arithmetic
     worst = []
     for i in range(0, v.shape[0], _HERMITIAN_ROWS):
@@ -663,8 +660,14 @@ def _check_hermitian(rho: GridFunction2D) -> None:
         d = np.square(v.real[r] - v.real[:, r].T)
         d += np.square(v.imag[r] + v.imag[:, r].T)
         worst.append(np.max(d))
-    resid = math.sqrt(float(np.max(worst)))  # NaN anywhere stays NaN and fails
-    if not resid <= 1e-6 * scale:
+    return math.sqrt(float(np.max(worst)))
+
+
+def _check_hermitian(rho: GridFunction2D) -> None:
+    if rho.values.shape[0] != rho.values.shape[1] or not np.array_equal(rho.x_grid, rho.y_grid):
+        raise TomogramError("density matrix grid must be square with equal axes")
+    resid = _hermitian_residual(rho.values)
+    if not resid <= 1e-6 * max(1.0, float(np.max(np.abs(rho.values)))):  # a NaN fails
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
 
 
@@ -810,8 +813,7 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
     at = np.searchsorted(u, s)
     rho = np.einsum("km,mk->k", _weighted_phases(-u, mu)[at], samples.values[:, j])
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
-    resid = float(np.max(np.abs(rho - rho.conj().T)))
-    return rho, resid
+    return rho, _hermitian_residual(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +869,11 @@ def reconstruct_wigner(state: State, hbar: float, q_grid=None) -> tuple[GridFunc
     return wrec, report
 
 
-def reconstruct_density(state: State, hbar: float, x_points=None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """x_points (default 31 over the 3-sigma position support), rho on their
-    pairs from the slices nu = (x - x')/hbar, |mu| <= 6/sigma_q, and the fields
-    hermiticity_residual, frame_box_tail, trace and (not sampled) max_error_vs_exact."""
+def reconstruct_density(state: State, hbar: float, x_points=None) -> tuple[GridFunction2D, dict]:
+    """rho on the pairs of x_points (default 31 over the 3-sigma position
+    support) from the slices nu = (x - x')/hbar, |mu| <= 6/sigma_q, and the
+    fields hermiticity_residual, frame_box_tail, trace and (not sampled)
+    max_error_vs_exact, max |rho - rho_grid| in units of max(1, max |rho_grid|)."""
     xs = (np.linspace(*position_extent(state, hbar, tails=3.0), 31) if x_points is None
           else np.asarray(x_points, dtype=float))
     nus = _distinct(np.round((xs[:, None] - xs[None, :]) / hbar, 12))
@@ -880,6 +883,6 @@ def reconstruct_density(state: State, hbar: float, x_points=None) -> tuple[np.nd
     report = {"hermiticity_residual": herm, "frame_box_tail": max(slices.edge_tails()),
               "trace": float(np.trapezoid(np.real(np.diag(rho)), xs))}
     if not state.sampled:
-        psi = position_wavefunction(state, hbar)(xs)
-        report["max_error_vs_exact"] = float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
-    return xs, rho, report
+        exact = rho_grid(state, hbar, xs).values
+        report["max_error_vs_exact"] = float(np.max(np.abs(rho - exact))) / max(1.0, float(np.max(np.abs(exact))))
+    return GridFunction2D(xs, xs, rho), report

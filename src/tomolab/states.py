@@ -78,7 +78,7 @@ class State:
         raise NotImplementedError
 
     def envelope_scale(self, hbar: float) -> float:
-        """Smallest length on which psi(y) varies; sizes quadrature panels."""
+        """Smallest length on which psi(y) varies; sizes quadrature panels (not read if sampled)."""
         raise NotImplementedError
 
     def max_order(self) -> int:
@@ -505,9 +505,6 @@ class CustomGrid(State):
         idx = int(np.searchsorted(cum, (1.0 - 0.1 * mass_tol) * cum[-1]))
         r = hbar * abs(k[order][min(idx, k.size - 1)]) * 1.5 + hbar * 2.0 * math.pi / (dx * self.psi.size)
         return -r, r
-
-    def envelope_scale(self, hbar):
-        return 2.0 * float(self.x_grid[1] - self.x_grid[0])
 
     def descriptor(self):
         return "custom:<grid>"

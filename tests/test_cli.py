@@ -316,6 +316,12 @@ def test_limit_command_unknown_study(tmp_path, capsys):
     assert "ehrenfest-oscillator" in capsys.readouterr().err
 
 
+def test_reconstruct_target_choices_are_the_table_keys():
+    sub = cli.build_parser()._subparsers._group_actions[0].choices["reconstruct"]
+    (target,) = [a for a in sub._actions if a.dest == "target"]
+    assert tuple(target.choices) == tuple(cli._TARGETS) == ("wigner", "density")
+
+
 def test_limit_command_planck_delta(tmp_path):
     out = str(tmp_path / "study")
     code = run(["limit", "planck-delta", "--state", "coherent:re=1,im=0",
@@ -633,6 +639,9 @@ def test_limit_rejects_a_malformed_sweep(tmp_path, capsys):
      "grid count must be at least 2"),
     ({"command": "limit", "study": "ehrenfest-oscillator", "params": [1, 2]},
      "a config and its params must be JSON objects"),
+    # argparse checks the target on the command line; the config path names the table's keys
+    ({"command": "reconstruct", "state": "ho:n=1", "target": "fock"},
+     "unknown reconstruction target 'fock'; valid targets: wigner, density"),
 ])
 def test_config_keys_a_command_does_not_read_exit_2(tmp_path, capsys, config, message):
     path = str(tmp_path / "run.json")
@@ -841,6 +850,7 @@ def test_reconstruct_reports_the_frame_box_tail(tmp_path):
     assert 1e-3 < rep["frame_box_tail"] < 1.0  # the density box discards this much
 
 
+# error: max |rho - rho_exact|, reported in units of max(1, max |rho_exact|)
 @pytest.mark.parametrize("state,hbar,error", [("box:n=2,L=1", "0.5", 6.287e-1),
                                               ("ho:n=3", "1", 1.071e-2)])
 def test_reconstruct_exits_1_past_the_error_tolerance(tmp_path, capsys, state, hbar, error):
@@ -848,6 +858,9 @@ def test_reconstruct_exits_1_past_the_error_tolerance(tmp_path, capsys, state, h
     assert run(["reconstruct", "--state", state, "--target", "density", "--hbar", hbar,
                 "--out", out]) == 1
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    xs = np.unique(np.loadtxt(os.path.join(out, "density.csv"), delimiter=",", skiprows=1)[:, 0])
+    peak = np.max(np.abs(tomolab.quantum.rho_grid(st.parse_state(state), float(hbar), xs).values))
+    error /= max(1.0, peak)  # the box's peak 2/L halves its error; ho:n=3's is below 1
     assert rep["max_error_vs_exact"] == pytest.approx(error, rel=1e-3)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -864,15 +877,25 @@ def test_reconstruct_writes_the_library_reconstruction(tmp_path, state, target):
                 "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
     parsed = st.parse_state(state)
-    if target == "wigner":
-        wrec, fields = tomolab.quantum.reconstruct_wigner(parsed, 0.5)
-        values = (wrec.values,)
-    else:
-        _, rho, fields = tomolab.quantum.reconstruct_density(parsed, 0.5)
-        values = (rho.real, rho.imag)
+    grid, fields = getattr(tomolab.quantum, f"reconstruct_{target}")(parsed, 0.5)
+    assert isinstance(grid, GridFunction2D)
+    v = grid.values
+    values = (v.real, v.imag) if target == "density" else (v,)
     assert rep == {"state": parsed.descriptor(), "hbar": 0.5, "target": target, **fields}
     rows = np.loadtxt(os.path.join(out, f"{target}.csv"), delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 2:], np.column_stack([v.ravel() for v in values]))
+    x, y = np.meshgrid(grid.x_grid, grid.y_grid, indexing="ij")
+    assert np.array_equal(rows, np.column_stack([x.ravel(), y.ravel(), *(c.ravel() for c in values)]))
+
+
+def test_reconstruct_density_error_is_relative_to_the_exact_peak(tmp_path):
+    # rho scales as sqrt(varpi/hbar): at varpi = 1e4 max |rho| is 41.29, and an
+    # absolute error of 2.717e-2 once failed the 1e-3 gate at the accuracy of
+    # varpi = 1; in units of max(1, max |rho|) both read the same 6.58e-4
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", "ho:n=1,varpi=1e4", "--target", "density", "--hbar", "1",
+                "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] == pytest.approx(6.584e-4, rel=1e-3)
 
 
 def test_reconstruct_box_wigner_at_small_hbar(tmp_path):

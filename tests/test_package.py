@@ -239,15 +239,16 @@ def test_file_formats_are_known_in_kernel_alone():
 
 def test_the_command_line_leaves_reconstruction_to_the_library():
     # quantum.reconstruct_wigner and reconstruct_density size, build and
-    # invert the frame families; cmd_reconstruct only writes and gates.  The
-    # selftest battery, which checks these routes against their oracles,
-    # calls them by design
+    # invert the frame families; cmd_reconstruct only writes and gates, and
+    # the selftest's round trips call them too.  The one family the CLI
+    # builds is the selftest's characteristic row, which checks G itself
+    # against each frame's tomogram and inverts nothing
     library = {"build_state_family", "build_state_slices", "wigner_from_tomogram_grid",
                "density_grid_from_tomogram"}
+    calls = []
     for fn in ast.parse((_ROOT / "src" / "tomolab" / "cli.py").read_text()).body:
-        if not isinstance(fn, ast.FunctionDef) or fn.name == "_selftest_rows":
-            continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                assert name not in library, (fn.name, name, node.lineno)
+                calls += [(getattr(fn, "name", None), name)] if name in library else []
+    assert calls == [("_selftest_rows", "build_state_family")]

@@ -1035,6 +1035,27 @@ def test_density_from_tomogram_roundtrip():
     assert abs(np.trapezoid(diag, xs) - 1.0) < 1e-3
 
 
+def test_density_residual_is_the_shared_hermiticity_residual():
+    # the residual density_grid_from_tomogram reports is the one the Wigner
+    # map's gate reads: max |rho - rho^dagger|, in 64-row blocks here, NaN
+    # for a NaN entry
+    hbar = 1.0
+    xs = np.linspace(-3.0, 3.0, 81)
+    nus = np.unique(np.round((xs[:, None] - xs[None, :]).ravel() / hbar, 12))
+    fam = qt.build_state_slices(st.Coherent(0.5 + 0.2j), hbar, nus, np.linspace(-8, 8, 41))
+    rng = np.random.default_rng(7)
+    G = fam.values + 1e-3 * (rng.normal(size=fam.values.shape) + 1j * rng.normal(size=fam.values.shape))
+    bad = FrameSamples(fam.mu_grid, fam.nu_grid, G, fam.q_extent, fam.p_extent)
+    rho, resid = qt.density_grid_from_tomogram(bad, xs, hbar)
+    assert resid == qt._hermitian_residual(rho)
+    assert resid == pytest.approx(np.max(np.abs(rho - rho.conj().T)), rel=1e-14)
+    assert resid > 1e-4
+    G[20, 3] = np.nan
+    bad = FrameSamples(fam.mu_grid, fam.nu_grid, G, fam.q_extent, fam.p_extent)
+    rho, resid = qt.density_grid_from_tomogram(bad, xs, hbar)
+    assert np.isnan(resid) and np.isnan(qt._hermitian_residual(rho))
+
+
 def _packet_state():
     x = np.linspace(-8.0, 8.0, 281)
     psi = np.exp(-(x - 0.3) ** 2 / 2.0 + 0.4j * x)
