@@ -577,7 +577,7 @@ def default_x_grid(state: State, frame: TomographyFrame, hbar: float,
     each node of its tomogram (2n + 1 left 5e-5 of the mass off at
     n = 3000)."""
     lo, hi = state.x_extent(frame, hbar, tails)
-    if hi - lo < 1e-9:
+    if hi <= lo:  # the zero frame: the tomogram is the unit atom at X = 0
         lo -= 1.0
         hi += 1.0
     return np.linspace(lo, hi, max(count, 3 * state.max_order() + 1))

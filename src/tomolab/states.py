@@ -122,14 +122,40 @@ def _num(v: float) -> str:
 
 
 class _Oscillator(State):
-    """The varpi oscillator family (mass * frequency = varpi)."""
+    """The varpi oscillator family (mass * frequency = varpi).
+
+    Each family writes its wave function _wave(hbar, rw, turn) and extent
+    _extent(hbar, tails, rw, turn) once, for the oscillator with
+    sqrt(mass * frequency) = rw.  Position passes rw = sqrt(varpi), turn = 1;
+    momentum is the Fourier turn e^(-i pi N/2): rw = 1/sqrt(varpi), and
+    turn = -i multiplies a Fock weight by (-i)^k, a coherent amplitude a to -i a.
+    """
 
     def __post_init__(self):
         _require_normal("varpi", self.varpi)
 
+    def position_wavefunction(self, hbar):
+        return self._wave(hbar, math.sqrt(self.varpi), 1.0)
+
+    def momentum_wavefunction(self, hbar):
+        return self._wave(hbar, 1.0 / math.sqrt(self.varpi), -1j)
+
+    def position_extent(self, hbar, tails=8.0):
+        return self._extent(hbar, tails, math.sqrt(self.varpi), 1.0)
+
+    def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
+        return self._extent(hbar, tails, 1.0 / math.sqrt(self.varpi), -1j)
+
     def natural_scales(self, hbar):
         # each root taken apart: hbar * varpi overflows near the largest double
         return math.sqrt(hbar) / math.sqrt(self.varpi), math.sqrt(hbar) * math.sqrt(self.varpi)
+
+    def _radius2(self, hbar, qbar, pbar):
+        # r^2 = varpi (q - qbar)^2/hbar + (p - pbar)^2/(varpi hbar), with the
+        # scale roots taken apart so that no varpi overflows
+        rw, rh = math.sqrt(self.varpi), math.sqrt(hbar)
+        return lambda p, q: (((np.asarray(q, float) - qbar) * (rw / rh)) ** 2
+                             + ((np.asarray(p, float) - pbar) / (rw * rh)) ** 2)
 
     def _varpi_field(self) -> str:
         return "" if self.varpi == 1.0 else f",varpi={_num(self.varpi)}"
@@ -144,25 +170,14 @@ class _Fock(_Oscillator):
     def max_order(self):
         return max(k for _, k in self.terms)
 
-    def position_wavefunction(self, hbar):
-        return self._wave(math.sqrt(self.varpi) * math.sqrt(1.0 / hbar), 1.0)
-
-    def momentum_wavefunction(self, hbar):
-        return self._wave(math.sqrt(1.0 / hbar) / math.sqrt(self.varpi), -1j)
-
-    def _wave(self, s, turn):
-        # sum_k w_k turn^k sqrt(s) phi_k(s y): the Fourier transform of
-        # phi_k is (-i)^k phi_k, so psihat is psi with s -> 1/sqrt(varpi hbar)
-        terms = self.terms
+    def _wave(self, hbar, rw, turn):
+        # sum_k w_k turn^k sqrt(s) phi_k(s y), s = rw/sqrt(hbar)
+        terms, s = self.terms, rw * math.sqrt(1.0 / hbar)
         return lambda y: sum(w * turn ** k * math.sqrt(s) * hermite_phi(k, s * np.asarray(y, dtype=float))
                              for w, k in terms) + 0j
 
-    def position_extent(self, hbar, tails=8.0):
-        r = self.natural_scales(hbar)[0] * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
-        return -r, r
-
-    def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
-        r = self.natural_scales(hbar)[1] * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
+    def _extent(self, hbar, tails, rw, turn):
+        r = math.sqrt(hbar) / rw * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
         return -r, r
 
     def envelope_scale(self, hbar):
@@ -189,15 +204,9 @@ class HOEigen(_Fock):
         return f"ho:n={self.n},varpi={_num(self.varpi)}"
 
     def exact_wigner(self, hbar):
-        n, rw, rh = self.n, math.sqrt(self.varpi), math.sqrt(hbar)
-
-        def w_fock(p, q):
-            # 2 (-1)^n L_n(2 r^2) e^(-r^2), r^2 = varpi q^2/hbar + p^2/(varpi hbar),
-            # with the scale roots taken apart so that no varpi overflows
-            r2 = (np.asarray(q, float) * (rw / rh)) ** 2 + (np.asarray(p, float) / (rw * rh)) ** 2
-            return 2.0 * (-1.0) ** n * laguerre_scaled(n, 0, 2.0 * r2)
-
-        return w_fock
+        # 2 (-1)^n L_n(2 r^2) e^(-r^2)
+        n, r2 = self.n, self._radius2(hbar, 0.0, 0.0)
+        return lambda p, q: 2.0 * (-1.0) ** n * laguerre_scaled(n, 0, 2.0 * r2(p, q))
 
 
 @dataclass(frozen=True)
@@ -234,28 +243,21 @@ def cat_normalization(alpha: complex, parity: str) -> float:
 
 def coherent_center(alpha: complex, hbar: float, varpi: float = 1.0) -> tuple[float, float]:
     """Phase-space mean (q, p) of |alpha>: alpha = (sqrt(varpi) q + i p/sqrt(varpi)) / sqrt(2 hbar)."""
-    qbar = math.sqrt(2.0 * hbar) / math.sqrt(varpi) * alpha.real
-    pbar = math.sqrt(2.0 * hbar) * math.sqrt(varpi) * alpha.imag
-    return qbar, pbar
+    return _center(alpha, hbar, math.sqrt(varpi))
 
 
-def _coherent_psi(alpha: complex, hbar: float, varpi: float, y: np.ndarray) -> np.ndarray:
-    qbar, pbar = coherent_center(alpha, hbar, varpi)
-    amp = varpi ** 0.25 * (1.0 / (math.pi * hbar)) ** 0.25
+def _center(alpha: complex, hbar: float, rw: float) -> tuple[float, float]:
+    # coherent_center with rw = sqrt(varpi) given
+    return math.sqrt(2.0 * hbar) / rw * alpha.real, math.sqrt(2.0 * hbar) * rw * alpha.imag
+
+
+def _coherent_psi(alpha: complex, hbar: float, rw: float, y: np.ndarray) -> np.ndarray:
+    qbar, pbar = _center(alpha, hbar, rw)
+    amp = math.sqrt(rw) * (1.0 / (math.pi * hbar)) ** 0.25
     return amp * np.exp(
-        -varpi * (y - qbar) ** 2 / (2.0 * hbar)
+        -(((y - qbar) * rw) ** 2) / (2.0 * hbar)
         + 1j * pbar * y / hbar
         - 0.5j * pbar * qbar / hbar
-    )
-
-
-def _coherent_psihat(alpha: complex, hbar: float, varpi: float, p: np.ndarray) -> np.ndarray:
-    qbar, pbar = coherent_center(alpha, hbar, varpi)
-    amp = (1.0 / (math.pi * hbar)) ** 0.25 / varpi ** 0.25
-    return amp * np.exp(
-        -((p - pbar) ** 2) / (2.0 * hbar) / varpi
-        - 1j * qbar * p / hbar
-        + 0.5j * pbar * qbar / hbar
     )
 
 
@@ -271,25 +273,15 @@ class _Displaced(_Oscillator):
             raise ValueError(f"|alpha|^2 must be finite, got alpha = {self.alpha}")
         super().__post_init__()
 
-    def position_wavefunction(self, hbar):
-        return self._wave(_coherent_psi, hbar)
+    def _wave(self, hbar, rw, turn):
+        terms = self.terms
+        return lambda y: sum(w * _coherent_psi(turn * a, hbar, rw, np.asarray(y, dtype=float))
+                             for w, a in terms)
 
-    def momentum_wavefunction(self, hbar):
-        return self._wave(_coherent_psihat, hbar)
-
-    def _wave(self, packet, hbar):
-        terms, varpi = self.terms, self.varpi
-        return lambda y: sum(w * packet(a, hbar, varpi, np.asarray(y, dtype=float)) for w, a in terms)
-
-    def position_extent(self, hbar, tails=8.0):
-        q = [coherent_center(a, hbar, self.varpi)[0] for _, a in self.terms]
-        r = tails * self.natural_scales(hbar)[0]
+    def _extent(self, hbar, tails, rw, turn):
+        q = [_center(turn * a, hbar, rw)[0] for _, a in self.terms]
+        r = tails * (math.sqrt(hbar) / rw)
         return min(q) - r, max(q) + r
-
-    def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
-        p = [coherent_center(a, hbar, self.varpi)[1] for _, a in self.terms]
-        r = tails * self.natural_scales(hbar)[1]
-        return min(p) - r, max(p) + r
 
     def envelope_scale(self, hbar):
         _, pbar = coherent_center(self.alpha, hbar, self.varpi)
@@ -314,14 +306,8 @@ class Coherent(_Displaced):
         return f"coherent:{self._alpha_fields()}"
 
     def exact_wigner(self, hbar):
-        qbar, pbar = coherent_center(self.alpha, hbar, self.varpi)
-        rw, rh = math.sqrt(self.varpi), math.sqrt(hbar)
-
-        def w_coh(p, q):
-            return 2.0 * np.exp(-((np.asarray(q, float) - qbar) * (rw / rh)) ** 2
-                                - ((np.asarray(p, float) - pbar) / (rw * rh)) ** 2)
-
-        return w_coh
+        r2 = self._radius2(hbar, *coherent_center(self.alpha, hbar, self.varpi))
+        return lambda p, q: 2.0 * np.exp(-r2(p, q))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ which only a traced benchmark run would otherwise notice missing, and
 every classical time-average route and every catalog state's tomogram
 route reaches a traced name.  The
 source size the README states is the one its own rule counts, no
-private top-level name is left unused, and every public name is used or
-documented."""
+private top-level name is left unused, every public name is used or
+documented, and the oscillator catalog's wave functions and extents are
+defined once, in the base class that applies the Fourier turn."""
 
 import ast
 import importlib
@@ -204,6 +205,19 @@ def test_dense_phase_tables_are_built_in_one_place():
                     assert not any(isinstance(n, ast.Constant) and n.value is None for n in inner), where
                 if call.func.attr in ("cos", "sin"):
                     assert not any(k.arg == "out" for k in call.keywords), where
+
+
+def test_the_oscillator_momentum_side_is_one_fourier_turn():
+    # states._Oscillator alone defines the wave functions and extents, from
+    # each family's _wave and _extent, so the momentum side of every
+    # oscillator state is the one Fourier turn of its position side
+    sides = {"position_wavefunction", "momentum_wavefunction", "position_extent", "momentum_extent"}
+    assert sides <= set(vars(st._Oscillator))
+    families = [c for c in vars(st).values()
+                if isinstance(c, type) and issubclass(c, st._Oscillator) and c is not st._Oscillator]
+    assert {st.HOEigen, st.Superposition, st.Coherent, st.CatEven, st.CatOdd} <= set(families)
+    for cls in families:
+        assert not sides & set(vars(cls)), cls.__name__
 
 
 def test_no_np_unique_in_the_package():

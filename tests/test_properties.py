@@ -23,12 +23,20 @@ from tomolab.kernel import GridFunction2D, TomographyFrame, frame_from_scaling, 
 _alpha = hs.builds(cmath.rect, hs.floats(0.3, 2.0), hs.floats(0.0, 2 * math.pi))
 _fock = hs.builds(st.HOEigen, hs.integers(0, 20))
 _cats = hs.one_of(hs.builds(st.CatEven, _alpha), hs.builds(st.CatOdd, _alpha))
-_catalog = hs.one_of(
-    _fock,
-    hs.builds(st.Coherent, _alpha),
-    _cats,
-    hs.lists(hs.integers(0, 20), min_size=2, max_size=2, unique=True)
-    .map(lambda nm: st.Superposition(*nm)),
+# varpi log-uniform in [0.1, 10]: the momentum wave function is the Fourier
+# turn of the position one at 1/varpi, and the closed-form tomograms reach
+# varpi through quantum's frame map, a route independent of it
+_log_varpi = hs.floats(math.log(0.1), math.log(10.0)).map(math.exp)
+_catalog = hs.builds(
+    lambda state, varpi: dataclasses.replace(state, varpi=varpi),
+    hs.one_of(
+        _fock,
+        hs.builds(st.Coherent, _alpha),
+        _cats,
+        hs.lists(hs.integers(0, 20), min_size=2, max_size=2, unique=True)
+        .map(lambda nm: st.Superposition(*nm)),
+    ),
+    _log_varpi,
 )
 # box tomograms hold their mass only to 1e-4, so box states stay out of the
 # shared catalog and its 1e-6 normalization property

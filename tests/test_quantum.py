@@ -522,6 +522,21 @@ def test_zero_frame_atom():
         assert tom.atoms[0].weight == 1.0 and tom.atoms[0].location == 0.0
 
 
+def test_default_grid_covers_narrow_tomograms():
+    # only the zero frame's empty X interval is widened, to +-1: a tomogram
+    # narrower than any fixed width (tiny hbar, tiny frame) keeps its extent
+    for state, fr, hbar in ((st.HOEigen(2), TomographyFrame(0.6, 0.8), 1e-22),
+                            (st.HOEigen(2), TomographyFrame(0.6, 0.8), 1e-300),
+                            (st.Coherent(1 + 0.5j), TomographyFrame(1e-12, 0.0), 1.0)):
+        x = qt.default_x_grid(state, fr, hbar)
+        assert normalization_residual(qt.state_tomogram(state, fr, x, hbar)) < 1e-10
+    for state in (st.HOEigen(0), st.Coherent(1 + 0.5j), st.BoxEigen(3, 1.0)):
+        x = qt.default_x_grid(state, TomographyFrame(0, 0), 1.0)
+        assert x[0] == -1.0 and x[-1] == 1.0
+        tom = qt.state_tomogram(state, TomographyFrame(0, 0), x, 1.0)
+        assert [(a.location, a.weight) for a in tom.atoms] == [(0.0, 1.0)]
+
+
 def test_momentum_side_dispatch_matches_closed_form():
     # |mu| sigma_q > |nu| sigma_p forces the Fourier-side integral
     fr = TomographyFrame(2.0, 0.1)

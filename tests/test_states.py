@@ -152,18 +152,17 @@ def test_wavefunctions_normalized():
 
 
 def test_momentum_wavefunction_matches_quadrature():
-    # psihat(p) = (2 pi hbar)^(-1/2) int psi(y) e^(-i p y/hbar) dy; the box
-    # integral runs over its compact support so the oracle stays smooth
+    # psihat(p) = (2 pi hbar)^(-1/2) int psi(y) e^(-i p y/hbar) dy over the
+    # catalog, the oscillators at varpi != 1 too; the box integral runs over
+    # its compact support so the oracle stays smooth
     from scipy.integrate import simpson
 
     hbar = 0.6
-    grids = {
-        "HOEigen": np.linspace(-20, 20, 20001),
-        "Coherent": np.linspace(-20, 20, 20001),
-        "BoxEigen": np.linspace(0.0, 1.0, 20001),
-    }
-    for state in (st.HOEigen(3), st.Coherent(0.8 - 0.4j), st.BoxEigen(4, 1.0)):
-        y = grids[type(state).__name__]
+    line = np.linspace(-20, 20, 20001)
+    cases = [(cls(*args, varpi), line) for varpi in (1.0, 0.25, 4.0) for cls, args in (
+        (st.HOEigen, (3,)), (st.Superposition, (1, 4)), (st.Coherent, (0.8 - 0.4j,)),
+        (st.CatEven, (1.2 + 0.3j,)), (st.CatOdd, (0.7j,)))]
+    for state, y in cases + [(st.BoxEigen(4, 1.0), np.linspace(0.0, 1.0, 20001))]:
         psi = st.position_wavefunction(state, hbar)(y)
         ft = st.momentum_wavefunction(state, hbar)
         for p in (-1.3, 0.0, 0.7, 2.1):
