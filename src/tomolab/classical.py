@@ -518,6 +518,24 @@ _TIME_AVERAGES = {
 }
 
 
+# X points whose hull is the time-average support of each model a descriptor
+# names, keyed like _TIME_AVERAGES: a density grid's projected corners, +-R,
+# the ends of the box plateaus, the rest point's atom.
+_TIME_AVERAGE_HULLS = {
+    DensityGrid: lambda m, fr: np.add.outer(fr.mu * m.f.x_grid[[0, -1]], fr.nu * m.f.y_grid[[0, -1]]),
+    OscillatorTrajectory: lambda m, fr: [-_oscillator_radius(fr, m.E), _oscillator_radius(fr, m.E)],
+    BoxTrajectory: lambda m, fr: [x for plateau in box_plateaus(fr, m.L, m.E) for x in plateau],
+    RestPoint: lambda m, fr: [trajectory_tomogram(m, 0, fr).location],
+}
+
+
+def time_average_support(model, frame: TomographyFrame) -> tuple[float, float]:
+    """The X interval [lo, hi] that the time average of a model a classical
+    descriptor names occupies in a nonzero frame."""
+    xs = _TIME_AVERAGE_HULLS[type(model)](model, frame)
+    return float(np.min(xs)), float(np.max(xs))
+
+
 def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt of any
     classical model, and the one place its route is chosen.

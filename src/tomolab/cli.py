@@ -373,17 +373,19 @@ _PLAIN_NOTES = {cl.DensityGrid: "plain L1",
 
 
 def _compare_row(state, model, frame: TomographyFrame, hbar: float,
-                 grid: np.ndarray | None, windowed) -> tuple[float, str]:
+                 grid: np.ndarray | None, windowed) -> tuple[float, str, dict]:
     """One quantum-vs-classical L1 distance with the appropriate
-    oscillation handling and exclusion zones.
+    oscillation handling and exclusion zones, its note, and the mass
+    residuals of the two tomograms a plain row compares.
 
     Eigenstate rows against matching orbits are compared after local
     averaging (turning zones / support edges excluded); those rows hold
     only at the studies' Ehrenfest values (hbar = 1/n against the E = 1
     orbit for ho, unit energy for box), so other hbar, E, varpi or L values
     raise CompareInputError.  Every other row is the plain L1 distance to the
-    model's time average with its atoms spread to their cells; a `point`
-    model is at rest, so its average is the unit atom at mu q0 + nu p0.
+    model's time average with its atoms spread to their cells, by default
+    on a grid spanning both supports; a `point` model is at rest, so its
+    average is the unit atom at mu q0 + nu p0.
     windowed(n) is the oscillator windowed distance, one for every frame.
     """
     pair = (type(state), type(model))
@@ -395,23 +397,27 @@ def _compare_row(state, model, frame: TomographyFrame, hbar: float,
         _require_ehrenfest_values("oscillator", hbar=(hbar, hbar_n),
                              E=(model.E, 1.0), varpi=(state.varpi, 1.0))
         if frame.is_zero:
-            return math.nan, "zero frame not comparable"
-        return windowed(state.n), "windowed; turning zones excluded"
+            return math.nan, "zero frame not comparable", {}
+        return windowed(state.n), "windowed; turning zones excluded", {}
     if pair == (st.BoxEigen, cl.BoxTrajectory):
         _require_ehrenfest_values("box", L=(state.L, model.L), E=(model.E, 1.0),
                              hbar=(hbar, qt.ehrenfest_hbar(state.n, model.L)))
         if frame.mu == 0.0 or frame.nu == 0.0:
-            return math.nan, "frame needs mu != 0 and nu != 0"
+            return math.nan, "frame needs mu != 0 and nu != 0", {}
         d = lm.box_windowed_distance(state.n, model.L, frame)
-        return d, "windowed; support edges excluded"
+        return d, "windowed; support edges excluded", {}
     if frame.is_zero:
-        return math.nan, "zero frame not comparable"
-    if grid is None:
+        return math.nan, "zero frame not comparable", {}
+    if grid is None:  # both supports, padded by 1 % so the cells at their edges keep their mass
         grid = qt.default_x_grid(state, frame, hbar, count=4001)
+        lo, hi = cl.time_average_support(model, frame)
+        lo, hi = min(lo, grid[0]), max(hi, grid[-1])
+        grid = np.linspace(lo - 0.01 * (hi - lo), hi + 0.01 * (hi - lo), grid.size)
     tomq = qt.state_tomogram(state, frame, grid, hbar)
     tomc = spread_atoms(cl.time_averaged_tomogram(model, frame, grid))
     note = _PLAIN_NOTES.get(type(model), "plain L1 (orbit average; atoms spread to cells)")
-    return tomogram_distance_l1(tomq, tomc), note
+    masses = {"quantum": normalization_residual(tomq), "classical": normalization_residual(tomc)}
+    return tomogram_distance_l1(tomq, tomc), note, masses
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -420,18 +426,20 @@ def cmd_compare(cfg: RunConfig) -> int:
     frames = [TomographyFrame(*f) for f in cfg.frames] or [TomographyFrame(1.0, 0.0)]
     rows = []
     notes = []
+    masses = []
     grid = np.linspace(*cfg.grid) if cfg.grid else None
     # the same in every nonzero frame, so computed at most once per command
     windowed = functools.cache(lambda n: lm.oscillator_windowed_distance(n, TomographyFrame(1.0, 0.0)))
     for fr in frames:
         try:
-            d, note = _compare_row(state, model, fr, cfg.hbar, grid, windowed)
+            d, note, mass = _compare_row(state, model, fr, cfg.hbar, grid, windowed)
         except CompareInputError:
             raise  # the whole command fails (exit 2), not just this row
         except Exception as exc:  # report per-row failures, keep going
-            d, note = math.nan, f"failed: {exc}"
+            d, note, mass = math.nan, f"failed: {exc}", {}
         rows.append((fr.mu, fr.nu, d))
         notes.append(note)
+        masses.append(mass)
         print(f"frame ({fr.mu:g}, {fr.nu:g}): L1 = {d:.6g}   [{note}]")
     out_csv = os.path.join(cfg.out, "compare.csv")
     _write_csv(out_csv, "mu,nu,l1_distance", np.array(rows).T)
@@ -443,7 +451,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     }
     _write_json(os.path.join(cfg.out, "compare.json"), meta)
     print(f"table written to {out_csv}")
-    return 0
+    ok = [_within("compare", out_csv, f"frame ({mu:g}, {nu:g}) {kind} tomogram mass residual",
+                  resid, TOMOGRAM_MASS_TOL)
+          for (mu, nu, _), mass in zip(rows, masses) for kind, resid in mass.items()]
+    return 0 if all(ok) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,9 @@ def _slots(v: np.ndarray) -> np.ndarray:
     whole = np.where(fixed, e + 1, 1)  # digits before the point
     kept = np.maximum(last.take(groups + _GROUP_OFFSETS).max(axis=0), whole)
     moved = np.flatnonzero(whole > 1)
-    if moved.size:
-        buf[moved, 6:24] = np.take_along_axis(buf[moved, 6:24], point[whole[moved] - 1], axis=1)
+    if moved.size:  # one gather of the digit regions of the whole block
+        at, flat = moved[:, None] * _WIDTH + 6, buf.reshape(-1)
+        flat[at + np.arange(18)] = flat.take(at + point[whole[moved] - 1])
     # layout code: '%g' prints fixed point for -4 <= E < 17 (class E + 4),
     # otherwise an exponent of two or three digits (class 21 or 22)
     cls = np.where(fixed, e + 4, np.where(np.abs(e) >= 100, 22, 21))

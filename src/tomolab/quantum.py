@@ -679,10 +679,15 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     On the density grid x_a = x0 + a h the anti-diagonal rho[a, m - a] holds
     exact samples of the half-grid row q_m = x0 + m h/2, at u = (2a - m) h.
     The trapezoid rule in u (step 2h, end weights 1/2, rho zero off the grid)
-    gives R_m(p) = e^{i p m h/hbar} sum_a w_{m,a} rho[a, m - a] e^{-2i p a h/hbar} 2h
-    for every row in one matrix product over one (n x n_p) phase table.  Only
-    the rows that the 4-point stencils of the q need are built; W(q, p) is
-    the cubic Lagrange interpolant of Re R_m, zero for q outside the grid.
+    gives R_m(p) = sum_u w_u rho(q_m + u/2, q_m - u/2) e^{-i p u/hbar}, summed
+    over the Hermitian pairs u = +-kh, k = 2j + m mod 2: with c+- =
+    rho[(m +- k)/2, (m -+ k)/2], s = w (c+ + conj c-) and d = w (c+ - conj c-)
+    (the centre k = 0 at half weight), Re R_m = sum_k Re s cos(pkh/hbar) +
+    Im s sin(pkh/hbar) for any rho and Im R_m = sum_k Im d cos(pkh/hbar) -
+    Re d sin(pkh/hbar): one real matrix product per row parity over half the
+    samples.  Only the rows that the 4-point stencils of the q need are
+    built; W(q, p) is the cubic Lagrange interpolant of Re R_m, zero for q
+    outside the grid.
     The error is the trapezoid rule's (spectral for a rho that decays inside
     the grid) plus O(h^4) from the q interpolation: below 2e-6 for HOEigen(0..3)
     and a coherent state on 401 points over +-6 sqrt(hbar).  The step 2h
@@ -708,25 +713,39 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
             lag[:, j] *= (t - nodes[:, i]) / (j - i)
     m = _distinct(nodes)
     at = np.searchsorted(m, nodes)
-    # trapezoid weights of step 2h over the a with 0 <= m - a < n
-    a = np.arange(n)
-    b = m[:, None] - a
-    w = np.where((b >= 0) & (b < n), 2.0 * h, 0.0)
-    w[np.arange(m.size), np.maximum(m - n + 1, 0)] -= h
-    w[np.arange(m.size), np.minimum(m, n - 1)] -= h
-    # row m of diag is anti-diagonal m of rho: rho[a, m - a] is flat element
-    # m + a (n - 1), inside the buffer for every 0 <= m <= 2n - 2
-    v = np.ascontiguousarray(rho.values)
-    diag = np.lib.stride_tricks.as_strided(v, shape=(2 * n - 1, n), writeable=False,
-                                           strides=(v.itemsize, (n - 1) * v.itemsize))
-    phase = _phases(a, p * (-2.0 * h / hbar))  # e^{-2i p a h/hbar}
-    R = (diag[m] * w) @ phase
-    # e^{i p m h/hbar} from the table: conj(phase[m // 2]), times e^{i p h/hbar} for odd m
-    R *= phase[m // 2].conj()
-    R[m % 2 == 1] *= np.exp(1j * h / hbar * p)
+    v = np.ascontiguousarray(rho.values).ravel()
+    j = np.arange((n + 1) // 2)
+    E = _phases(j, p * (-2.0 * h / hbar))  # e^{-2i p j h/hbar}
+    R, resid = np.empty((m.size, p.size)), 0.0  # Re R_m and the worst |Im R_m|
+    for odd, T in ((0, E), (1, E * np.exp(-1j * h / hbar * p))):  # e^{-i p (2j + odd) h/hbar}
+        rows = np.flatnonzero(m % 2 == odd)
+        mr = m[rows]
+        # trapezoid weights of step 2h over the pairs k = 2j + odd <= kmax: 2h
+        # inside, h at the ends +-kmax, 0 on a one-sample row
+        kmax = np.minimum(mr, 2 * n - 2 - mr)
+        w = (2.0 * h) * (2 * j + odd <= kmax[:, None])
+        w[np.arange(rows.size), kmax // 2] = h * (kmax > 0)
+        w[:, 0] /= 2 - odd  # the centre k = 0 of an even row is both c+ and c-
+        # c+ = rho[a, m - a] and c- = rho[m - a, a], a = (m + k)/2 = (m + odd)/2 + j,
+        # are flat elements m + a (n - 1) and m (n + 1) less that; a pair past
+        # kmax has weight 0 and reads any element of the buffer
+        b = ((mr + odd) // 2 * (n - 1) + mr)[:, None] + j * (n - 1)
+        A = np.empty((2, rows.size, j.size), complex)  # w c+ and w conj c-, then s and -i d
+        v.take(b, out=A[0], mode="clip")
+        v.take((mr * (n + 1))[:, None] - b, out=A[1], mode="clip")
+        np.conjugate(A[1], out=A[1])
+        A *= w
+        A[1] -= A[0]  # -d
+        A[0] *= 2.0
+        A[0] += A[1]  # s = 2 w c+ - d
+        A[1] *= 1j  # -i d
+        # rows [Re s, Im s] over [Im d, -Re d] as interleaved float columns, on cos and sin rows alike
+        RI = A.reshape(2 * rows.size, -1).view(float) @ np.stack([T.real, -T.imag], 1).reshape(-1, p.size)
+        R[rows] = RI[:rows.size]
+        resid = max(resid, float(np.max(np.abs(RI[rows.size:]), initial=0.0)))
     out = np.zeros((q.size, p.size))
-    out[inside] = np.einsum("qk,qkp->qp", lag, R.real[at])
-    return GridFunction2D(q, p, out), float(np.max(np.abs(R.imag), initial=0.0))
+    out[inside] = np.einsum("qk,qkp->qp", lag, R[at])
+    return GridFunction2D(q, p, out), resid
 
 
 def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,

@@ -12,6 +12,7 @@ from tomolab.classical import (
     DensityGrid,
     OscillatorTrajectory,
     PointTrajectory,
+    RestPoint,
     box_plateaus,
     build_radon_family,
     classical_box_tomogram,
@@ -22,6 +23,7 @@ from tomolab.classical import (
     parse_classical,
     radon_density,
     read_density_csv,
+    time_average_support,
     time_averaged_tomogram,
     trajectory_tomogram,
     write_density_csv,
@@ -652,3 +654,17 @@ def test_density_csv_refuses_what_it_would_misread(tmp_path):
         path.write_text(text + "\n")
         with pytest.raises(TomogramError, match=message):
             read_density_csv(str(path))
+
+
+@pytest.mark.parametrize("model, frame, support", [
+    (OscillatorTrajectory(2.0), TomographyFrame(0.6, 0.8), (-2.0, 2.0)),
+    (BoxTrajectory(1.5, 0.5), TomographyFrame(2.0, -0.5), (-0.5, 3.5)),
+    (RestPoint(0.3, -1.2), TomographyFrame(2.0, 1.0), (-0.6, -0.6)),
+    (gaussian_density(), TomographyFrame(0.6, -0.8), (-11.2, 11.2)),
+])
+def test_time_average_support_holds_the_whole_mass(model, frame, support):
+    lo, hi = time_average_support(model, frame)
+    assert lo == pytest.approx(support[0], abs=1e-12) and hi == pytest.approx(support[1], abs=1e-12)
+    cell = max(hi - lo, 1.0) / 400
+    tom = time_averaged_tomogram(model, frame, np.linspace(lo - cell, hi + cell, 403))
+    assert normalization_residual(tom) < 1e-3

@@ -1122,6 +1122,25 @@ def test_compare_oscillator(tmp_path, capsys):
     assert rows["l1_distance"] < 0.03
 
 
+def test_compare_plain_rows_keep_the_classical_mass(tmp_path, capsys):
+    # the default grid once spanned only the coherent state's narrow
+    # tomogram, so 1.0488 and 1.0954 were printed with 11.5 % and 16.1 % of
+    # the classical mass on the grid; its own support bounds the distance by 2
+    argv = ["compare", "--state", "coherent:re=1,im=0", "--classical", "oscillator:E=1",
+            "--hbar", "1e-3", "--frames", "1,0;0.6,0.8", "--out", str(tmp_path / "a")]
+    assert run(argv) == 0
+    rows = np.loadtxt(tmp_path / "a" / "compare.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.abs(rows[:, 2] - 1.9342) < 1e-3)
+    capsys.readouterr()
+    # a grid that drops the mass is written, then refused
+    argv[-1] = str(tmp_path / "b")
+    assert run(argv + ["--grid", "-0.3,0.3,4001"]) == 1
+    assert (tmp_path / "b" / "compare.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"compare: {tmp_path / 'b' / 'compare.csv'}: frame ({f}) classical tomogram mass "
+                   f"residual 8.639e-01 exceeds the tolerance 0.01" for f in ("1, 0", "0.6, 0.8")]
+
+
 def test_compare_oscillator_in_the_zero_frame(tmp_path, capsys):
     # once "L1 = nan [failed: float division by zero]"; the frame-free
     # distance must not stand in for the zero-frame tomogram, a unit atom

@@ -339,8 +339,9 @@ def test_writer_file_spans_several_blocks(tmp_path):
 def test_writer_blocks_of_each_kind_match_percent_g17(tmp_path):
     # one block each: finite nonzero values above 1e-200, only zeros and
     # non-finite values, normal values with one value below 1e-200 last,
-    # only values below 1e-200, and values whose 17 digits carry to the next
-    # power of ten (the double nearest 10**k lies below it)
+    # only values below 1e-200, values whose 17 digits carry to the next
+    # power of ten (the double nearest 10**k lies below it), and fixed-point
+    # values with 2 to 17 integer digits (the point moves right)
     size = kernel._BLOCK_VALUES
     rng = np.random.default_rng(40)
     signs = rng.choice([-1.0, 1.0], size)
@@ -353,12 +354,17 @@ def test_writer_blocks_of_each_kind_match_percent_g17(tmp_path):
                and b"%.17g" % t == b"1e%+03d" % k]
     assert len(carries) == 13  # 1e-243 and 1e-14 among them
     carried = signs * np.resize(carries, size)
-    column = np.concatenate([normal, special, one_tiny, tiny, carried])
+    whole = np.resize(np.arange(2, 18), size)
+    moved = signs * (1.0 + 9.0 * rng.random(size)) * 10.0 ** (whole - 1)
+    assert {len(b"%d" % abs(v)) for v in moved} == set(range(2, 18))
+    column = np.concatenate([normal, special, one_tiny, tiny, carried, moved])
     kernel._write_csv(str(tmp_path / "kinds.csv"), "v", (column,))
     assert (tmp_path / "kinds.csv").read_bytes() == b"v\n" + _oracle_rows(column[:, None])
     # the finite blocks take no per-value path, which would hide a wrong vector result
     for block in (normal, one_tiny, tiny, carried):
         assert kernel._decimal17(block)[2].all()
+    # but exact decimal ties do, a few with 13 to 16 integer digits: every count keeps vector values
+    assert set(whole[kernel._decimal17(moved)[2]]) == set(range(2, 18))
 
 
 _SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308 / 3])

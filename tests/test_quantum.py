@@ -13,6 +13,7 @@ from tomolab.kernel import (
     GridFunction2D,
     TomographyFrame,
     TomogramError,
+    frame_from_scaling,
     normalization_residual,
 )
 
@@ -932,6 +933,25 @@ def _dual_route_geometry(hbar):
     return np.linspace(-6 * s, 6 * s, 401), np.linspace(-4.5 * s, 4.5 * s, 161)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("hbar", [0.3, 1.0])
+def test_tomogram_from_wigner_dual_route_at_the_benchmark_shapes(n, hbar):
+    # the benchmark's dual-route job: its grids, frames from its draw (s
+    # log-uniform in [0.7, 1.4]) and X on 401 points over +-6r
+    rng = np.random.default_rng(4300 + n)
+    x, q = _dual_route_geometry(hbar)
+    wgrid, _ = qt.wigner_grid_from_density(qt.rho_grid(st.HOEigen(n), hbar, x), q, q, hbar)
+    for s, theta in zip(np.exp(rng.uniform(math.log(0.7), math.log(1.4), 8)),
+                        rng.uniform(0.0, 2.0 * math.pi, 8)):
+        fr = frame_from_scaling(s, theta)
+        r = math.sqrt(hbar * (fr.mu ** 2 + fr.nu ** 2))
+        xt = np.linspace(-6.0 * r, 6.0 * r, 401)
+        tom = qt.tomogram_from_wigner(wgrid, fr, xt, hbar)
+        # in the units of the hbar = 1 tomogram, whose values scale as 1/r
+        assert np.max(np.abs(tom.values - qt.hermite_tomogram(n, fr, xt, hbar))) * r < 1e-6
+        assert normalization_residual(tom) < 1e-3
+
+
 @pytest.mark.parametrize("state, bound", [
     # 1/100 of the errors of the earlier interpolated u-grid map
     (st.HOEigen(0), 1.9e-6), (st.HOEigen(1), 4.6e-6), (st.HOEigen(3), 1.05e-5),
@@ -949,23 +969,32 @@ def test_wigner_from_density_matches_exact_off_the_half_grid(state, bound):
 
 
 def test_wigner_half_grid_rows_match_the_anti_diagonal_loop(rng):
-    # on a half-grid row the map is the trapezoid sum over rho[a, m - a] itself
-    x = np.linspace(-2.0, 2.0, 9)
-    h = x[1] - x[0]
-    vals = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    rho = GridFunction2D(x, x, vals + vals.conj().T)
-    q = x[0] + 0.5 * h * np.arange(17)
-    p = np.linspace(-1.5, 1.5, 7)
-    w, resid = qt.wigner_grid_from_density(rho, q, p, 0.7)
-    for m in range(17):
-        a = np.arange(max(0, m - 8), min(8, m) + 1)
-        wt = np.full(a.size, 2 * h)
-        wt[0] -= h
-        wt[-1] -= h
-        u = (2 * a - m) * h
-        ref = [np.sum(wt * rho.values[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p]
-        assert np.allclose(w.values[m], np.real(ref), rtol=0, atol=1e-13 * np.max(np.abs(vals)))
-    assert resid < 1e-13 * np.max(np.abs(vals))
+    # on a half-grid row the map is the trapezoid sum over rho[a, m - a]
+    # itself, the one-sample rows m = 0 and 2n - 2 included, for odd and even
+    # n; an anti-Hermitian part small enough to pass the Hermiticity gate
+    # shows in the residual
+    for n, anti in ((9, 0.0), (10, 0.0), (9, 3e-8), (10, 3e-8)):
+        x = np.linspace(-2.0, 2.0, n)
+        h = x[1] - x[0]
+        vals, b = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        vals = vals + vals.conj().T + anti * (b - b.conj().T)
+        q = x[0] + 0.5 * h * np.arange(2 * n - 1)
+        p = np.linspace(-1.5, 1.5, 7)
+        w, resid = qt.wigner_grid_from_density(GridFunction2D(x, x, vals), q, p, 0.7)
+        loop_resid = 0.0
+        for m in range(2 * n - 1):
+            a = np.arange(max(0, m - n + 1), min(n - 1, m) + 1)
+            wt = np.full(a.size, 2 * h)
+            wt[0] -= h
+            wt[-1] -= h
+            u = (2 * a - m) * h
+            ref = np.array([np.sum(wt * vals[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p])
+            assert np.allclose(w.values[m], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(vals)))
+            loop_resid = max(loop_resid, float(np.max(np.abs(ref.imag))))
+        if anti:
+            assert abs(resid - loop_resid) < 1e-6 * loop_resid
+        else:
+            assert resid < 1e-13 * np.max(np.abs(vals))
 
 
 def test_wigner_residual_is_the_anti_hermitian_part():
