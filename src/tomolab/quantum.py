@@ -47,6 +47,7 @@ from .states import (
     HOEigen,
     State,
     Superposition,
+    _basis_rows,
     _box_wave_number,
     coherent_center,
     momentum_wavefunction,
@@ -118,37 +119,15 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
 # ---------------------------------------------------------------------------
 
 def _rows(basis: str, labels, frame: TomographyFrame, X, hbar: float):
-    """sqrt(kappa) and the chirp-free rows u_a(X) of the basis vectors |a>
-    (Fock orders or coherent amplitudes), kappa = 1/(hbar |zeta|^2), so that
-    the amplitude of sum_a w_a |a> gives the tomogram sqrt(kappa) |sum_a w_a u_a|^2.
-
-    The amplitudes share the chirp and the prefactor of
-    :func:`hermite_amplitude`, which are never formed.  A Fock row is
-    phi_k(sqrt(kappa) X) times e^{i(k - k_0)(arg zeta - pi/2)}; a coherent
-    row is the Gaussian pi^(-1/4) e^{-kappa (X - X_a)^2/2} about
-    X_a = coherent_tomogram_peak times the phase Im(zeta a^2/(2 zeta*))
-    - sqrt(2/hbar) X Re(a/zeta*), written as modulus and phase so large
-    |a| cannot overflow.  Phases are taken relative to the first row, which
-    stays real, so the forms hold down to nu = 0 (the position marginal).
-    """
-    d = frame.nu ** 2 + frame.mu ** 2
-    if d == 0.0:
+    """sqrt(kappa) = 1/(|zeta| sqrt(hbar)) and the rows u_a(X) of the basis vectors |a>,
+    so that sum_a w_a |a> has the tomogram sqrt(kappa) |sum_a w_a u_a|^2: X = mu q + nu p
+    is the position after the map that turns and scales (q, p) onto X, so they are
+    the rows of :func:`states._basis_rows` at rw = 1/|zeta|, turn = (mu - i nu)/|zeta|."""
+    z = math.hypot(frame.mu, frame.nu)
+    if z == 0.0:
         raise TomogramError("closed-form tomogram rejected for the zero frame")
-    kappa = 1.0 / (hbar * d)
-    root = math.sqrt(kappa)
-    Xv = np.asarray(X, dtype=float)
-    if basis == "fock":
-        turn = math.atan2(frame.mu, frame.nu) - 0.5 * math.pi
-        rows = [hermite_phi(k, root * Xv) for k in labels]
-        phases = [(k - labels[0]) * turn for k in labels]
-    else:
-        zc = complex(frame.nu, -frame.mu)  # zeta*
-        chirp = [((zc.conjugate() * a * a / (2.0 * zc)).imag, -math.sqrt(2.0 / hbar) * (a / zc).real)
-                 for a in labels]
-        rows = [math.pi ** -0.25 * np.exp(-0.5 * (root * (Xv - coherent_tomogram_peak(a, frame, hbar))) ** 2)
-                for a in labels]
-        phases = [(c - chirp[0][0]) + (s - chirp[0][1]) * Xv for c, s in chirp]
-    return root, rows[:1] + [u * np.exp(1j * t) for u, t in zip(rows[1:], phases[1:])]
+    rows, _ = _basis_rows(basis, labels, hbar, 1.0 / z, complex(frame.mu, -frame.nu) / z, np.asarray(X, float))
+    return 1.0 / (z * math.sqrt(hbar)), rows
 
 
 def _tomogram(state: State, frame: TomographyFrame, X, hbar: float):

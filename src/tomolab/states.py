@@ -121,12 +121,34 @@ def _num(v: float) -> str:
     return repr(float(v)).removesuffix(".0")
 
 
+def _basis_rows(basis: str, labels, hbar: float, rw: float, turn: complex, y: np.ndarray):
+    """Rows u_a(y) of the basis vectors |a> (Fock orders or coherent amplitudes)
+    of the oscillator sqrt(mass * frequency) = rw seen through turn, phased
+    relative to the first row, which stays real, and that row's phase c_0 + s_0 y
+    as (c_0, s_0): sum_a w_a |a> has the wave function sqrt(s) e^{i(c_0 + s_0 y)}
+    sum_a w_a u_a(y), s = rw/sqrt(hbar).  In x = s y a Fock row is turn^k phi_k(x)
+    and a coherent row, b = turn a, pi^(-1/4) e^{-(x - sqrt2 Re b)^2/2 + i Im b (sqrt2 x - Re b)}."""
+    s = rw * math.sqrt(1.0 / hbar)
+    if basis == "fock":
+        angle = math.atan2(turn.imag, turn.real)
+        rows = [hermite_phi(k, s * y) for k in labels]
+        first = labels[0] * angle, 0.0
+        phases = [(k - labels[0]) * angle for k in labels]
+    else:
+        b = [turn * a for a in labels]
+        rows = [math.pi ** -0.25 * np.exp(-0.5 * (s * y - math.sqrt(2.0) * c.real) ** 2) for c in b]
+        chirp = [(-c.real * c.imag, math.sqrt(2.0) * s * c.imag) for c in b]
+        first = c0, s0 = chirp[0]
+        phases = [(c - c0) + (t - s0) * y for c, t in chirp]
+    return rows[:1] + [u * np.exp(1j * t) for u, t in zip(rows[1:], phases[1:])], first
+
+
 class _Oscillator(State):
     """The varpi oscillator family (mass * frequency = varpi).
 
-    Each family writes its wave function _wave(hbar, rw, turn) and extent
-    _extent(hbar, tails, rw, turn) once, for the oscillator with
-    sqrt(mass * frequency) = rw.  Position passes rw = sqrt(varpi), turn = 1;
+    Each family writes its extent _extent(hbar, tails, rw, turn) once and the
+    wave function _wave is read off its terms by :func:`_basis_rows`, for the
+    oscillator with sqrt(mass * frequency) = rw.  Position passes rw = sqrt(varpi), turn = 1;
     momentum is the Fourier turn e^(-i pi N/2): rw = 1/sqrt(varpi), and
     turn = -i multiplies a Fock weight by (-i)^k, a coherent amplitude a to -i a.
     """
@@ -145,6 +167,17 @@ class _Oscillator(State):
 
     def momentum_extent(self, hbar, tails=8.0, mass_tol=1e-6):
         return self._extent(hbar, tails, 1.0 / math.sqrt(self.varpi), -1j)
+
+    def _wave(self, hbar, rw, turn):
+        # sqrt(s) e^(i(c_0 + s_0 y)) sum_a w_a u_a(y), s = rw/sqrt(hbar)
+        terms, root = self.terms, math.sqrt(rw * math.sqrt(1.0 / hbar))
+
+        def psi(y):
+            y = np.asarray(y, dtype=float)
+            rows, (c0, s0) = _basis_rows(self.basis, [a for _, a in terms], hbar, rw, turn, y)
+            return root * np.exp(1j * (c0 + s0 * y)) * sum(w * u for (w, _), u in zip(terms, rows))
+
+        return psi
 
     def natural_scales(self, hbar):
         # each root taken apart: hbar * varpi overflows near the largest double
@@ -169,12 +202,6 @@ class _Fock(_Oscillator):
 
     def max_order(self):
         return max(k for _, k in self.terms)
-
-    def _wave(self, hbar, rw, turn):
-        # sum_k w_k turn^k sqrt(s) phi_k(s y), s = rw/sqrt(hbar)
-        terms, s = self.terms, rw * math.sqrt(1.0 / hbar)
-        return lambda y: sum(w * turn ** k * math.sqrt(s) * hermite_phi(k, s * np.asarray(y, dtype=float))
-                             for w, k in terms) + 0j
 
     def _extent(self, hbar, tails, rw, turn):
         r = math.sqrt(hbar) / rw * (math.sqrt(2.0 * self.max_order() + 1.0) + tails)
@@ -243,22 +270,8 @@ def cat_normalization(alpha: complex, parity: str) -> float:
 
 def coherent_center(alpha: complex, hbar: float, varpi: float = 1.0) -> tuple[float, float]:
     """Phase-space mean (q, p) of |alpha>: alpha = (sqrt(varpi) q + i p/sqrt(varpi)) / sqrt(2 hbar)."""
-    return _center(alpha, hbar, math.sqrt(varpi))
-
-
-def _center(alpha: complex, hbar: float, rw: float) -> tuple[float, float]:
-    # coherent_center with rw = sqrt(varpi) given
+    rw = math.sqrt(varpi)
     return math.sqrt(2.0 * hbar) / rw * alpha.real, math.sqrt(2.0 * hbar) * rw * alpha.imag
-
-
-def _coherent_psi(alpha: complex, hbar: float, rw: float, y: np.ndarray) -> np.ndarray:
-    qbar, pbar = _center(alpha, hbar, rw)
-    amp = math.sqrt(rw) * (1.0 / (math.pi * hbar)) ** 0.25
-    return amp * np.exp(
-        -(((y - qbar) * rw) ** 2) / (2.0 * hbar)
-        + 1j * pbar * y / hbar
-        - 0.5j * pbar * qbar / hbar
-    )
 
 
 class _Displaced(_Oscillator):
@@ -273,13 +286,8 @@ class _Displaced(_Oscillator):
             raise ValueError(f"|alpha|^2 must be finite, got alpha = {self.alpha}")
         super().__post_init__()
 
-    def _wave(self, hbar, rw, turn):
-        terms = self.terms
-        return lambda y: sum(w * _coherent_psi(turn * a, hbar, rw, np.asarray(y, dtype=float))
-                             for w, a in terms)
-
     def _extent(self, hbar, tails, rw, turn):
-        q = [_center(turn * a, hbar, rw)[0] for _, a in self.terms]
+        q = [math.sqrt(2.0 * hbar) / rw * (turn * a).real for _, a in self.terms]
         r = tails * (math.sqrt(hbar) / rw)
         return min(q) - r, max(q) + r
 

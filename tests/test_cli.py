@@ -1154,6 +1154,22 @@ def test_compare_oscillator_in_the_zero_frame(tmp_path, capsys):
     assert notes == ["zero frame not comparable", "windowed; turning zones excluded"]
 
 
+@pytest.mark.parametrize("classical, extra, frame, message", [
+    ("point:q0=5,p0=0", ["--grid", "-1,1,101"], (1.0, 0.0), "atom at 5.0 lies outside the grid"),
+    ("oscillator:E=1", [], (1e160, 0.0), "(34, 'Numerical result out of range')")])
+def test_a_failed_compare_row_is_written_then_exits_1(tmp_path, capsys, classical, extra, frame, message):
+    # a row that raised was once written as nan with exit 0, like the rows
+    # that are nan by design (test_compare_oscillator_in_the_zero_frame)
+    out = tmp_path / "cmp"
+    assert run(["compare", "--state", "coherent:re=1,im=0", "--classical", classical,
+                "--frames", "%r,%r" % frame, "--out", str(out), *extra]) == 1
+    rows = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[0, :2].tolist() == list(frame) and math.isnan(rows[0, 2])
+    assert json.load(open(out / "compare.json"))["notes"] == [f"failed: {message}"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"compare: {out / 'compare.csv'}: frame ({frame[0]:g}, {frame[1]:g}) failed: {message}"]
+
+
 def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeypatch):
     # the windowed distance is the same in every nonzero frame: one
     # 121-center, 48-sample average serves all three rows
@@ -1162,7 +1178,7 @@ def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeyp
     def counted(n, x):
         points.append(np.size(x))
         return tomolab.specfun.hermite_phi(n, x)
-    monkeypatch.setattr(tomolab.quantum, "hermite_phi", counted)
+    monkeypatch.setattr(tomolab.states, "hermite_phi", counted)
     out = str(tmp_path / "cmp")
     assert run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1", "--hbar", "0.01",
                 "--frames", "1,0;0.568,0.856;-0.3,1.7", "--out", out]) == 0
@@ -1182,13 +1198,15 @@ def test_main_reuses_one_parser_without_carrying_values(tmp_path):
     assert rows[:, :2].tolist() == [[1.0, 0.0]]
 
 def test_compare_box(tmp_path):
+    # the frame (1, 0) row is nan by design and keeps exit 0
     out = str(tmp_path / "cmp")
     code = run(["compare", "--state", "box:n=200,L=1", "--classical", "box:L=1,E=1",
-                "--hbar", str(tomolab.quantum.ehrenfest_hbar(200)), "--frames", "1,0.3",
+                "--hbar", str(tomolab.quantum.ehrenfest_hbar(200)), "--frames", "1,0.3;1,0",
                 "--out", out])
     assert code == 0
     rows = np.genfromtxt(os.path.join(out, "compare.csv"), delimiter=",", names=True)
-    assert rows["l1_distance"] < 0.05
+    assert rows["l1_distance"][0] < 0.05 and math.isnan(rows["l1_distance"][1])
+    assert json.load(open(os.path.join(out, "compare.json")))["notes"][1] == "frame needs mu != 0 and nu != 0"
 
 
 def test_compare_rejects_values_the_windowed_rows_ignore(tmp_path, capsys):

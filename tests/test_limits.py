@@ -322,7 +322,7 @@ def test_the_oscillator_study_evaluates_5808_hermite_points_per_order(monkeypatc
     def counted(n, x):
         calls.append((n, np.size(x)))
         return hermite_phi(n, x)
-    monkeypatch.setattr(qt, "hermite_phi", counted)
+    monkeypatch.setattr(st, "hermite_phi", counted)
     lm.ehrenfest_oscillator([25, 50], TomographyFrame(0.6, 0.8))
     # the last call is the forbidden-region value at the largest n
     assert sorted(calls) == [(25, 5808), (50, 1), (50, 5808)]

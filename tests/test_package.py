@@ -209,15 +209,23 @@ def test_dense_phase_tables_are_built_in_one_place():
 
 def test_the_oscillator_momentum_side_is_one_fourier_turn():
     # states._Oscillator alone defines the wave functions and extents, from
-    # each family's _wave and _extent, so the momentum side of every
+    # its one _wave and each family's _extent, so the momentum side of every
     # oscillator state is the one Fourier turn of its position side
     sides = {"position_wavefunction", "momentum_wavefunction", "position_extent", "momentum_extent"}
-    assert sides <= set(vars(st._Oscillator))
+    assert sides | {"_wave"} <= set(vars(st._Oscillator))
     families = [c for c in vars(st).values()
                 if isinstance(c, type) and issubclass(c, st._Oscillator) and c is not st._Oscillator]
     assert {st.HOEigen, st.Superposition, st.Coherent, st.CatEven, st.CatOdd} <= set(families)
     for cls in families:
-        assert not sides & set(vars(cls)), cls.__name__
+        assert not (sides | {"_wave"}) & set(vars(cls)), cls.__name__
+    # and one row builder, states._basis_rows, serves the wave functions and
+    # every tomogram frame: quantum builds no oscillator row of its own
+    assert not hasattr(st, "_coherent_psi")
+    tree = ast.parse((_ROOT / "src" / "tomolab" / "quantum.py").read_text())
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "hermite_phi"]
+    assert callers == ["hermite_amplitude"]
 
 
 def test_no_np_unique_in_the_package():

@@ -445,14 +445,19 @@ def test_ladder_amplitudes_match_the_direct_sum_over_their_nodes(a, slope, x, en
     assert np.max(np.abs(amps - direct)) <= 1e-12 * np.sum(np.abs(g))
 
 
-@pytest.mark.parametrize("varpi", [2.3e-308, 1e-300, 1e300])
-def test_coherent_tomogram_at_extreme_varpi_keeps_its_mass(varpi):
+@pytest.mark.parametrize("state, frame", [
+    *[pytest.param(st.Coherent(1.0 + 0j, v), (1.0, 0.5), id=f"{v:g}") for v in (2.3e-308, 1e-300, 1e300)],
+    *[pytest.param(st.parse_state(d), (0.0, 2.0), id=d)
+      for d in ("ho:n=0,varpi=1.7e308", "coherent:re=1,im=0,varpi=1.7e308",
+                "cat:even,re=1,im=0,varpi=1.7e308", "superpos:n=0,m=3,varpi=1.7e308")]])
+def test_coherent_tomogram_at_extreme_varpi_keeps_its_mass(state, frame):
     # kappa (X - X_a)^2 once overflowed at varpi = 2.3e-308 and left a
     # normalization residual of 4e-3; sqrt(kappa) (X - X_a) is squared now.
-    # Underflow stays unchecked: at varpi = 1e300 the X = 0 point's
-    # distance squares to 0, which is its value to rounding
-    state = st.Coherent(1.0 + 0j, varpi)
-    fr = TomographyFrame(1.0, 0.5)
+    # At varpi = 1.7e308 the frame (0, 2) maps to (0, 2.6e154), whose
+    # mu^2 + nu^2 overflows: |zeta| is taken by hypot.  Underflow stays
+    # unchecked: at varpi = 1e300 the X = 0 point's distance squares to 0,
+    # which is its value to rounding
+    fr = TomographyFrame(*frame)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         tom = qt.state_tomogram(state, fr, qt.default_x_grid(state, fr, 1.0), 1.0)
         assert normalization_residual(tom) < 1e-12
