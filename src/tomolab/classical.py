@@ -342,16 +342,16 @@ def _cell_edges(x: np.ndarray) -> np.ndarray:
 
 
 def _oscillator_radius(frame: TomographyFrame, E: float) -> float:
-    """Turning-point radius R = sqrt(2E(mu^2+nu^2)) of the oscillator tomogram."""
+    """Turning-point radius R = sqrt(2E) |zeta| of the oscillator tomogram."""
     if frame.is_zero:
         raise TomogramError("oscillator tomogram rejected for the zero frame")
-    return math.sqrt(2.0 * E * (frame.mu ** 2 + frame.nu ** 2))
+    return math.sqrt(2.0 * E) * frame.norm
 
 
 def classical_oscillator_tomogram(X, frame: TomographyFrame, E: float = 1.0):
     """Time-averaged oscillator tomogram (m = omega = 1):
 
-        (1/pi) / sqrt(R^2 - X^2) on |X| < R,   R = sqrt(2E(mu^2+nu^2)),
+        (1/pi) / sqrt(R^2 - X^2) on |X| < R,   R = sqrt(2E) |zeta|,
 
     zero outside; the value diverges integrably at the turning points
     |X| = R (grid builders assign those cells their exact mass).

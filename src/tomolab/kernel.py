@@ -63,10 +63,10 @@ _NORMAL_MIN = sys.float_info.min  # the smallest normal double
 class TomographyFrame:
     """Axis label (mu, nu) of the coordinate X = mu*q + nu*p.
 
-    mu carries units 1/[q], nu units 1/[p]; any finite pair is allowed
-    whose mu^2 + nu^2 is 0 (the zero frame) or a normal double, so that
-    1/(mu^2 + nu^2) is finite.  Operations that divide by |mu| or |nu|
-    document their own domain.
+    mu carries units 1/[q], nu units 1/[p]; any pair is allowed whose
+    length |zeta| = sqrt(mu^2 + nu^2) is finite and is 0 (the zero frame)
+    or has a normal square, so that 1/|zeta|^2 is finite.  Operations
+    that divide by |mu| or |nu| document their own domain.
     """
 
     mu: float
@@ -75,10 +75,15 @@ class TomographyFrame:
     def __post_init__(self):
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "nu", float(self.nu))
-        if not (math.isfinite(self.mu) and math.isfinite(self.nu)):
-            raise TomogramError("frame parameters must be finite")
+        if not math.isfinite(self.norm):
+            raise TomogramError(f"frame ({self.mu!r}, {self.nu!r}) must have a finite length")
         if self.mu * self.mu + self.nu * self.nu < _NORMAL_MIN and not self.is_zero:
             raise TomogramError(f"frame ({self.mu!r}, {self.nu!r}) is too small: mu^2 + nu^2 underflows")
+
+    @property
+    def norm(self) -> float:
+        """The frame length |zeta| = sqrt(mu^2 + nu^2), formed without overflow."""
+        return math.hypot(self.mu, self.nu)
 
     @property
     def is_zero(self) -> bool:

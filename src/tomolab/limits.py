@@ -211,11 +211,12 @@ def weak_error(tom: Tomogram, tests: Sequence[Callable[[np.ndarray], np.ndarray]
     x, v, dx = tom.x_grid, tom.values, tom.dx
     mass = tom.total_mass()
     errs = []
-    for k, t in enumerate(tests):
-        lhs = dx * (np.dot(v, t(x)) - 0.5 * (v[0] * t(x[0]) + v[-1] * t(x[-1])))
-        lhs += sum(a.weight * float(t(np.asarray(a.location))) for a in tom.atoms)
-        rhs = targets[k] if targets is not None else mass * float(t(np.asarray(center)))
-        errs.append(abs(lhs - rhs))
+    with np.errstate(over="ignore"):  # far out the battery is 0
+        for k, t in enumerate(tests):
+            lhs = dx * (np.dot(v, t(x)) - 0.5 * (v[0] * t(x[0]) + v[-1] * t(x[-1])))
+            lhs += sum(a.weight * float(t(np.asarray(a.location))) for a in tom.atoms)
+            rhs = targets[k] if targets is not None else mass * float(t(np.asarray(center)))
+            errs.append(abs(lhs - rhs))
     return max(errs)
 
 
@@ -275,15 +276,14 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
         raise ValueError("hbar values must lie in [1e-4, 1e-1]")
 
     def one(hbar: float):
-        kappa = 1.0 / (hbar * (frame.mu ** 2 + frame.nu ** 2))
-        sig = 1.0 / math.sqrt(kappa)
+        sig = math.sqrt(hbar) * frame.norm  # kappa^(-1/2)
         lim = (math.sqrt(2.0 * max(n, m) + 1.0) + 8.0) * sig
         x = np.linspace(-lim, lim, 4001)
         cross = superposition_cross_term(n, m, frame, x, hbar)
         dx = x[1] - x[0]
         l1_phys = float(dx * np.sum(np.abs(cross)))
         signed = float(dx * np.sum(cross))
-        return l1_phys / math.sqrt(kappa), l1_phys, signed, (x[::2], cross[::2])
+        return l1_phys * sig, l1_phys, signed, (x[::2], cross[::2])
 
     distances, l1_phys, signed, profiles = _sweep(one, hbar_values)
     details = {"constraint": "planck", "n": n, "m": m}
@@ -343,7 +343,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     classical point state delta(q - q_alpha) delta(p - p_alpha)."""
     _require_geometric(hbar_values, 3)
     tests = default_test_battery()
-    X_star = frame.mu * q_alpha + frame.nu * p_alpha
+    X_star, r = frame.mu * q_alpha + frame.nu * p_alpha, frame.norm
 
     def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
@@ -356,8 +356,8 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
                 f"coherent peak {peak_pred!r} at hbar={hbar} misses the classical point {X_star!r}"
             )
         mean = float(np.trapezoid(grid * vals, dx=dx))
-        var = float(np.trapezoid((grid - mean) ** 2 * vals, dx=dx))
-        return (abs(grid[int(np.argmax(vals))] - X_star) / dx, math.sqrt(max(var, 0.0)),
+        var = float(np.trapezoid(((grid - mean) / r) ** 2 * vals, dx=dx))  # in units of |zeta|^2
+        return (abs(grid[int(np.argmax(vals))] - X_star) / dx, math.sqrt(max(var, 0.0)) * r,
                 weak_error(tom, tests, X_star), tom)
 
     peak_errors, widths, errors, toms = _sweep(one, hbar_values)
@@ -369,9 +369,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         "target_location": X_star,
         "peak_error_cells": peak_errors,
         "widths": widths,
-        "expected_widths": [
-            math.sqrt(h * (frame.mu ** 2 + frame.nu ** 2) / 2.0) for h in hbar_values
-        ],
+        "expected_widths": [math.sqrt(h / 2.0) * r for h in hbar_values],
     }
     return _hbar_report("ehrenfest-coherent", hbar_values, errors, details, peaks_ok, curves=toms)
 
@@ -402,34 +400,31 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     """
     _require_geometric(hbar_values, 3)
     tests = default_test_battery()
-    X_star = abs(frame.mu * q_alpha + frame.nu * p_alpha)
-    f2 = frame.mu ** 2 + frame.nu ** 2
+    X_star, r = abs(frame.mu * q_alpha + frame.nu * p_alpha), frame.norm
     cross = abs(frame.nu * q_alpha - frame.mu * p_alpha)
-    ffr = fringe_frame(q_alpha, p_alpha)
-    hmax = max(hbar_values)
-    window = 1.5 * math.sqrt(hmax * (ffr.mu ** 2 + ffr.nu ** 2) / 2.0)
-    targets = [0.5 * float(t(np.asarray(X_star))) + 0.5 * float(t(np.asarray(-X_star)))
-               for t in tests]
+    ffr = fringe_frame(q_alpha, p_alpha)  # a unit frame
+    window = 1.5 * math.sqrt(max(hbar_values) / 2.0)
+    with np.errstate(over="ignore"):  # far out the battery is 0
+        targets = [0.5 * float(t(np.asarray(X_star))) + 0.5 * float(t(np.asarray(-X_star)))
+                   for t in tests]
 
     def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
         # zero crossings of the interference over the fixed window
-        freq = 2.0 * abs(ffr.nu * q_alpha - ffr.mu * p_alpha) / (
-            hbar * (ffr.nu ** 2 + ffr.mu ** 2)
-        )
+        freq = 2.0 * abs(ffr.nu * q_alpha - ffr.mu * p_alpha) / hbar
         npts = max(2001, int(20 * freq * window / math.pi))
         xw = np.linspace(-window, window, npts)
         sign = np.sign(cat_interference(alpha, ffr, xw, hbar))
         crossings = int(np.count_nonzero(np.diff(sign[sign != 0]) != 0))
         # full tomogram in the given frame: half-line masses and weak
         # error against the two-delta mixture.  The fringes between the
-        # components at +-X_star have period pi hbar f2/cross and weight
-        # exp(-X_star^2/(hbar f2)): where that weight passes 1e-6 and the
+        # components at +-X_star have period pi hbar |zeta|^2/cross and weight
+        # exp(-X_star^2/(hbar |zeta|^2)): where that weight passes 1e-6 and the
         # default grid has fewer than two samples a period, it takes four
         state = CatEven(alpha)
         grid = default_x_grid(state, frame, hbar)
-        fringes = (grid[-1] - grid[0]) * cross / (math.pi * hbar * f2)
-        if X_star ** 2 < hbar * f2 * math.log(1e6) and 2 * fringes > grid.size - 1:
+        fringes = (grid[-1] - grid[0]) / r * (cross / r) / (math.pi * hbar)
+        if (X_star / r) ** 2 < hbar * math.log(1e6) and 2 * fringes > grid.size - 1:
             grid = np.linspace(grid[0], grid[-1], math.ceil(4 * fringes) + 1)
         tom = state_tomogram(state, frame, grid, hbar)
         return (crossings, 1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))),
@@ -558,9 +553,10 @@ def oscillator_local_period(n: int, frame: TomographyFrame, X: np.ndarray) -> np
     """Spacing of the squared-Hermite oscillation of W_n at hbar = 1/n,
     from the WKB phase derivative (pi over sqrt(kappa (2n+1) - kappa^2 X^2))."""
     hbar = oscillator_ehrenfest_hbar(n)
-    kappa = 1.0 / (hbar * (frame.mu ** 2 + frame.nu ** 2))
-    inside = np.maximum(2.0 * n + 1.0 - kappa * X * X, 1.0)
-    return math.pi / (math.sqrt(kappa) * np.sqrt(inside))
+    r = frame.norm
+    kappa, Xr = 1.0 / hbar, X / r  # in units of |zeta|
+    inside = np.maximum(2.0 * n + 1.0 - kappa * Xr * Xr, 1.0)
+    return math.pi * r / (math.sqrt(kappa) * np.sqrt(inside))
 
 
 def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
@@ -587,7 +583,7 @@ def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple]:
     centers, avg = np.concatenate((-half[:0:-1], half)), np.concatenate((avg[:0:-1], avg))
     classical = np.asarray(classical_oscillator_tomogram(centers, unit, 1.0))
     dx = half[1] - half[0]
-    r = math.hypot(frame.mu, frame.nu)
+    r = frame.norm
     return (float(np.sum(np.abs(avg - classical)) * dx),
             (r * centers, avg / r, classical / r, r * dx))
 
@@ -605,7 +601,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     """Oscillator eigenstates at hbar = 1/n, whose energy hbar(n + 1/2) =
     1 + 1/(2n) tends to 1: the locally averaged tomogram approaches the
     arcsine law 1/(pi sqrt(R^2 - X^2)) of the E = 1 orbit,
-    R = sqrt(2(mu^2+nu^2)), on the classically allowed region, and is
+    R = sqrt(2) |zeta|, on the classically allowed region, and is
     exponentially small beyond the turning points.
 
     The local average runs over 3 periods of the squared-Hermite
@@ -617,7 +613,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     n_values = list(n_values)
     if any(n < 20 for n in n_values):
         raise ValueError("oscillator study needs n >= 20")
-    R = math.sqrt(2.0 * (frame.mu ** 2 + frame.nu ** 2))
+    R = math.sqrt(2.0) * frame.norm
 
     distances, curves = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
     details: dict = {

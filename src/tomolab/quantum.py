@@ -99,12 +99,10 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
     """
     if frame.nu == 0.0:
         raise TomogramError("hermite_amplitude requires nu != 0 (nu = 0 is the exact position branch)")
-    z = complex(frame.nu, frame.mu)  # zeta
-    zc = z.conjugate()
-    kappa = 1.0 / (hbar * (z * zc).real)
+    zc = complex(frame.nu, -frame.mu)  # conj(zeta)
     scalar = np.isscalar(X)
     Xv = np.asarray(X, dtype=float)
-    Q = np.sqrt(kappa) * Xv
+    Q = Xv / (frame.norm * math.sqrt(hbar))
     pref = (1.0 / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
     # exp(-X^2/(2 hbar nu zeta*)) = (unit phase) * exp(-Q^2/2); the decay is
     # folded into phi_n(Q) so nothing overflows at large |X|
@@ -123,7 +121,7 @@ def _rows(basis: str, labels, frame: TomographyFrame, X, hbar: float):
     so that sum_a w_a |a> has the tomogram sqrt(kappa) |sum_a w_a u_a|^2: X = mu q + nu p
     is the position after the map that turns and scales (q, p) onto X, so they are
     the rows of :func:`states._basis_rows` at rw = 1/|zeta|, turn = (mu - i nu)/|zeta|."""
-    z = math.hypot(frame.mu, frame.nu)
+    z = frame.norm
     if z == 0.0:
         raise TomogramError("closed-form tomogram rejected for the zero frame")
     rows, _ = _basis_rows(basis, labels, hbar, 1.0 / z, complex(frame.mu, -frame.nu) / z, np.asarray(X, float))

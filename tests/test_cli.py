@@ -200,6 +200,42 @@ def test_a_narrow_box_keeps_its_momentum_reach_finite(tmp_path, capsys):
     assert normalization_residual(read_tomogram(str(out))[0]) < 1e-5
 
 
+@pytest.mark.parametrize("study, args, frame, unit, scale, rtol", [
+    ("ehrenfest-oscillator", ["--ns", "25,50"], "1e160,0", "1,0", 1.0, 0.0),
+    ("ehrenfest-coherent", [], "1e160,0", None, None, None),
+    ("ehrenfest-cat", [], "1e160,0", None, None, None),
+    ("interference", [], "1e160,1e160", "1,1", 1e160, 1e-12)])
+def test_a_study_runs_in_a_frame_whose_squared_length_overflows(tmp_path, capsys, study, args, frame,
+                                                                unit, scale, rtol):
+    # mu^2 + nu^2 once ended each of these in an OverflowError traceback, exit 1;
+    # the oscillator distance is frame-free, the interference profile norm scales as |zeta|
+    reports = []
+    for fr in (frame, unit) if unit else (frame,):
+        out = tmp_path / fr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["limit", study, *args, "--frame", fr, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (out / f"{study}_report.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        reports.append(json.loads(text))
+    if unit:
+        big, ref = (np.array(r["distances"]) for r in reports)
+        assert np.all(np.abs(big - scale * ref) <= rtol * scale * ref)
+
+
+def test_a_frame_whose_length_overflows_is_refused_up_front(tmp_path, capsys):
+    # once a RuntimeWarning, then "x_grid must be finite and uniformly spaced"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["tomogram", "--state", "ho:n=0", "--frame", "1.7e308,1.7e308", "--hbar", "1",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "tomogram: frame (1.7e+308, 1.7e+308) must have a finite length"]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("hbar", ["0.5", "1", "2"])
 @pytest.mark.parametrize("state", [
     "coherent:re=1,im=0,varpi=1.7e308", "cat:odd,re=1,im=0.3,varpi=1e308",
@@ -1156,10 +1192,16 @@ def test_compare_oscillator_in_the_zero_frame(tmp_path, capsys):
 
 @pytest.mark.parametrize("classical, extra, frame, message", [
     ("point:q0=5,p0=0", ["--grid", "-1,1,101"], (1.0, 0.0), "atom at 5.0 lies outside the grid"),
-    ("oscillator:E=1", [], (1e160, 0.0), "(34, 'Numerical result out of range')")])
+    pytest.param("grid:", ["--grid", "-1,1,101"], (1.0, 0.0), "tomogram mass deficit 3.173e-01 exceeds tolerance",
+                 id="grid-mass-deficit")])
 def test_a_failed_compare_row_is_written_then_exits_1(tmp_path, capsys, classical, extra, frame, message):
     # a row that raised was once written as nan with exit 0, like the rows
     # that are nan by design (test_compare_oscillator_in_the_zero_frame)
+    if classical == "grid:":  # a unit Gaussian on +-6, most of its Radon mass off the grid
+        g = np.linspace(-6, 6, 121)
+        f = np.exp(-g[:, None] ** 2 / 2 - g[None, :] ** 2 / 2) / (2 * math.pi)
+        classical += str(tmp_path / "f.csv")
+        write_density_csv(DensityGrid(GridFunction2D(g, g, f)), classical[5:])
     out = tmp_path / "cmp"
     assert run(["compare", "--state", "coherent:re=1,im=0", "--classical", classical,
                 "--frames", "%r,%r" % frame, "--out", str(out), *extra]) == 1
@@ -1168,6 +1210,18 @@ def test_a_failed_compare_row_is_written_then_exits_1(tmp_path, capsys, classica
     assert json.load(open(out / "compare.json"))["notes"] == [f"failed: {message}"]
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"compare: {out / 'compare.csv'}: frame ({frame[0]:g}, {frame[1]:g}) failed: {message}"]
+
+
+def test_a_plain_compare_row_is_the_same_at_every_frame_length(tmp_path):
+    # the classical radius sqrt(2E (mu^2 + nu^2)) once overflowed past
+    # |zeta| ~ 1e154 and the row at (1e160, 0) failed
+    frames = ((1.0, 0.0), (1e-150, 0.0), (1e150, 0.0), (1e160, 0.0))
+    out = tmp_path / "cmp"
+    assert run(["compare", "--state", "coherent:re=1,im=0", "--classical", "oscillator:E=1",
+                "--frames", ";".join("%r,%r" % f for f in frames), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[:, :2].tolist() == [list(f) for f in frames]
+    assert np.all(np.abs(rows[:, 2] / rows[0, 2] - 1.0) < 1e-12) and abs(rows[0, 2] - 1.1612) < 1e-4
 
 
 def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeypatch):

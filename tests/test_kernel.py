@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from decimal import Decimal
@@ -474,6 +475,17 @@ def test_a_frame_whose_squared_norm_underflows_is_refused():
     assert TomographyFrame(0.0, 0.0).is_zero
     assert TomographyFrame(1e-150, 0.0).mu == 1e-150
     assert TomographyFrame(1e300, 1e300).nu == 1e300
+
+
+def test_a_frame_whose_length_overflows_is_refused():
+    # mu^2 + nu^2 may overflow; the length |zeta| may not (it once passed
+    # (1.7e308, 1.7e308), whose grids then came out non-finite)
+    for mu, nu in ((1.7e308, 1.7e308), (-1.7e308, 1e308), (math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(TomogramError, match=re.escape(f"frame ({mu!r}, {nu!r}) must have a finite length")):
+            TomographyFrame(mu, nu)
+    for mu, nu in ((1e154, 1e154), (0.0, 2.6e154), (1e300, -1e300)):
+        assert TomographyFrame(mu, nu).norm == math.hypot(mu, nu) < math.inf
+    assert TomographyFrame(0.6, 0.8).norm == 1.0 and TomographyFrame(0.0, 0.0).norm == 0.0
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])

@@ -1,6 +1,7 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals (box states too), the
-homogeneity W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam| and the parity of
+homogeneity W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam|, for the classical
+orbit averages at |lam| from 1e-150 to 1e160, and the parity of
 Fock states and cats, bitwise for Fock states on symmetric grids; of the
 characteristic functions over random frame grids, closed forms, box states
 and sampled states alike: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu),
@@ -12,10 +13,11 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from tomolab import classical as cl
+from tomolab import limits as lm
 from tomolab import quantum as qt
 from tomolab import states as st
 from tomolab.kernel import GridFunction2D, TomographyFrame, frame_from_scaling, normalization_residual
@@ -74,6 +76,32 @@ def test_homogeneity(state, fr, hbar, lam):
     if lam < 0:
         wl = wl[::-1]
     assert np.max(np.abs(wl - w / abs(lam))) < 1e-9 * np.max(w / abs(lam))
+
+
+# lam log-uniform over [1e-150, 1e160], both signs: past |lam| ~ 1e154 a
+# frame's mu^2 + nu^2 overflows while its length stays a normal double
+_extreme_lam = hs.floats(math.log(1e-150), math.log(1e160)).map(math.exp).flatmap(
+    lambda a: hs.sampled_from((a, -a)))
+_orbit = hs.one_of(hs.builds(cl.OscillatorTrajectory, hs.floats(0.5, 2.0)),
+                   hs.builds(cl.BoxTrajectory, hs.floats(0.5, 2.0), hs.floats(0.5, 2.0)))
+
+
+@_examples
+@given(_orbit, _frame, _extreme_lam, hs.integers(20, 200))
+@example(cl.OscillatorTrajectory(1.0), TomographyFrame(0.6, 0.8), -1e160, 100)
+@example(cl.BoxTrajectory(1.0, 1.5), TomographyFrame(1.0, 0.3), 1e160, 20)
+@example(cl.OscillatorTrajectory(0.5), TomographyFrame(-0.3, 1.7), 1e-150, 50)
+def test_classical_homogeneity_at_extreme_scales(model, fr, lam, n):
+    lo, hi = cl.time_average_support(model, fr)
+    pad = 0.05 * (hi - lo)
+    x = np.linspace(lo - pad, hi + pad, 401)
+    w = cl.time_averaged_tomogram(model, fr, x).values
+    xl = lam * x if lam > 0 else (lam * x)[::-1]
+    wl = cl.time_averaged_tomogram(model, fr.scaled(lam), xl).values
+    if lam < 0:
+        wl = wl[::-1]
+    assert np.max(np.abs(wl * abs(lam) - w)) < 1e-9 * np.max(w)
+    assert lm.oscillator_windowed_distance(n, fr.scaled(lam)) == lm.oscillator_windowed_distance(n, fr)
 
 
 @_examples
@@ -157,7 +185,7 @@ def test_radon_of_a_gaussian_mixture_is_its_closed_form(c1, c2, w1, fr, lam):
     f = sum(w * np.exp(-(g[:, None] - q0) ** 2 / (2 * sq * sq) - (g[None, :] - p0) ** 2 / (2 * sp * sp))
             / (2 * math.pi * sq * sp) for w, q0, p0, sq, sp in comps)
     dens = cl.DensityGrid(GridFunction2D(g, g, f))
-    x = np.linspace(-12, 12, 481) * math.hypot(fr.mu, fr.nu)
+    x = np.linspace(-12, 12, 481) * fr.norm
     tom = cl.radon_density(dens, fr, x)
     ref = _mixture_projection(comps, fr, x)
     assert np.max(np.abs(tom.values - ref)) < 1e-9 * np.max(ref)
