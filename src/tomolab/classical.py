@@ -360,7 +360,8 @@ def classical_oscillator_tomogram(X, frame: TomographyFrame, E: float = 1.0):
     X = np.asarray(X, dtype=float)
     inside = np.abs(X) < R
     out = np.zeros_like(X)
-    out[inside] = 1.0 / (math.pi * np.sqrt(R * R - X[inside] ** 2))
+    u = X[inside] / R  # R^2 - X^2 would overflow past |zeta| ~ 1e154
+    out[inside] = 1.0 / (math.pi * R * np.sqrt((1.0 - u) * (1.0 + u)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,9 +5,9 @@ far the quantum tomograms are from their distributional targets, fits the
 decay on a log-log scale, and returns a LimitReport with the verdict of
 its sweep kind, whatever order the values come in.  Limits here hold in
 the weak sense, so the comparisons are built accordingly: pairing against
-a fixed battery of smooth test functions for delta targets, and local
-averaging over a few oscillation periods before L1 comparison against
-smooth classical tomograms.
+a fixed battery of smooth test functions of X/|zeta| for delta targets,
+and local averaging over a few oscillation periods before L1 comparison
+against smooth classical tomograms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classical import box_plateaus, classical_box_tomogram, classical_oscillator_tomogram
-from .kernel import Tomogram, TomographyFrame, TomogramError, normalization_residual
+from .kernel import DeltaAtom, Tomogram, TomographyFrame, TomogramError, normalization_residual
 from .quantum import (
     _require_stationary_phase,
     box_tomogram,
@@ -204,19 +204,23 @@ def _require_geometric(values: Sequence[float], minimum: int) -> None:
         raise ValueError("parameter values must form a geometric sequence")
 
 
-def weak_error(tom: Tomogram, tests: Sequence[Callable[[np.ndarray], np.ndarray]],
-               center: float, targets: Sequence[float] | None = None) -> float:
-    """max over the battery of |int W phi dX - N phi(center)| (or, with
-    explicit targets, |int W phi dX - target_phi|)."""
-    x, v, dx = tom.x_grid, tom.values, tom.dx
+def weak_error(tom: Tomogram, targets: Sequence[DeltaAtom]) -> float:
+    """max over the battery of |int W phi(X/|zeta|) dX - N sum_k w_k phi(x_k/|zeta|)|,
+    N the tomogram's mass, (w_k, x_k) the target atoms and |zeta| = 1 for
+    the zero frame.  Read in units of |zeta|, the error of a frame lam zeta
+    is that of zeta, since W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam|."""
+    r = tom.frame.norm or 1.0
+    x, v, dx = tom.x_grid / r, tom.values, tom.dx
     mass = tom.total_mass()
+
+    def paired(atoms, t):
+        return sum(a.weight * float(t(np.asarray(a.location / r))) for a in atoms)
+
     errs = []
     with np.errstate(over="ignore"):  # far out the battery is 0
-        for k, t in enumerate(tests):
+        for t in default_test_battery():
             lhs = dx * (np.dot(v, t(x)) - 0.5 * (v[0] * t(x[0]) + v[-1] * t(x[-1])))
-            lhs += sum(a.weight * float(t(np.asarray(a.location))) for a in tom.atoms)
-            rhs = targets[k] if targets is not None else mass * float(t(np.asarray(center)))
-            errs.append(abs(lhs - rhs))
+            errs.append(abs(lhs + paired(tom.atoms, t) - mass * paired(targets, t)))
     return max(errs)
 
 
@@ -227,7 +231,6 @@ def weak_delta_convergence(state: State, hbar_values: Sequence[float],
     its weak error enters the report.
     """
     _require_geometric(hbar_values, 4)
-    tests = default_test_battery()
 
     def one(hbar: float):
         tom = state_tomogram(state, frame, default_x_grid(state, frame, hbar), hbar)
@@ -237,7 +240,7 @@ def weak_delta_convergence(state: State, hbar_values: Sequence[float],
                 f"tomogram at hbar={hbar} not normalized (residual {resid:.2e}); "
                 f"grid does not cover the state"
             )
-        return weak_error(tom, tests, center), resid, tom
+        return weak_error(tom, (DeltaAtom(1.0, center),)), resid, tom
 
     errors, residuals, toms = _sweep(one, hbar_values)
     details = {
@@ -262,10 +265,11 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
     so its plain L1 norm is exactly hbar-independent; what shrinks is
     the profile phi_n(Q) phi_m(Q) itself, whose L1 norm scales as
     kappa^(-1/2) ~ sqrt(hbar).  The report's distances are that profile
-    norm, int |Re A_n A_m*|/(2 pi hbar |nu| sqrt(kappa)) dX; the
-    invariant L1 values and the signed integrals (zero by eigenstate
-    orthogonality) are kept in details.  Each curve is every second
-    sample of the summed profile, 2001 rows over its range.
+    norm in units of |zeta|, sqrt(hbar) int |Re A_n A_m*|/(2 pi hbar |nu|) dX,
+    the same for every frame length; the invariant L1 values and the
+    signed integrals (zero by eigenstate orthogonality) are kept in
+    details.  Each curve is every second sample of the summed profile,
+    2001 rows over its range.
     """
     if n == m:
         raise ValueError("interference study needs two distinct eigenstates")
@@ -283,7 +287,7 @@ def interference_decay(n: int, m: int, frame: TomographyFrame,
         dx = x[1] - x[0]
         l1_phys = float(dx * np.sum(np.abs(cross)))
         signed = float(dx * np.sum(cross))
-        return l1_phys * sig, l1_phys, signed, (x[::2], cross[::2])
+        return l1_phys * math.sqrt(hbar), l1_phys, signed, (x[::2], cross[::2])
 
     distances, l1_phys, signed, profiles = _sweep(one, hbar_values)
     details = {"constraint": "planck", "n": n, "m": m}
@@ -303,13 +307,12 @@ def cat_interference_planck(alpha: complex, frame: TomographyFrame,
     if frame.nu == 0.0:
         raise ValueError("cat interference study needs nu != 0")
     target = 2.0 * math.exp(-2.0 * abs(alpha) ** 2)
-    tests = default_test_battery()
     state = CatEven(alpha)
 
     def one(hbar: float):
         tom = state_tomogram(state, frame, default_x_grid(state, frame, hbar), hbar)
         integral = float(np.trapezoid(cat_interference(alpha, frame, tom.x_grid, hbar), dx=tom.dx))
-        return weak_error(tom, tests, 0.0), integral, tom.total_mass(), tom
+        return weak_error(tom, (DeltaAtom(1.0, 0.0),)), integral, tom.total_mass(), tom
 
     errors, integrals, masses, toms = _sweep(one, hbar_values)
     hbar_independent = max(abs(v - target) for v in integrals) < 1e-6
@@ -342,7 +345,6 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     collapses like sqrt(hbar); the weak limit is the tomogram of the
     classical point state delta(q - q_alpha) delta(p - p_alpha)."""
     _require_geometric(hbar_values, 3)
-    tests = default_test_battery()
     X_star, r = frame.mu * q_alpha + frame.nu * p_alpha, frame.norm
 
     def one(hbar: float):
@@ -358,7 +360,7 @@ def ehrenfest_coherent(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         mean = float(np.trapezoid(grid * vals, dx=dx))
         var = float(np.trapezoid(((grid - mean) / r) ** 2 * vals, dx=dx))  # in units of |zeta|^2
         return (abs(grid[int(np.argmax(vals))] - X_star) / dx, math.sqrt(max(var, 0.0)) * r,
-                weak_error(tom, tests, X_star), tom)
+                weak_error(tom, (DeltaAtom(1.0, X_star),)), tom)
 
     peak_errors, widths, errors, toms = _sweep(one, hbar_values)
     peaks_ok = all(pe <= 1.0 for pe in peak_errors)
@@ -399,14 +401,10 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
     +-(mu q_alpha + nu p_alpha), measured in the given frame.
     """
     _require_geometric(hbar_values, 3)
-    tests = default_test_battery()
     X_star, r = abs(frame.mu * q_alpha + frame.nu * p_alpha), frame.norm
     cross = abs(frame.nu * q_alpha - frame.mu * p_alpha)
     ffr = fringe_frame(q_alpha, p_alpha)  # a unit frame
     window = 1.5 * math.sqrt(max(hbar_values) / 2.0)
-    with np.errstate(over="ignore"):  # far out the battery is 0
-        targets = [0.5 * float(t(np.asarray(X_star))) + 0.5 * float(t(np.asarray(-X_star)))
-                   for t in tests]
 
     def one(hbar: float):
         alpha = _ehrenfest_alpha(q_alpha, p_alpha, hbar)
@@ -429,7 +427,7 @@ def ehrenfest_cat(q_alpha: float, p_alpha: float, frame: TomographyFrame,
         tom = state_tomogram(state, frame, grid, hbar)
         return (crossings, 1.0 / (2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2))),
                 float(np.trapezoid(np.where(grid > 0, tom.values, 0.0), dx=tom.dx)),
-                weak_error(tom, tests, 0.0, targets=targets), tom)
+                weak_error(tom, (DeltaAtom(0.5, X_star), DeltaAtom(0.5, -X_star))), tom)
 
     crossings, n2s, half_masses, errors, toms = _sweep(one, hbar_values)
     details = {
@@ -472,8 +470,9 @@ def _box_curve(n: int, L: float, fr: TomographyFrame) -> tuple[float, tuple]:
     _box_wave_number(n, L)  # refuses, naming L, a box whose scales leave the normal doubles
     period = abs(fr.mu) * L / n
     edges = np.ravel(box_plateaus(fr, L))
-    lo = min(min(edges) - 0.2, -0.2)
-    hi = max(max(edges) + 0.2, 0.2)
+    pad = 0.2 * abs(fr.mu) * L  # a fifth of the plateau width
+    lo = min(min(edges) - pad, -pad)
+    hi = max(max(edges) + pad, pad)
     step = max(period, (hi - lo) / 600.0)
     centers = np.arange(lo, hi, step)
     keep = np.ones(centers.size, dtype=bool)
@@ -613,21 +612,19 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     n_values = list(n_values)
     if any(n < 20 for n in n_values):
         raise ValueError("oscillator study needs n >= 20")
-    R = math.sqrt(2.0) * frame.norm
 
     distances, curves = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
         "hbar_values": [oscillator_ehrenfest_hbar(n) for n in n_values],
-        "allowed_region_halfwidth": 1.3 * R / math.sqrt(2.0),
+        "allowed_region_halfwidth": 1.3 * frame.norm,
     }
 
-    # forbidden-region smallness at X = sqrt2 R (i.e. 2 in the (1,0) frame),
-    # at the largest n
+    # forbidden-region smallness at the largest n, at X = 2 in the frame (1, 0):
+    # the same in every direction (see _oscillator_curve) and free of |zeta|
     n_top = max(n_values)
-    Xf = 2.0 * R / math.sqrt(2.0)
-    details["forbidden_value"] = float(hermite_tomogram(n_top, frame, Xf,
+    details["forbidden_value"] = float(hermite_tomogram(n_top, TomographyFrame(1.0, 0.0), 2.0,
                                                         oscillator_ehrenfest_hbar(n_top)))
     details["forbidden_bound"] = math.exp(-n_top / 10.0)
 

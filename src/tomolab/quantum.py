@@ -104,9 +104,9 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
     Xv = np.asarray(X, dtype=float)
     Q = Xv / (frame.norm * math.sqrt(hbar))
     pref = (1.0 / (math.pi * hbar)) ** 0.25 * cmath.sqrt(2.0 * math.pi * hbar * frame.nu / zc)
-    # exp(-X^2/(2 hbar nu zeta*)) = (unit phase) * exp(-Q^2/2); the decay is
-    # folded into phi_n(Q) so nothing overflows at large |X|
-    phase = np.exp(-Xv * Xv / (2.0 * hbar * frame.nu * zc) + 0.5 * Q * Q)
+    # exp(-X^2/(2 hbar nu zeta*)) = exp(-i (mu/nu) Q^2/2) exp(-Q^2/2); the decay is
+    # folded into phi_n(Q) and X^2 is never formed, so nothing overflows at large |X|
+    phase = np.exp(-0.5j * frame.mu / frame.nu * Q * Q)
     root = cmath.exp(1j * math.atan2(frame.mu, frame.nu))
     out = pref * phase * (-1j * root) ** n * math.pi ** 0.25 * hermite_phi(n, Q)
     return complex(out) if scalar else out

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ def test_oscillator_tomogram_closed_form():
     assert classical_oscillator_tomogram(-2.0, fr, 1.0) == 0.0
     with pytest.raises(TomogramError):
         classical_oscillator_tomogram(0.0, TomographyFrame(0, 0), 1.0)
+    # in a frame whose mu^2 overflows, R^2 - X^2 once read 0 at X = 0 and nan
+    # at X = 1e160, with two RuntimeWarnings
+    R = math.sqrt(2.0) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = classical_oscillator_tomogram(np.array([0.0, 1e160]), TomographyFrame(1e160, 0), 1.0)
+    assert w == pytest.approx([1.0 / (math.pi * R), 1.0 / (math.pi * 1e160)], rel=1e-15)
 
 
 def test_oscillator_tomogram_build_normalized():

@@ -9,7 +9,7 @@ from tomolab import limits as lm
 from tomolab import quantum as qt
 from tomolab import states as st
 from tomolab.classical import classical_oscillator_tomogram
-from tomolab.kernel import Tomogram, TomogramError, TomographyFrame
+from tomolab.kernel import DeltaAtom, Tomogram, TomogramError, TomographyFrame
 from tomolab.quantum import tomogram_from_wavefunction
 from tomolab.specfun import hermite_phi
 
@@ -145,13 +145,12 @@ def test_weak_delta_convergence_shifted_profile():
         w = 12 * math.sqrt(h) + 0.2
         return np.linspace(c - w, c + w, 4001)
 
-    tests = lm.default_test_battery()
     errors = []
     for h in hs:
         from tomolab.quantum import tomogram_from_wavefunction
 
         tom = tomogram_from_wavefunction(state_of(h), fr, grid_of(h), h)
-        errors.append(lm.weak_error(tom, tests, fr.mu * x0))
+        errors.append(lm.weak_error(tom, (DeltaAtom(1.0, fr.mu * x0),)))
     assert all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
     slope, r2 = lm.fit_power_law(hs, errors)
     assert r2 > 0.98 and slope > 0.4

@@ -1,8 +1,10 @@
 """Property tests of the tomogram invariants over random catalog states,
 frames and hbar: normalization, the two marginals (box states too), the
 homogeneity W(lam X; lam mu, lam nu) = W(X; mu, nu)/|lam|, for the classical
-orbit averages at |lam| from 1e-150 to 1e160, and the parity of
-Fock states and cats, bitwise for Fock states on symmetric grids; of the
+orbit averages at |lam| from 1e-150 to 1e160, and for the seven limit
+studies, whose distances and verdicts depend on the frame's direction only;
+the parity of Fock states and cats, bitwise for Fock states on symmetric
+grids; of the
 characteristic functions over random frame grids, closed forms, box states
 and sampled states alike: G(0, 0) = 1, G(-mu, -nu) = conj G(mu, nu),
 |G| <= 1; and of the Radon transform of gridded Gaussian mixtures against
@@ -13,6 +15,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
@@ -196,3 +199,40 @@ def test_radon_of_a_gaussian_mixture_is_its_closed_form(c1, c2, w1, fr, lam):
     if lam < 0:
         wl = wl[::-1]
     assert np.max(np.abs(wl - tom.values / abs(lam))) < 1e-9 * np.max(tom.values / abs(lam))
+
+
+# each limit study on a small sweep in its default frame; by homogeneity a
+# study reads its distances in units of |zeta|, so a frame lam zeta gives the
+# distances and verdict of zeta: bitwise when lam is a power of two, to
+# roundoff otherwise (the box distances sit at their roundoff floor, ~1e-16)
+_STUDIES = {
+    "planck-delta": (TomographyFrame(1.0, 0.0), lambda fr: lm.weak_delta_convergence(
+        st.HOEigen(3), [0.1 * 0.5 ** k for k in range(4)], fr)),
+    "interference": (TomographyFrame(0.6, 0.8), lambda fr: lm.interference_decay(
+        0, 1, fr, [0.1 * 0.5 ** k for k in range(5)])),
+    "cat-interference": (TomographyFrame(0.6, 0.8), lambda fr: lm.cat_interference_planck(
+        1.0 + 0j, fr, [0.1 * 0.5 ** k for k in range(4)])),
+    "ehrenfest-coherent": (TomographyFrame(1.0, 0.0), lambda fr: lm.ehrenfest_coherent(
+        1.0, 0.0, fr, [1e-2, 1e-3, 1e-4])),
+    "ehrenfest-cat": (TomographyFrame(1.0, 0.0), lambda fr: lm.ehrenfest_cat(
+        1.0, 0.0, fr, [1e-3, 5e-4, 2.5e-4])),
+    "ehrenfest-box": (TomographyFrame(1.0, 0.3), lambda fr: lm.ehrenfest_box(1.0, [25, 50], fr)),
+    "ehrenfest-oscillator": (TomographyFrame(1.0, 0.0), lambda fr: lm.ehrenfest_oscillator([25, 50], fr)),
+}
+
+
+@pytest.mark.parametrize("study", _STUDIES)
+def test_a_study_reads_the_same_at_every_frame_length(study):
+    frame, run = _STUDIES[study]
+    ref = run(frame)
+    assert ref.verdict == "converged"
+    for lam in (2.0 ** -500, 2.0 ** -20, 2.0 ** 20, 2.0 ** 500):
+        rep = run(frame.scaled(lam))
+        assert (rep.distances, rep.verdict) == (ref.distances, ref.verdict), lam
+        # the oscillator's forbidden-region value too (None elsewhere)
+        assert rep.details.get("forbidden_value") == ref.details.get("forbidden_value"), lam
+    rtol, atol = (0.0, 1e-14) if study == "ehrenfest-box" else (1e-11, 0.0)
+    for lam in (-128.0, -3.0, 0.37, 100.0, 1e100):
+        rep = run(frame.scaled(lam))
+        assert rep.verdict == ref.verdict, lam
+        assert np.allclose(rep.distances, ref.distances, rtol=rtol, atol=atol), lam

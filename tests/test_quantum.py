@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,15 @@ def test_hermite_amplitude_matches_defining_integral(rng):
         ref = brute_amplitude(st.HOEigen(n), fr, X, hbar)
         val = qt.hermite_amplitude(n, fr, X, hbar)
         assert abs(val - ref) < 1e-6 * max(abs(ref), 1e-6)
+
+
+def test_hermite_amplitude_in_a_frame_whose_squared_length_overflows():
+    # X^2 in the Gaussian phase once overflowed: |A|^2 read 0 at X = 1e160, with a RuntimeWarning
+    fr, X = TomographyFrame(1e160, 1.0), np.array([0.0, 1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = np.abs(qt.hermite_amplitude(2, fr, X, 1.0)) ** 2 / (2 * math.pi * abs(fr.nu))
+    assert w == pytest.approx(qt.hermite_tomogram(2, fr, X, 1.0), rel=1e-12)
 
 
 def test_amplitude_requires_nu():
