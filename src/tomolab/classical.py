@@ -161,12 +161,32 @@ def trapezoid2d(values: np.ndarray, dx: float, dy: float) -> float:
 
 def _phases(k: np.ndarray, y: np.ndarray) -> np.ndarray:
     """E[i, a] = e^{i k_i y_a}, the phase table of every dense Fourier sum
-    here and in the quantum maps, written from real cos and sin (0.93 to
-    1.7 times the speed of a complex exp of the tables the maps build)."""
-    arg = np.outer(k, y)
-    E = np.empty(arg.shape, complex)
-    np.cos(arg, out=E.real)
-    np.sin(arg, out=E.imag)
+    here and in the quantum maps, C-ordered (K, M).  A uniform axis of
+    M >= 32 entries, step h, whose points y_{bB} + h c (a = bB + c,
+    B = ceil sqrt M) lie within 2 eps max|y| of every y_a, takes the
+    product e^{i k y_{bB}} e^{i k h c}: about 2 sqrt M cos/sin and M
+    complex multiplies a row, within 4 eps (1 + |k| max|y|) of e^{i k y}.
+    Other axes (Gauss-Legendre nodes, short axes) take one cos and one
+    sin an entry."""
+    k, y = np.asarray(k, dtype=float), np.asarray(y, dtype=float)
+    m = y.size
+    B = math.isqrt(m - 1) + 1 if m >= 32 else 0
+    if B:
+        fine = (y[-1] - y[0]) / (m - 1) * np.arange(B)
+        reach = 2.0 * np.finfo(float).eps * np.max(np.abs(y))
+        if not np.max(np.abs((y[::B, None] + fine).ravel()[:m] - y)) <= reach:  # NaN fails too
+            B = 0
+    arg = np.outer(k, np.concatenate((y[::B], fine)) if B else y)
+    T = np.empty(arg.shape, complex)
+    np.cos(arg, out=T.real)
+    np.sin(arg, out=T.imag)
+    if not B:
+        return T
+    C, F, full = T[:, :-B], T[:, -B:], m // B
+    E = np.empty((k.size, m), complex)
+    # splitting the last axis of E[:, :full B] gives a view, so out= fills E
+    np.multiply(C[:, :full, None], F[:, None, :], out=E[:, :full * B].reshape(k.size, full, B))
+    np.multiply(C[:, full:], F[:, :m - full * B], out=E[:, full * B:])
     return E
 
 

@@ -147,14 +147,17 @@ def _falls(values: Sequence[float], distances: Sequence[float], toward_zero: boo
 
 def _hbar_report(study: str, hbar_values: Sequence[float], distances: list[float],
                  details: dict, *conditions: bool, curves: list = ()) -> LimitReport:
-    """Report of an hbar sweep: not-converged when a study condition
-    fails, the distances do not fall as hbar -> 0 or a trusted fit has an
-    exponent <= 0; inconclusive when nothing fails but no fit is trusted;
-    converged otherwise."""
+    """Report of an hbar sweep: converged with no exponent when every
+    distance is exactly 0 (the limit is reached at every hbar) and every
+    study condition holds; otherwise not-converged when a condition fails,
+    the distances do not fall as hbar -> 0 or a trusted fit has an
+    exponent <= 0, inconclusive when nothing fails but no fit is trusted,
+    and converged when one is."""
+    exact = not any(distances)
     exponent, r2 = _trusted_fit(hbar_values, distances)
-    failed = (not all(conditions) or not _falls(hbar_values, distances, toward_zero=True)
+    failed = (not all(conditions) or not (exact or _falls(hbar_values, distances, toward_zero=True))
               or (exponent is not None and exponent <= 0))
-    verdict = "not-converged" if failed else "inconclusive" if exponent is None else "converged"
+    verdict = "not-converged" if failed else "converged" if exact or exponent is not None else "inconclusive"
     return LimitReport(study, "hbar", list(map(float, hbar_values)), distances,
                        exponent, r2, verdict, details=details, curves=list(curves))
 

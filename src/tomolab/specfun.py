@@ -68,7 +68,7 @@ def _carried(n: int, alpha: float, y, v, small, ymax: float):
     # difference form for n steps on the mantissa v of
     # l_0 = v exp(-y/2 + small), y <= ymax, and returns the true l_n, a
     # float for a scalar v.  It carries e_j = a_j d_j (a_j = b_{j-1}), so a
-    # step is e += (c_j - y) l, l += e / b_j: five in-place passes over
+    # step is e += (c_j - y) l, l += e (1/b_j): five in-place passes over
     # three buffers, e, l and t (0-d for a scalar v).  Every `stride` steps e and l are divided
     # by the power of two of the larger one and the powers are counted
     # apart.  One step multiplies the larger by at most `growth`, so from
@@ -85,19 +85,19 @@ def _carried(n: int, alpha: float, y, v, small, ymax: float):
     # as b_j >= 1/sqrt(2) and |c_j| <= |alpha| for alpha >= -1/2
     growth = 1.0 + math.sqrt(2.0) * (1.0 + abs(alpha) + ymax)
     stride = max(1, int(_HEADROOM / math.log2(growth)))
-    # every c_j and b_j at once, before the steps
+    # every c_j and 1/b_j at once, before the steps
     js = np.arange(n + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = 1.0 / (np.sqrt(js + alpha) + np.sqrt(js)) ** 2
     if alpha <= 0:  # (sqrt(j+alpha) - sqrt(j))^2 is alpha itself at j = 0, and c is 0 at alpha = 0
         inner[0] = 1.0 / alpha if alpha else 0.0
     c = 0.5 * alpha * alpha * (inner[1:] + inner[:-1])
-    b = np.sqrt(js[1:] * (js[1:] + alpha))
-    for j, (cj, bj) in enumerate(zip(c.tolist(), b.tolist())):
+    rb = 1.0 / np.sqrt(js[1:] * (js[1:] + alpha))
+    for j, (cj, rbj) in enumerate(zip(c.tolist(), rb.tolist())):
         np.subtract(cj, y, out=t)
         t *= l
         e += t
-        np.divide(e, bj, out=t)
+        np.multiply(e, rbj, out=t)
         l += t
         if j % stride == stride - 1:
             k = np.frexp(np.maximum(np.abs(e), np.abs(l)))[1]

@@ -246,6 +246,63 @@ def test_phase_tables_match_the_complex_exp(k, y):
     assert np.max(np.abs(classical._weighted_phases(k, y) - ref * _trapezoid(y.size))) <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(hs.lists(hs.floats(-100.0, 100.0), min_size=1, max_size=4),
+       hs.floats(-100.0, 100.0), hs.floats(-100.0, 100.0), hs.integers(32, 10_000),
+       hs.booleans(), hs.integers(0, 2 ** 32 - 1))
+def test_uniform_axis_phase_tables_match_mpmath(k, y0, y1, m, linspace, seed):
+    # uniform axes, increasing or decreasing, of up to 1e4 entries and
+    # |k y| up to 1e4 take the coarse-fine product; sampled entries against
+    # e^{i k y} to 30 digits, the first and last entry of each coarse block
+    # among them
+    from mpmath import mp, mpf, exp
+
+    k = np.array(k)
+    y = np.linspace(y0, y1, m) if linspace else y0 + (y1 - y0) / m * np.arange(m)
+    E = classical._phases(k, y)
+    assert E.shape == (k.size, m) and E.flags.c_contiguous
+    B = math.isqrt(m - 1) + 1
+    at = np.concatenate((np.random.default_rng(seed).integers(0, m, 40), [0, B - 1, B, m - 1]))
+    bound = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(k)) * np.max(np.abs(y)))
+    with mp.workdps(30):
+        err = max(abs(complex(E[i, a]) - exp(1j * mpf(k[i]) * mpf(y[a]))) for i in range(k.size) for a in at)
+    assert err <= bound
+
+
+class _CountedTrig:
+    """numpy for classical, with the entries of every cos argument counted."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def cos(self, arg, **kwargs):
+        self.sizes.append(np.size(arg))
+        return np.cos(arg, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_uniform_axis_callers_take_the_product_table(monkeypatch):
+    # the quadrature route's 8 x 8001 table and the Wigner map's 201 x 161
+    # one are built from about 2 sqrt M cos a row, never a full K M table
+    from tomolab import quantum as qt
+    from tomolab import states as st
+
+    trig = _CountedTrig()
+    monkeypatch.setattr(classical, "np", trig)
+    g = np.linspace(-6.0, 6.0, 121)
+    state = st.CustomGrid(g, np.exp(-0.5 * g * g) / math.pi ** 0.25)
+    x = np.linspace(-10.0, 10.0, 8001)
+    qt.tomogram_from_wavefunction(state, TomographyFrame(0.6, 0.8), x, 1.0)
+    assert trig.sizes and max(trig.sizes) <= 8 * 2 * (math.isqrt(x.size - 1) + 1)
+    trig.sizes.clear()
+    rho = qt.rho_grid(st.HOEigen(2), 1.0, np.linspace(-6.0, 6.0, 401))
+    q = np.linspace(-3.0, 3.0, 161)
+    qt.wigner_grid_from_density(rho, q, q, 1.0)
+    assert trig.sizes and max(trig.sizes) <= 201 * 2 * (math.isqrt(q.size - 1) + 1)
+
+
 @pytest.mark.parametrize("n_mu, n_nu", [(23, 9), (9, 23)])
 def test_characteristic_quadrature_of_a_non_square_family_is_the_double_sum(n_mu, n_nu):
     # on a square (q, p) grid multi_dot sums the longer frame axis first,

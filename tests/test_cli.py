@@ -369,6 +369,16 @@ def test_limit_command_planck_delta(tmp_path):
     assert rep["details"]["center"] == 0.0
 
 
+def test_limit_command_planck_delta_in_the_zero_frame_is_exact(tmp_path):
+    # the zero frame's tomogram is the unit atom at 0, the target itself:
+    # every distance is exactly 0, which reads converged with no exponent
+    out = str(tmp_path / "study")
+    assert run(["limit", "planck-delta", "--frame", "0,0", "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "planck-delta_report.json")))
+    assert rep["distances"] == [0.0] * 6
+    assert rep["verdict"] == "converged" and rep["exponent"] is None
+
+
 def test_limit_command_planck_delta_resolves_a_large_order(tmp_path):
     # 2001 points left the n = 6000 artifacts 2e-2 short of unit mass
     out = str(tmp_path / "study")

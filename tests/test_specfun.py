@@ -174,7 +174,7 @@ def _carried_loop(n, alpha, y, v, small):
             inner = 1.0 / (math.sqrt(j + alpha) + math.sqrt(j)) ** 2 if j + alpha > 0 else 1.0 / alpha
             c = 0.5 * alpha * alpha * (1.0 / (math.sqrt(j + 1 + alpha) + math.sqrt(j + 1)) ** 2 + inner)
         e = e + (c - y) * l
-        l = l + e / math.sqrt((j + 1) * (j + 1 + alpha))
+        l = l + e * (1.0 / math.sqrt((j + 1) * (j + 1 + alpha)))
     l, k = np.frexp(l)
     return l * np.exp((-0.5 * y + k * sf._LN2_HI) + k * sf._LN2_LO + small)
 
