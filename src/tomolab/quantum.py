@@ -38,7 +38,7 @@ from .kernel import (
     _check_uniform_grid,
     _distinct,
 )
-from .specfun import chirp_sum, faddeeva, hermite_phi, laguerre_scaled
+from .specfun import chirp_sum, faddeeva, laguerre_scaled
 from .states import (
     BoxEigen,
     CatEven,
@@ -49,6 +49,7 @@ from .states import (
     Superposition,
     _basis_rows,
     _box_wave_number,
+    _segment,
     coherent_center,
     momentum_wavefunction,
     natural_scales,
@@ -107,8 +108,9 @@ def hermite_amplitude(n: int, frame: TomographyFrame, X, hbar: float):
     # exp(-X^2/(2 hbar nu zeta*)) = exp(-i (mu/nu) Q^2/2) exp(-Q^2/2); the decay is
     # folded into phi_n(Q) and X^2 is never formed, so nothing overflows at large |X|
     phase = np.exp(-0.5j * frame.mu / frame.nu * Q * Q)
-    root = cmath.exp(1j * math.atan2(frame.mu, frame.nu))
-    out = pref * phase * (-1j * root) ** n * math.pi ** 0.25 * hermite_phi(n, Q)
+    # phi_n(Q) and its turn phase c_0 = n arg(mu - i nu): (-i e^{i arg zeta})^n = e^{i c_0}
+    (phi,), (c0, _) = _basis_rows("fock", [n], hbar, 1.0 / frame.norm, complex(frame.mu, -frame.nu) / frame.norm, Xv)
+    out = pref * phase * cmath.exp(1j * c0) * math.pi ** 0.25 * phi
     return complex(out) if scalar else out
 
 
@@ -249,19 +251,14 @@ def _catalog_characteristic(state, mu_grid, nu_grid, hbar):
 
 def _box_characteristic(state, mu_grid, nu_grid, hbar):
     """G of the box eigenstate.  With k = n pi/L and s = hbar nu/2 the Weyl
-    overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky] e^{i mu y} dy:
-    three integrals int e^{i w y} dy = e^{i w L/2} d sinc(w d/2) over the
-    overlap of length d = L - 2|s|, and zero where d <= 0."""
+    overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky] e^{i mu y} dy, three
+    :func:`states._segment` integrals over the overlap of length d = L - 2|s|, zero where d <= 0."""
     L, k = state.L, _box_wave_number(state.n, state.L)
     mu = np.asarray(mu_grid, dtype=float)[:, None]
     s = 0.5 * hbar * np.asarray(nu_grid, dtype=float)[None, :]
     d = np.maximum(L - 2.0 * np.abs(s), 0.0)
-
-    def segment(w):
-        return np.exp(0.5j * L * w) * d * np.sinc(w * d / (2.0 * math.pi))
-
-    return (np.cos(2.0 * k * s) * segment(mu)
-            - 0.5 * (segment(mu + 2.0 * k) + segment(mu - 2.0 * k))) / L
+    return (np.cos(2.0 * k * s) * _segment(mu, d, L)
+            - 0.5 * (_segment(mu + 2.0 * k, d, L) + _segment(mu - 2.0 * k, d, L))) / L
 
 
 # nodes x mu entries of one phase block in _overlap_characteristic
@@ -369,11 +366,11 @@ def interval_chirp(a: float, b, L: float) -> np.ndarray:
     the ray e^{i pi/4} |t|, nothing large cancels, and the phase b^2/4a is
     formed only for an interior y_s, where it is at most a L^2.  a < 0 is
     the conjugate of I(-a, -b); |a| L^2 < 1e-10 uses the linear phase
-    (e^{ibL} - 1)/(ib) = L e^{ibL/2} sinc(bL/2).
+    (e^{ibL} - 1)/(ib) = L e^{ibL/2} sinc(bL/2), the segment :func:`states._segment`.
     """
     b = np.asarray(b, dtype=float)
     if abs(a) * L * L < _LINEAR_CHIRP:
-        return L * np.exp(0.5j * b * L) * np.sinc(b * L / (2.0 * math.pi))
+        return _segment(b, L, L)
     if a < 0.0:
         return np.conj(interval_chirp(-a, -b, L))
     ra = math.sqrt(a)

@@ -116,6 +116,11 @@ def _box_wave_number(n: int, L: float) -> float:
     return k
 
 
+def _segment(w, d, L):
+    """e^{i w L/2} d sinc(w d/2) = int e^{i w y} dy over the length d centred on L/2."""
+    return np.exp(0.5j * L * w) * d * np.sinc(w * d / (2.0 * math.pi))
+
+
 def _num(v: float) -> str:
     """Shortest round-tripping float text, with integral values written as integers."""
     return repr(float(v)).removesuffix(".0")
@@ -372,9 +377,8 @@ class BoxEigen(State):
         _require_normal("box width L", self.L)
 
     def position_wavefunction(self, hbar):
-        k = _box_wave_number(self.n, self.L)
-        amp = math.sqrt(2.0 / self.L)
-        L = self.L
+        k, L = _box_wave_number(self.n, self.L), self.L
+        amp = math.sqrt(2.0 / L)
 
         def box_psi(y):
             y = np.asarray(y, dtype=float)
@@ -384,20 +388,13 @@ class BoxEigen(State):
         return box_psi
 
     def momentum_wavefunction(self, hbar):
-        k = _box_wave_number(self.n, self.L)
-        L = self.L
-        alt = (-1.0) ** self.n
-        amp = math.sqrt(2.0 / L) / math.sqrt(2.0 * math.pi * hbar)
+        # sin ky = (e^{iky} - e^{-iky})/2i, so psihat is two segments over [0, L]
+        k, L = _box_wave_number(self.n, self.L), self.L
+        amp = math.sqrt(2.0 / L) / (2j * math.sqrt(2.0 * math.pi * hbar))
 
         def box_ft(p):
-            p = np.asarray(p, dtype=float)
-            q = p / hbar
-            denom = k * k - q * q
-            near = np.abs(denom) < 1e-9 * k * k
-            denom_safe = np.where(near, 1.0, denom)
-            main = k * (1.0 - alt * np.exp(-1j * q * L)) / denom_safe
-            resonant = np.where(q > 0, -0.5j * L, 0.5j * L)
-            return amp * np.where(near, resonant, main)
+            q = np.asarray(p, dtype=float) / hbar
+            return amp * (_segment(k - q, L, L) - _segment(-k - q, L, L))
 
         return box_ft
 

@@ -218,14 +218,14 @@ def test_the_oscillator_momentum_side_is_one_fourier_turn():
     assert {st.HOEigen, st.Superposition, st.Coherent, st.CatEven, st.CatOdd} <= set(families)
     for cls in families:
         assert not (sides | {"_wave"}) & set(vars(cls)), cls.__name__
-    # and one row builder, states._basis_rows, serves the wave functions and
-    # every tomogram frame: quantum builds no oscillator row of its own
+    # and one row builder, states._basis_rows, serves the wave functions,
+    # every tomogram frame and the amplitude: quantum builds no oscillator row
     assert not hasattr(st, "_coherent_psi")
     tree = ast.parse((_ROOT / "src" / "tomolab" / "quantum.py").read_text())
     callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "hermite_phi"]
-    assert callers == ["hermite_amplitude"]
+    assert callers == []
 
 
 def test_no_np_unique_in_the_package():
@@ -236,6 +236,23 @@ def test_no_np_unique_in_the_package():
             assert not (isinstance(node, ast.Attribute) and node.attr == "unique"
                         and isinstance(node.value, ast.Name) and node.value.id == "np"), (
                 path.name, node.lineno)
+
+
+def test_every_box_segment_is_states_segment():
+    # int e^{iwy} dy over a segment, the a = 0 integral of the box closed forms,
+    # is written once: np.sinc is called in states._segment alone, and the box
+    # momentum wave function is two segments with no special case at resonance
+    def np_calls(node, name):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                and c.func.attr == name and isinstance(c.func.value, ast.Name) and c.func.value.id == "np"]
+
+    trees = {path.name: ast.parse(path.read_text()) for path in (_ROOT / "src" / "tomolab").glob("*.py")}
+    states = trees["states.py"].body
+    segment = next(fn for fn in states if isinstance(fn, ast.FunctionDef) and fn.name == "_segment")
+    assert len(np_calls(segment, "sinc")) == sum(len(np_calls(tree, "sinc")) for tree in trees.values()) > 0
+    box = next(cls for cls in states if isinstance(cls, ast.ClassDef) and cls.name == "BoxEigen")
+    wave = next(fn for fn in box.body if isinstance(fn, ast.FunctionDef) and fn.name == "momentum_wavefunction")
+    assert not np_calls(wave, "where")
 
 
 def test_file_formats_are_known_in_kernel_alone():

@@ -170,13 +170,36 @@ def test_momentum_wavefunction_matches_quadrature():
             assert abs(ft(np.asarray(p)) - direct) < 1e-6
 
 
+def mp_box_momentum(n: int, L: float, hbar: float, p: float) -> complex:
+    """Oracle: psihat(p) of sqrt(2/L) sin(ky) on [0, L] at 50 digits, with k the
+    double n pi/L: the rational form [k - e^{-iqL}(k cos kL + i q sin kL)]/(k^2 - q^2),
+    q = p/hbar, which is k(1 - (-1)^n e^{-iqL})/(k^2 - q^2) where kL is exactly n pi,
+    and its limit -+iL/2 (to the rounding of k) at q = +-k.  cos kL and sin kL are taken at 50 digits, not
+    as (-1)^n and 0: the rounding of k in kL would put a pole of relative size
+    ulp/|q/k - 1| at the resonance."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        k, q, L = mp.mpf(n * math.pi / L), mp.mpf(p) / mp.mpf(hbar), mp.mpf(L)
+        amp = mp.sqrt(2 / L) / mp.sqrt(2 * mp.pi * mp.mpf(hbar))
+        if q * q == k * k:
+            return complex(amp * mp.mpc(0, -mp.sign(q)) * L / 2)
+        num = k - mp.exp(-1j * q * L) * (k * mp.cos(k * L) + 1j * q * mp.sin(k * L))
+        return complex(amp * num / (k * k - q * q))
+
+
 def test_box_momentum_resonance_finite():
-    state = st.BoxEigen(3, 1.0)
-    ft = st.momentum_wavefunction(state, 1.0)
-    k = 3 * math.pi
-    vals = ft(np.array([k - 1e-12, k, k + 1e-12]))
-    assert np.all(np.isfinite(vals))
-    assert abs(vals[0] - vals[1]) < 1e-6
+    # at and near q = +-k: a switch to the limit -+iL/2 inside a window such as
+    # |k^2 - q^2| < 1e-9 k^2 is off by up to 4.5e-9 relative (n = 40, |q/k - 1| = 5e-10)
+    for n, L, hbar in ((3, 1.0, 1.0), (40, 2.0, 0.3)):
+        k = n * math.pi / L
+        rel = [s * (1.0 + d) for d in (1e-3, 1e-6, 2e-9, 5e-10, 1e-12, 0.0) for s in (1.0, -1.0)]
+        p = hbar * k * np.array(rel + [0.37, -2.37])
+        vals = st.momentum_wavefunction(st.BoxEigen(n, L), hbar)(p)
+        assert np.all(np.isfinite(vals))
+        for pj, v in zip(p, vals):
+            ref = mp_box_momentum(n, L, hbar, pj)
+            assert abs(v - ref) <= 1e-13 * abs(ref), (n, pj / (hbar * k), v, ref)
 
 
 def mp_fock_wigner(n: int, r2: float) -> float:
