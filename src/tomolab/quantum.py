@@ -38,7 +38,7 @@ from .kernel import (
     _check_uniform_grid,
     _distinct,
 )
-from .specfun import chirp_sum, faddeeva, laguerre_scaled
+from .specfun import chirp_sum, faddeeva
 from .states import (
     BoxEigen,
     CatEven,
@@ -49,6 +49,7 @@ from .states import (
     Superposition,
     _basis_rows,
     _box_wave_number,
+    _expectation,
     _segment,
     coherent_center,
     momentum_wavefunction,
@@ -212,41 +213,9 @@ def _displacement_beta(mu_grid, nu_grid, hbar: float) -> np.ndarray:
     return (-math.sqrt(0.5 * hbar) * nu) + 1j * (math.sqrt(0.5 * hbar) * mu)
 
 
-def _fock_displacement(m: int, n: int, beta):
-    """<m|D(beta)|n> (Cahill & Glauber, Phys. Rev. 177 (1969) 1857): for m >= n
-
-        sqrt(n!/m!) beta^(m-n) e^(-|beta|^2/2) L_n^(m-n)(|beta|^2),
-
-    with the modulus from :func:`specfun.laguerre_scaled`; n > m is the
-    same with (m, n) swapped and beta -> -beta*."""
-    beta = np.asarray(beta, dtype=complex)
-    if n > m:
-        return _fock_displacement(n, m, -np.conj(beta))
-    ell = laguerre_scaled(n, m - n, beta.real ** 2 + beta.imag ** 2)
-    return ell * np.exp(1j * (m - n) * np.angle(beta)) if m > n else ell
-
-
-def _coherent_displacement(a: complex, c: complex, beta):
-    """<a|D(beta)|c> = exp(-|a|^2/2 - |beta+c|^2/2 + a*(beta+c) + (beta c* - beta* c)/2)
-    of coherent states, with the exponent summed before exponentiating:
-    its real part is -|a - beta - c|^2/2, so Ehrenfest-sized |alpha|
-    cannot overflow."""
-    beta = np.asarray(beta, dtype=complex)
-    b = beta + c
-    r = a - b
-    return np.exp(-0.5 * (r.real ** 2 + r.imag ** 2)
-                  + 1j * ((np.conj(a) * b).imag + (beta * np.conj(c)).imag))
-
-
-def _expectation(terms, element, beta) -> np.ndarray:
-    """<psi|D(beta)|psi> of psi = sum_c w_c |c>: sum_{a,c} w_a* w_c element(a, c, beta)."""
-    return sum(np.conj(wa) * wc * element(a, c, beta) for wa, a in terms for wc, c in terms)
-
-
 def _catalog_characteristic(state, mu_grid, nu_grid, hbar):
     """<psi|D(beta)|psi> of an oscillator catalog state from its terms."""
-    element = _fock_displacement if state.basis == "fock" else _coherent_displacement
-    return _expectation(state.terms, element, _displacement_beta(mu_grid, nu_grid, hbar))
+    return _expectation(state.terms, state.terms, state._element, _displacement_beta(mu_grid, nu_grid, hbar))
 
 
 def _box_characteristic(state, mu_grid, nu_grid, hbar):

@@ -148,6 +148,38 @@ def _basis_rows(basis: str, labels, hbar: float, rw: float, turn: complex, y: np
     return rows[:1] + [u * np.exp(1j * t) for u, t in zip(rows[1:], phases[1:])], first
 
 
+def _fock_displacement(m: int, n: int, beta):
+    """<m|D(beta)|n> (Cahill & Glauber, Phys. Rev. 177 (1969) 1857): for m >= n
+
+        sqrt(n!/m!) beta^(m-n) e^(-|beta|^2/2) L_n^(m-n)(|beta|^2),
+
+    with the modulus from :func:`specfun.laguerre_scaled`; n > m is the
+    same with (m, n) swapped and beta -> -beta*."""
+    beta = np.asarray(beta, dtype=complex)
+    if n > m:
+        return _fock_displacement(n, m, -np.conj(beta))
+    ell = laguerre_scaled(n, m - n, beta.real ** 2 + beta.imag ** 2)
+    return ell * np.exp(1j * (m - n) * np.angle(beta)) if m > n else ell
+
+
+def _coherent_displacement(a: complex, c: complex, beta):
+    """<a|D(beta)|c> = exp(-|a|^2/2 - |beta+c|^2/2 + a*(beta+c) + (beta c* - beta* c)/2)
+    of coherent states, with the exponent summed before exponentiating:
+    its real part is -|a - beta - c|^2/2, so Ehrenfest-sized |alpha|
+    cannot overflow."""
+    beta = np.asarray(beta, dtype=complex)
+    b = beta + c
+    r = a - b
+    return np.exp(-0.5 * (r.real ** 2 + r.imag ** 2)
+                  + 1j * ((np.conj(a) * b).imag + (beta * np.conj(c)).imag))
+
+
+def _expectation(bras, kets, element, beta) -> np.ndarray:
+    """<phi|D(beta)|psi> of <phi| = sum_a w_a* <a| and |psi> = sum_c w_c |c>:
+    sum_{a,c} w_a* w_c element(a, c, beta)."""
+    return sum(np.conj(wa) * wc * element(a, c, beta) for wa, a in bras for wc, c in kets)
+
+
 class _Oscillator(State):
     """The varpi oscillator family (mass * frequency = varpi).
 
@@ -188,12 +220,15 @@ class _Oscillator(State):
         # each root taken apart: hbar * varpi overflows near the largest double
         return math.sqrt(hbar) / math.sqrt(self.varpi), math.sqrt(hbar) * math.sqrt(self.varpi)
 
-    def _radius2(self, hbar, qbar, pbar):
-        # r^2 = varpi (q - qbar)^2/hbar + (p - pbar)^2/(varpi hbar), with the
-        # scale roots taken apart so that no varpi overflows
+    def exact_wigner(self, hbar):
+        # W = 2 <psi|D(2 alpha) Pi|psi> (Royer, Phys. Rev. A 15 (1977) 449): the sum that
+        # gives G, with the kets under the parity Pi (a Fock weight times (-1)^k, a
+        # coherent label a -> -a), at alpha = (sqrt(varpi) q + i p/sqrt(varpi))/sqrt(2 hbar),
+        # its scale roots taken apart so that no varpi overflows
         rw, rh = math.sqrt(self.varpi), math.sqrt(hbar)
-        return lambda p, q: (((np.asarray(q, float) - qbar) * (rw / rh)) ** 2
-                             + ((np.asarray(p, float) - pbar) / (rw * rh)) ** 2)
+        kets = [(w * (-1) ** a, a) if self.basis == "fock" else (w, -a) for w, a in self.terms]
+        return lambda p, q: 2.0 * _expectation(self.terms, kets, self._element, math.sqrt(2.0) * (
+            np.asarray(q, float) * (rw / rh) + 1j * (np.asarray(p, float) / (rw * rh)))).real
 
     def _varpi_field(self) -> str:
         return "" if self.varpi == 1.0 else f",varpi={_num(self.varpi)}"
@@ -204,6 +239,7 @@ class _Fock(_Oscillator):
     wave functions, extents and largest order are read off the terms."""
 
     basis: ClassVar[str] = "fock"
+    _element = staticmethod(_fock_displacement)
 
     def max_order(self):
         return max(k for _, k in self.terms)
@@ -234,11 +270,6 @@ class HOEigen(_Fock):
 
     def descriptor(self):
         return f"ho:n={self.n},varpi={_num(self.varpi)}"
-
-    def exact_wigner(self, hbar):
-        # 2 (-1)^n L_n(2 r^2) e^(-r^2)
-        n, r2 = self.n, self._radius2(hbar, 0.0, 0.0)
-        return lambda p, q: 2.0 * (-1.0) ** n * laguerre_scaled(n, 0, 2.0 * r2(p, q))
 
 
 @dataclass(frozen=True)
@@ -284,6 +315,7 @@ class _Displaced(_Oscillator):
     ((w_a, a), ...); the wave functions and extents are read off the terms."""
 
     basis: ClassVar[str] = "coherent"
+    _element = staticmethod(_coherent_displacement)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -317,10 +349,6 @@ class Coherent(_Displaced):
 
     def descriptor(self):
         return f"coherent:{self._alpha_fields()}"
-
-    def exact_wigner(self, hbar):
-        r2 = self._radius2(hbar, *coherent_center(self.alpha, hbar, self.varpi))
-        return lambda p, q: 2.0 * np.exp(-r2(p, q))
 
 
 @dataclass(frozen=True)

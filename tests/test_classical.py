@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from tomolab import classical
@@ -250,11 +250,12 @@ def test_phase_tables_match_the_complex_exp(k, y):
 @given(hs.lists(hs.floats(-100.0, 100.0), min_size=1, max_size=4),
        hs.floats(-100.0, 100.0), hs.floats(-100.0, 100.0), hs.integers(32, 10_000),
        hs.booleans(), hs.integers(0, 2 ** 32 - 1))
+@example(k=[100.0, -0.37, 1e-6], y0=-43.64367014929815, y1=46.00230328969755, m=8324, linspace=True, seed=0)
 def test_uniform_axis_phase_tables_match_mpmath(k, y0, y1, m, linspace, seed):
     # uniform axes, increasing or decreasing, of up to 1e4 entries and
     # |k y| up to 1e4 take the coarse-fine product; sampled entries against
     # e^{i k y} to 30 digits, the first and last entry of each coarse block
-    # among them
+    # among them; the example's coarse-fine points sit 2.09 eps max|y| off
     from mpmath import mp, mpf, exp
 
     k = np.array(k)
@@ -301,6 +302,12 @@ def test_uniform_axis_callers_take_the_product_table(monkeypatch):
     q = np.linspace(-3.0, 3.0, 161)
     qt.wigner_grid_from_density(rho, q, q, 1.0)
     assert trig.sizes and max(trig.sizes) <= 201 * 2 * (math.isqrt(q.size - 1) + 1)
+    # a linspace axis whose coarse-fine points sit 2.09 eps max|y| off, past
+    # the 2 eps an earlier admission rule allowed, takes the product too
+    trig.sizes.clear()
+    y = np.linspace(-43.64367014929815, 46.00230328969755, 8324)
+    classical._phases(np.array([100.0, -0.37]), y)
+    assert trig.sizes and max(trig.sizes) <= 2 * 2 * (math.isqrt(y.size - 1) + 1)
 
 
 @pytest.mark.parametrize("n_mu, n_nu", [(23, 9), (9, 23)])

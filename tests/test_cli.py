@@ -822,6 +822,17 @@ def test_readme_commands_parse():
         assert args.command in cli.COMMANDS
 
 
+def test_readme_commands_run(tmp_path):
+    # every command line the README shows runs and exits 0, its out/ paths
+    # moved under tmp_path
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    lines = [ln for ln in open(readme) if ln.startswith("tomolab ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = [str(tmp_path / a) if a.startswith("out/") else a for a in shlex.split(line.split(" #")[0])[1:]]
+        assert run(argv) == 0, line
+
+
 def test_reconstruct_density(tmp_path, capsys):
     out = str(tmp_path / "rec")
     code = run(["reconstruct", "--state", "coherent:re=1,im=0", "--target", "density",
@@ -846,6 +857,16 @@ def test_reconstruct_wigner_at_extreme_varpi(tmp_path, state, error):
                     "--out", out]) == 0
     rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
     assert rep["max_error_vs_exact"] == pytest.approx(error, rel=1e-3)
+
+
+@pytest.mark.parametrize("state", ["cat:even,re=1,im=0", "cat:odd,re=0.8,im=0.4", "superpos:n=0,m=2"])
+def test_reconstruct_wigner_gates_cats_and_superpositions(tmp_path, state):
+    # every oscillator catalog state has its exact W, the displaced-parity
+    # sum, so the Wigner target reports and gates its error for these too
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", state, "--target", "wigner", "--hbar", "0.5", "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] < 1e-3
 
 
 def test_density_reconstruct_and_custom_families_leave_numpy_ma_unloaded(tmp_path):

@@ -226,6 +226,15 @@ def test_the_oscillator_momentum_side_is_one_fourier_turn():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Name) and node.func.id == "hermite_phi"]
     assert callers == []
+    # one exact Wigner function, the displaced-parity sum on _Oscillator, from
+    # the matrix elements that states keeps beside _basis_rows
+    assert "exact_wigner" in vars(st._Oscillator) and not hasattr(st._Oscillator, "_radius2")
+    for cls in families:
+        assert "exact_wigner" not in vars(cls), cls.__name__
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert not defined & {"_fock_displacement", "_coherent_displacement", "_expectation"}
+    imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "laguerre_scaled" not in imported
 
 
 def test_no_np_unique_in_the_package():

@@ -223,3 +223,32 @@ def test_fock_wigner_against_mpmath_at_large_order(n):
         q, p = q * math.sqrt(hbar / varpi), p * math.sqrt(hbar * varpi)
         got = w(np.array([p]), np.array([q]))[0]
         assert abs(got - mp_fock_wigner(n, varpi * q * q / hbar + p * p / (varpi * hbar))) < 1e-12, (p, q)
+
+
+def quadrature_wigner(state, hbar, q, p):
+    """Oracle: W(q, p) = int psi(q + u/2) psi*(q - u/2) e^{-ipu/hbar} du, a
+    60,001-point trapezoid over |u| <= 30 of the position wave function."""
+    psi = st.position_wavefunction(state, hbar)
+    u = np.linspace(-30.0, 30.0, 60001)
+    w = np.full(u.size, 60.0 / 60000)  # u[1] - u[0] would carry 30 eps of roundoff, 7e-12 relative
+    w[[0, -1]] *= 0.5
+    rows = [psi(qi + 0.5 * u) * np.conj(psi(qi - 0.5 * u)) * w for qi in q]
+    return np.real(np.array(rows) @ np.exp(-1j * np.outer(u, p) / hbar))
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: st.HOEigen(3, v), lambda v: st.Coherent(0.6 - 0.4j, v), lambda v: st.CatEven(1.1 + 0.3j, v),
+    lambda v: st.CatOdd(0.8 + 0.4j, v), lambda v: st.Superposition(1, 4, v)],
+    ids=["ho", "coherent", "cat-even", "cat-odd", "superpos"])
+@pytest.mark.parametrize("varpi", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("hbar", [0.25, 1.0])
+def test_oscillator_wigner_is_the_quadrature_of_its_wave_function(make, varpi, hbar):
+    # one displaced-parity sum serves every oscillator family, cats and
+    # superpositions included, and obeys the parity bound |W| <= 2
+    state = make(varpi)
+    w = state.exact_wigner(hbar)
+    sq, sp = st.natural_scales(state, hbar)
+    q, p = sq * np.linspace(-3.0, 3.0, 7), sp * np.linspace(-2.5, 2.5, 6)
+    assert np.max(np.abs(w(p[None, :], q[:, None]) - quadrature_wigner(state, hbar, q, p))) < 1e-12
+    qg, pg = sq * np.linspace(-6.0, 6.0, 121), sp * np.linspace(-6.0, 6.0, 121)
+    assert np.max(np.abs(w(pg[None, :], qg[:, None]))) <= 2.0
