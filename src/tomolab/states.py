@@ -426,6 +426,19 @@ class BoxEigen(State):
 
         return box_ft
 
+    def exact_wigner(self, hbar):
+        # psi(q + u/2) psi(q - u/2) = (cos ku - cos 2kq)/L over |u| <= 2 min(q, L - q),
+        # three segments centred at 0: an interval of length 0, so W = 0, off [0, L]
+        k, L = _box_wave_number(self.n, self.L), self.L
+
+        def box_wigner(p, q):
+            q, w = np.asarray(q, float), np.asarray(p, float) / hbar
+            d = 4.0 * np.maximum(np.minimum(q, L - q), 0.0)
+            return (0.5 * (_segment(k - w, d, 0.0) + _segment(-k - w, d, 0.0))
+                    - np.cos(2.0 * k * q) * _segment(-w, d, 0.0)).real / L
+
+        return box_wigner
+
     def natural_scales(self, hbar):
         return self.L / 2.0, hbar * self.n * math.pi / self.L
 

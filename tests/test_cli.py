@@ -869,6 +869,17 @@ def test_reconstruct_wigner_gates_cats_and_superpositions(tmp_path, state):
     assert rep["max_error_vs_exact"] < 1e-3
 
 
+@pytest.mark.parametrize("state,hbar,error", [("box:n=3,L=1", "0.1", 5.017e-4), ("box:n=2,L=1", "0.5", 3.641e-4),
+                                              ("box:n=1,L=2", "1", 8.361e-4), ("box:n=5,L=1", "0.2", 5.527e-4)])
+def test_reconstruct_wigner_gates_box_states(tmp_path, state, hbar, error):
+    # a box eigenstate has its exact W, three segments over the overlap, so
+    # the Wigner target reports and gates its error
+    out = str(tmp_path / "rec")
+    assert run(["reconstruct", "--state", state, "--target", "wigner", "--hbar", hbar, "--out", out]) == 0
+    rep = json.load(open(os.path.join(out, "reconstruct_report.json")))
+    assert rep["max_error_vs_exact"] == pytest.approx(error, rel=1e-3)
+
+
 def test_density_reconstruct_and_custom_families_leave_numpy_ma_unloaded(tmp_path):
     # np.unique's first call imports numpy.ma, 15-19 ms in every process
     import subprocess

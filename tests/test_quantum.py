@@ -912,7 +912,10 @@ def test_exact_wigner_forms():
     wc = st.Coherent(1 + 0j).exact_wigner(1.0)
     qbar = math.sqrt(2.0)
     assert abs(wc(0.0, qbar) - 2.0) < 1e-14
-    assert st.BoxEigen(2, 1.0).exact_wigner(1.0) is None
+    wb = st.BoxEigen(1, 1.0).exact_wigner(1.0)  # psi(u/2)^2 at q = L/2, p = 0: int 2 cos^2(pi u/2) du = 2
+    assert abs(wb(0.0, 0.5) - 2.0) < 1e-14 and wb(0.0, -0.1) == wb(0.0, 1.1) == 0.0
+    g = np.linspace(-8.0, 8.0, 161)
+    assert st.CustomGrid(g, np.exp(-0.5 * g * g) / math.pi ** 0.25).exact_wigner(1.0) is None
 
 
 def test_tomogram_from_wigner_dual_route(rng):
@@ -986,30 +989,52 @@ def test_wigner_from_density_matches_exact_off_the_half_grid(state, bound):
 def test_wigner_half_grid_rows_match_the_anti_diagonal_loop(rng):
     # on a half-grid row the map is the trapezoid sum over rho[a, m - a]
     # itself, the one-sample rows m = 0 and 2n - 2 included, for odd and even
-    # n; an anti-Hermitian part small enough to pass the Hermiticity gate
-    # shows in the residual
-    for n, anti in ((9, 0.0), (10, 0.0), (9, 3e-8), (10, 3e-8)):
-        x = np.linspace(-2.0, 2.0, n)
-        h = x[1] - x[0]
-        vals, b = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-        vals = vals + vals.conj().T + anti * (b - b.conj().T)
-        q = x[0] + 0.5 * h * np.arange(2 * n - 1)
-        p = np.linspace(-1.5, 1.5, 7)
-        w, resid = qt.wigner_grid_from_density(GridFunction2D(x, x, vals), q, p, 0.7)
-        loop_resid = 0.0
-        for m in range(2 * n - 1):
-            a = np.arange(max(0, m - n + 1), min(n - 1, m) + 1)
-            wt = np.full(a.size, 2 * h)
-            wt[0] -= h
-            wt[-1] -= h
-            u = (2 * a - m) * h
-            ref = np.array([np.sum(wt * vals[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p])
-            assert np.allclose(w.values[m], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(vals)))
-            loop_resid = max(loop_resid, float(np.max(np.abs(ref.imag))))
-        if anti:
-            assert abs(resid - loop_resid) < 1e-6 * loop_resid
-        else:
-            assert resid < 1e-13 * np.max(np.abs(vals))
+    # n, on grids whose rows fall in one band per octave of kmax, up to
+    # [32, 64); a Hermitian rho reads one sample per pair and a residual of
+    # exactly 0, while an anti-Hermitian part small enough to pass the
+    # Hermiticity gate shows in the residual
+    for n in (9, 10, 41, 64):
+        for anti in (0.0, 3e-8):
+            x = np.linspace(-2.0, 2.0, n)
+            h = x[1] - x[0]
+            vals, b = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            vals = vals + vals.conj().T + anti * (b - b.conj().T)
+            q = x[0] + 0.5 * h * np.arange(2 * n - 1)
+            p = np.linspace(-1.5, 1.5, 7)
+            w, resid = qt.wigner_grid_from_density(GridFunction2D(x, x, vals), q, p, 0.7)
+            loop_resid = 0.0
+            for m in range(2 * n - 1):
+                a = np.arange(max(0, m - n + 1), min(n - 1, m) + 1)
+                wt = np.full(a.size, 2 * h)
+                wt[0] -= h
+                wt[-1] -= h
+                u = (2 * a - m) * h
+                ref = np.array([np.sum(wt * vals[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p])
+                assert np.allclose(w.values[m], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(vals))), (n, m)
+                loop_resid = max(loop_resid, float(np.max(np.abs(ref.imag))))
+            if anti:
+                assert abs(resid - loop_resid) < 1e-6 * loop_resid
+            else:
+                assert resid == 0.0
+
+
+def test_wigner_of_a_pure_state_reads_one_sample_per_pair():
+    # rho_grid's outer product is Hermitian bit for bit, so its residual is
+    # exactly 0 and the map takes one sample per Hermitian pair; an
+    # anti-Hermitian part of 1e-13 sends it through both samples of each
+    # pair, which reads a residual and moves W by roundoff only
+    hbar = 0.6
+    x, q = _dual_route_geometry(hbar)
+    rho = qt.rho_grid(st.HOEigen(1), hbar, x)
+    assert qt._hermitian_residual(rho.values) == 0.0
+    w, resid = qt.wigner_grid_from_density(rho, q, q, hbar)
+    assert resid == 0.0
+    rng = np.random.default_rng(50)
+    b = rng.normal(size=rho.values.shape) + 1j * rng.normal(size=rho.values.shape)
+    bad = GridFunction2D(x, x, rho.values + 1e-13 * (b - b.conj().T))
+    w2, resid2 = qt.wigner_grid_from_density(bad, q, q, hbar)
+    assert resid2 > 0.0
+    assert np.max(np.abs(w2.values - w.values)) < 1e-12
 
 
 def test_wigner_residual_is_the_anti_hermitian_part():
@@ -1092,6 +1117,24 @@ def test_density_from_tomogram_roundtrip():
     diag = np.real(np.diag(rho))
     assert np.max(np.abs(diag - np.abs(psi) ** 2)) < 1e-3
     assert abs(np.trapezoid(diag, xs) - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_hermitian_residual_is_the_full_matrix_residual(n):
+    # each pair of 64-row blocks is compared once, on the upper triangle:
+    # the residual is max |v - v^dagger| of the full matrix, formed from the
+    # same parts bit for bit, and a NaN on either side of the diagonal makes
+    # it NaN
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for v in (a + a.conj().T, a, a + a.conj().T + 1e-9 * a):
+        full = math.sqrt(np.max(np.square(v.real - v.real.T) + np.square(v.imag + v.imag.T)))
+        assert qt._hermitian_residual(v) == full
+        assert full == pytest.approx(np.max(np.abs(v - v.conj().T)), rel=1e-15, abs=0.0)
+    for i, j in ((n - 1, 0), (0, n - 1), (n // 2, n // 2)):
+        v = a + a.conj().T
+        v[i, j] = np.nan
+        assert np.isnan(qt._hermitian_residual(v))
 
 
 def test_density_residual_is_the_shared_hermiticity_residual():

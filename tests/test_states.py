@@ -252,3 +252,22 @@ def test_oscillator_wigner_is_the_quadrature_of_its_wave_function(make, varpi, h
     assert np.max(np.abs(w(p[None, :], q[:, None]) - quadrature_wigner(state, hbar, q, p))) < 1e-12
     qg, pg = sq * np.linspace(-6.0, 6.0, 121), sp * np.linspace(-6.0, 6.0, 121)
     assert np.max(np.abs(w(pg[None, :], qg[:, None]))) <= 2.0
+
+
+@pytest.mark.parametrize("n, L, hbar", [(1, 1.0, 1.0), (3, 1.0, 0.1), (5, 2.0, 0.2), (40, 1.5, 0.01)])
+def test_box_wigner_is_the_quadrature_of_its_wave_function(n, L, hbar):
+    # W(q, p) = int psi(q + u/2) psi*(q - u/2) e^{-ipu/hbar} du over the
+    # overlap |u| <= 2 min(q, L - q), where the integrand is smooth: 600
+    # Gauss-Legendre nodes of the position wave function; 0 off [0, L]
+    state = st.BoxEigen(n, L)
+    psi = st.position_wavefunction(state, hbar)
+    k = n * math.pi / L
+    q, p = np.linspace(-0.1 * L, 1.1 * L, 37), hbar * k * np.linspace(-3.0, 3.0, 25)
+    w = state.exact_wigner(hbar)(p[None, :], q[:, None])
+    t, wt = np.polynomial.legendre.leggauss(600)
+    for qi, row in zip(q, w):
+        r = 2.0 * max(min(qi, L - qi), 0.0)
+        u = r * t
+        ref = np.real((psi(qi + 0.5 * u) * np.conj(psi(qi - 0.5 * u)) * r * wt) @ np.exp(-1j * np.outer(u, p) / hbar))
+        assert np.max(np.abs(row - ref)) < 1e-12, qi
+    assert np.all(w[(q < 0) | (q > L)] == 0.0)
