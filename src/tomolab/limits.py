@@ -568,8 +568,9 @@ def _three_period_average(fn: Callable[[np.ndarray], np.ndarray], n: int,
                             samples_per_window=16, periods=3)
 
 
-def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple]:
-    """oscillator_windowed_distance and its curve (LimitReport.curves).
+def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple, float]:
+    """oscillator_windowed_distance, its curve (LimitReport.curves) and the
+    tomogram at X = 2 in the frame (1, 0), the forbidden-region value.
 
     At varpi = 1 the eigenstate's Wigner function depends on q^2 + p^2
     alone, so its tomogram is even in X and, in a frame of length r, that
@@ -580,14 +581,21 @@ def _oscillator_curve(n: int, frame: TomographyFrame) -> tuple[float, tuple]:
         raise TomogramError("oscillator windowed distance rejected for the zero frame")
     unit = TomographyFrame(1.0, 0.0)
     hbar = oscillator_ehrenfest_hbar(n)
+    forbidden = []
+
+    def hermite(X):  # X = 2 rides on the one Hermite call as its last point
+        values = np.asarray(hermite_tomogram(n, unit, np.append(X, 2.0), hbar))
+        forbidden.append(float(values[-1]))
+        return values[:-1]
+
     half = np.linspace(0.0, 1.3, 121)
-    avg = _three_period_average(lambda X: np.asarray(hermite_tomogram(n, unit, X, hbar)), n, unit, half)
+    avg = _three_period_average(hermite, n, unit, half)
     centers, avg = np.concatenate((-half[:0:-1], half)), np.concatenate((avg[:0:-1], avg))
     classical = np.asarray(classical_oscillator_tomogram(centers, unit, 1.0))
     dx = half[1] - half[0]
     r = frame.norm
     return (float(np.sum(np.abs(avg - classical)) * dx),
-            (r * centers, avg / r, classical / r, r * dx))
+            (r * centers, avg / r, classical / r, r * dx), forbidden[0])
 
 
 def oscillator_windowed_distance(n: int, frame: TomographyFrame) -> float:
@@ -616,7 +624,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     if any(n < 20 for n in n_values):
         raise ValueError("oscillator study needs n >= 20")
 
-    distances, curves = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
+    distances, curves, forbidden = _sweep(lambda n: _oscillator_curve(n, frame), n_values)
     details: dict = {
         "constraint": "ehrenfest",
         "frame": [frame.mu, frame.nu],
@@ -627,8 +635,7 @@ def ehrenfest_oscillator(n_values: Sequence[int],
     # forbidden-region smallness at the largest n, at X = 2 in the frame (1, 0):
     # the same in every direction (see _oscillator_curve) and free of |zeta|
     n_top = max(n_values)
-    details["forbidden_value"] = float(hermite_tomogram(n_top, TomographyFrame(1.0, 0.0), 2.0,
-                                                        oscillator_ehrenfest_hbar(n_top)))
+    details["forbidden_value"] = forbidden[n_values.index(n_top)]
     details["forbidden_bound"] = math.exp(-n_top / 10.0)
 
     if frame.mu == 1.0 and frame.nu == 0.0:

@@ -1,5 +1,5 @@
-"""Quantum tomograms: amplitude closed forms, closed-form characteristic
-functions, oscillatory-quadrature routes, Wigner-function maps, and the
+"""Quantum tomograms: amplitude closed forms, oscillatory-quadrature routes,
+the Weyl-overlap characteristic function, Wigner-function maps, and the
 inverse reconstructions back to Wigner functions and density matrices.
 
 For a pure state the tomogram is |A|^2 / (2 pi hbar |nu|) with the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .states import (
     Superposition,
     _basis_rows,
     _box_wave_number,
-    _expectation,
     _segment,
     coherent_center,
     momentum_wavefunction,
@@ -202,33 +200,8 @@ def cat_tomogram(alpha: complex, parity: str, frame: TomographyFrame, X, hbar: f
 
 
 # ---------------------------------------------------------------------------
-# characteristic functions G(mu, nu) = <exp(i(mu q + nu p))> = <D(beta)>
+# the Weyl-overlap characteristic function G(mu, nu) = <exp(i(mu q + nu p))>
 # ---------------------------------------------------------------------------
-
-def _displacement_beta(mu_grid, nu_grid, hbar: float) -> np.ndarray:
-    """beta[i, j] with exp(i(mu_i q + nu_j p)) = D(beta): beta =
-    sqrt(hbar/2) (i mu - nu), |beta|^2 = 1/(2 kappa)."""
-    mu = np.asarray(mu_grid, dtype=float)[:, None]
-    nu = np.asarray(nu_grid, dtype=float)[None, :]
-    return (-math.sqrt(0.5 * hbar) * nu) + 1j * (math.sqrt(0.5 * hbar) * mu)
-
-
-def _catalog_characteristic(state, mu_grid, nu_grid, hbar):
-    """<psi|D(beta)|psi> of an oscillator catalog state from its terms."""
-    return _expectation(state.terms, state.terms, state._element, _displacement_beta(mu_grid, nu_grid, hbar))
-
-
-def _box_characteristic(state, mu_grid, nu_grid, hbar):
-    """G of the box eigenstate.  With k = n pi/L and s = hbar nu/2 the Weyl
-    overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky] e^{i mu y} dy, three
-    :func:`states._segment` integrals over the overlap of length d = L - 2|s|, zero where d <= 0."""
-    L, k = state.L, _box_wave_number(state.n, state.L)
-    mu = np.asarray(mu_grid, dtype=float)[:, None]
-    s = 0.5 * hbar * np.asarray(nu_grid, dtype=float)[None, :]
-    d = np.maximum(L - 2.0 * np.abs(s), 0.0)
-    return (np.cos(2.0 * k * s) * _segment(mu, d, L)
-            - 0.5 * (_segment(mu + 2.0 * k, d, L) + _segment(mu - 2.0 * k, d, L))) / L
-
 
 # nodes x mu entries of one phase block in _overlap_characteristic
 _OVERLAP_BLOCK = 1 << 20
@@ -526,56 +499,34 @@ def default_x_grid(state: State, frame: TomographyFrame, hbar: float,
     return np.linspace(lo, hi, max(count, 3 * state.max_order() + 1))
 
 
-class _Route(NamedTuple):
-    """Closed forms of one state class: its tomogram, which
-    :func:`state_tomogram` takes in place of quadrature, and its
-    characteristic function, which :func:`build_state_family` takes in
-    place of the Weyl overlap quadrature."""
-
-    tomogram: Callable  # (state, frame, x, hbar) -> tomogram values on x
-    characteristic: Callable  # (state, mu_grid, nu_grid, hbar) -> G on the whole frame grid
-
-
-# Keyed by class here because states.py cannot import this module; the
-# entries call the module functions by global name, so rebinding one of
-# those names (tracing, tests) reaches every route.  The oscillator
-# entries are written at varpi = 1 and receive the frame (or frame grids)
-# that _unit_varpi maps each state to.
+# Closed-form tomograms, keyed by class here because states.py cannot import
+# this module; the entries call the module functions by global name, so
+# rebinding one of those names (tracing, tests) reaches every route.  The
+# oscillator entries are written at varpi = 1 and receive the frame that
+# state_tomogram maps each state to.
 _ROUTES = {
-    HOEigen: _Route(lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h), _catalog_characteristic),
-    Coherent: _Route(lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h), _catalog_characteristic),
-    **dict.fromkeys((CatEven, CatOdd), _Route(
-        lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h), _catalog_characteristic)),
-    Superposition: _Route(
-        lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h), _catalog_characteristic),
-    BoxEigen: _Route(
-        lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
-        _box_characteristic),
+    HOEigen: lambda s, fr, x, h: hermite_tomogram(s.n, fr, x, h),
+    Coherent: lambda s, fr, x, h: coherent_tomogram(s.alpha, fr, x, h),
+    **dict.fromkeys((CatEven, CatOdd), lambda s, fr, x, h: cat_tomogram(s.alpha, s.parity, fr, x, h)),
+    Superposition: lambda s, fr, x, h: superposition_tomogram(s.n, s.m, fr, x, h),
+    BoxEigen: lambda s, fr, x, h: box_tomogram(s.n, s.L, fr, x, h).values,
 }
-
-
-def _unit_varpi(state: State, mu, nu):
-    """(mu/sqrt(varpi), nu sqrt(varpi)): the squeeze q -> q sqrt(varpi),
-    p -> p/sqrt(varpi) takes a varpi oscillator state to varpi = 1 and
-    relabels its frame (values or grids) so; other states keep theirs."""
-    r = math.sqrt(getattr(state, "varpi", 1.0))
-    return mu / r, nu * r
 
 
 def state_tomogram(state: State, frame: TomographyFrame, x_grid,
                    hbar: float) -> Tomogram:
     """Tomogram of any state, and the one place its route is chosen: the
     zero frame is the unit atom delta(X); a state in the route table takes
-    its closed form in the frame :func:`_unit_varpi` maps it to (a box
-    state :func:`box_tomogram`, exact in every frame); every other state
-    takes the quadrature of :func:`tomogram_from_wavefunction`."""
+    its closed form (a varpi oscillator state at varpi = 1 in the frame
+    (mu/sqrt(varpi), nu sqrt(varpi)), a box state exactly in every frame);
+    every other state the quadrature of :func:`tomogram_from_wavefunction`."""
     x = np.asarray(x_grid, dtype=float)
     if frame.is_zero:
         return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
     route = _ROUTES.get(type(state))
     if route is not None:
-        unit = TomographyFrame(*_unit_varpi(state, frame.mu, frame.nu))
-        return Tomogram(frame, x, route.tomogram(state, unit, x, hbar))
+        r = math.sqrt(getattr(state, "varpi", 1.0))
+        return Tomogram(frame, x, route(state, TomographyFrame(frame.mu / r, frame.nu * r), x, hbar))
     return tomogram_from_wavefunction(state, frame, x, hbar)
 
 
@@ -593,27 +544,32 @@ def rho_grid(state: State, hbar: float, x_grid) -> GridFunction2D:
 _HERMITIAN_ROWS = 64  # rows of rho - rho^dagger built at once by _hermitian_residual
 
 
-def _hermitian_residual(v: np.ndarray) -> float:
-    """max |v - v^dagger| of a square matrix; NaN if any entry is NaN."""
+def _hermitian_residual(v: np.ndarray) -> tuple[float, float]:
+    """(max |v - v^dagger|, max |v|) of a square matrix; the residual is NaN for a NaN entry."""
     # |v - v^dagger|^2 from the parts, (Re v - Re v^T)^2 + (Im v + Im v^T)^2,
     # in blocks of rows: three n x n temporaries cost more in page faults than
     # in arithmetic; |v_ij - conj v_ji| is symmetric, so each block of rows
-    # is compared from its own diagonal on, the upper triangle only
-    worst = []
+    # is compared from its own diagonal on, the upper triangle only, and
+    # |v|^2 is read from the parts of its whole rows (past |v| ~ 1e154 it
+    # overflows to inf, as the residual's squares already did)
+    worst, big = [], []
     for i in range(0, v.shape[0], _HERMITIAN_ROWS):
         r = slice(i, i + _HERMITIAN_ROWS)
         d = np.square(v.real[r, i:] - v.real[i:, r].T)
         d += np.square(v.imag[r, i:] + v.imag[i:, r].T)
         worst.append(np.max(d))
-    return math.sqrt(float(np.max(worst)))
+        d = np.square(v.real[r])
+        d += np.square(v.imag[r])
+        big.append(np.max(d))
+    return math.sqrt(float(np.max(worst))), math.sqrt(float(np.max(big)))
 
 
 def _check_hermitian(rho: GridFunction2D) -> float:
     """The Hermiticity residual of rho, refused past 1e-6 max(1, max |rho|)."""
     if rho.values.shape[0] != rho.values.shape[1] or not np.array_equal(rho.x_grid, rho.y_grid):
         raise TomogramError("density matrix grid must be square with equal axes")
-    resid = _hermitian_residual(rho.values)
-    if not resid <= 1e-6 * max(1.0, float(np.max(np.abs(rho.values)))):  # a NaN fails
+    resid, scale = _hermitian_residual(rho.values)
+    if not resid <= 1e-6 * max(1.0, scale):  # a NaN fails
         raise TomogramError(f"density matrix is non-Hermitian (residual {resid:.3e})")
     return resid
 
@@ -725,20 +681,15 @@ def build_state_family(state: State, hbar: float, mu_grid, nu_grid) -> FrameSamp
     <exp(i(mu q + nu p))> of one state over a rectangular (mu, nu) grid,
     with no tomogram built.
 
-    States in the route table take G from its characteristic function
-    in one vectorised call on the grids :func:`_unit_varpi` maps them to
-    (the oscillator catalog from <D(beta)>, box states from three
-    elementary integrals); every other state takes the
-    Weyl overlap quadrature of :func:`_overlap_characteristic`.
+    A state with a closed form, :meth:`State.characteristic`, gives G in
+    one vectorised call (the oscillator catalog from <D(beta)>, box states
+    from three elementary integrals); every other state takes the Weyl
+    overlap quadrature of :func:`_overlap_characteristic`.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     nu_grid = np.asarray(nu_grid, dtype=float)
-    route = _ROUTES.get(type(state))
-    if route is not None:
-        G = np.array(route.characteristic(state, *_unit_varpi(state, mu_grid, nu_grid), hbar),
-                     dtype=complex)
-    else:
-        G = _overlap_characteristic(state, mu_grid, nu_grid, hbar)
+    G = state.characteristic(mu_grid, nu_grid, hbar)
+    G = _overlap_characteristic(state, mu_grid, nu_grid, hbar) if G is None else np.array(G, dtype=complex)
     G[(mu_grid == 0.0)[:, None] & (nu_grid == 0.0)[None, :]] = 1.0  # unit atom at X = 0
     return FrameSamples(mu_grid, nu_grid, G, *_support_radii(state, hbar))
 
@@ -788,7 +739,7 @@ def density_grid_from_tomogram(samples: FrameSamples, x_points,
     at = np.searchsorted(u, s)
     rho = np.einsum("km,mk->k", _weighted_phases(-u, mu)[at], samples.values[:, j])
     rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
-    return rho, _hermitian_residual(rho)
+    return rho, _hermitian_residual(rho)[0]
 
 
 # ---------------------------------------------------------------------------

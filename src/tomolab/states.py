@@ -47,10 +47,10 @@ class State:
     """The protocol every quantum state implements (the module functions
     of the same names document the methods without docstrings).
 
-    A new state is one subclass: its wave functions, natural scales,
-    extents and envelope scale give it the quadrature tomogram route,
-    default grids and frame families in :mod:`tomolab.quantum` with no
-    other edit.  A closed form is opted in through quantum's route table.
+    A new state is one subclass: its wave functions, natural scales, extents and
+    envelope scale give it the quadrature tomogram route, default grids and frame
+    families in :mod:`tomolab.quantum` with no other edit.  A closed-form G or W
+    is a method of the state; a closed-form tomogram is one quantum route entry.
     """
 
     # psi is interpolated samples rather than a formula: the state is
@@ -91,6 +91,10 @@ class State:
 
     def exact_wigner(self, hbar: float):
         """Analytic Wigner function (p, q) -> W, or None when there is none here."""
+        return None
+
+    def characteristic(self, mu_grid, nu_grid, hbar: float):
+        """Analytic G(mu, nu) = <exp(i(mu q + nu p))> on mu_grid x nu_grid, or None when there is none."""
         return None
 
     def x_extent(self, frame, hbar: float, tails: float = 8.0) -> tuple[float, float]:
@@ -229,6 +233,14 @@ class _Oscillator(State):
         kets = [(w * (-1) ** a, a) if self.basis == "fock" else (w, -a) for w, a in self.terms]
         return lambda p, q: 2.0 * _expectation(self.terms, kets, self._element, math.sqrt(2.0) * (
             np.asarray(q, float) * (rw / rh) + 1j * (np.asarray(p, float) / (rw * rh)))).real
+
+    def characteristic(self, mu_grid, nu_grid, hbar):
+        # <psi|D(beta)|psi> at varpi = 1 in the frame (mu/sqrt(varpi), nu sqrt(varpi)),
+        # where exp(i(mu q + nu p)) = D(beta), beta = sqrt(hbar/2) (i mu - nu)
+        rw, c = math.sqrt(self.varpi), math.sqrt(0.5 * hbar)
+        mu = (np.asarray(mu_grid, float) / rw)[:, None]
+        nu = (np.asarray(nu_grid, float) * rw)[None, :]
+        return _expectation(self.terms, self.terms, self._element, -c * nu + 1j * (c * mu))
 
     def _varpi_field(self) -> str:
         return "" if self.varpi == 1.0 else f",varpi={_num(self.varpi)}"
@@ -438,6 +450,16 @@ class BoxEigen(State):
                     - np.cos(2.0 * k * q) * _segment(-w, d, 0.0)).real / L
 
         return box_wigner
+
+    def characteristic(self, mu_grid, nu_grid, hbar):
+        # with s = hbar nu/2 the Weyl overlap is (1/L) int_{|s|}^{L-|s|} [cos 2ks - cos 2ky]
+        # e^{i mu y} dy, three segments over the overlap of length d = L - 2|s|, 0 where d <= 0
+        k, L = _box_wave_number(self.n, self.L), self.L
+        mu = np.asarray(mu_grid, float)[:, None]
+        s = 0.5 * hbar * np.asarray(nu_grid, float)[None, :]
+        d = np.maximum(L - 2.0 * np.abs(s), 0.0)
+        return (np.cos(2.0 * k * s) * _segment(mu, d, L)
+                - 0.5 * (_segment(mu + 2.0 * k, d, L) + _segment(mu - 2.0 * k, d, L))) / L
 
     def natural_scales(self, hbar):
         return self.L / 2.0, hbar * self.n * math.pi / self.L

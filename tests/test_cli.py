@@ -1268,7 +1268,8 @@ def test_a_plain_compare_row_is_the_same_at_every_frame_length(tmp_path):
 
 def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeypatch):
     # the windowed distance is the same in every nonzero frame: one
-    # 121-center, 48-sample average serves all three rows
+    # 121-center, 48-sample average serves all three rows (plus X = 2, the
+    # oscillator study's forbidden-region point, which rides on the same call)
     points = []
 
     def counted(n, x):
@@ -1278,7 +1279,7 @@ def test_compare_oscillator_evaluates_the_hermite_average_once(tmp_path, monkeyp
     out = str(tmp_path / "cmp")
     assert run(["compare", "--state", "ho:n=100", "--classical", "oscillator:E=1", "--hbar", "0.01",
                 "--frames", "1,0;0.568,0.856;-0.3,1.7", "--out", out]) == 0
-    assert points == [5808]
+    assert points == [5808 + 1]
     rows = np.loadtxt(os.path.join(out, "compare.csv"), delimiter=",", skiprows=1, ndmin=2)
     assert np.all(rows[:, 2] == rows[0, 2])
 

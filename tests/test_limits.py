@@ -315,16 +315,20 @@ def test_the_oscillator_curve_is_even_and_its_distance_frame_free():
 
 
 def test_the_oscillator_study_evaluates_5808_hermite_points_per_order(monkeypatch):
-    # 121 centers on X >= 0 times 48 window samples: once 241 x 48 = 11,568
+    # 121 centers on X >= 0 times 48 window samples: once 241 x 48 = 11,568.
+    # X = 2, the forbidden-region value, is the one point appended to each
+    # order's call: no scalar call is made for it at the largest n
     calls = []
 
     def counted(n, x):
         calls.append((n, np.size(x)))
         return hermite_phi(n, x)
     monkeypatch.setattr(st, "hermite_phi", counted)
-    lm.ehrenfest_oscillator([25, 50], TomographyFrame(0.6, 0.8))
-    # the last call is the forbidden-region value at the largest n
-    assert sorted(calls) == [(25, 5808), (50, 1), (50, 5808)]
+    rep = lm.ehrenfest_oscillator([25, 50], TomographyFrame(0.6, 0.8))
+    assert sorted(calls) == [(25, 5808 + 1), (50, 5808 + 1)]
+    # an element's Hermite value does not depend on the rest of the array
+    assert rep.details["forbidden_value"] == float(qt.hermite_tomogram(
+        50, TomographyFrame(1.0, 0.0), 2.0, qt.oscillator_ehrenfest_hbar(50)))
 
 
 def test_reports_are_reproducible():

@@ -168,6 +168,18 @@ def test_every_private_top_level_name_is_used():
     assert not unused, unused
 
 
+def test_every_imported_name_is_used():
+    # the project runs no linter: an import left behind when its last user moves
+    # (a helper, a typing name) is caught by reading each module's own names
+    for path in (_ROOT / "src" / "tomolab").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= loaded, (path.name, sorted(imported - loaded))
+
+
 def test_every_public_name_is_used_or_documented():
     # an __all__ name that only tests reach is a feature no command, study
     # or benchmark job runs: package code uses it, the benchmark names it,

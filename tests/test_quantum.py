@@ -530,6 +530,54 @@ def test_state_protocol_carries_a_new_state():
     assert np.max(np.abs(fam.values - np.exp(-var / 2))) < 1e-6
 
 
+@dataclass(frozen=True)
+class ClosedGaussian(SqueezedGaussian):
+    """SqueezedGaussian with its closed-form characteristic function, exp(-var/2)."""
+
+    def characteristic(self, mu_grid, nu_grid, hbar):
+        mu, nu = np.asarray(mu_grid)[:, None], np.asarray(nu_grid)[None, :]
+        return np.exp(-(mu ** 2 * self.s ** 2 + nu ** 2 * hbar ** 2 / self.s ** 2) / 4)
+
+
+def test_a_state_brings_its_own_characteristic_function(monkeypatch):
+    # a closed-form G is a method of the state: the family of a subclass
+    # defined here is what its characteristic returns, with no entry in
+    # quantum, and a state without one takes the Weyl overlap quadrature
+    overlaps = []
+
+    def counted(*args, _orig=qt._overlap_characteristic):
+        overlaps.append(args[0])
+        return _orig(*args)
+    monkeypatch.setattr(qt, "_overlap_characteristic", counted)
+    hbar, mu, nu = 0.5, np.linspace(-2, 2, 5), np.linspace(-3, 3, 7)
+    closed, plain = ClosedGaussian(0.4), SqueezedGaussian(0.4)
+    assert type(closed) not in qt._ROUTES
+    fam = qt.build_state_family(closed, hbar, mu, nu)
+    assert overlaps == []
+    assert np.array_equal(fam.values, closed.characteristic(mu, nu, hbar))
+    quad = qt.build_state_family(plain, hbar, mu, nu)
+    assert overlaps == [plain]
+    assert np.max(np.abs(quad.values - fam.values)) < 1e-12
+
+
+@pytest.mark.parametrize("state", [
+    st.HOEigen(2, 1.5), st.Coherent(0.5 - 0.2j), st.CatEven(0.8j, 0.7), st.CatOdd(-0.7),
+    st.Superposition(0, 3), st.BoxEigen(2, 1.5)], ids=repr)
+def test_each_catalog_family_calls_its_own_characteristic_once(state, monkeypatch):
+    calls = []
+    cls = type(state)
+
+    def counted(self, *args, _orig=cls.characteristic):
+        calls.append(type(self))
+        return _orig(self, *args)
+    monkeypatch.setattr(cls, "characteristic", counted)
+    monkeypatch.setattr(qt, "_overlap_characteristic", None)  # never reached
+    grid = np.linspace(-2, 2, 9)
+    fam = qt.build_state_family(state, 0.7, grid, grid)
+    assert calls == [cls]
+    assert fam.values[4, 4] == 1.0 and np.all(np.abs(fam.values) <= 1.0 + 1e-12)
+
+
 def test_zero_frame_atom():
     x = np.linspace(-1, 1, 21)
     for tom in (qt.tomogram_from_wavefunction(st.HOEigen(0), TomographyFrame(0, 0), x, 1.0),
@@ -1026,7 +1074,7 @@ def test_wigner_of_a_pure_state_reads_one_sample_per_pair():
     hbar = 0.6
     x, q = _dual_route_geometry(hbar)
     rho = qt.rho_grid(st.HOEigen(1), hbar, x)
-    assert qt._hermitian_residual(rho.values) == 0.0
+    assert qt._hermitian_residual(rho.values)[0] == 0.0
     w, resid = qt.wigner_grid_from_density(rho, q, q, hbar)
     assert resid == 0.0
     rng = np.random.default_rng(50)
@@ -1124,17 +1172,21 @@ def test_hermitian_residual_is_the_full_matrix_residual(n):
     # each pair of 64-row blocks is compared once, on the upper triangle:
     # the residual is max |v - v^dagger| of the full matrix, formed from the
     # same parts bit for bit, and a NaN on either side of the diagonal makes
-    # it NaN
+    # it NaN; the gate's scale max |v| is read in the same blocks, from the
+    # parts of every entry
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     for v in (a + a.conj().T, a, a + a.conj().T + 1e-9 * a):
         full = math.sqrt(np.max(np.square(v.real - v.real.T) + np.square(v.imag + v.imag.T)))
-        assert qt._hermitian_residual(v) == full
+        resid, scale = qt._hermitian_residual(v)
+        assert resid == full
         assert full == pytest.approx(np.max(np.abs(v - v.conj().T)), rel=1e-15, abs=0.0)
+        assert scale == math.sqrt(np.max(np.square(v.real) + np.square(v.imag)))
+        assert scale == pytest.approx(np.max(np.abs(v)), rel=1e-15, abs=0.0)
     for i, j in ((n - 1, 0), (0, n - 1), (n // 2, n // 2)):
         v = a + a.conj().T
         v[i, j] = np.nan
-        assert np.isnan(qt._hermitian_residual(v))
+        assert np.isnan(qt._hermitian_residual(v)[0])
 
 
 def test_density_residual_is_the_shared_hermiticity_residual():
@@ -1149,13 +1201,13 @@ def test_density_residual_is_the_shared_hermiticity_residual():
     G = fam.values + 1e-3 * (rng.normal(size=fam.values.shape) + 1j * rng.normal(size=fam.values.shape))
     bad = FrameSamples(fam.mu_grid, fam.nu_grid, G, fam.q_extent, fam.p_extent)
     rho, resid = qt.density_grid_from_tomogram(bad, xs, hbar)
-    assert resid == qt._hermitian_residual(rho)
+    assert resid == qt._hermitian_residual(rho)[0]
     assert resid == pytest.approx(np.max(np.abs(rho - rho.conj().T)), rel=1e-14)
     assert resid > 1e-4
     G[20, 3] = np.nan
     bad = FrameSamples(fam.mu_grid, fam.nu_grid, G, fam.q_extent, fam.p_extent)
     rho, resid = qt.density_grid_from_tomogram(bad, xs, hbar)
-    assert np.isnan(resid) and np.isnan(qt._hermitian_residual(rho))
+    assert np.isnan(resid) and np.isnan(qt._hermitian_residual(rho)[0])
 
 
 def _packet_state():
