@@ -268,7 +268,10 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
     """Exact box-eigenstate tomogram from the two interval chirp integrals
     A_-+ = int_0^L exp(i(a y^2 + (b -+ k) y)) dy with a = mu/(2 hbar nu),
     b = -X/(hbar nu), k = n pi/L (:func:`interval_chirp`, Faddeeva
-    closed form); W = |A_- - A_+|^2 / (4 pi L hbar |nu|).
+    closed form); W = |A_- - A_+|^2 / (4 pi L hbar |nu|).  From |a| L^2 = 10
+    on, each branch is taken about its own stationary point, J_-+ = A_-+
+    e^{i(b -+ k)^2/4a} (:func:`_chirp`), and W = |e^{ikX/mu} J_- -
+    e^{-ikX/mu} J_+|^2 / (4 pi L hbar |nu|): the phases of size a L^2 cancel.
 
     nu = 0, the zero frame included, takes the exact branches of
     :func:`tomogram_from_wavefunction`; mu = 0 (a = 0) is the linear branch
@@ -281,8 +284,11 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
     pref = 1.0 / (4.0 * math.pi * L * hbar * abs(frame.nu))
     a = frame.mu / (2.0 * hbar * frame.nu)
     b = -x / (hbar * frame.nu)
-    am = interval_chirp(a, b + k, L)
-    ap = interval_chirp(a, b - k, L)
+    if abs(a) * L * L < _CENTRED_CHIRP:
+        am, ap = interval_chirp(a, b + k, L), interval_chirp(a, b - k, L)
+    else:
+        turn = np.exp(1j * k * x / frame.mu)
+        am, ap = turn * _chirp(a, b + k, L, True), _chirp(a, b - k, L, True) / turn
     return Tomogram(frame, x, pref * np.abs(am - ap) ** 2)
 
 
@@ -290,6 +296,14 @@ def box_tomogram(n: int, L: float, frame: TomographyFrame, x_grid,
 # of that, <= |a| L^2/3 relative, and the cancellation in the Faddeeva
 # form, ~eps/sqrt(|a| L^2), cross near eps^(2/3)
 _LINEAR_CHIRP = 1e-10
+# |a| L^2 from which box_tomogram centres each branch on its stationary
+# point.  Subtracting A_-+ as they are loses eps a L^2 of the peak (phases
+# b^2/4a and (aL + b)L of size a L^2 on terms of modulus 1); the centred
+# form leaves the large phases t^2 only on end terms of modulus at most
+# 1/(sqrt(pi) |t|) and loses about eps n/(a L^2).  Against a 60-digit erf
+# oracle the two cross near 10, and the centred form stays within 1e-8 of
+# the peak up to a L^2 = 1e17
+_CENTRED_CHIRP = 10.0
 _RAY = cmath.exp(0.25j * math.pi)
 
 
@@ -313,17 +327,24 @@ def interval_chirp(a: float, b, L: float) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if abs(a) * L * L < _LINEAR_CHIRP:
         return _segment(b, L, L)
+    return _chirp(a, b, L, False)
+
+
+def _chirp(a: float, b: np.ndarray, L: float, centred: bool) -> np.ndarray:
+    """The Faddeeva form of :func:`interval_chirp`; centred, times e^{i b^2/4a}
+    (phases from the stationary point's: t^2 on the end terms, 0 on its own)."""
     if a < 0.0:
-        return np.conj(interval_chirp(-a, -b, L))
+        return np.conj(_chirp(-a, -b, L, centred))
     ra = math.sqrt(a)
     t0 = b / (2.0 * ra)
     t1 = (2.0 * a * L + b) / (2.0 * ra)
-    f0 = faddeeva(_RAY * np.abs(t0))
-    f1 = np.exp(1j * (a * L + b) * L) * faddeeva(_RAY * np.abs(t1))
     inner = (t0 < 0.0) & (t1 > 0.0)
-    bi = np.where(inner, b, 0.0)
-    out = (np.where(t0 >= 0.0, f0, -f0) + np.where(t1 > 0.0, -f1, f1)
-           + inner * (2.0 * np.exp(-0.25j * bi * bi / a)))
+    # the phases of the two end terms and of the stationary point's, from phi(y_s) or phi(0) = 0
+    p0, p1, ps = ((t0 * t0, t1 * t1, 0.0) if centred
+                  else (0.0, (a * L + b) * L, -0.25 * np.where(inner, b, 0.0) ** 2 / a))
+    f0 = np.exp(1j * p0) * faddeeva(_RAY * np.abs(t0))
+    f1 = np.exp(1j * p1) * faddeeva(_RAY * np.abs(t1))
+    out = np.where(t0 >= 0.0, f0, -f0) + np.where(t1 > 0.0, -f1, f1) + inner * (2.0 * np.exp(1j * ps))
     return (math.sqrt(math.pi) / (2.0 * ra)) * _RAY * out
 
 
@@ -586,20 +607,19 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     over the Hermitian pairs u = +-kh, k = 2j + m mod 2 <= kmax = min(m,
     2n - 2 - m): with c+- = rho[(m +- k)/2, (m -+ k)/2], s = w (c+ + conj c-)
     and d = w (c+ - conj c-) (the centre k = 0 at half weight), Re R_m =
-    sum_k Re s cos(pkh/hbar) + Im s sin(pkh/hbar) for any rho and Im R_m =
-    sum_k Im d cos(pkh/hbar) - Re d sin(pkh/hbar).  A rho of Hermiticity
-    residual exactly 0 (`rho_grid` builds such) has c- = conj c+ bit for
-    bit: s = 2 w c+ from one sample per pair, and Im R_m = 0 is not formed.
-    The rows of one parity with kmax in one octave [2^e, 2^(e+1)) form a
-    band, one real matrix product over its pairs j <= max kmax/2.  Only the
-    rows that the 4-point stencils of the q need are built; W(q, p) is the
-    cubic Lagrange interpolant of Re R_m, zero for q outside the grid.
+    sum_k Re s cos(pkh/hbar) + Im s sin(pkh/hbar) and Im R_m = sum_k Im d
+    cos(pkh/hbar) - Re d sin(pkh/hbar).  W(q, p) = sum_r l_r(q) R_{m_r}(p),
+    the cubic Lagrange interpolant over the 4 rows nearest q (0 off the
+    grid); the 2 rows of one parity share their k, so l_r s and l_r d are
+    summed over them first, and each parity is one real matrix product.  A
+    rho of Hermiticity residual exactly 0 (as from `rho_grid`) has c- = conj
+    c+ bit for bit: s = 2 w c+ from one sample per pair, and no d.
     The error is the trapezoid rule's (spectral for a rho that decays inside
     the grid) plus O(h^4) from the q interpolation: below 2e-6 for HOEigen(0..3)
     and a coherent state on 401 points over +-6 sqrt(hbar).  The step 2h
     aliases W(q, p) with W(q, p +- pi hbar/h), so |p| > pi*hbar/(2h) is
-    refused.  The residual max |Im R_m| is the anti-Hermitian part of rho
-    along the rows built: exactly 0 for a rho with no anti-Hermitian part.
+    refused.  The residual, max |Im W| over the output grid, is the
+    anti-Hermitian part of rho: exactly 0 for a rho with none.
     """
     q = np.asarray(q_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
@@ -612,52 +632,40 @@ def wigner_grid_from_density(rho: GridFunction2D, q_grid, p_grid,
     inside = (q >= x[0]) & (q <= x[-1])
     t = (q[inside] - x[0]) / (0.5 * h)
     k = min(4, 2 * n - 1)
-    nodes = np.clip(np.floor(t).astype(int) - 1, 0, 2 * n - 1 - k)[:, None] + np.arange(k)
-    lag = np.ones(nodes.shape)
-    for j in range(k):
-        for i in set(range(k)) - {j}:
-            lag[:, j] *= (t - nodes[:, i]) / (j - i)
-    m = _distinct(nodes)
-    at = np.searchsorted(m, nodes)
+    n0 = np.clip(np.floor(t).astype(int) - 1, 0, 2 * n - 1 - k)  # the first of the k rows nearest q
     v = np.ascontiguousarray(rho.values).ravel()
-    E = _phases(np.arange((n + 1) // 2), p * (-2.0 * h / hbar))  # e^{-2i p j h/hbar}
+    j, iq, nq = np.arange((n + 1) // 2), np.arange(t.size), t.size
+    E = _phases(j, p * (-2.0 * h / hbar))  # e^{-2i p j h/hbar}
     # cos and sin rows e^{-i p (2j + odd) h/hbar} of each row parity, interleaved as [cos_j, sin_j]
     CS = [np.stack([T.real, -T.imag], 1).reshape(-1, p.size) for T in (E, E * np.exp(-1j * h / hbar * p))]
-    kmax = np.minimum(m, 2 * n - 2 - m)
-    band = m % 2 + 2 * np.frexp(kmax)[1]  # row parity and the octave of kmax
-    order = np.argsort(band, kind="stable")
-    R, resid = np.empty((m.size, p.size)), 0.0  # Re R_m and the worst |Im R_m|
-    for rows in np.split(order, np.flatnonzero(np.diff(band[order])) + 1):
-        mr, kr, odd = m[rows], kmax[rows], m[rows[0]] % 2
-        j = np.arange(kr.max() // 2 + 1)
-        # trapezoid weights of step 2h over the pairs k = 2j + odd <= kmax: 2h
-        # inside, h at the ends +-kmax, 0 on a one-sample row
-        w = (2.0 * h) * (2 * j + odd <= kr[:, None])
-        w[np.arange(rows.size), kr // 2] = h * (kr > 0)
+    Z = np.zeros((2, nq, pairs, j.size), complex)  # sum_r l_r s and sum_r -i l_r d over each parity of r
+    for r in range(k):
+        m, l = n0 + r, np.prod([(t - (n0 + i)) / (r - i) for i in range(k) if i != r], axis=0)
+        odd, kmax = m % 2, np.minimum(m, 2 * n - 2 - m)
+        # l_r(q) times the trapezoid weights of step 2h over the pairs k = 2j + odd
+        # <= kmax: 2h inside, h at the ends +-kmax, 0 on a one-sample row; twice
+        # that when s = 2 w c+ is read from one sample
+        hl = (2.0 / pairs) * h * l
+        w = np.where(2 * j + odd[:, None] <= kmax[:, None], 2.0 * hl[:, None], 0.0)
+        w[iq, kmax // 2] = hl * (kmax > 0)
         w[:, 0] /= 2 - odd  # the centre k = 0 of an even row is both c+ and c-
         # c+ = rho[a, m - a] and c- = rho[m - a, a], a = (m + k)/2 = (m + odd)/2 + j,
         # are flat elements m + a (n - 1) and m (n + 1) less that; a pair past
         # kmax has weight 0 and reads any element of the buffer
-        b = ((mr + odd) // 2 * (n - 1) + mr)[:, None] + j * (n - 1)
-        A = np.empty((pairs, rows.size, j.size), complex)  # s, then -i d when rho is not Hermitian
-        v.take(b, out=A[0], mode="clip")
-        if pairs == 1:
-            A[0] *= 2.0 * w  # s = 2 w c+
-        else:  # w c+ and w conj c-, then s and -i d
-            v.take((mr * (n + 1))[:, None] - b, out=A[1], mode="clip")
-            np.conjugate(A[1], out=A[1])
-            A *= w
-            A[1] -= A[0]  # -d
-            A[0] *= 2.0
-            A[0] += A[1]  # s = 2 w c+ - d
-            A[1] *= 1j  # -i d
-        # rows [Re s, Im s] over [Im d, -Re d] as interleaved float columns, on cos and sin rows alike
-        RI = A.reshape(pairs * rows.size, -1).view(float) @ CS[odd][:2 * j.size]
-        R[rows] = RI[:rows.size]
-        resid = max(resid, float(np.max(np.abs(RI[rows.size:]), initial=0.0)))
+        b = ((m + odd) // 2 * (n - 1) + m)[:, None] + j * (n - 1)
+        c = v.take(b, mode="clip")
+        if pairs == 2:
+            cm = np.conj(v.take((m * (n + 1))[:, None] - b, mode="clip"))
+            Z[r % 2, :, 1] += -1j * w * (c - cm)
+            c += cm
+        c *= w
+        Z[r % 2, :, 0] += c
+    S = Z[(np.arange(2)[:, None] + n0) % 2, iq].reshape(2, -1, j.size)  # by row parity, (n0 + r) % 2
+    # rows [Re s, Im s] over [Im d, -Re d] as interleaved float columns, on cos and sin rows alike
+    W = (S[0].view(float) @ CS[0] + S[1].view(float) @ CS[1]).reshape(nq, pairs, p.size)
     out = np.zeros((q.size, p.size))
-    out[inside] = np.einsum("qk,qkp->qp", lag, R[at])
-    return GridFunction2D(q, p, out), resid
+    out[inside] = W[:, 0]
+    return GridFunction2D(q, p, out), float(np.max(np.abs(W[:, 1:]), initial=0.0))
 
 
 def tomogram_from_wigner(w: GridFunction2D, frame: TomographyFrame, x_grid,

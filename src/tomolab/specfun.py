@@ -214,7 +214,8 @@ def faddeeva(z):
     Z = (_W_L + 1j * zv) / d
     p = np.zeros_like(Z)
     for c in _W_COEFFS:
-        p = p * Z + c
+        p *= Z
+        p += c
     out = 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
     return complex(out) if scalar else out
 

@@ -830,6 +830,42 @@ def test_interval_chirp_against_mpmath():
             assert abs(g - ref) <= 1e-10 * abs(ref), (a, b, L, g, ref)
 
 
+def mp_box_tomogram(n: int, L: float, fr: TomographyFrame, X, hbar: float) -> np.ndarray:
+    """Oracle: the box tomogram |I(a, b + k) - I(a, b - k)|^2 / (4 pi L hbar |nu|)
+    in 60 digits, a = mu/(2 hbar nu), b = -X/(hbar nu), k = n pi/L, from the
+    erf closed form I(a, b) = sqrt(pi)/(2 sqrt a) e^{i pi/4} e^{-i b^2/4a}
+    [erf(e^{-i pi/4} (2 a L + b)/(2 sqrt a)) - erf(e^{-i pi/4} b/(2 sqrt a))],
+    a > 0, and the conjugate of I(-a, -b) for a < 0."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        L, nu, hbar = mp.mpf(L), mp.mpf(fr.nu), mp.mpf(hbar)
+        a, k, e = mp.mpf(fr.mu) / (2 * hbar * nu), n * mp.pi / L, mp.expj(-mp.pi / 4)
+
+        def chirp(a, b):
+            if a < 0:
+                return mp.conj(chirp(-a, -b))
+            r = 2 * mp.sqrt(a)
+            return (mp.sqrt(mp.pi) / (r * e) * mp.expj(-b * b / (r * r))
+                    * (mp.erf(e * (2 * a * L + b) / r) - mp.erf(e * b / r)))
+
+        return np.array([float(abs(chirp(a, b + k) - chirp(a, b - k)) ** 2 / (4 * mp.pi * L * hbar * abs(nu)))
+                         for b in (-mp.mpf(x) / (hbar * nu) for x in X)])
+
+
+@pytest.mark.parametrize("L", [1e-3, 1e-1, 1e1, 1e3, 1e5, 1e8])
+def test_box_tomogram_against_the_erf_oracle(L, rng):
+    # the exact route at every scale, |a| L^2 from about 1e-7 to 1e16
+    # over random frames, within 1e-8 of the peak
+    for _ in range(3):
+        fr, n = random_frame(rng), int(rng.integers(1, 6))
+        span = abs(fr.mu) * L + abs(fr.nu) * (n * math.pi + 20.0) / L
+        X = np.linspace(0.5 * fr.mu * L - span, 0.5 * fr.mu * L + span, 41)
+        ref = mp_box_tomogram(n, L, fr, X, 1.0)
+        got = qt.box_tomogram(n, L, fr, X, 1.0).values
+        assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(ref), (n, fr, abs(fr.mu / (2 * fr.nu)) * L * L)
+
+
 def _loop_panels(coarse, dphase, env_scale):
     """The per-cell loop that _gl_panels replaced, for uniform cells."""
     from tomolab.quantum import _GL_NODES, _GL_WEIGHTS, _PHASE_PER_PANEL
@@ -1037,33 +1073,41 @@ def test_wigner_from_density_matches_exact_off_the_half_grid(state, bound):
 def test_wigner_half_grid_rows_match_the_anti_diagonal_loop(rng):
     # on a half-grid row the map is the trapezoid sum over rho[a, m - a]
     # itself, the one-sample rows m = 0 and 2n - 2 included, for odd and even
-    # n, on grids whose rows fall in one band per octave of kmax, up to
-    # [32, 64); a Hermitian rho reads one sample per pair and a residual of
-    # exactly 0, while an anti-Hermitian part small enough to pass the
-    # Hermiticity gate shows in the residual
+    # n; between the rows it is the cubic Lagrange interpolant of those sums
+    # over the 4 rows nearest q, Re for W and Im for the residual.  A
+    # Hermitian rho reads one sample per pair and a residual of exactly 0,
+    # while an anti-Hermitian part small enough to pass the Hermiticity gate
+    # shows in the residual
     for n in (9, 10, 41, 64):
         for anti in (0.0, 3e-8):
             x = np.linspace(-2.0, 2.0, n)
             h = x[1] - x[0]
             vals, b = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
             vals = vals + vals.conj().T + anti * (b - b.conj().T)
-            q = x[0] + 0.5 * h * np.arange(2 * n - 1)
             p = np.linspace(-1.5, 1.5, 7)
-            w, resid = qt.wigner_grid_from_density(GridFunction2D(x, x, vals), q, p, 0.7)
-            loop_resid = 0.0
+            rows = []
             for m in range(2 * n - 1):
                 a = np.arange(max(0, m - n + 1), min(n - 1, m) + 1)
                 wt = np.full(a.size, 2 * h)
                 wt[0] -= h
                 wt[-1] -= h
                 u = (2 * a - m) * h
-                ref = np.array([np.sum(wt * vals[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p])
-                assert np.allclose(w.values[m], ref.real, rtol=0, atol=1e-13 * np.max(np.abs(vals))), (n, m)
-                loop_resid = max(loop_resid, float(np.max(np.abs(ref.imag))))
-            if anti:
-                assert abs(resid - loop_resid) < 1e-6 * loop_resid
-            else:
-                assert resid == 0.0
+                rows.append([np.sum(wt * vals[a, m - a] * np.exp(-1j * pj * u / 0.7)) for pj in p])
+            rows = np.array(rows)
+            # the half-grid rows, then q between them
+            for q in (x[0] + 0.5 * h * np.arange(2 * n - 1), x[0] + 0.5 * h * (np.arange(2 * n - 2) + 0.3)):
+                w, resid = qt.wigner_grid_from_density(GridFunction2D(x, x, vals), q, p, 0.7)
+                t = (q - x[0]) / (0.5 * h)
+                nodes = np.clip(np.floor(t).astype(int) - 1, 0, 2 * n - 5)[:, None] + np.arange(4)
+                lag = np.stack([np.prod([(t - nodes[:, i]) / (r - i) for i in range(4) if i != r], axis=0)
+                                for r in range(4)], 1)
+                ref = np.sum(lag[:, :, None] * rows[nodes], axis=1)
+                assert np.allclose(w.values, ref.real, rtol=0, atol=1e-13 * np.max(np.abs(vals))), n
+                if anti:
+                    loop_resid = float(np.max(np.abs(ref.imag)))
+                    assert abs(resid - loop_resid) < 1e-6 * loop_resid
+                else:
+                    assert resid == 0.0
 
 
 def test_wigner_of_a_pure_state_reads_one_sample_per_pair():
