@@ -259,7 +259,8 @@ class FrameSamples:
     values[i, j] = G(mu_grid[i], nu_grid[j]) (complex); the zero frame,
     whose tomogram is the unit atom delta(X), is exactly 1.  q_extent /
     p_extent declare the support radius of the underlying density for
-    Nyquist checks.
+    Nyquist checks.  The density map reads the columns positionally: its
+    nu_grid must be exactly the slices d h/hbar of its x grid, ascending.
     """
 
     mu_grid: np.ndarray
@@ -278,24 +279,6 @@ class FrameSamples:
         the tail the inverse maps discard beyond the frame box on each axis."""
         g = np.abs(self.values)
         return float(g[[0, -1], :].max()), float(g[:, [0, -1]].max())
-
-    def nu_index(self, nu):
-        """Index into nu_grid of each requested nu (scalar or array), which
-        must be sampled to 1e-9 relative."""
-        nu = np.asarray(nu, dtype=float)
-        order = np.argsort(self.nu_grid, kind="stable")
-        srt = self.nu_grid[order]
-        hi = np.minimum(np.searchsorted(srt, nu), srt.size - 1)
-        lo = np.maximum(hi - 1, 0)
-        idx = order[np.where(np.abs(srt[lo] - nu) <= np.abs(srt[hi] - nu), lo, hi)]
-        miss = np.abs(self.nu_grid[idx] - nu) > 1e-9 * np.maximum(1.0, np.abs(nu))
-        if np.any(miss):
-            k = np.flatnonzero(miss)[0]
-            raise TomogramError(
-                f"missing tomogram slice: nu = {float(nu.flat[k])!r} not sampled "
-                f"(nearest available {float(self.nu_grid[idx.flat[k]])!r})"
-            )
-        return idx
 
 
 def _check_nyquist(family: FrameSamples) -> None:

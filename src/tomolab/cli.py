@@ -136,6 +136,11 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _integer(text: str, what: str) -> int:
+    (v,) = _fields(text, (int,), f"{what} must be an integer")
+    return v
+
+
 def _number(text: str, what: str, ok=math.isfinite) -> float:
     """One number that ok accepts, or an error saying what it must be."""
     (v,) = _fields(text, (float,), what)
@@ -159,7 +164,7 @@ def parse_hbar_sequence(text: str) -> list[float]:
         )
     a, b = _hbar(parts[0]), _hbar(parts[1])
     if len(parts) == 4:
-        n = int(parts[3])
+        n = _integer(parts[3], "hbar sweep count")
         if n < 2:
             raise argparse.ArgumentTypeError("hbar sweep needs at least 2 points")
         if not 0.0 < b / a < math.inf:  # b/a leaves double range: space the logarithms
@@ -215,7 +220,8 @@ def _hbars(p: dict, default: list[float]) -> list[float]:
 
 
 def _ns(p: dict, default: str) -> list[int]:
-    ns = [int(v) for v in str(p.get("ns", default)).split(",")]
+    text = str(p.get("ns", default))
+    ns = list(_fields(text, (int,) * len(text.split(",")), "ns must be comma-separated integers"))
     if min(ns) < 1:
         raise ValueError(f"quantum numbers must be positive, got {p['ns']!r}")
     return ns
@@ -657,7 +663,7 @@ _FLAGS = {
     "out": dict(help="output file or directory"),
     "hbars": dict(help="hbar sweep a:b:geometric[:count]"),
     "ns": dict(help="comma-separated quantum numbers"),
-    **dict.fromkeys(("n", "m", "momentum_check_n"), dict(type=int)),
+    **{k: dict(type=lambda s, k=k: _integer(s, k)) for k in ("n", "m", "momentum_check_n")},
     **{k: dict(type=lambda s, k=k: _number(s, f"{k} must be a finite number"))
        for k in ("re", "im", "q_alpha", "p_alpha", "L", "center")},
 }

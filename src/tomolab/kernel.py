@@ -288,35 +288,21 @@ def _frames_equal(a: TomographyFrame, b: TomographyFrame) -> bool:
 
 
 def tomogram_distance_l1(a: Tomogram, b: Tomogram) -> float:
-    """L1 distance between two tomograms in the same frame.
+    """L1 distance between two atom-free tomograms in the same frame.
 
-    b's smooth part is resampled onto a's grid by linear interpolation
-    (so a's grid should cover both supports); atoms must either be absent
-    on both sides or pairable by nearest location within one grid cell,
-    and matched pairs contribute |weight difference|.
+    b is resampled onto a's grid by linear interpolation (so a's grid
+    should cover both supports); a tomogram with delta atoms is refused:
+    fold them into its cells with spread_atoms first.
     """
     if not _frames_equal(a.frame, b.frame):
         raise TomogramError(
             f"cannot compare tomograms of different frames "
             f"({a.frame.mu}, {a.frame.nu}) vs ({b.frame.mu}, {b.frame.nu})"
         )
-    rb = np.interp(a.x_grid, b.x_grid, b.values, left=0.0, right=0.0)
-    dist = trapezoid_mass(np.abs(a.values - rb), a.dx)
     if a.atoms or b.atoms:
-        tol = a.dx if a.dx > 0 else b.dx
-        remaining = list(b.atoms)
-        for atom in a.atoms:
-            if not remaining:
-                raise TomogramError("unmatched delta atom in first tomogram")
-            j = min(range(len(remaining)), key=lambda k: abs(remaining[k].location - atom.location))
-            if abs(remaining[j].location - atom.location) > tol:
-                raise TomogramError(
-                    f"atom at {atom.location} has no partner within one grid cell"
-                )
-            dist += abs(atom.weight - remaining.pop(j).weight)
-        if remaining:
-            raise TomogramError("unmatched delta atom in second tomogram")
-    return float(dist)
+        raise TomogramError("the L1 distance compares atom-free tomograms: spread_atoms them first")
+    rb = np.interp(a.x_grid, b.x_grid, b.values, left=0.0, right=0.0)
+    return float(trapezoid_mass(np.abs(a.values - rb), a.dx))
 
 
 # ---------------------------------------------------------------------------

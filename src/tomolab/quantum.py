@@ -722,31 +722,44 @@ def wigner_from_tomogram_grid(family: FrameSamples, q_grid, p_grid,
 
 def build_state_slices(state: State, hbar: float, nu_values, mu_grid) -> FrameSamples:
     """The family at the nu slices nu = (x - x')/hbar that the density-matrix
-    reconstruction reads."""
+    reconstruction reads: d h/hbar, |d| < n, on an n-point grid of step h."""
     return build_state_family(state, hbar, mu_grid, nu_values)
 
 
 def density_grid_from_tomogram(samples: FrameSamples, x_points,
                                hbar: float) -> tuple[np.ndarray, float]:
-    """rho(x, x') on the pairwise grid of x_points, the trapezoid mu integral
-    of G(mu, (x - x')/hbar) e^{-i mu (x + x')/2} / 2 pi; returns (matrix,
-    Hermiticity residual)."""
+    """rho(x, x') on the pairs of x_points, the trapezoid mu integral of
+    G(mu, (x - x')/hbar) e^{-i mu (x + x')/2} / 2 pi; returns (matrix,
+    Hermiticity residual).
+
+    On the uniform increasing grid x_k = x0 + k h the pair (x_i, x_j) lies
+    on the half-grid row m = i + j, (x + x')/2 = x0 + m h/2, at the offset
+    d = i - j, nu = d h/hbar.  samples must hold exactly those 2n - 1 slices,
+    ascending.  M = (weighted phases over the 2n - 1 rows) G is one einsum in
+    numpy's own loop, so rho does not depend on the BLAS build, and
+    rho[i, j] = M[i + j, i - j + n - 1].
+    """
     xs = np.asarray(x_points, dtype=float)
-    j = samples.nu_index((xs[:, None] - xs[None, :]) / hbar).ravel()
-    s = (0.5 * (xs[:, None] + xs[None, :])).ravel()
+    n, h = xs.size, _check_uniform_grid(xs, "x_points")
+    nus = np.arange(1 - n, n) * (h / hbar)
+    got = samples.nu_grid
+    if got.shape != nus.shape or not np.all(np.abs(got - nus) <= 1e-9 * np.maximum(1.0, np.abs(nus))):
+        raise TomogramError(
+            f"tomogram slices do not fit x_points: its pairs need exactly the {nus.size} slices "
+            f"nu = d h/hbar, |d| < {n}, h/hbar = {h / hbar:.12g}, ascending; the family has {got.size}"
+        )
+    u = xs[0] + 0.5 * h * np.arange(2 * n - 1)
     mu = samples.mu_grid
     dmu = samples.frame_step()[0]
-    smax = float(np.max(np.abs(s)))
+    smax = float(np.max(np.abs(u)))
     if dmu * smax > math.pi:
         raise TomogramError(
             f"mu grid too coarse for |x + x'|/2 = {smax:.3f} "
             f"(need dmu <= {math.pi / smax:.3f})"
         )
-    # one phase row per distinct (x + x')/2: the grid repeats each along anti-diagonals
-    u = _distinct(s)
-    at = np.searchsorted(u, s)
-    rho = np.einsum("km,mk->k", _weighted_phases(-u, mu)[at], samples.values[:, j])
-    rho = (rho * (dmu / (2.0 * math.pi))).reshape(xs.size, xs.size)
+    M = np.einsum("ma,ad->md", _weighted_phases(-u, mu), samples.values)
+    i = np.arange(n)
+    rho = M[i[:, None] + i, i[:, None] - i + n - 1] * (dmu / (2.0 * math.pi))
     return rho, _hermitian_residual(rho)[0]
 
 
@@ -804,13 +817,14 @@ def reconstruct_wigner(state: State, hbar: float, q_grid=None) -> tuple[GridFunc
 
 
 def reconstruct_density(state: State, hbar: float, x_points=None) -> tuple[GridFunction2D, dict]:
-    """rho on the pairs of x_points (default 31 over the 3-sigma position
-    support) from the slices nu = (x - x')/hbar, |mu| <= 6/sigma_q, and the
-    fields hermiticity_residual, frame_box_tail, trace and (not sampled)
-    max_error_vs_exact, max |rho - rho_grid| in units of max(1, max |rho_grid|)."""
+    """rho on the pairs of x_points (uniform and increasing; default 31 over
+    the 3-sigma position support) from the 2n - 1 slices nu = d h/hbar,
+    |d| < n, |mu| <= 6/sigma_q, and the fields hermiticity_residual,
+    frame_box_tail, trace and (not sampled) max_error_vs_exact,
+    max |rho - rho_grid| in units of max(1, max |rho_grid|)."""
     xs = (np.linspace(*position_extent(state, hbar, tails=3.0), 31) if x_points is None
           else np.asarray(x_points, dtype=float))
-    nus = _distinct(np.round((xs[:, None] - xs[None, :]) / hbar, 12))
+    nus = np.arange(1 - xs.size, xs.size) * (_check_uniform_grid(xs, "x_points") / hbar)
     sq, _ = natural_scales(state, hbar)
     slices = build_state_slices(state, hbar, nus, _frame_axis(6.0 / sq, max(np.abs(xs))))
     rho, herm = density_grid_from_tomogram(slices, xs, hbar)

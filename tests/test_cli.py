@@ -321,6 +321,23 @@ def test_hbar_sweep_in_double_range_keeps_its_values():
         assert cli.parse_hbar_sequence(f"{a!r}:{b!r}:geometric:{n}") == want
 
 
+@pytest.mark.parametrize("args, config, field", [
+    (["limit", "planck-delta", "--hbars", "1e-1:1e-3:geometric:x"], None, "hbar sweep count"),
+    (["limit", "ehrenfest-oscillator", "--ns", "20,x"], None, "ns"),
+    (None, {"command": "limit", "study": "interference", "params": {"n": "x"}}, "n"),
+])
+def test_a_count_that_is_not_an_integer_names_its_field(tmp_path, capsys, args, config, field):
+    # each once read "invalid literal for int() with base 10: 'x'"
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = ["--config", str(path)]
+    assert run([*args, "--out", str(tmp_path / "out")] if config is None else args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{field} must be" in err[0] and "integer" in err[0]
+    assert "invalid literal" not in err[0]
+
+
 def test_limit_command_interference(tmp_path, capsys):
     out = str(tmp_path / "study")
     code = run(["limit", "interference", "--n", "0", "--m", "1", "--frame", "0.6,0.8",

@@ -200,17 +200,18 @@ def test_distance_rejects_frame_mismatch():
 
 
 def test_distance_atom_matching():
+    # atoms are compared only once spread_atoms has folded them into their cells
     x = np.linspace(-5, 5, 101)
     fr = TomographyFrame(1, 0)
     a = Tomogram(fr, x, np.zeros_like(x), (DeltaAtom(0.6, 1.0),))
     b = Tomogram(fr, x, np.zeros_like(x), (DeltaAtom(0.5, 1.02),))
-    assert abs(tomogram_distance_l1(a, b) - 0.1) < 1e-12
+    for pair in ((a, b), (a, spread_atoms(b)), (spread_atoms(a), b)):
+        with pytest.raises(TomogramError, match="spread_atoms"):
+            tomogram_distance_l1(*pair)
+    # both atoms land in the cell at 1.0: 0.1 / dx over one cell of weight dx
+    assert abs(tomogram_distance_l1(spread_atoms(a), spread_atoms(b)) - 0.1) < 1e-12
     c = Tomogram(fr, x, np.zeros_like(x), (DeltaAtom(0.5, 3.0),))
-    with pytest.raises(TomogramError):
-        tomogram_distance_l1(a, c)
-    d = Tomogram(fr, x, np.zeros_like(x))
-    with pytest.raises(TomogramError):
-        tomogram_distance_l1(a, d)
+    assert abs(tomogram_distance_l1(spread_atoms(a), spread_atoms(c)) - 1.1) < 1e-12
 
 
 def test_spread_atoms_conserves_mass():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -1260,7 +1261,7 @@ def _packet_state():
     return st.CustomGrid(x, psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, x)))
 
 
-def test_density_map_matches_the_pairwise_sum():
+def test_density_map_matches_the_pairwise_sum(monkeypatch):
     # reference: the per-pair trapezoid mu sum that the vectorised map replaced
     hbar = 0.8
     xs = np.linspace(-2, 2.5, 10)
@@ -1276,15 +1277,33 @@ def test_density_map_matches_the_pairwise_sum():
                 j = int(np.argmin(np.abs(fam.nu_grid - (x - xp) / hbar)))
                 ref = np.sum(fam.values[:, j] * np.exp(-1j * mu * (x + xp) / 2) * w) / (2 * math.pi)
                 assert abs(rho[a, b] - ref) < 1e-13
-        # the map takes one exp per distinct (x + x')/2; with one exp per
-        # (mu, pair) entry it must agree bit for bit
-        j = fam.nu_index((xs[:, None] - xs[None, :]) / hbar).ravel()
-        s = (0.5 * (xs[:, None] + xs[None, :])).ravel()
-        wG = fam.values[:, j] * (w / (mu[1] - mu[0]))[:, None]
-        ref = np.einsum("mk,mk->k", wG, np.exp(-1j * np.outer(mu, s)))
-        ref = (ref * ((mu[1] - mu[0]) / (2.0 * math.pi))).reshape(xs.size, xs.size)
-        assert np.unique(s).size < s.size // 4
-        assert np.array_equal(rho, ref)
+    # the map reads the half-grid lattice: one weighted phase table over the
+    # 2n - 1 row sums (x + x')/2, and one contraction in einsum's own loop
+    tables, contractions = [], []
+    phases, einsum = qt._weighted_phases, np.einsum
+    monkeypatch.setattr(qt, "_weighted_phases", lambda k, axis: tables.append(k.shape) or phases(k, axis))
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: contractions.append((a[0], kw)) or einsum(*a, **kw))
+    qt.density_grid_from_tomogram(fam, xs, hbar)
+    assert tables == [(2 * xs.size - 1,)]
+    assert contractions == [("ma,ad->md", {})]
+
+
+def test_density_map_peak_memory_on_201_points():
+    # the map holds (2n - 1)^2 entries of M, not the n^2 x n_mu tables of a
+    # per-pair gather: its traced peak stays below half of one such table
+    hbar = 1.0
+    xs = np.linspace(-3.0, 4.0, 201)
+    nus = np.arange(1 - xs.size, xs.size) * ((xs[1] - xs[0]) / hbar)
+    fam = qt.build_state_slices(st.Coherent(1.0), hbar, nus, np.linspace(-6, 6, 23))
+    gather = xs.size ** 2 * fam.mu_grid.size * 16
+    tracemalloc.start()
+    try:
+        rho, _ = qt.density_grid_from_tomogram(fam, xs, hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (201, 201)
+    assert peak < gather / 2
 
 
 def test_density_from_tomogram_missing_slice():
@@ -1292,8 +1311,12 @@ def test_density_from_tomogram_missing_slice():
     slices = qt.build_state_slices(st.HOEigen(0), hbar, [0.0, 0.5], np.linspace(-4, 4, 17))
     # the pair (x, x') = (0.8, 0.1) needs the missing slice nu = 0.7
     with pytest.raises(TomogramError) as err:
-        qt.density_grid_from_tomogram(slices, [0.8, 0.1], hbar)
+        qt.density_grid_from_tomogram(slices, [0.1, 0.8], hbar)
     assert "0.7" in str(err.value)
+    # the map reads a uniform increasing grid only
+    for xs in ([0.8, 0.1], [0.1, 0.3, 0.8]):
+        with pytest.raises(TomogramError, match="x_points"):
+            qt.density_grid_from_tomogram(slices, xs, hbar)
 
 
 def test_density_from_tomogram_nyquist_guard():
