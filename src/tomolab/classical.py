@@ -123,7 +123,7 @@ class RestPoint(PointTrajectory):
     """The phase-space point (q0, p0) at rest, whose time average is its
     instantaneous tomogram: the unit atom at mu q0 + nu p0."""
 
-    def __init__(self, q0: float, p0: float):
+    def __init__(self, q0: float = 0.0, p0: float = 0.0):
         super().__init__(lambda t: q0, lambda t: p0, 1.0)
 
 
@@ -131,7 +131,7 @@ class RestPoint(PointTrajectory):
 class BoxTrajectory:
     """Bouncing particle of mass 1 in [0, L] with energy E (speed sqrt(2E))."""
 
-    L: float
+    L: float = 1.0
     E: float = 1.0
 
     def __post_init__(self):
@@ -270,9 +270,15 @@ class FrameSamples:
     p_extent: float
 
     def frame_step(self) -> tuple[float, float]:
-        dmu = float(self.mu_grid[1] - self.mu_grid[0]) if self.mu_grid.size > 1 else 0.0
-        dnu = float(self.nu_grid[1] - self.nu_grid[0]) if self.nu_grid.size > 1 else 0.0
-        return dmu, dnu
+        """(|dmu|, |dnu|), the first steps of the axes put in ascending order,
+        for the inverse maps: an axis whose steps are not all equal within the
+        kernel's uniform-grid tolerance is refused (a family only sampled is not)."""
+        steps = []
+        for name, a in (("mu", self.mu_grid), ("nu", self.nu_grid)):
+            a = a[::-1] if a.size and a[-1] < a[0] else a
+            _check_uniform_grid(a, f"frame {name}_grid")
+            steps.append(float(a[1] - a[0]) if a.size > 1 else 0.0)
+        return tuple(steps)
 
     def edge_tails(self) -> tuple[float, float]:
         """Largest |G| on the first and last mu, and on the first and last nu:
@@ -566,8 +572,26 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     return route(model, frame, np.asarray(x_grid, dtype=float))
 
 
+def _parse_density_file(text: str, body: str, off: int) -> DensityGrid:
+    from .states import DescriptorError
+
+    if not os.path.exists(body):
+        raise DescriptorError(text, off, f"density file not found: {body!r}")
+    return read_density_csv(body)
+
+
+# every classical descriptor kind, a row of states._scan_descriptor
+_CLASSICAL_KINDS = {
+    "oscillator": (OscillatorTrajectory, {"E": float}),
+    "box": (BoxTrajectory, {"L": float, "E": float}),
+    "point": (RestPoint, {"q0": float, "p0": float}),
+    "grid": _parse_density_file,
+}
+
+
 def parse_classical(text: str):
-    """Parse a classical model descriptor:
+    """Parse a classical model descriptor, one scan of the state
+    descriptors' scanner over _CLASSICAL_KINDS:
 
         oscillator:E=<f>    box:L=<f>,E=<f>    point:q0=<f>,p0=<f>
         grid:<path.csv>
@@ -575,27 +599,9 @@ def parse_classical(text: str):
     point is the phase-space point (q0, p0) at rest; grid loads a
     phase-space density written by :func:`write_density_csv`.
     """
-    from .states import DescriptorError, _parse_kv
+    from .states import _scan_descriptor  # here: importing this module loads no states
 
-    if ":" not in text:
-        raise DescriptorError(text, 0, "descriptor must look like kind:args")
-    kind, body = text.split(":", 1)
-    off = len(kind) + 1
-    if kind == "oscillator":
-        kv = _parse_kv(text, body, off, {"E": float}, ())
-        return OscillatorTrajectory(kv.get("E", 1.0))
-    if kind == "box":
-        kv = _parse_kv(text, body, off, {"L": float, "E": float}, ())
-        return BoxTrajectory(kv.get("L", 1.0), kv.get("E", 1.0))
-    if kind == "point":
-        kv = _parse_kv(text, body, off, {"q0": float, "p0": float}, ())
-        q0, p0 = kv.get("q0", 0.0), kv.get("p0", 0.0)
-        return RestPoint(q0, p0)
-    if kind == "grid":
-        if not os.path.exists(body):
-            raise DescriptorError(text, off, f"density file not found: {body!r}")
-        return read_density_csv(body)
-    raise DescriptorError(text, 0, f"unknown classical kind {kind!r}")
+    return _scan_descriptor(text, "classical", _CLASSICAL_KINDS)
 
 
 # ---------------------------------------------------------------------------

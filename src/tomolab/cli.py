@@ -215,69 +215,39 @@ def _within(command: str, path: str, what: str, value: float, tol: float) -> boo
 # limit studies
 # ---------------------------------------------------------------------------
 
-def _hbars(p: dict, default: list[float]) -> list[float]:
-    return parse_hbar_sequence(p["hbars"]) if "hbars" in p else default
-
-
-def _ns(p: dict, default: str) -> list[int]:
-    text = str(p.get("ns", default))
+def _ns(text: str) -> list[int]:
     ns = list(_fields(text, (int,) * len(text.split(",")), "ns must be comma-separated integers"))
     if min(ns) < 1:
-        raise ValueError(f"quantum numbers must be positive, got {p['ns']!r}")
+        raise ValueError(f"quantum numbers must be positive, got {text!r}")
     return ns
 
 
-def _fixed_energy(p: dict) -> tuple[float, float]:
-    return float(p.get("q_alpha", 1.0)), float(p.get("p_alpha", 0.0))
+# the study parameters whose flag text is a sweep, read when the study runs
+_SWEEP_TEXT = {"hbars": parse_hbar_sequence, "ns": _ns}
 
-
-def _planck_delta(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.weak_delta_convergence(st.parse_state(p.get("state") or "ho:n=3"),
-                                     _hbars(p, [0.1 * 0.5 ** k for k in range(6)]),
-                                     frame, center=float(p.get("center", 0.0)))
-
-
-def _interference(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.interference_decay(int(p.get("n", 0)), int(p.get("m", 1)), frame,
-                                 _hbars(p, [1e-1 * 0.5 ** k for k in range(8)]))
-
-
-def _cat_interference(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    alpha = complex(float(p.get("re", 1.0)), float(p.get("im", 0.0)))
-    return lm.cat_interference_planck(alpha, frame, _hbars(p, [0.1 * 0.5 ** k for k in range(4)]))
-
-
-def _ehrenfest_coherent(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.ehrenfest_coherent(*_fixed_energy(p), frame, _hbars(p, [1e-2, 1e-3, 1e-4]))
-
-
-def _ehrenfest_cat(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.ehrenfest_cat(*_fixed_energy(p), frame, _hbars(p, [1e-3, 5e-4, 2.5e-4]))
-
-
-def _ehrenfest_box(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.ehrenfest_box(p.get("L", 1.0), _ns(p, "25,50,100,200"), frame,
-                            momentum_check_n=p.get("momentum_check_n"))
-
-
-def _ehrenfest_oscillator(p: dict, frame: TomographyFrame) -> lm.LimitReport:
-    return lm.ehrenfest_oscillator(_ns(p, "25,50,100"), frame)
-
-
-# Every limit study: the parameters it reads, the function that turns them
-# and the frame into its report, and the frame it runs in without --frame
-# or --scaling.  Each parameter value writes the report's curve, what the
+# Every limit study: the frame it runs in without --frame or --scaling, its
+# parameters with their defaults (the parameters it reads, in the order its
+# refusal of any other names them; a given value arrives as its flag casts
+# it, a sweep as its text) and the call that turns them and the frame into
+# its report.  Each parameter value writes the report's curve, what the
 # study measured there: a Tomogram (with its sidecar, and mass-checked),
 # the X,value interference profile, or an n study's X,quantum,classical
 # curve behind its distance.
 _STUDIES = {
-    "planck-delta": (("state", "hbars", "center"), _planck_delta, (1.0, 0.0)),
-    "interference": (("n", "m", "hbars"), _interference, (0.6, 0.8)),
-    "cat-interference": (("re", "im", "hbars"), _cat_interference, (0.6, 0.8)),
-    "ehrenfest-coherent": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_coherent, (1.0, 0.0)),
-    "ehrenfest-cat": (("q_alpha", "p_alpha", "hbars"), _ehrenfest_cat, (1.0, 0.0)),
-    "ehrenfest-box": (("ns", "L", "momentum_check_n"), _ehrenfest_box, (1.0, 0.3)),
-    "ehrenfest-oscillator": (("ns",), _ehrenfest_oscillator, (1.0, 0.0)),
+    "planck-delta": ((1.0, 0.0), {"state": "ho:n=3", "hbars": [0.1 * 0.5 ** k for k in range(6)], "center": 0.0},
+                     lambda fr, state, hbars, center:
+                     lm.weak_delta_convergence(st.parse_state(state), hbars, fr, center=center)),
+    "interference": ((0.6, 0.8), {"n": 0, "m": 1, "hbars": [0.1 * 0.5 ** k for k in range(8)]},
+                     lambda fr, n, m, hbars: lm.interference_decay(n, m, fr, hbars)),
+    "cat-interference": ((0.6, 0.8), {"re": 1.0, "im": 0.0, "hbars": [0.1 * 0.5 ** k for k in range(4)]},
+                         lambda fr, re, im, hbars: lm.cat_interference_planck(complex(re, im), fr, hbars)),
+    "ehrenfest-coherent": ((1.0, 0.0), {"q_alpha": 1.0, "p_alpha": 0.0, "hbars": [1e-2, 1e-3, 1e-4]},
+                           lambda fr, q_alpha, p_alpha, hbars: lm.ehrenfest_coherent(q_alpha, p_alpha, fr, hbars)),
+    "ehrenfest-cat": ((1.0, 0.0), {"q_alpha": 1.0, "p_alpha": 0.0, "hbars": [1e-3, 5e-4, 2.5e-4]},
+                      lambda fr, q_alpha, p_alpha, hbars: lm.ehrenfest_cat(q_alpha, p_alpha, fr, hbars)),
+    "ehrenfest-box": ((1.0, 0.3), {"ns": [25, 50, 100, 200], "L": 1.0, "momentum_check_n": None},
+                      lambda fr, ns, L, momentum_check_n: lm.ehrenfest_box(L, ns, fr, momentum_check_n)),
+    "ehrenfest-oscillator": ((1.0, 0.0), {"ns": [25, 50, 100]}, lambda fr, ns: lm.ehrenfest_oscillator(ns, fr)),
 }
 STUDIES = tuple(_STUDIES)
 
@@ -286,17 +256,18 @@ def cmd_limit(cfg: RunConfig) -> int:
     if cfg.study not in STUDIES:
         print(f"unknown study {cfg.study!r}; valid studies: {', '.join(STUDIES)}", file=sys.stderr)
         return 2
-    reads, run, default_frame = _STUDIES[cfg.study]
+    default_frame, defaults, run = _STUDIES[cfg.study]
     p = dict(cfg.params)
     if cfg.state is not None:
         p.setdefault("state", cfg.state)
-    unread = sorted(set(p) - set(reads))
+    unread = sorted(set(p) - set(defaults))
     if unread:
         print(f"limit: {cfg.study} does not read {', '.join(unread)}; it reads "
-              f"{', '.join(reads)}", file=sys.stderr)
+              f"{', '.join(defaults)}", file=sys.stderr)
         return 2
     frame = cfg.resolved_frame() if (cfg.frame or cfg.scaling) else TomographyFrame(*default_frame)
-    report = run(p, frame)
+    given = {k: _SWEEP_TEXT[k](v) if k in _SWEEP_TEXT else v for k, v in p.items()}
+    report = run(frame, **{**defaults, **given})
 
     on_hbar = report.parameter_name == "hbar"
     masses_ok = True

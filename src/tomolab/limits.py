@@ -108,6 +108,11 @@ class LimitReport:
         }
 
 
+def _require_count(values: Sequence[float], minimum: int) -> None:
+    if len(values) < minimum:
+        raise ValueError(f"need at least {minimum} parameter values, got {len(values)}")
+
+
 def _require_monotone(values: Sequence[float]) -> None:
     d = np.diff(np.asarray(values, dtype=float))
     if not (np.all(d > 0) or np.all(d < 0)):
@@ -176,8 +181,10 @@ def _n_report(study: str, n_values: Sequence[int], distances: list[float],
 
 def _sweep(fn: Callable, values: Sequence) -> list[list]:
     """fn at every value, in order, as one list per component of its
-    result tuple; values that are not strictly monotone are refused
-    before any is computed."""
+    result tuple; fewer than two values, which have no step to fall by,
+    or values that are not strictly monotone are refused before any is
+    computed."""
+    _require_count(values, 2)
     _require_monotone(values)
     return [list(column) for column in zip(*(fn(v) for v in values))]
 
@@ -199,9 +206,8 @@ def default_test_battery() -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
 
 
 def _require_geometric(values: Sequence[float], minimum: int) -> None:
+    _require_count(values, minimum)
     v = np.asarray(values, dtype=float)
-    if v.size < minimum:
-        raise ValueError(f"need at least {minimum} parameter values, got {v.size}")
     ratios = v[1:] / v[:-1]
     if not np.allclose(ratios, ratios[0], rtol=1e-9):
         raise ValueError("parameter values must form a geometric sequence")

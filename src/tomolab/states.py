@@ -631,44 +631,64 @@ def _parse_kv(text: str, body: str, offset: int, allowed: dict[str, type],
     return out
 
 
+def _scan_descriptor(text: str, what: str, kinds: dict):
+    """The one kind:args scanner, of what ("state" or "classical") by its kind's row in kinds:
+    a keyword kind's (make, {key: type}, *required keys) gives make(**its key=value fields),
+    and any other row is the kind's own parser(text, args, offset of the args)."""
+    if ":" not in text:
+        raise DescriptorError(text, 0, "descriptor must look like kind:args")
+    kind, body = text.split(":", 1)
+    if kind not in kinds:
+        raise DescriptorError(text, 0, f"unknown {what} kind {kind!r}")
+    row, off = kinds[kind], len(kind) + 1
+    if callable(row):
+        return row(text, body, off)
+    make, allowed, *required = row
+    return make(**_parse_kv(text, body, off, allowed, required))
+
+
+_ALPHA_KEYS = {"re": float, "im": float, "varpi": float}
+
+
+def _displaced(cls):
+    """A coherent-family state from the descriptor fields re, im and varpi."""
+    return lambda re=0.0, im=0.0, varpi=1.0: cls(complex(re, im), varpi)
+
+
+def _parse_cat(text: str, body: str, off: int) -> State:
+    parity, comma, fields = body.partition(",")
+    if parity not in ("even", "odd"):
+        raise DescriptorError(text, off, f"cat parity must be even or odd, got {parity!r}")
+    kv = _parse_kv(text, fields, off + len(parity) + 1, _ALPHA_KEYS, ()) if comma else {}
+    return _displaced(CatEven if parity == "even" else CatOdd)(**kv)
+
+
+def _parse_custom(text: str, body: str, off: int) -> State:
+    if not os.path.exists(body):
+        raise DescriptorError(text, off, f"custom state file not found: {body!r}")
+    col = _read_table(
+        body, lambda _, names: None if "x" in names and "re" in names else DescriptorError(
+            text, off, "custom CSV needs header x,re[,im]"),
+        lambda names, _: DescriptorError(text, off, f"custom CSV rows need {len(names)} columns"))
+    return CustomGrid(col["x"], col["re"] + 1j * col.get("im", 0.0))
+
+
+# every state descriptor kind, a row of _scan_descriptor
+_STATE_KINDS = {
+    "ho": (HOEigen, {"n": int, "varpi": float}, "n"),
+    "coherent": (_displaced(Coherent), _ALPHA_KEYS),
+    "cat": _parse_cat,
+    "superpos": (Superposition, {"n": int, "m": int, "varpi": float}, "n", "m"),
+    "box": (BoxEigen, {"n": int, "L": float}, "n"),
+    "custom": _parse_custom,
+}
+
+
 def parse_state(text: str) -> State:
-    """Parse a state descriptor:
+    """Parse a state descriptor, one scan of _scan_descriptor over _STATE_KINDS:
 
         ho:n=<int>[,varpi=<f>]                  coherent:re=<f>,im=<f>[,varpi=<f>]
         cat:even|odd,re=<f>,im=<f>[,varpi=<f>]  superpos:n=<int>,m=<int>[,varpi=<f>]
         box:n=<int>,L=<f>                       custom:<path.csv>
     """
-    if ":" not in text:
-        raise DescriptorError(text, 0, "descriptor must look like kind:args")
-    kind, body = text.split(":", 1)
-    off = len(kind) + 1
-    alpha_keys = {"re": float, "im": float, "varpi": float}
-    if kind == "ho":
-        kv = _parse_kv(text, body, off, {"n": int, "varpi": float}, ("n",))
-        return HOEigen(kv["n"], kv.get("varpi", 1.0))
-    if kind == "coherent":
-        kv = _parse_kv(text, body, off, alpha_keys, ())
-        return Coherent(complex(kv.get("re", 0.0), kv.get("im", 0.0)), kv.get("varpi", 1.0))
-    if kind == "cat":
-        parts = body.split(",", 1)
-        parity = parts[0]
-        if parity not in ("even", "odd"):
-            raise DescriptorError(text, off, f"cat parity must be even or odd, got {parity!r}")
-        kv = _parse_kv(text, parts[1], off + len(parity) + 1, alpha_keys, ()) if len(parts) > 1 else {}
-        alpha = complex(kv.get("re", 0.0), kv.get("im", 0.0))
-        return (CatEven if parity == "even" else CatOdd)(alpha, kv.get("varpi", 1.0))
-    if kind == "superpos":
-        kv = _parse_kv(text, body, off, {"n": int, "m": int, "varpi": float}, ("n", "m"))
-        return Superposition(kv["n"], kv["m"], kv.get("varpi", 1.0))
-    if kind == "box":
-        kv = _parse_kv(text, body, off, {"n": int, "L": float}, ("n",))
-        return BoxEigen(kv["n"], kv.get("L", 1.0))
-    if kind == "custom":
-        if not os.path.exists(body):
-            raise DescriptorError(text, off, f"custom state file not found: {body!r}")
-        col = _read_table(
-            body, lambda _, names: None if "x" in names and "re" in names else DescriptorError(
-                text, off, "custom CSV needs header x,re[,im]"),
-            lambda names, _: DescriptorError(text, off, f"custom CSV rows need {len(names)} columns"))
-        return CustomGrid(col["x"], col["re"] + 1j * col.get("im", 0.0))
-    raise DescriptorError(text, 0, f"unknown state kind {kind!r}")
+    return _scan_descriptor(text, "state", _STATE_KINDS)

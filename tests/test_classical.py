@@ -229,6 +229,42 @@ def test_inverse_radon_nyquist_guard():
         inverse_radon_grid(fam, np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
 
 
+def _selftest_round_trip(mu, nu, q_extent=6.0):
+    # the selftest's radon round trip: the Gaussian density, frames over
+    # mu and nu, inverted on 25 x 25 points of |q|, |p| <= 3
+    fam = build_radon_family(gaussian_density(), mu, nu, np.linspace(-60, 60, 1201), q_extent, q_extent)
+    qr = np.linspace(-3, 3, 25)
+    rec, _ = inverse_radon_grid(fam, qr, qr)
+    return rec, np.exp(-qr[:, None] ** 2 / 2 - qr[None, :] ** 2 / 2) / (2 * math.pi)
+
+
+def test_inverse_radon_refuses_a_nonuniform_frame_axis():
+    # steps of 0.25 up to 0 and 0.1 after, each under pi/q_extent: the first
+    # step once stood for every step, a max error of 0.33 on a peak of 0.159
+    axis = np.concatenate((np.linspace(-5, 0, 21), np.linspace(0.1, 5, 50)))
+    with pytest.raises(TomogramError, match="frame mu_grid must be finite and uniformly spaced"):
+        _selftest_round_trip(axis, axis)
+
+
+def test_inverse_radon_reads_a_descending_axis_as_its_mirror():
+    # reversing mu alone once returned exactly -f
+    mu = np.linspace(-5, 5, 21)
+    rec, ref = _selftest_round_trip(mu, mu)
+    for m, n in ((mu[::-1], mu), (mu, mu[::-1]), (mu[::-1], mu[::-1])):
+        back, _ = _selftest_round_trip(m, n)
+        assert np.max(np.abs(back - rec)) < 1e-12
+    assert np.max(np.abs(rec - ref)) < 1e-6
+
+
+def test_inverse_radon_nyquist_guard_reads_step_magnitudes():
+    # steps of 1 over extents of 6 are refused ascending, and were once
+    # inverted with both axes reversed, where the signed steps read -6
+    axis = np.linspace(-5, 5, 11)
+    for a in (axis, axis[::-1]):
+        with pytest.raises(TomogramError, match="dmu\\*q_extent = 6.000"):
+            _selftest_round_trip(a, a)
+
+
 def _trapezoid(n):
     w = np.ones(n)
     w[[0, -1]] = 0.5

@@ -679,6 +679,27 @@ def test_limit_rejects_parameters_its_study_does_not_read(tmp_path, capsys, args
     assert not os.path.exists(out)
 
 
+# a value for every study parameter, as its flag takes it
+_STUDY_PARAM_TEXT = {"state": "ho:n=3", "hbars": "0.1:0.0125:geometric", "center": "0", "n": "0", "m": "1",
+                     "re": "1", "im": "0", "q_alpha": "1", "p_alpha": "0", "ns": "25,50", "L": "1",
+                     "momentum_check_n": "400"}
+
+
+@pytest.mark.parametrize("study", cli.STUDIES)
+def test_a_study_reads_the_keys_of_its_table_row_in_their_order(tmp_path, capsys, study):
+    # given every study parameter, a study refuses exactly those its row does
+    # not hold, and names the row's keys, in their order, as what it reads
+    keys = list(cli._STUDIES[study][1])
+    others = sorted(set(_STUDY_PARAM_TEXT) - set(keys))
+    args = [a for k in _STUDY_PARAM_TEXT for a in (f"--{k.replace('_', '-')}", _STUDY_PARAM_TEXT[k])]
+    out = str(tmp_path / "study")
+    assert run(["limit", study, *args, "--out", out]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"limit: {study} does not read {', '.join(others)}; it reads {', '.join(keys)}"]
+    assert not os.path.exists(out)
+    assert set().union(*(row[1] for row in cli._STUDIES.values())) == set(_STUDY_PARAM_TEXT)
+
+
 def test_limit_rejects_a_malformed_sweep(tmp_path, capsys):
     assert run(["limit", "planck-delta", "--hbars", "0.1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -1179,6 +1200,9 @@ def test_an_alpha_out_of_range_exits_2(tmp_path, capsys, state, message):
      "sweep values must be strictly monotone, got [0.1, 0.1, 0.1, 0.1, 0.1]"),
     (["ehrenfest-oscillator", "--ns", "25,50,25"],
      "sweep values must be strictly monotone, got [25, 50, 25]"),
+    # one n has no step to fall by: it once read converged, with nothing swept
+    (["ehrenfest-oscillator", "--ns", "400"], "need at least 2 parameter values, got 1"),
+    (["ehrenfest-box", "--ns", "30"], "need at least 2 parameter values, got 1"),
 ])
 def test_a_study_input_outside_its_domain_exits_2(tmp_path, capsys, args, message):
     out = str(tmp_path / "study")

@@ -259,8 +259,8 @@ def test_ehrenfest_box_study():
 def test_ehrenfest_box_validation():
     with pytest.raises(ValueError):
         lm.ehrenfest_box(1.0, [5, 25], TomographyFrame(1.0, 0.3))
-    with pytest.raises(ValueError):
-        lm.ehrenfest_box(1.0, [25], TomographyFrame(0.0, 1.0))
+    with pytest.raises(ValueError, match="mu != 0"):
+        lm.ehrenfest_box(1.0, [25, 50], TomographyFrame(0.0, 1.0))
 
 
 def test_ehrenfest_oscillator_study():
@@ -291,7 +291,7 @@ def test_oscillator_curve_matches_the_direct_average_in_its_frame(n):
     classical = classical_oscillator_tomogram(centers, fr, 1.0)
     distance = float(np.sum(np.abs(avg - classical)) * (centers[1] - centers[0]))
 
-    rep = lm.ehrenfest_oscillator([n], fr)
+    rep = lm.ehrenfest_oscillator([n, n + 1], fr)
     X, quantum, cl_curve, dx = rep.curves[0]
     assert np.max(np.abs(X - centers)) < 1e-14
     assert np.max(np.abs(quantum - avg)) < 1e-12 * np.max(avg)

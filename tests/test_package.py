@@ -312,3 +312,39 @@ def test_the_command_line_leaves_reconstruction_to_the_library():
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
                 calls += [(getattr(fn, "name", None), name)] if name in library else []
     assert calls == [("_selftest_rows", "build_state_family")]
+
+
+def test_only_states_splits_a_descriptor_on_its_colon():
+    # one kind:args scanner, states._scan_descriptor, serves parse_state and
+    # parse_classical; the one other ':' split is the hbar sweep a:b:geometric
+    splits = set()
+    for path in (_ROOT / "src" / "tomolab").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("split", "rsplit", "partition", "rpartition") and node.args
+                        and isinstance(node.args[0], ast.Constant) and node.args[0].value == ":"):
+                    splits.add((path.name, fn.name))
+    assert splits == {("states.py", "_scan_descriptor"), ("cli.py", "parse_hbar_sequence")}
+
+
+def test_no_limit_study_calls_a_cli_function():
+    # a _STUDIES row is the study's parameters and one call into the library:
+    # no per-study adapter in cli stands between them
+    tree = ast.parse((_ROOT / "src" / "tomolab" / "cli.py").read_text())
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_STUDIES" for t in node.targets))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(table) if isinstance(node, ast.Call)}
+    assert called and not called & defined, sorted(called & defined)
+
+
+def test_the_readme_lists_every_descriptor_kind():
+    text = (_ROOT / "README.md").read_text()
+    states_list = text[text.index("State descriptors:"):text.index("Classical descriptors:")]
+    classical_list = text[text.index("Classical descriptors:"):]
+    for kinds, listed in ((st._STATE_KINDS, states_list), (cl._CLASSICAL_KINDS, classical_list)):
+        assert [k for k in kinds if f"`{k}:" not in listed] == []

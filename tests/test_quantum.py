@@ -1326,6 +1326,58 @@ def test_density_from_tomogram_nyquist_guard():
         qt.density_grid_from_tomogram(slices, [2.0], hbar)
 
 
+def _coherent_density(mu):
+    # rho of Coherent(1) at hbar = 1 on 9 points over its packet, from the slices over mu
+    xs = np.linspace(-1.5, 4.5, 9)
+    nus = np.arange(1 - xs.size, xs.size) * (xs[1] - xs[0])
+    state = st.Coherent(1.0)
+    rho, _ = qt.density_grid_from_tomogram(qt.build_state_slices(state, 1.0, nus, mu), xs, 1.0)
+    return rho, qt.rho_grid(state, 1.0, xs).values
+
+
+def _ground_wigner(mu, nu, extent=None):
+    hbar, qg = 1.0, np.linspace(-2.5, 2.5, 21)
+    fam = qt.build_state_family(st.HOEigen(0), hbar, mu, nu)
+    if extent is not None:
+        fam = FrameSamples(fam.mu_grid, fam.nu_grid, fam.values, extent, extent)
+    rec, _ = qt.wigner_from_tomogram_grid(fam, qg, qg, hbar)
+    return rec.values, st.HOEigen(0).exact_wigner(hbar)(qg[None, :], qg[:, None])
+
+
+def test_inverse_maps_refuse_a_nonuniform_frame_axis():
+    # each step under the Nyquist bound, the first read for all: the density
+    # once erred by 0.28 with trace 1.5, the Wigner function by 1.0
+    with pytest.raises(TomogramError, match="frame mu_grid must be finite and uniformly spaced"):
+        _coherent_density(np.concatenate((np.linspace(-8, 0, 21), np.linspace(0.2, 8, 40))))
+    with pytest.raises(TomogramError, match="frame mu_grid must be finite and uniformly spaced"):
+        _ground_wigner(np.concatenate((np.linspace(-8, 0, 17), np.linspace(0.25, 8, 32))), np.linspace(-8, 8, 33))
+
+
+def test_inverse_maps_read_a_descending_axis_as_its_mirror():
+    # a reversed mu axis once gave -rho (trace -1) and -W
+    mu = np.linspace(-8, 8, 41)
+    rho, exact = _coherent_density(mu)
+    assert np.max(np.abs(rho - exact)) < 1e-7
+    assert np.max(np.abs(_coherent_density(mu[::-1])[0] - rho)) < 1e-12
+    mu = np.linspace(-8, 8, 33)
+    w, exact = _ground_wigner(mu, mu)
+    assert np.max(np.abs(w - exact)) < 1e-6
+    for m, n in ((mu[::-1], mu), (mu, mu[::-1]), (mu[::-1], mu[::-1])):
+        assert np.max(np.abs(_ground_wigner(m, n)[0] - w)) < 1e-12
+
+
+def test_inverse_map_nyquist_guards_read_step_magnitudes():
+    # refused ascending, and once inverted with the axes reversed
+    axis = np.linspace(-5, 5, 11)
+    for a in (axis, axis[::-1]):
+        with pytest.raises(TomogramError, match="dmu\\*q_extent = 6.000"):
+            _ground_wigner(a, a, extent=6.0)
+    axis = np.linspace(-8, 8, 9)
+    for a in (axis, axis[::-1]):
+        with pytest.raises(TomogramError, match="mu grid too coarse"):
+            _coherent_density(a)
+
+
 # ---------------------------------------------------------------------------
 # overlap identities
 # ---------------------------------------------------------------------------
