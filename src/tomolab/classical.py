@@ -409,11 +409,9 @@ def classical_box_tomogram(X, frame: TomographyFrame, L: float):
         (1/(2|mu|L)) * [chi_[0,L](X/mu - sqrt2 nu/mu) + chi_[0,L](X/mu + sqrt2 nu/mu)]
 
     chi is the closed-interval indicator (boundary points take the
-    interior value).  mu = 0 is distributional: two atoms of weight 1/2
-    at +-sqrt2 nu, handled by classical_box_tomogram_build.
+    interior value).  mu = 0 (the zero frame too) is distributional: two
+    atoms of weight 1/2 at +-sqrt2 nu, handled by classical_box_tomogram_build.
     """
-    if frame.is_zero:
-        raise TomogramError("box tomogram rejected for the zero frame")
     if frame.mu == 0.0:
         raise TomogramError("pointwise box tomogram needs mu != 0; mu = 0 is two delta atoms")
     out = sum(_box_indicators(np.asarray(X, dtype=float), frame, L)) / (2.0 * abs(frame.mu) * L)
@@ -423,10 +421,8 @@ def classical_box_tomogram(X, frame: TomographyFrame, L: float):
 def classical_box_tomogram_build(frame: TomographyFrame, L: float, x_grid,
                                  E: float = 1.0) -> Tomogram:
     """Sampled energy-E box tomogram; support-edge cells carry exact
-    masses, and mu = 0 yields the two momentum atoms at +-nu sqrt(2E)."""
+    masses; mu = 0, the zero frame too, gives the two atoms at +-nu sqrt(2E)."""
     x = np.asarray(x_grid, dtype=float)
-    if frame.is_zero:
-        raise TomogramError("box tomogram rejected for the zero frame")
     plateaus = box_plateaus(frame, L, E)
     if frame.mu == 0.0:
         atoms = tuple(DeltaAtom(0.5, lo) for lo, _ in plateaus)
@@ -508,8 +504,6 @@ def _orbit_average(model: PointTrajectory, frame: TomographyFrame, x: np.ndarray
     """The PointTrajectory route of :func:`time_averaged_tomogram`."""
     if not math.isfinite(model.period):
         raise TomogramError("time averaging needs a finite period")
-    if frame.is_zero:
-        raise TomogramError("time average rejected for the zero frame")
     g = _orbit_samples(model, frame)
     dx = x[1] - x[0]
     if float(np.max(g) - np.min(g)) < dx:
@@ -550,7 +544,8 @@ def time_average_support(model, frame: TomographyFrame) -> tuple[float, float]:
 
 def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     """Time average (1/T) int_0^T delta(X - mu q(t) - nu p(t)) dt of any
-    classical model, and the one place its route is chosen.
+    classical model, and the one place its route is chosen: the zero frame
+    is the unit atom delta(X) for every model, before any route is taken.
 
     A stationary DensityGrid gives its Radon transform; the trajectory
     variants return cell masses over the cell width, the differences of a
@@ -569,7 +564,10 @@ def time_averaged_tomogram(model, frame: TomographyFrame, x_grid) -> Tomogram:
     route = _TIME_AVERAGES.get(type(model))
     if route is None:
         raise TypeError(f"unsupported classical model {model!r}")
-    return route(model, frame, np.asarray(x_grid, dtype=float))
+    x = np.asarray(x_grid, dtype=float)
+    if frame.is_zero:
+        return Tomogram(frame, x, np.zeros_like(x), (DeltaAtom(1.0, 0.0),))
+    return route(model, frame, x)
 
 
 def _parse_density_file(text: str, body: str, off: int) -> DensityGrid:

@@ -173,7 +173,7 @@ def coherent_tomogram(alpha: complex, frame: TomographyFrame, X, hbar: float):
 
 
 def superposition_cross_term(n: int, m: int, frame: TomographyFrame, X, hbar: float):
-    """Interference term Re(A_n A_m*) / (2 pi hbar |nu|) of (|n>+|m>)/sqrt2,
+    """Interference term sqrt(kappa) Re(u_n u_m*) of (|n>+|m>)/sqrt2, in every nonzero frame,
 
         sqrt(kappa) cos((n - m)(arg zeta - pi/2)) phi_n(Q) phi_m(Q),   Q = sqrt(kappa) X.
     """
@@ -187,8 +187,8 @@ def superposition_tomogram(n: int, m: int, frame: TomographyFrame, X, hbar: floa
 
 
 def cat_interference(alpha: complex, frame: TomographyFrame, X, hbar: float):
-    """Interference term I = 2 Re(A_alpha A_{-alpha}*)/(2 pi hbar |nu|) of a
-    cat state; its integral is 2 exp(-2|alpha|^2) independent of hbar."""
+    """Interference term I = 2 sqrt(kappa) Re(u_alpha u_{-alpha}*) of a cat
+    state in every nonzero frame; its integral is 2 exp(-2|alpha|^2) at any hbar."""
     return 2.0 * _cross_term("coherent", alpha, -alpha, frame, X, hbar)
 
 

@@ -609,7 +609,7 @@ def _parse_kv(text: str, body: str, offset: int, allowed: dict[str, type],
               required: tuple[str, ...]) -> dict:
     out: dict = {}
     pos = offset
-    for token in body.split(","):
+    for token in body.split(",") if body else ():  # no fields: every key takes its default
         if not token:
             raise DescriptorError(text, pos, "empty descriptor field")
         if "=" not in token:
@@ -656,10 +656,10 @@ def _displaced(cls):
 
 
 def _parse_cat(text: str, body: str, off: int) -> State:
-    parity, comma, fields = body.partition(",")
+    parity, _, fields = body.partition(",")
     if parity not in ("even", "odd"):
         raise DescriptorError(text, off, f"cat parity must be even or odd, got {parity!r}")
-    kv = _parse_kv(text, fields, off + len(parity) + 1, _ALPHA_KEYS, ()) if comma else {}
+    kv = _parse_kv(text, fields, off + len(parity) + 1, _ALPHA_KEYS, ())
     return _displaced(CatEven if parity == "even" else CatOdd)(**kv)
 
 

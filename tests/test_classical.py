@@ -492,10 +492,25 @@ def test_time_average_mass_is_exact_on_covering_grids(a1, ratio, phi, s, theta):
     assert normalization_residual(tom) <= 1e-12
 
 
-def test_time_average_rejects_the_zero_frame():
-    orbit = PointTrajectory(lambda t: math.cos(t), lambda t: -math.sin(t), 2 * math.pi)
-    with pytest.raises(TomogramError):
-        time_averaged_tomogram(orbit, TomographyFrame(0.0, 0.0), np.linspace(-1, 1, 101))
+def test_time_average_in_the_zero_frame_is_the_unit_atom():
+    # mu q + nu p = 0 at every time: every model's average is delta(X), as a
+    # state's tomogram is, where four of the five routes once refused the frame
+    zero, x = TomographyFrame(0.0, 0.0), np.linspace(-1, 1, 101)
+    models = (gaussian_density(), OscillatorTrajectory(2.0), BoxTrajectory(2.0, 0.5),
+              PointTrajectory(lambda t: math.cos(t), lambda t: -math.sin(t), 2 * math.pi), RestPoint(0.7, -1.3))
+    for model in models:
+        tom = time_averaged_tomogram(model, zero, x)
+        assert tom.atoms == (DeltaAtom(1.0, 0.0),) and not np.any(tom.values)
+        assert np.array_equal(tom.x_grid, x) and tom.frame == zero
+    # the box build's mu = 0 branch already gives its two half atoms there
+    assert [(a.weight, a.location) for a in classical_box_tomogram_build(zero, 1.0, x).atoms] == [(0.5, 0.0)] * 2
+    with pytest.raises(TomogramError, match="pointwise box tomogram needs mu != 0"):
+        classical_box_tomogram(x, zero, 1.0)
+    # routes that divide by the frame length still refuse it when called directly
+    with pytest.raises(TomogramError, match="oscillator tomogram rejected for the zero frame"):
+        classical_oscillator_tomogram_build(zero, 1.0, x)
+    with pytest.raises(TomogramError, match="Radon transform rejected for the zero frame"):
+        radon_density(gaussian_density(), zero, x)
 
 
 def test_time_average_rest_state_is_atom():

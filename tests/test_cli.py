@@ -396,6 +396,32 @@ def test_limit_command_planck_delta_in_the_zero_frame_is_exact(tmp_path):
     assert rep["verdict"] == "converged" and rep["exponent"] is None
 
 
+@pytest.mark.parametrize("study", ["ehrenfest-coherent", "ehrenfest-cat"])
+def test_limit_command_ehrenfest_in_the_zero_frame_is_exact(tmp_path, capsys, study):
+    # the unit atom is the target itself, as for planck-delta; the coherent
+    # study once read not-converged with NaN widths and RuntimeWarnings, the
+    # cat study died on a ZeroDivisionError traceback with exit 1
+    out = str(tmp_path / "study")
+    assert run(["limit", study, "--frame", "0,0", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    text = open(os.path.join(out, f"{study}_report.json")).read()
+    assert "NaN" not in text
+    rep = json.loads(text)
+    assert rep["distances"] == [0.0] * 3
+    assert rep["verdict"] == "converged" and rep["exponent"] is None
+    assert rep["details"].get("peak_error_cells", [0.0] * 3) == [0.0] * 3
+
+
+def test_limit_command_interference_studies_run_at_nu_0(tmp_path, capsys):
+    # nu = 0 was once refused, a guard of the retired amplitude form
+    assert run(["limit", "interference", "--n", "0", "--m", "1", "--frame", "1,0",
+                "--out", str(tmp_path / "i")]) == 0
+    assert "fitted exponent: 0.5000" in capsys.readouterr().out
+    assert run(["limit", "cat-interference", "--frame", "1,0", "--out", str(tmp_path / "c")]) == 0
+    rep = json.load(open(tmp_path / "c" / "cat-interference_report.json"))
+    assert rep["verdict"] == "converged"
+
+
 def test_limit_command_planck_delta_resolves_a_large_order(tmp_path):
     # 2001 points left the n = 6000 artifacts 2e-2 short of unit mass
     out = str(tmp_path / "study")
@@ -1203,6 +1229,13 @@ def test_an_alpha_out_of_range_exits_2(tmp_path, capsys, state, message):
     # one n has no step to fall by: it once read converged, with nothing swept
     (["ehrenfest-oscillator", "--ns", "400"], "need at least 2 parameter values, got 1"),
     (["ehrenfest-box", "--ns", "30"], "need at least 2 parameter values, got 1"),
+    # the zero frame has no interference profile: the closed form refuses it
+    (["interference", "--frame", "0,0"], "closed-form tomogram rejected for the zero frame"),
+    (["cat-interference", "--frame", "0,0"], "closed-form tomogram rejected for the zero frame"),
+    (["interference", "--n", "2", "--m", "2"], "interference study needs two distinct eigenstates"),
+    (["ehrenfest-cat", "--q-alpha", "0"], "fringe frame undefined for a cat displaced to the origin"),
+    (["ehrenfest-oscillator", "--frame", "0,0"], "oscillator windowed distance rejected for the zero frame"),
+    (["ehrenfest-oscillator", "--ns", "10,40"], "oscillator study needs n >= 20"),
 ])
 def test_a_study_input_outside_its_domain_exits_2(tmp_path, capsys, args, message):
     out = str(tmp_path / "study")

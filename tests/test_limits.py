@@ -30,7 +30,7 @@ def planck_scaled_state(profile, gamma, hbar, x0=0.0):
 def test_limit_report_invariants():
     with pytest.raises(ValueError):
         lm.LimitReport("s", "hbar", [0.1, 0.3, 0.2], [1, 2, 3], None, None, "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("fitted_exponent requires a fit with R^2 >= 0.98")):
         lm.LimitReport("s", "hbar", [0.1, 0.2], [1, 2], 0.5, 0.9, "x")  # low R^2
     rep = lm.LimitReport("s", "hbar", [0.2, 0.1], [2.0, 1.0], 1.0, 0.999, "converged")
     payload = rep.payload()
@@ -158,10 +158,17 @@ def test_weak_delta_convergence_shifted_profile():
 
 def test_weak_delta_requires_geometric():
     fr = TomographyFrame(0.6, 0.8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parameter values must form a geometric sequence"):
         lm.weak_delta_convergence(st.HOEigen(1), [0.1, 0.05, 0.03, 0.01], fr)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 4 parameter values, got 3"):
         lm.weak_delta_convergence(st.HOEigen(1), [0.1, 0.05, 0.025], fr)
+
+
+def test_weak_delta_refuses_a_grid_that_misses_the_state(monkeypatch):
+    # every tomogram must hold its unit mass before its weak error is read
+    monkeypatch.setattr(lm, "default_x_grid", lambda state, frame, hbar: np.linspace(-0.5, 0.5, 201))
+    with pytest.raises(TomogramError, match="grid does not cover the state"):
+        lm.weak_delta_convergence(st.Coherent(2.0), [0.1, 0.05, 0.025, 0.0125], TomographyFrame(1.0, 0.0))
 
 
 def test_interference_decay_pairs():
@@ -182,12 +189,38 @@ def test_interference_decay_pairs():
 def test_interference_decay_validation():
     fr = TomographyFrame(0.6, 0.8)
     hs = [1e-1 * 0.5 ** k for k in range(5)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interference study needs two distinct eigenstates"):
         lm.interference_decay(2, 2, fr, hs)
-    with pytest.raises(ValueError):
-        lm.interference_decay(0, 1, TomographyFrame(1, 0), hs)
-    with pytest.raises(ValueError):
-        lm.interference_decay(0, 1, fr, [0.5, 0.25, 0.125, 0.0625, 0.03125])
+
+
+def test_interference_decay_holds_at_any_hbar():
+    # hbar was once refused outside [1e-4, 1e-1], a window of the amplitude
+    # form Re(A_n A_m*)/(2 pi hbar |nu|) that the closed cross term replaced
+    rep = lm.interference_decay(0, 1, TomographyFrame(0.6, 0.8), [10.0 ** -k for k in range(7)])
+    assert rep.verdict == "converged"
+    assert abs(rep.fitted_exponent - 0.5) < 1e-6
+    phys = rep.details["physical_l1"]
+    assert max(phys) - min(phys) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.7])
+def test_the_cross_terms_at_nu_0_are_the_position_marginal_differences(mu):
+    # nu = 0 was once refused by both interference studies: there the
+    # interference of |a> + |b> is the cross term of the position marginals
+    fr, hbar = TomographyFrame(mu, 0.0), 0.3
+    x = np.linspace(-8.0, 8.0, 1601) * abs(mu)
+
+    def W(state):
+        return tomogram_from_wavefunction(state, fr, x, hbar).values
+
+    for n, m in ((0, 1), (2, 5)):
+        full = W(st.Superposition(n, m))
+        exact = full - 0.5 * (W(st.HOEigen(n)) + W(st.HOEigen(m)))
+        assert np.max(np.abs(qt.superposition_cross_term(n, m, fr, x, hbar) - exact)) <= 1e-14 * np.max(full)
+    alpha = 1.0 + 0.4j
+    full = W(st.CatEven(alpha))
+    exact = full / st.cat_normalization(alpha, "even") ** 2 - W(st.Coherent(alpha)) - W(st.Coherent(-alpha))
+    assert np.max(np.abs(qt.cat_interference(alpha, fr, x, hbar) - exact)) <= 1e-14 * np.max(full)
 
 
 def test_cat_interference_planck_invariant_integral():
@@ -227,6 +260,12 @@ def test_ehrenfest_coherent_study():
     assert all(pe <= 1.0 for pe in rep2.details["peak_error_cells"])
 
 
+def test_ehrenfest_coherent_refuses_a_peak_off_the_classical_point(monkeypatch):
+    monkeypatch.setattr(lm, "coherent_tomogram_peak", lambda alpha, frame, hbar: 1.5)
+    with pytest.raises(TomogramError, match="misses the classical point 1.0"):
+        lm.ehrenfest_coherent(1.0, 0.0, TomographyFrame(1.0, 0.0), [1e-2, 1e-3, 1e-4])
+
+
 def test_ehrenfest_cat_study():
     fr = TomographyFrame(1.0, 0.0)
     rep = lm.ehrenfest_cat(1.0, 0.0, fr, [1e-3, 5e-4, 2.5e-4])
@@ -244,7 +283,7 @@ def test_ehrenfest_cat_study():
 def test_fringe_frame():
     fr = lm.fringe_frame(1.0, 0.0)
     assert (fr.mu, fr.nu) == (0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fringe frame undefined for a cat displaced to the origin"):
         lm.fringe_frame(0.0, 0.0)
 
 
@@ -275,6 +314,8 @@ def test_ehrenfest_oscillator_study():
 def test_ehrenfest_oscillator_general_frame():
     rep = lm.ehrenfest_oscillator([25, 50, 100], TomographyFrame(0.6, 0.8))
     assert rep.verdict == "converged"
+    with pytest.raises(ValueError, match="oscillator study needs n >= 20"):
+        lm.ehrenfest_oscillator([10, 40], TomographyFrame(0.6, 0.8))
 
 
 @pytest.mark.parametrize("n", [60, 452])
@@ -310,7 +351,7 @@ def test_the_oscillator_curve_is_even_and_its_distance_frame_free():
         assert np.array_equal(X, -X[::-1]) and X.size == 241
         assert np.array_equal(quantum, quantum[::-1])
         assert np.array_equal(classical, classical[::-1])
-    with pytest.raises(TomogramError, match="zero frame"):
+    with pytest.raises(TomogramError, match="oscillator windowed distance rejected for the zero frame"):
         lm.oscillator_windowed_distance(50, TomographyFrame(0.0, 0.0))
 
 

@@ -7,8 +7,9 @@ every classical time-average route and every catalog state's tomogram
 route reaches a traced name.  The
 source size the README states is the one its own rule counts, no
 private top-level name is left unused, every public name is used or
-documented, and the oscillator catalog's wave functions and extents are
-defined once, in the base class that applies the Fourier turn."""
+documented, the oscillator catalog's wave functions and extents are
+defined once, in the base class that applies the Fourier turn, and every
+refusal of a limit study is named by its message in some test."""
 
 import ast
 import importlib
@@ -348,3 +349,20 @@ def test_the_readme_lists_every_descriptor_kind():
     classical_list = text[text.index("Classical descriptors:"):]
     for kinds, listed in ((st._STATE_KINDS, states_list), (cl._CLASSICAL_KINDS, classical_list)):
         assert [k for k in kinds if f"`{k}:" not in listed] == []
+
+
+def test_every_limits_refusal_is_pinned_by_its_message():
+    # a refusal no test names can outlive the route it guarded: for each raise
+    # in limits.py, the longest literal run of its message (a string or the
+    # constant parts of an f-string), edge punctuation dropped, is in a test
+    tests = "".join(path.read_text() for path in (_ROOT / "tests").glob("*.py"))
+    tree = ast.parse((_ROOT / "src" / "tomolab" / "limits.py").read_text())
+    unpinned = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            message = node.exc.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            longest = max((p.value for p in parts if isinstance(p, ast.Constant)), key=len).strip(" ;:,.()")
+            if longest not in tests:
+                unpinned.append(f"limits.py:{node.lineno}: {longest}")
+    assert not unpinned, unpinned

@@ -57,11 +57,12 @@ _ODD_AT_ZERO = "an odd cat state needs alpha != 0 and |alpha| >= 1e-8, got 0j (i
 
 # every kind with and without its optional keys and every refusal path of the
 # two descriptor parsers, pinned when both shared one kind:args scanner: an
-# equal state or model, or the exception type, message and caret
+# equal state or model, or the exception type, message and caret; an empty
+# field list is no fields, so a kind whose keys all have defaults takes it
 _DESCRIPTOR_CASES = [
     ("state", "ho:n=3", st.HOEigen(3)),
     ("state", "ho:n=3,varpi=2", st.HOEigen(3, 2.0)),
-    ("state", "ho:", _err(st.DescriptorError, _EMPTY, "ho:", 3)),
+    ("state", "ho:", _err(st.DescriptorError, "missing required key 'n'", "ho:", 3)),
     ("state", "ho", _err(st.DescriptorError, "descriptor must look like kind:args", "ho", 0)),
     ("state", "ho:n=", _err(st.DescriptorError, "cannot parse '' as int", "ho:n=", 5)),
     ("state", "ho:n=abc", _err(st.DescriptorError, "cannot parse 'abc' as int", "ho:n=abc", 5)),
@@ -71,12 +72,12 @@ _DESCRIPTOR_CASES = [
      _err(st.DescriptorError, "unknown key 'weird' (allowed: n, varpi)", "ho:n=3,weird=1", 7)),
     ("state", "ho:varpi=2", _err(st.DescriptorError, "missing required key 'n'", "ho:varpi=2", 10)),
     ("state", "coherent:re=1,im=-0.5", st.Coherent(1 - 0.5j)),
-    ("state", "coherent:", _err(st.DescriptorError, _EMPTY, "coherent:", 9)),
+    ("state", "coherent:", st.Coherent(0j)),
     ("state", "coherent:re=1", st.Coherent(1 + 0j)),
     ("state", "cat:even", st.CatEven(0j)),
     ("state", "cat:odd,re=0.7,im=0.1", st.CatOdd(0.7 + 0.1j)),
     ("state", "cat:odd", _err(ValueError, _ODD_AT_ZERO, "", 0)),
-    ("state", "cat:even,", _err(st.DescriptorError, _EMPTY, "cat:even,", 9)),
+    ("state", "cat:even,", st.CatEven(0j)),
     ("state", "cat:weird,re=1",
      _err(st.DescriptorError, "cat parity must be even or odd, got 'weird'", "cat:weird,re=1", 4)),
     ("state", "cat:", _err(st.DescriptorError, "cat parity must be even or odd, got ''", "cat:", 4)),
@@ -84,7 +85,7 @@ _DESCRIPTOR_CASES = [
     ("state", "superpos:n=1", _err(st.DescriptorError, "missing required key 'm'", "superpos:n=1", 12)),
     ("state", "box:n=5,L=2.0", st.BoxEigen(5, 2.0)),
     ("state", "box:n=5", st.BoxEigen(5, 1.0)),
-    ("state", "box:", _err(st.DescriptorError, _EMPTY, "box:", 4)),
+    ("state", "box:", _err(st.DescriptorError, "missing required key 'n'", "box:", 4)),
     ("state", "box:L=2", _err(st.DescriptorError, "missing required key 'n'", "box:L=2", 7)),
     ("state", "custom:/nonexistent.csv", _err(st.DescriptorError, "custom state file not found: '/nonexistent.csv'",
                                               "custom:/nonexistent.csv", 7)),
@@ -95,14 +96,14 @@ _DESCRIPTOR_CASES = [
     ("state", "box:n=1,L=1e300", st.BoxEigen(1, 1e300)),
     ("state", "coherent:re=inf", _err(ValueError, "|alpha|^2 must be finite, got alpha = (inf+0j)", "", 0)),
     ("classical", "oscillator:E=2", cl.OscillatorTrajectory(2.0)),
-    ("classical", "oscillator:", _err(st.DescriptorError, _EMPTY, "oscillator:", 11)),
+    ("classical", "oscillator:", cl.OscillatorTrajectory()),
     ("classical", "oscillator:E=x", _err(st.DescriptorError, "cannot parse 'x' as float", "oscillator:E=x", 13)),
     ("classical", "box:L=2,E=0.5", cl.BoxTrajectory(2.0, 0.5)),
     ("classical", "box:E=2", cl.BoxTrajectory(1.0, 2.0)),
     ("classical", "box:L=2", cl.BoxTrajectory(2.0, 1.0)),
     ("classical", "point:q0=0.8,p0=-1.3", (0.8, -1.3)),
     ("classical", "point:q0=1", (1.0, 0.0)),
-    ("classical", "point:", _err(st.DescriptorError, _EMPTY, "point:", 6)),
+    ("classical", "point:", (0.0, 0.0)),
     ("classical", "grid:/nonexistent.csv", _err(st.DescriptorError, "density file not found: '/nonexistent.csv'",
                                                 "grid:/nonexistent.csv", 5)),
     ("classical", "rest:q0=1", _err(st.DescriptorError, "unknown classical kind 'rest'", "rest:q0=1", 0)),
